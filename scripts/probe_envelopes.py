@@ -4,12 +4,15 @@ bias/variance against the declared envelope."""
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
 from zograd.harness.cli import main
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
+# relative to the working directory, so the config echo in each JSON summary
+# names the file the same way in every checkout
+RESULTS = Path(os.path.relpath(Path(__file__).resolve().parent.parent / "results"))
 
 ORACLES = [
     "one-point,fn=quadratic,sigma=1.0,x=0.25",

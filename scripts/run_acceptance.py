@@ -8,12 +8,15 @@ Expect roughly ten minutes on one core.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
 from zograd.harness.cli import main
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
+# relative to the working directory, so the config echo in each JSON summary
+# names the file the same way in every checkout
+RESULTS = Path(os.path.relpath(Path(__file__).resolve().parent.parent / "results"))
 SEED = "20260810"
 
 INVOCATIONS = [

@@ -26,6 +26,7 @@ from .core import (
     OracleQuery,
     OracleResponse,
     checked_response,
+    draw_chunks,
 )
 from .testbed import ObjectiveFunction, separable, softabs, strongly_convex_pair
 
@@ -38,7 +39,8 @@ EPS_CAP_CONVEX = 1.0 / (4.0 * math.log(2.0))
 
 
 def _softabs_grad(x, v: float, eps: float):
-    return eps * np.tanh(0.5 * (np.asarray(x, dtype=float) - v) / eps)
+    """The slope of softabs(v, eps), by the same formula as its gradient."""
+    return eps * np.tanh((np.asarray(x, dtype=float) - v) * (0.5 / eps))
 
 
 def mean_response_convex(v: int, x, delta: float, eps: float, c1: float, p: float):
@@ -205,47 +207,27 @@ class AdversarialOracle:
     def envelope(self) -> OracleEnvelope:
         return self.instance.envelope
 
+    def _sd(self, delta: float) -> float:
+        return math.sqrt(self.envelope.c2_value(delta))
+
+    def estimate(self, x: np.ndarray, delta: float, xi: np.ndarray):
+        """Replies at the rows of x (lanes, 1): the closed-form mean plus the
+        drawn noise xi (lanes, 1); the evaluation point is x itself."""
+        return self.instance.mean_response(x, delta) + xi, x
+
     def query(self, x, delta: float, rng: np.random.Generator) -> OracleResponse:
         q = OracleQuery(x, delta)
-        mean = float(self.instance.mean_response(float(q.x[0]), delta))
-        sd = math.sqrt(self.envelope.c2_value(delta))
-        g = mean + sd * rng.standard_normal()
-        return checked_response(np.array([g]), q.x, q)
+        g, y = self.estimate(q.x.reshape(1, 1), delta, self._sd(delta) * rng.standard_normal((1, 1)))
+        return checked_response(g[0], y[0], q)
 
     def sample_gradients(self, x, delta, m, rng, antithetic: bool = False) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        mean = float(self.instance.mean_response(float(x[0]), delta))
-        sd = math.sqrt(self.envelope.c2_value(delta))
-        return (mean + sd * rng.standard_normal(m)).reshape(m, 1)
+        x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, 1)
+        return self.estimate(x, delta, self._sd(delta) * rng.standard_normal((m, 1)))[0]
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
-        sd = math.sqrt(self.envelope.c2_value(delta))
-        noise = (sd * rng.standard_normal(n)).tolist()
-        inst = self.instance
-        eps = inst.eps
-        shift = min(eps, inst.envelope.c1 * delta**inst.envelope.p)
-        if inst.problem_class == "strongly_convex":
-            offset = -inst.v * eps + inst.v * shift
-
-            def step(t: int, x: float):
-                return x + offset + noise[t], x
-
-            return step
-
-        tanh = math.tanh
-        inv2e = 0.5 / eps
-        v = inst.v
-
-        def step(t: int, x: float):
-            gp = eps * tanh((x - 1.0) * inv2e)
-            gm = eps * tanh((x + 1.0) * inv2e)
-            if v == +1:
-                mean = gp + shift if x < 0 else min(gp + shift, gm - shift)
-            else:
-                mean = gm - shift if x > 0 else max(gm - shift, gp + shift)
-            return mean + noise[t], x
-
-        return step
+        """The noise of n solver steps, in chunks of one (m, 1) array."""
+        sd = self._sd(delta)
+        return draw_chunks(rng, n, (lambda g, m: sd * g.standard_normal((m, 1)),))
 
 
 def hard_pair(
@@ -306,32 +288,33 @@ class SeparableAdversarialOracle:
         return cached
 
     def mean_response(self, x: np.ndarray, delta: float) -> np.ndarray:
+        """Coordinatewise means at one point (d,) or at each row of (..., d)."""
         x = np.asarray(x, dtype=float)
-        return np.array(
-            [float(inst.mean_response(float(x[i]), delta)) for i, inst in enumerate(self.instances)]
+        return np.stack(
+            [inst.mean_response(x[..., i], delta) for i, inst in enumerate(self.instances)], axis=-1
         )
+
+    def _sds(self, delta: float) -> np.ndarray:
+        return np.array([math.sqrt(inst.envelope.c2_value(delta)) for inst in self.instances])
+
+    def estimate(self, x: np.ndarray, delta: float, xi: np.ndarray):
+        """Replies at the rows of x (lanes, d): the means plus the drawn noise
+        xi (lanes, d); the evaluation point is x itself."""
+        return self.mean_response(x, delta) + xi, x
 
     def query(self, x, delta: float, rng: np.random.Generator) -> OracleResponse:
         q = OracleQuery(x, delta)
-        mean = self.mean_response(q.x, delta)
-        sds = np.array([math.sqrt(inst.envelope.c2_value(delta)) for inst in self.instances])
-        g = mean + sds * rng.standard_normal(self.dim)
-        return checked_response(g, q.x, q)
+        g, y = self.estimate(q.x.reshape(1, -1), delta, self._sds(delta) * rng.standard_normal((1, self.dim)))
+        return checked_response(g[0], y[0], q)
 
     def sample_gradients(self, x, delta, m, rng, antithetic: bool = False) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        mean = self.mean_response(x, delta)
-        sds = np.array([math.sqrt(inst.envelope.c2_value(delta)) for inst in self.instances])
-        return mean + sds * rng.standard_normal((m, self.dim))
+        x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
+        return self.estimate(x, delta, self._sds(delta) * rng.standard_normal((m, self.dim)))[0]
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
-        sds = np.array([math.sqrt(inst.envelope.c2_value(delta)) for inst in self.instances])
-        noise = sds * rng.standard_normal((n, self.dim))
-
-        def step(t: int, x: np.ndarray):
-            return self.mean_response(x, delta) + noise[t], x
-
-        return step
+        """The noise of n solver steps, in chunks of one (m, d) array."""
+        sds = self._sds(delta)
+        return draw_chunks(rng, n, (lambda g, m: sds * g.standard_normal((m, self.dim)),))
 
 
 def compose_separable(instances: Sequence[HardInstance]) -> SeparableAdversarialOracle:

@@ -13,8 +13,9 @@ All types here are immutable value objects and safe to share across workers.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -86,6 +87,9 @@ class Box:
             raise DomainError("box must have a nonempty interior (lower < upper)")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
+        # 1-d bounds as 0-d arrays: numpy clamps a stack of points (..., 1)
+        # against those without its slower general broadcasting path
+        object.__setattr__(self, "_clamp", (lo.reshape(()), up.reshape(())) if lo.size == 1 else (lo, up))
 
     @property
     def dim(self) -> int:
@@ -96,7 +100,8 @@ class Box:
         return 0.5 * (self.lower + self.upper)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+        lo, up = self._clamp
+        return np.minimum(np.maximum(np.asarray(x, dtype=float), lo), up)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -132,10 +137,11 @@ class Ball:
     def project(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         offset = x - self.center
-        dist = float(np.sqrt(np.sum(offset * offset)))
-        if dist <= self.radius:
+        dist = np.sqrt(np.sum(offset * offset, axis=-1, keepdims=True))
+        outside = dist > self.radius
+        if not outside.any():
             return x.copy()
-        return self.center + offset * (self.radius / dist)
+        return np.where(outside, self.center + offset * (self.radius / np.where(outside, dist, 1.0)), x)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -152,7 +158,8 @@ ConvexBody = Union[Box, Ball]
 
 def project(body: ConvexBody, x: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the body: componentwise clamp for boxes,
-    radial scaling for balls. Total and idempotent."""
+    radial scaling for balls. Total and idempotent.  ``x`` may be one point
+    (d,) or a stack of points (..., d), each row projected on its own."""
     return body.project(x)
 
 
@@ -265,3 +272,40 @@ class RngStream:
 
 def stream_generator(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     return RngStream(master_seed, stream_id).generator()
+
+
+# Solver steps draw their randomness in chunks of at most this many steps,
+# so a run's memory does not grow with its horizon.  A chunk of a 64-lane
+# run holds 512 x 64 draws of each kind; doubling it costs a pool worker of
+# the lower-bound experiment about 0.5 MB more peak memory, halving it about
+# 5% more time per step on 16 lanes.
+STEPS_PER_CHUNK = 512
+
+
+def chunk_sizes(n: int) -> list[int]:
+    """Step counts of the consecutive chunks that cover n steps."""
+    return [min(STEPS_PER_CHUNK, n - start) for start in range(0, n, STEPS_PER_CHUNK)]
+
+
+def draw_chunks(
+    rng: np.random.Generator,
+    n: int,
+    blocks: Sequence[Callable[[np.random.Generator, int], np.ndarray]],
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield the randomness of n steps, one tuple of arrays per chunk.
+
+    ``blocks`` are the draws of one kind, ``block(generator, m) -> array``
+    with leading axis m, in the order a one-shot draw of all n steps takes
+    them.  Concatenated over the chunks, block i returns bit for bit what
+    ``block(rng, n)`` returns after blocks 0..i-1 were drawn in full: block
+    0 reads rng itself, block i a copy advanced past blocks 0..i-1.
+    """
+    sizes = chunk_sizes(n)
+    gens = [rng]
+    for block in blocks[:-1]:
+        ahead = copy.deepcopy(gens[-1])
+        for m in sizes:
+            block(ahead, m)
+        gens.append(ahead)
+    for m in sizes:
+        yield tuple(block(g, m) for block, g in zip(blocks, gens))

@@ -12,7 +12,12 @@ Perturbation laws (U, V) satisfy E[V U^T] = I; supported choices are
 symmetric +-1 coordinates with reciprocal weights, the uniform sphere of
 radius sqrt(d), the standard Gaussian, and uniform surface sampling.
 Each oracle exports the bias/variance envelope of its (class, noise) cell
-with constants assembled from Monte Carlo moments of (U, V).
+with constants assembled from closed-form moments of (U, V).
+
+Every oracle computes its estimate in one vectorised ``estimate`` over a
+stack of query points, from draws passed in as arguments.  ``make_stepper``
+feeds the solver those draws chunk by chunk; ``query`` and
+``sample_gradients`` draw their own and call the same ``estimate``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .core import (
     OracleQuery,
     OracleResponse,
     checked_response,
+    draw_chunks,
 )
 from .testbed import ObjectiveFunction
 
@@ -123,7 +129,6 @@ class ControlledNoise:
     smoothness_bound: float
     residual_sq: float = 0.0
     grad_sq_bound: Optional[float] = None
-    observe_scalar: Optional[Callable[[float, float], float]] = None
 
     kind = "controlled"
 
@@ -141,19 +146,15 @@ def additive_controlled(
     """
     if f.dim != 1:
         raise DomainError("additive_controlled is a 1-d observation model")
-    if f.value_scalar is not None:
-        fs = f.value_scalar
-        obs_s = lambda x, psi: fs(x) + sigma * psi * (1.0 + slope * x)
-    else:
-        obs_s = None
     b1 = f.sup_gradient_dual()
+    # 0-d array constants: cheaper than Python floats in per-step numpy ops
+    sig_, slope_, one = np.array(float(sigma)), np.array(float(slope)), np.array(1.0)
     return ControlledNoise(
-        observe=lambda x, psi: f.value(x) + sigma * psi * (1.0 + slope * x),
+        observe=lambda x, psi: f.value(x) + sig_ * psi * (one + slope_ * x),
         psi_sample=lambda rng, size: rng.standard_normal(size),
         smoothness_bound=f.smoothness,
         residual_sq=4.0 * sigma**2 * slope**2,  # |x+ - x-| <= 2 delta <= 2
         grad_sq_bound=b1**2 + sigma**2 * slope**2,
-        observe_scalar=obs_s,
     )
 
 
@@ -161,7 +162,7 @@ NoiseModel = UncontrolledNoise | ControlledNoise
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo moments of (U, V), cached per (scheme, d, norm)
+# Moments of (U, V), cached per (scheme, d, norm)
 # ---------------------------------------------------------------------------
 
 _MOMENT_SAMPLES = 1_000_000
@@ -169,12 +170,58 @@ _MOMENT_SEED = 852_654_618
 _moment_cache: dict[tuple[str, int, str], dict[str, float]] = {}
 
 
+def _constant_square_norms(scheme: PerturbationScheme, d: int, norm: Norm) -> Optional[tuple[int, int]]:
+    """(|V|*^2, |U|^2) when both are the same for every draw, else None."""
+    if scheme.kind == "spsa":
+        return (d, d) if norm.kind == "euclidean" else (d * d, 1)
+    if norm.kind != "euclidean" and d > 1:
+        return None
+    if scheme.kind == "rdsa":
+        return d, d
+    if scheme.kind == "surface":
+        return d * d, 1
+    return None
+
+
+def _gaussian_norm_moment(d: int, k: int) -> float:
+    """E||z||^k = 2^{k/2} Gamma((d+k)/2) / Gamma(d/2) for z ~ N(0, I_d)."""
+    return 2.0 ** (k / 2.0) * math.exp(math.lgamma((d + k) / 2.0) - math.lgamma(d / 2.0))
+
+
 def scheme_moments(scheme: PerturbationScheme, d: int, norm: Norm = EUCLIDEAN) -> dict[str, float]:
-    """E[|V|* |U|^k] moments used by the envelope constants; the draw is
-    seeded per cache key so envelopes are bit-reproducible."""
+    """E[|V|* |U|^k] moments used by the envelope constants.
+
+    Exact where a closed form exists: constant-norm schemes, and the
+    Gaussian under the Euclidean norm (Nesterov & Spokoiny 2017, Lemma 1),
+    where |V| = |U| = ||z||.  Otherwise a Monte Carlo estimate, seeded per
+    cache key so envelopes are bit-reproducible.
+    """
     key = (scheme.kind, d, norm.kind)
     if key in _moment_cache:
         return _moment_cache[key]
+    const = _constant_square_norms(scheme, d, norm)
+    if const is not None:
+        v2, u2 = const  # integers, so each moment below is correctly rounded
+        moments = {
+            "v_u2": math.sqrt(v2 * u2**2),
+            "v2": float(v2),
+            "v_u3": math.sqrt(v2 * u2**3),
+            "v2_u4": float(v2 * u2**2),
+        }
+    elif scheme.kind == "sf" and (norm.kind == "euclidean" or d == 1):
+        moments = {
+            "v_u2": _gaussian_norm_moment(d, 3),
+            "v2": float(d),
+            "v_u3": float(d * (d + 2)),
+            "v2_u4": float(d * (d + 2) * (d + 4)),
+        }
+    else:
+        moments = _sampled_moments(scheme, d, norm)
+    _moment_cache[key] = moments
+    return moments
+
+
+def _sampled_moments(scheme: PerturbationScheme, d: int, norm: Norm) -> dict[str, float]:
     stream = np.random.default_rng(
         np.random.SeedSequence(_MOMENT_SEED, spawn_key=(SCHEME_KINDS.index(scheme.kind), d, 0 if norm.kind == "euclidean" else 1))
     )
@@ -185,12 +232,8 @@ def scheme_moments(scheme: PerturbationScheme, d: int, norm: Norm = EUCLIDEAN) -
         m = min(block, _MOMENT_SAMPLES - done)
         u = scheme.sample_u(d, stream, m)
         v = scheme.v_of(u)
-        if norm.kind == "euclidean":
-            v_dual = np.linalg.norm(v, axis=1)
-            u_norm = np.linalg.norm(u, axis=1)
-        else:
-            v_dual = np.sum(np.abs(v), axis=1)
-            u_norm = np.max(np.abs(u), axis=1)
+        v_dual = np.sum(np.abs(v), axis=1)
+        u_norm = np.max(np.abs(u), axis=1)
         sums += np.array(
             [
                 np.sum(v_dual * u_norm**2),
@@ -200,14 +243,12 @@ def scheme_moments(scheme: PerturbationScheme, d: int, norm: Norm = EUCLIDEAN) -
             ]
         )
         done += m
-    moments = {
-        "v_u2": sums[0] / _MOMENT_SAMPLES,
-        "v2": sums[1] / _MOMENT_SAMPLES,
-        "v_u3": sums[2] / _MOMENT_SAMPLES,
-        "v2_u4": sums[3] / _MOMENT_SAMPLES,
+    return {
+        "v_u2": float(sums[0] / _MOMENT_SAMPLES),
+        "v2": float(sums[1] / _MOMENT_SAMPLES),
+        "v_u3": float(sums[2] / _MOMENT_SAMPLES),
+        "v2_u4": float(sums[3] / _MOMENT_SAMPLES),
     }
-    _moment_cache[key] = moments
-    return moments
 
 
 def ball_mean_square_radius(d: int) -> float:
@@ -297,6 +338,8 @@ class EstimatorOracle:
             raise DomainError("controlled noise requires two-point feedback")
         if self.scheme.kind == "surface" and self.feedback == "two_point":
             raise DomainError("surface sampling is a one-point construction")
+        # y = x + delta*U stays in the delta-vicinity only for bounded U
+        object.__setattr__(self, "_eval_point", self.scheme.u_bound(self.target.dim) <= 1.0)
 
     @property
     def dim(self) -> int:
@@ -317,8 +360,49 @@ class EstimatorOracle:
             )
         return self._envelope[0]
 
-    def _reports_eval_point(self) -> bool:
-        return self.scheme.u_bound(self.dim) <= 1.0
+    def _noise_shape(self) -> tuple[int, ...]:
+        """Noise of one estimate: the evaluation noise of each arm, (1,) for
+        one-point and (2, 1) for two-point; controlled noise draws one psi,
+        (1, 1), shared by both arms."""
+        if self.feedback == "one_point":
+            return (1,)
+        return (2 if isinstance(self.noise, UncontrolledNoise) else 1, 1)
+
+    def _noise(self, rng: np.random.Generator, shape) -> np.ndarray:
+        if isinstance(self.noise, ControlledNoise):
+            return np.asarray(self.noise.psi_sample(rng, shape), dtype=float)
+        sig = self.noise.sigma
+        return sig * rng.standard_normal(shape) if sig > 0 else np.zeros(shape)
+
+    def _scaled(self, u: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """The estimate's direction draws from U (m, d): the probe offsets
+        du = delta*U (two-point: +du and -du on an arm axis, (m, 2, d)) and
+        the weights w = V over the difference width (delta, or 2*delta)."""
+        du, v = delta * u, self.scheme.v_of(u)
+        if self.feedback == "one_point":
+            return du, v * (1.0 / delta)
+        return np.stack((du, -du), axis=1), v * (0.5 / delta)
+
+    # -- the estimate ---------------------------------------------------------
+
+    def estimate(self, x: np.ndarray, delta: float, du: np.ndarray, w: np.ndarray, xi: np.ndarray):
+        """Gradient estimates and evaluation points at the rows of x (lanes, d).
+
+        The draws come in as arguments, one row per lane: the probe offsets
+        du and weights w of ``_scaled``, and the noise xi of
+        ``_noise_shape``.  One-point: G = (f(x + du) + xi) * w.  Two-point:
+        G = (Z+ - Z-) * w with Z = f(x +- du) + xi, or, for controlled
+        noise, Z = observe(x +- du, psi).  The evaluation point is x + du
+        when the scheme keeps ||x - y|| <= delta under its vicinity norm,
+        and x itself otherwise.
+        """
+        f = self.target.value_rows
+        if self.feedback == "one_point":
+            y = x + du
+            return (f(y) + xi) * w, (y if self._eval_point else x)
+        arms = x[:, None] + du
+        z = f(arms) + xi if isinstance(self.noise, UncontrolledNoise) else self.noise.observe(arms, xi)
+        return (z[:, 0] - z[:, 1]) * w, (arms[:, 0] if self._eval_point else x)
 
     # -- single query -------------------------------------------------------
 
@@ -326,14 +410,8 @@ class EstimatorOracle:
         q = OracleQuery(x, delta)
         if not self.target.domain.contains(q.x):
             raise DomainError(f"query point {q.x} escapes the domain")
-        u = self.scheme.sample_u(self.dim, rng, 1)
-        v = self.scheme.v_of(u)
-        if self.dim == 1:
-            g = np.atleast_1d(self._kernel_1d(float(q.x[0]), delta, u[:, 0], v[:, 0], rng, False))
-        else:
-            g = self._kernel_nd(q.x, delta, u[0], v[0], rng, False)
-        y = q.x + delta * u[0] if self._reports_eval_point() else q.x
-        return checked_response(g, y, q, self.scheme.vicinity_norm(self.dim))
+        g, y = self._sample(q.x, delta, 1, rng, False)
+        return checked_response(g[0], y[0], q, self.scheme.vicinity_norm(self.dim))
 
     # -- vectorized sampling (probes) ----------------------------------------
 
@@ -351,154 +429,34 @@ class EstimatorOracle:
         +U and -U (same noise law); the mean is unchanged, the spread of the
         mean estimate collapses, so bias probes converge far faster.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        d = self.dim
-        u = self.scheme.sample_u(d, rng, m)
-        v = self.scheme.v_of(u)
-        if d == 1:
-            g = self._kernel_1d(float(x[0]), delta, u[:, 0], v[:, 0], rng, antithetic)
-            return g.reshape(m, 1)
-        rows = np.empty((m, d))
-        for i in range(m):
-            rows[i] = self._kernel_nd(x, delta, u[i], v[i], rng, antithetic)
-        return rows
+        return self._sample(np.atleast_1d(np.asarray(x, dtype=float)), delta, m, rng, antithetic)[0]
 
-    def _kernel_1d(self, x, delta, u, v, rng, antithetic):
-        f = self.target.value
-        m = u.shape[0]
-        if self.feedback == "one_point":
-            assert isinstance(self.noise, UncontrolledNoise)
-            sig = self.noise.sigma
-            zp = f(x + delta * u) + (sig * rng.standard_normal(m) if sig > 0 else 0.0)
-            if not antithetic:
-                return zp * v / delta
-            zm = f(x - delta * u) + (sig * rng.standard_normal(m) if sig > 0 else 0.0)
-            return 0.5 * (zp * v + zm * (-v)) / delta
-        if isinstance(self.noise, UncontrolledNoise):
-            sig = self.noise.sigma
-            zp = f(x + delta * u) + (sig * rng.standard_normal(m) if sig > 0 else 0.0)
-            zm = f(x - delta * u) + (sig * rng.standard_normal(m) if sig > 0 else 0.0)
-            return (zp - zm) * v / (2.0 * delta)
-        psi = self.noise.psi_sample(rng, m)
-        zp = self.noise.observe(x + delta * u, psi)
-        zm = self.noise.observe(x - delta * u, psi)
-        return (zp - zm) * v / (2.0 * delta)
-
-    def _kernel_nd(self, x, delta, u, v, rng, antithetic):
-        f = self.target
-        if self.feedback == "one_point":
-            assert isinstance(self.noise, UncontrolledNoise)
-            sig = self.noise.sigma
-            zp = f.value_at(x + delta * u) + (sig * rng.standard_normal() if sig > 0 else 0.0)
-            if not antithetic:
-                return zp * v / delta
-            zm = f.value_at(x - delta * u) + (sig * rng.standard_normal() if sig > 0 else 0.0)
-            return 0.5 * (zp * v - zm * v) / delta
-        if isinstance(self.noise, UncontrolledNoise):
-            sig = self.noise.sigma
-            zp = f.value_at(x + delta * u) + (sig * rng.standard_normal() if sig > 0 else 0.0)
-            zm = f.value_at(x - delta * u) + (sig * rng.standard_normal() if sig > 0 else 0.0)
-            return (zp - zm) * v / (2.0 * delta)
-        psi = float(self.noise.psi_sample(rng, 1)[0])
-        zp = self.noise.observe(x + delta * u, psi)
-        zm = self.noise.observe(x - delta * u, psi)
-        return (zp - zm) * v / (2.0 * delta)
+    def _sample(self, x, delta, m, rng, antithetic):
+        """m estimates at one point: all m directions first, then the noise
+        arm by arm, one block of m per arm."""
+        du, w = self._scaled(self.scheme.sample_u(self.dim, rng, m), delta)
+        x = x.reshape(1, -1)
+        if self.feedback == "two_point":
+            xi = np.moveaxis(self._noise(rng, (self._noise_shape()[0], m, 1)), 0, 1)
+            return self.estimate(x, delta, du, w, xi)
+        if not antithetic:
+            return self.estimate(x, delta, du, w, self._noise(rng, (m, 1)))
+        xi_p, xi_m = self._noise(rng, (2, m, 1))
+        g, y = self.estimate(x, delta, du, w, xi_p)
+        return 0.5 * (g + self.estimate(x, delta, -du, -w, xi_m)[0]), y
 
     # -- solver hot path ------------------------------------------------------
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
-        """Precompute n steps of randomness and return step(t, x) -> (g, y).
+        """The draws of n solver steps, in chunks of ``(du, w, xi)``.
 
-        For 1-d targets the closure works on plain floats; the returned y is
-        the evaluation point when the scheme keeps ||x - y|| <= delta under
-        its vicinity norm, and x itself otherwise.
+        The values replay a one-shot draw of all n directions U followed by
+        all n steps' noise.
         """
-        d = self.dim
-        if d != 1:
-            return self._make_stepper_nd(n, delta, rng)
-        u_arr = self.scheme.sample_u(1, rng, n)[:, 0]
-        v_arr = self.scheme.v_of(u_arr.reshape(-1, 1))[:, 0]
-        U = (delta * u_arr).tolist()
-        V = v_arr.tolist()
-        fs = self.target.value_scalar or (lambda x: float(self.target.value(x)))
-        reports_eval = self._reports_eval_point()
-
-        if self.feedback == "one_point":
-            sig = self.noise.sigma
-            XI = (sig * rng.standard_normal(n)).tolist() if sig > 0 else [0.0] * n
-            inv = 1.0 / delta
-
-            def step(t: int, x: float):
-                du = U[t]
-                y = x + du
-                g = (fs(y) + XI[t]) * V[t] * inv
-                return g, (y if reports_eval else x)
-
-            return step
-
-        inv2 = 1.0 / (2.0 * delta)
-        if isinstance(self.noise, UncontrolledNoise):
-            sig = self.noise.sigma
-            if sig > 0:
-                XI = (sig * rng.standard_normal((n, 2)))
-                XP, XM = XI[:, 0].tolist(), XI[:, 1].tolist()
-            else:
-                XP = XM = [0.0] * n
-
-            def step(t: int, x: float):
-                du = U[t]
-                yp = x + du
-                g = (fs(yp) + XP[t] - fs(x - du) - XM[t]) * V[t] * inv2
-                return g, (yp if reports_eval else x)
-
-            return step
-
-        PSI = np.asarray(self.noise.psi_sample(rng, n), dtype=float).tolist()
-        obs = self.noise.observe_scalar or (lambda x, p: float(self.noise.observe(x, p)))
-
-        def step(t: int, x: float):
-            du = U[t]
-            psi = PSI[t]
-            yp = x + du
-            g = (obs(yp, psi) - obs(x - du, psi)) * V[t] * inv2
-            return g, (yp if reports_eval else x)
-
-        return step
-
-    def _make_stepper_nd(self, n: int, delta: float, rng: np.random.Generator):
-        u_all = self.scheme.sample_u(self.dim, rng, n)
-        v_all = self.scheme.v_of(u_all)
-        reports_eval = self._reports_eval_point()
-        noise = self.noise
-        f = self.target
-        if self.feedback == "one_point":
-            xi = noise.sigma * rng.standard_normal(n) if noise.sigma > 0 else np.zeros(n)
-
-            def step(t: int, x: np.ndarray):
-                y = x + delta * u_all[t]
-                g = (f.value_at(y) + xi[t]) / delta * v_all[t]
-                return g, (y if reports_eval else x)
-
-            return step
-        if isinstance(noise, UncontrolledNoise):
-            xi = noise.sigma * rng.standard_normal((n, 2)) if noise.sigma > 0 else np.zeros((n, 2))
-
-            def step(t: int, x: np.ndarray):
-                yp = x + delta * u_all[t]
-                ym = x - delta * u_all[t]
-                g = (f.value_at(yp) + xi[t, 0] - f.value_at(ym) - xi[t, 1]) / (2 * delta) * v_all[t]
-                return g, (yp if reports_eval else x)
-
-            return step
-        psi = np.asarray(noise.psi_sample(rng, n), dtype=float)
-
-        def step(t: int, x: np.ndarray):
-            yp = x + delta * u_all[t]
-            ym = x - delta * u_all[t]
-            g = (noise.observe(yp, psi[t]) - noise.observe(ym, psi[t])) / (2 * delta) * v_all[t]
-            return g, (yp if reports_eval else x)
-
-        return step
+        d, shape = self.dim, self._noise_shape()
+        blocks = (lambda g, m: self.scheme.sample_u(d, g, m), lambda g, m: self._noise(g, (m, *shape)))
+        for u, xi in draw_chunks(rng, n, blocks):
+            yield (*self._scaled(u, delta), xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,19 +475,20 @@ class ExactGradientOracle:
     def envelope(self) -> OracleEnvelope:
         return OracleEnvelope(c1=0.0, p=1.0, c2=0.0, q=0.0)
 
+    def estimate(self, x: np.ndarray, delta: float):
+        return self.target.gradient(x), x
+
     def query(self, x: np.ndarray, delta: float, rng: np.random.Generator) -> OracleResponse:
         q = OracleQuery(x, delta)
-        return checked_response(self.target.gradient_at(q.x), q.x, q)
+        g, y = self.estimate(q.x.reshape(1, -1), delta)
+        return checked_response(g[0], y[0], q)
 
     def sample_gradients(self, x, delta, m, rng, antithetic=False) -> np.ndarray:
-        g = self.target.gradient_at(np.atleast_1d(x))
+        g, _ = self.estimate(np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1), delta)
         return np.tile(g, (m, 1))
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
-        if self.dim == 1:
-            gs = self.target.gradient_scalar or (lambda x: float(self.target.gradient(x)))
-            return lambda t, x: (gs(x), x)
-        return lambda t, x: (self.target.gradient_at(x), x)
+        return draw_chunks(rng, n, ())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Every replication owns a counter-derived RNG stream keyed by
 ``(master_seed, horizon_index, replication)``, so results are bitwise
 reproducible regardless of the worker count; aggregation always walks
-replications in index order.
+replications in index order.  The replications of one horizon (or one
+lower-bound arm) are the lanes of one solver run; with several workers
+each worker runs a contiguous shard of those lanes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,6 +42,7 @@ from ..estimators import (
     additive_controlled,
 )
 from ..solver import (
+    NonFiniteIterate,
     Regularizer,
     Schedule,
     optimization_rate_exponent,
@@ -160,38 +165,81 @@ def schedule_for(
 # ---------------------------------------------------------------------------
 
 
-def _one_replication(payload: tuple) -> tuple[float, Optional[float]]:
-    cfg_dict, n, h_idx, rep, mode = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+@dataclass(frozen=True)
+class _Group:
+    """The replications of one horizon or one lower-bound arm: one solver
+    run whose lanes are replications ``0..reps-1`` on the streams
+    ``(tag << 20) | rep``.  ``kind`` is the run mode ("optimization",
+    "regret") of an estimator run, or "adversarial"/"exact" for an arm."""
+
+    kind: str
+    n: int
+    tag: int
+    reps: int
+    arm: int = 0
+
+
+def _lanes_setup(cfg: ExperimentConfig, group: _Group):
+    """(oracle, schedule, body, mode) of a group's run."""
+    if group.kind in ("adversarial", "exact"):
+        inst = _lowerbound_pair(cfg)[group.arm]
+        f = inst.objective()
+        oracle = AdversarialOracle(inst) if group.kind == "adversarial" else ExactGradientOracle(f)
+        return oracle, _lowerbound_schedule(cfg, f, inst.envelope), f.domain, "optimization"
     f = build_function(cfg.function, cfg.problem_class)
     oracle = build_estimator(cfg, f)
-    schedule = schedule_for(cfg.problem_class, oracle.envelope, f, n, mode, Regularizer())
-    rng = RngStream(cfg.master_seed, (h_idx << 20) | rep).generator()
-    trace = run(
-        oracle, schedule, n, f.domain, Regularizer(), rng=rng,
-        mode="regret" if mode == "regret" else "optimization",
-    )
-    return float(trace.error), (None if trace.regret is None else float(trace.regret))
+    schedule = schedule_for(cfg.problem_class, oracle.envelope, f, group.n, group.kind, Regularizer())
+    return oracle, schedule, f.domain, group.kind
 
 
-def _replicate(cfg: ExperimentConfig, n: int, h_idx: int, mode: str) -> list[tuple[float, Optional[float]]]:
-    if cfg.workers <= 1:
-        # inline path: share one oracle/schedule across replications
-        f = build_function(cfg.function, cfg.problem_class)
-        oracle = build_estimator(cfg, f)
-        schedule = schedule_for(cfg.problem_class, oracle.envelope, f, n, mode, Regularizer())
-        out = []
-        for rep in range(cfg.replications):
-            rng = RngStream(cfg.master_seed, (h_idx << 20) | rep).generator()
-            trace = run(
-                oracle, schedule, n, f.domain, Regularizer(), rng=rng,
-                mode="regret" if mode == "regret" else "optimization",
-            )
-            out.append((float(trace.error), None if trace.regret is None else float(trace.regret)))
-        return out
-    payloads = [(cfg.to_dict(), n, h_idx, rep, mode) for rep in range(cfg.replications)]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(_one_replication, payloads))
+def _run_shard(task: tuple) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Worker body: one run per group piece ``(group, reps)`` of a shard,
+    returning each piece's errors and regrets in replication order."""
+    cfg_dict, pieces = task
+    cfg = ExperimentConfig.from_dict(cfg_dict)
+    out = []
+    for group, reps in pieces:
+        oracle, schedule, body, mode = _lanes_setup(cfg, group)
+        rngs = [RngStream(cfg.master_seed, (group.tag << 20) | rep).generator() for rep in reps]
+        try:
+            trace = run(oracle, schedule, group.n, body, Regularizer(), rng=rngs, mode=mode)
+        except NonFiniteIterate as exc:
+            raise NonFiniteIterate(reps[exc.lane], exc.first, exc.last) from None
+        out.append((trace.error, trace.regret))
+    return out
+
+
+def _fan_out(
+    cfg: ExperimentConfig, groups: Sequence[_Group], workers: int
+) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Errors and regrets of every group, replications in index order.
+
+    The replications of all groups, laid end to end, are cut into one
+    contiguous shard per worker, and a worker makes one run for each group
+    its shard touches.  One worker runs everything in this process.
+    """
+    lanes = [(gi, rep) for gi, group in enumerate(groups) for rep in range(group.reps)]
+    size = -(-len(lanes) // workers)
+    shards = [
+        [(gi, [rep for _, rep in piece]) for gi, piece in groupby(lanes[i:i + size], key=itemgetter(0))]
+        for i in range(0, len(lanes), size)
+    ]
+    cfg_dict = cfg.to_dict()
+    tasks = [(cfg_dict, [(groups[gi], reps) for gi, reps in shard]) for shard in shards]
+    if workers <= 1:
+        results = [_run_shard(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_shard, tasks))
+    errors, regrets = [[] for _ in groups], [[] for _ in groups]
+    for shard, shard_results in zip(shards, results):
+        for (gi, _), (err, reg) in zip(shard, shard_results):
+            errors[gi].append(err)
+            regrets[gi].append(reg)
+    return [
+        (np.concatenate(e), None if r[0] is None else np.concatenate(r))
+        for e, r in zip(errors, regrets)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +260,8 @@ class ExperimentReport:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy float64 included
+        return repr(float(value))
     return "" if value is None else str(value)
 
 
@@ -266,13 +314,16 @@ def rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows: list[tuple] = []
     means: list[float] = []
     ses: list[float] = []
-    for h_idx, n in enumerate(cfg.horizons):
+    negatives: list[int] = []
+    groups = [_Group("optimization", n, h_idx, cfg.replications) for h_idx, n in enumerate(cfg.horizons)]
+    for (h_idx, n), (raw, _) in zip(enumerate(cfg.horizons), _fan_out(cfg, groups, cfg.workers)):
         schedule = schedule_for(cfg.problem_class, env, f, n, "optimization", Regularizer())
-        results = _replicate(cfg, n, h_idx, "optimization")
-        errors = np.array([max(e, 0.0) for e, _ in results])
+        # a negative error means f_star is wrong: count it, and keep it out of the fit
+        negatives.append(int(np.sum(raw < 0.0)))
+        errors = np.maximum(raw, 0.0)
         means.append(float(errors.mean()))
         ses.append(float(errors.std(ddof=1) / math.sqrt(len(errors))) if len(errors) > 1 else 0.0)
-        for rep, (err, _) in enumerate(results):
+        for rep, err in enumerate(raw):
             rows.append(
                 (experiment_id, n, rep, err, None, schedule.delta, (h_idx << 20) | rep)
             )
@@ -284,8 +335,8 @@ def rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     details = {
         "envelope": {"c1": env.c1, "p": env.p, "c2": env.c2, "q": env.q, "type": env.oracle_type},
         "per_horizon": [
-            {"n": int(n), "mean_error": m, "se": s}
-            for n, m, s in zip(cfg.horizons, means, ses)
+            {"n": int(n), "mean_error": m, "se": s, "negative_errors": neg}
+            for n, m, s, neg in zip(cfg.horizons, means, ses, negatives)
         ],
         "r_squared": fit.r_squared,
     }
@@ -314,12 +365,12 @@ def regret_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     experiment_id = f"regret-{cfg.problem_class}-{cfg.estimator}-{cfg.noise}"
     rows: list[tuple] = []
     means: list[float] = []
-    for h_idx, n in enumerate(cfg.horizons):
+    groups = [_Group("regret", n, h_idx, cfg.replications) for h_idx, n in enumerate(cfg.horizons)]
+    for (h_idx, n), (errs, regrets) in zip(enumerate(cfg.horizons), _fan_out(cfg, groups, cfg.workers)):
         schedule = schedule_for(cfg.problem_class, env, f, n, "regret", Regularizer())
-        results = _replicate(cfg, n, h_idx, "regret")
-        per_round = np.array([r / max(n - 1, 1) for _, r in results])
+        per_round = regrets / max(n - 1, 1)
         means.append(float(per_round.mean()))
-        for rep, (err, reg_total) in enumerate(results):
+        for rep, (err, reg_total) in enumerate(zip(errs, regrets)):
             rows.append(
                 (experiment_id, n, rep, err, reg_total, schedule.delta, (h_idx << 20) | rep)
             )
@@ -363,13 +414,6 @@ def _summary_payload(cfg, experiment_id, fit, target, passed, details) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _lowerbound_task(payload: tuple) -> float:
-    cfg_dict, v_idx, rep = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    inst = _lowerbound_pair(cfg)[v_idx]
-    return _lowerbound_single(cfg, inst, v_idx, rep)
-
-
 def _lowerbound_pair(cfg: ExperimentConfig) -> tuple[HardInstance, HardInstance]:
     problem = "convex_smooth" if cfg.problem_class == "convex" else "strongly_convex"
     p, q, c1, c2 = _envelope_params(cfg)
@@ -399,15 +443,6 @@ def _lowerbound_schedule(cfg: ExperimentConfig, f: ObjectiveFunction, env: Oracl
     )
 
 
-def _lowerbound_single(cfg: ExperimentConfig, inst: HardInstance, v_idx: int, rep: int, exact: bool = False) -> float:
-    f = inst.objective()
-    oracle = ExactGradientOracle(f) if exact else AdversarialOracle(inst)
-    schedule = _lowerbound_schedule(cfg, f, inst.envelope)
-    rng = RngStream(cfg.master_seed, ((2 + v_idx) << 20) | rep if not exact else ((8 + v_idx) << 20) | rep).generator()
-    trace = run(oracle, schedule, cfg.n, f.domain, Regularizer(), rng=rng)
-    return float(trace.error)
-
-
 def lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run mirror descent against both arms of the hard pair at the optimal
     separation and check the closed-form floor from below."""
@@ -418,23 +453,14 @@ def lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     floor = minimax_lower_bound(problem, p, q, c1, c2, cfg.n)
     experiment_id = f"lowerbound-{cfg.problem_class}-p{p}-q{q}"
 
-    payloads = [
-        (cfg.to_dict(), v_idx, rep)
-        for v_idx in (0, 1)
-        for rep in range(cfg.replications)
-    ]
-    if cfg.workers <= 1:
-        errors = [_lowerbound_single(cfg, pair[v_idx], v_idx, rep) for _, v_idx, rep in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            errors = list(pool.map(_lowerbound_task, payloads))
-    arr = np.array(errors)
+    arms = [_Group("adversarial", cfg.n, 2 + v_idx, cfg.replications, v_idx) for v_idx in (0, 1)]
+    per_arm = [errs for errs, _ in _fan_out(cfg, arms, cfg.workers)]
+    arr = np.concatenate(per_arm)
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(arr.size))
     # exact-gradient sanity: the floor is oracle-induced, not solver-induced
-    sanity = float(
-        np.mean([_lowerbound_single(cfg, pair[v], v, rep, exact=True) for v in (0, 1) for rep in range(4)])
-    )
+    exact = [_Group("exact", cfg.n, 8 + v_idx, 4, v_idx) for v_idx in (0, 1)]
+    sanity = float(np.mean(np.concatenate([errs for errs, _ in _fan_out(cfg, exact, 1)])))
     passed = (mean + 3.0 * se >= floor) and (sanity < floor)
     deltas = [
         _lowerbound_schedule(cfg, pair[v].objective(), pair[v].envelope).delta for v in (0, 1)
@@ -442,7 +468,8 @@ def lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows = [
         (f"{experiment_id}-v{'+' if v_idx == 0 else '-'}", cfg.n, rep, err, None,
          deltas[v_idx], ((2 + v_idx) << 20) | rep)
-        for (_, v_idx, rep), err in zip(payloads, errors)
+        for v_idx, errs in enumerate(per_arm)
+        for rep, err in enumerate(errs)
     ]
     details = {
         "floor": floor,

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Ball, Box, ConvexBody, DomainError, project
+from .core import Ball, Box, ConvexBody, DomainError, chunk_sizes, project
 
 _DELTA_FLOOR = 1e-9
 
@@ -38,8 +38,9 @@ class Regularizer:
             raise DomainError("only the squared-Euclidean regularizer is supported")
 
     def divergence(self, x: np.ndarray, y: np.ndarray) -> float:
+        """D(x, y); rows of stacked points (..., d) give one value per row."""
         diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return 0.5 * float(np.dot(diff, diff))
+        return 0.5 * np.sum(diff * diff, axis=-1)
 
     def diameter(self, body: ConvexBody) -> float:
         """sup_{x,y in K} D(x, y): half the squared diameter."""
@@ -73,17 +74,15 @@ def prox_inequality_gap(
     probes: np.ndarray,
     reg: Regularizer,
 ) -> float:
-    """max over probe points x of
+    """max over probe points x (the rows of ``probes``) of
         <g, x_next - x> - (D(x, x_t) - D(x, x_next) - D(x_next, x_t)) / eta;
     nonpositive (up to roundoff) whenever x_next is the prox point."""
-    worst = -math.inf
-    for x in probes:
-        lhs = float(np.dot(g_t, x_next - x))
-        rhs = (
-            reg.divergence(x, x_t) - reg.divergence(x, x_next) - reg.divergence(x_next, x_t)
-        ) / eta_t
-        worst = max(worst, lhs - rhs)
-    return worst
+    probes = np.asarray(probes, dtype=float)
+    lhs = np.sum(np.asarray(g_t, dtype=float) * (x_next - probes), axis=-1)
+    rhs = (
+        reg.divergence(probes, x_t) - reg.divergence(probes, x_next) - reg.divergence(x_next, x_t)
+    ) / eta_t
+    return float(np.max(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +374,21 @@ def regret_rate_exponent(problem_class: str, p: float, q: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
-    """What one mirror-descent run produced."""
+    """What one mirror-descent run produced.
+
+    A run over a single generator reports one replication: ``x_hat`` is (d,),
+    ``error`` and ``regret`` are floats, and the records are (n, d) / (n,).
+    A run over a sequence of R generators reports R lanes: ``x_hat`` is
+    (R, d), ``error`` and ``regret`` are (R,), and the records carry a lane
+    axis after the step axis.
+    """
 
     n: int
     mode: str
     delta: float
     x_hat: np.ndarray
-    error: Optional[float]
-    regret: Optional[float]
+    error: Union[float, np.ndarray]
+    regret: Union[float, np.ndarray, None]
     warnings: tuple[str, ...] = ()
     xs: Optional[np.ndarray] = None
     ys: Optional[np.ndarray] = None
@@ -392,6 +398,30 @@ class RunTrace:
     gs: Optional[np.ndarray] = None
 
 
+class NonFiniteIterate(DomainError):
+    """A lane's iterate or regret stopped being finite within steps
+    ``first``..``last``; ``lane`` indexes the generators the run was given."""
+
+    def __init__(self, lane: int, first: int, last: int):
+        super().__init__(lane, first, last)
+        self.lane, self.first, self.last = lane, first, last
+
+    def __str__(self) -> str:
+        return f"replication {self.lane}: iterate went non-finite within steps {self.first}..{self.last}"
+
+
+def _next_chunk(steppers) -> list[np.ndarray]:
+    """Every lane's next chunk of draws, stacked on axis 1 (steps, lanes, ...).
+    Filled lane by lane, so only one lane's chunk exists besides the stack."""
+    draws: list[np.ndarray] = []
+    for lane, stepper in enumerate(steppers):
+        for i, part in enumerate(next(stepper)):
+            if lane == 0:
+                draws.append(np.empty(part.shape[:1] + (len(steppers),) + part.shape[1:]))
+            draws[i][:, lane] = part
+    return draws
+
+
 def run(
     oracle,
     schedule: Schedule,
@@ -399,11 +429,19 @@ def run(
     body: ConvexBody,
     reg: Regularizer,
     x1: Optional[np.ndarray] = None,
-    rng: Optional[np.random.Generator] = None,
+    rng: Union[np.random.Generator, Sequence[np.random.Generator], None] = None,
     mode: str = "optimization",
     record: bool = False,
 ) -> RunTrace:
     """Run n-1 mirror-descent steps against the oracle and average.
+
+    Every generator in ``rng`` drives one lane, an independent replication;
+    all lanes advance together as one (lanes, d) iterate, and each lane's
+    values equal, bit for bit, those of a run given its generator alone.
+    Each lane's draws come from ``oracle.make_stepper`` in chunks of
+    ``core.STEPS_PER_CHUNK`` steps and feed ``oracle.estimate``; after each
+    chunk a lane whose iterate or regret went NaN or infinite raises
+    NonFiniteIterate.
 
     In regret mode the loss of round t is charged at the oracle's evaluation
     point; for two-point oracles that report the + probe arm, both arms
@@ -411,12 +449,13 @@ def run(
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     if mode not in ("optimization", "regret"):
         raise DomainError(f"unknown mode {mode!r}")
+    single = rng is None or isinstance(rng, np.random.Generator)
+    rngs = [np.random.default_rng(0) if rng is None else rng] if single else list(rng)
+    if not rngs:
+        raise DomainError("rng must hold at least one generator")
     f = oracle.target
-    d = oracle.dim
     warnings = list(schedule.notes)
     if mode == "regret" and not getattr(oracle, "unbiased", False):
         warnings.append("regret bound not guaranteed: oracle is biased in Y")
@@ -427,87 +466,52 @@ def run(
         raise DomainError("x1 must lie in the feasible set")
 
     delta = schedule.delta
-    stepper = oracle.make_stepper(max(n - 1, 1), delta, rng)
+    lanes = len(rngs)
+    steppers = [oracle.make_stepper(n - 1, delta, g) for g in rngs]
     etas = schedule.eta_array(n)
     two_point = getattr(oracle, "feedback", "") == "two_point"
-
     want_regret = mode == "regret"
-    if d == 1 and not record:
-        x_hat, regret = _loop_scalar(stepper, etas, x0, body, f, n, want_regret, two_point)
-        error = f.value_at(x_hat) - f.f_star
-        return RunTrace(
-            n=n, mode=mode, delta=delta, x_hat=x_hat, error=error,
-            regret=regret, warnings=tuple(warnings),
-        )
-    return _loop_recorded(
-        stepper, etas, x0, body, f, n, mode, delta, tuple(warnings), record, two_point
-    )
+    estimate, value, proj, f_star = oracle.estimate, f.value_rows, body.project, f.f_star
 
-
-def _loop_scalar(stepper, etas, x0, body, f, n, want_regret, two_point):
-    if isinstance(body, Box):
-        lo, hi = float(body.lower[0]), float(body.upper[0])
-    else:
-        lo, hi = float(body.center[0] - body.radius), float(body.center[0] + body.radius)
-    fs = f.value_scalar or (lambda x: float(f.value(x)))
-    f_min = f.f_star
-    x = float(x0[0])
-    sum_x = x
-    regret = 0.0
-    eta_list = etas.tolist()
-    for t in range(n - 1):
-        g, y = stepper(t, x)
-        if want_regret:
-            if two_point and y != x:
-                regret += 0.5 * (fs(y) + fs(2.0 * x - y)) - f_min
-            else:
-                regret += fs(y) - f_min
-        x = x - eta_list[t] * g
-        if x > hi:
-            x = hi
-        elif x < lo:
-            x = lo
-        sum_x += x
-    x_hat = np.array([sum_x / n])
-    return x_hat, (regret if want_regret else None)
-
-
-def _loop_recorded(stepper, etas, x0, body, f, n, mode, delta, warnings, record, two_point):
-    d = x0.size
-    x = x0.astype(float).copy()
+    x = np.tile(x0.astype(float), (lanes, 1))
     sum_x = x.copy()
-    regret = 0.0
-    want_regret = mode == "regret"
-    xs = np.empty((n, d)) if record else None
-    ys = np.empty((max(n - 1, 0), d)) if record else None
-    gs = np.empty((max(n - 1, 0), d)) if record else None
-    losses_x = np.empty(n) if record else None
-    losses_y = np.empty(max(n - 1, 0)) if record else None
+    regret = np.zeros((lanes, 1))
     if record:
-        xs[0] = x
-        losses_x[0] = f.value_at(x)
-    for t in range(n - 1):
-        g, y = stepper(t, x if d > 1 else float(x[0]))
-        g_vec = np.atleast_1d(np.asarray(g, dtype=float))
-        y_vec = np.atleast_1d(np.asarray(y, dtype=float))
-        loss_y = f.value_at(y_vec)
-        if want_regret:
-            if two_point and not np.array_equal(y_vec, x):
-                loss_y = 0.5 * (loss_y + f.value_at(2.0 * x - y_vec))
-            regret += loss_y - f.f_star
-        x = project(body, x - etas[t] * g_vec)
-        sum_x += x
-        if record:
-            gs[t] = g_vec
-            ys[t] = y_vec
-            losses_y[t] = loss_y
-            xs[t + 1] = x
-            losses_x[t + 1] = f.value_at(x)
+        xs = np.empty((n, lanes, x0.size))
+        ys, gs = np.empty((n - 1, lanes, x0.size)), np.empty((n - 1, lanes, x0.size))
+        losses_x, losses_y = np.empty((n, lanes)), np.empty((n - 1, lanes))
+        xs[0], losses_x[0] = x, value(x)[:, 0]
+    t = 0
+    for m in chunk_sizes(n - 1):
+        draws = _next_chunk(steppers)
+        eta_chunk = etas[t:t + m].tolist()
+        for draw, eta in zip(zip(*draws) if draws else [()] * m, eta_chunk):
+            g, y = estimate(x, delta, *draw)
+            if want_regret or record:
+                loss = value(y)
+                if want_regret:
+                    if two_point:
+                        loss = 0.5 * (loss + value(2.0 * x - y))
+                    regret += loss - f_star
+            x = proj(x - eta * g)
+            sum_x += x
+            if record:
+                gs[t], ys[t], losses_y[t] = g, y, loss[:, 0]
+                xs[t + 1], losses_x[t + 1] = x, value(x)[:, 0]
+            t += 1
+        finite = np.isfinite(sum_x).all(axis=1) & np.isfinite(regret[:, 0])
+        if not finite.all():
+            raise NonFiniteIterate(int(np.argmin(finite)), t - m + 1, t)
+
     x_hat = sum_x / n
-    error = f.value_at(x_hat) - f.f_star
+    error = value(x_hat)[:, 0] - f_star
+    regret_out = regret[:, 0] if want_regret else None
+    records = dict(xs=xs, ys=ys, losses_x=losses_x, losses_y=losses_y, etas=etas, gs=gs) if record else {}
+    if single:
+        x_hat, error = x_hat[0], float(error[0])
+        regret_out = None if regret_out is None else float(regret_out[0])
+        records = {k: (v if k == "etas" else v[:, 0]) for k, v in records.items()}
     return RunTrace(
-        n=n, mode=mode, delta=delta, x_hat=x_hat, error=error,
-        regret=(regret if want_regret else None), warnings=warnings,
-        xs=xs, ys=ys, losses_x=losses_x, losses_y=losses_y,
-        etas=etas if record else None, gs=gs,
+        n=n, mode=mode, delta=delta, x_hat=x_hat, error=error, regret=regret_out,
+        warnings=tuple(warnings), **records,
     )

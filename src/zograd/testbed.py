@@ -1,9 +1,10 @@
 """Objective functions with exact gradients and known optima.
 
 Every function is evaluable on a margin-dilated copy of its domain so that
-estimators probing ``x + delta*u`` with ``delta <= 1`` stay inside.  The 1-d
-factories expose both vectorized (numpy) and scalar (math) evaluation paths;
-the scalar path feeds the solver's hot loop.
+estimators probing ``x + delta*u`` with ``delta <= 1`` stay inside.  Values
+and gradients are numpy-vectorized: 1-d functions act elementwise on arrays
+of any shape, d-dimensional ones on the last axis of a stack of points, so
+the solver evaluates all of its lanes in one call.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ class ObjectiveFunction:
 
     ``smoothness`` and ``strong_convexity`` are the usual Euclidean constants
     (gradient Lipschitz constant L, curvature lower bound mu).  For 1-d
-    functions ``value``/``gradient`` broadcast over numpy arrays, and
-    ``value_scalar``/``gradient_scalar`` are plain-float fast paths.
+    functions ``value``/``gradient`` broadcast over numpy arrays; for d > 1
+    they map points (..., d) to values (...) and gradients (..., d).
     """
 
     name: str
@@ -37,8 +38,6 @@ class ObjectiveFunction:
     f_star: float
     x_star: Optional[np.ndarray]
     third_derivative_bound: Optional[float] = None
-    value_scalar: Optional[Callable[[float], float]] = None
-    gradient_scalar: Optional[Callable[[float], float]] = None
     margin: float = 1.0
 
     def value_at(self, x: np.ndarray) -> float:
@@ -53,6 +52,10 @@ class ObjectiveFunction:
             g = self.gradient(float(x.reshape(()) if x.ndim == 0 else x[0]))
             return np.array([float(g)])
         return np.asarray(self.gradient(x), dtype=float)
+
+    def value_rows(self, x: np.ndarray) -> np.ndarray:
+        """f at each row of x (lanes, d), as a column (lanes, 1)."""
+        return self.value(x) if self.dim == 1 else self.value(x)[..., None]
 
     # -- sups over the margin-dilated domain (envelope bookkeeping) --------
 
@@ -127,17 +130,7 @@ def softabs(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFu
         return e * (x - vf) + 2.0 * e * e * np.logaddexp(0.0, -u)
 
     def grad(x):
-        u = (np.asarray(x, dtype=float) - vf) / e
-        return e * np.tanh(0.5 * u)
-
-    def value_s(x: float) -> float:
-        u = (x - vf) / e
-        # log(1 + e^-u) without overflow for |u| > 700
-        log_term = -min(u, 0.0) + math.log1p(math.exp(-abs(u)))
-        return e * (x - vf) + 2.0 * e * e * log_term
-
-    def grad_s(x: float) -> float:
-        return e * math.tanh(0.5 * (x - vf) / e)
+        return e * np.tanh((np.asarray(x, dtype=float) - vf) * (0.5 / e))
 
     return ObjectiveFunction(
         name=f"softabs(v={v:+d},eps={eps})",
@@ -150,8 +143,6 @@ def softabs(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFu
         f_star=2.0 * e * e * math.log(2.0),
         x_star=np.array([vf]),
         third_derivative_bound=1.0 / (3.0 * math.sqrt(3.0) * e),
-        value_scalar=value_s,
-        gradient_scalar=grad_s,
     )
 
 
@@ -176,8 +167,6 @@ def strongly_convex_pair(v: int, eps: float, domain: ConvexBody | None = None) -
         f_star=-0.5 * ve * ve,
         x_star=np.array([ve]),
         third_derivative_bound=0.0,
-        value_scalar=lambda x: 0.5 * x * x - ve * x,
-        gradient_scalar=lambda x: x - ve,
     )
 
 
@@ -215,8 +204,6 @@ def kinked_quadratic(
         f_star=0.0,
         x_star=np.array([0.0]),
         third_derivative_bound=None,
-        value_scalar=lambda x: 0.5 * (an if x < 0 else ap) * x * x,
-        gradient_scalar=lambda x: (an if x < 0 else ap) * x,
     )
 
 
@@ -240,8 +227,6 @@ def exp_one_d(domain: ConvexBody | None = None) -> ObjectiveFunction:
         f_star=1.0,
         x_star=np.array([0.0]),
         third_derivative_bound=math.exp(hi),
-        value_scalar=lambda x: math.exp(x) - x,
-        gradient_scalar=lambda x: math.exp(x) - 1.0,
     )
 
 
@@ -278,14 +263,18 @@ def quadratic(
 
     if d == 1:
         a0, b0 = float(a[0]), float(bvec[0])
-        value = lambda x: 0.5 * a0 * np.asarray(x, dtype=float) ** 2 + b0 * np.asarray(x, dtype=float) + c0
+        # 0-d array coefficients: numpy multiplies those into an array
+        # faster than Python floats, and the solver evaluates f every step
+        ca, cb, cc = np.array(0.5 * a0), np.array(b0), np.array(c0)
+
+        def value(x):
+            x = np.asarray(x, dtype=float)
+            return (ca * x + cb) * x + cc
+
         grad = lambda x: a0 * np.asarray(x, dtype=float) + b0
-        value_s = lambda x: 0.5 * a0 * x * x + b0 * x + c0
-        grad_s = lambda x: a0 * x + b0
     else:
-        value = lambda x: float(0.5 * np.dot(a * x, x) + np.dot(bvec, x)) + c0
+        value = lambda x: 0.5 * np.sum(a * x * x, axis=-1) + np.sum(bvec * x, axis=-1) + c0
         grad = lambda x: a * np.asarray(x, dtype=float) + bvec
-        value_s = grad_s = None
 
     x_star = _quadratic_minimizer(a, bvec, dom)
     if d == 1:
@@ -303,8 +292,6 @@ def quadratic(
         f_star=f_star,
         x_star=x_star,
         third_derivative_bound=0.0,
-        value_scalar=value_s,
-        gradient_scalar=grad_s,
     )
 
 
@@ -350,11 +337,11 @@ def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return float(sum(float(c.value(x[i])) for i, c in enumerate(comps)))
+        return sum(c.value(x[..., i]) for i, c in enumerate(comps))
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        return np.array([float(c.gradient(x[i])) for i, c in enumerate(comps)])
+        return np.stack([c.gradient(x[..., i]) for i, c in enumerate(comps)], axis=-1)
 
     b3s = [c.third_derivative_bound for c in comps]
     x_stars = [c.x_star for c in comps]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zograd.core import DomainError, OracleQuery, RngStream, interval
+from zograd.core import MAX_NORM, DomainError, OracleQuery, RngStream, interval
 from zograd.estimators import (
     EstimatorOracle,
     ExactGradientOracle,
@@ -12,6 +12,7 @@ from zograd.estimators import (
     SPSA,
     SURFACE,
     UncontrolledNoise,
+    _sampled_moments,
     additive_controlled,
     envelope_for,
     one_point_estimate,
@@ -54,6 +55,26 @@ class TestSchemes:
         m = scheme_moments(SPSA, 1)
         for key in ("v_u2", "v2", "v_u3", "v2_u4"):
             assert m[key] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scheme, d", [(SF, 1), (SF, 3), (RDSA, 2), (SURFACE, 3), (SPSA, 2)])
+    def test_closed_form_moments_match_sampling(self, scheme, d):
+        m = 400_000
+        u = scheme.sample_u(d, RNG(30), m)
+        v_dual, u_norm = np.linalg.norm(scheme.v_of(u), axis=1), np.linalg.norm(u, axis=1)
+        sampled = {"v_u2": v_dual * u_norm**2, "v2": v_dual**2,
+                   "v_u3": v_dual * u_norm**3, "v2_u4": v_dual**2 * u_norm**4}
+        exact = scheme_moments(scheme, d)
+        for key, values in sampled.items():
+            se = values.std() / math.sqrt(m) + 1e-12
+            assert abs(values.mean() - exact[key]) <= 5 * se, (scheme.kind, d, key)
+
+    def test_max_norm_fallback_samples_constant_norms_exactly(self):
+        # spsa norms are constant under the max norm too, so its closed form
+        # and the Monte Carlo fallback agree up to summation roundoff
+        exact = scheme_moments(SPSA, 3, MAX_NORM)
+        sampled = _sampled_moments(SPSA, 3, MAX_NORM)
+        for key in exact:
+            assert sampled[key] == pytest.approx(exact[key], rel=1e-12)
 
     def test_moment_cache_reproducible(self):
         a = scheme_moments(SF, 2)
@@ -112,17 +133,16 @@ class TestTwoPoint:
 
     def test_controlled_noise_cancels(self):
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
-        noise = additive_controlled(f, sigma=5.0)  # slope 0: purely common
-        x, delta, u, v = 0.4, 0.2, 1.0, 1.0
-        def estimate(psi):
-            zp = noise.observe_scalar(x + delta * u, psi)
-            zm = noise.observe_scalar(x - delta * u, psi)
-            return (zp - zm) * v / (2 * delta)
+        o = EstimatorOracle(f, SPSA, additive_controlled(f, sigma=5.0), "two_point")  # slope 0: purely common
+        delta = 0.2
+        psi = np.array([0.0, -3.0, 0.7, 123.0]).reshape(4, 1, 1)  # one lane per psi
+        x = np.full((4, 1), 0.4)
+        du, w = o._scaled(np.ones((4, 1)), delta)
+        g, _ = o.estimate(x, delta, du, w, psi)
         # cancellation is exact in exact arithmetic; floats keep ulp residue
         # of the common offset, so the estimate is psi-independent to ~1e-14
-        base = estimate(0.0)
-        for psi in (-3.0, 0.7, 123.0):
-            assert estimate(psi) == pytest.approx(base, abs=1e-11)
+        for lane in range(1, 4):
+            assert g[lane, 0] == pytest.approx(g[0, 0], abs=1e-11)
 
     def test_state_scaled_residual_has_constant_variance(self):
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
@@ -315,10 +335,12 @@ class TestVicinityAndDeterminism:
         b = o.sample_gradients(np.array([0.1]), 0.2, 500, RngStream(9, 4).generator())
         np.testing.assert_array_equal(a, b)
 
-    def test_stepper_matches_da_dim_path(self):
+    def test_stepper_chunk_feeds_estimate(self):
         f = quadratic([1.0])
         o = EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point")
-        step = o.make_stepper(8, 0.2, RngStream(10, 0).generator())
-        g, y = step(0, 0.3)
-        assert isinstance(g, float)
-        assert abs(y - 0.3) == pytest.approx(0.2)
+        (chunk,) = o.make_stepper(8, 0.2, RngStream(10, 0).generator())
+        du, w, xi = chunk
+        for t in range(8):
+            g, y = o.estimate(np.array([[0.3]]), 0.2, du[t:t + 1], w[t:t + 1], xi[t:t + 1])
+            assert g.shape == (1, 1)
+            assert abs(y[0, 0] - 0.3) == pytest.approx(0.2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -23,6 +24,7 @@ from zograd.harness.experiments import (
 from zograd.harness.fitting import fit_rate
 from zograd.harness.probes import probe_bias_variance
 from zograd.harness.cli import main
+from zograd.solver import NonFiniteIterate
 from zograd.testbed import quadratic
 
 SMALL_HORIZONS = (300, 1000, 3000, 10000)
@@ -265,6 +267,83 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
 
+class TestCliCells:
+    """Every cell the CLI writes parses: numbers as floats, text columns as text."""
+
+    TEXT = {"experiment_id", "oracle"}
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--class", "convex", "--estimator", "one-point", "--horizons", "300 1000 3000",
+         "--reps", "3", "--tol", "5.0"],
+        ["regret", "--class", "convex", "--estimator", "spsa", "--horizons", "300 1000 3000",
+         "--reps", "3", "--tol", "5.0"],
+        ["lowerbound", "--class", "sc", "--p", "1", "--q", "2", "--c1", "1", "--c2", "1",
+         "--n", "2000", "--reps", "4"],
+        ["probe", "--oracle", "one-point,fn=quadratic,sigma=1.0", "--delta-grid", "0.5 0.1",
+         "--reps", "2000"],
+    ])
+    def test_every_cell_parses(self, tmp_path, argv, capsys):
+        out = tmp_path / "cells.csv"
+        assert main(argv + ["--seed", "3", "--out", str(out)]) in (0, 1)
+        rows = read_rows(out)
+        assert rows
+        for row in rows:
+            for column, cell in row.items():
+                if column not in self.TEXT and cell != "":
+                    assert math.isfinite(float(cell)), (column, cell)
+        json.loads(out.with_suffix(".json").read_text(), parse_constant=pytest.fail)
+
+
+class TestLanes:
+    # Per-replication errors at n = 3000 of two acceptance rate cells, as
+    # the per-replication scalar loop computed them before runs became lanes.
+    PINNED = {
+        ("smoothing", "uncontrolled"): [0.015527499914076648, 0.01187801284457124,
+                                        0.008975403110628388, 0.017267981779142128],
+        ("spsa", "controlled"): [0.017936809067281567, 0.018347160374527327,
+                                 0.013014713173771675, 0.012077275051557201],
+    }
+
+    @pytest.mark.parametrize("estimator, noise", sorted(PINNED))
+    def test_rate_cells_match_recorded_errors(self, tmp_path, estimator, noise):
+        cfg = ExperimentConfig(
+            experiment="rate", problem_class="convex", estimator=estimator, noise=noise,
+            sigma=3.0, horizons=(1000, 3000, 10000), replications=4, master_seed=20260810,
+            tolerance=5.0, out=str(tmp_path / "pin.csv"),
+        )
+        rate_experiment(cfg)
+        errors = [float(r["error"]) for r in read_rows(cfg.out) if r["n"] == "3000"]
+        np.testing.assert_allclose(errors, self.PINNED[(estimator, noise)], rtol=1e-9, atol=0)
+
+    def test_negative_errors_are_counted(self, tmp_path, monkeypatch):
+        # an f_star above the true minimum makes every error negative
+        from zograd.harness import experiments
+
+        build = experiments.build_function
+        monkeypatch.setattr(
+            experiments, "build_function",
+            lambda spec, cls="convex": dataclasses.replace(build(spec, cls), f_star=1.0),
+        )
+        cfg = ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=3,
+                               master_seed=5, tolerance=5.0, out=str(tmp_path / "neg.csv"))
+        report = rate_experiment(cfg)
+        assert [h["negative_errors"] for h in report.details["per_horizon"]] == [3, 3, 3]
+        assert all(float(r["error"]) < 0 for r in read_rows(cfg.out))
+
+    def test_non_finite_run_names_the_replication(self, monkeypatch):
+        from zograd.harness import experiments
+
+        def poisoned(*args, **kwargs):
+            raise NonFiniteIterate(1, 1, 1024)
+
+        monkeypatch.setattr(experiments, "run", poisoned)
+        cfg = ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=6,
+                               master_seed=5, workers=1)
+        group = experiments._Group("optimization", 300, 0, 6)
+        with pytest.raises(NonFiniteIterate, match="replication 4"):
+            experiments._run_shard((cfg.to_dict(), [(group, range(3, 6))]))
+
+
 class TestWorkerDeterminism:
     def test_bytes_identical_across_worker_counts(self, tmp_path):
         base = dict(
@@ -276,3 +355,17 @@ class TestWorkerDeterminism:
         rate_experiment(cfg1)
         rate_experiment(cfg2)
         assert Path(cfg1.out).read_bytes() == Path(cfg2.out).read_bytes()
+
+    def test_lowerbound_bytes_identical_across_worker_counts(self, tmp_path):
+        # three workers cut the 2 x 10 replications into shards of 7/7/6,
+        # so an arm is split across workers
+        outs = []
+        for workers in (1, 2, 3):
+            cfg = ExperimentConfig(
+                experiment="lowerbound", problem_class="convex", p=2.0, q=2.0, c1=1.0, c2=1.0,
+                n=3000, replications=10, master_seed=5, workers=workers,
+                out=str(tmp_path / f"lb{workers}.csv"),
+            )
+            lower_bound_experiment(cfg)
+            outs.append(Path(cfg.out).read_bytes())
+        assert outs[0] == outs[1] == outs[2]

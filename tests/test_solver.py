@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zograd.core import Ball, Box, DomainError, RngStream, interval
+from zograd.adversarial import hard_pair, scaled_hard_coordinates
+from zograd.core import STEPS_PER_CHUNK, Ball, Box, DomainError, RngStream, draw_chunks, interval
 from zograd.estimators import (
     EstimatorOracle,
     ExactGradientOracle,
+    SF,
     SPSA,
     SURFACE,
     UncontrolledNoise,
+    additive_controlled,
 )
 from zograd.solver import (
+    NonFiniteIterate,
     Regularizer,
     manual_schedule,
     md_step,
@@ -233,8 +237,10 @@ class TestRun:
             feedback = "one_point"
 
             def make_stepper(self, n, delta, rng):
-                gs = f.gradient_scalar
-                return lambda t, x: (gs(x), x)
+                return draw_chunks(rng, n, ())
+
+            def estimate(self, x, delta):
+                return f.gradient(x), x
 
         tr = run(BiasedY(), manual_schedule(0.2, ("const", 0.01)), 10, f.domain, REG,
                  rng=RNG(8), mode="regret")
@@ -246,11 +252,93 @@ class TestRun:
             run(ExactGradientOracle(f), manual_schedule(0.2, ("const", 0.01)), 10, f.domain, REG,
                 x1=np.array([3.0]), rng=RNG(9))
 
-    def test_scalar_and_recorded_paths_agree(self):
+    def test_lane_and_recorded_paths_agree(self):
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
         o = EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point")
         s = manual_schedule(0.25, ("poly", 2.0, 0.75, 1.0, 1.0))
-        fast = run(o, s, 300, f.domain, REG, rng=RngStream(12, 3).generator())
+        lanes = run(o, s, 300, f.domain, REG, rng=[RngStream(12, i).generator() for i in range(5)])
         slow = run(o, s, 300, f.domain, REG, rng=RngStream(12, 3).generator(), record=True)
-        assert fast.x_hat[0] == pytest.approx(slow.x_hat[0], abs=1e-15)
-        assert fast.error == pytest.approx(slow.error, abs=1e-15)
+        assert lanes.x_hat[3, 0] == pytest.approx(slow.x_hat[0], abs=1e-15)
+        assert lanes.error[3] == pytest.approx(slow.error, abs=1e-15)
+
+
+def _oracles():
+    """One oracle of every kind the solver runs, 1-d and d > 1, with the
+    body it runs on."""
+    fq = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
+    f2 = quadratic([1.0, 2.0], [-0.5, 0.3])
+    convex, _ = hard_pair("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1)
+    _, sc = hard_pair("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2)
+    oracles = {
+        "one-point": EstimatorOracle(fq, SPSA, UncontrolledNoise(3.0), "one_point"),
+        "smoothing": EstimatorOracle(fq, SURFACE, UncontrolledNoise(3.0), "one_point"),
+        "spsa-2pt": EstimatorOracle(fq, SPSA, UncontrolledNoise(3.0), "two_point"),
+        "spsa-controlled": EstimatorOracle(fq, SPSA, additive_controlled(fq, 3.0, slope=1.0), "two_point"),
+        "sf-2pt-d2": EstimatorOracle(f2, SF, UncontrolledNoise(1.0), "two_point"),
+        "smoothing-d2": EstimatorOracle(f2, SURFACE, UncontrolledNoise(1.0), "one_point"),
+        "exact": ExactGradientOracle(fq),
+        "adversarial-convex": convex.oracle(),
+        "adversarial-sc": sc.oracle(),
+        "separable-d4": scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1, +1, -1]),
+    }
+    cases = {kind: (o, o.target.domain) for kind, o in oracles.items()}
+    cases["smoothing-d2-ball"] = (oracles["smoothing-d2"], Ball(np.zeros(2), 0.5))
+    return cases
+
+
+ORACLES = _oracles()
+
+
+class TestLanes:
+    @given(
+        st.sampled_from(sorted(ORACLES)),
+        st.sampled_from(["optimization", "regret"]),
+        st.integers(2, 4),
+        st.integers(0, 2**16),
+        st.integers(STEPS_PER_CHUNK + 2, 2 * STEPS_PER_CHUNK + 300),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_each_lane_equals_its_single_run(self, kind, mode, lanes, seed, n):
+        oracle, body = ORACLES[kind]
+        s = manual_schedule(0.3, ("poly", 1.0, 0.75, 1.0, 1.0))
+        gens = lambda: [RngStream(seed, i).generator() for i in range(lanes)]
+        multi = run(oracle, s, n, body, REG, rng=gens(), mode=mode)
+        assert multi.x_hat.shape == (lanes, oracle.dim)
+        for lane, g in enumerate(gens()):
+            single = run(oracle, s, n, body, REG, rng=g, mode=mode)
+            np.testing.assert_array_equal(multi.x_hat[lane], single.x_hat)
+            assert multi.error[lane] == single.error
+            if mode == "regret":
+                assert multi.regret[lane] == single.regret
+            else:
+                assert multi.regret is None and single.regret is None
+
+    def test_non_finite_iterate_names_its_lane(self):
+        f = quadratic([1.0])
+
+        gens = [RngStream(3, i).generator() for i in range(4)]
+
+        class PoisonedLane:
+            target = f
+            dim = 1
+
+            def make_stepper(self, n, delta, rng):
+                z = np.zeros((n, 1))
+                if rng is gens[2]:
+                    z[STEPS_PER_CHUNK + 5] = np.nan
+                for start in range(0, n, STEPS_PER_CHUNK):
+                    yield (z[start:start + STEPS_PER_CHUNK],)
+
+            def estimate(self, x, delta, z):
+                return f.gradient(x) + z, x
+
+        with pytest.raises(NonFiniteIterate) as info:
+            run(PoisonedLane(), manual_schedule(0.2, ("const", 0.01)), 3 * STEPS_PER_CHUNK, f.domain, REG, rng=gens)
+        assert info.value.lane == 2
+        assert (info.value.first, info.value.last) == (STEPS_PER_CHUNK + 1, 2 * STEPS_PER_CHUNK)
+        assert "replication 2" in str(info.value)
+
+    def test_ball_projection_is_row_wise(self):
+        ball = Ball(np.zeros(2), 1.0)
+        rows = np.array([[3.0, 4.0], [0.1, 0.2], [0.0, -2.0]])
+        np.testing.assert_array_equal(ball.project(rows), [ball.project(r) for r in rows])
