@@ -44,12 +44,9 @@ from .estimators import (
     UncontrolledNoise,
     additive_controlled,
     envelope_for,
-    one_point_estimate,
     scheme_moments,
     smoothed_eval,
-    smoothing_estimate,
     smoothing_oracle,
-    two_point_estimate,
 )
 from .adversarial import (
     AdversarialOracle,

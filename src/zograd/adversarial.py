@@ -43,12 +43,23 @@ def _softabs_grad(x, v: float, eps: float):
     return eps * np.tanh((np.asarray(x, dtype=float) - v) * (0.5 / eps))
 
 
-def mean_response_convex(v: int, x, delta: float, eps: float, c1: float, p: float):
+def _shift(delta, eps: float, c1: float, p: float):
+    """min(eps, c1*delta^p) for one delta, or for each entry of an array of
+    per-lane deltas.  Each entry comes from Python's float power, as a
+    single delta's does: numpy's array power can differ from it in the last
+    bit, and a lane must not depend on which other lanes share its run."""
+    if not isinstance(delta, np.ndarray):
+        return min(eps, c1 * delta**p)
+    return np.array([min(eps, c1 * d**p) for d in delta.ravel().tolist()]).reshape(delta.shape)
+
+
+def mean_response_convex(v: int, x, delta, eps: float, c1: float, p: float):
     """Mean gradient reply for the smooth-convex pair: the true slope shifted
     toward the other sign's slope by min(eps, c1*delta^p), clipped so the two
-    shifted curves never cross."""
+    shifted curves never cross.  delta is a float or an array that
+    broadcasts against x."""
     x = np.asarray(x, dtype=float)
-    shift = min(eps, c1 * delta**p)
+    shift = _shift(delta, eps, c1, p)
     g_plus = _softabs_grad(x, +1.0, eps)
     g_minus = _softabs_grad(x, -1.0, eps)
     if v == +1:
@@ -60,13 +71,14 @@ def mean_response_convex(v: int, x, delta: float, eps: float, c1: float, p: floa
     raise DomainError("v must be +1 or -1")
 
 
-def mean_response_strongly_convex(v: int, x, delta: float, eps: float, c1: float, p: float):
+def mean_response_strongly_convex(v: int, x, delta, eps: float, c1: float, p: float):
     """Mean gradient reply for the strongly convex pair: x - v*eps shifted
-    back toward zero by v*min(eps, c1*delta^p)."""
+    back toward zero by v*min(eps, c1*delta^p).  delta is a float or an
+    array that broadcasts against x."""
     if v not in (+1, -1):
         raise DomainError("v must be +1 or -1")
     x = np.asarray(x, dtype=float)
-    shift = min(eps, c1 * delta**p)
+    shift = _shift(delta, eps, c1, p)
     return x - v * eps + v * shift
 
 
@@ -210,14 +222,15 @@ class AdversarialOracle:
     def _sd(self, delta: float) -> float:
         return math.sqrt(self.envelope.c2_value(delta))
 
-    def estimate(self, x: np.ndarray, delta: float, xi: np.ndarray):
+    def estimate(self, x: np.ndarray, delta, xi: np.ndarray):
         """Replies at the rows of x (lanes, 1): the closed-form mean plus the
-        drawn noise xi (lanes, 1); the evaluation point is x itself."""
-        return self.instance.mean_response(x, delta) + xi, x
+        drawn noise xi (lanes, 1); the evaluation point is x itself, where f
+        is not evaluated.  delta is a float or a (lanes, 1) column."""
+        return self.instance.mean_response(x, delta) + xi, x, None
 
     def query(self, x, delta: float, rng: np.random.Generator) -> OracleResponse:
         q = OracleQuery(x, delta)
-        g, y = self.estimate(q.x.reshape(1, 1), delta, self._sd(delta) * rng.standard_normal((1, 1)))
+        g, y, _ = self.estimate(q.x.reshape(1, 1), delta, self._sd(delta) * rng.standard_normal((1, 1)))
         return checked_response(g[0], y[0], q)
 
     def sample_gradients(self, x, delta, m, rng, antithetic: bool = False) -> np.ndarray:
@@ -287,24 +300,26 @@ class SeparableAdversarialOracle:
             object.__setattr__(self, "_target", cached)
         return cached
 
-    def mean_response(self, x: np.ndarray, delta: float) -> np.ndarray:
-        """Coordinatewise means at one point (d,) or at each row of (..., d)."""
+    def mean_response(self, x: np.ndarray, delta) -> np.ndarray:
+        """Coordinatewise means at one point (d,) or at each row of (..., d);
+        delta is a float or an array that broadcasts against one column."""
         x = np.asarray(x, dtype=float)
-        return np.stack(
-            [inst.mean_response(x[..., i], delta) for i, inst in enumerate(self.instances)], axis=-1
+        return np.concatenate(
+            [inst.mean_response(x[..., i:i + 1], delta) for i, inst in enumerate(self.instances)], axis=-1
         )
 
     def _sds(self, delta: float) -> np.ndarray:
         return np.array([math.sqrt(inst.envelope.c2_value(delta)) for inst in self.instances])
 
-    def estimate(self, x: np.ndarray, delta: float, xi: np.ndarray):
+    def estimate(self, x: np.ndarray, delta, xi: np.ndarray):
         """Replies at the rows of x (lanes, d): the means plus the drawn noise
-        xi (lanes, d); the evaluation point is x itself."""
-        return self.mean_response(x, delta) + xi, x
+        xi (lanes, d); the evaluation point is x itself, where f is not
+        evaluated.  delta is a float or a (lanes, 1) column."""
+        return self.mean_response(x, delta) + xi, x, None
 
     def query(self, x, delta: float, rng: np.random.Generator) -> OracleResponse:
         q = OracleQuery(x, delta)
-        g, y = self.estimate(q.x.reshape(1, -1), delta, self._sds(delta) * rng.standard_normal((1, self.dim)))
+        g, y, _ = self.estimate(q.x.reshape(1, -1), delta, self._sds(delta) * rng.standard_normal((1, self.dim)))
         return checked_response(g[0], y[0], q)
 
     def sample_gradients(self, x, delta, m, rng, antithetic: bool = False) -> np.ndarray:

@@ -56,14 +56,25 @@ class PerturbationScheme:
 
     def sample_u(self, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` directions, shape (size, d)."""
+        return self.directions(self.raw(d, rng, size))
+
+    def raw(self, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The variates ``size`` directions are made from, shape (size, d):
+        they alone advance rng, so skipping directions needs no more."""
         if self.kind == "spsa":
-            return rng.integers(0, 2, size=(size, d)).astype(float) * 2.0 - 1.0
+            return rng.integers(0, 2, size=(size, d))
+        return rng.standard_normal((size, d))
+
+    def directions(self, z: np.ndarray) -> np.ndarray:
+        """Directions from the variates of ``raw`` (normals are normalised
+        in place)."""
+        if self.kind == "spsa":
+            return z.astype(float) * 2.0 - 1.0
         if self.kind == "sf":
-            return rng.standard_normal((size, d))
-        z = rng.standard_normal((size, d))
+            return z
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         if self.kind == "rdsa":
-            return z * math.sqrt(d)
+            return z * math.sqrt(z.shape[1])
         return z  # surface: uniform on the unit sphere
 
     def v_of(self, u: np.ndarray) -> np.ndarray:
@@ -385,24 +396,32 @@ class EstimatorOracle:
 
     # -- the estimate ---------------------------------------------------------
 
-    def estimate(self, x: np.ndarray, delta: float, du: np.ndarray, w: np.ndarray, xi: np.ndarray):
-        """Gradient estimates and evaluation points at the rows of x (lanes, d).
+    def estimate(self, x: np.ndarray, delta, du: np.ndarray, w: np.ndarray, xi: np.ndarray):
+        """Gradient estimates, evaluation points and the noiseless values of f
+        there, at the rows of x (lanes, d).
 
         The draws come in as arguments, one row per lane: the probe offsets
         du and weights w of ``_scaled``, and the noise xi of
-        ``_noise_shape``.  One-point: G = (f(x + du) + xi) * w.  Two-point:
-        G = (Z+ - Z-) * w with Z = f(x +- du) + xi, or, for controlled
-        noise, Z = observe(x +- du, psi).  The evaluation point is x + du
-        when the scheme keeps ||x - y|| <= delta under its vicinity norm,
-        and x itself otherwise.
+        ``_noise_shape``; delta is already in them.  One-point:
+        G = (f(x + du) + xi) * w.  Two-point: G = (Z+ - Z-) * w with
+        Z = f(x +- du) + xi, or, for controlled noise, Z = observe(x +- du,
+        psi).  The evaluation point is x + du when the scheme keeps
+        ||x - y|| <= delta under its vicinity norm, and x itself otherwise.
+        The values are f(y) (lanes, 1), or f at both arms (lanes, 2, 1) for
+        two-point feedback; None where f was not evaluated noiselessly at y.
         """
         f = self.target.value_rows
         if self.feedback == "one_point":
             y = x + du
-            return (f(y) + xi) * w, (y if self._eval_point else x)
+            fy = f(y)
+            return (fy + xi) * w, *((y, fy) if self._eval_point else (x, None))
         arms = x[:, None] + du
-        z = f(arms) + xi if isinstance(self.noise, UncontrolledNoise) else self.noise.observe(arms, xi)
-        return (z[:, 0] - z[:, 1]) * w, (arms[:, 0] if self._eval_point else x)
+        if isinstance(self.noise, UncontrolledNoise):
+            fa = f(arms)
+            z = fa + xi
+        else:
+            fa, z = None, self.noise.observe(arms, xi)
+        return (z[:, 0] - z[:, 1]) * w, *((arms[:, 0], fa) if self._eval_point else (x, None))
 
     # -- single query -------------------------------------------------------
 
@@ -410,7 +429,7 @@ class EstimatorOracle:
         q = OracleQuery(x, delta)
         if not self.target.domain.contains(q.x):
             raise DomainError(f"query point {q.x} escapes the domain")
-        g, y = self._sample(q.x, delta, 1, rng, False)
+        g, y, _ = self._sample(q.x, delta, 1, rng, False)
         return checked_response(g[0], y[0], q, self.scheme.vicinity_norm(self.dim))
 
     # -- vectorized sampling (probes) ----------------------------------------
@@ -442,8 +461,8 @@ class EstimatorOracle:
         if not antithetic:
             return self.estimate(x, delta, du, w, self._noise(rng, (m, 1)))
         xi_p, xi_m = self._noise(rng, (2, m, 1))
-        g, y = self.estimate(x, delta, du, w, xi_p)
-        return 0.5 * (g + self.estimate(x, delta, -du, -w, xi_m)[0]), y
+        g, y, fy = self.estimate(x, delta, du, w, xi_p)
+        return 0.5 * (g + self.estimate(x, delta, -du, -w, xi_m)[0]), y, fy
 
     # -- solver hot path ------------------------------------------------------
 
@@ -451,12 +470,16 @@ class EstimatorOracle:
         """The draws of n solver steps, in chunks of ``(du, w, xi)``.
 
         The values replay a one-shot draw of all n directions U followed by
-        all n steps' noise.
+        all n steps' noise.  Directions are made from their variates only
+        for the chunks handed out, not for the pass that skips the noise
+        stream past them, and no chunk is held once handed out.
         """
         d, shape = self.dim, self._noise_shape()
-        blocks = (lambda g, m: self.scheme.sample_u(d, g, m), lambda g, m: self._noise(g, (m, *shape)))
-        for u, xi in draw_chunks(rng, n, blocks):
-            yield (*self._scaled(u, delta), xi)
+        blocks = (lambda g, m: self.scheme.raw(d, g, m), lambda g, m: self._noise(g, (m, *shape)))
+        return map(
+            lambda chunk: (*self._scaled(self.scheme.directions(chunk[0]), delta), chunk[1]),
+            draw_chunks(rng, n, blocks),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,43 +498,22 @@ class ExactGradientOracle:
     def envelope(self) -> OracleEnvelope:
         return OracleEnvelope(c1=0.0, p=1.0, c2=0.0, q=0.0)
 
-    def estimate(self, x: np.ndarray, delta: float):
-        return self.target.gradient(x), x
+    def estimate(self, x: np.ndarray, delta):
+        """True gradients at the rows of x; the evaluation point is x, where
+        f is not evaluated."""
+        return self.target.gradient(x), x, None
 
     def query(self, x: np.ndarray, delta: float, rng: np.random.Generator) -> OracleResponse:
         q = OracleQuery(x, delta)
-        g, y = self.estimate(q.x.reshape(1, -1), delta)
+        g, y, _ = self.estimate(q.x.reshape(1, -1), delta)
         return checked_response(g[0], y[0], q)
 
     def sample_gradients(self, x, delta, m, rng, antithetic=False) -> np.ndarray:
-        g, _ = self.estimate(np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1), delta)
+        g, _, _ = self.estimate(np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1), delta)
         return np.tile(g, (m, 1))
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
         return draw_chunks(rng, n, ())
-
-
-# ---------------------------------------------------------------------------
-# Named operations
-# ---------------------------------------------------------------------------
-
-
-def one_point_estimate(oracle: EstimatorOracle, query: OracleQuery, rng: np.random.Generator) -> OracleResponse:
-    if oracle.feedback != "one_point":
-        raise DomainError("oracle is not a one-point estimator")
-    return oracle.query(query.x, query.delta, rng)
-
-
-def two_point_estimate(oracle: EstimatorOracle, query: OracleQuery, rng: np.random.Generator) -> OracleResponse:
-    if oracle.feedback != "two_point":
-        raise DomainError("oracle is not a two-point estimator")
-    return oracle.query(query.x, query.delta, rng)
-
-
-def smoothing_estimate(oracle: EstimatorOracle, query: OracleQuery, rng: np.random.Generator) -> OracleResponse:
-    if oracle.feedback != "one_point" or oracle.scheme.kind != "surface":
-        raise DomainError("smoothing requires one-point surface sampling")
-    return oracle.query(query.x, query.delta, rng)
 
 
 def smoothing_oracle(

@@ -3,7 +3,9 @@
 Subcommands mirror the experiment drivers: ``probe``, ``rate``,
 ``lowerbound``, ``regret``, and ``check``.  Every flag can also come from a
 JSON config file (``--config``); explicit flags win.  Exit code 0 iff all
-assertions of the invoked experiment pass.
+assertions of the invoked experiment pass, 1 if one fails, and 2 for input
+the experiment cannot run with (a config or domain error, reported in one
+line on stderr).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from ..core import DomainError
 from .checks import run_checks
 from .config import ConfigError, ExperimentConfig
 from .experiments import (
@@ -175,6 +178,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.passed else 1
 

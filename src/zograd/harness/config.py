@@ -79,10 +79,14 @@ class ExperimentConfig:
             raise ConfigError("n: must be a positive integer")
         if self.tolerance <= 0:
             raise ConfigError("tolerance: must be positive")
-        for name in ("p", "q", "c1", "c2"):
+        for name in ("p", "q"):
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ConfigError(f"{name}: must be nonnegative")
+        for name in ("c1", "c2"):
+            v = getattr(self, name)
+            if v is not None and v <= 0:
+                raise ConfigError(f"{name}: must be positive")
         if any(d <= 0 or d > 1 for d in self.delta_grid):
             raise ConfigError("delta_grid: entries must lie in (0, 1]")
         if self.probe_reps < 32:

@@ -3,9 +3,10 @@
 Every replication owns a counter-derived RNG stream keyed by
 ``(master_seed, horizon_index, replication)``, so results are bitwise
 reproducible regardless of the worker count; aggregation always walks
-replications in index order.  The replications of one horizon (or one
-lower-bound arm) are the lanes of one solver run; with several workers
-each worker runs a contiguous shard of those lanes.
+replications in index order.  The replications of all horizons of one
+experiment (or of one lower-bound arm) are the lanes of one solver run,
+each lane to its own horizon; with several workers each worker runs a
+contiguous shard of those lanes.
 """
 
 from __future__ import annotations
@@ -167,10 +168,11 @@ def schedule_for(
 
 @dataclass(frozen=True)
 class _Group:
-    """The replications of one horizon or one lower-bound arm: one solver
-    run whose lanes are replications ``0..reps-1`` on the streams
-    ``(tag << 20) | rep``.  ``kind`` is the run mode ("optimization",
-    "regret") of an estimator run, or "adversarial"/"exact" for an arm."""
+    """The replications of one horizon or one lower-bound arm: lanes
+    ``0..reps-1`` on the streams ``(tag << 20) | rep``.  ``kind`` is the run
+    mode ("optimization", "regret") of an estimator run, or
+    "adversarial"/"exact" for an arm.  Groups of one kind and arm share an
+    oracle, so their lanes run together, each lane to its own horizon."""
 
     kind: str
     n: int
@@ -180,32 +182,49 @@ class _Group:
 
 
 def _lanes_setup(cfg: ExperimentConfig, group: _Group):
-    """(oracle, schedule, body, mode) of a group's run."""
+    """(oracle, body, mode) shared by the groups of a group's kind and arm,
+    and the function from such a group's horizon to its schedule."""
     if group.kind in ("adversarial", "exact"):
         inst = _lowerbound_pair(cfg)[group.arm]
         f = inst.objective()
         oracle = AdversarialOracle(inst) if group.kind == "adversarial" else ExactGradientOracle(f)
-        return oracle, _lowerbound_schedule(cfg, f, inst.envelope), f.domain, "optimization"
+        schedule = _lowerbound_schedule(cfg, f, inst.envelope)
+        return oracle, f.domain, "optimization", lambda n: schedule
     f = build_function(cfg.function, cfg.problem_class)
     oracle = build_estimator(cfg, f)
-    schedule = schedule_for(cfg.problem_class, oracle.envelope, f, group.n, group.kind, Regularizer())
-    return oracle, schedule, f.domain, group.kind
+    reg = Regularizer()
+    return (oracle, f.domain, group.kind,
+            lambda n: schedule_for(cfg.problem_class, oracle.envelope, f, n, group.kind, reg))
 
 
 def _run_shard(task: tuple) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Worker body: one run per group piece ``(group, reps)`` of a shard,
-    returning each piece's errors and regrets in replication order."""
+    """Worker body: one run per stretch of a shard's group pieces
+    ``(group, reps)`` that share a kind and arm, returning each piece's
+    errors and regrets in replication order."""
     cfg_dict, pieces = task
     cfg = ExperimentConfig.from_dict(cfg_dict)
     out = []
-    for group, reps in pieces:
-        oracle, schedule, body, mode = _lanes_setup(cfg, group)
-        rngs = [RngStream(cfg.master_seed, (group.tag << 20) | rep).generator() for rep in reps]
+    for _, stretch in groupby(pieces, key=lambda piece: (piece[0].kind, piece[0].arm)):
+        stretch = list(stretch)
+        oracle, body, mode, schedule_of = _lanes_setup(cfg, stretch[0][0])
+        schedules, horizons, rngs, reps_of_lane = [], [], [], []
+        for group, reps in stretch:
+            schedule = schedule_of(group.n)
+            for rep in reps:
+                schedules.append(schedule)
+                horizons.append(group.n)
+                rngs.append(RngStream(cfg.master_seed, (group.tag << 20) | rep).generator())
+                reps_of_lane.append(rep)
         try:
-            trace = run(oracle, schedule, group.n, body, Regularizer(), rng=rngs, mode=mode)
+            trace = run(oracle, schedules, max(horizons), body, Regularizer(), rng=rngs, mode=mode,
+                        horizons=horizons)
         except NonFiniteIterate as exc:
-            raise NonFiniteIterate(reps[exc.lane], exc.first, exc.last) from None
-        out.append((trace.error, trace.regret))
+            raise NonFiniteIterate(reps_of_lane[exc.lane], exc.first, exc.last) from None
+        start = 0
+        for _, reps in stretch:
+            lanes = slice(start, start + len(reps))
+            out.append((trace.error[lanes], None if trace.regret is None else trace.regret[lanes]))
+            start = lanes.stop
     return out
 
 
@@ -215,8 +234,9 @@ def _fan_out(
     """Errors and regrets of every group, replications in index order.
 
     The replications of all groups, laid end to end, are cut into one
-    contiguous shard per worker, and a worker makes one run for each group
-    its shard touches.  One worker runs everything in this process.
+    contiguous shard per worker, and a worker makes one run for each oracle
+    its shard touches: one for all horizons of a rate or regret experiment,
+    one per lower-bound arm.  One worker runs everything in this process.
     """
     lanes = [(gi, rep) for gi, group in enumerate(groups) for rep in range(group.reps)]
     size = -(-len(lanes) // workers)

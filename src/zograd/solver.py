@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Ball, Box, ConvexBody, DomainError, chunk_sizes, project
+from .core import STEPS_PER_CHUNK, Ball, Box, ConvexBody, DomainError, chunk_sizes, project
 
 _DELTA_FLOOR = 1e-9
 
@@ -119,9 +119,10 @@ class Schedule:
             return 2.0 / (self.eta_form[1] * t)
         return self.eta_form[1]
 
-    def eta_array(self, n: int) -> np.ndarray:
-        """eta_1 .. eta_{n-1} as one vector."""
-        t = np.arange(1, max(n, 1), dtype=float)
+    def eta_array(self, n: int, start: int = 1) -> np.ndarray:
+        """eta_start .. eta_{n-1} as one vector; each entry is the same for
+        every start."""
+        t = np.arange(start, max(n, start), dtype=float)
         kind = self.eta_form[0]
         if kind == "poly":
             _, a, r, L, alpha = self.eta_form
@@ -380,12 +381,13 @@ class RunTrace:
     ``error`` and ``regret`` are floats, and the records are (n, d) / (n,).
     A run over a sequence of R generators reports R lanes: ``x_hat`` is
     (R, d), ``error`` and ``regret`` are (R,), and the records carry a lane
-    axis after the step axis.
+    axis after the step axis.  ``n`` is the longest horizon; ``delta`` is a
+    float when all lanes share one schedule, else each lane's delta (R,).
     """
 
     n: int
     mode: str
-    delta: float
+    delta: Union[float, np.ndarray]
     x_hat: np.ndarray
     error: Union[float, np.ndarray]
     regret: Union[float, np.ndarray, None]
@@ -410,21 +412,35 @@ class NonFiniteIterate(DomainError):
         return f"replication {self.lane}: iterate went non-finite within steps {self.first}..{self.last}"
 
 
-def _next_chunk(steppers) -> list[np.ndarray]:
-    """Every lane's next chunk of draws, stacked on axis 1 (steps, lanes, ...).
-    Filled lane by lane, so only one lane's chunk exists besides the stack."""
+def _next_chunk(steppers, m: int) -> list[np.ndarray]:
+    """Every lane's draws for the next m steps, stacked on axis 1 (steps,
+    lanes, ...).  A lane whose horizon ends sooner gets zeros after its last
+    draw.  Filled lane by lane, so only one lane's chunk exists besides the
+    stack."""
     draws: list[np.ndarray] = []
     for lane, stepper in enumerate(steppers):
-        for i, part in enumerate(next(stepper)):
-            if lane == 0:
-                draws.append(np.empty(part.shape[:1] + (len(steppers),) + part.shape[1:]))
-            draws[i][:, lane] = part
+        for i, part in enumerate(next(stepper, ())):
+            if i == len(draws):
+                draws.append(np.zeros((m, len(steppers)) + part.shape[1:]))
+            draws[i][:len(part), lane] = part
     return draws
+
+
+def _lane_schedules(schedules: Sequence[Schedule]):
+    """(delta, groups) of lanes with these schedules: delta is a float and
+    groups holds one (schedule, slice(None)) when they all share one
+    schedule; otherwise delta is a (lanes, 1) column and groups pairs each
+    distinct schedule with the rows of its lanes."""
+    distinct = list({id(s): s for s in schedules}.values())
+    if len(distinct) == 1:
+        return distinct[0].delta, [(distinct[0], slice(None))]
+    rows = [[i for i, s in enumerate(schedules) if s is d] for d in distinct]
+    return np.array([[s.delta] for s in schedules]), list(zip(distinct, rows))
 
 
 def run(
     oracle,
-    schedule: Schedule,
+    schedule: Union[Schedule, Sequence[Schedule]],
     n: int,
     body: ConvexBody,
     reg: Regularizer,
@@ -432,20 +448,34 @@ def run(
     rng: Union[np.random.Generator, Sequence[np.random.Generator], None] = None,
     mode: str = "optimization",
     record: bool = False,
+    horizons: Optional[Sequence[int]] = None,
 ) -> RunTrace:
-    """Run n-1 mirror-descent steps against the oracle and average.
+    """Run mirror descent against the oracle and average.
 
     Every generator in ``rng`` drives one lane, an independent replication;
-    all lanes advance together as one (lanes, d) iterate, and each lane's
-    values equal, bit for bit, those of a run given its generator alone.
+    all lanes advance together as one (lanes, d) iterate.  ``schedule`` is
+    one schedule for every lane or a sequence of one per lane, and
+    ``horizons`` gives each lane's horizon (default n for every lane; n must
+    be the longest).  A lane of horizon h takes h-1 steps and averages its h
+    iterates; its average and regret are those at step h-1.  It is fed zero
+    draws for the rest of that chunk and then leaves the iterate, so later
+    steps cost nothing for it.  Each lane's values equal, bit for bit, those
+    of a run given its generator, schedule and horizon alone.  While the
+    lanes in the iterate share one schedule, ``oracle.estimate`` gets its
+    delta as a float and each step size is a float; otherwise it gets a
+    (lanes, 1) column of deltas, and step sizes are columns too.  Records
+    of a lane end at its horizon; later entries are NaN.
+
     Each lane's draws come from ``oracle.make_stepper`` in chunks of
     ``core.STEPS_PER_CHUNK`` steps and feed ``oracle.estimate``; after each
-    chunk a lane whose iterate or regret went NaN or infinite raises
-    NonFiniteIterate.
+    chunk a lane whose step eta*G, iterate or regret went NaN or infinite
+    raises NonFiniteIterate.
 
-    In regret mode the loss of round t is charged at the oracle's evaluation
-    point; for two-point oracles that report the + probe arm, both arms
-    (x +- delta*u, recoverable as y and 2x - y) are averaged.
+    The loss of round t is f at the oracle's evaluation point.  The oracle
+    hands back the noiseless values of f it computed there; for two-point
+    oracles these are both arms x +- delta*u, and the loss is their mean.
+    Where the oracle computed none, f is evaluated at y (and, for two-point
+    oracles, at 2x - y, the other arm).
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -455,8 +485,17 @@ def run(
     rngs = [np.random.default_rng(0) if rng is None else rng] if single else list(rng)
     if not rngs:
         raise DomainError("rng must hold at least one generator")
+    lanes = len(rngs)
+    schedules = [schedule] * lanes if isinstance(schedule, Schedule) else list(schedule)
+    horizon = [n] * lanes if horizons is None else [int(h) for h in horizons]
+    if len(schedules) != lanes or len(horizon) != lanes:
+        raise DomainError("schedule and horizons must have one entry per lane")
+    if min(horizon) < 1 or max(horizon) != n:
+        raise DomainError("horizons must be >= 1 and the longest must equal n")
+    delta, groups = _lane_schedules(schedules)
+    shared = len(groups) == 1
     f = oracle.target
-    warnings = list(schedule.notes)
+    warnings = [note for s, _ in groups for note in s.notes]
     if mode == "regret" and not getattr(oracle, "unbiased", False):
         warnings.append("regret bound not guaranteed: oracle is biased in Y")
 
@@ -465,53 +504,87 @@ def run(
     if not body.contains(x0):
         raise DomainError("x1 must lie in the feasible set")
 
-    delta = schedule.delta
-    lanes = len(rngs)
-    steppers = [oracle.make_stepper(n - 1, delta, g) for g in rngs]
-    etas = schedule.eta_array(n)
+    steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizon, schedules, rngs)]
+    lane_delta = delta if shared else delta[:, 0]
     two_point = getattr(oracle, "feedback", "") == "two_point"
     want_regret = mode == "regret"
+    want_loss = want_regret or record
     estimate, value, proj, f_star = oracle.estimate, f.value_rows, body.project, f.f_star
+    multiply = np.multiply
 
     x = np.tile(x0.astype(float), (lanes, 1))
     sum_x = x.copy()
     regret = np.zeros((lanes, 1))
+    # each lane's sum and regret at its horizon; lanes of horizon 1 take no step
+    sums, regrets = sum_x.copy(), regret.copy()
+    # the lanes short of their horizon, in the order of the rows of x
+    live, ends = np.arange(lanes), np.array(horizon) - 1
+    steps = np.empty((min(STEPS_PER_CHUNK, n - 1), lanes, x0.size))
     if record:
-        xs = np.empty((n, lanes, x0.size))
-        ys, gs = np.empty((n - 1, lanes, x0.size)), np.empty((n - 1, lanes, x0.size))
-        losses_x, losses_y = np.empty((n, lanes)), np.empty((n - 1, lanes))
+        xs = np.full((n, lanes, x0.size), np.nan)
+        ys, gs = np.full((n - 1, lanes, x0.size), np.nan), np.full((n - 1, lanes, x0.size), np.nan)
+        losses_x, losses_y = np.full((n, lanes), np.nan), np.full((n - 1, lanes), np.nan)
         xs[0], losses_x[0] = x, value(x)[:, 0]
     t = 0
     for m in chunk_sizes(n - 1):
-        draws = _next_chunk(steppers)
-        eta_chunk = etas[t:t + m].tolist()
-        for draw, eta in zip(zip(*draws) if draws else [()] * m, eta_chunk):
-            g, y = estimate(x, delta, *draw)
-            if want_regret or record:
-                loss = value(y)
-                if want_regret:
+        # lanes whose horizon has passed leave the state at the next chunk
+        keep = ends[live] > t
+        if not keep.all():
+            live, x, sum_x, regret = live[keep], x[keep], sum_x[keep], regret[keep]
+            steppers = [stepper for stepper, k in zip(steppers, keep) if k]
+            delta, groups = _lane_schedules([schedules[lane] for lane in live])
+        live_ends = ends[live]
+        retiring = {e: np.flatnonzero(live_ends == e) for e in set(live_ends.tolist()) if e <= t + m}
+        # the last chunk's draws go before the next are drawn (draw and eta are views of them)
+        draws = eta_chunk = draw = eta = None
+        draws = _next_chunk(steppers, m)
+        if len(groups) == 1:
+            eta_chunk = groups[0][0].eta_array(t + m + 1, t + 1).tolist()
+        else:
+            eta_chunk = np.empty((m, live.size, 1))
+            for sched, rows in groups:
+                eta_chunk[:, rows] = sched.eta_array(t + m + 1, t + 1)[:, None, None]
+        chunk_steps = steps[:m, :live.size]
+        for draw, eta, step in zip(zip(*draws) if draws else [()] * m, eta_chunk, chunk_steps):
+            g, y, fy = estimate(x, delta, *draw)
+            if want_loss:
+                if fy is None:
+                    loss = value(y)
                     if two_point:
                         loss = 0.5 * (loss + value(2.0 * x - y))
+                else:
+                    loss = 0.5 * (fy[:, 0] + fy[:, 1]) if two_point else fy
+                if want_regret:
                     regret += loss - f_star
-            x = proj(x - eta * g)
+            x = proj(x - multiply(eta, g, step))
             sum_x += x
             if record:
-                gs[t], ys[t], losses_y[t] = g, y, loss[:, 0]
-                xs[t + 1], losses_x[t + 1] = x, value(x)[:, 0]
+                gs[t, live], ys[t, live], losses_y[t, live] = g, y, loss[:, 0]
+                xs[t + 1, live], losses_x[t + 1, live] = x, value(x)[:, 0]
             t += 1
-        finite = np.isfinite(sum_x).all(axis=1) & np.isfinite(regret[:, 0])
+            if t in retiring:
+                rows = retiring[t]
+                sums[live[rows]], regrets[live[rows]] = sum_x[rows], regret[rows]
+        finite = (
+            np.isfinite(chunk_steps).all(axis=(0, 2))
+            & np.isfinite(sum_x).all(axis=1)
+            & np.isfinite(regret[:, 0])
+        )
         if not finite.all():
-            raise NonFiniteIterate(int(np.argmin(finite)), t - m + 1, t)
+            raise NonFiniteIterate(int(live[np.argmin(finite)]), t - m + 1, t)
 
-    x_hat = sum_x / n
+    x_hat = sums / np.array(horizon, dtype=float)[:, None]
     error = value(x_hat)[:, 0] - f_star
-    regret_out = regret[:, 0] if want_regret else None
-    records = dict(xs=xs, ys=ys, losses_x=losses_x, losses_y=losses_y, etas=etas, gs=gs) if record else {}
+    regret_out = regrets[:, 0] if want_regret else None
+    records = {}
+    if record:
+        etas = schedules[0].eta_array(n) if shared else np.stack([s.eta_array(n) for s in schedules], axis=1)
+        records = dict(xs=xs, ys=ys, losses_x=losses_x, losses_y=losses_y, etas=etas, gs=gs)
     if single:
         x_hat, error = x_hat[0], float(error[0])
         regret_out = None if regret_out is None else float(regret_out[0])
         records = {k: (v if k == "etas" else v[:, 0]) for k, v in records.items()}
     return RunTrace(
-        n=n, mode=mode, delta=delta, x_hat=x_hat, error=error, regret=regret_out,
-        warnings=tuple(warnings), **records,
+        n=n, mode=mode, delta=lane_delta, x_hat=x_hat, error=error,
+        regret=regret_out, warnings=tuple(warnings), **records,
     )

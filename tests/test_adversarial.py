@@ -31,6 +31,19 @@ ENV12 = OracleEnvelope(c1=1.0, p=1.0, c2=1.0, q=2.0)
 
 
 class TestMeanResponses:
+    @pytest.mark.parametrize("response, x", [(mean_response_convex, -1.0), (mean_response_strongly_convex, 0.05)])
+    def test_per_lane_deltas_match_one_delta_each(self, response, x):
+        # numpy's array power differs from Python's float power in the last
+        # bit for the first two deltas; a lane's reply must not depend on
+        # whether its delta came alone or in a column of lanes.  At these x
+        # the reply is -eps + shift (convex) or the shift itself (strongly
+        # convex), so a last-bit change of the shift shows.
+        eps, c1, p = 0.05, 0.15, 2.0
+        deltas = np.array([[0.5129835547887271], [0.2666643374642336], [0.3]])
+        column = response(+1, np.full((3, 1), x), deltas, eps, c1, p)
+        for lane in range(3):
+            assert column[lane, 0] == response(+1, np.array([[x]]), float(deltas[lane, 0]), eps, c1, p)[0, 0]
+
     def test_full_shift_merges_the_means(self):
         # once the bias budget covers eps, the two replies coincide off x=0,
         # and at the branch point they differ by the closed-form residual

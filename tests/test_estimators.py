@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zograd.core import MAX_NORM, DomainError, OracleQuery, RngStream, interval
+from zograd.core import MAX_NORM, DomainError, RngStream, interval
 from zograd.estimators import (
     EstimatorOracle,
     ExactGradientOracle,
@@ -15,11 +15,8 @@ from zograd.estimators import (
     _sampled_moments,
     additive_controlled,
     envelope_for,
-    one_point_estimate,
     scheme_moments,
     smoothed_eval,
-    smoothing_estimate,
-    two_point_estimate,
 )
 from zograd.harness.probes import bias_slope, probe_bias_variance, variance_slope
 from zograd.testbed import exp_one_d, kinked_quadratic, quadratic, softabs
@@ -105,16 +102,11 @@ class TestOnePoint:
         res = probe_bias_variance(o, np.array([0.0]), 0.1, 50_000, RNG(5), antithetic=True)
         assert res.bias_est <= o.envelope.c1_value(0.1) + 5 * res.bias_se
 
-    def test_named_operation_guards(self):
+    def test_query_reports_probe_arm_for_both_feedbacks(self):
         f = quadratic([1.0])
-        one = EstimatorOracle(f, SPSA, UncontrolledNoise(0.0), "one_point")
-        two = EstimatorOracle(f, SPSA, UncontrolledNoise(0.0), "two_point")
-        q = OracleQuery(np.array([0.0]), 0.2)
-        assert one_point_estimate(one, q, RNG(6)).y[0] in (0.2, -0.2)
-        with pytest.raises(DomainError):
-            one_point_estimate(two, q, RNG(6))
-        with pytest.raises(DomainError):
-            two_point_estimate(one, q, RNG(6))
+        for feedback in ("one_point", "two_point"):
+            o = EstimatorOracle(f, SPSA, UncontrolledNoise(0.0), feedback)
+            assert o.query(np.array([0.0]), 0.2, RNG(6)).y[0] in (0.2, -0.2)
 
 
 class TestTwoPoint:
@@ -138,7 +130,7 @@ class TestTwoPoint:
         psi = np.array([0.0, -3.0, 0.7, 123.0]).reshape(4, 1, 1)  # one lane per psi
         x = np.full((4, 1), 0.4)
         du, w = o._scaled(np.ones((4, 1)), delta)
-        g, _ = o.estimate(x, delta, du, w, psi)
+        g, _, _ = o.estimate(x, delta, du, w, psi)
         # cancellation is exact in exact arithmetic; floats keep ulp residue
         # of the common offset, so the estimate is psi-independent to ~1e-14
         for lane in range(1, 4):
@@ -200,12 +192,6 @@ class TestSmoothing:
         # the smoothed surrogate of a quadratic has the same slope: 0.3
         assert fd == pytest.approx(x, abs=5e-3)
         assert g_mean == pytest.approx(fd, abs=5 * res.bias_se + 5e-3)
-
-    def test_smoothing_guard(self):
-        f = quadratic([1.0])
-        o = EstimatorOracle(f, SPSA, UncontrolledNoise(0.0), "one_point")
-        with pytest.raises(DomainError):
-            smoothing_estimate(o, OracleQuery(np.array([0.0]), 0.1), RNG(17))
 
     def test_smoothed_eval_rejects_zero_samples(self):
         with pytest.raises(DomainError):
@@ -341,6 +327,6 @@ class TestVicinityAndDeterminism:
         (chunk,) = o.make_stepper(8, 0.2, RngStream(10, 0).generator())
         du, w, xi = chunk
         for t in range(8):
-            g, y = o.estimate(np.array([[0.3]]), 0.2, du[t:t + 1], w[t:t + 1], xi[t:t + 1])
+            g, y, _ = o.estimate(np.array([[0.3]]), 0.2, du[t:t + 1], w[t:t + 1], xi[t:t + 1])
             assert g.shape == (1, 1)
             assert abs(y[0, 0] - 0.3) == pytest.approx(0.2)

@@ -107,6 +107,10 @@ class TestConfig:
     def test_invalid_values_name_field(self):
         with pytest.raises(ConfigError, match="replications"):
             ExperimentConfig(replications=0).validate()
+        with pytest.raises(ConfigError, match="c1: must be positive"):
+            ExperimentConfig(c1=0.0).validate()
+        with pytest.raises(ConfigError, match="c2: must be positive"):
+            ExperimentConfig(c2=-1.0).validate()
         with pytest.raises(ConfigError, match="horizons"):
             ExperimentConfig(horizons=(100, 100)).validate()
         with pytest.raises(ConfigError, match="problem_class"):
@@ -266,6 +270,20 @@ class TestCli:
         assert main(["rate", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--c1", "0", "config error: c1: must be positive"),
+        ("--p", "0", "domain error: need positive p"),
+    ])
+    def test_bad_input_exits_2_with_one_line(self, flag, value, message, capsys):
+        # a value the config accepts but the hard pair cannot use (p = 0)
+        # raises DomainError, which must not escape as a traceback
+        argv = ["lowerbound", "--class", "convex", "--p", "2", "--q", "2", "--c1", "1", "--c2", "1",
+                "--n", "2000", "--reps", "2"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
 
 class TestCliCells:
     """Every cell the CLI writes parses: numbers as floats, text columns as text."""
@@ -346,15 +364,18 @@ class TestLanes:
 
 class TestWorkerDeterminism:
     def test_bytes_identical_across_worker_counts(self, tmp_path):
-        base = dict(
-            experiment="rate", horizons=(300, 1000, 3000), replications=4,
-            master_seed=17, tolerance=5.0,
-        )
-        cfg1 = ExperimentConfig(out=str(tmp_path / "w1.csv"), workers=1, **base)
-        cfg2 = ExperimentConfig(out=str(tmp_path / "w2.csv"), workers=2, **base)
-        rate_experiment(cfg1)
-        rate_experiment(cfg2)
-        assert Path(cfg1.out).read_bytes() == Path(cfg2.out).read_bytes()
+        # 5 horizons x 3 replications: two workers cut the 15 lanes 8/7 and
+        # three cut them 5/5/5, both within a horizon, so every run holds
+        # lanes of several horizons, some ending within a chunk
+        base = dict(horizons=(200, 400, 800, 1600, 3200), replications=3, master_seed=17, tolerance=5.0)
+        for experiment, run_experiment in (("rate", rate_experiment), ("regret", regret_experiment)):
+            outs = []
+            for workers in (1, 2, 3):
+                cfg = ExperimentConfig(experiment=experiment, workers=workers,
+                                       out=str(tmp_path / f"{experiment}{workers}.csv"), **base)
+                run_experiment(cfg)
+                outs.append(Path(cfg.out).read_bytes())
+            assert outs[0] == outs[1] == outs[2], experiment
 
     def test_lowerbound_bytes_identical_across_worker_counts(self, tmp_path):
         # three workers cut the 2 x 10 replications into shards of 7/7/6,

@@ -216,6 +216,25 @@ class TestRun:
         tr = run(o, manual_schedule(0.2, ("const", 0.01)), 200, f.domain, REG, rng=RNG(7), mode="regret")
         assert tr.regret is not None and tr.regret > 0
 
+    @pytest.mark.parametrize("feedback, noise", [
+        ("one_point", UncontrolledNoise(1.0)), ("two_point", UncontrolledNoise(1.0)), ("two_point", "controlled"),
+    ])
+    def test_regret_charges_the_evaluation_points(self, feedback, noise):
+        # the loss of a round is f at y, or the mean of f at both arms
+        # x +- delta*u (y and 2x - y) for two-point feedback
+        f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
+        noise = additive_controlled(f, 1.0) if noise == "controlled" else noise
+        o = EstimatorOracle(f, SPSA, noise, feedback)
+        tr = run(o, manual_schedule(0.2, ("const", 0.05)), 300, f.domain, REG, rng=RNG(11), mode="regret",
+                 record=True)
+        at_y = f.value(tr.ys[:, 0])
+        if feedback == "one_point":
+            np.testing.assert_array_equal(tr.losses_y, at_y)
+        else:
+            other = f.value(2.0 * tr.xs[:-1, 0] - tr.ys[:, 0])
+            np.testing.assert_allclose(tr.losses_y, 0.5 * (at_y + other), rtol=1e-13, atol=1e-15)
+        assert tr.regret == pytest.approx(float(np.sum(tr.losses_y - f.f_star)), rel=1e-12)
+
     def test_regret_zero_noise_zero_bias_sanity(self):
         # exact gradients: per-round regret collapses at the fast 1/n-ish rate
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
@@ -240,7 +259,7 @@ class TestRun:
                 return draw_chunks(rng, n, ())
 
             def estimate(self, x, delta):
-                return f.gradient(x), x
+                return f.gradient(x), x, None
 
         tr = run(BiasedY(), manual_schedule(0.2, ("const", 0.01)), 10, f.domain, REG,
                  rng=RNG(8), mode="regret")
@@ -289,6 +308,13 @@ def _oracles():
 ORACLES = _oracles()
 
 
+SCHEDULES = (
+    manual_schedule(0.3, ("poly", 1.0, 0.75, 1.0, 1.0)),
+    manual_schedule(0.07, ("inv_t", 1.0)),
+    manual_schedule(0.55, ("const", 0.02)),
+)
+
+
 class TestLanes:
     @given(
         st.sampled_from(sorted(ORACLES)),
@@ -296,22 +322,34 @@ class TestLanes:
         st.integers(2, 4),
         st.integers(0, 2**16),
         st.integers(STEPS_PER_CHUNK + 2, 2 * STEPS_PER_CHUNK + 300),
+        st.lists(st.tuples(st.integers(1, 2 * STEPS_PER_CHUNK + 300), st.integers(0, 2)), min_size=3, max_size=3),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_each_lane_equals_its_single_run(self, kind, mode, lanes, seed, n):
+    @settings(max_examples=40, deadline=None)
+    def test_each_lane_equals_its_single_run(self, kind, mode, lanes, seed, n, others):
+        # lane 0 runs to n on the first schedule; the others run to their own
+        # horizons (most end within a chunk) on their own schedules
         oracle, body = ORACLES[kind]
-        s = manual_schedule(0.3, ("poly", 1.0, 0.75, 1.0, 1.0))
+        horizons = [n] + [min(h, n) for h, _ in others[:lanes - 1]]
+        schedules = [SCHEDULES[0]] + [SCHEDULES[i] for _, i in others[:lanes - 1]]
         gens = lambda: [RngStream(seed, i).generator() for i in range(lanes)]
-        multi = run(oracle, s, n, body, REG, rng=gens(), mode=mode)
+        multi = run(oracle, schedules, n, body, REG, rng=gens(), mode=mode, horizons=horizons)
         assert multi.x_hat.shape == (lanes, oracle.dim)
         for lane, g in enumerate(gens()):
-            single = run(oracle, s, n, body, REG, rng=g, mode=mode)
+            single = run(oracle, schedules[lane], horizons[lane], body, REG, rng=g, mode=mode)
             np.testing.assert_array_equal(multi.x_hat[lane], single.x_hat)
             assert multi.error[lane] == single.error
             if mode == "regret":
                 assert multi.regret[lane] == single.regret
             else:
                 assert multi.regret is None and single.regret is None
+
+    def test_lanes_must_fit_the_run(self):
+        f = quadratic([1.0])
+        gens = [RngStream(4, i).generator() for i in range(2)]
+        with pytest.raises(DomainError, match="longest"):
+            run(ExactGradientOracle(f), SCHEDULES[0], 10, f.domain, REG, rng=gens, horizons=[5, 8])
+        with pytest.raises(DomainError, match="one entry per lane"):
+            run(ExactGradientOracle(f), SCHEDULES[:1], 10, f.domain, REG, rng=gens)
 
     def test_non_finite_iterate_names_its_lane(self):
         f = quadratic([1.0])
@@ -322,21 +360,28 @@ class TestLanes:
             target = f
             dim = 1
 
+            def __init__(self, bad):
+                self.bad = bad
+
             def make_stepper(self, n, delta, rng):
                 z = np.zeros((n, 1))
                 if rng is gens[2]:
-                    z[STEPS_PER_CHUNK + 5] = np.nan
+                    z[STEPS_PER_CHUNK + 5] = self.bad
                 for start in range(0, n, STEPS_PER_CHUNK):
                     yield (z[start:start + STEPS_PER_CHUNK],)
 
             def estimate(self, x, delta, z):
-                return f.gradient(x) + z, x
+                return f.gradient(x) + z, x, None
 
-        with pytest.raises(NonFiniteIterate) as info:
-            run(PoisonedLane(), manual_schedule(0.2, ("const", 0.01)), 3 * STEPS_PER_CHUNK, f.domain, REG, rng=gens)
-        assert info.value.lane == 2
-        assert (info.value.first, info.value.last) == (STEPS_PER_CHUNK + 1, 2 * STEPS_PER_CHUNK)
-        assert "replication 2" in str(info.value)
+        # an infinite gradient steps to -inf, which the projection would
+        # clamp back onto the box: the step itself must be caught
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteIterate) as info:
+                run(PoisonedLane(bad), manual_schedule(0.2, ("const", 0.01)), 3 * STEPS_PER_CHUNK, f.domain, REG,
+                    rng=gens)
+            assert info.value.lane == 2
+            assert (info.value.first, info.value.last) == (STEPS_PER_CHUNK + 1, 2 * STEPS_PER_CHUNK)
+            assert "replication 2" in str(info.value)
 
     def test_ball_projection_is_row_wise(self):
         ball = Ball(np.zeros(2), 1.0)
