@@ -195,6 +195,12 @@ class OracleResponse:
     y: np.ndarray
 
 
+def vicinity_tolerance(delta):
+    """The largest ||x - y|| accepted for tolerance delta: delta up to
+    roundoff.  delta may be an array."""
+    return delta * (1.0 + 1e-12) + 1e-15
+
+
 def checked_response(
     g: np.ndarray,
     y: np.ndarray,
@@ -205,7 +211,7 @@ def checked_response(
     g = np.atleast_1d(np.asarray(g, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     dist = vicinity_norm.value(y - query.x)
-    if dist > query.delta * (1.0 + 1e-12) + 1e-15:
+    if dist > vicinity_tolerance(query.delta):
         raise DomainError(
             f"evaluation point escaped the delta-vicinity: ||x-y||={dist} > {query.delta}"
         )

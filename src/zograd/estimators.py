@@ -28,6 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _lanes
 from .core import (
     DomainError,
     EUCLIDEAN,
@@ -132,7 +133,8 @@ class ControlledNoise:
     ``grad_sq_bound`` bounds sup_x E_psi ||grad_x observe(x, psi)||_*^2 (falls
     back to the target's squared gradient bound when None); ``residual_sq``
     bounds E[(xi+ - xi-)^2] of the non-cancelling noise part (zero for purely
-    additive noise).
+    additive noise).  ``additive`` is (f, sigma, slope) when observe is
+    ``additive_controlled``'s Z = f(x) + (sigma*psi)*(1 + slope*x).
     """
 
     observe: Callable  # (x, psi) -> float, vectorized over x and psi in 1-d
@@ -140,6 +142,7 @@ class ControlledNoise:
     smoothness_bound: float
     residual_sq: float = 0.0
     grad_sq_bound: Optional[float] = None
+    additive: Optional[tuple] = None
 
     kind = "controlled"
 
@@ -166,6 +169,7 @@ def additive_controlled(
         smoothness_bound=f.smoothness,
         residual_sq=4.0 * sigma**2 * slope**2,  # |x+ - x-| <= 2 delta <= 2
         grad_sq_bound=b1**2 + sigma**2 * slope**2,
+        additive=(f, float(sigma), float(slope)),
     )
 
 
@@ -362,6 +366,11 @@ class EstimatorOracle:
         return True
 
     @property
+    def vicinity_norm(self) -> Norm:
+        """The norm under which ||x - y|| <= delta holds."""
+        return self.scheme.vicinity_norm(self.dim)
+
+    @property
     def envelope(self) -> OracleEnvelope:
         if not self._envelope:
             self._envelope.append(
@@ -430,7 +439,7 @@ class EstimatorOracle:
         if not self.target.domain.contains(q.x):
             raise DomainError(f"query point {q.x} escapes the domain")
         g, y, _ = self._sample(q.x, delta, 1, rng, False)
-        return checked_response(g[0], y[0], q, self.scheme.vicinity_norm(self.dim))
+        return checked_response(g[0], y[0], q, self.vicinity_norm)
 
     # -- vectorized sampling (probes) ----------------------------------------
 
@@ -465,6 +474,24 @@ class EstimatorOracle:
         return 0.5 * (g + self.estimate(x, delta, -du, -w, xi_m)[0]), y, fy
 
     # -- solver hot path ------------------------------------------------------
+
+    def lane_kernel_spec(self) -> Optional[tuple[int, tuple[float, ...]]]:
+        """``estimate`` as the compiled lane kernel computes it: its flag bits
+        (``_lanes.TWO_POINT``, ``EVAL_POINT``, ``CONTROLLED``) and the
+        formula data (ca, cb, cc, sigma, slope) of a 1-d quadratic target
+        under uncontrolled or additive controlled noise; None for any other
+        target or noise."""
+        coef = self.target.quadratic_1d
+        if coef is None:
+            return None
+        flags = (_lanes.TWO_POINT if self.feedback == "two_point" else 0) | (
+            _lanes.EVAL_POINT if self._eval_point else 0)
+        if isinstance(self.noise, UncontrolledNoise):
+            return flags, (*coef, 0.0, 0.0)
+        additive = self.noise.additive
+        if additive is None or additive[0] is not self.target:
+            return None
+        return flags | _lanes.CONTROLLED, (*coef, *additive[1:])
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
         """The draws of n solver steps, in chunks of ``(du, w, xi)``.

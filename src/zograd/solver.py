@@ -11,15 +11,28 @@ horizon n, and return the closed-form (delta, eta_t) pair.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import STEPS_PER_CHUNK, Ball, Box, ConvexBody, DomainError, chunk_sizes, project
+from . import _lanes
+from .core import (
+    STEPS_PER_CHUNK,
+    Ball,
+    Box,
+    ConvexBody,
+    DomainError,
+    Norm,
+    chunk_sizes,
+    project,
+    vicinity_tolerance,
+)
 
 _DELTA_FLOOR = 1e-9
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +451,48 @@ def _lane_schedules(schedules: Sequence[Schedule]):
     return np.array([[s.delta] for s in schedules]), list(zip(distinct, rows))
 
 
+def _compiled_chunk(oracle, body: ConvexBody, record: bool):
+    """(chunk function, flag bits, formula data, values per lane-step of each
+    draw) of the compiled lane kernel for a run, or None where the numpy
+    loop runs it: a recorded run, a body other than a 1-d box, an oracle
+    that does not describe itself to the kernel, or a kernel that could not
+    be built.  Builds the kernel on the first run it covers."""
+    describe = getattr(oracle, "lane_kernel_spec", None)
+    if record or describe is None or not isinstance(body, Box) or body.dim != 1:
+        return None
+    spec = describe()
+    fn = None if spec is None else _lanes.kernel()
+    if fn is None:
+        return None
+    flags, coef = spec
+    arms = 2 if flags & _lanes.TWO_POINT else 1
+    widths = (arms, 1, 1 if flags & _lanes.CONTROLLED else arms)  # du, w, xi
+    return fn, flags, np.array([*coef, body.lower[0], body.upper[0], oracle.target.f_star]), widths
+
+
+def _check_vicinity(offsets: np.ndarray, delta, norm: Norm, live: np.ndarray, first: int) -> None:
+    """Raise DomainError where an evaluation point y of a chunk lies farther
+    than delta from its query point x under the vicinity norm.  ``offsets``
+    holds y - x (steps, lanes, d) for the live lanes, whose first step is
+    ``first``; delta is a float or a (lanes, 1) column.  The norm is the
+    max norm or the Euclidean one, the schemes' vicinity norms."""
+    a = np.abs(offsets)
+    if a.shape[-1] == 1:
+        dist = a[..., 0]
+    elif norm.kind == "max":
+        dist = a.max(axis=-1)
+    else:
+        dist = np.sqrt(np.sum(a * a, axis=-1))
+    bad = dist > vicinity_tolerance(delta if np.ndim(delta) == 0 else delta[:, 0])
+    if bad.any():
+        step, row = np.argwhere(bad)[0]
+        lane_delta = delta if np.ndim(delta) == 0 else delta[row, 0]
+        raise DomainError(
+            f"lane {live[row]}: evaluation point escaped the delta-vicinity at step {first + step}: "
+            f"||x-y||={dist[step, row]} > {lane_delta}"
+        )
+
+
 def run(
     oracle,
     schedule: Union[Schedule, Sequence[Schedule]],
@@ -469,7 +524,17 @@ def run(
     Each lane's draws come from ``oracle.make_stepper`` in chunks of
     ``core.STEPS_PER_CHUNK`` steps and feed ``oracle.estimate``; after each
     chunk a lane whose step eta*G, iterate or regret went NaN or infinite
-    raises NonFiniteIterate.
+    raises NonFiniteIterate.  For an oracle with a ``vicinity_norm`` (one
+    without answers at y = x itself), an evaluation point farther than
+    delta from its query point under that norm raises DomainError after
+    its chunk.
+
+    A run that is not recorded, on a 1-d box, against an oracle with a
+    ``vicinity_norm`` and a ``lane_kernel_spec`` advances each chunk in one
+    call of the compiled
+    kernel of ``_lanes.c``, which computes the same values bit for bit;
+    where the kernel does not load, the numpy loop runs.  Which path ran is
+    logged at DEBUG.
 
     The loss of round t is f at the oracle's evaluation point.  The oracle
     hands back the noiseless values of f it computed there; for two-point
@@ -510,7 +575,14 @@ def run(
     want_regret = mode == "regret"
     want_loss = want_regret or record
     estimate, value, proj, f_star = oracle.estimate, f.value_rows, body.project, f.f_star
-    multiply = np.multiply
+    multiply, subtract = np.multiply, np.subtract
+    norm = getattr(oracle, "vicinity_norm", None)
+    compiled = None if norm is None else _compiled_chunk(oracle, body, record)
+    _log.debug("run: %d lanes, %d steps on the %s", lanes, n - 1,
+               "compiled lane kernel" if compiled else "numpy loop")
+    if compiled:
+        chunk_fn, flags, coef, widths = compiled
+        flags |= _lanes.REGRET if want_regret else 0
 
     x = np.tile(x0.astype(float), (lanes, 1))
     sum_x = x.copy()
@@ -519,7 +591,9 @@ def run(
     sums, regrets = sum_x.copy(), regret.copy()
     # the lanes short of their horizon, in the order of the rows of x
     live, ends = np.arange(lanes), np.array(horizon) - 1
-    steps = np.empty((min(STEPS_PER_CHUNK, n - 1), lanes, x0.size))
+    # each step's eta*G and y - x, laid out (steps, lanes, d) for the live lanes
+    steps = np.empty(min(STEPS_PER_CHUNK, n - 1) * lanes * x0.size)
+    offsets = None if norm is None else np.empty(steps.size)
     if record:
         xs = np.full((n, lanes, x0.size), np.nan)
         ys, gs = np.full((n - 1, lanes, x0.size), np.nan), np.full((n - 1, lanes, x0.size), np.nan)
@@ -536,35 +610,55 @@ def run(
         live_ends = ends[live]
         retiring = {e: np.flatnonzero(live_ends == e) for e in set(live_ends.tolist()) if e <= t + m}
         # the last chunk's draws go before the next are drawn (draw and eta are views of them)
-        draws = eta_chunk = draw = eta = None
+        draws = eta_chunk = etas = draw = eta = None
         draws = _next_chunk(steppers, m)
         if len(groups) == 1:
-            eta_chunk = groups[0][0].eta_array(t + m + 1, t + 1).tolist()
+            eta_chunk = groups[0][0].eta_array(t + m + 1, t + 1)
         else:
             eta_chunk = np.empty((m, live.size, 1))
             for sched, rows in groups:
                 eta_chunk[:, rows] = sched.eta_array(t + m + 1, t + 1)[:, None, None]
-        chunk_steps = steps[:m, :live.size]
-        for draw, eta, step in zip(zip(*draws) if draws else [()] * m, eta_chunk, chunk_steps):
-            g, y, fy = estimate(x, delta, *draw)
-            if want_loss:
-                if fy is None:
-                    loss = value(y)
-                    if two_point:
-                        loss = 0.5 * (loss + value(2.0 * x - y))
-                else:
-                    loss = 0.5 * (fy[:, 0] + fy[:, 1]) if two_point else fy
-                if want_regret:
-                    regret += loss - f_star
-            x = proj(x - multiply(eta, g, step))
-            sum_x += x
-            if record:
-                gs[t, live], ys[t, live], losses_y[t, live] = g, y, loss[:, 0]
-                xs[t + 1, live], losses_x[t + 1, live] = x, value(x)[:, 0]
-            t += 1
-            if t in retiring:
-                rows = retiring[t]
-                sums[live[rows]], regrets[live[rows]] = sum_x[rows], regret[rows]
+        shape = (m, live.size, x0.size)
+        chunk_steps = steps[:math.prod(shape)].reshape(shape)
+        chunk_offsets = [None] * m if norm is None else offsets[:math.prod(shape)].reshape(shape)
+        if compiled:
+            # the kernel indexes the draws by these sizes: check them before passing pointers
+            if [a.size for a in draws] != [m * live.size * k for k in widths]:
+                raise DomainError(f"draws of shapes {[a.shape for a in draws]} do not fit the lane kernel")
+            snap_at = np.zeros(live.size, dtype=_lanes.LONG)
+            for e, rows in retiring.items():
+                snap_at[rows] = e - t
+            snaps = np.empty((2, live.size))
+            chunk_fn(m, live.size, flags | (_lanes.LANE_ETA if len(groups) > 1 else 0), coef, *draws,
+                     eta_chunk, snap_at, x, sum_x, regret, chunk_steps, chunk_offsets, *snaps)
+            t += m
+            for rows in retiring.values():
+                sums[live[rows], 0], regrets[live[rows], 0] = snaps[0, rows], snaps[1, rows]
+        else:
+            etas = eta_chunk.tolist() if len(groups) == 1 else eta_chunk
+            for draw, eta, step, offset in zip(zip(*draws) if draws else [()] * m, etas, chunk_steps,
+                                               chunk_offsets):
+                g, y, fy = estimate(x, delta, *draw)
+                if norm is not None:
+                    subtract(y, x, out=offset)
+                if want_loss:
+                    if fy is None:
+                        loss = value(y)
+                        if two_point:
+                            loss = 0.5 * (loss + value(2.0 * x - y))
+                    else:
+                        loss = 0.5 * (fy[:, 0] + fy[:, 1]) if two_point else fy
+                    if want_regret:
+                        regret += loss - f_star
+                x = proj(x - multiply(eta, g, step))
+                sum_x += x
+                if record:
+                    gs[t, live], ys[t, live], losses_y[t, live] = g, y, loss[:, 0]
+                    xs[t + 1, live], losses_x[t + 1, live] = x, value(x)[:, 0]
+                t += 1
+                if t in retiring:
+                    rows = retiring[t]
+                    sums[live[rows]], regrets[live[rows]] = sum_x[rows], regret[rows]
         finite = (
             np.isfinite(chunk_steps).all(axis=(0, 2))
             & np.isfinite(sum_x).all(axis=1)
@@ -572,6 +666,8 @@ def run(
         )
         if not finite.all():
             raise NonFiniteIterate(int(live[np.argmin(finite)]), t - m + 1, t)
+        if norm is not None:
+            _check_vicinity(chunk_offsets, delta, norm, live, t - m + 1)
 
     x_hat = sums / np.array(horizon, dtype=float)[:, None]
     error = value(x_hat)[:, 0] - f_star

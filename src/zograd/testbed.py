@@ -39,6 +39,9 @@ class ObjectiveFunction:
     x_star: Optional[np.ndarray]
     third_derivative_bound: Optional[float] = None
     margin: float = 1.0
+    # (ca, cb, cc) of a 1-d quadratic whose value is (ca*x + cb)*x + cc,
+    # computed in that order; the compiled lane kernel evaluates f from these
+    quadratic_1d: Optional[tuple[float, float, float]] = None
 
     def value_at(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -292,6 +295,7 @@ def quadratic(
         f_star=f_star,
         x_star=x_star,
         third_derivative_bound=0.0,
+        quadratic_1d=(float(ca), float(cb), float(cc)) if d == 1 else None,
     )
 
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from zograd import _lanes
 from zograd.core import MAX_NORM, DomainError, RngStream, interval
 from zograd.estimators import (
+    ControlledNoise,
     EstimatorOracle,
     ExactGradientOracle,
     RDSA,
@@ -330,3 +332,35 @@ class TestVicinityAndDeterminism:
             g, y, _ = o.estimate(np.array([[0.3]]), 0.2, du[t:t + 1], w[t:t + 1], xi[t:t + 1])
             assert g.shape == (1, 1)
             assert abs(y[0, 0] - 0.3) == pytest.approx(0.2)
+
+
+class TestLaneKernelSpec:
+    F = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
+
+    def test_quadratic_cells_hand_over_their_formula_data(self):
+        f = self.F
+        one = EstimatorOracle(f, SPSA, UncontrolledNoise(3.0), "one_point").lane_kernel_spec()
+        assert one == (_lanes.EVAL_POINT, (0.5, -2.0, 1.5, 0.0, 0.0))
+        sf = EstimatorOracle(f, SF, UncontrolledNoise(1.0), "two_point").lane_kernel_spec()
+        assert sf == (_lanes.TWO_POINT, (0.5, -2.0, 1.5, 0.0, 0.0))
+        controlled = EstimatorOracle(f, SPSA, additive_controlled(f, 3.0, slope=0.5), "two_point")
+        assert controlled.lane_kernel_spec() == (
+            _lanes.TWO_POINT | _lanes.EVAL_POINT | _lanes.CONTROLLED, (0.5, -2.0, 1.5, 3.0, 0.5))
+
+    def test_coefficients_reproduce_the_value(self):
+        ca, cb, cc = self.F.quadratic_1d
+        y = np.linspace(-1.5, 2.5, 101)
+        np.testing.assert_array_equal((ca * y + cb) * y + cc, self.F.value(y))
+
+    def test_other_targets_and_noise_are_not_covered(self):
+        f = self.F
+        other = quadratic([2.0])
+        custom = ControlledNoise(observe=lambda x, psi: f.value(x) + psi, psi_sample=lambda rng, size: rng.standard_normal(size),
+                                 smoothness_bound=1.0)
+        oracles = [
+            EstimatorOracle(exp_one_d(), SPSA, UncontrolledNoise(1.0), "one_point"),
+            EstimatorOracle(quadratic([1.0, 2.0]), SPSA, UncontrolledNoise(1.0), "one_point"),
+            EstimatorOracle(f, SPSA, additive_controlled(other, 1.0), "two_point"),
+            EstimatorOracle(f, SPSA, custom, "two_point"),
+        ]
+        assert [o.lane_kernel_spec() for o in oracles] == [None] * 4

@@ -1,10 +1,13 @@
+import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zograd import _lanes
 from zograd.adversarial import hard_pair, scaled_hard_coordinates
 from zograd.core import STEPS_PER_CHUNK, Ball, Box, DomainError, RngStream, draw_chunks, interval
 from zograd.estimators import (
@@ -30,7 +33,7 @@ from zograd.solver import (
     schedule_opt_sc,
     schedule_regret,
 )
-from zograd.testbed import quadratic
+from zograd.testbed import exp_one_d, quadratic
 
 REG = Regularizer()
 RNG = lambda i: RngStream(55, i).generator()
@@ -387,3 +390,157 @@ class TestLanes:
         ball = Ball(np.zeros(2), 1.0)
         rows = np.array([[3.0, 4.0], [0.1, 0.2], [0.0, -2.0]])
         np.testing.assert_array_equal(ball.project(rows), [ball.project(r) for r in rows])
+
+
+_FQ = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
+# every estimator cell the compiled lane kernel covers
+KERNEL_ORACLES = {
+    "one-point": EstimatorOracle(_FQ, SPSA, UncontrolledNoise(3.0), "one_point"),
+    "one-point-sf": EstimatorOracle(_FQ, SF, UncontrolledNoise(1.0), "one_point"),
+    "smoothing": EstimatorOracle(_FQ, SURFACE, UncontrolledNoise(3.0), "one_point"),
+    "spsa-2pt": EstimatorOracle(_FQ, SPSA, UncontrolledNoise(3.0), "two_point"),
+    "sf-2pt": EstimatorOracle(_FQ, SF, UncontrolledNoise(1.0), "two_point"),
+    "controlled-slope-0": EstimatorOracle(_FQ, SPSA, additive_controlled(_FQ, 3.0), "two_point"),
+    "controlled-slope-1": EstimatorOracle(_FQ, SPSA, additive_controlled(_FQ, 3.0, slope=1.0), "two_point"),
+}
+
+
+def _counted_kernel(calls: list):
+    """Patch in the compiled kernel, appending the lane count of each call
+    to ``calls``; skips where no kernel can be built."""
+    real = _lanes.kernel()
+    if real is None:
+        pytest.skip("the lane kernel cannot be built here")
+
+    def counted(m, lanes, *rest):
+        calls.append(lanes)
+        return real(m, lanes, *rest)
+
+    return mock.patch.object(_lanes, "kernel", lambda: counted)
+
+
+def _numpy_loop():
+    return mock.patch.object(_lanes, "kernel", lambda: None)
+
+
+@pytest.fixture
+def kernel_calls():
+    """The lane counts of the kernel calls the test makes."""
+    calls = []
+    with _counted_kernel(calls):
+        yield calls
+
+
+class _Inflated(EstimatorOracle):
+    """Probes three times farther from x than its delta allows."""
+
+    def _scaled(self, u, delta):
+        du, w = super()._scaled(u, delta)
+        return 3.0 * du, w
+
+
+class _WideDraws(EstimatorOracle):
+    """Hands the solver two offsets per step where one-point feedback takes one."""
+
+    def make_stepper(self, n, delta, rng):
+        return ((np.hstack((du, du)), w, xi) for du, w, xi in super().make_stepper(n, delta, rng))
+
+
+class TestCompiledKernel:
+    @given(
+        st.sampled_from(sorted(KERNEL_ORACLES)),
+        st.sampled_from(["optimization", "regret"]),
+        st.integers(1, 5),
+        st.integers(0, 2**16),
+        st.integers(2, 2 * STEPS_PER_CHUNK + 300),
+        st.lists(st.tuples(st.integers(1, 2 * STEPS_PER_CHUNK + 300), st.integers(0, 2)), min_size=4, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_equals_numpy_loop(self, kind, mode, lanes, seed, n, others):
+        # lane 0 runs to n; the others end at their own horizons, most of
+        # them inside a chunk, on their own schedules
+        oracle = KERNEL_ORACLES[kind]
+        horizons = [n] + [min(h, n) for h, _ in others[:lanes - 1]]
+        schedules = [SCHEDULES[0]] + [SCHEDULES[i] for _, i in others[:lanes - 1]]
+        gens = lambda: [RngStream(seed, i).generator() for i in range(lanes)]
+        calls = []
+        with _counted_kernel(calls):
+            fast = run(oracle, schedules, n, _FQ.domain, REG, rng=gens(), mode=mode, horizons=horizons)
+        assert calls
+        with _numpy_loop():
+            slow = run(oracle, schedules, n, _FQ.domain, REG, rng=gens(), mode=mode, horizons=horizons)
+        np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
+        np.testing.assert_array_equal(fast.error, slow.error)
+        if mode == "regret":
+            np.testing.assert_array_equal(fast.regret, slow.regret)
+
+    @pytest.mark.parametrize("case", ["recorded", "ball", "d2", "exp-target", "exact", "adversarial"])
+    def test_other_runs_take_the_numpy_loop(self, case, kernel_calls):
+        oracle, body, record = KERNEL_ORACLES["one-point"], _FQ.domain, case == "recorded"
+        if case == "ball":
+            body = Ball(np.array([0.5]), 0.5)
+        elif case == "d2":
+            oracle, body = ORACLES["smoothing-d2"]
+        elif case == "exp-target":
+            f = exp_one_d(interval(0.0, 1.0))
+            oracle, body = EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "one_point"), f.domain
+        elif case in ("exact", "adversarial"):
+            oracle, body = ORACLES["exact" if case == "exact" else "adversarial-convex"]
+        run(oracle, SCHEDULES[0], 50, body, REG, rng=[RNG(i) for i in range(3)], record=record)
+        assert kernel_calls == []
+        run(KERNEL_ORACLES["one-point"], SCHEDULES[0], 50, _FQ.domain, REG, rng=[RNG(i) for i in range(3)])
+        assert kernel_calls == [3]
+
+    def test_loader_failure_runs_the_numpy_loop(self, monkeypatch, tmp_path, caplog):
+        oracle = KERNEL_ORACLES["controlled-slope-1"]
+        gens = lambda: [RngStream(21, i).generator() for i in range(4)]
+        args = (oracle, SCHEDULES[1], 700, _FQ.domain, REG)
+        expected = run(*args, rng=gens(), mode="regret")
+        monkeypatch.setattr(_lanes, "CC", str(tmp_path / "no-such-compiler"))
+        monkeypatch.setattr(_lanes, "CACHE", tmp_path / "cache")
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            got = run(*args, rng=gens(), mode="regret")
+        assert _lanes.kernel() is None
+        assert "lane kernel unavailable" in caplog.text and "numpy loop" in caplog.text
+        np.testing.assert_array_equal(got.x_hat, expected.x_hat)
+        np.testing.assert_array_equal(got.error, expected.error)
+        np.testing.assert_array_equal(got.regret, expected.regret)
+
+    def test_fresh_cache_builds_the_library(self, monkeypatch, tmp_path):
+        if _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built here")
+        monkeypatch.setattr(_lanes, "CACHE", tmp_path / "cache")
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        assert _lanes.kernel() is not None
+        built = list((tmp_path / "cache").iterdir())
+        assert [p.name for p in built] == [_lanes._library_path().name]  # no temporary file left
+
+    def test_infinite_noise_names_its_lane(self, kernel_calls):
+        # lane 0 ends at once, so lane 1 is the first row of the kernel's state
+        oracle = EstimatorOracle(_FQ, SPSA, UncontrolledNoise(math.inf), "one_point")
+        with pytest.raises(NonFiniteIterate) as info:
+            run(oracle, SCHEDULES[0], 100, _FQ.domain, REG, rng=[RNG(i) for i in range(3)], horizons=[1, 100, 100])
+        assert kernel_calls == [2]
+        assert (info.value.lane, info.value.first, info.value.last) == (1, 1, 99)
+        assert "replication 1" in str(info.value)
+
+    @pytest.mark.parametrize("path, scheme", [("kernel", SPSA), ("numpy", SPSA), ("d2", SURFACE), ("d2", SPSA)])
+    def test_offsets_beyond_delta_raise(self, path, scheme):
+        # 3 delta out: beyond delta under the Euclidean norm (surface) and the max norm (spsa)
+        f = quadratic([1.0, 2.0], [-0.5, 0.3]) if path == "d2" else _FQ
+        oracle = _Inflated(f, scheme, UncontrolledNoise(1.0), "one_point")
+        honest = EstimatorOracle(f, oracle.scheme, oracle.noise, "one_point")
+        args = (SCHEDULES[0], 600, f.domain, REG)
+        calls = []
+        with _counted_kernel(calls) if path == "kernel" else _numpy_loop():
+            run(honest, *args, rng=[RNG(i) for i in range(3)])
+            with pytest.raises(DomainError, match="lane 0: evaluation point escaped the delta-vicinity at step 1"):
+                run(oracle, *args, rng=[RNG(i) for i in range(3)])
+        assert len(calls) == (3 if path == "kernel" else 0)  # two chunks, then one that raises
+
+    def test_draws_that_do_not_fit_are_rejected(self, kernel_calls):
+        oracle = _WideDraws(_FQ, SPSA, UncontrolledNoise(1.0), "one_point")
+        with pytest.raises(DomainError, match="do not fit the lane kernel"):
+            run(oracle, SCHEDULES[0], 100, _FQ.domain, REG, rng=[RNG(i) for i in range(2)])
+        assert kernel_calls == []
