@@ -3,8 +3,8 @@
 
 Writes CSV/JSON artifacts under results/ and prints one line per
 experiment.  Exit code 0 iff all experiments pass their assertions.
-It takes about 21 s on a shared 2-vCPU x86_64 machine, building the
-compiled lane kernel on the way, and about 104 s where the kernel cannot be
+It takes about 11 s on a shared 2-vCPU x86_64 machine, building the
+compiled lane kernel on the way, and about 49 s where the kernel cannot be
 built and the solver runs its numpy loop.
 """
 

@@ -29,6 +29,7 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 # flag bits of zg_lane_chunk, as in _lanes.c
 TWO_POINT, EVAL_POINT, CONTROLLED, LANE_ETA, REGRET = 1, 2, 4, 8, 16
+AT_X, SOFTABS, SHIFTED = 32, 64, 128
 LONG = np.dtype(ctypes.c_long)  # the kernel's integer arrays
 
 _loaded: list = []  # [the chunk function, or None once loading failed]
@@ -40,6 +41,13 @@ def kernel() -> Optional[Callable]:
     if not _loaded:
         _loaded.append(_load())
     return _loaded[0]
+
+
+def tanh_callback(args: np.ndarray):
+    """The C callback ``zg_lane_chunk`` takes last: numpy's tanh applied in
+    place to ``args``, the tanh arguments of a chunk's lanes.  It allocates
+    no array and cannot raise."""
+    return ctypes.CFUNCTYPE(None)(lambda: np.tanh(args, out=args))
 
 
 def _library_path() -> Path:
@@ -83,7 +91,7 @@ def _load() -> Optional[Callable]:
         return None
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     longs = np.ctypeslib.ndpointer(LONG, flags="C_CONTIGUOUS")
-    fn.argtypes = [ctypes.c_long] * 3 + [doubles] * 5 + [longs] + [doubles] * 7
+    fn.argtypes = [ctypes.c_long] * 3 + [doubles] * 6 + [longs] + [doubles] * 8 + [ctypes.CFUNCTYPE(None)]
     fn.restype = None
     _log.debug("lane kernel loaded from %s", path)
     return fn

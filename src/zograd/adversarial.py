@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _lanes
 from .core import (
     DomainError,
     OracleEnvelope,
@@ -241,6 +242,20 @@ class AdversarialOracle:
         """The noise of n solver steps, in chunks of one (m, 1) array."""
         sd = self._sd(delta)
         return draw_chunks(rng, n, (lambda g, m: sd * g.standard_normal((m, 1)),))
+
+    def lane_kernel_spec(self) -> tuple[int, tuple[float, float]]:
+        """``estimate`` as the compiled lane kernel computes it: its flag bits
+        (``_lanes.AT_X``, ``SHIFTED``, and ``SOFTABS`` for the convex pair)
+        and the formula data (v, eps) of the instance; each lane's shift
+        comes from ``lane_shift``."""
+        inst = self.instance
+        flags = _lanes.AT_X | _lanes.SHIFTED | (_lanes.SOFTABS if inst.problem_class == "convex_smooth" else 0)
+        return flags, (float(inst.v), float(inst.eps))
+
+    def lane_shift(self, delta: np.ndarray) -> np.ndarray:
+        """The shift min(eps, c1*delta^p) of each lane, flat, for a (lanes, 1)
+        column of deltas, as ``estimate`` computes it."""
+        return _shift(delta, self.instance.eps, self.envelope.c1, self.envelope.p).ravel()
 
 
 def hard_pair(

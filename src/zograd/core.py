@@ -271,14 +271,6 @@ class RngStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(seq)
 
-    def child(self, substream: int) -> "RngStream":
-        seq_id = (self.stream_id << 20) + substream
-        return RngStream(self.master_seed, seq_id)
-
-
-def stream_generator(master_seed: int, stream_id: int = 0) -> np.random.Generator:
-    return RngStream(master_seed, stream_id).generator()
-
 
 # Solver steps draw their randomness in chunks of at most this many steps,
 # so a run's memory does not grow with its horizon.  A chunk of a 64-lane

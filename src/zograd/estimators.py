@@ -539,6 +539,16 @@ class ExactGradientOracle:
         g, _, _ = self.estimate(np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1), delta)
         return np.tile(g, (m, 1))
 
+    def lane_kernel_spec(self) -> Optional[tuple[int, tuple[float, ...]]]:
+        """``estimate`` as the compiled lane kernel computes it: its flag bits
+        (``_lanes.AT_X``, and ``SOFTABS`` for softabs) and the formula data
+        (v, eps) of an arm of a hard pair; None for any other target."""
+        arm = self.target.hard_pair_arm
+        if arm is None:
+            return None
+        family, v, eps = arm
+        return _lanes.AT_X | (_lanes.SOFTABS if family == "softabs" else 0), (v, eps)
+
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
         return draw_chunks(rng, n, ())
 

@@ -5,12 +5,14 @@ Subcommands mirror the experiment drivers: ``probe``, ``rate``,
 JSON config file (``--config``); explicit flags win.  Exit code 0 iff all
 assertions of the invoked experiment pass, 1 if one fails, and 2 for input
 the experiment cannot run with (a config or domain error, reported in one
-line on stderr).
+line on stderr).  ``--log-level`` sends the ``zograd`` loggers' records
+at that level and above to stderr, so stdout stays one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from typing import Optional, Sequence
 
@@ -23,6 +25,9 @@ from .experiments import (
     rate_experiment,
     regret_experiment,
 )
+
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _int_list(text: str) -> list[int]:
@@ -40,6 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments, and minimax floor checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    logs = argparse.ArgumentParser(add_help=False)
+    logs.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS, default=None,
+                      help="log the zograd package's records at this level and above to stderr")
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; explicit flags override it")
@@ -47,13 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="CSV output path (JSON summary sits next to it)")
         p.add_argument("--workers", type=int, default=None)
 
-    p_probe = sub.add_parser("probe", help="bias/variance probe of one oracle over a delta grid")
+    p_probe = sub.add_parser("probe", parents=[logs], help="bias/variance probe of one oracle over a delta grid")
     common(p_probe)
     p_probe.add_argument("--oracle", default=None, help="oracle spec, e.g. 'one-point,fn=quadratic,sigma=1.0'")
     p_probe.add_argument("--delta-grid", type=_float_list, default=None, metavar="LIST")
     p_probe.add_argument("--reps", type=int, default=None)
 
-    p_rate = sub.add_parser("rate", help="optimization-error rate fit over a horizon grid")
+    p_rate = sub.add_parser("rate", parents=[logs], help="optimization-error rate fit over a horizon grid")
     common(p_rate)
     p_rate.add_argument("--class", dest="problem_class", choices=("convex", "sc"), default=None)
     p_rate.add_argument("--estimator", choices=("one-point", "smoothing", "spsa", "rdsa", "sf", "exact"), default=None)
@@ -63,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--reps", type=int, default=None)
     p_rate.add_argument("--tol", type=float, default=None)
 
-    p_lb = sub.add_parser("lowerbound", help="hard-pair floor experiment")
+    p_lb = sub.add_parser("lowerbound", parents=[logs], help="hard-pair floor experiment")
     common(p_lb)
     p_lb.add_argument("--class", dest="problem_class", choices=("convex", "sc"), default=None)
     p_lb.add_argument("--p", type=float, default=None)
@@ -73,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--n", type=int, default=None)
     p_lb.add_argument("--reps", type=int, default=None)
 
-    p_regret = sub.add_parser("regret", help="cumulative-regret rate fit")
+    p_regret = sub.add_parser("regret", parents=[logs], help="cumulative-regret rate fit")
     common(p_regret)
     p_regret.add_argument("--class", dest="problem_class", choices=("convex", "sc"), default=None)
     p_regret.add_argument("--p", type=float, default=None)
@@ -84,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_regret.add_argument("--reps", type=int, default=None)
     p_regret.add_argument("--tol", type=float, default=None)
 
-    sub.add_parser("check", help="run the full property suite; exit 0 iff all pass")
+    sub.add_parser("check", parents=[logs], help="run the full property suite; exit 0 iff all pass")
     return parser
 
 
@@ -133,6 +141,22 @@ def _pick_regret_estimator(cfg: ExperimentConfig) -> ExperimentConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.log_level is None:
+        return _main(args)
+    # attached for this call only, so repeated calls in one process do not stack handlers
+    logger, handler = logging.getLogger("zograd"), logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s:%(name)s:%(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level)
+    try:
+        return _main(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _main(args: argparse.Namespace) -> int:
     try:
         if args.command == "check":
             return run_checks()

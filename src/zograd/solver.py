@@ -451,23 +451,30 @@ def _lane_schedules(schedules: Sequence[Schedule]):
     return np.array([[s.delta] for s in schedules]), list(zip(distinct, rows))
 
 
-def _compiled_chunk(oracle, body: ConvexBody, record: bool):
+def _compiled_chunk(oracle, body: ConvexBody, record: bool, regret: bool):
     """(chunk function, flag bits, formula data, values per lane-step of each
-    draw) of the compiled lane kernel for a run, or None where the numpy
-    loop runs it: a recorded run, a body other than a 1-d box, an oracle
-    that does not describe itself to the kernel, or a kernel that could not
-    be built.  Builds the kernel on the first run it covers."""
+    draw slot du, w, xi (0 for a slot the oracle does not use)) of the
+    compiled lane kernel for a run, or None where the numpy loop runs it: a
+    recorded run, a body other than a 1-d box, an oracle that does not
+    describe itself to the kernel, a regret run of an oracle that answers at
+    x (the kernel evaluates f only for a quadratic), or a kernel that could
+    not be built.  Builds the kernel on the first run it covers."""
     describe = getattr(oracle, "lane_kernel_spec", None)
     if record or describe is None or not isinstance(body, Box) or body.dim != 1:
         return None
     spec = describe()
-    fn = None if spec is None else _lanes.kernel()
+    if spec is None or (regret and spec[0] & _lanes.AT_X):
+        return None
+    fn = _lanes.kernel()
     if fn is None:
         return None
     flags, coef = spec
-    arms = 2 if flags & _lanes.TWO_POINT else 1
-    widths = (arms, 1, 1 if flags & _lanes.CONTROLLED else arms)  # du, w, xi
-    return fn, flags, np.array([*coef, body.lower[0], body.upper[0], oracle.target.f_star]), widths
+    if flags & _lanes.AT_X:
+        widths = (0, 0, 1 if flags & _lanes.SHIFTED else 0)
+    else:
+        arms = 2 if flags & _lanes.TWO_POINT else 1
+        widths = (arms, 1, 1 if flags & _lanes.CONTROLLED else arms)
+    return fn, flags, np.array([body.lower[0], body.upper[0], oracle.target.f_star, *coef]), widths
 
 
 def _check_vicinity(offsets: np.ndarray, delta, norm: Norm, live: np.ndarray, first: int) -> None:
@@ -529,12 +536,14 @@ def run(
     delta from its query point under that norm raises DomainError after
     its chunk.
 
-    A run that is not recorded, on a 1-d box, against an oracle with a
-    ``vicinity_norm`` and a ``lane_kernel_spec`` advances each chunk in one
-    call of the compiled
-    kernel of ``_lanes.c``, which computes the same values bit for bit;
-    where the kernel does not load, the numpy loop runs.  Which path ran is
-    logged at DEBUG.
+    A run that is not recorded, on a 1-d box, against an oracle whose
+    ``lane_kernel_spec`` is not None advances each chunk in one call of the
+    compiled kernel of ``_lanes.c``, which computes the same values bit for
+    bit: estimator oracles of a 1-d quadratic in either mode, and, in
+    optimization mode, the adversarial and exact-gradient oracles of an arm
+    of a hard pair (the kernel calls back once per step for numpy's tanh of
+    all lanes).  Where the kernel does not load, the numpy loop runs.
+    Which path ran is logged at DEBUG.
 
     The loss of round t is f at the oracle's evaluation point.  The oracle
     hands back the noiseless values of f it computed there; for two-point
@@ -577,12 +586,16 @@ def run(
     estimate, value, proj, f_star = oracle.estimate, f.value_rows, body.project, f.f_star
     multiply, subtract = np.multiply, np.subtract
     norm = getattr(oracle, "vicinity_norm", None)
-    compiled = None if norm is None else _compiled_chunk(oracle, body, record)
+    compiled = _compiled_chunk(oracle, body, record, want_regret)
     _log.debug("run: %d lanes, %d steps on the %s", lanes, n - 1,
                "compiled lane kernel" if compiled else "numpy loop")
     if compiled:
         chunk_fn, flags, coef, widths = compiled
         flags |= _lanes.REGRET if want_regret else 0
+        if not flags & _lanes.AT_X and norm is None:  # the kernel writes its offsets y - x
+            raise DomainError("an estimator on the lane kernel needs a vicinity norm")
+        unused = shift = np.empty(0)
+        tanh_width = (2 if flags & _lanes.SHIFTED else 1) if flags & _lanes.SOFTABS else 0
 
     x = np.tile(x0.astype(float), (lanes, 1))
     sum_x = x.copy()
@@ -623,14 +636,22 @@ def run(
         chunk_offsets = [None] * m if norm is None else offsets[:math.prod(shape)].reshape(shape)
         if compiled:
             # the kernel indexes the draws by these sizes: check them before passing pointers
-            if [a.size for a in draws] != [m * live.size * k for k in widths]:
+            if [a.size for a in draws] != [m * live.size * k for k in widths if k]:
                 raise DomainError(f"draws of shapes {[a.shape for a in draws]} do not fit the lane kernel")
+            slots = iter(draws)
+            slot_draws = [next(slots) if k else unused for k in widths]
+            if flags & _lanes.SHIFTED:
+                shift = oracle.lane_shift(np.broadcast_to(delta, (live.size, 1)))
+            # each lane's tanh arguments, to which the kernel has numpy's tanh applied once per step
+            tanh_args = np.empty(tanh_width * live.size)
+            apply_tanh = _lanes.tanh_callback(tanh_args)
             snap_at = np.zeros(live.size, dtype=_lanes.LONG)
             for e, rows in retiring.items():
                 snap_at[rows] = e - t
             snaps = np.empty((2, live.size))
-            chunk_fn(m, live.size, flags | (_lanes.LANE_ETA if len(groups) > 1 else 0), coef, *draws,
-                     eta_chunk, snap_at, x, sum_x, regret, chunk_steps, chunk_offsets, *snaps)
+            chunk_fn(m, live.size, flags | (_lanes.LANE_ETA if len(groups) > 1 else 0), coef, *slot_draws,
+                     eta_chunk, shift, snap_at, x, sum_x, regret, chunk_steps,
+                     unused if norm is None else chunk_offsets, *snaps, tanh_args, apply_tanh)
             t += m
             for rows in retiring.values():
                 sums[live[rows], 0], regrets[live[rows], 0] = snaps[0, rows], snaps[1, rows]

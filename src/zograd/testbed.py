@@ -42,6 +42,9 @@ class ObjectiveFunction:
     # (ca, cb, cc) of a 1-d quadratic whose value is (ca*x + cb)*x + cc,
     # computed in that order; the compiled lane kernel evaluates f from these
     quadratic_1d: Optional[tuple[float, float, float]] = None
+    # (family, v, eps) of arm v of a hard pair, family "softabs" or
+    # "strongly_convex"; the compiled lane kernel computes the gradient from these
+    hard_pair_arm: Optional[tuple[str, float, float]] = None
 
     def value_at(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -146,6 +149,7 @@ def softabs(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFu
         f_star=2.0 * e * e * math.log(2.0),
         x_star=np.array([vf]),
         third_derivative_bound=1.0 / (3.0 * math.sqrt(3.0) * e),
+        hard_pair_arm=("softabs", vf, e),
     )
 
 
@@ -170,6 +174,7 @@ def strongly_convex_pair(v: int, eps: float, domain: ConvexBody | None = None) -
         f_star=-0.5 * ve * ve,
         x_star=np.array([ve]),
         third_derivative_bound=0.0,
+        hard_pair_arm=("strongly_convex", float(v), float(eps)),
     )
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zograd import _lanes
 from zograd.adversarial import (
     EPS_CAP_CONVEX,
     GRID_DELTA,
@@ -244,6 +245,19 @@ class TestHardInstance:
         expected = float(mean_response_strongly_convex(-1, 0.4, 0.3, 0.2, 1.0, 1.0))
         se = float(np.std(g)) / math.sqrt(g.size)
         assert float(np.mean(g)) == pytest.approx(expected, abs=5 * se)
+
+    def test_lane_kernel_spec_and_shift(self):
+        convex = HardInstance("convex_smooth", -1, 0.1, ENV22).oracle()
+        sc = HardInstance("strongly_convex", +1, 0.2, ENV12).oracle()
+        assert convex.lane_kernel_spec() == (_lanes.AT_X | _lanes.SHIFTED | _lanes.SOFTABS, (-1.0, 0.1))
+        assert sc.lane_kernel_spec() == (_lanes.AT_X | _lanes.SHIFTED, (1.0, 0.2))
+        # each lane's shift as estimate computes it for that lane's delta alone
+        deltas = np.array([[0.05], [0.3], [0.9]])
+        for oracle in (convex, sc):
+            env = oracle.envelope
+            expected = [min(oracle.instance.eps, env.c1 * d**env.p) for d in deltas[:, 0].tolist()]
+            np.testing.assert_array_equal(oracle.lane_shift(deltas), expected)
+        assert 0.0 < convex.lane_shift(deltas)[0] < 0.1 == convex.lane_shift(deltas)[2]  # unsaturated, saturated
 
 
 class TestSeparableComposition:

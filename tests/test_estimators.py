@@ -21,7 +21,7 @@ from zograd.estimators import (
     smoothed_eval,
 )
 from zograd.harness.probes import bias_slope, probe_bias_variance, variance_slope
-from zograd.testbed import exp_one_d, kinked_quadratic, quadratic, softabs
+from zograd.testbed import exp_one_d, kinked_quadratic, quadratic, softabs, strongly_convex_pair
 
 RNG = lambda i: RngStream(77, i).generator()
 
@@ -364,3 +364,9 @@ class TestLaneKernelSpec:
             EstimatorOracle(f, SPSA, custom, "two_point"),
         ]
         assert [o.lane_kernel_spec() for o in oracles] == [None] * 4
+
+    def test_exact_gradient_of_a_pair_arm(self):
+        assert ExactGradientOracle(softabs(-1, 0.1)).lane_kernel_spec() == (
+            _lanes.AT_X | _lanes.SOFTABS, (-1.0, 0.1))
+        assert ExactGradientOracle(strongly_convex_pair(+1, 0.2)).lane_kernel_spec() == (_lanes.AT_X, (1.0, 0.2))
+        assert ExactGradientOracle(self.F).lane_kernel_spec() is None

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import logging
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zograd import _lanes
 from zograd.adversarial import HardInstance
 from zograd.core import OracleEnvelope, RngStream
 from zograd.estimators import ExactGradientOracle
@@ -285,6 +287,28 @@ class TestCli:
         assert err.startswith(message) and err.count("\n") == 1
 
 
+    LOWERBOUND = ["lowerbound", "--class", "sc", "--p", "1", "--q", "2", "--c1", "1", "--c2", "1",
+                  "--n", "2000", "--reps", "4", "--seed", "3"]
+
+    def test_log_level_sends_the_path_to_stderr(self, tmp_path, capsys):
+        assert main(self.LOWERBOUND + ["--out", str(tmp_path / "quiet.csv")]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == "" and quiet.out.count("\n") == 1
+        assert main(self.LOWERBOUND + ["--out", str(tmp_path / "loud.csv"), "--log-level", "debug"]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        path = "compiled lane kernel" if _lanes.kernel() is not None else "numpy loop"
+        # each arm's adversarial run, then each arm's exact-gradient sanity run, 4 lanes each
+        assert loud.err == f"DEBUG:zograd.solver:run: 4 lanes, 1999 steps on the {path}\n" * 4
+        assert logging.getLogger("zograd").handlers == []  # nothing left behind
+
+    def test_bad_log_level_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--log-level", "LOUD"])
+        assert info.value.code == 2
+        assert "--log-level" in capsys.readouterr().err
+
+
 class TestCliCells:
     """Every cell the CLI writes parses: numbers as floats, text columns as text."""
 
@@ -379,14 +403,15 @@ class TestWorkerDeterminism:
 
     def test_lowerbound_bytes_identical_across_worker_counts(self, tmp_path):
         # three workers cut the 2 x 10 replications into shards of 7/7/6,
-        # so an arm is split across workers
-        outs = []
-        for workers in (1, 2, 3):
-            cfg = ExperimentConfig(
-                experiment="lowerbound", problem_class="convex", p=2.0, q=2.0, c1=1.0, c2=1.0,
-                n=3000, replications=10, master_seed=5, workers=workers,
-                out=str(tmp_path / f"lb{workers}.csv"),
-            )
-            lower_bound_experiment(cfg)
-            outs.append(Path(cfg.out).read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        # so an arm is split across workers, for both classes of hard pair
+        for problem_class in ("convex", "sc"):
+            outs = []
+            for workers in (1, 2, 3):
+                cfg = ExperimentConfig(
+                    experiment="lowerbound", problem_class=problem_class, p=2.0, q=2.0, c1=1.0, c2=1.0,
+                    n=3000, replications=10, master_seed=5, workers=workers,
+                    out=str(tmp_path / f"lb-{problem_class}{workers}.csv"),
+                )
+                lower_bound_experiment(cfg)
+                outs.append(Path(cfg.out).read_bytes())
+            assert outs[0] == outs[1] == outs[2], problem_class

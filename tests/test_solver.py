@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 from unittest import mock
@@ -403,6 +404,21 @@ KERNEL_ORACLES = {
     "controlled-slope-0": EstimatorOracle(_FQ, SPSA, additive_controlled(_FQ, 3.0), "two_point"),
     "controlled-slope-1": EstimatorOracle(_FQ, SPSA, additive_controlled(_FQ, 3.0, slope=1.0), "two_point"),
 }
+# and every oracle of the lower-bound experiment: both arms of both pairs at
+# p = 1 and p = 2, where the shift min(eps, c1*delta^p) saturates at eps for
+# some of the SCHEDULES' deltas and not for others, and the exact gradient
+# of each arm's target
+for _cls, _name in (("convex_smooth", "convex"), ("strongly_convex", "sc")):
+    for _p in (1.0, 2.0):
+        for _arm in hard_pair(_cls, _p, 2.0, 1.0, 1.0, 0.13):
+            KERNEL_ORACLES[f"adversarial-{_name}-p{_p:g}{_arm.v:+d}"] = _arm.oracle()
+            KERNEL_ORACLES[f"exact-{_name}{_arm.v:+d}"] = ExactGradientOracle(_arm.objective())
+# the cells the kernel runs: estimators in both modes, the oracles that
+# answer at x in optimization mode (their regret runs take the numpy loop)
+KERNEL_CELLS = [
+    (kind, mode) for kind, oracle in sorted(KERNEL_ORACLES.items()) for mode in ("optimization", "regret")
+    if mode == "optimization" or isinstance(oracle, EstimatorOracle)
+]
 
 
 def _counted_kernel(calls: list):
@@ -448,45 +464,74 @@ class _WideDraws(EstimatorOracle):
 
 class TestCompiledKernel:
     @given(
-        st.sampled_from(sorted(KERNEL_ORACLES)),
-        st.sampled_from(["optimization", "regret"]),
+        st.sampled_from(KERNEL_CELLS),
         st.integers(1, 5),
         st.integers(0, 2**16),
-        st.integers(2, 2 * STEPS_PER_CHUNK + 300),
-        st.lists(st.tuples(st.integers(1, 2 * STEPS_PER_CHUNK + 300), st.integers(0, 2)), min_size=4, max_size=4),
+        st.integers(2, 3 * STEPS_PER_CHUNK + 300),
+        st.lists(st.tuples(st.integers(1, 3 * STEPS_PER_CHUNK + 300), st.integers(0, 2)), min_size=4, max_size=4),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_kernel_equals_numpy_loop(self, kind, mode, lanes, seed, n, others):
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_equals_numpy_loop(self, cell, lanes, seed, n, others):
         # lane 0 runs to n; the others end at their own horizons, most of
-        # them inside a chunk, on their own schedules
+        # them inside a chunk, on their own schedules (so with their own delta)
+        kind, mode = cell
         oracle = KERNEL_ORACLES[kind]
+        body = oracle.target.domain
         horizons = [n] + [min(h, n) for h, _ in others[:lanes - 1]]
         schedules = [SCHEDULES[0]] + [SCHEDULES[i] for _, i in others[:lanes - 1]]
         gens = lambda: [RngStream(seed, i).generator() for i in range(lanes)]
         calls = []
         with _counted_kernel(calls):
-            fast = run(oracle, schedules, n, _FQ.domain, REG, rng=gens(), mode=mode, horizons=horizons)
+            fast = run(oracle, schedules, n, body, REG, rng=gens(), mode=mode, horizons=horizons)
         assert calls
         with _numpy_loop():
-            slow = run(oracle, schedules, n, _FQ.domain, REG, rng=gens(), mode=mode, horizons=horizons)
+            slow = run(oracle, schedules, n, body, REG, rng=gens(), mode=mode, horizons=horizons)
         np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
         np.testing.assert_array_equal(fast.error, slow.error)
         if mode == "regret":
             np.testing.assert_array_equal(fast.regret, slow.regret)
 
-    @pytest.mark.parametrize("case", ["recorded", "ball", "d2", "exp-target", "exact", "adversarial"])
+    @pytest.mark.parametrize("kind", sorted(k for k in KERNEL_ORACLES if k.startswith(("adversarial", "exact"))))
+    def test_pair_oracles_equal_numpy_loop_over_three_chunks(self, kind, kernel_calls):
+        # one fixed case per lower-bound oracle: the property draws few long
+        # runs of each, and a reassociated strongly convex reply passed it
+        # in one of two tries.  Six lanes, mixed schedules, horizons ending
+        # at once, inside the second and third chunks and at n
+        oracle, n = KERNEL_ORACLES[kind], 3 * STEPS_PER_CHUNK + 100
+        horizons = [n, 1, 700, 1100, n, 1500]
+        schedules = [SCHEDULES[i % 3] for i in range(6)]
+        gens = lambda: [RngStream(8, i).generator() for i in range(6)]
+        args = (oracle, schedules, n, oracle.target.domain, REG)
+        fast = run(*args, rng=gens(), horizons=horizons)
+        assert kernel_calls == [5, 5, 4, 2]
+        with _numpy_loop():
+            slow = run(*args, rng=gens(), horizons=horizons)
+        np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
+        np.testing.assert_array_equal(fast.error, slow.error)
+
+    @pytest.mark.parametrize("case", [
+        "recorded", "recorded-adversarial", "ball", "d2", "separable-d2", "exp-target", "exact",
+        "adversarial-regret",
+    ])
     def test_other_runs_take_the_numpy_loop(self, case, kernel_calls):
-        oracle, body, record = KERNEL_ORACLES["one-point"], _FQ.domain, case == "recorded"
+        oracle, body, record = KERNEL_ORACLES["one-point"], _FQ.domain, case.startswith("recorded")
+        mode = "regret" if case.endswith("regret") else "optimization"
         if case == "ball":
             body = Ball(np.array([0.5]), 0.5)
         elif case == "d2":
             oracle, body = ORACLES["smoothing-d2"]
+        elif case == "separable-d2":
+            oracle = scaled_hard_coordinates("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1, [+1, -1])
+            body = oracle.target.domain
         elif case == "exp-target":
             f = exp_one_d(interval(0.0, 1.0))
             oracle, body = EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "one_point"), f.domain
-        elif case in ("exact", "adversarial"):
-            oracle, body = ORACLES["exact" if case == "exact" else "adversarial-convex"]
-        run(oracle, SCHEDULES[0], 50, body, REG, rng=[RNG(i) for i in range(3)], record=record)
+        elif case == "exact":  # on a quadratic, not on an arm of a hard pair
+            oracle, body = ORACLES["exact"]
+        elif case in ("recorded-adversarial", "adversarial-regret"):
+            oracle = KERNEL_ORACLES["adversarial-convex-p2+1"]
+            body = oracle.target.domain
+        run(oracle, SCHEDULES[0], 50, body, REG, rng=[RNG(i) for i in range(3)], mode=mode, record=record)
         assert kernel_calls == []
         run(KERNEL_ORACLES["one-point"], SCHEDULES[0], 50, _FQ.domain, REG, rng=[RNG(i) for i in range(3)])
         assert kernel_calls == [3]
@@ -524,6 +569,36 @@ class TestCompiledKernel:
         assert kernel_calls == [2]
         assert (info.value.lane, info.value.first, info.value.last) == (1, 1, 99)
         assert "replication 1" in str(info.value)
+
+    @pytest.mark.parametrize("kind", ["adversarial-convex-p2+1", "adversarial-sc-p1-1"])
+    def test_infinite_adversarial_noise_names_its_lane(self, kind, kernel_calls):
+        # c2 = inf makes the noise, and so the step, infinite
+        inst = KERNEL_ORACLES[kind].instance
+        oracle = dataclasses.replace(inst, envelope=dataclasses.replace(inst.envelope, c2=math.inf)).oracle()
+        with pytest.raises(NonFiniteIterate) as info:
+            run(oracle, SCHEDULES[0], 100, oracle.target.domain, REG, rng=[RNG(i) for i in range(3)],
+                horizons=[1, 100, 100])
+        assert kernel_calls == [2]
+        assert (info.value.lane, info.value.first, info.value.last) == (1, 1, 99)
+        assert "replication 1" in str(info.value)
+
+    def test_numpy_tanh_ignores_its_buffer_layout(self):
+        # the kernel hands numpy the tanh arguments of all lanes in one
+        # interleaved buffer, where the numpy loop takes each arm's column:
+        # its parity rests on numpy's tanh giving each value the same bits
+        rng = np.random.default_rng(20260810)
+        x = rng.uniform(-1.0, 1.0, 3000)
+        eps = rng.uniform(0.005, 0.35, 3000)
+        values = np.concatenate([(x - 1.0) * (0.5 / eps), (x - -1.0) * (0.5 / eps), rng.standard_normal(2000),
+                                 [0.0, -0.0, 1e-300, 19.0, 25.0, -40.0, np.inf, -np.inf]])
+        alone = np.array([np.tanh(np.array([[v]]))[0, 0] for v in values])
+        column = np.tanh(values[:, None])[:, 0]
+        interleaved = np.stack((values, values[::-1]), axis=1)
+        np.tanh(interleaved, out=interleaved)
+        bits = lambda a: np.ascontiguousarray(a).view(np.int64)
+        np.testing.assert_array_equal(bits(column), bits(alone))
+        np.testing.assert_array_equal(bits(interleaved[:, 0]), bits(alone))
+        np.testing.assert_array_equal(bits(interleaved[::-1, 1]), bits(alone))
 
     @pytest.mark.parametrize("path, scheme", [("kernel", SPSA), ("numpy", SPSA), ("d2", SURFACE), ("d2", SPSA)])
     def test_offsets_beyond_delta_raise(self, path, scheme):
