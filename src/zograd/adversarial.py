@@ -14,6 +14,7 @@ error) are exposed for the experiment harness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -208,13 +209,9 @@ class AdversarialOracle:
     dim = 1
     unbiased = True  # Y = x deterministically
 
-    @property
+    @functools.cached_property
     def target(self) -> ObjectiveFunction:
-        cached = getattr(self, "_target", None)
-        if cached is None:
-            cached = self.instance.objective()
-            object.__setattr__(self, "_target", cached)
-        return cached
+        return self.instance.objective()
 
     @property
     def envelope(self) -> OracleEnvelope:
@@ -307,13 +304,9 @@ class SeparableAdversarialOracle:
         c2 = sum(inst.envelope.c2 for inst in self.instances)
         return OracleEnvelope(c1=c1, p=first.p, c2=c2, q=first.q, oracle_type="type_I")
 
-    @property
+    @functools.cached_property
     def target(self) -> ObjectiveFunction:
-        cached = getattr(self, "_target", None)
-        if cached is None:
-            cached = separable([inst.objective() for inst in self.instances])
-            object.__setattr__(self, "_target", cached)
-        return cached
+        return separable([inst.objective() for inst in self.instances])
 
     def mean_response(self, x: np.ndarray, delta) -> np.ndarray:
         """Coordinatewise means at one point (d,) or at each row of (..., d);

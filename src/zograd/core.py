@@ -50,6 +50,15 @@ class Norm:
             return float(np.max(np.abs(x))) if x.size else 0.0
         return float(np.sum(np.abs(x)))
 
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """The norm of each row of x (..., d)."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "euclidean":
+            return np.sqrt(np.sum(x * x, axis=-1))
+        if self.kind == "max":
+            return np.max(np.abs(x), axis=-1)
+        return np.sum(np.abs(x), axis=-1)
+
     def dual(self) -> "Norm":
         return Norm(_DUAL_KIND[self.kind])
 

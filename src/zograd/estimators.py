@@ -22,8 +22,9 @@ feeds the solver those draws chunk by chunk; ``query`` and
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -344,7 +345,6 @@ class EstimatorOracle:
     feedback: str  # "one_point" | "two_point"
     function_class: str = "convex_smooth"
     norm: Norm = EUCLIDEAN
-    _envelope: list = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if self.feedback not in ("one_point", "two_point"):
@@ -370,15 +370,9 @@ class EstimatorOracle:
         """The norm under which ||x - y|| <= delta holds."""
         return self.scheme.vicinity_norm(self.dim)
 
-    @property
+    @functools.cached_property
     def envelope(self) -> OracleEnvelope:
-        if not self._envelope:
-            self._envelope.append(
-                envelope_for(
-                    self.function_class, self.noise, self.feedback, self.scheme, self.target, self.norm
-                )
-            )
-        return self._envelope[0]
+        return envelope_for(self.function_class, self.noise, self.feedback, self.scheme, self.target, self.norm)
 
     def _noise_shape(self) -> tuple[int, ...]:
         """Noise of one estimate: the evaluation noise of each arm, (1,) for

@@ -43,7 +43,7 @@ from ..testbed import (
     softabs,
     strongly_convex_pair,
 )
-from .probes import probe_bias_variance
+from .probes import envelope_verdict, probe_bias_variance
 
 Check = tuple[str, Callable[[], str]]
 
@@ -93,10 +93,10 @@ def _check_estimator_envelopes() -> str:
     for oracle in cells:
         env = oracle.envelope
         for delta in (0.5, 0.1):
-            res = probe_bias_variance(oracle, x, delta, 50_000, rng)
-            if res.bias_est > env.c1_value(delta) + 5 * res.bias_se:
+            bias_ok, var_ok = envelope_verdict(probe_bias_variance(oracle, x, delta, 50_000, rng), env)
+            if not bias_ok:
                 raise AssertionError(f"bias envelope violated for {oracle.scheme.kind}/{oracle.feedback}")
-            if res.var_est > 1.05 * env.c2_value(delta) + 5 * res.var_se:
+            if not var_ok:
                 raise AssertionError(f"variance envelope violated for {oracle.scheme.kind}/{oracle.feedback}")
     return "bias/variance inside declared envelopes for 5 cells x 2 deltas"
 

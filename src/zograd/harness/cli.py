@@ -25,6 +25,7 @@ from .experiments import (
     rate_experiment,
     regret_experiment,
 )
+from .probes import SE_SLACK, VAR_FACTOR
 
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
@@ -167,8 +168,9 @@ def _main(args: argparse.Namespace) -> int:
             for row in report.details["rows"]:
                 print(
                     f"  delta={row['delta']:g} "
-                    f"bias={row['bias']:.4g} (<= {row['c1_bound']:.4g} + 5se {5 * row['bias_se']:.2g}) "
-                    f"var={row['var']:.4g} (<= 1.05*{row['c2_bound']:.4g} + 5se {5 * row['var_se']:.2g})"
+                    f"bias={row['bias']:.4g} (<= {row['c1_bound']:.4g} + {SE_SLACK:g}se "
+                    f"{SE_SLACK * row['bias_se']:.2g}) var={row['var']:.4g} (<= {VAR_FACTOR:g}*"
+                    f"{row['c2_bound']:.4g} + {SE_SLACK:g}se {SE_SLACK * row['var_se']:.2g})"
                 )
         elif args.command == "rate":
             cfg = _load_config(args, "rate")

@@ -7,10 +7,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import DomainError, EUCLIDEAN, Norm
+from ..core import DomainError, EUCLIDEAN, Norm, OracleEnvelope
 from .fitting import ols_loglog
 
 _BATCHES = 32
+# the slack of the probe verdict, ``envelope_verdict``
+SE_SLACK = 5.0
+VAR_FACTOR = 1.05
 
 
 def _row_dual_sq(rows: np.ndarray, norm: Norm) -> np.ndarray:
@@ -75,6 +78,16 @@ def probe_bias_variance(
         var_est=var_est,
         var_se=float(variances.std(ddof=1) / np.sqrt(_BATCHES)),
         replications=reps,
+    )
+
+
+def envelope_verdict(res: ProbeResult, env: OracleEnvelope) -> tuple[bool, bool]:
+    """(bias ok, variance ok) of a probe against the envelope at its delta:
+    bias <= c1(delta) + SE_SLACK*se and variance <= VAR_FACTOR*c2(delta) +
+    SE_SLACK*se."""
+    return (
+        res.bias_est <= env.c1_value(res.delta) + SE_SLACK * res.bias_se,
+        res.var_est <= VAR_FACTOR * env.c2_value(res.delta) + SE_SLACK * res.var_se,
     )
 
 

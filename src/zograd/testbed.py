@@ -89,27 +89,19 @@ class ObjectiveFunction:
 
     def sup_abs(self) -> float:
         """sup |f| over the margin-dilated domain (grid / random search)."""
-        pts = self._search_points(dilated=True)
-        vals = self._eval_many(pts)
+        vals = np.asarray(self.value(self._search_points(dilated=True)), dtype=float)
         return float(np.max(np.abs(vals)))
 
     def span(self) -> float:
         """sup f - inf f over the margin-dilated domain."""
-        vals = self._eval_many(self._search_points(dilated=True))
+        vals = np.asarray(self.value(self._search_points(dilated=True)), dtype=float)
         return float(np.max(vals) - np.min(vals))
 
     def sup_gradient_dual(self, norm: Norm = EUCLIDEAN, dilated: bool = False) -> float:
-        pts = self._search_points(dilated=dilated)
+        g = np.asarray(self.gradient(self._search_points(dilated=dilated)), dtype=float)
         if self.dim == 1:
-            g = np.asarray(self.gradient(pts), dtype=float)
             return float(np.max(np.abs(g)))
-        return max(norm.dual_value(self.gradient_at(p)) for p in pts[:20_000])
-
-    def _eval_many(self, pts: np.ndarray) -> np.ndarray:
-        if self.dim == 1:
-            return np.asarray(self.value(pts), dtype=float)
-        return np.array([self.value_at(p) for p in pts[:20_000]])
-
+        return float(np.max(norm.dual().rows(g)))
 
 # ---------------------------------------------------------------------------
 # 1-d families

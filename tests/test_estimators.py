@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -288,6 +289,15 @@ class TestEnvelopeInvariants:
         for idx, oracle in enumerate(cells):
             slope, _ = variance_slope(oracle, np.array([0.0]), self.DELTAS, 60_000, RngStream(33, idx).generator())
             assert abs(slope + 2.0) <= 0.2, (oracle.scheme.kind, slope)
+
+
+class TestEnvelopeCache:
+    def test_replace_recomputes_the_envelope(self):
+        # c2 = 4*(sigma^2 + sup|f|^2) for one-point SPSA on x^2/2, sup|f| = 2
+        cell = EstimatorOracle(quadratic([1.0]), SPSA, UncontrolledNoise(1.0), "one_point")
+        assert cell.envelope.c2 == pytest.approx(20.0)
+        louder = dataclasses.replace(cell, noise=UncontrolledNoise(10.0))
+        assert louder.envelope.c2 == pytest.approx(416.0)
 
 
 class TestVicinityAndDeterminism:

@@ -26,7 +26,7 @@ from zograd.harness.experiments import (
 from zograd.harness.fitting import fit_rate
 from zograd.harness.probes import probe_bias_variance
 from zograd.harness.cli import main
-from zograd.solver import NonFiniteIterate
+from zograd.solver import NonFiniteIterate, Regularizer, manual_schedule, run
 from zograd.testbed import quadratic
 
 SMALL_HORIZONS = (300, 1000, 3000, 10000)
@@ -298,8 +298,9 @@ class TestCli:
         loud = capsys.readouterr()
         assert loud.out == quiet.out
         path = "compiled lane kernel" if _lanes.kernel() is not None else "numpy loop"
-        # each arm's adversarial run, then each arm's exact-gradient sanity run, 4 lanes each
-        assert loud.err == f"DEBUG:zograd.solver:run: 4 lanes, 1999 steps on the {path}\n" * 4
+        # each arm's adversarial run over its 4 lanes, then each arm's one exact-gradient sanity run
+        assert loud.err == (f"DEBUG:zograd.solver:run: 4 lanes, 1999 steps on the {path}\n" * 2
+                            + f"DEBUG:zograd.solver:run: 1 lanes, 1999 steps on the {path}\n" * 2)
         assert logging.getLogger("zograd").handlers == []  # nothing left behind
 
     def test_bad_log_level_exits_2(self, capsys):
@@ -381,9 +382,72 @@ class TestLanes:
         monkeypatch.setattr(experiments, "run", poisoned)
         cfg = ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=6,
                                master_seed=5, workers=1)
-        group = experiments._Group("optimization", 300, 0, 6)
+        group = experiments._Group("optimization", 300, 0, 6, manual_schedule(0.1, ("const", 0.01)))
         with pytest.raises(NonFiniteIterate, match="replication 4"):
-            experiments._run_shard((cfg.to_dict(), [(group, range(3, 6))]))
+            experiments._run_shard(cfg, [(group, range(3, 6))])
+
+
+class TestRowsReplay:
+    """Every CSV row is its replication: one run on the row's stream, under
+    the schedule whose delta the row records, gives its error and regret."""
+
+    @pytest.mark.parametrize("experiment", ["rate", "regret", "lowerbound"])
+    def test_each_row_replays_alone(self, tmp_path, experiment):
+        from zograd.adversarial import AdversarialOracle
+        from zograd.harness import experiments
+
+        cfg = ExperimentConfig(
+            experiment=experiment, problem_class="sc" if experiment == "lowerbound" else "convex",
+            horizons=(300, 600, 1000), replications=3, master_seed=7, tolerance=5.0, workers=2,
+            p=1.0 if experiment == "lowerbound" else None, n=2000, out=str(tmp_path / "rows.csv"),
+        )
+        {"rate": rate_experiment, "regret": regret_experiment, "lowerbound": lower_bound_experiment}[experiment](cfg)
+        mode = "regret" if experiment == "regret" else "optimization"
+        for row in read_rows(cfg.out):
+            if experiment == "lowerbound":
+                inst = experiments._lowerbound_pair(cfg)[0 if row["experiment_id"].endswith("+") else 1]
+                oracle = AdversarialOracle(inst)
+                env = inst.envelope
+            else:
+                oracle = build_estimator(cfg, build_function(cfg.function, cfg.problem_class))
+                env = oracle.envelope
+            f, n = oracle.target, int(row["n"])
+            schedule = experiments.schedule_for(cfg.problem_class, env, f, n, mode, Regularizer())
+            assert schedule.delta == float(row["delta"])
+            trace = run(oracle, schedule, n, f.domain, Regularizer(), mode=mode,
+                        rng=RngStream(cfg.master_seed, int(row["seed"])).generator())
+            assert trace.error == float(row["error"]), row
+            if experiment == "regret":
+                assert trace.regret == float(row["regret"]), row
+            else:
+                assert row["regret"] == ""
+
+
+class TestCommittedResults:
+    RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+    @pytest.mark.parametrize("name", ["lowerbound_convex", "lowerbound_sc"])
+    def test_acceptance_lowerbound_reproduces_its_files(self, tmp_path, name, capsys):
+        # the argument vector the acceptance script runs, writing to tmp_path
+        argv = next(a for a in _acceptance_invocations() if a[-1].endswith(f"{name}.csv"))
+        out = tmp_path / f"{name}.csv"
+        assert main(argv[:-1] + [str(out)]) == 0
+        assert out.read_bytes() == (self.RESULTS / f"{name}.csv").read_bytes()
+        fresh = json.loads(out.with_suffix(".json").read_text())
+        committed = json.loads((self.RESULTS / f"{name}.json").read_text())
+        assert fresh["config"].pop("out") == str(out)
+        committed["config"].pop("out")
+        assert fresh == committed
+
+
+def _acceptance_invocations() -> list[list[str]]:
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_acceptance.py"
+    spec = importlib.util.spec_from_file_location("run_acceptance", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.INVOCATIONS
 
 
 class TestWorkerDeterminism:

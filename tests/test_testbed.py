@@ -187,6 +187,15 @@ class TestQuadratic:
     def test_convex_and_smooth(self):
         sample_convexity_smoothness(quadratic([2.0, 0.5], [0.1, -0.2]))
 
+    def test_sups_search_the_whole_2d_grid(self):
+        # f = |x|^2/2 + x_2 peaks at the corner (2, 2) of the dilated box,
+        # in the grid's last row; its minimum -1/2 sits at (0, -1)
+        f = quadratic([1.0, 1.0], [0.0, 1.0])
+        assert f.sup_abs() == 6.0
+        assert f.span() == pytest.approx(6.5, abs=1e-3)
+        assert f.sup_gradient_dual(dilated=True) == pytest.approx(math.sqrt(13.0))
+        assert f.sup_gradient_dual() == pytest.approx(math.sqrt(5.0))
+
 
 class TestKinkedAndExp:
     def test_kinked_gradient_continuous(self):
