@@ -23,7 +23,16 @@
    tanh is numpy's own: libm's differs from it in the last bit, so at each
    step the kernel writes the tanh arguments of every lane into one buffer
    and calls back into Python, which applies np.tanh to it in place.  The
-   minima, maxima and clamps keep a NaN, as np.minimum and np.maximum do. */
+   minima, maxima and clamps keep a NaN, as np.minimum and np.maximum do.
+
+   Built with ZG_NPYRANDOM, the library also fills each chunk's draws
+   (zg_lane_draws, zg_skip) from each lane's numpy bit generator, with the
+   samplers numpy's Generator itself calls: random_standard_normal_fill and
+   random_bounded_uint64_fill of numpy/random/lib/libnpyrandom.a, linked in
+   statically.  They are declared here against numpy/random/bitgen.h, since
+   numpy/random/distributions.h needs Python.h. */
+
+#include <math.h>
 
 enum {
     TWO_POINT = 1,   /* two arms, du and xi hold (+, -) pairs */
@@ -155,3 +164,101 @@ void zg_lane_chunk(long m, long lanes, long flags, const double *c,
         }
     }
 }
+
+#ifdef ZG_NPYRANDOM
+#include <stdbool.h>
+#include <stdint.h>
+
+#include "numpy/random/bitgen.h"
+
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng, intptr_t cnt,
+                                bool use_masked, uint64_t *out);
+
+/* the samplers of a draw spec (_lanes.LaneDraws) */
+enum { NORMAL = 1, BITS = 2 };
+/* how a 1-d direction U and its weight V come from U's variate
+   (PerturbationScheme.directions and v_of) */
+enum { SIGNS, UNIT, UNIT_SCALED, PLAIN };
+
+/* n variates of kind from bg into out, in one call: for BITS the bits of
+   rng.integers(0, 2, size=(n, 1)), for NORMAL rng.standard_normal(n) */
+static void fill(bitgen_t *bg, long kind, long n, void *out)
+{
+    if (kind == BITS)
+        random_bounded_uint64_fill(bg, 0, 1, n, false, (uint64_t *)out);
+    else
+        random_standard_normal_fill(bg, n, (double *)out);
+}
+
+/* Advance bg past n variates of kind, drawn chunk at a time, as the pass of
+   core.draw_chunks that skips a copy of the generator past the directions
+   draws them.  scratch holds chunk values. */
+void zg_skip(bitgen_t *bg, long kind, long n, long chunk, void *scratch)
+{
+    for (long start = 0; start < n; start += chunk)
+        fill(bg, kind, n - start < chunk ? n - start : chunk, scratch);
+}
+
+/* One chunk of m steps' draws of every lane, laid out (steps, lanes, ...)
+   as _next_chunk stacks the chunks of oracle.make_stepper: du (width[0]
+   offsets per lane-step, du and then -du for two arms), w (width[1] = 1)
+   and xi (width[2] values, or none).
+
+   spec holds the samplers of the directions and of the noise (0 for
+   none), the direction transform, and whether the noise is scaled;
+   scale[3*i .. 3*i + 2] holds lane i's delta, its weight over delta
+   (1/delta, or 0.5/delta for two arms) and the scale of its noise.  Lane
+   i draws its next min(m, left[i]) steps, directions from dir_bg[i] and
+   noise from noise_bg[i], gets zeros after them, and left[i] goes down by
+   that many.
+   Each value is computed with the operations, and in the order, of the
+   numpy steppers.  scratch holds width[2]*m values. */
+void zg_lane_draws(long m, long lanes, const long *spec, const long *width, const double *scale,
+                   long *left, bitgen_t **dir_bg, bitgen_t **noise_bg,
+                   double *du, double *w, double *xi, void *scratch)
+{
+    const long dir = spec[0], noise = spec[1], transform = spec[2], scaled = spec[3];
+    const long arms = width[0], nx = width[2];
+    const double *z = scratch;
+    const uint64_t *bits = scratch;
+    for (long i = 0; i < lanes; i++) {
+        const long steps = left[i] < m ? left[i] : m;
+        const double delta = scale[3 * i], weight = scale[3 * i + 1], sd = scale[3 * i + 2];
+        if (dir) {
+            fill(dir_bg[i], dir, steps, scratch);
+            for (long j = 0; j < m; j++) {
+                const long k = j * lanes + i;
+                double offset = 0.0, weighted = 0.0;
+                if (j < steps) {
+                    double u, v;
+                    if (transform == SIGNS) {
+                        u = (double)bits[j] * 2.0 - 1.0;
+                        v = 1.0 / u;
+                    } else {
+                        u = transform == PLAIN ? z[j] : z[j] / sqrt(z[j] * z[j]);
+                        if (transform == UNIT_SCALED)
+                            u = u * 1.0;  /* math.sqrt(d) at d = 1 */
+                        v = u;
+                    }
+                    offset = delta * u;
+                    weighted = v * weight;
+                }
+                du[arms * k] = offset;
+                if (arms == 2)
+                    du[2 * k + 1] = j < steps ? -offset : 0.0;
+                w[k] = weighted;
+            }
+        }
+        if (nx) {
+            if (noise)
+                fill(noise_bg[i], noise, nx * steps, scratch);
+            for (long j = 0; j < m; j++)
+                for (long a = 0; a < nx; a++)
+                    xi[(j * lanes + i) * nx + a] =
+                        !(noise && j < steps) ? 0.0 : scaled ? sd * z[j * nx + a] : z[j * nx + a];
+        }
+        left[i] -= steps;
+    }
+}
+#endif

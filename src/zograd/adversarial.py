@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _lanes
 from .core import (
     DomainError,
     OracleEnvelope,
@@ -240,11 +239,19 @@ class AdversarialOracle:
         sd = self._sd(delta)
         return draw_chunks(rng, n, (lambda g, m: sd * g.standard_normal((m, 1)),))
 
+    def lane_draw_spec(self) -> tuple:
+        """``make_stepper``'s draws as data (see ``_lanes.LaneDraws``), for the
+        C fill of a lane kernel run: no direction, and the noise sd*z with
+        sd = sqrt(c2(delta)), from the lane's own generator."""
+        from . import _lanes  # imported on first use, not with zograd (see _lanes)
+        return _lanes.NONE, _lanes.PLAIN, 1.0, _lanes.NORMAL, self._sd
+
     def lane_kernel_spec(self) -> tuple[int, tuple[float, float]]:
         """``estimate`` as the compiled lane kernel computes it: its flag bits
         (``_lanes.AT_X``, ``SHIFTED``, and ``SOFTABS`` for the convex pair)
         and the formula data (v, eps) of the instance; each lane's shift
         comes from ``lane_shift``."""
+        from . import _lanes
         inst = self.instance
         flags = _lanes.AT_X | _lanes.SHIFTED | (_lanes.SOFTABS if inst.problem_class == "convex_smooth" else 0)
         return flags, (float(inst.v), float(inst.eps))

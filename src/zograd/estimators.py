@@ -29,7 +29,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _lanes
 from .core import (
     DomainError,
     EUCLIDEAN,
@@ -148,6 +147,11 @@ class ControlledNoise:
     kind = "controlled"
 
 
+def _standard_normal_psi(rng: np.random.Generator, size) -> np.ndarray:
+    """psi ~ N(0, 1), the seed law of ``additive_controlled``."""
+    return rng.standard_normal(size)
+
+
 def additive_controlled(
     f: ObjectiveFunction, sigma: float, slope: float = 0.0
 ) -> ControlledNoise:
@@ -166,7 +170,7 @@ def additive_controlled(
     sig_, slope_, one = np.array(float(sigma)), np.array(float(slope)), np.array(1.0)
     return ControlledNoise(
         observe=lambda x, psi: f.value(x) + sig_ * psi * (one + slope_ * x),
-        psi_sample=lambda rng, size: rng.standard_normal(size),
+        psi_sample=_standard_normal_psi,
         smoothness_bound=f.smoothness,
         residual_sq=4.0 * sigma**2 * slope**2,  # |x+ - x-| <= 2 delta <= 2
         grad_sq_bound=b1**2 + sigma**2 * slope**2,
@@ -475,6 +479,7 @@ class EstimatorOracle:
         formula data (ca, cb, cc, sigma, slope) of a 1-d quadratic target
         under uncontrolled or additive controlled noise; None for any other
         target or noise."""
+        from . import _lanes  # imported on first use, not with zograd (see _lanes)
         coef = self.target.quadratic_1d
         if coef is None:
             return None
@@ -486,6 +491,30 @@ class EstimatorOracle:
         if additive is None or additive[0] is not self.target:
             return None
         return flags | _lanes.CONTROLLED, (*coef, *additive[1:])
+
+    def lane_draw_spec(self) -> Optional[tuple]:
+        """``make_stepper``'s draws as data (see ``_lanes.LaneDraws``), for the
+        C fill of a 1-d lane kernel run: a direction variate from
+        ``integers(0, 2)`` for SPSA and ``standard_normal`` otherwise, made
+        into U and V as ``PerturbationScheme.directions`` and ``v_of`` make
+        them at d = 1 and weighted as ``_scaled`` weights them; then the
+        noise of ``_noise``: sigma*z, zeros for sigma = 0, or the plain psi
+        of the additive controlled model.  None for d > 1 and for any other
+        controlled noise."""
+        from . import _lanes
+        if self.dim != 1:
+            return None
+        if isinstance(self.noise, ControlledNoise):
+            if self.noise.psi_sample is not _standard_normal_psi:
+                return None
+            noise, scale = _lanes.NORMAL, None
+        else:
+            sigma = self.noise.sigma
+            noise, scale = (_lanes.NORMAL, lambda delta: sigma) if sigma > 0 else (_lanes.NONE, None)
+        kind = self.scheme.kind
+        transform = {"spsa": _lanes.SIGNS, "surface": _lanes.UNIT, "rdsa": _lanes.UNIT_SCALED, "sf": _lanes.PLAIN}
+        direction = _lanes.BITS if kind == "spsa" else _lanes.NORMAL
+        return direction, transform[kind], 1.0 if self.feedback == "one_point" else 0.5, noise, scale
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
         """The draws of n solver steps, in chunks of ``(du, w, xi)``.
@@ -537,11 +566,17 @@ class ExactGradientOracle:
         """``estimate`` as the compiled lane kernel computes it: its flag bits
         (``_lanes.AT_X``, and ``SOFTABS`` for softabs) and the formula data
         (v, eps) of an arm of a hard pair; None for any other target."""
+        from . import _lanes
         arm = self.target.hard_pair_arm
         if arm is None:
             return None
         family, v, eps = arm
         return _lanes.AT_X | (_lanes.SOFTABS if family == "softabs" else 0), (v, eps)
+
+    def lane_draw_spec(self) -> tuple:
+        """``make_stepper``'s draws as data (see ``_lanes.LaneDraws``): none."""
+        from . import _lanes
+        return _lanes.NONE, _lanes.PLAIN, 1.0, _lanes.NONE, None
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
         return draw_chunks(rng, n, ())

@@ -21,6 +21,9 @@ DEFAULT_HORIZONS = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
 ESTIMATORS = ("one-point", "smoothing", "spsa", "rdsa", "sf", "exact")
 PROBLEM_CLASSES = ("convex", "sc")
 NOISE_KINDS = ("uncontrolled", "controlled")
+# A replication's RNG stream id packs (tag << REP_BITS) | rep, so a group
+# holds at most 2**REP_BITS replications before its ids run into the next tag.
+REP_BITS = 20
 
 
 @dataclass
@@ -73,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("horizons: must be strictly increasing")
         if self.replications < 1:
             raise ConfigError("replications: must be a positive integer")
+        if self.replications > 1 << REP_BITS:
+            raise ConfigError(f"replications: at most {1 << REP_BITS}, or stream ids would collide")
         if self.workers < 1:
             raise ConfigError("workers: must be a positive integer")
         if self.n < 1:

@@ -64,7 +64,7 @@ from ..testbed import (
     softabs,
     strongly_convex_pair,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import REP_BITS, ConfigError, ExperimentConfig
 from .fitting import RateFit, fit_rate
 from .probes import envelope_verdict, probe_bias_variance
 
@@ -187,7 +187,7 @@ class _Group:
 
     def stream(self, rep: int) -> int:
         """The RNG stream id of replication ``rep``."""
-        return (self.tag << 20) | rep
+        return (self.tag << REP_BITS) | rep
 
 
 def _run_shard(
@@ -550,7 +550,7 @@ def probe_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     all_ok = True
     for i, delta in enumerate(cfg.delta_grid):
-        rng = RngStream(cfg.master_seed, (40 << 20) | i).generator()
+        rng = RngStream(cfg.master_seed, (40 << REP_BITS) | i).generator()
         res = probe_bias_variance(oracle, x, delta, cfg.probe_reps, rng)
         bias_ok, var_ok = envelope_verdict(res, env)
         all_ok = all_ok and bias_ok and var_ok

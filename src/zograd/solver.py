@@ -18,7 +18,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import _lanes
 from .core import (
     STEPS_PER_CHUNK,
     Ball,
@@ -459,6 +458,7 @@ def _compiled_chunk(oracle, body: ConvexBody, record: bool, regret: bool):
     describe itself to the kernel, a regret run of an oracle that answers at
     x (the kernel evaluates f only for a quadratic), or a kernel that could
     not be built.  Builds the kernel on the first run it covers."""
+    from . import _lanes  # imported on first use, not with zograd (see _lanes)
     describe = getattr(oracle, "lane_kernel_spec", None)
     if record or describe is None or not isinstance(body, Box) or body.dim != 1:
         return None
@@ -475,6 +475,28 @@ def _compiled_chunk(oracle, body: ConvexBody, record: bool, regret: bool):
         arms = 2 if flags & _lanes.TWO_POINT else 1
         widths = (arms, 1, 1 if flags & _lanes.CONTROLLED else arms)
     return fn, flags, np.array([body.lower[0], body.upper[0], oracle.target.f_star, *coef]), widths
+
+
+def _c_draws(oracle, widths, rngs, horizon, schedules) -> Optional[_lanes.LaneDraws]:
+    """The draws of a kernel run, filled in C (``_lanes.LaneDraws``), or None
+    where the oracle's numpy steppers make them: an oracle with no
+    ``lane_draw_spec`` or a spec of None, an oracle whose class redefines
+    ``make_stepper``, ``_scaled`` or ``_noise`` below the class that
+    defines ``lane_draw_spec`` (looked up at run time, so a wrapper set on
+    that class itself, such as a tracer's, leaves the spec in force), one
+    generator driving two lanes, or a library built without numpy's
+    samplers."""
+    from . import _lanes
+    mro = type(oracle).__mro__
+    depth = lambda name: next((i for i, cls in enumerate(mro) if name in vars(cls)), len(mro))
+    own = depth("lane_draw_spec")
+    if own == len(mro) or min(depth(name) for name in ("make_stepper", "_scaled", "_noise")) < own:
+        return None
+    spec = oracle.lane_draw_spec()
+    fns = _lanes.lane_draws() if spec is not None and len({id(g) for g in rngs}) == len(rngs) else None
+    if fns is None:
+        return None
+    return _lanes.LaneDraws(fns, spec, widths, rngs, [h - 1 for h in horizon], [s.delta for s in schedules])
 
 
 def _check_vicinity(offsets: np.ndarray, delta, norm: Norm, live: np.ndarray, first: int) -> None:
@@ -542,8 +564,12 @@ def run(
     bit: estimator oracles of a 1-d quadratic in either mode, and, in
     optimization mode, the adversarial and exact-gradient oracles of an arm
     of a hard pair (the kernel calls back once per step for numpy's tanh of
-    all lanes).  Where the kernel does not load, the numpy loop runs.
-    Which path ran is logged at DEBUG.
+    all lanes).  Where the kernel does not load, the numpy loop runs.  On
+    the kernel, an oracle whose ``lane_draw_spec`` states its draws has
+    them filled in C from each lane's generator, with numpy's own samplers,
+    into per-run buffers (``_lanes.LaneDraws``): the same values as its
+    steppers', and each generator left in the same state.  Which path ran,
+    and where the draws came from, is logged at DEBUG.
 
     The loss of round t is f at the oracle's evaluation point.  The oracle
     hands back the noiseless values of f it computed there; for two-point
@@ -578,7 +604,6 @@ def run(
     if not body.contains(x0):
         raise DomainError("x1 must lie in the feasible set")
 
-    steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizon, schedules, rngs)]
     lane_delta = delta if shared else delta[:, 0]
     two_point = getattr(oracle, "feedback", "") == "two_point"
     want_regret = mode == "regret"
@@ -587,9 +612,15 @@ def run(
     multiply, subtract = np.multiply, np.subtract
     norm = getattr(oracle, "vicinity_norm", None)
     compiled = _compiled_chunk(oracle, body, record, want_regret)
-    _log.debug("run: %d lanes, %d steps on the %s", lanes, n - 1,
-               "compiled lane kernel" if compiled else "numpy loop")
+    c_draws = _c_draws(oracle, compiled[3], rngs, horizon, schedules) if compiled else None
+    if c_draws is None:
+        steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizon, schedules, rngs)]
+    _log.debug("run: %d lanes, %d steps on the %s, draws %s", lanes, n - 1,
+               "compiled lane kernel" if compiled else "numpy loop",
+               "in C" if c_draws else "from the numpy steppers")
     if compiled:
+        from . import _lanes
+
         chunk_fn, flags, coef, widths = compiled
         flags |= _lanes.REGRET if want_regret else 0
         if not flags & _lanes.AT_X and norm is None:  # the kernel writes its offsets y - x
@@ -618,13 +649,16 @@ def run(
         keep = ends[live] > t
         if not keep.all():
             live, x, sum_x, regret = live[keep], x[keep], sum_x[keep], regret[keep]
-            steppers = [stepper for stepper, k in zip(steppers, keep) if k]
+            if c_draws:
+                c_draws.retain(keep)
+            else:
+                steppers = [stepper for stepper, k in zip(steppers, keep) if k]
             delta, groups = _lane_schedules([schedules[lane] for lane in live])
         live_ends = ends[live]
         retiring = {e: np.flatnonzero(live_ends == e) for e in set(live_ends.tolist()) if e <= t + m}
         # the last chunk's draws go before the next are drawn (draw and eta are views of them)
         draws = eta_chunk = etas = draw = eta = None
-        draws = _next_chunk(steppers, m)
+        draws = c_draws.chunk(m) if c_draws else _next_chunk(steppers, m)
         if len(groups) == 1:
             eta_chunk = groups[0][0].eta_array(t + m + 1, t + 1)
         else:

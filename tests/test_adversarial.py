@@ -259,6 +259,13 @@ class TestHardInstance:
             np.testing.assert_array_equal(oracle.lane_shift(deltas), expected)
         assert 0.0 < convex.lane_shift(deltas)[0] < 0.1 == convex.lane_shift(deltas)[2]  # unsaturated, saturated
 
+    def test_lane_draw_spec(self):
+        # no direction; the noise sd*z, with sd that of make_stepper's lane delta
+        oracle = HardInstance("convex_smooth", -1, 0.1, ENV22).oracle()
+        direction, _, _, noise, noise_scale = oracle.lane_draw_spec()
+        assert (direction, noise) == (_lanes.NONE, _lanes.NORMAL)
+        assert noise_scale(0.3) == math.sqrt(oracle.envelope.c2_value(0.3))
+
 
 class TestSeparableComposition:
     def test_single_coordinate_matches_base(self):

@@ -375,6 +375,26 @@ class TestLaneKernelSpec:
         ]
         assert [o.lane_kernel_spec() for o in oracles] == [None] * 4
 
+    def test_draw_specs_name_sampler_transform_and_noise(self):
+        f = self.F
+        spec = lambda scheme, noise, feedback: EstimatorOracle(f, scheme, noise, feedback).lane_draw_spec()
+        one = spec(SPSA, UncontrolledNoise(3.0), "one_point")
+        assert one[:4] == (_lanes.BITS, _lanes.SIGNS, 1.0, _lanes.NORMAL) and one[4](0.2) == 3.0
+        assert spec(SURFACE, UncontrolledNoise(0.0), "one_point") == (_lanes.NORMAL, _lanes.UNIT, 1.0, _lanes.NONE, None)
+        rdsa = spec(RDSA, UncontrolledNoise(1.0), "two_point")
+        assert rdsa[:4] == (_lanes.NORMAL, _lanes.UNIT_SCALED, 0.5, _lanes.NORMAL)
+        assert spec(SF, additive_controlled(f, 3.0), "two_point") == (
+            _lanes.NORMAL, _lanes.PLAIN, 0.5, _lanes.NORMAL, None)
+        assert ExactGradientOracle(f).lane_draw_spec() == (_lanes.NONE, _lanes.PLAIN, 1.0, _lanes.NONE, None)
+
+    def test_draws_without_a_spec(self):
+        # a custom psi law and d > 1 are drawn by the numpy steppers only
+        f = self.F
+        custom = ControlledNoise(observe=lambda x, psi: f.value(x) + psi, psi_sample=lambda rng, size: rng.standard_normal(size),
+                                 smoothness_bound=1.0, additive=(f, 1.0, 0.0))
+        assert EstimatorOracle(f, SPSA, custom, "two_point").lane_draw_spec() is None
+        assert EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point").lane_draw_spec() is None
+
     def test_exact_gradient_of_a_pair_arm(self):
         assert ExactGradientOracle(softabs(-1, 0.1)).lane_kernel_spec() == (
             _lanes.AT_X | _lanes.SOFTABS, (-1.0, 0.1))

@@ -120,6 +120,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="delta_grid"):
             ExperimentConfig(delta_grid=(0.5, 1.5)).validate()
 
+    def test_replications_stop_where_stream_ids_would_collide(self, capsys):
+        # ids pack (tag << 20) | rep: one more replication and the last one of
+        # horizon 0 would draw the stream of replication 0 of horizon 1
+        assert ExperimentConfig(replications=2**20).validate().replications == 2**20
+        with pytest.raises(ConfigError, match="replications: at most 1048576"):
+            ExperimentConfig(replications=2**20 + 1).validate()
+        assert main(["rate", "--reps", str(2**20 + 1), "--horizons", "100 200"]) == 2
+        assert capsys.readouterr().err.startswith("config error: replications")
+
     def test_overrides_win(self):
         cfg = ExperimentConfig().with_overrides(sigma=9.0, replications=3)
         assert cfg.sigma == 9.0 and cfg.replications == 3
@@ -298,9 +307,10 @@ class TestCli:
         loud = capsys.readouterr()
         assert loud.out == quiet.out
         path = "compiled lane kernel" if _lanes.kernel() is not None else "numpy loop"
+        draws = "in C" if _lanes.lane_draws() is not None else "from the numpy steppers"
         # each arm's adversarial run over its 4 lanes, then each arm's one exact-gradient sanity run
-        assert loud.err == (f"DEBUG:zograd.solver:run: 4 lanes, 1999 steps on the {path}\n" * 2
-                            + f"DEBUG:zograd.solver:run: 1 lanes, 1999 steps on the {path}\n" * 2)
+        assert loud.err == (f"DEBUG:zograd.solver:run: 4 lanes, 1999 steps on the {path}, draws {draws}\n" * 2
+                            + f"DEBUG:zograd.solver:run: 1 lanes, 1999 steps on the {path}, draws {draws}\n" * 2)
         assert logging.getLogger("zograd").handlers == []  # nothing left behind
 
     def test_bad_log_level_exits_2(self, capsys):

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import functools
 import logging
 import math
 from unittest import mock
@@ -8,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zograd import _lanes
+from zograd import _lanes, solver
 from zograd.adversarial import hard_pair, scaled_hard_coordinates
-from zograd.core import STEPS_PER_CHUNK, Ball, Box, DomainError, RngStream, draw_chunks, interval
+from zograd.core import STEPS_PER_CHUNK, Ball, Box, DomainError, RngStream, chunk_sizes, draw_chunks, interval
 from zograd.estimators import (
     EstimatorOracle,
     ExactGradientOracle,
+    RDSA,
     SF,
     SPSA,
     SURFACE,
@@ -421,6 +424,45 @@ KERNEL_CELLS = [
 ]
 
 
+# every cell whose draws the C fill makes: each scheme, one- and two-point
+# (surface is one-point only), uncontrolled noise with sigma = 0 and > 0 and
+# additive controlled noise (two-point only), and the adversarial oracles
+# of both arms of both pairs
+DRAW_ORACLES = {
+    f"{scheme.kind}-{feedback}-{name}": EstimatorOracle(_FQ, scheme, noise, feedback)
+    for scheme in (SPSA, SURFACE, RDSA, SF)
+    for feedback in ("one_point", "two_point")
+    for name, noise in (("sigma0", UncontrolledNoise(0.0)), ("sigma3", UncontrolledNoise(3.0)),
+                        ("controlled", additive_controlled(_FQ, 3.0, slope=1.0)))
+    if not (scheme is SURFACE and feedback == "two_point") and not (name == "controlled" and feedback == "one_point")
+}
+DRAW_ORACLES.update({k: o for k, o in KERNEL_ORACLES.items() if k.startswith("adversarial")})
+
+
+def _draw_both(oracle, schedules, horizons, seed):
+    """Every chunk's draws of a kernel run, (C fill, numpy steppers), each
+    as run() would pass them to the kernel, and the lane generators of each
+    side after the last chunk."""
+    widths = solver._compiled_chunk(oracle, oracle.target.domain, False, False)[3]
+    gens_c, gens_np = ([RngStream(seed, i).generator() for i in range(len(horizons))] for _ in range(2))
+    c_draws = solver._c_draws(oracle, widths, gens_c, horizons, schedules)
+    assert c_draws is not None
+    steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizons, schedules, gens_np)]
+    ends, live, t, chunks = np.array(horizons) - 1, np.arange(len(horizons)), 0, []
+    for m in chunk_sizes(max(horizons) - 1):
+        keep = ends[live] > t
+        live = live[keep]
+        c_draws.retain(keep)
+        steppers = [stepper for stepper, k in zip(steppers, keep) if k]
+        chunks.append(([a.copy() for a in c_draws.chunk(m)], solver._next_chunk(steppers, m)))
+        t += m
+    return chunks, gens_c, gens_np
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).reshape(-1).view(np.int64)
+
+
 def _counted_kernel(calls: list):
     """Patch in the compiled kernel, appending the lane count of each call
     to ``calls``; skips where no kernel can be built."""
@@ -619,3 +661,112 @@ class TestCompiledKernel:
         with pytest.raises(DomainError, match="do not fit the lane kernel"):
             run(oracle, SCHEDULES[0], 100, _FQ.domain, REG, rng=[RNG(i) for i in range(2)])
         assert kernel_calls == []
+
+    @given(
+        st.sampled_from(sorted(DRAW_ORACLES)),
+        st.integers(0, 2**16),
+        st.integers(3 * STEPS_PER_CHUNK + 2, 4 * STEPS_PER_CHUNK + 300),
+        st.lists(st.tuples(st.integers(1, 4 * STEPS_PER_CHUNK + 300), st.integers(0, 2)), min_size=0, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_c_draws_equal_the_numpy_steppers(self, kind, seed, n, others):
+        # lane 0 runs to n, over three chunks and more; up to five more lanes
+        # end at their own horizons, most of them inside a chunk, on their
+        # own schedules (so with their own delta and noise scale)
+        if _lanes.lane_draws() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        horizons = [n] + [min(h, n) for h, _ in others]
+        schedules = [SCHEDULES[0]] + [SCHEDULES[i] for _, i in others]
+        chunks, gens_c, gens_np = _draw_both(DRAW_ORACLES[kind], schedules, horizons, seed)
+        assert len(chunks) >= 4
+        for fast, slow in chunks:
+            assert len(fast) == len(slow)
+            for a, b in zip(fast, slow):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+        assert [g.bit_generator.state for g in gens_c] == [g.bit_generator.state for g in gens_np]
+
+    @pytest.mark.parametrize("kind", sorted(DRAW_ORACLES))
+    def test_c_draws_leave_each_generator_as_the_numpy_path_does(self, kind, caplog):
+        # six lanes, mixed schedules, horizons ending at once, inside the
+        # second and third chunks and at n
+        if _lanes.lane_draws() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        oracle, n = DRAW_ORACLES[kind], 3 * STEPS_PER_CHUNK + 100
+        horizons = [n, 1, 700, 1100, n, 1500]
+        schedules = [SCHEDULES[i % 3] for i in range(6)]
+        mode = "optimization" if kind.startswith("adversarial") else "regret"
+        gens_c, gens_np = ([RngStream(8, i).generator() for i in range(6)] for _ in range(2))
+        args = (oracle, schedules, n, oracle.target.domain, REG)
+        with caplog.at_level(logging.DEBUG, logger="zograd.solver"):
+            fast = run(*args, rng=gens_c, horizons=horizons, mode=mode)
+        assert "on the compiled lane kernel, draws in C" in caplog.text
+        with _numpy_loop():
+            slow = run(*args, rng=gens_np, horizons=horizons, mode=mode)
+        np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
+        np.testing.assert_array_equal(fast.error, slow.error)
+        np.testing.assert_array_equal(fast.regret, slow.regret)
+        assert [g.bit_generator.state for g in gens_c] == [g.bit_generator.state for g in gens_np]
+
+    @pytest.mark.parametrize("case", ["wrapped-stepper", "own-noise", "shared-generator"])
+    def test_draw_path_is_decided_per_run(self, case, caplog):
+        # a wrapper set on the class that states the spec (a tracer's) keeps
+        # the C draws; a subclass that redefines a draw method, or a
+        # generator driving two lanes, takes the numpy steppers
+        if _lanes.lane_draws() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        oracle, gens = KERNEL_ORACLES["spsa-2pt"], [RNG(i) for i in range(3)]
+        patch = contextlib.nullcontext()
+        if case == "wrapped-stepper":
+            real = EstimatorOracle.make_stepper
+            patch = mock.patch.object(EstimatorOracle, "make_stepper", functools.wraps(real)(
+                lambda self, *a: real(self, *a)))
+        elif case == "own-noise":
+            class OwnNoise(EstimatorOracle):
+                def _noise(self, rng, shape):
+                    return super()._noise(rng, shape)
+
+            oracle = OwnNoise(oracle.target, oracle.scheme, oracle.noise, oracle.feedback)
+        else:
+            gens[2] = gens[0]
+        with patch, caplog.at_level(logging.DEBUG, logger="zograd.solver"):
+            run(oracle, SCHEDULES[0], 600, _FQ.domain, REG, rng=gens)
+        expected = "in C" if case == "wrapped-stepper" else "from the numpy steppers"
+        assert f"on the compiled lane kernel, draws {expected}" in caplog.text
+
+    def test_library_key_follows_numpy(self, monkeypatch, tmp_path):
+        # the library embeds numpy's samplers: another numpy version or
+        # other sampler bytes must build a library of their own
+        if not (_lanes.NPYRANDOM.is_file() and _lanes.BITGEN_H.is_file()):
+            pytest.skip("numpy's sampler library or header is missing here")
+        base = _lanes._library_path()
+        monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
+        assert _lanes._library_path() != base
+        monkeypatch.undo()
+        archive = tmp_path / "libnpyrandom.a"
+        archive.write_bytes(_lanes.NPYRANDOM.read_bytes())
+        monkeypatch.setattr(_lanes, "NPYRANDOM", archive)
+        same_bytes = _lanes._library_path()
+        archive.write_bytes(archive.read_bytes() + b"\n")
+        assert _lanes._library_path() != same_bytes
+
+    @pytest.mark.parametrize("missing", ["NPYRANDOM", "BITGEN_H"])
+    def test_missing_sampler_file_draws_with_numpy(self, missing, monkeypatch, tmp_path, caplog):
+        if _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built here")
+        oracle = KERNEL_ORACLES["controlled-slope-1"]
+        gens = lambda: [RngStream(21, i).generator() for i in range(4)]
+        args = (oracle, SCHEDULES[1], 700, _FQ.domain, REG)
+        expected = run(*args, rng=gens(), mode="regret")
+        monkeypatch.setattr(_lanes, missing, tmp_path / "no-such-file")
+        monkeypatch.setattr(_lanes, "CACHE", tmp_path / "cache")
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            got = run(*args, rng=gens(), mode="regret")
+            again = run(*args, rng=gens(), mode="regret")
+        assert _lanes.kernel() is not None and _lanes.lane_draws() is None
+        assert caplog.text.count("C draws unavailable, the numpy steppers draw") == 1
+        assert caplog.text.count("on the compiled lane kernel, draws from the numpy steppers") == 2
+        for trace in (got, again):
+            np.testing.assert_array_equal(trace.x_hat, expected.x_hat)
+            np.testing.assert_array_equal(trace.error, expected.error)
+            np.testing.assert_array_equal(trace.regret, expected.regret)
