@@ -20,10 +20,14 @@
    Each value is computed with the operations, and in the order, of the
    numpy loop it replaces, so that compiled without contraction or
    fast-math (-ffp-contract=off) every result equals numpy's bit for bit.
-   tanh is numpy's own: libm's differs from it in the last bit, so at each
-   step the kernel writes the tanh arguments of every lane into one buffer
-   and calls back into Python, which applies np.tanh to it in place.  The
-   minima, maxima and clamps keep a NaN, as np.minimum and np.maximum do.
+   tanh is numpy's own: libm's differs from it in the last bit.  Built with
+   ZG_UFUNC, against Python.h and numpy/ufuncobject.h, the library holds
+   the d->d inner loop of np.tanh, read from the ufunc once when it loads
+   (zg_bind_tanh), and at each step applies it to the tanh arguments of
+   every lane, written into one buffer.  The loop touches no Python object,
+   so a whole chunk runs without the interpreter lock.  Built without
+   ZG_UFUNC, the kernel has no tanh and takes no SOFTABS cell.  The minima,
+   maxima and clamps keep a NaN, as np.minimum and np.maximum do.
 
    Built with ZG_NPYRANDOM, the library also fills each chunk's draws
    (zg_lane_draws, zg_skip) from each lane's numpy bit generator, with the
@@ -31,6 +35,54 @@
    random_bounded_uint64_fill of numpy/random/lib/libnpyrandom.a, linked in
    statically.  They are declared here against numpy/random/bitgen.h, since
    numpy/random/distributions.h needs Python.h. */
+
+#ifdef ZG_UFUNC
+/* Python.h goes before any standard header */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include "numpy/ndarraytypes.h"
+#include "numpy/ufuncobject.h"
+
+/* numpy's inner loop of np.tanh for doubles and its data, or NULL */
+static PyUFuncGenericFunction tanh_loop;
+static void *tanh_data;
+
+/* Bind inner loop i of the ufunc np.tanh.  Reads the ufunc's loop table
+   only, so it calls no Python API; called with the interpreter lock held.
+   0, or -1 where loop i is not a d->d loop of a one-in, one-out ufunc. */
+int zg_bind_tanh(PyObject *ufunc, long i)
+{
+    const PyUFuncObject *u = (const PyUFuncObject *)ufunc;
+    if (u->nin != 1 || u->nout != 1 || i < 0 || i >= u->ntypes || u->functions == NULL
+        || u->functions[i] == NULL || u->types[2 * i] != NPY_DOUBLE || u->types[2 * i + 1] != NPY_DOUBLE)
+        return -1;
+    tanh_loop = u->functions[i];
+    tanh_data = u->data == NULL ? NULL : u->data[i];
+    return 0;
+}
+
+/* numpy's tanh of x[0 .. n-1], in place, as np.tanh(x, out=x) applies it */
+static void numpy_tanh(long n, double *x)
+{
+    char *args[2] = {(char *)x, (char *)x};
+    npy_intp dims[1] = {n}, steps[2] = {sizeof(double), sizeof(double)};
+    tanh_loop(args, dims, steps, tanh_data);
+}
+
+/* The bound loop on x[0 .. n-1], in place, one call per consecutive piece,
+   the k-th of pieces[k % count] values (the last may be shorter): how the
+   loader checks it against np.tanh. */
+void zg_tanh(long n, const long *pieces, long count, double *x)
+{
+    long start = 0;
+    for (long k = 0; start < n; k++) {
+        const long piece = pieces[k % count] < n - start ? pieces[k % count] : n - start;
+        numpy_tanh(piece, x + start);
+        start += piece;
+    }
+}
+#endif
 
 #include <math.h>
 
@@ -86,7 +138,7 @@ static double at_x(long flags, const double *c, double xv, double shift, const d
    0.  steps[k] receives eta*G and, for an estimator, offsets[k] receives
    y - x, k = step*lanes + lane.  For SOFTABS, targs holds room for the
    lanes' tanh arguments (two per lane for the adversarial reply, at +1 and
-   -1, one for the exact gradient), and apply_tanh replaces them with their
+   -1, one for the exact gradient), which numpy's loop replaces with their
    tanh in place. */
 void zg_lane_chunk(long m, long lanes, long flags, const double *c,
                    const double *du, const double *w, const double *xi,
@@ -94,13 +146,14 @@ void zg_lane_chunk(long m, long lanes, long flags, const double *c,
                    double *x, double *sum_x, double *regret,
                    double *steps, double *offsets,
                    double *snap_sum, double *snap_regret,
-                   double *targs, void (*apply_tanh)(void))
+                   double *targs)
 {
     const double lo = c[0], hi = c[1], f_star = c[2];
     const double *q = c + 3;
     const double sigma = q[3], slope = q[4];
     const long width = !(flags & SOFTABS) ? 0 : (flags & SHIFTED) ? 2 : 1;  /* tanh arguments per lane */
     for (long j = 0; j < m; j++) {
+#ifdef ZG_UFUNC
         if (flags & SOFTABS) {
             const double v = q[0], half_inv = 0.5 / q[1];
             for (long i = 0; i < lanes; i++) {
@@ -111,8 +164,9 @@ void zg_lane_chunk(long m, long lanes, long flags, const double *c,
                     targs[i] = (x[i] - v) * half_inv;
                 }
             }
-            apply_tanh();
+            numpy_tanh(width * lanes, targs);
         }
+#endif
         for (long i = 0; i < lanes; i++) {
             const long k = j * lanes + i;
             const double xv = x[i];

@@ -7,9 +7,20 @@ bytecode cache, every line a process imports is compiled as it starts.
 ``kernel()`` compiles the C source with the system C compiler the first
 time a run asks for it (never at import), caches the shared library under
 ``__pycache__`` next to this file, named by a hash of its inputs, and loads
-it with ctypes.  If any of that fails (no compiler, a read-only package
-directory, a library that does not load), it logs the reason once at DEBUG
-and returns None, and the solver keeps its numpy loop.
+it with ctypes, once per process, under a lock, so that threads running
+their first runs together share one load.  If any of that fails (no
+compiler, a read-only package directory, a library that does not load), it
+logs the reason once at DEBUG and returns None, and the solver keeps its
+numpy loop.  A ctypes call releases the interpreter lock, and nothing the
+library runs takes it back, so runs on several threads run in parallel.
+
+Where Python's header (``Python.h``) and numpy's ufunc header
+(``numpy/ufuncobject.h``) exist, the library is built against them and,
+when it loads, binds the ``d->d`` inner loop of ``np.tanh`` and checks it
+against ``np.tanh`` bit for bit (``tanh_bound()``); the kernel applies that
+loop to the tanh arguments of the lower-bound oracles of the softabs pair.
+Where a header is missing, the loop cannot be bound or the check fails,
+the reason is logged once at DEBUG and those runs take the numpy loop.
 
 Where numpy ships its sampler library (``numpy/random/lib/libnpyrandom.a``)
 and the header of its bit generators (``numpy/random/bitgen.h``), the
@@ -25,6 +36,8 @@ import ctypes
 import functools
 import logging
 import os
+import sys
+import threading
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -42,6 +55,13 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # numpy's samplers, the C functions its Generator calls, and their header
 NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 BITGEN_H = Path(np.get_include()) / "numpy" / "random" / "bitgen.h"
+# the headers that give the layout of np.tanh's loop table, and the loop the
+# kernel calls.  Python.h is where sysconfig's posix_prefix scheme puts it,
+# found without sysconfig, whose paths take ~2 ms to build in each process.
+PYTHON_H = (Path(sys.base_prefix) / "include" / f"python{sys.version_info[0]}.{sys.version_info[1]}{sys.abiflags}"
+            / "Python.h")
+UFUNCOBJECT_H = Path(np.get_include()) / "numpy" / "ufuncobject.h"
+TANH_SIGNATURE = "d->d"
 
 # flag bits of zg_lane_chunk, as in _lanes.c
 TWO_POINT, EVAL_POINT, CONTROLLED, LANE_ETA, REGRET = 1, 2, 4, 8, 16
@@ -51,7 +71,9 @@ LONG = np.dtype(ctypes.c_long)  # the kernel's integer arrays
 NONE, NORMAL, BITS = 0, 1, 2
 SIGNS, UNIT, UNIT_SCALED, PLAIN = 0, 1, 2, 3
 
-_loaded: list = []  # [(chunk function, draw functions or None), or None once loading failed]
+# [(chunk function, draw functions or None, whether numpy's tanh loop is bound), or None once loading failed]
+_loaded: list = []
+_loading = threading.Lock()
 
 
 def kernel() -> Optional[Callable]:
@@ -69,11 +91,59 @@ def lane_draws() -> Optional[tuple[Callable, Callable]]:
     return None if loaded is None else loaded[1]
 
 
-def tanh_callback(args: np.ndarray):
-    """The C callback ``zg_lane_chunk`` takes last: numpy's tanh applied in
-    place to ``args``, the tanh arguments of a chunk's lanes.  It allocates
-    no array and cannot raise."""
-    return ctypes.CFUNCTYPE(None)(lambda: np.tanh(args, out=args))
+def tanh_bound() -> bool:
+    """Whether the kernel holds numpy's own tanh loop, checked against
+    ``np.tanh``: only then does it run the oracles of the softabs pair."""
+    loaded = _library()
+    return loaded is not None and loaded[2]
+
+
+def tanh_premise() -> np.ndarray:
+    """The values the bound tanh loop is checked on: tanh arguments of the
+    adversarial reply at +1 and -1 over a spread of iterates and
+    separations, standard normals, and signed zeros, a subnormal, values
+    where tanh saturates and infinities."""
+    rng = np.random.default_rng(20260810)
+    x = rng.uniform(-1.0, 1.0, 3000)
+    eps = rng.uniform(0.005, 0.35, 3000)
+    return np.concatenate([(x - 1.0) * (0.5 / eps), (x - -1.0) * (0.5 / eps), rng.standard_normal(2000),
+                           [0.0, -0.0, 1e-300, 19.0, 25.0, -40.0, np.inf, -np.inf]])
+
+
+def _tanh_mismatch(apply: Callable) -> Optional[str]:
+    """Why ``apply(n, pieces, count, x)``, the bound loop applied in place
+    to x in consecutive pieces, the k-th of ``pieces[k % count]`` values,
+    does not give ``np.tanh``'s bits on ``tanh_premise()``, or None where it
+    gives them for each value alone, for all values in one buffer and
+    interleaved with their reverse, and in pieces of 2 to 17 values, past
+    the widths of its vector steps and into their tails."""
+    values = tanh_premise()
+    interleaved = np.stack((values, values[::-1]), axis=1).ravel()
+    cases = {"alone": (values, [1]), "in one buffer": (values, [values.size]),
+             "interleaved": (interleaved, [interleaved.size]), "in pieces of 2 to 17": (values, range(2, 18))}
+    for name, (buffer, pieces) in cases.items():
+        got = buffer.copy()
+        apply(got.size, np.array(pieces, LONG), len(pieces), got)
+        if not np.array_equal(got.view(np.int64), np.tanh(buffer).view(np.int64)):
+            return f"it differs from np.tanh {name}"
+    return None
+
+
+def _bind_tanh(lib) -> Optional[str]:
+    """Bind np.tanh's d->d inner loop in the library and check it: None
+    where the kernel may call it, else the reason it may not."""
+    if TANH_SIGNATURE not in np.tanh.types:
+        return f"np.tanh has no {TANH_SIGNATURE} loop"
+    index = np.tanh.types.index(TANH_SIGNATURE)
+    # holds the interpreter lock: it reads np.tanh itself
+    bind = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_long)(("zg_bind_tanh", lib))
+    if bind(np.tanh, index) != 0:
+        return f"loop {index} of np.tanh is not a d->d loop"
+    apply = lib.zg_tanh
+    apply.argtypes = [ctypes.c_long, np.ctypeslib.ndpointer(LONG, flags="C_CONTIGUOUS"), ctypes.c_long,
+                      np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")]
+    apply.restype = None
+    return _tanh_mismatch(apply)
 
 
 class LaneDraws:
@@ -169,19 +239,34 @@ def _sampler_args() -> tuple[tuple[str, ...], tuple[str, ...]]:
     return ("-DZG_NPYRANDOM", f"-I{BITGEN_H.parents[2]}"), (str(NPYRANDOM), "-lm")
 
 
+def _ufunc_args() -> tuple[str, ...]:
+    """Compile arguments that build numpy's tanh loop in, against Python's
+    header and numpy's ufunc header; empty where either file is missing."""
+    if not (PYTHON_H.is_file() and UFUNCOBJECT_H.is_file()):
+        return ()
+    return "-DZG_UFUNC", f"-I{PYTHON_H.parent}", f"-I{UFUNCOBJECT_H.parents[1]}"
+
+
 def _library_path() -> Path:
     """Where the library of this source, these flags, this machine and,
-    when linked in, this numpy's sampler library and header is cached."""
+    when built in, this numpy's sampler library and header, and Python's and
+    numpy's ufunc headers under this Python, is cached."""
     import hashlib
     import platform
 
     compile_args, link_args = _sampler_args()
+    ufunc_args = _ufunc_args()
     key = hashlib.sha256(SOURCE.read_bytes())
-    key.update(" ".join((CC, *FLAGS, *compile_args, *link_args, platform.machine())).encode())
-    if link_args:
+    key.update(" ".join((CC, *FLAGS, *compile_args, *ufunc_args, *link_args, platform.machine())).encode())
+    if link_args or ufunc_args:
         key.update(np.__version__.encode())
+    if link_args:
         key.update(NPYRANDOM.read_bytes())
         key.update(BITGEN_H.read_bytes())
+    if ufunc_args:
+        key.update(sys.version.encode())
+        key.update(PYTHON_H.read_bytes())
+        key.update(UFUNCOBJECT_H.read_bytes())
     return CACHE / f"_lanes-{key.hexdigest()[:16]}.so"
 
 
@@ -193,6 +278,7 @@ def _build(path: Path) -> None:
     import tempfile
 
     compile_args, link_args = _sampler_args()
+    compile_args += _ufunc_args()
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
     os.close(fd)
@@ -209,9 +295,10 @@ def _build(path: Path) -> None:
 
 
 def _library():
-    if not _loaded:
-        _loaded.append(_load())
-    return _loaded[0]
+    with _loading:
+        if not _loaded:
+            _loaded.append(_load())
+        return _loaded[0]
 
 
 def _load():
@@ -227,14 +314,19 @@ def _load():
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     longs = np.ctypeslib.ndpointer(LONG, flags="C_CONTIGUOUS")
     pointers = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
-    chunk.argtypes = [ctypes.c_long] * 3 + [doubles] * 6 + [longs] + [doubles] * 8 + [ctypes.CFUNCTYPE(None)]
+    chunk.argtypes = [ctypes.c_long] * 3 + [doubles] * 6 + [longs] + [doubles] * 8
     chunk.restype = None
-    _log.debug("lane kernel loaded from %s", path)
+    unbound = _bind_tanh(lib) if _ufunc_args() else f"{PYTHON_H} or {UFUNCOBJECT_H} is missing"
+    if unbound is None:
+        _log.debug("lane kernel loaded from %s, with numpy's tanh loop bound", path)
+    else:
+        _log.debug("lane kernel loaded from %s, without numpy's tanh loop (softabs runs take the numpy loop): %s",
+                   path, unbound)
     if not _sampler_args()[1]:
         _log.debug("C draws unavailable, the numpy steppers draw: %s or %s is missing", BITGEN_H, NPYRANDOM)
-        return chunk, None
+        return chunk, None, unbound is None
     fill, skip = lib.zg_lane_draws, lib.zg_skip
     fill.argtypes = [ctypes.c_long] * 2 + [longs] * 2 + [doubles] + [longs] + [pointers] * 2 + [doubles] * 4
     skip.argtypes = [ctypes.c_void_p] + [ctypes.c_long] * 3 + [doubles]
     fill.restype = skip.restype = None
-    return chunk, (fill, skip)
+    return chunk, (fill, skip), unbound is None

@@ -9,7 +9,9 @@ horizon or lower-bound arm, and settles there, once, the group's schedule
 workers and the CSV rows read both from the group.  The replications of
 all horizons of one experiment (or of one lower-bound arm) are the lanes
 of one solver run, each lane to its own horizon; with several workers each
-worker runs a contiguous shard of those lanes.
+worker, a thread of this process, runs a contiguous shard of those lanes.
+The compiled lane kernel holds no interpreter lock while it runs, so the
+shards of kernel runs run in parallel; numpy-loop runs mostly hold it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -69,6 +71,10 @@ from .fitting import RateFit, fit_rate
 from .probes import envelope_verdict, probe_bias_variance
 
 _SC_ALPHA_FLOOR = 4.0
+# The pool _fan_out builds, looked up here at each call: perfbench/tracing.py
+# puts its traced process pool in under this name, because its tracer keeps
+# one span stack per process, which the threads would interleave.
+ProcessPoolExecutor = ThreadPoolExecutor
 _SCHEMES = {"spsa": SPSA, "rdsa": RDSA, "sf": SF, "surface": SURFACE}
 
 
@@ -222,10 +228,12 @@ def _fan_out(cfg: ExperimentConfig, groups: Sequence[_Group]) -> list[tuple[np.n
     """Errors and regrets of every group, replications in index order.
 
     The replications of all groups, laid end to end, are cut into one
-    contiguous shard per worker (``cfg.workers``), and a worker makes one
-    run for each oracle its shard touches: one for all horizons of a rate or
-    regret experiment, one per lower-bound arm.  One worker runs everything
-    in this process.
+    contiguous shard per worker (``cfg.workers``, at most one per
+    replication), and a worker makes one run for each oracle its shard
+    touches: one for all horizons of a rate or regret experiment, one per
+    lower-bound arm.  Several workers are threads of a pool with one thread
+    per shard; one worker runs everything in the calling thread.  The error
+    of the first shard that raises is raised here once every shard ended.
     """
     lanes = [(gi, rep) for gi, group in enumerate(groups) for rep in range(group.reps)]
     size = -(-len(lanes) // cfg.workers)
@@ -234,10 +242,11 @@ def _fan_out(cfg: ExperimentConfig, groups: Sequence[_Group]) -> list[tuple[np.n
         for i in range(0, len(lanes), size)
     ]
     pieces = [[(groups[gi], reps) for gi, reps in shard] for shard in shards]
-    if cfg.workers <= 1:
+    workers = min(cfg.workers, len(pieces))
+    if workers <= 1:
         results = [_run_shard(cfg, shard) for shard in pieces]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_shard, [cfg] * len(pieces), pieces))
     errors, regrets = [[] for _ in groups], [[] for _ in groups]
     for shard, shard_results in zip(shards, results):

@@ -456,8 +456,10 @@ def _compiled_chunk(oracle, body: ConvexBody, record: bool, regret: bool):
     compiled lane kernel for a run, or None where the numpy loop runs it: a
     recorded run, a body other than a 1-d box, an oracle that does not
     describe itself to the kernel, a regret run of an oracle that answers at
-    x (the kernel evaluates f only for a quadratic), or a kernel that could
-    not be built.  Builds the kernel on the first run it covers."""
+    x (the kernel evaluates f only for a quadratic), an oracle of the
+    softabs pair where the kernel holds no checked numpy tanh loop, or a
+    kernel that could not be built.  Builds the kernel on the first run it
+    covers."""
     from . import _lanes  # imported on first use, not with zograd (see _lanes)
     describe = getattr(oracle, "lane_kernel_spec", None)
     if record or describe is None or not isinstance(body, Box) or body.dim != 1:
@@ -466,9 +468,9 @@ def _compiled_chunk(oracle, body: ConvexBody, record: bool, regret: bool):
     if spec is None or (regret and spec[0] & _lanes.AT_X):
         return None
     fn = _lanes.kernel()
-    if fn is None:
-        return None
     flags, coef = spec
+    if fn is None or (flags & _lanes.SOFTABS and not _lanes.tanh_bound()):
+        return None
     if flags & _lanes.AT_X:
         widths = (0, 0, 1 if flags & _lanes.SHIFTED else 0)
     else:
@@ -563,8 +565,10 @@ def run(
     compiled kernel of ``_lanes.c``, which computes the same values bit for
     bit: estimator oracles of a 1-d quadratic in either mode, and, in
     optimization mode, the adversarial and exact-gradient oracles of an arm
-    of a hard pair (the kernel calls back once per step for numpy's tanh of
-    all lanes).  Where the kernel does not load, the numpy loop runs.  On
+    of a hard pair (for the softabs pair, with numpy's own tanh loop, called
+    from C; where that loop is not bound, those runs take the numpy loop).
+    A kernel call holds no interpreter lock, so runs on several threads run
+    in parallel.  Where the kernel does not load, the numpy loop runs.  On
     the kernel, an oracle whose ``lane_draw_spec`` states its draws has
     them filled in C from each lane's generator, with numpy's own samplers,
     into per-run buffers (``_lanes.LaneDraws``): the same values as its
@@ -626,7 +630,8 @@ def run(
         if not flags & _lanes.AT_X and norm is None:  # the kernel writes its offsets y - x
             raise DomainError("an estimator on the lane kernel needs a vicinity norm")
         unused = shift = np.empty(0)
-        tanh_width = (2 if flags & _lanes.SHIFTED else 1) if flags & _lanes.SOFTABS else 0
+        # room for each lane's tanh arguments, to which the kernel applies numpy's tanh loop once per step
+        tanh_args = np.empty(((2 if flags & _lanes.SHIFTED else 1) if flags & _lanes.SOFTABS else 0) * lanes)
 
     x = np.tile(x0.astype(float), (lanes, 1))
     sum_x = x.copy()
@@ -676,16 +681,13 @@ def run(
             slot_draws = [next(slots) if k else unused for k in widths]
             if flags & _lanes.SHIFTED:
                 shift = oracle.lane_shift(np.broadcast_to(delta, (live.size, 1)))
-            # each lane's tanh arguments, to which the kernel has numpy's tanh applied once per step
-            tanh_args = np.empty(tanh_width * live.size)
-            apply_tanh = _lanes.tanh_callback(tanh_args)
             snap_at = np.zeros(live.size, dtype=_lanes.LONG)
             for e, rows in retiring.items():
                 snap_at[rows] = e - t
             snaps = np.empty((2, live.size))
             chunk_fn(m, live.size, flags | (_lanes.LANE_ETA if len(groups) > 1 else 0), coef, *slot_draws,
                      eta_chunk, shift, snap_at, x, sum_x, regret, chunk_steps,
-                     unused if norm is None else chunk_offsets, *snaps, tanh_args, apply_tanh)
+                     unused if norm is None else chunk_offsets, *snaps, tanh_args)
             t += m
             for rows in retiring.values():
                 sums[live[rows], 0], regrets[live[rows], 0] = snaps[0, rows], snaps[1, rows]

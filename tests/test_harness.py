@@ -2,6 +2,9 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -489,3 +492,89 @@ class TestWorkerDeterminism:
                 lower_bound_experiment(cfg)
                 outs.append(Path(cfg.out).read_bytes())
             assert outs[0] == outs[1] == outs[2], problem_class
+
+
+class TestThreadedFanOut:
+    """Workers are threads of this process: a pool with one thread per
+    shard, errors raised as at one worker, and no process pool imported."""
+
+    LOWERBOUND = dict(experiment="lowerbound", problem_class="convex", p=2.0, q=2.0, c1=1.0, c2=1.0, n=3000,
+                      replications=3, master_seed=5)
+
+    def test_pool_has_one_thread_per_shard(self, tmp_path, monkeypatch):
+        # 8 workers on 3 lanes: shards of one lane each, a pool of 3 threads
+        from zograd.harness import experiments
+
+        asked = []
+
+        class Recording(experiments.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+        outs = []
+        for workers in (1, 8):
+            cfg = ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=1, master_seed=5,
+                                   tolerance=5.0, workers=workers, out=str(tmp_path / f"rate{workers}.csv"))
+            rate_experiment(cfg)
+            outs.append(Path(cfg.out).read_bytes())
+        assert outs[0] == outs[1]
+        assert asked == [3]
+
+    def test_non_finite_shard_raises_as_at_one_worker(self, tmp_path, monkeypatch):
+        # c2 = inf on the second arm only: at 2 workers the second shard,
+        # a worker thread, raises while the first completes
+        from zograd.harness import experiments
+
+        real = experiments.AdversarialOracle
+
+        def poisoned(inst):
+            if inst.v < 0:
+                inst = dataclasses.replace(inst, envelope=dataclasses.replace(inst.envelope, c2=math.inf))
+            return real(inst)
+
+        monkeypatch.setattr(experiments, "AdversarialOracle", poisoned)
+        raised = []
+        for workers in (1, 2):
+            cfg = ExperimentConfig(workers=workers, out=str(tmp_path / f"lb{workers}.csv"), **self.LOWERBOUND)
+            with pytest.raises(NonFiniteIterate, match="replication 0") as info:
+                lower_bound_experiment(cfg)
+            raised.append((info.value.lane, info.value.first, info.value.last, str(info.value)))
+        assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("cause", ["headers", "accessor", "check"])
+    def test_unbound_tanh_runs_softabs_on_the_numpy_loop(self, cause, tmp_path, monkeypatch, caplog):
+        # without numpy's tanh loop, the softabs runs of a 2-worker
+        # lower-bound experiment take the numpy loop, with the same bytes
+        if _lanes.kernel() is None or not _lanes.tanh_bound():
+            pytest.skip("the lane kernel cannot be built with numpy's tanh loop here")
+        cfg = lambda name: ExperimentConfig(workers=2, out=str(tmp_path / name), **self.LOWERBOUND)
+        lower_bound_experiment(cfg("bound.csv"))
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        if cause == "headers":
+            monkeypatch.setattr(_lanes, "PYTHON_H", tmp_path / "no-such-file")
+            monkeypatch.setattr(_lanes, "CACHE", tmp_path / "cache")
+        elif cause == "accessor":  # np.tanh's loop 1 is f->f, which the library refuses to bind
+            monkeypatch.setattr(_lanes, "TANH_SIGNATURE", "f->f")
+        else:
+            monkeypatch.setattr(_lanes, "_tanh_mismatch", lambda apply: "it differs from np.tanh")
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            lower_bound_experiment(cfg("unbound.csv"))
+        assert _lanes.kernel() is not None and not _lanes.tanh_bound()
+        assert Path(cfg("unbound.csv").out).read_bytes() == Path(cfg("bound.csv").out).read_bytes()
+        assert caplog.text.count("without numpy's tanh loop (softabs runs take the numpy loop)") == 1
+        assert caplog.text.count("lane kernel loaded") == 1
+        # each arm's adversarial run, then each arm's exact-gradient sanity run
+        assert caplog.text.count("steps on the numpy loop") == 4
+        assert "compiled lane kernel" not in caplog.text
+
+    def test_import_leaves_out_process_pools(self):
+        code = ("import sys, zograd, zograd.harness.cli, zograd.harness.experiments; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing' "
+                "or m == 'concurrent.futures.process'))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

@@ -3,6 +3,11 @@ import dataclasses
 import functools
 import logging
 import math
+import sys
+import sysconfig
+import threading
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -625,14 +630,12 @@ class TestCompiledKernel:
         assert "replication 1" in str(info.value)
 
     def test_numpy_tanh_ignores_its_buffer_layout(self):
-        # the kernel hands numpy the tanh arguments of all lanes in one
-        # interleaved buffer, where the numpy loop takes each arm's column:
-        # its parity rests on numpy's tanh giving each value the same bits
-        rng = np.random.default_rng(20260810)
-        x = rng.uniform(-1.0, 1.0, 3000)
-        eps = rng.uniform(0.005, 0.35, 3000)
-        values = np.concatenate([(x - 1.0) * (0.5 / eps), (x - -1.0) * (0.5 / eps), rng.standard_normal(2000),
-                                 [0.0, -0.0, 1e-300, 19.0, 25.0, -40.0, np.inf, -np.inf]])
+        # the kernel hands numpy's tanh loop the tanh arguments of all lanes
+        # in one interleaved buffer, where the numpy loop takes each arm's
+        # column: its parity rests on numpy's tanh giving each value the
+        # same bits, on the values the loader checks the bound loop on
+        values = _lanes.tanh_premise()
+        assert values.size == 8008
         alone = np.array([np.tanh(np.array([[v]]))[0, 0] for v in values])
         column = np.tanh(values[:, None])[:, 0]
         interleaved = np.stack((values, values[::-1]), axis=1)
@@ -641,6 +644,64 @@ class TestCompiledKernel:
         np.testing.assert_array_equal(bits(column), bits(alone))
         np.testing.assert_array_equal(bits(interleaved[:, 0]), bits(alone))
         np.testing.assert_array_equal(bits(interleaved[::-1, 1]), bits(alone))
+
+    def test_tanh_check_sees_one_bit(self):
+        # the loader's check of the bound loop passes np.tanh itself, and
+        # fails libm's tanh and a loop one bit off on one value alone
+        assert _lanes._tanh_mismatch(lambda n, pieces, count, x: np.tanh(x, out=x)) is None
+
+        def libm(n, pieces, count, x):
+            x[:] = [math.tanh(v) for v in x]
+
+        def off_alone(n, pieces, count, x):
+            np.tanh(x, out=x)
+            if list(pieces) == [1]:
+                x[100] = np.nextafter(x[100], np.inf)
+
+        assert _lanes._tanh_mismatch(libm) == "it differs from np.tanh alone"
+        assert _lanes._tanh_mismatch(off_alone) == "it differs from np.tanh alone"
+
+    def test_kernel_holds_numpy_tanh(self):
+        # Python.h is looked up where sysconfig puts it, without sysconfig
+        assert _lanes.PYTHON_H == Path(sysconfig.get_path("include")) / "Python.h"
+        if not (_lanes.PYTHON_H.is_file() and _lanes.UFUNCOBJECT_H.is_file()) or _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built against Python's and numpy's headers here")
+        assert _lanes.tanh_bound()
+
+    def test_kernel_loads_once_under_threads(self, monkeypatch):
+        # four threads make their first kernel call together; a sleep in the
+        # load and a short switch interval widen the window between the
+        # check for a loaded library and the load
+        if _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built here")
+        loads, real = [], _lanes._load
+
+        def slow_load():
+            loads.append(threading.get_ident())
+            time.sleep(0.05)
+            return real()
+
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        monkeypatch.setattr(_lanes, "_load", slow_load)
+        start, got = threading.Barrier(4), [None] * 4
+
+        def first_call(i):
+            start.wait(timeout=10)
+            got[i] = _lanes.kernel()
+
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(loads) == 1
+        assert got[0] is not None and all(fn is got[0] for fn in got)
 
     @pytest.mark.parametrize("path, scheme", [("kernel", SPSA), ("numpy", SPSA), ("d2", SURFACE), ("d2", SPSA)])
     def test_offsets_beyond_delta_raise(self, path, scheme):
@@ -748,6 +809,25 @@ class TestCompiledKernel:
         same_bytes = _lanes._library_path()
         archive.write_bytes(archive.read_bytes() + b"\n")
         assert _lanes._library_path() != same_bytes
+
+    def test_library_key_follows_python_and_the_ufunc_headers(self, monkeypatch, tmp_path):
+        # the library reads np.tanh's loop table through these headers:
+        # another Python or other header bytes must build a library of their own
+        if not (_lanes.PYTHON_H.is_file() and _lanes.UFUNCOBJECT_H.is_file()):
+            pytest.skip("Python's or numpy's ufunc header is missing here")
+        base = _lanes._library_path()
+        monkeypatch.setattr(sys, "version", sys.version + "+other")
+        assert _lanes._library_path() != base
+        monkeypatch.undo()
+        for name in ("PYTHON_H", "UFUNCOBJECT_H"):
+            header = tmp_path / name / getattr(_lanes, name).name
+            header.parent.mkdir()
+            header.write_bytes(getattr(_lanes, name).read_bytes())
+            monkeypatch.setattr(_lanes, name, header)
+            same_bytes = _lanes._library_path()
+            header.write_bytes(header.read_bytes() + b"\n")
+            assert _lanes._library_path() != same_bytes, name
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("missing", ["NPYRANDOM", "BITGEN_H"])
     def test_missing_sampler_file_draws_with_numpy(self, missing, monkeypatch, tmp_path, caplog):
