@@ -15,19 +15,25 @@ numpy loop.  A ctypes call releases the interpreter lock, and nothing the
 library runs takes it back, so runs on several threads run in parallel.
 
 Where Python's header (``Python.h``) and numpy's ufunc header
-(``numpy/ufuncobject.h``) exist, the library is built against them and,
-when it loads, binds the ``d->d`` inner loop of ``np.tanh`` and checks it
-against ``np.tanh`` bit for bit (``tanh_bound()``); the kernel applies that
-loop to the tanh arguments of the lower-bound oracles of the softabs pair.
-Where a header is missing, the loop cannot be bound or the check fails,
-the reason is logged once at DEBUG and those runs take the numpy loop.
+(``numpy/ufuncobject.h``) exist, the library is built against them and, on
+the first run of an oracle of the softabs pair, binds the ``d->d`` inner
+loop of ``np.tanh`` and checks it against ``np.tanh`` bit for bit
+(``tanh_bound()``), once per process; the kernel applies that loop to the
+tanh arguments of those lower-bound oracles.  Where a header is missing,
+the loop cannot be bound or the check fails, the reason is logged once at
+DEBUG and those runs take the numpy loop.
 
 Where numpy ships its sampler library (``numpy/random/lib/libnpyrandom.a``)
 and the header of its bit generators (``numpy/random/bitgen.h``), the
 library is built against them and also fills each chunk's draws in C
 (``lane_draws()``, ``LaneDraws``); where either is missing, it is built
 without them, the reason is logged once at DEBUG, and the oracles' numpy
-steppers make the draws.
+steppers make the draws.  Its normals take numpy's ziggurat fast path
+inline, with the tables read out of numpy's own sampler when the library
+loads and every other draw handed back to that sampler; the inline fill is
+checked against numpy's fill then (``NORMAL_PREMISE``), and where the
+tables cannot be read or the check fails, the reason is logged once at
+DEBUG and numpy's ``random_standard_normal_fill`` makes the normals.
 """
 
 from __future__ import annotations
@@ -68,10 +74,28 @@ TWO_POINT, EVAL_POINT, CONTROLLED, LANE_ETA, REGRET = 1, 2, 4, 8, 16
 AT_X, SOFTABS, SHIFTED = 32, 64, 128
 LONG = np.dtype(ctypes.c_long)  # the kernel's integer arrays
 # samplers and direction transforms of zg_lane_draws, as in _lanes.c
-NONE, NORMAL, BITS = 0, 1, 2
+NONE, NORMAL, BITS, ZIGGURAT = 0, 1, 2, 3
 SIGNS, UNIT, UNIT_SCALED, PLAIN = 0, 1, 2, 3
+# (seed, count) of the normals the inline normal fill is checked on when the
+# library loads: the first normal of default_rng(seed) is drawn in strip 1 of
+# numpy's ziggurat, which numpy's tables send to the slow path every time,
+# and the count takes the draws past tail values and wedge rejections
+# (tests/test_solver.py pins both)
+NORMAL_PREMISE = (15, 8192)
 
-# [(chunk function, draw functions or None, whether numpy's tanh loop is bound), or None once loading failed]
+
+class _Library:
+    """The loaded library: its chunk function, its draw functions (None where
+    it was built without numpy's samplers), whether it was built against the
+    headers of numpy's tanh loop, and whether that loop is bound and checked
+    (None until a softabs run asks)."""
+
+    def __init__(self, lib, chunk: Callable, draws: Optional[tuple[Callable, Callable, int]], ufunc: bool):
+        self.lib, self.chunk, self.draws, self.ufunc = lib, chunk, draws, ufunc
+        self.tanh: Optional[bool] = None
+
+
+# [the _Library, or None once loading failed]
 _loaded: list = []
 _loading = threading.Lock()
 
@@ -80,22 +104,34 @@ def kernel() -> Optional[Callable]:
     """``zg_lane_chunk`` of the compiled library, or None where it cannot
     be built or loaded.  Built and loaded on the first call only."""
     loaded = _library()
-    return None if loaded is None else loaded[0]
+    return None if loaded is None else loaded.chunk
 
 
-def lane_draws() -> Optional[tuple[Callable, Callable]]:
-    """(``zg_lane_draws``, ``zg_skip``) of the compiled library, or None
-    where it cannot be built or loaded, or was built without numpy's
-    samplers."""
+def lane_draws() -> Optional[tuple[Callable, Callable, int]]:
+    """(``zg_lane_draws``, ``zg_skip``, the sampler that draws their
+    normals: ZIGGURAT, the inline fill, or NORMAL, numpy's) of the compiled
+    library, or None where it cannot be built or loaded, or was built
+    without numpy's samplers."""
     loaded = _library()
-    return None if loaded is None else loaded[1]
+    return None if loaded is None else loaded.draws
 
 
 def tanh_bound() -> bool:
     """Whether the kernel holds numpy's own tanh loop, checked against
-    ``np.tanh``: only then does it run the oracles of the softabs pair."""
+    ``np.tanh``: only then does it run the oracles of the softabs pair.
+    The first call binds and checks the loop, once per process."""
     loaded = _library()
-    return loaded is not None and loaded[2]
+    if loaded is None:
+        return False
+    with _loading:
+        if loaded.tanh is None:
+            unbound = _bind_tanh(loaded.lib) if loaded.ufunc else f"{PYTHON_H} or {UFUNCOBJECT_H} is missing"
+            if unbound is None:
+                _log.debug("numpy's tanh loop bound in the lane kernel")
+            else:
+                _log.debug("lane kernel without numpy's tanh loop (softabs runs take the numpy loop): %s", unbound)
+            loaded.tanh = unbound is None
+        return loaded.tanh
 
 
 def tanh_premise() -> np.ndarray:
@@ -146,6 +182,33 @@ def _bind_tanh(lib) -> Optional[str]:
     return _tanh_mismatch(apply)
 
 
+def _normal_mismatch(fill: Callable) -> Optional[str]:
+    """Why ``fill(bit generator address, n, out)`` does not give the bits of
+    ``Generator.standard_normal(n)`` on ``NORMAL_PREMISE``, or leaves its
+    generator in another state, or None where it gives them."""
+    seed, n = NORMAL_PREMISE
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = np.empty(n)
+    fill(_address(ours.bit_generator), n, got)
+    if not np.array_equal(got.view(np.int64), numpys.standard_normal(n).view(np.int64)):
+        return "its normals differ from numpy's"
+    if ours.bit_generator.state != numpys.bit_generator.state:
+        return "it leaves the generator in another state than numpy's"
+    return None
+
+
+def _bind_normal(lib) -> Optional[str]:
+    """Read numpy's ziggurat tables into the library and check its inline
+    normal fill: None where the draws may take it, else the reason they
+    take numpy's ``random_standard_normal_fill``."""
+    if lib.zg_bind_normal() != 0:
+        return "numpy's random_standard_normal gave no ziggurat tables"
+    inline = lib.zg_normal_fill
+    inline.argtypes = [ctypes.c_void_p, ctypes.c_long, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")]
+    inline.restype = None
+    return _normal_mismatch(inline)
+
+
 class LaneDraws:
     """The draws of one kernel run, filled in C chunk by chunk: for lanes of
     generators ``rngs``, ``ends`` steps and schedule deltas ``deltas``,
@@ -166,6 +229,12 @@ class LaneDraws:
     NORMAL), and xi = noise_scale(delta)*z, or z itself where noise_scale is
     None.
 
+    ``fns`` is ``lane_draws()``.  Its sampler of normals draws every
+    NORMAL: ZIGGURAT takes numpy's ziggurat fast path inline, with the
+    tables read out of numpy's ``random_standard_normal`` and every other
+    draw handed back to it, so the values and states are numpy's all the
+    same; NORMAL calls numpy's ``random_standard_normal_fill``.
+
     Directions read each lane's own generator.  Noise reads it too where
     there are no directions; otherwise it reads a copy made here and
     skipped in C past the lane's ``end`` directions, as ``core.draw_chunks``
@@ -175,8 +244,9 @@ class LaneDraws:
 
     def __init__(self, fns, spec: tuple, widths: Sequence[int], rngs: Sequence[np.random.Generator],
                  ends: Sequence[int], deltas: Sequence[float]):
-        self._fill, skip = fns
+        self._fill, skip, normal = fns
         direction, transform, weight, noise, noise_scale = spec
+        direction, noise = (normal if kind == NORMAL else kind for kind in (direction, noise))
         lanes = len(rngs)
         self._spec = np.array([direction, noise, transform, noise_scale is not None], LONG)
         self._widths = np.array(widths, LONG)
@@ -316,17 +386,18 @@ def _load():
     pointers = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     chunk.argtypes = [ctypes.c_long] * 3 + [doubles] * 6 + [longs] + [doubles] * 8
     chunk.restype = None
-    unbound = _bind_tanh(lib) if _ufunc_args() else f"{PYTHON_H} or {UFUNCOBJECT_H} is missing"
-    if unbound is None:
-        _log.debug("lane kernel loaded from %s, with numpy's tanh loop bound", path)
-    else:
-        _log.debug("lane kernel loaded from %s, without numpy's tanh loop (softabs runs take the numpy loop): %s",
-                   path, unbound)
+    ufunc = bool(_ufunc_args())
     if not _sampler_args()[1]:
-        _log.debug("C draws unavailable, the numpy steppers draw: %s or %s is missing", BITGEN_H, NPYRANDOM)
-        return chunk, None, unbound is None
+        _log.debug("lane kernel loaded from %s; C draws unavailable, the numpy steppers draw: %s or %s is missing",
+                   path, BITGEN_H, NPYRANDOM)
+        return _Library(lib, chunk, None, ufunc)
     fill, skip = lib.zg_lane_draws, lib.zg_skip
     fill.argtypes = [ctypes.c_long] * 2 + [longs] * 2 + [doubles] + [longs] + [pointers] * 2 + [doubles] * 4
     skip.argtypes = [ctypes.c_void_p] + [ctypes.c_long] * 3 + [doubles]
     fill.restype = skip.restype = None
-    return chunk, (fill, skip), unbound is None
+    refused = _bind_normal(lib)
+    if refused is None:
+        _log.debug("lane kernel loaded from %s, normals from numpy's ziggurat fast path inline", path)
+    else:
+        _log.debug("lane kernel loaded from %s, normals from numpy's random_standard_normal_fill: %s", path, refused)
+    return _Library(lib, chunk, (fill, skip, ZIGGURAT if refused is None else NORMAL), ufunc)

@@ -569,6 +569,46 @@ class TestThreadedFanOut:
         assert caplog.text.count("steps on the numpy loop") == 4
         assert "compiled lane kernel" not in caplog.text
 
+    @pytest.mark.parametrize("cause", ["tables", "check"])
+    def test_unchecked_normals_come_from_numpy_fill(self, cause, tmp_path, monkeypatch, caplog):
+        # where numpy's ziggurat tables cannot be read or the inline fill
+        # fails its check, a rate and a lower-bound experiment draw their
+        # normals with numpy's random_standard_normal_fill, to the same bytes
+        if _lanes.lane_draws() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        assert _lanes.lane_draws()[2] == _lanes.ZIGGURAT
+        rate = lambda name: ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=2,
+                                             master_seed=5, tolerance=5.0, out=str(tmp_path / name))
+        lower = lambda name: ExperimentConfig(workers=2, out=str(tmp_path / name), **self.LOWERBOUND)
+        rate_experiment(rate("rate-inline.csv"))
+        lower_bound_experiment(lower("lb-inline.csv"))
+        lib = _lanes._library().lib
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        if cause == "tables":
+            monkeypatch.setattr(lib, "zg_bind_normal", lambda: -1)
+            reason = "numpy's random_standard_normal gave no ziggurat tables"
+        else:
+            reason = "its normals differ from numpy's"
+            monkeypatch.setattr(_lanes, "_normal_mismatch", lambda fill: reason)
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            rate_experiment(rate("rate-numpy.csv"))
+            lower_bound_experiment(lower("lb-numpy.csv"))
+        assert _lanes.lane_draws()[2] == _lanes.NORMAL
+        assert caplog.text.count("lane kernel loaded") == 1
+        assert caplog.text.count(f"normals from numpy's random_standard_normal_fill: {reason}") == 1
+        assert "draws from the numpy steppers" not in caplog.text and "draws in C" in caplog.text
+        for name in ("rate", "lb"):
+            assert (tmp_path / f"{name}-numpy.csv").read_bytes() == (tmp_path / f"{name}-inline.csv").read_bytes()
+
+    def test_kernel_load_names_its_normal_fill(self, monkeypatch, caplog):
+        if _lanes.lane_draws() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            assert _lanes.lane_draws()[2] == _lanes.ZIGGURAT
+        assert caplog.text.count("lane kernel loaded") == 1
+        assert "normals from numpy's ziggurat fast path inline" in caplog.text
+
     def test_import_leaves_out_process_pools(self):
         code = ("import sys, zograd, zograd.harness.cli, zograd.harness.experiments; "
                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing' "

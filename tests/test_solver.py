@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import logging
@@ -12,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zograd import _lanes, solver
@@ -494,6 +495,82 @@ def kernel_calls():
         yield calls
 
 
+_UINT64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_UINT32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _Bitgen(ctypes.Structure):
+    """A numpy ``bitgen_t`` (numpy/random/bitgen.h) whose 64-bit draws are
+    ``draws``, then those of ``PCG64(0)``; a double is the top 53 bits of a
+    draw, as PCG64 makes it.  ``used`` counts the draws taken."""
+
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", _UINT64), ("next_uint32", _UINT32),
+                ("next_double", _DOUBLE), ("next_raw", _UINT64)]
+
+    def __init__(self, draws):
+        rest = np.random.PCG64(0)
+        self.used = 0
+
+        def uint64(_):
+            self.used += 1
+            return int(draws[self.used - 1] if self.used <= len(draws) else rest.random_raw())
+
+        self._callbacks = (_UINT64(uint64), _UINT32(lambda st: uint64(st) >> 32),
+                           _DOUBLE(lambda st: (uint64(st) >> 11) * 2.0**-53))
+        super().__init__(None, self._callbacks[0], self._callbacks[1], self._callbacks[2], self._callbacks[0])
+
+    @property
+    def address(self) -> int:
+        return ctypes.addressof(self)
+
+
+def _ziggurat_draw(strip: int, sign: int, rabs: int) -> int:
+    """The 64-bit draw numpy's ziggurat reads as that strip, sign and magnitude."""
+    return rabs << 9 | sign << 8 | strip
+
+
+@functools.cache
+def _samplers():
+    """(the library's inline fill, numpy's random_standard_normal and
+    random_standard_normal_fill as linked into it); skips where the library
+    has no C draws, and asserts the draws take the inline fill."""
+    if _lanes.lane_draws() is None:
+        pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+    assert _lanes.lane_draws()[2] == _lanes.ZIGGURAT  # numpy's tables were read and the fill checked
+    lib = _lanes._library().lib
+    one, fill = lib.random_standard_normal, lib.random_standard_normal_fill
+    one.argtypes, one.restype = [ctypes.c_void_p], ctypes.c_double
+    fill.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")]
+    fill.restype = None
+    return lib.zg_normal_fill, one, fill
+
+
+@functools.cache
+def _numpy_ki() -> tuple[int, ...]:
+    """Each strip's least magnitude that numpy's random_standard_normal
+    refuses on its fast path (asks for a second value at), found here
+    apart from the library, by bisection; 2^52 where it refuses none and 0
+    where it refuses 1."""
+    one = _samplers()[1]
+
+    def refused(strip, rabs):
+        bg = _Bitgen([_ziggurat_draw(strip, 0, rabs)])
+        one(bg.address)
+        return bg.used > 1
+
+    edges = []
+    for strip in range(256):
+        lo, hi = 1, 2**52
+        if refused(strip, 1):
+            lo = hi = 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if refused(strip, mid) else (mid, hi)
+        edges.append(hi)
+    return tuple(edges)
+
+
 class _Inflated(EstimatorOracle):
     """Probes three times farther from x than its delta allows."""
 
@@ -669,25 +746,33 @@ class TestCompiledKernel:
         assert _lanes.tanh_bound()
 
     def test_kernel_loads_once_under_threads(self, monkeypatch):
-        # four threads make their first kernel call together; a sleep in the
-        # load and a short switch interval widen the window between the
-        # check for a loaded library and the load
+        # four threads make their first kernel call, and then their first
+        # softabs check, together; a sleep in the load and in the tanh bind
+        # and a short switch interval widen the window between each check
+        # and its act
         if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built here")
-        loads, real = [], _lanes._load
+        loads, binds, real, real_bind = [], [], _lanes._load, _lanes._bind_tanh
 
         def slow_load():
             loads.append(threading.get_ident())
             time.sleep(0.05)
             return real()
 
+        def slow_bind(lib):
+            binds.append(threading.get_ident())
+            time.sleep(0.05)
+            return real_bind(lib)
+
         monkeypatch.setattr(_lanes, "_loaded", [])
         monkeypatch.setattr(_lanes, "_load", slow_load)
-        start, got = threading.Barrier(4), [None] * 4
+        monkeypatch.setattr(_lanes, "_bind_tanh", slow_bind)
+        start, got, bound = threading.Barrier(4), [None] * 4, [None] * 4
 
         def first_call(i):
             start.wait(timeout=10)
             got[i] = _lanes.kernel()
+            bound[i] = _lanes.tanh_bound()
 
         threads = [threading.Thread(target=first_call, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -702,6 +787,74 @@ class TestCompiledKernel:
         assert not any(thread.is_alive() for thread in threads)
         assert len(loads) == 1
         assert got[0] is not None and all(fn is got[0] for fn in got)
+        assert len(binds) == (1 if _lanes._loaded[0].ufunc else 0)
+        assert len(set(bound)) == 1
+
+    def test_tanh_loop_is_bound_on_the_first_softabs_run(self, monkeypatch, caplog):
+        # an estimator run leaves numpy's tanh loop unbound; the first run of
+        # a softabs oracle binds and checks it, and runs on the kernel
+        if _lanes.kernel() is None or not _lanes.tanh_bound():
+            pytest.skip("the lane kernel cannot be built with numpy's tanh loop here")
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        oracle = KERNEL_ORACLES["adversarial-convex-p2+1"]
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            run(KERNEL_ORACLES["one-point"], SCHEDULES[0], 600, _FQ.domain, REG, rng=[RNG(i) for i in range(3)])
+            assert _lanes._loaded[0].tanh is None
+            assert "tanh" not in caplog.text
+            for _ in range(2):
+                run(oracle, SCHEDULES[0], 600, oracle.target.domain, REG, rng=[RNG(i) for i in range(3)])
+        assert _lanes._loaded[0].tanh is True
+        assert caplog.text.count("numpy's tanh loop bound in the lane kernel") == 1
+        assert caplog.text.count("steps on the compiled lane kernel") == 3
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 3 * STEPS_PER_CHUNK + 300))
+    @example(*_lanes.NORMAL_PREMISE)
+    @settings(max_examples=100, deadline=None)
+    def test_inline_normals_equal_numpy(self, seed, count):
+        # numpy's ziggurat with its fast path inline: the values of
+        # Generator.standard_normal, and the generator left where it leaves it
+        inline = _samplers()[0]
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = np.empty(count)
+        inline(_lanes._address(ours.bit_generator), count, got)
+        np.testing.assert_array_equal(got.view(np.int64), numpys.standard_normal(count).view(np.int64))
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    def test_inline_normals_equal_numpy_at_every_strip_edge(self):
+        # a first draw of each strip and sign at the magnitudes where numpy's
+        # fast path stops (edges found apart from the library), just below
+        # them, at 0, 1 and the largest: the values, and the draws taken, of
+        # numpy's fill, over a second normal too
+        inline, _, numpys = _samplers()
+        for strip, edge in enumerate(_numpy_ki()):
+            for sign in (0, 1):
+                for rabs in sorted({0, 1, max(edge - 1, 0), min(edge, 2**52 - 1), 2**52 - 1}):
+                    draws = [_ziggurat_draw(strip, sign, rabs)]
+                    ours, theirs = _Bitgen(draws), _Bitgen(draws)
+                    got, want = np.empty(2), np.empty(2)
+                    inline(ours.address, 2, got)
+                    numpys(theirs.address, 2, want)
+                    assert (got.view(np.int64).tolist(), ours.used) == (want.view(np.int64).tolist(), theirs.used), \
+                        (strip, sign, rabs)
+
+    def test_normal_premise_reaches_both_slow_paths(self):
+        # the normals the loader checks the inline fill on start with a draw
+        # of strip 1, which numpy refuses at every magnitude, and take draws
+        # of strip 0 that numpy refuses: its tail
+        seed, n = _lanes.NORMAL_PREMISE
+        inline, one, _ = _samplers()
+        draws = np.random.default_rng(seed).bit_generator.random_raw(2 * n)
+        bg, values, refused = _Bitgen(draws), [], []
+        for _ in range(n):
+            first = bg.used
+            values.append(one(bg.address))
+            if bg.used > first + 1:
+                refused.append(int(draws[first]) & 0xFF)
+        np.testing.assert_array_equal(np.array(values).view(np.int64),
+                                      np.random.default_rng(seed).standard_normal(n).view(np.int64))
+        assert _numpy_ki()[1] == 0 and int(draws[0]) & 0xFF == 1 and refused[0] == 1
+        assert 0 in refused
+        assert _lanes._normal_mismatch(inline) is None
 
     @pytest.mark.parametrize("path, scheme", [("kernel", SPSA), ("numpy", SPSA), ("d2", SURFACE), ("d2", SPSA)])
     def test_offsets_beyond_delta_raise(self, path, scheme):
