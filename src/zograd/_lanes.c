@@ -29,22 +29,21 @@
    ZG_UFUNC, the kernel has no tanh and takes no SOFTABS cell.  The minima,
    maxima and clamps keep a NaN, as np.minimum and np.maximum do.
 
-   Built with ZG_NPYRANDOM, the library also fills each chunk's draws
-   (zg_lane_draws, zg_skip) from each lane's numpy bit generator, with the
-   samplers numpy's Generator itself calls, from
-   numpy/random/lib/libnpyrandom.a, linked in statically:
-   random_bounded_uint64_fill for bits, and for normals numpy's ziggurat
-   (random_standard_normal, Marsaglia & Tsang 2000) with its fast path
-   inlined.  That path takes one 64-bit draw per value and applies the sign
-   without a branch; the other draws, about 1 in 100, are handed back to
-   random_standard_normal itself, which is given the consumed draw again
+   The library also fills each chunk's draws (zg_lane_draws, zg_skip)
+   from each lane's numpy bit generator, with the samplers numpy's
+   Generator itself calls, from numpy/random/lib/libnpyrandom.a, linked in
+   statically: random_bounded_uint64_fill for bits, and for normals numpy's
+   ziggurat (random_standard_normal, Marsaglia & Tsang 2000) with its fast
+   path inlined.  That path takes one 64-bit draw per value and applies the
+   sign without a branch; the other draws, about 1 in 100, are handed back
+   to random_standard_normal itself, which is given the consumed draw again
    and then the lane's generator, so every rejection and tail draw is
    numpy's own code.  The fast path's tables are not copied: zg_bind_normal
-   reads them out of random_standard_normal when the library loads, and
-   the loader checks the inline fill against random_standard_normal_fill
-   before it asks for it (sampler ZIGGURAT); where the check fails, it asks
-   for random_standard_normal_fill (sampler NORMAL).  numpy's samplers
-   are declared here against numpy/random/bitgen.h, since
+   reads them out of random_standard_normal when the library loads, and the
+   loader checks the fill against Generator.standard_normal; where the
+   tables cannot be read or the check fails, zg_unbind_normal sends every
+   draw to random_standard_normal, and the loader checks the fill again.
+   numpy's samplers are declared here against numpy/random/bitgen.h, since
    numpy/random/distributions.h needs Python.h. */
 
 #ifdef ZG_UFUNC
@@ -230,21 +229,20 @@ void zg_lane_chunk(long m, long lanes, long flags, const double *c,
     }
 }
 
-#ifdef ZG_NPYRANDOM
 #include <stdbool.h>
 #include <stdint.h>
 
 #include "numpy/random/bitgen.h"
 
 double random_standard_normal(bitgen_t *bitgen_state);
-void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng, intptr_t cnt,
                                 bool use_masked, uint64_t *out);
 
 /* A 64-bit draw r of numpy's ziggurat is split into the strip r & 0xff,
    the sign bit 8, and the 52-bit magnitude above it.  A draw of strip idx
-   is x = rabs*wi[idx], taken where rabs < ki[idx]; ki[idx] = 0 sends every
-   draw of the strip to random_standard_normal. */
+   is x = rabs*wi[idx], taken where rabs < zg_ki[idx]; zg_ki[idx] = 0 sends
+   every draw of the strip to random_standard_normal.  zg_ki is exported so
+   that it can be read from outside. */
 #define STRIPS 256
 #define STRIP(r) ((int)((r) & 0xff))
 #define SIGN(r) (((r) >> 8) & 1)
@@ -252,7 +250,7 @@ void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t r
 #define RABS_END ((uint64_t)1 << 52)
 
 static double wi[STRIPS];
-static uint64_t ki[STRIPS];
+uint64_t zg_ki[STRIPS];
 
 /* numpy's random_standard_normal on a probe generator: its first 64-bit
    draw is r, then every 64-bit draw is strip 2 with rabs 0 and every
@@ -291,23 +289,31 @@ static double probe(int idx, uint64_t rabs, bool *taken)
     return x;
 }
 
+/* Send every normal of zg_normal_fill to random_standard_normal. */
+void zg_unbind_normal(void)
+{
+    for (int idx = 0; idx < STRIPS; idx++)
+        zg_ki[idx] = 0;
+}
+
 /* Read wi and ki out of random_standard_normal: wi[idx] is its value at
    rabs = 1, and ki[idx] the least rabs at which it asks for another value,
    found by bisection (RABS_END where none does); a strip that refuses
-   rabs = 1 gets ki = 0.  0, or -1 where the sampler is not a ziggurat of
-   that shape. */
+   rabs = 1 gets ki = 0.  0, or -1, with every ki 0, where the sampler is
+   not a ziggurat of that shape. */
 int zg_bind_normal(void)
 {
-    for (int idx = 0; idx < STRIPS; idx++) {
+    int idx;
+    for (idx = 0; idx < STRIPS; idx++) {
         bool taken;
         const double w = probe(idx, 1, &taken);
         if (!taken) {
             wi[idx] = 0.0;
-            ki[idx] = 0;
+            zg_ki[idx] = 0;
             continue;
         }
         if (!(w > 0.0 && w < INFINITY))
-            return -1;
+            break;
         uint64_t lo = 1, hi = RABS_END;  /* lo is taken; hi is refused, or the end */
         while (hi - lo > 1) {
             const uint64_t mid = lo + (hi - lo) / 2;
@@ -318,11 +324,14 @@ int zg_bind_normal(void)
                 hi = mid;
         }
         if (probe(idx, lo, &taken) != (double)(int64_t)lo * w)
-            return -1;
+            break;
         wi[idx] = w;
-        ki[idx] = hi;
+        zg_ki[idx] = hi;
     }
-    return 0;
+    if (idx == STRIPS)
+        return 0;
+    zg_unbind_normal();
+    return -1;
 }
 
 /* The draws of a replay generator: the consumed draw r once, then bg's */
@@ -369,7 +378,7 @@ static double slow_normal(bitgen_t *bg, uint64_t r)
 }
 
 /* n of numpy's standard normals from bg into out, as
-   random_standard_normal_fill gives them, with its fast path inline: the
+   Generator.standard_normal gives them, with its fast path inline: the
    sign bit goes to bit 63 by XOR, which is numpy's x = -x, -0.0 too. */
 void zg_normal_fill(bitgen_t *bg, long n, double *out)
 {
@@ -382,28 +391,24 @@ void zg_normal_fill(bitgen_t *bg, long n, double *out)
             uint64_t u;
         } x = {.d = (double)(int64_t)rabs * wi[idx]};  /* rabs < 2^52: exact, as numpy's conversion */
         x.u ^= SIGN(r) << 63;
-        out[i] = rabs < ki[idx] ? x.d : slow_normal(bg, r);
+        out[i] = rabs < zg_ki[idx] ? x.d : slow_normal(bg, r);
     }
 }
 
-/* the samplers of a draw spec (_lanes.LaneDraws): ZIGGURAT draws NORMAL's
-   values with zg_normal_fill */
-enum { NORMAL = 1, BITS = 2, ZIGGURAT = 3 };
+/* the samplers of a draw spec (_lanes.LaneDraws) */
+enum { NORMAL = 1, BITS = 2 };
 /* how a 1-d direction U and its weight V come from U's variate
    (PerturbationScheme.directions and v_of) */
 enum { SIGNS, UNIT, UNIT_SCALED, PLAIN };
 
 /* n variates of kind from bg into out, in one call: for BITS the bits of
-   rng.integers(0, 2, size=(n, 1)), for NORMAL and ZIGGURAT
-   rng.standard_normal(n) */
+   rng.integers(0, 2, size=(n, 1)), for NORMAL rng.standard_normal(n) */
 static void fill(bitgen_t *bg, long kind, long n, void *out)
 {
     if (kind == BITS)
         random_bounded_uint64_fill(bg, 0, 1, n, false, (uint64_t *)out);
-    else if (kind == ZIGGURAT)
-        zg_normal_fill(bg, n, (double *)out);
     else
-        random_standard_normal_fill(bg, n, (double *)out);
+        zg_normal_fill(bg, n, (double *)out);
 }
 
 /* Advance bg past n variates of kind, drawn chunk at a time, as the pass of
@@ -476,4 +481,3 @@ void zg_lane_draws(long m, long lanes, const long *spec, const long *width, cons
         left[i] -= steps;
     }
 }
-#endif

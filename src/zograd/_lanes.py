@@ -5,14 +5,18 @@ import it the first time a run asks for the kernel.  Where Python keeps no
 bytecode cache, every line a process imports is compiled as it starts.
 
 ``kernel()`` compiles the C source with the system C compiler the first
-time a run asks for it (never at import), caches the shared library under
-``__pycache__`` next to this file, named by a hash of its inputs, and loads
+time a run asks for it (never at import), against numpy's sampler library
+(``numpy/random/lib/libnpyrandom.a``) and the header of its bit generators
+(``numpy/random/bitgen.h``), caches the shared library under
+``__pycache__`` next to this file, named by a hash of its inputs, removes
+the libraries of other inputs there once the build is in place, and loads
 it with ctypes, once per process, under a lock, so that threads running
 their first runs together share one load.  If any of that fails (no
-compiler, a read-only package directory, a library that does not load), it
-logs the reason once at DEBUG and returns None, and the solver keeps its
-numpy loop.  A ctypes call releases the interpreter lock, and nothing the
-library runs takes it back, so runs on several threads run in parallel.
+compiler, no sampler library or header, a read-only package directory, a
+library that does not load), it logs the reason once at DEBUG and returns
+None, and the solver keeps its numpy loop.  A ctypes call releases the
+interpreter lock, and nothing the library runs takes it back, so runs on
+several threads run in parallel.
 
 Where Python's header (``Python.h``) and numpy's ufunc header
 (``numpy/ufuncobject.h``) exist, the library is built against them and, on
@@ -23,17 +27,14 @@ tanh arguments of those lower-bound oracles.  Where a header is missing,
 the loop cannot be bound or the check fails, the reason is logged once at
 DEBUG and those runs take the numpy loop.
 
-Where numpy ships its sampler library (``numpy/random/lib/libnpyrandom.a``)
-and the header of its bit generators (``numpy/random/bitgen.h``), the
-library is built against them and also fills each chunk's draws in C
-(``lane_draws()``, ``LaneDraws``); where either is missing, it is built
-without them, the reason is logged once at DEBUG, and the oracles' numpy
-steppers make the draws.  Its normals take numpy's ziggurat fast path
-inline, with the tables read out of numpy's own sampler when the library
-loads and every other draw handed back to that sampler; the inline fill is
-checked against numpy's fill then (``NORMAL_PREMISE``), and where the
-tables cannot be read or the check fails, the reason is logged once at
-DEBUG and numpy's ``random_standard_normal_fill`` makes the normals.
+The library fills each kernel run's draws in C with numpy's samplers
+(``lane_draws()``, ``LaneDraws``).  Its normals take numpy's ziggurat fast
+path inline, with the tables read out of numpy's own sampler when the
+library loads and every other draw handed back to that sampler; the fill
+is checked against numpy's normals then (``NORMAL_PREMISE``).  Where the
+tables cannot be read or the check fails, every normal is handed to
+numpy's sampler and the fill is checked again; the reason is logged once
+at DEBUG, and where the second check fails too there is no kernel.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ TWO_POINT, EVAL_POINT, CONTROLLED, LANE_ETA, REGRET = 1, 2, 4, 8, 16
 AT_X, SOFTABS, SHIFTED = 32, 64, 128
 LONG = np.dtype(ctypes.c_long)  # the kernel's integer arrays
 # samplers and direction transforms of zg_lane_draws, as in _lanes.c
-NONE, NORMAL, BITS, ZIGGURAT = 0, 1, 2, 3
+NONE, NORMAL, BITS = 0, 1, 2
 SIGNS, UNIT, UNIT_SCALED, PLAIN = 0, 1, 2, 3
 # (seed, count) of the normals the inline normal fill is checked on when the
 # library loads: the first normal of default_rng(seed) is drawn in strip 1 of
@@ -85,12 +86,11 @@ NORMAL_PREMISE = (15, 8192)
 
 
 class _Library:
-    """The loaded library: its chunk function, its draw functions (None where
-    it was built without numpy's samplers), whether it was built against the
-    headers of numpy's tanh loop, and whether that loop is bound and checked
-    (None until a softabs run asks)."""
+    """The loaded library: its chunk function, its draw functions, whether
+    it was built against the headers of numpy's tanh loop, and whether that
+    loop is bound and checked (None until a softabs run asks)."""
 
-    def __init__(self, lib, chunk: Callable, draws: Optional[tuple[Callable, Callable, int]], ufunc: bool):
+    def __init__(self, lib, chunk: Callable, draws: tuple[Callable, Callable], ufunc: bool):
         self.lib, self.chunk, self.draws, self.ufunc = lib, chunk, draws, ufunc
         self.tanh: Optional[bool] = None
 
@@ -107,11 +107,9 @@ def kernel() -> Optional[Callable]:
     return None if loaded is None else loaded.chunk
 
 
-def lane_draws() -> Optional[tuple[Callable, Callable, int]]:
-    """(``zg_lane_draws``, ``zg_skip``, the sampler that draws their
-    normals: ZIGGURAT, the inline fill, or NORMAL, numpy's) of the compiled
-    library, or None where it cannot be built or loaded, or was built
-    without numpy's samplers."""
+def lane_draws() -> Optional[tuple[Callable, Callable]]:
+    """(``zg_lane_draws``, ``zg_skip``) of the compiled library, or None
+    where it cannot be built or loaded."""
     loaded = _library()
     return None if loaded is None else loaded.draws
 
@@ -197,18 +195,6 @@ def _normal_mismatch(fill: Callable) -> Optional[str]:
     return None
 
 
-def _bind_normal(lib) -> Optional[str]:
-    """Read numpy's ziggurat tables into the library and check its inline
-    normal fill: None where the draws may take it, else the reason they
-    take numpy's ``random_standard_normal_fill``."""
-    if lib.zg_bind_normal() != 0:
-        return "numpy's random_standard_normal gave no ziggurat tables"
-    inline = lib.zg_normal_fill
-    inline.argtypes = [ctypes.c_void_p, ctypes.c_long, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")]
-    inline.restype = None
-    return _normal_mismatch(inline)
-
-
 class LaneDraws:
     """The draws of one kernel run, filled in C chunk by chunk: for lanes of
     generators ``rngs``, ``ends`` steps and schedule deltas ``deltas``,
@@ -229,11 +215,10 @@ class LaneDraws:
     NORMAL), and xi = noise_scale(delta)*z, or z itself where noise_scale is
     None.
 
-    ``fns`` is ``lane_draws()``.  Its sampler of normals draws every
-    NORMAL: ZIGGURAT takes numpy's ziggurat fast path inline, with the
-    tables read out of numpy's ``random_standard_normal`` and every other
-    draw handed back to it, so the values and states are numpy's all the
-    same; NORMAL calls numpy's ``random_standard_normal_fill``.
+    ``fns`` is ``lane_draws()``.  Its normals take numpy's ziggurat fast
+    path inline, with the tables read out of numpy's
+    ``random_standard_normal`` and every other draw handed back to it, so
+    the values and states are numpy's all the same.
 
     Directions read each lane's own generator.  Noise reads it too where
     there are no directions; otherwise it reads a copy made here and
@@ -244,9 +229,8 @@ class LaneDraws:
 
     def __init__(self, fns, spec: tuple, widths: Sequence[int], rngs: Sequence[np.random.Generator],
                  ends: Sequence[int], deltas: Sequence[float]):
-        self._fill, skip, normal = fns
+        self._fill, skip = fns
         direction, transform, weight, noise, noise_scale = spec
-        direction, noise = (normal if kind == NORMAL else kind for kind in (direction, noise))
         lanes = len(rngs)
         self._spec = np.array([direction, noise, transform, noise_scale is not None], LONG)
         self._widths = np.array(widths, LONG)
@@ -301,14 +285,6 @@ def _capsule_pointer():
         ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
-def _sampler_args() -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(compile, link) arguments that build the C draws in, against numpy's
-    header and sampler library; empty where either file is missing."""
-    if not (BITGEN_H.is_file() and NPYRANDOM.is_file()):
-        return (), ()
-    return ("-DZG_NPYRANDOM", f"-I{BITGEN_H.parents[2]}"), (str(NPYRANDOM), "-lm")
-
-
 def _ufunc_args() -> tuple[str, ...]:
     """Compile arguments that build numpy's tanh loop in, against Python's
     header and numpy's ufunc header; empty where either file is missing."""
@@ -317,23 +293,25 @@ def _ufunc_args() -> tuple[str, ...]:
     return "-DZG_UFUNC", f"-I{PYTHON_H.parent}", f"-I{UFUNCOBJECT_H.parents[1]}"
 
 
+def _command(out: str) -> list[str]:
+    """The compiler command that builds the library into ``out``."""
+    return [CC, *FLAGS, f"-I{BITGEN_H.parents[2]}", *_ufunc_args(), "-o", out, str(SOURCE), str(NPYRANDOM), "-lm"]
+
+
 def _library_path() -> Path:
-    """Where the library of this source, these flags, this machine and,
-    when built in, this numpy's sampler library and header, and Python's and
-    numpy's ufunc headers under this Python, is cached."""
+    """Where the library of this source, this command, this machine, this
+    numpy's sampler library and header and, when built in, Python's and
+    numpy's ufunc headers under this Python, is cached.  Raises OSError
+    where the sampler library or header is missing."""
     import hashlib
     import platform
 
-    compile_args, link_args = _sampler_args()
-    ufunc_args = _ufunc_args()
+    command = _command("")
     key = hashlib.sha256(SOURCE.read_bytes())
-    key.update(" ".join((CC, *FLAGS, *compile_args, *ufunc_args, *link_args, platform.machine())).encode())
-    if link_args or ufunc_args:
-        key.update(np.__version__.encode())
-    if link_args:
-        key.update(NPYRANDOM.read_bytes())
-        key.update(BITGEN_H.read_bytes())
-    if ufunc_args:
+    key.update(" ".join((*command, platform.machine(), np.__version__)).encode())
+    key.update(NPYRANDOM.read_bytes())
+    key.update(BITGEN_H.read_bytes())
+    if "-DZG_UFUNC" in command:
         key.update(sys.version.encode())
         key.update(PYTHON_H.read_bytes())
         key.update(UFUNCOBJECT_H.read_bytes())
@@ -342,20 +320,21 @@ def _library_path() -> Path:
 
 def _build(path: Path) -> None:
     """Compile into a temporary file beside ``path`` and move it into place,
-    so a concurrent run never loads a half-written library.  A compile that
-    fails or hangs raises OSError, with the compiler's messages."""
+    so a concurrent run never loads a half-written library, then remove the
+    libraries of other inputs beside it (never a temporary file).  A compile
+    that fails or hangs raises OSError, with the compiler's messages."""
     import subprocess  # only a build needs it: a process that finds the library cached never imports it
     import tempfile
 
-    compile_args, link_args = _sampler_args()
-    compile_args += _ufunc_args()
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
-        subprocess.run([CC, *FLAGS, *compile_args, "-o", tmp, str(SOURCE), *link_args], check=True,
-                       capture_output=True, timeout=120)
+        subprocess.run(_command(tmp), check=True, capture_output=True, timeout=120)
         os.replace(tmp, path)
+        for stale in path.parent.glob("_lanes-*.so"):
+            if stale != path:
+                stale.unlink(missing_ok=True)  # another build may have removed it first
     except subprocess.SubprocessError as exc:
         detail = (getattr(exc, "stderr", b"") or b"").decode(errors="replace").strip()
         raise OSError(f"{type(exc).__name__}: {exc} {detail}") from exc
@@ -377,7 +356,7 @@ def _load():
         if not path.exists():
             _build(path)
         lib = np.ctypeslib.load_library(path.name, str(path.parent))
-        chunk = lib.zg_lane_chunk
+        chunk, fill, skip, normal = lib.zg_lane_chunk, lib.zg_lane_draws, lib.zg_skip, lib.zg_normal_fill
     except (OSError, AttributeError) as exc:  # the numpy loop runs instead
         _log.debug("lane kernel unavailable, the numpy loop runs: %s: %s", type(exc).__name__, exc)
         return None
@@ -385,19 +364,21 @@ def _load():
     longs = np.ctypeslib.ndpointer(LONG, flags="C_CONTIGUOUS")
     pointers = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     chunk.argtypes = [ctypes.c_long] * 3 + [doubles] * 6 + [longs] + [doubles] * 8
-    chunk.restype = None
-    ufunc = bool(_ufunc_args())
-    if not _sampler_args()[1]:
-        _log.debug("lane kernel loaded from %s; C draws unavailable, the numpy steppers draw: %s or %s is missing",
-                   path, BITGEN_H, NPYRANDOM)
-        return _Library(lib, chunk, None, ufunc)
-    fill, skip = lib.zg_lane_draws, lib.zg_skip
     fill.argtypes = [ctypes.c_long] * 2 + [longs] * 2 + [doubles] + [longs] + [pointers] * 2 + [doubles] * 4
     skip.argtypes = [ctypes.c_void_p] + [ctypes.c_long] * 3 + [doubles]
-    fill.restype = skip.restype = None
-    refused = _bind_normal(lib)
+    normal.argtypes = [ctypes.c_void_p, ctypes.c_long, doubles]
+    chunk.restype = fill.restype = skip.restype = normal.restype = None
+    refused = "numpy's random_standard_normal gave no ziggurat tables"
+    if lib.zg_bind_normal() == 0:
+        refused = _normal_mismatch(normal)
     if refused is None:
         _log.debug("lane kernel loaded from %s, normals from numpy's ziggurat fast path inline", path)
-    else:
-        _log.debug("lane kernel loaded from %s, normals from numpy's random_standard_normal_fill: %s", path, refused)
-    return _Library(lib, chunk, (fill, skip, ZIGGURAT if refused is None else NORMAL), ufunc)
+    else:  # every normal through numpy's random_standard_normal, checked in its turn
+        lib.zg_unbind_normal()
+        again = _normal_mismatch(normal)
+        if again is not None:
+            _log.debug("lane kernel unavailable, the numpy loop runs: inline normals: %s; "
+                       "normals from numpy's random_standard_normal: %s", refused, again)
+            return None
+        _log.debug("lane kernel loaded from %s, normals from numpy's random_standard_normal: %s", path, refused)
+    return _Library(lib, chunk, (fill, skip), bool(_ufunc_args()))

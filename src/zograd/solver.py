@@ -450,22 +450,34 @@ def _lane_schedules(schedules: Sequence[Schedule]):
     return np.array([[s.delta] for s in schedules]), list(zip(distinct, rows))
 
 
-def _compiled_chunk(oracle, body: ConvexBody, record: bool, regret: bool):
+def _compiled_chunk(oracle, body: ConvexBody, record: bool, regret: bool, rngs, horizon, schedules):
     """(chunk function, flag bits, formula data, values per lane-step of each
-    draw slot du, w, xi (0 for a slot the oracle does not use)) of the
-    compiled lane kernel for a run, or None where the numpy loop runs it: a
-    recorded run, a body other than a 1-d box, an oracle that does not
-    describe itself to the kernel, a regret run of an oracle that answers at
-    x (the kernel evaluates f only for a quadratic), an oracle of the
-    softabs pair where the kernel holds no checked numpy tanh loop, or a
-    kernel that could not be built.  Builds the kernel on the first run it
-    covers."""
+    draw slot du, w, xi (0 for a slot the oracle does not use), the run's
+    draws filled in C (``_lanes.LaneDraws``)) of the compiled lane kernel
+    for a run, or None where the numpy loop runs it: a recorded run, a body
+    other than a 1-d box, one generator driving two lanes, an oracle that
+    does not describe itself and its draws to the kernel (no
+    ``lane_kernel_spec`` or ``lane_draw_spec``, a spec of None, or a class
+    that redefines ``make_stepper``, ``_scaled`` or ``_noise`` below the
+    class that defines ``lane_draw_spec``, looked up at run time, so a
+    wrapper set on that class itself, such as a tracer's, leaves the spec in
+    force), a regret run of an oracle that answers at x (the kernel
+    evaluates f only for a quadratic), an oracle of the softabs pair where
+    the kernel holds no checked numpy tanh loop, or a kernel that could not
+    be built.  Builds the kernel on the first run it covers."""
     from . import _lanes  # imported on first use, not with zograd (see _lanes)
     describe = getattr(oracle, "lane_kernel_spec", None)
     if record or describe is None or not isinstance(body, Box) or body.dim != 1:
         return None
-    spec = describe()
-    if spec is None or (regret and spec[0] & _lanes.AT_X):
+    if len({id(g) for g in rngs}) < len(rngs):
+        return None
+    mro = type(oracle).__mro__
+    depth = lambda name: next((i for i, cls in enumerate(mro) if name in vars(cls)), len(mro))
+    own = depth("lane_draw_spec")
+    if own == len(mro) or min(depth(name) for name in ("make_stepper", "_scaled", "_noise")) < own:
+        return None
+    spec, draw_spec = describe(), oracle.lane_draw_spec()
+    if spec is None or draw_spec is None or (regret and spec[0] & _lanes.AT_X):
         return None
     fn = _lanes.kernel()
     flags, coef = spec
@@ -476,29 +488,9 @@ def _compiled_chunk(oracle, body: ConvexBody, record: bool, regret: bool):
     else:
         arms = 2 if flags & _lanes.TWO_POINT else 1
         widths = (arms, 1, 1 if flags & _lanes.CONTROLLED else arms)
-    return fn, flags, np.array([body.lower[0], body.upper[0], oracle.target.f_star, *coef]), widths
-
-
-def _c_draws(oracle, widths, rngs, horizon, schedules) -> Optional[_lanes.LaneDraws]:
-    """The draws of a kernel run, filled in C (``_lanes.LaneDraws``), or None
-    where the oracle's numpy steppers make them: an oracle with no
-    ``lane_draw_spec`` or a spec of None, an oracle whose class redefines
-    ``make_stepper``, ``_scaled`` or ``_noise`` below the class that
-    defines ``lane_draw_spec`` (looked up at run time, so a wrapper set on
-    that class itself, such as a tracer's, leaves the spec in force), one
-    generator driving two lanes, or a library built without numpy's
-    samplers."""
-    from . import _lanes
-    mro = type(oracle).__mro__
-    depth = lambda name: next((i for i, cls in enumerate(mro) if name in vars(cls)), len(mro))
-    own = depth("lane_draw_spec")
-    if own == len(mro) or min(depth(name) for name in ("make_stepper", "_scaled", "_noise")) < own:
-        return None
-    spec = oracle.lane_draw_spec()
-    fns = _lanes.lane_draws() if spec is not None and len({id(g) for g in rngs}) == len(rngs) else None
-    if fns is None:
-        return None
-    return _lanes.LaneDraws(fns, spec, widths, rngs, [h - 1 for h in horizon], [s.delta for s in schedules])
+    draws = _lanes.LaneDraws(_lanes.lane_draws(), draw_spec, widths, rngs, [h - 1 for h in horizon],
+                             [s.delta for s in schedules])
+    return fn, flags, np.array([body.lower[0], body.upper[0], oracle.target.f_star, *coef]), widths, draws
 
 
 def _check_vicinity(offsets: np.ndarray, delta, norm: Norm, live: np.ndarray, first: int) -> None:
@@ -567,13 +559,14 @@ def run(
     optimization mode, the adversarial and exact-gradient oracles of an arm
     of a hard pair (for the softabs pair, with numpy's own tanh loop, called
     from C; where that loop is not bound, those runs take the numpy loop).
-    A kernel call holds no interpreter lock, so runs on several threads run
-    in parallel.  Where the kernel does not load, the numpy loop runs.  On
-    the kernel, an oracle whose ``lane_draw_spec`` states its draws has
-    them filled in C from each lane's generator, with numpy's own samplers,
-    into per-run buffers (``_lanes.LaneDraws``): the same values as its
-    steppers', and each generator left in the same state.  Which path ran,
-    and where the draws came from, is logged at DEBUG.
+    The kernel reads only draws filled in C from each lane's generator,
+    with numpy's own samplers, into per-run buffers (``_lanes.LaneDraws``):
+    the same values as the oracle's steppers', and each generator left in
+    the same state.  So it runs only an oracle whose ``lane_draw_spec``
+    states its draws, and only where every lane has a generator of its own;
+    other runs, and every run where the kernel does not load, take the
+    numpy loop.  A kernel call holds no interpreter lock, so runs on several
+    threads run in parallel.  Which path ran is logged at DEBUG.
 
     The loss of round t is f at the oracle's evaluation point.  The oracle
     hands back the noiseless values of f it computed there; for two-point
@@ -615,17 +608,14 @@ def run(
     estimate, value, proj, f_star = oracle.estimate, f.value_rows, body.project, f.f_star
     multiply, subtract = np.multiply, np.subtract
     norm = getattr(oracle, "vicinity_norm", None)
-    compiled = _compiled_chunk(oracle, body, record, want_regret)
-    c_draws = _c_draws(oracle, compiled[3], rngs, horizon, schedules) if compiled else None
-    if c_draws is None:
+    compiled = _compiled_chunk(oracle, body, record, want_regret, rngs, horizon, schedules)
+    if not compiled:
         steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizon, schedules, rngs)]
-    _log.debug("run: %d lanes, %d steps on the %s, draws %s", lanes, n - 1,
-               "compiled lane kernel" if compiled else "numpy loop",
-               "in C" if c_draws else "from the numpy steppers")
+    _log.debug("run: %d lanes, %d steps on the %s", lanes, n - 1, "compiled lane kernel" if compiled else "numpy loop")
     if compiled:
         from . import _lanes
 
-        chunk_fn, flags, coef, widths = compiled
+        chunk_fn, flags, coef, widths, c_draws = compiled
         flags |= _lanes.REGRET if want_regret else 0
         if not flags & _lanes.AT_X and norm is None:  # the kernel writes its offsets y - x
             raise DomainError("an estimator on the lane kernel needs a vicinity norm")
@@ -654,7 +644,7 @@ def run(
         keep = ends[live] > t
         if not keep.all():
             live, x, sum_x, regret = live[keep], x[keep], sum_x[keep], regret[keep]
-            if c_draws:
+            if compiled:
                 c_draws.retain(keep)
             else:
                 steppers = [stepper for stepper, k in zip(steppers, keep) if k]
@@ -663,7 +653,7 @@ def run(
         retiring = {e: np.flatnonzero(live_ends == e) for e in set(live_ends.tolist()) if e <= t + m}
         # the last chunk's draws go before the next are drawn (draw and eta are views of them)
         draws = eta_chunk = etas = draw = eta = None
-        draws = c_draws.chunk(m) if c_draws else _next_chunk(steppers, m)
+        draws = c_draws.chunk(m) if compiled else _next_chunk(steppers, m)
         if len(groups) == 1:
             eta_chunk = groups[0][0].eta_array(t + m + 1, t + 1)
         else:
@@ -674,9 +664,6 @@ def run(
         chunk_steps = steps[:math.prod(shape)].reshape(shape)
         chunk_offsets = [None] * m if norm is None else offsets[:math.prod(shape)].reshape(shape)
         if compiled:
-            # the kernel indexes the draws by these sizes: check them before passing pointers
-            if [a.size for a in draws] != [m * live.size * k for k in widths if k]:
-                raise DomainError(f"draws of shapes {[a.shape for a in draws]} do not fit the lane kernel")
             slots = iter(draws)
             slot_draws = [next(slots) if k else unused for k in widths]
             if flags & _lanes.SHIFTED:

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import logging
@@ -310,10 +311,9 @@ class TestCli:
         loud = capsys.readouterr()
         assert loud.out == quiet.out
         path = "compiled lane kernel" if _lanes.kernel() is not None else "numpy loop"
-        draws = "in C" if _lanes.lane_draws() is not None else "from the numpy steppers"
         # each arm's adversarial run over its 4 lanes, then each arm's one exact-gradient sanity run
-        assert loud.err == (f"DEBUG:zograd.solver:run: 4 lanes, 1999 steps on the {path}, draws {draws}\n" * 2
-                            + f"DEBUG:zograd.solver:run: 1 lanes, 1999 steps on the {path}, draws {draws}\n" * 2)
+        assert loud.err == (f"DEBUG:zograd.solver:run: 4 lanes, 1999 steps on the {path}\n" * 2
+                            + f"DEBUG:zograd.solver:run: 1 lanes, 1999 steps on the {path}\n" * 2)
         assert logging.getLogger("zograd").handlers == []  # nothing left behind
 
     def test_bad_log_level_exits_2(self, capsys):
@@ -569,34 +569,37 @@ class TestThreadedFanOut:
         assert caplog.text.count("steps on the numpy loop") == 4
         assert "compiled lane kernel" not in caplog.text
 
-    @pytest.mark.parametrize("cause", ["tables", "check"])
-    def test_unchecked_normals_come_from_numpy_fill(self, cause, tmp_path, monkeypatch, caplog):
-        # where numpy's ziggurat tables cannot be read or the inline fill
-        # fails its check, a rate and a lower-bound experiment draw their
-        # normals with numpy's random_standard_normal_fill, to the same bytes
+    @pytest.mark.parametrize("cause", ["tables", "check", "check-once"])
+    def test_unchecked_normals_go_to_numpy_sampler(self, cause, tmp_path, monkeypatch, caplog, request):
+        # where numpy's ziggurat tables cannot be read, or only the inline fill fails its check, the
+        # kernel hands every normal to numpy's random_standard_normal (ki all zero); where the fill
+        # fails its check inline and then handed over too, the numpy loop runs.  Same bytes each way
         if _lanes.lane_draws() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
-        assert _lanes.lane_draws()[2] == _lanes.ZIGGURAT
         rate = lambda name: ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=2,
                                              master_seed=5, tolerance=5.0, out=str(tmp_path / name))
         lower = lambda name: ExperimentConfig(workers=2, out=str(tmp_path / name), **self.LOWERBOUND)
         rate_experiment(rate("rate-inline.csv"))
         lower_bound_experiment(lower("lb-inline.csv"))
         lib = _lanes._library().lib
+        ki = (ctypes.c_uint64 * 256).in_dll(lib, "zg_ki")
+        assert any(ki)
+        request.addfinalizer(lib.zg_bind_normal)  # the tables back, for the tests that follow
         monkeypatch.setattr(_lanes, "_loaded", [])
         if cause == "tables":
             monkeypatch.setattr(lib, "zg_bind_normal", lambda: -1)
             reason = "numpy's random_standard_normal gave no ziggurat tables"
         else:
-            reason = "its normals differ from numpy's"
-            monkeypatch.setattr(_lanes, "_normal_mismatch", lambda fill: reason)
+            reason, real = "its normals differ from numpy's", _lanes._normal_mismatch
+            tries = iter([reason] * (2 if cause == "check" else 1))  # then the real check
+            monkeypatch.setattr(_lanes, "_normal_mismatch", lambda fill: next(tries, None) or real(fill))
+        path = "numpy loop" if cause == "check" else "compiled lane kernel"
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             rate_experiment(rate("rate-numpy.csv"))
             lower_bound_experiment(lower("lb-numpy.csv"))
-        assert _lanes.lane_draws()[2] == _lanes.NORMAL
-        assert caplog.text.count("lane kernel loaded") == 1
-        assert caplog.text.count(f"normals from numpy's random_standard_normal_fill: {reason}") == 1
-        assert "draws from the numpy steppers" not in caplog.text and "draws in C" in caplog.text
+        assert (_lanes.kernel() is None) == (cause == "check") and not any(ki)
+        assert caplog.text.count(f"normals from numpy's random_standard_normal: {reason}") == 1
+        assert caplog.text.count(f"steps on the {path}") == caplog.text.count("steps on the ") > 0
         for name in ("rate", "lb"):
             assert (tmp_path / f"{name}-numpy.csv").read_bytes() == (tmp_path / f"{name}-inline.csv").read_bytes()
 
@@ -605,7 +608,8 @@ class TestThreadedFanOut:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
         monkeypatch.setattr(_lanes, "_loaded", [])
         with caplog.at_level(logging.DEBUG, logger="zograd"):
-            assert _lanes.lane_draws()[2] == _lanes.ZIGGURAT
+            assert _lanes.lane_draws() is not None
+        assert any((ctypes.c_uint64 * 256).in_dll(_lanes._library().lib, "zg_ki"))
         assert caplog.text.count("lane kernel loaded") == 1
         assert "normals from numpy's ziggurat fast path inline" in caplog.text
 

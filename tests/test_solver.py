@@ -449,9 +449,8 @@ def _draw_both(oracle, schedules, horizons, seed):
     """Every chunk's draws of a kernel run, (C fill, numpy steppers), each
     as run() would pass them to the kernel, and the lane generators of each
     side after the last chunk."""
-    widths = solver._compiled_chunk(oracle, oracle.target.domain, False, False)[3]
     gens_c, gens_np = ([RngStream(seed, i).generator() for i in range(len(horizons))] for _ in range(2))
-    c_draws = solver._c_draws(oracle, widths, gens_c, horizons, schedules)
+    c_draws = solver._compiled_chunk(oracle, oracle.target.domain, False, False, gens_c, horizons, schedules)[4]
     assert c_draws is not None
     steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizons, schedules, gens_np)]
     ends, live, t, chunks = np.array(horizons) - 1, np.arange(len(horizons)), 0, []
@@ -534,11 +533,11 @@ def _ziggurat_draw(strip: int, sign: int, rabs: int) -> int:
 def _samplers():
     """(the library's inline fill, numpy's random_standard_normal and
     random_standard_normal_fill as linked into it); skips where the library
-    has no C draws, and asserts the draws take the inline fill."""
+    cannot be built, and asserts the draws take the inline fill."""
     if _lanes.lane_draws() is None:
         pytest.skip("the lane kernel cannot be built with numpy's samplers here")
-    assert _lanes.lane_draws()[2] == _lanes.ZIGGURAT  # numpy's tables were read and the fill checked
     lib = _lanes._library().lib
+    assert any((ctypes.c_uint64 * 256).in_dll(lib, "zg_ki"))  # numpy's tables were read and the fill checked
     one, fill = lib.random_standard_normal, lib.random_standard_normal_fill
     one.argtypes, one.restype = [ctypes.c_void_p], ctypes.c_double
     fill.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")]
@@ -577,13 +576,6 @@ class _Inflated(EstimatorOracle):
     def _scaled(self, u, delta):
         du, w = super()._scaled(u, delta)
         return 3.0 * du, w
-
-
-class _WideDraws(EstimatorOracle):
-    """Hands the solver two offsets per step where one-point feedback takes one."""
-
-    def make_stepper(self, n, delta, rng):
-        return ((np.hstack((du, du)), w, xi) for du, w, xi in super().make_stepper(n, delta, rng))
 
 
 class TestCompiledKernel:
@@ -660,30 +652,45 @@ class TestCompiledKernel:
         run(KERNEL_ORACLES["one-point"], SCHEDULES[0], 50, _FQ.domain, REG, rng=[RNG(i) for i in range(3)])
         assert kernel_calls == [3]
 
-    def test_loader_failure_runs_the_numpy_loop(self, monkeypatch, tmp_path, caplog):
+    @pytest.mark.parametrize("missing", ["CC", "NPYRANDOM", "BITGEN_H"])
+    def test_loader_failure_runs_the_numpy_loop(self, missing, monkeypatch, tmp_path, caplog):
+        # no compiler, no numpy sampler library or no sampler header: no
+        # kernel, the reason logged once, and the numpy loop's results
         oracle = KERNEL_ORACLES["controlled-slope-1"]
         gens = lambda: [RngStream(21, i).generator() for i in range(4)]
         args = (oracle, SCHEDULES[1], 700, _FQ.domain, REG)
         expected = run(*args, rng=gens(), mode="regret")
-        monkeypatch.setattr(_lanes, "CC", str(tmp_path / "no-such-compiler"))
+        gone = tmp_path / "no-such-file"
+        monkeypatch.setattr(_lanes, missing, str(gone) if missing == "CC" else gone)
         monkeypatch.setattr(_lanes, "CACHE", tmp_path / "cache")
         monkeypatch.setattr(_lanes, "_loaded", [])
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             got = run(*args, rng=gens(), mode="regret")
+            again = run(*args, rng=gens(), mode="regret")
         assert _lanes.kernel() is None
-        assert "lane kernel unavailable" in caplog.text and "numpy loop" in caplog.text
-        np.testing.assert_array_equal(got.x_hat, expected.x_hat)
-        np.testing.assert_array_equal(got.error, expected.error)
-        np.testing.assert_array_equal(got.regret, expected.regret)
+        assert caplog.text.count("lane kernel unavailable") == caplog.text.count("no-such-file") == 1
+        assert caplog.text.count("steps on the numpy loop") == 2
+        for trace in (got, again):
+            np.testing.assert_array_equal(trace.x_hat, expected.x_hat)
+            np.testing.assert_array_equal(trace.error, expected.error)
+            np.testing.assert_array_equal(trace.regret, expected.regret)
 
     def test_fresh_cache_builds_the_library(self, monkeypatch, tmp_path):
+        # a build leaves no temporary file of its own and removes the
+        # libraries of other inputs, never another build's temporary file;
+        # a cached load removes nothing
         if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built here")
-        monkeypatch.setattr(_lanes, "CACHE", tmp_path / "cache")
-        monkeypatch.setattr(_lanes, "_loaded", [])
-        assert _lanes.kernel() is not None
-        built = list((tmp_path / "cache").iterdir())
-        assert [p.name for p in built] == [_lanes._library_path().name]  # no temporary file left
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        stale, tmp = cache / "_lanes-0000000000000000.so", cache / "_lanes-0000000000000000x1y2.tmp"
+        tmp.write_bytes(b"")
+        monkeypatch.setattr(_lanes, "CACHE", cache)
+        for kept in ([], [stale.name]):
+            stale.write_bytes(b"")
+            monkeypatch.setattr(_lanes, "_loaded", [])
+            assert _lanes.kernel() is not None
+            assert sorted(p.name for p in cache.iterdir()) == sorted([_lanes._library_path().name, tmp.name, *kept])
 
     def test_infinite_noise_names_its_lane(self, kernel_calls):
         # lane 0 ends at once, so lane 1 is the first row of the kernel's state
@@ -855,26 +862,29 @@ class TestCompiledKernel:
         assert _numpy_ki()[1] == 0 and int(draws[0]) & 0xFF == 1 and refused[0] == 1
         assert 0 in refused
         assert _lanes._normal_mismatch(inline) is None
+        lib = _lanes._library().lib
+        lib.zg_unbind_normal()  # every normal to random_standard_normal, the loader's fallback
+        unbound = not any((ctypes.c_uint64 * 256).in_dll(lib, "zg_ki")) and _lanes._normal_mismatch(inline) is None
+        assert lib.zg_bind_normal() == 0 and unbound
 
     @pytest.mark.parametrize("path, scheme", [("kernel", SPSA), ("numpy", SPSA), ("d2", SURFACE), ("d2", SPSA)])
     def test_offsets_beyond_delta_raise(self, path, scheme):
-        # 3 delta out: beyond delta under the Euclidean norm (surface) and the max norm (spsa)
+        # 3 delta out: beyond delta under the Euclidean norm (surface) and the
+        # max norm (spsa); on the kernel, the offsets filled in C are inflated
         f = quadratic([1.0, 2.0], [-0.5, 0.3]) if path == "d2" else _FQ
-        oracle = _Inflated(f, scheme, UncontrolledNoise(1.0), "one_point")
-        honest = EstimatorOracle(f, oracle.scheme, oracle.noise, "one_point")
+        honest = EstimatorOracle(f, scheme, UncontrolledNoise(1.0), "one_point")
+        oracle = honest if path == "kernel" else _Inflated(f, scheme, UncontrolledNoise(1.0), "one_point")
+        fill = _lanes.LaneDraws.chunk
+        inflated = mock.patch.object(_lanes.LaneDraws, "chunk", lambda self, m: [3.0 * a if i == 0 else a
+                                                                                 for i, a in enumerate(fill(self, m))])
         args = (SCHEDULES[0], 600, f.domain, REG)
         calls = []
         with _counted_kernel(calls) if path == "kernel" else _numpy_loop():
             run(honest, *args, rng=[RNG(i) for i in range(3)])
-            with pytest.raises(DomainError, match="lane 0: evaluation point escaped the delta-vicinity at step 1"):
+            with inflated, pytest.raises(DomainError,
+                                         match="lane 0: evaluation point escaped the delta-vicinity at step 1"):
                 run(oracle, *args, rng=[RNG(i) for i in range(3)])
         assert len(calls) == (3 if path == "kernel" else 0)  # two chunks, then one that raises
-
-    def test_draws_that_do_not_fit_are_rejected(self, kernel_calls):
-        oracle = _WideDraws(_FQ, SPSA, UncontrolledNoise(1.0), "one_point")
-        with pytest.raises(DomainError, match="do not fit the lane kernel"):
-            run(oracle, SCHEDULES[0], 100, _FQ.domain, REG, rng=[RNG(i) for i in range(2)])
-        assert kernel_calls == []
 
     @given(
         st.sampled_from(sorted(DRAW_ORACLES)),
@@ -913,7 +923,7 @@ class TestCompiledKernel:
         args = (oracle, schedules, n, oracle.target.domain, REG)
         with caplog.at_level(logging.DEBUG, logger="zograd.solver"):
             fast = run(*args, rng=gens_c, horizons=horizons, mode=mode)
-        assert "on the compiled lane kernel, draws in C" in caplog.text
+        assert "steps on the compiled lane kernel" in caplog.text
         with _numpy_loop():
             slow = run(*args, rng=gens_np, horizons=horizons, mode=mode)
         np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
@@ -924,11 +934,16 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("case", ["wrapped-stepper", "own-noise", "shared-generator"])
     def test_draw_path_is_decided_per_run(self, case, caplog):
         # a wrapper set on the class that states the spec (a tracer's) keeps
-        # the C draws; a subclass that redefines a draw method, or a
-        # generator driving two lanes, takes the numpy steppers
+        # the kernel; a subclass that redefines a draw method, or a generator
+        # driving two lanes, takes the numpy loop; each gives the numpy loop's values
         if _lanes.lane_draws() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
-        oracle, gens = KERNEL_ORACLES["spsa-2pt"], [RNG(i) for i in range(3)]
+        oracle = KERNEL_ORACLES["spsa-2pt"]
+
+        def gens():
+            lanes = [RNG(i) for i in range(3)]
+            return lanes[:2] + lanes[:1] if case == "shared-generator" else lanes
+
         patch = contextlib.nullcontext()
         if case == "wrapped-stepper":
             real = EstimatorOracle.make_stepper
@@ -940,12 +955,14 @@ class TestCompiledKernel:
                     return super()._noise(rng, shape)
 
             oracle = OwnNoise(oracle.target, oracle.scheme, oracle.noise, oracle.feedback)
-        else:
-            gens[2] = gens[0]
         with patch, caplog.at_level(logging.DEBUG, logger="zograd.solver"):
-            run(oracle, SCHEDULES[0], 600, _FQ.domain, REG, rng=gens)
-        expected = "in C" if case == "wrapped-stepper" else "from the numpy steppers"
-        assert f"on the compiled lane kernel, draws {expected}" in caplog.text
+            got = run(oracle, SCHEDULES[0], 600, _FQ.domain, REG, rng=gens())
+        with _numpy_loop():
+            want = run(KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], 600, _FQ.domain, REG, rng=gens())
+        path = "compiled lane kernel" if case == "wrapped-stepper" else "numpy loop"
+        assert f"steps on the {path}" in caplog.text
+        np.testing.assert_array_equal(got.x_hat, want.x_hat)
+        np.testing.assert_array_equal(got.error, want.error)
 
     def test_library_key_follows_numpy(self, monkeypatch, tmp_path):
         # the library embeds numpy's samplers: another numpy version or
@@ -981,25 +998,3 @@ class TestCompiledKernel:
             header.write_bytes(header.read_bytes() + b"\n")
             assert _lanes._library_path() != same_bytes, name
             monkeypatch.undo()
-
-    @pytest.mark.parametrize("missing", ["NPYRANDOM", "BITGEN_H"])
-    def test_missing_sampler_file_draws_with_numpy(self, missing, monkeypatch, tmp_path, caplog):
-        if _lanes.kernel() is None:
-            pytest.skip("the lane kernel cannot be built here")
-        oracle = KERNEL_ORACLES["controlled-slope-1"]
-        gens = lambda: [RngStream(21, i).generator() for i in range(4)]
-        args = (oracle, SCHEDULES[1], 700, _FQ.domain, REG)
-        expected = run(*args, rng=gens(), mode="regret")
-        monkeypatch.setattr(_lanes, missing, tmp_path / "no-such-file")
-        monkeypatch.setattr(_lanes, "CACHE", tmp_path / "cache")
-        monkeypatch.setattr(_lanes, "_loaded", [])
-        with caplog.at_level(logging.DEBUG, logger="zograd"):
-            got = run(*args, rng=gens(), mode="regret")
-            again = run(*args, rng=gens(), mode="regret")
-        assert _lanes.kernel() is not None and _lanes.lane_draws() is None
-        assert caplog.text.count("C draws unavailable, the numpy steppers draw") == 1
-        assert caplog.text.count("on the compiled lane kernel, draws from the numpy steppers") == 2
-        for trace in (got, again):
-            np.testing.assert_array_equal(trace.x_hat, expected.x_hat)
-            np.testing.assert_array_equal(trace.error, expected.error)
-            np.testing.assert_array_equal(trace.regret, expected.regret)
