@@ -1,4 +1,4 @@
-/* One chunk of zograd's lane loop (solver.run) in C.
+/* zograd's lane loop (solver.run) in C, one call per chunk of steps.
 
    Mirror descent on a 1-d box against one of two kinds of oracle:
 
@@ -13,38 +13,46 @@
      clipped (adversarial.mean_response_convex and
      mean_response_strongly_convex), plus the noise xi.
 
-   Every lane of the chunk is advanced through its m steps, all lanes one
-   step at a time; the draws are the ones solver.run would feed
-   oracle.estimate, stacked (steps, lanes, ...) as _next_chunk stacks them.
+   A run is stated once, in its flag bits (the oracle's formula and draws,
+   and the run's mode), its formula data, and one row per lane of the
+   lane's constants and generators (struct lane, _lanes.LaneRun).
+   zg_lane_chunk fills the chunk's draws of every lane (zg_lane_draws) and
+   then advances every lane through its m steps, all lanes one step at a
+   time; a lane whose horizon falls inside the chunk stops there.  The
+   draws are the ones solver.run would feed oracle.estimate, stacked
+   (steps, lanes, ...) as _next_chunk stacks them.
 
    Each value is computed with the operations, and in the order, of the
-   numpy loop it replaces, so that compiled without contraction or
+   numpy code it replaces, so that compiled without contraction or
    fast-math (-ffp-contract=off) every result equals numpy's bit for bit.
-   tanh is numpy's own: libm's differs from it in the last bit.  Built with
-   ZG_UFUNC, against Python.h and numpy/ufuncobject.h, the library holds
-   the d->d inner loop of np.tanh, read from the ufunc once when it loads
-   (zg_bind_tanh), and at each step applies it to the tanh arguments of
-   every lane, written into one buffer.  The loop touches no Python object,
-   so a whole chunk runs without the interpreter lock.  Built without
-   ZG_UFUNC, the kernel has no tanh and takes no SOFTABS cell.  The minima,
-   maxima and clamps keep a NaN, as np.minimum and np.maximum do.
+   An operation that leaves every double unchanged, such as rdsa's scaling
+   by sqrt(d) = 1 at d = 1, is omitted, and one is added where it spares a
+   flag: the additive controlled model's psi is scaled by 1.0.  tanh is numpy's own: libm's
+   differs from it in the last bit.  Built with ZG_UFUNC, against Python.h
+   and numpy/ufuncobject.h, the library holds the d->d inner loop of
+   np.tanh, read from the ufunc once when it loads (zg_bind_tanh), and at
+   each step applies it to the tanh arguments of every lane, written into
+   one buffer.  The loop touches no Python object, so a whole chunk runs
+   without the interpreter lock.  Built without ZG_UFUNC, the kernel has no
+   tanh and takes no SOFTABS cell.  The minima, maxima and clamps keep a
+   NaN, as np.minimum and np.maximum do.
 
-   The library also fills each chunk's draws (zg_lane_draws, zg_skip)
-   from each lane's numpy bit generator, with the samplers numpy's
-   Generator itself calls, from numpy/random/lib/libnpyrandom.a, linked in
-   statically: random_bounded_uint64_fill for bits, and for normals numpy's
-   ziggurat (random_standard_normal, Marsaglia & Tsang 2000) with its fast
-   path inlined.  That path takes one 64-bit draw per value and applies the
-   sign without a branch; the other draws, about 1 in 100, are handed back
-   to random_standard_normal itself, which is given the consumed draw again
-   and then the lane's generator, so every rejection and tail draw is
-   numpy's own code.  The fast path's tables are not copied: zg_bind_normal
-   reads them out of random_standard_normal when the library loads, and the
-   loader checks the fill against Generator.standard_normal; where the
-   tables cannot be read or the check fails, zg_unbind_normal sends every
-   draw to random_standard_normal, and the loader checks the fill again.
-   numpy's samplers are declared here against numpy/random/bitgen.h, since
-   numpy/random/distributions.h needs Python.h. */
+   The draws come from each lane's numpy bit generator, with the samplers
+   numpy's Generator itself calls, from numpy/random/lib/libnpyrandom.a,
+   linked in statically: random_bounded_uint64_fill for bits, and for
+   normals numpy's ziggurat (random_standard_normal, Marsaglia & Tsang
+   2000) with its fast path inlined.  That path takes one 64-bit draw per
+   value and applies the sign without a branch; the other draws, about 1 in
+   100, are handed back to random_standard_normal itself, which is given
+   the consumed draw again and then the lane's generator, so every
+   rejection and tail draw is numpy's own code.  The fast path's tables are
+   not copied: zg_bind_normal reads them out of random_standard_normal when
+   the library loads, and the loader checks the fill against
+   Generator.standard_normal; where the tables cannot be read or the check
+   fails, zg_unbind_normal sends every draw to random_standard_normal, and
+   the loader checks the fill again.  numpy's samplers are declared here
+   against numpy/random/bitgen.h, since numpy/random/distributions.h needs
+   Python.h. */
 
 #ifdef ZG_UFUNC
 /* Python.h goes before any standard header */
@@ -95,6 +103,10 @@ void zg_tanh(long n, const long *pieces, long count, double *x)
 #endif
 
 #include <math.h>
+#include <stdbool.h>
+#include <stdint.h>
+
+#include "numpy/random/bitgen.h"
 
 enum {
     TWO_POINT = 1,   /* two arms, du and xi hold (+, -) pairs */
@@ -105,134 +117,22 @@ enum {
     AT_X = 32,       /* a closed-form reply at y = x, not an estimator */
     SOFTABS = 64,    /* AT_X: the softabs pair, else the strongly convex one */
     SHIFTED = 128,   /* AT_X: the adversarial reply, else the exact gradient */
+    NOISE = 256,     /* xi is the lane's noise scale times its normals, else zeros */
+    SIGNS = 512,     /* directions U = 2b - 1 of bits b, V = 1/U */
+    UNIT = 1024,     /* directions U = z/|z| of normals z, V = U */
+    PLAIN = 2048,    /* directions U = z of normals z, V = U */
 };
+#define DIRECTIONS (SIGNS | UNIT | PLAIN)
 
-static double quad(const double *c, double y)
-{
-    return (c[0] * y + c[1]) * y + c[2];
-}
-
-/* np.minimum and np.maximum: a NaN in either wins, else b on a tie */
-static double nan_min(double a, double b)
-{
-    return (a != a || a < b) ? a : b;
-}
-
-static double nan_max(double a, double b)
-{
-    return (a != a || a > b) ? a : b;
-}
-
-/* G of lane i at xv under an AT_X oracle of arm c[0] = v, separation
-   c[1] = eps; t holds numpy's tanh of the lane's arguments. */
-static double at_x(long flags, const double *c, double xv, double shift, const double *t)
-{
-    const double v = c[0], eps = c[1];
-    if (!(flags & SOFTABS))
-        return (flags & SHIFTED) ? (xv - v * eps) + v * shift : xv - v * eps;
-    if (!(flags & SHIFTED))
-        return eps * t[0];
-    const double g_plus = eps * t[0], g_minus = eps * t[1];
-    if (v > 0) {
-        const double raised = g_plus + shift;
-        return xv < 0 ? raised : nan_min(raised, g_minus - shift);
-    }
-    const double lowered = g_minus - shift;
-    return xv > 0 ? lowered : nan_max(lowered, g_plus + shift);
-}
-
-/* c holds lower, upper, f_star, then the oracle's formula data: ca, cb,
-   cc, sigma, slope for an estimator, v, eps for AT_X.  shift[i] is lane
-   i's adversarial shift.  snap_at[i] is the step of the chunk (1..m) after
-   which lane i's sum and regret go to snap_sum[i] and snap_regret[i], or
-   0.  steps[k] receives eta*G and, for an estimator, offsets[k] receives
-   y - x, k = step*lanes + lane.  For SOFTABS, targs holds room for the
-   lanes' tanh arguments (two per lane for the adversarial reply, at +1 and
-   -1, one for the exact gradient), which numpy's loop replaces with their
-   tanh in place. */
-void zg_lane_chunk(long m, long lanes, long flags, const double *c,
-                   const double *du, const double *w, const double *xi,
-                   const double *eta, const double *shift, const long *snap_at,
-                   double *x, double *sum_x, double *regret,
-                   double *steps, double *offsets,
-                   double *snap_sum, double *snap_regret,
-                   double *targs)
-{
-    const double lo = c[0], hi = c[1], f_star = c[2];
-    const double *q = c + 3;
-    const double sigma = q[3], slope = q[4];
-    const long width = !(flags & SOFTABS) ? 0 : (flags & SHIFTED) ? 2 : 1;  /* tanh arguments per lane */
-    for (long j = 0; j < m; j++) {
-#ifdef ZG_UFUNC
-        if (flags & SOFTABS) {
-            const double v = q[0], half_inv = 0.5 / q[1];
-            for (long i = 0; i < lanes; i++) {
-                if (flags & SHIFTED) {
-                    targs[2 * i] = (x[i] - 1.0) * half_inv;
-                    targs[2 * i + 1] = (x[i] - -1.0) * half_inv;
-                } else {
-                    targs[i] = (x[i] - v) * half_inv;
-                }
-            }
-            numpy_tanh(width * lanes, targs);
-        }
-#endif
-        for (long i = 0; i < lanes; i++) {
-            const long k = j * lanes + i;
-            const double xv = x[i];
-            double g, y = xv, loss = 0.0;
-            if (flags & AT_X) {
-                const double *t = targs + width * i;
-                g = (flags & SHIFTED) ? at_x(flags, q, xv, shift[i], t) + xi[k] : at_x(flags, q, xv, 0.0, t);
-            } else if (!(flags & TWO_POINT)) {
-                const double yp = xv + du[k], fy = quad(q, yp);
-                g = (fy + xi[k]) * w[k];
-                y = (flags & EVAL_POINT) ? yp : xv;
-                loss = (flags & EVAL_POINT) ? fy : quad(q, xv);
-            } else {
-                const double yp = xv + du[2 * k], ym = xv + du[2 * k + 1];
-                const double fp = quad(q, yp), fm = quad(q, ym);
-                double zp, zm;
-                if (flags & CONTROLLED) {
-                    const double sp = sigma * xi[k];
-                    zp = fp + sp * (1.0 + slope * yp);
-                    zm = fm + sp * (1.0 + slope * ym);
-                } else {
-                    zp = fp + xi[2 * k];
-                    zm = fm + xi[2 * k + 1];
-                }
-                g = (zp - zm) * w[k];
-                y = (flags & EVAL_POINT) ? yp : xv;
-                if ((flags & EVAL_POINT) && !(flags & CONTROLLED))
-                    loss = 0.5 * (fp + fm);
-                else
-                    loss = 0.5 * (quad(q, y) + quad(q, 2.0 * xv - y));
-            }
-            if (flags & REGRET)
-                regret[i] += loss - f_star;
-            const double step = ((flags & LANE_ETA) ? eta[k] : eta[j]) * g;
-            steps[k] = step;
-            if (!(flags & AT_X))
-                offsets[k] = y - xv;
-            double v = xv - step;
-            if (v < lo)
-                v = lo;
-            if (v > hi)
-                v = hi;
-            x[i] = v;
-            sum_x[i] += v;
-            if (snap_at[i] == j + 1) {
-                snap_sum[i] = sum_x[i];
-                snap_regret[i] = regret[i];
-            }
-        }
-    }
-}
-
-#include <stdbool.h>
-#include <stdint.h>
-
-#include "numpy/random/bitgen.h"
+/* One lane of a run: a row of the table _lanes.LaneRun keeps */
+struct lane {
+    double delta;           /* its schedule's delta */
+    double weight;          /* the weight over delta: 1/delta, or 0.5/delta for two arms */
+    double scale;           /* the scale of its noise */
+    double shift;           /* the adversarial shift min(eps, c1*delta^p) */
+    long left;              /* the steps it has still to take */
+    bitgen_t *dir, *noise;  /* the generators of its directions and of its noise */
+};
 
 double random_standard_normal(bitgen_t *bitgen_state);
 void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng, intptr_t cnt,
@@ -395,74 +295,77 @@ void zg_normal_fill(bitgen_t *bg, long n, double *out)
     }
 }
 
-/* the samplers of a draw spec (_lanes.LaneDraws) */
-enum { NORMAL = 1, BITS = 2 };
-/* how a 1-d direction U and its weight V come from U's variate
-   (PerturbationScheme.directions and v_of) */
-enum { SIGNS, UNIT, UNIT_SCALED, PLAIN };
-
-/* n variates of kind from bg into out, in one call: for BITS the bits of
-   rng.integers(0, 2, size=(n, 1)), for NORMAL rng.standard_normal(n) */
-static void fill(bitgen_t *bg, long kind, long n, void *out)
+/* n variates from bg into out, in one call: for SIGNS the bits of
+   rng.integers(0, 2, size=(n, 1)), else rng.standard_normal(n) */
+static void fill(bitgen_t *bg, long flags, long n, void *out)
 {
-    if (kind == BITS)
+    if (flags & SIGNS)
         random_bounded_uint64_fill(bg, 0, 1, n, false, (uint64_t *)out);
     else
         zg_normal_fill(bg, n, (double *)out);
 }
 
-/* Advance bg past n variates of kind, drawn chunk at a time, as the pass of
-   core.draw_chunks that skips a copy of the generator past the directions
-   draws them.  scratch holds chunk values. */
-void zg_skip(bitgen_t *bg, long kind, long n, long chunk, void *scratch)
+/* Advance bg past the variates of n directions of flags, drawn chunk at a
+   time, as the pass of core.draw_chunks that skips a copy of the generator
+   past the directions draws them.  scratch holds chunk values. */
+void zg_skip(bitgen_t *bg, long flags, long n, long chunk, void *scratch)
 {
     for (long start = 0; start < n; start += chunk)
-        fill(bg, kind, n - start < chunk ? n - start : chunk, scratch);
+        fill(bg, flags, n - start < chunk ? n - start : chunk, scratch);
 }
 
-/* One chunk of m steps' draws of every lane, laid out (steps, lanes, ...)
-   as _next_chunk stacks the chunks of oracle.make_stepper: du (width[0]
-   offsets per lane-step, du and then -du for two arms), w (width[1] = 1)
-   and xi (width[2] values, or none).
-
-   spec holds the samplers of the directions and of the noise (0 for
-   none), the direction transform, and whether the noise is scaled;
-   scale[3*i .. 3*i + 2] holds lane i's delta, its weight over delta
-   (1/delta, or 0.5/delta for two arms) and the scale of its noise.  Lane
-   i draws its next min(m, left[i]) steps, directions from dir_bg[i] and
-   noise from noise_bg[i], gets zeros after them, and left[i] goes down by
-   that many.
-   Each value is computed with the operations, and in the order, of the
-   numpy steppers.  scratch holds width[2]*m values. */
-void zg_lane_draws(long m, long lanes, const long *spec, const long *width, const double *scale,
-                   long *left, bitgen_t **dir_bg, bitgen_t **noise_bg,
-                   double *du, double *w, double *xi, void *scratch)
+/* The values per lane-step of each draw, du, w and xi, under flags */
+static void widths(long flags, long *width)
 {
-    const long dir = spec[0], noise = spec[1], transform = spec[2], scaled = spec[3];
+    const long arms = (flags & TWO_POINT) ? 2 : 1;
+    width[0] = (flags & DIRECTIONS) ? arms : 0;
+    width[1] = (flags & DIRECTIONS) ? 1 : 0;
+    width[2] = (flags & AT_X) ? ((flags & NOISE) ? 1 : 0) : (flags & CONTROLLED) ? 1 : arms;
+}
+
+/* The doubles of scratch that zg_lane_chunk needs for m steps of lanes lanes */
+long zg_scratch(long m, long lanes, long flags)
+{
+    long width[3];
+    widths(flags, width);
+    const long draws = (width[0] + width[1] + width[2]) * m * lanes, variates = (width[2] > 1 ? 2 : 1) * m;
+    return draws + (variates > 2 * lanes ? variates : 2 * lanes);
+}
+
+/* One chunk of m steps' draws of every lane, written to out as _next_chunk
+   stacks the chunks of oracle.make_stepper: du (width[0] offsets per
+   lane-step, du and then -du for two arms), then w (width[1]), then xi
+   (width[2]), each laid out (steps, lanes, ...).  Lane i draws its next
+   min(m, left) steps, directions from its dir generator and noise from its
+   noise generator, and gets zeros after them.  Each value is computed with
+   the operations, and in the order, of the numpy steppers.  The values
+   that follow the draws in out are scratch.  Returns the number of draws. */
+long zg_lane_draws(long m, long lanes, long flags, const struct lane *lane, double *out)
+{
+    long width[3];
+    widths(flags, width);
     const long arms = width[0], nx = width[2];
-    const double *z = scratch;
-    const uint64_t *bits = scratch;
+    double *du = out, *w = du + arms * m * lanes, *xi = w + width[1] * m * lanes, *z = xi + nx * m * lanes;
+    const uint64_t *bits = (const uint64_t *)z;
     for (long i = 0; i < lanes; i++) {
-        const long steps = left[i] < m ? left[i] : m;
-        const double delta = scale[3 * i], weight = scale[3 * i + 1], sd = scale[3 * i + 2];
-        if (dir) {
-            fill(dir_bg[i], dir, steps, scratch);
+        const struct lane *l = lane + i;
+        const long steps = l->left < m ? l->left : m;
+        if (flags & DIRECTIONS) {
+            fill(l->dir, flags, steps, z);
             for (long j = 0; j < m; j++) {
                 const long k = j * lanes + i;
                 double offset = 0.0, weighted = 0.0;
                 if (j < steps) {
                     double u, v;
-                    if (transform == SIGNS) {
+                    if (flags & SIGNS) {
                         u = (double)bits[j] * 2.0 - 1.0;
                         v = 1.0 / u;
                     } else {
-                        u = transform == PLAIN ? z[j] : z[j] / sqrt(z[j] * z[j]);
-                        if (transform == UNIT_SCALED)
-                            u = u * 1.0;  /* math.sqrt(d) at d = 1 */
+                        u = (flags & PLAIN) ? z[j] : z[j] / sqrt(z[j] * z[j]);
                         v = u;
                     }
-                    offset = delta * u;
-                    weighted = v * weight;
+                    offset = l->delta * u;
+                    weighted = v * l->weight;
                 }
                 du[arms * k] = offset;
                 if (arms == 2)
@@ -471,13 +374,138 @@ void zg_lane_draws(long m, long lanes, const long *spec, const long *width, cons
             }
         }
         if (nx) {
-            if (noise)
-                fill(noise_bg[i], noise, nx * steps, scratch);
+            if (flags & NOISE)
+                fill(l->noise, 0, nx * steps, z);
             for (long j = 0; j < m; j++)
                 for (long a = 0; a < nx; a++)
-                    xi[(j * lanes + i) * nx + a] =
-                        !(noise && j < steps) ? 0.0 : scaled ? sd * z[j * nx + a] : z[j * nx + a];
+                    xi[(j * lanes + i) * nx + a] = (flags & NOISE) && j < steps ? l->scale * z[j * nx + a] : 0.0;
         }
-        left[i] -= steps;
     }
+    return (width[0] + width[1] + nx) * m * lanes;
+}
+
+static double quad(const double *c, double y)
+{
+    return (c[0] * y + c[1]) * y + c[2];
+}
+
+/* np.minimum and np.maximum: a NaN in either wins, else b on a tie */
+static double nan_min(double a, double b)
+{
+    return (a != a || a < b) ? a : b;
+}
+
+static double nan_max(double a, double b)
+{
+    return (a != a || a > b) ? a : b;
+}
+
+/* G of lane i at xv under an AT_X oracle of arm c[0] = v, separation
+   c[1] = eps; t holds numpy's tanh of the lane's arguments. */
+static double at_x(long flags, const double *c, double xv, double shift, const double *t)
+{
+    const double v = c[0], eps = c[1];
+    if (!(flags & SOFTABS))
+        return (flags & SHIFTED) ? (xv - v * eps) + v * shift : xv - v * eps;
+    if (!(flags & SHIFTED))
+        return eps * t[0];
+    const double g_plus = eps * t[0], g_minus = eps * t[1];
+    if (v > 0) {
+        const double raised = g_plus + shift;
+        return xv < 0 ? raised : nan_min(raised, g_minus - shift);
+    }
+    const double lowered = g_minus - shift;
+    return xv > 0 ? lowered : nan_max(lowered, g_plus + shift);
+}
+
+/* Advance every lane of the table lane through the next m steps of its run,
+   after filling their draws (zg_lane_draws) into scratch, which holds
+   zg_scratch(m, lanes, flags) values.  c holds lower, upper, f_star, then
+   the oracle's formula data: ca, cb, cc, sigma, slope for an estimator, v,
+   eps for AT_X.  A lane takes min(m, left) steps and left goes down by as
+   many; steps[k] receives eta*G and, for an estimator, offsets[k] receives
+   y - x, k = step*lanes + lane, and both are 0 after the lane's last step.
+   For SOFTABS, the lanes' tanh arguments (two per lane for the adversarial
+   reply, at +1 and -1, one for the exact gradient) are written after the
+   draws in scratch, and numpy's loop replaces them with their tanh in
+   place. */
+void zg_lane_chunk(long m, long lanes, long flags, const double *c, struct lane *lane, const double *eta,
+                   double *x, double *sum_x, double *regret, double *steps, double *offsets, double *scratch)
+{
+    long width[3];
+    widths(flags, width);
+    const double *du = scratch, *w = du + width[0] * m * lanes, *xi = w + width[1] * m * lanes;
+    double *targs = scratch + zg_lane_draws(m, lanes, flags, lane, scratch);
+    const double lo = c[0], hi = c[1], f_star = c[2];
+    const double *q = c + 3;
+    const long tw = !(flags & SOFTABS) ? 0 : (flags & SHIFTED) ? 2 : 1;  /* tanh arguments per lane */
+    for (long j = 0; j < m; j++) {
+#ifdef ZG_UFUNC
+        if (flags & SOFTABS) {
+            const double v = q[0], half_inv = 0.5 / q[1];
+            for (long i = 0; i < lanes; i++) {
+                if (flags & SHIFTED) {
+                    targs[2 * i] = (x[i] - 1.0) * half_inv;
+                    targs[2 * i + 1] = (x[i] - -1.0) * half_inv;
+                } else {
+                    targs[i] = (x[i] - v) * half_inv;
+                }
+            }
+            numpy_tanh(tw * lanes, targs);
+        }
+#endif
+        for (long i = 0; i < lanes; i++) {
+            const long k = j * lanes + i;
+            if (j >= lane[i].left) {  /* past the lane's horizon */
+                steps[k] = 0.0;
+                if (!(flags & AT_X))
+                    offsets[k] = 0.0;
+                continue;
+            }
+            const double xv = x[i];
+            double g, y = xv, loss = 0.0;
+            if (flags & AT_X) {
+                const double *t = targs + tw * i;
+                g = (flags & SHIFTED) ? at_x(flags, q, xv, lane[i].shift, t) + xi[k] : at_x(flags, q, xv, 0.0, t);
+            } else if (!(flags & TWO_POINT)) {
+                const double yp = xv + du[k], fy = quad(q, yp);
+                g = (fy + xi[k]) * w[k];
+                y = (flags & EVAL_POINT) ? yp : xv;
+                loss = (flags & EVAL_POINT) ? fy : quad(q, xv);
+            } else {
+                const double yp = xv + du[2 * k], ym = xv + du[2 * k + 1];
+                const double fp = quad(q, yp), fm = quad(q, ym);
+                double zp, zm;
+                if (flags & CONTROLLED) {
+                    const double sp = q[3] * xi[k], slope = q[4];
+                    zp = fp + sp * (1.0 + slope * yp);
+                    zm = fm + sp * (1.0 + slope * ym);
+                } else {
+                    zp = fp + xi[2 * k];
+                    zm = fm + xi[2 * k + 1];
+                }
+                g = (zp - zm) * w[k];
+                y = (flags & EVAL_POINT) ? yp : xv;
+                if ((flags & EVAL_POINT) && !(flags & CONTROLLED))
+                    loss = 0.5 * (fp + fm);
+                else
+                    loss = 0.5 * (quad(q, y) + quad(q, 2.0 * xv - y));
+            }
+            if (flags & REGRET)
+                regret[i] += loss - f_star;
+            const double step = ((flags & LANE_ETA) ? eta[k] : eta[j]) * g;
+            steps[k] = step;
+            if (!(flags & AT_X))
+                offsets[k] = y - xv;
+            double v = xv - step;
+            if (v < lo)
+                v = lo;
+            if (v > hi)
+                v = hi;
+            x[i] = v;
+            sum_x[i] += v;
+        }
+    }
+    for (long i = 0; i < lanes; i++)
+        lane[i].left -= lane[i].left < m ? lane[i].left : m;
 }

@@ -27,14 +27,16 @@ tanh arguments of those lower-bound oracles.  Where a header is missing,
 the loop cannot be bound or the check fails, the reason is logged once at
 DEBUG and those runs take the numpy loop.
 
-The library fills each kernel run's draws in C with numpy's samplers
-(``lane_draws()``, ``LaneDraws``).  Its normals take numpy's ziggurat fast
-path inline, with the tables read out of numpy's own sampler when the
-library loads and every other draw handed back to that sampler; the fill
-is checked against numpy's normals then (``NORMAL_PREMISE``).  Where the
-tables cannot be read or the check fails, every normal is handed to
-numpy's sampler and the fill is checked again; the reason is logged once
-at DEBUG, and where the second check fails too there is no kernel.
+A kernel run is a ``LaneRun``, which ``lane_run()`` builds where the
+kernel covers the run, from the oracle's ``lane_spec()`` (``LaneSpec``).
+Each chunk is one library call that fills the chunk's draws in C, with
+numpy's samplers, and advances every lane.  Its normals take numpy's
+ziggurat fast path inline, with the tables read out of numpy's own sampler
+when the library loads and every other draw handed back to that sampler;
+the fill is checked against numpy's normals then (``NORMAL_PREMISE``).
+Where the tables cannot be read or the check fails, every normal is handed
+to numpy's sampler and the fill is checked again; the reason is logged
+once at DEBUG, and where the second check fails too there is no kernel.
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ import os
 import sys
 import threading
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import STEPS_PER_CHUNK
+from .core import STEPS_PER_CHUNK, Box
 
 _log = logging.getLogger(__name__)
 
@@ -70,13 +72,13 @@ PYTHON_H = (Path(sys.base_prefix) / "include" / f"python{sys.version_info[0]}.{s
 UFUNCOBJECT_H = Path(np.get_include()) / "numpy" / "ufuncobject.h"
 TANH_SIGNATURE = "d->d"
 
-# flag bits of zg_lane_chunk, as in _lanes.c
+# flag bits of zg_lane_chunk, as in _lanes.c: the oracle's formula and draws, and the run's mode
 TWO_POINT, EVAL_POINT, CONTROLLED, LANE_ETA, REGRET = 1, 2, 4, 8, 16
-AT_X, SOFTABS, SHIFTED = 32, 64, 128
-LONG = np.dtype(ctypes.c_long)  # the kernel's integer arrays
-# samplers and direction transforms of zg_lane_draws, as in _lanes.c
-NONE, NORMAL, BITS = 0, 1, 2
-SIGNS, UNIT, UNIT_SCALED, PLAIN = 0, 1, 2, 3
+AT_X, SOFTABS, SHIFTED, NOISE, SIGNS, UNIT, PLAIN = 32, 64, 128, 256, 512, 1024, 2048
+LONG = np.dtype(ctypes.c_long)  # the kernel's integers
+# a lane of a kernel run, as struct lane in _lanes.c
+LANE = np.dtype([("delta", float), ("weight", float), ("scale", float), ("shift", float), ("left", LONG),
+                 ("dir", np.uintp), ("noise", np.uintp)], align=True)
 # (seed, count) of the normals the inline normal fill is checked on when the
 # library loads: the first normal of default_rng(seed) is drawn in strip 1 of
 # numpy's ziggurat, which numpy's tables send to the slow path every time,
@@ -85,14 +87,48 @@ SIGNS, UNIT, UNIT_SCALED, PLAIN = 0, 1, 2, 3
 NORMAL_PREMISE = (15, 8192)
 
 
+class LaneSpec(NamedTuple):
+    """An oracle's ``estimate`` and ``make_stepper`` as the compiled lane
+    kernel computes and draws them for one lane-step of a 1-d run
+    (``lane_spec()``).
+
+    ``flags`` are the formula's bits (``TWO_POINT``, ``EVAL_POINT``,
+    ``CONTROLLED``, or ``AT_X`` and ``SOFTABS``) and the direction's: SIGNS
+    for U = 2b - 1 of bits from ``integers(0, 2)`` and V = 1/U, UNIT for
+    U = z/|z| and PLAIN for U = z of a ``standard_normal`` z, with V = U.
+    ``data`` is the formula data: (ca, cb, cc, sigma, slope) of an
+    estimator of a 1-d quadratic, (v, eps) of an arm of a hard pair.  The
+    offsets are du = delta*U, and -du for a second arm, and the weight is
+    w = V*(weight/delta).  ``noise(delta)`` scales the standard normals of
+    xi (None: xi is zeros), and ``shift(delta)`` is the adversarial reply's
+    shift (None: the oracle is not shifted)."""
+
+    flags: int
+    data: tuple[float, ...]
+    weight: float = 1.0
+    noise: Optional[Callable[[float], float]] = None
+    shift: Optional[Callable[[float], float]] = None
+
+
 class _Library:
-    """The loaded library: its chunk function, its draw functions, whether
-    it was built against the headers of numpy's tanh loop, and whether that
+    """The loaded library: its entry points, declared for ctypes, whether it
+    was built against the headers of numpy's tanh loop, and whether that
     loop is bound and checked (None until a softabs run asks)."""
 
-    def __init__(self, lib, chunk: Callable, draws: tuple[Callable, Callable], ufunc: bool):
-        self.lib, self.chunk, self.draws, self.ufunc = lib, chunk, draws, ufunc
-        self.tanh: Optional[bool] = None
+    def __init__(self, lib, ufunc: bool):
+        doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+        table, longs = np.ctypeslib.ndpointer(LANE, flags="C_CONTIGUOUS"), [ctypes.c_long] * 3
+        self.lib, self.ufunc, self.tanh = lib, ufunc, None
+        self.chunk = _declare(lib.zg_lane_chunk, longs + [doubles, table] + [doubles] * 5 + [ctypes.c_void_p, doubles])
+        self.fill = _declare(lib.zg_lane_draws, longs + [table, doubles], ctypes.c_long)
+        self.skip = _declare(lib.zg_skip, [ctypes.c_void_p] + longs + [doubles])
+        self.scratch = _declare(lib.zg_scratch, longs, ctypes.c_long)
+        self.normal = _declare(lib.zg_normal_fill, [ctypes.c_void_p, ctypes.c_long, doubles])
+
+
+def _declare(fn, argtypes: list, restype=None):
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn
 
 
 # [the _Library, or None once loading failed]
@@ -105,13 +141,6 @@ def kernel() -> Optional[Callable]:
     be built or loaded.  Built and loaded on the first call only."""
     loaded = _library()
     return None if loaded is None else loaded.chunk
-
-
-def lane_draws() -> Optional[tuple[Callable, Callable]]:
-    """(``zg_lane_draws``, ``zg_skip``) of the compiled library, or None
-    where it cannot be built or loaded."""
-    loaded = _library()
-    return None if loaded is None else loaded.draws
 
 
 def tanh_bound() -> bool:
@@ -195,81 +224,108 @@ def _normal_mismatch(fill: Callable) -> Optional[str]:
     return None
 
 
-class LaneDraws:
-    """The draws of one kernel run, filled in C chunk by chunk: for lanes of
-    generators ``rngs``, ``ends`` steps and schedule deltas ``deltas``,
-    every value, and every generator's final state, is that of the numpy
-    steppers ``make_stepper(end, delta, rng)`` of an oracle whose draws
-    ``spec`` describes, stacked as ``solver._next_chunk`` stacks them.
-    ``widths`` are the values per lane-step of the kernel's slots du, w and
-    xi.
+def lane_run(oracle, body, regret: bool, rngs: Sequence[np.random.Generator], horizons: Sequence[int],
+             schedules) -> Optional["LaneRun"]:
+    """The run of ``oracle`` on the compiled lane kernel, for lanes of
+    generators ``rngs``, ``horizons`` and ``schedules``; or None where the
+    numpy loop runs it: a body other than a 1-d box, one generator driving
+    two lanes, an oracle with no ``lane_spec`` or a spec of None, a class
+    that redefines ``estimate``, ``make_stepper``, ``_scaled`` or ``_noise``
+    below the class that defines ``lane_spec`` (looked up at run time, so a
+    wrapper set on that class itself, such as a tracer's, leaves the spec
+    in force), an estimator without a vicinity norm, a regret run of an
+    oracle that answers at x (the kernel evaluates f only for a quadratic),
+    an oracle of the softabs pair where the kernel holds no checked numpy
+    tanh loop, or a kernel that could not be built.  Builds the kernel on
+    the first run it covers."""
+    if not isinstance(body, Box) or body.dim != 1 or len({id(g) for g in rngs}) < len(rngs):
+        return None
+    mro = type(oracle).__mro__
+    depth = lambda name: next((i for i, cls in enumerate(mro) if name in vars(cls)), len(mro))
+    own = depth("lane_spec")
+    if own == len(mro) or min(map(depth, ("estimate", "make_stepper", "_scaled", "_noise"))) < own:
+        return None
+    spec = oracle.lane_spec()
+    if spec is None or (spec.flags & AT_X and regret):
+        return None
+    if not (spec.flags & AT_X or getattr(oracle, "vicinity_norm", None)):  # the kernel writes y - x
+        return None
+    chunk = kernel()
+    if chunk is None or (spec.flags & SOFTABS and not tanh_bound()):
+        return None
+    return LaneRun(chunk, spec, regret, body, oracle.target.f_star, rngs, [h - 1 for h in horizons],
+                   [s.delta for s in schedules])
 
-    ``spec``, an oracle's ``lane_draw_spec()``, is what its steppers draw
-    for one lane-step of a 1-d run: (direction, transform, weight, noise,
-    noise_scale).  direction is the sampler of the direction variate (NONE,
-    NORMAL for ``standard_normal``, BITS for ``integers(0, 2)``); transform
-    makes U and V from it (SIGNS: U = 2b - 1, V = 1/U; UNIT: U = z/|z|;
-    UNIT_SCALED: U = (z/|z|)*sqrt(1); PLAIN: U = z; V = U but for SIGNS);
-    the offsets are du = delta*U, and -du for a second arm, and the weight
-    w = V*(weight/delta).  noise is the sampler of xi (NONE for zeros, or
-    NORMAL), and xi = noise_scale(delta)*z, or z itself where noise_scale is
-    None.
 
-    ``fns`` is ``lane_draws()``.  Its normals take numpy's ziggurat fast
-    path inline, with the tables read out of numpy's
-    ``random_standard_normal`` and every other draw handed back to it, so
-    the values and states are numpy's all the same.
+class LaneRun:
+    """A run on the compiled lane kernel (see ``lane_run``).  Each chunk of
+    steps is one call of ``chunk``, ``zg_lane_chunk``, which fills the
+    chunk's draws in C and advances the kept lanes.  Every value, and every
+    generator's final state, is that of the numpy loop fed by the steppers
+    ``make_stepper(end, delta, rng)`` of an oracle whose ``lane_spec()`` is
+    ``spec``.
 
-    Directions read each lane's own generator.  Noise reads it too where
-    there are no directions; otherwise it reads a copy made here and
-    skipped in C past the lane's ``end`` directions, as ``core.draw_chunks``
-    skips its copy.  The generators must be distinct objects.  The buffers
-    are the run's: each chunk's arrays are views of them, valid until the
-    next chunk is drawn."""
+    Its state is one ``LANE`` row per kept lane: the lane's delta, its
+    weight over delta, noise scale and shift, computed once from its delta,
+    the steps it has left, and its generators.  Directions read each lane's
+    own generator.  Noise reads it too where there are no directions;
+    otherwise it reads a copy made here and skipped in C past the lane's
+    ``end`` directions, as ``core.draw_chunks`` skips its copy."""
 
-    def __init__(self, fns, spec: tuple, widths: Sequence[int], rngs: Sequence[np.random.Generator],
-                 ends: Sequence[int], deltas: Sequence[float]):
-        self._fill, skip = fns
-        direction, transform, weight, noise, noise_scale = spec
-        lanes = len(rngs)
-        self._spec = np.array([direction, noise, transform, noise_scale is not None], LONG)
-        self._widths = np.array(widths, LONG)
-        self._left = np.array(ends, LONG)
-        scale = noise_scale or (lambda delta: 0.0)
-        self._scale = np.array([[d, weight / d, scale(d)] for d in deltas])
-        self._scratch = np.empty(STEPS_PER_CHUNK * max(widths[2], 1))
-        self._buffers = [np.empty(STEPS_PER_CHUNK * lanes * k) for k in widths]
+    def __init__(self, chunk: Callable, spec: LaneSpec, regret: bool, body: Box, f_star: float,
+                 rngs: Sequence[np.random.Generator], ends: Sequence[int], deltas: Sequence[float]):
+        lib = _library()
+        self._chunk, self._fill = chunk, lib.fill
+        self._flags = spec.flags | (REGRET if regret else 0) | (NOISE if spec.noise else 0) | (
+            SHIFTED if spec.shift else 0)
+        self._data = np.array([body.lower[0], body.upper[0], f_star, *spec.data])
+        self._scratch = np.empty(lib.scratch(STEPS_PER_CHUNK, len(rngs), self._flags))
         self._gens = [g.bit_generator for g in rngs]  # kept alive while C holds their pointers
-        self._dir = np.array([_address(bg) for bg in self._gens], np.uintp)
-        self._noise = self._dir
-        if direction and noise:
-            self._noise = self._dir.copy()
-            for i, (g, end) in enumerate(zip(rngs, ends)):
+        table = self._table = np.zeros(len(rngs), LANE)
+        table["delta"], table["left"] = deltas, ends
+        table["weight"] = [spec.weight / d for d in deltas]
+        for name, of in (("scale", spec.noise), ("shift", spec.shift)):
+            if of:
+                table[name] = [of(d) for d in deltas]
+        table["dir"] = table["noise"] = [_address(bg) for bg in self._gens]
+        if self._flags & (SIGNS | UNIT | PLAIN) and spec.noise:
+            for i, (bg, end) in enumerate(zip(self._gens[:len(rngs)], ends)):
                 if end < 1:  # a lane that takes no step draws nothing
                     continue
-                ahead = type(g.bit_generator)(0)  # seeded only to take the state: cheaper than copy.deepcopy
-                ahead.state = g.bit_generator.state
+                ahead = type(bg)(0)  # seeded only to take the state: cheaper than copy.deepcopy
+                ahead.state = bg.state
                 self._gens.append(ahead)
-                self._noise[i] = _address(ahead)
-                skip(int(self._noise[i]), direction, end, STEPS_PER_CHUNK, self._scratch)
+                table["noise"][i] = _address(ahead)
+                lib.skip(int(table["noise"][i]), self._flags, end, STEPS_PER_CHUNK, self._scratch)
 
     def retain(self, keep: np.ndarray) -> None:
         """Keep only the lanes where ``keep`` is true, in order."""
-        self._left, self._scale = self._left[keep], self._scale[keep]
-        self._dir, self._noise = self._dir[keep], self._noise[keep]
+        self._table = self._table[keep]
 
-    def chunk(self, m: int) -> list[np.ndarray]:
-        """The next m steps' draws of the kept lanes: the flat (steps, lanes,
-        width) array of each slot of nonzero width.  A lane whose draws end
-        sooner gets zeros after them."""
-        if not 0 < m <= STEPS_PER_CHUNK:  # the buffers and the scratch hold one chunk
+    def step(self, eta: np.ndarray, x: np.ndarray, sum_x: np.ndarray, regret: np.ndarray, steps: np.ndarray,
+             offsets: Optional[np.ndarray]) -> None:
+        """Advance the kept lanes through the next len(eta) steps, eta one
+        step size per step or a (steps, lanes, 1) array of them, updating
+        their iterates x, sums sum_x and regrets in place.  A lane stops at
+        its horizon, so that its sum and regret are then those at its last
+        step.  ``steps`` receives each step's eta*G and ``offsets`` each
+        step's y - x for an estimator (None for an oracle that answers at
+        x), laid out (steps, lanes, 1), and both are 0 after a lane's last
+        step."""
+        flags = self._flags | (LANE_ETA if eta.ndim > 1 else 0)
+        self._chunk(len(eta), self._table.size, flags, self._data, self._table, eta, x, sum_x, regret, steps,
+                    None if offsets is None else offsets.ctypes.data, self._scratch)
+
+    def draws(self, m: int) -> np.ndarray:
+        """The next m steps' draws of the kept lanes as ``step`` fills them
+        (``zg_lane_draws``): du, w and xi one after the other, each flat in
+        the layout of ``solver._next_chunk``.  A view of the run's scratch,
+        valid until the next chunk is drawn."""
+        if not 0 < m <= STEPS_PER_CHUNK:  # the scratch holds one chunk
             raise ValueError(f"a chunk has 1 to {STEPS_PER_CHUNK} steps, not {m}")
-        sizes = m * self._left.size * self._widths
-        du, w, xi = (buf[:size] for buf, size in zip(self._buffers, sizes))
-        if sizes.any():
-            self._fill(m, self._left.size, self._spec, self._widths, self._scale, self._left, self._dir,
-                       self._noise, du, w, xi, self._scratch)
-        return [a for a, k in zip((du, w, xi), self._widths) if k]
+        count = self._fill(m, self._table.size, self._flags, self._table, self._scratch)
+        self._table["left"] -= np.minimum(self._table["left"], m)
+        return self._scratch[:count]
 
 
 def _address(bit_generator) -> int:
@@ -356,29 +412,21 @@ def _load():
         if not path.exists():
             _build(path)
         lib = np.ctypeslib.load_library(path.name, str(path.parent))
-        chunk, fill, skip, normal = lib.zg_lane_chunk, lib.zg_lane_draws, lib.zg_skip, lib.zg_normal_fill
+        loaded = _Library(lib, bool(_ufunc_args()))
     except (OSError, AttributeError) as exc:  # the numpy loop runs instead
         _log.debug("lane kernel unavailable, the numpy loop runs: %s: %s", type(exc).__name__, exc)
         return None
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    longs = np.ctypeslib.ndpointer(LONG, flags="C_CONTIGUOUS")
-    pointers = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
-    chunk.argtypes = [ctypes.c_long] * 3 + [doubles] * 6 + [longs] + [doubles] * 8
-    fill.argtypes = [ctypes.c_long] * 2 + [longs] * 2 + [doubles] + [longs] + [pointers] * 2 + [doubles] * 4
-    skip.argtypes = [ctypes.c_void_p] + [ctypes.c_long] * 3 + [doubles]
-    normal.argtypes = [ctypes.c_void_p, ctypes.c_long, doubles]
-    chunk.restype = fill.restype = skip.restype = normal.restype = None
     refused = "numpy's random_standard_normal gave no ziggurat tables"
     if lib.zg_bind_normal() == 0:
-        refused = _normal_mismatch(normal)
+        refused = _normal_mismatch(loaded.normal)
     if refused is None:
         _log.debug("lane kernel loaded from %s, normals from numpy's ziggurat fast path inline", path)
     else:  # every normal through numpy's random_standard_normal, checked in its turn
         lib.zg_unbind_normal()
-        again = _normal_mismatch(normal)
+        again = _normal_mismatch(loaded.normal)
         if again is not None:
             _log.debug("lane kernel unavailable, the numpy loop runs: inline normals: %s; "
                        "normals from numpy's random_standard_normal: %s", refused, again)
             return None
         _log.debug("lane kernel loaded from %s, normals from numpy's random_standard_normal: %s", path, refused)
-    return _Library(lib, chunk, (fill, skip), bool(_ufunc_args()))
+    return loaded

@@ -239,27 +239,16 @@ class AdversarialOracle:
         sd = self._sd(delta)
         return draw_chunks(rng, n, (lambda g, m: sd * g.standard_normal((m, 1)),))
 
-    def lane_draw_spec(self) -> tuple:
-        """``make_stepper``'s draws as data (see ``_lanes.LaneDraws``), for the
-        C fill of a lane kernel run: no direction, and the noise sd*z with
-        sd = sqrt(c2(delta)), from the lane's own generator."""
+    def lane_spec(self):
+        """``estimate`` and ``make_stepper`` as the compiled lane kernel
+        computes and draws them (``_lanes.LaneSpec``): the reply of arm v of
+        separation eps, shifted by min(eps, c1*delta^p) as ``estimate``
+        shifts it, plus noise sd*z with sd = sqrt(c2(delta))."""
         from . import _lanes  # imported on first use, not with zograd (see _lanes)
-        return _lanes.NONE, _lanes.PLAIN, 1.0, _lanes.NORMAL, self._sd
-
-    def lane_kernel_spec(self) -> tuple[int, tuple[float, float]]:
-        """``estimate`` as the compiled lane kernel computes it: its flag bits
-        (``_lanes.AT_X``, ``SHIFTED``, and ``SOFTABS`` for the convex pair)
-        and the formula data (v, eps) of the instance; each lane's shift
-        comes from ``lane_shift``."""
-        from . import _lanes
-        inst = self.instance
-        flags = _lanes.AT_X | _lanes.SHIFTED | (_lanes.SOFTABS if inst.problem_class == "convex_smooth" else 0)
-        return flags, (float(inst.v), float(inst.eps))
-
-    def lane_shift(self, delta: np.ndarray) -> np.ndarray:
-        """The shift min(eps, c1*delta^p) of each lane, flat, for a (lanes, 1)
-        column of deltas, as ``estimate`` computes it."""
-        return _shift(delta, self.instance.eps, self.envelope.c1, self.envelope.p).ravel()
+        inst, env = self.instance, self.envelope
+        flags = _lanes.AT_X | (_lanes.SOFTABS if inst.problem_class == "convex_smooth" else 0)
+        return _lanes.LaneSpec(flags, (float(inst.v), float(inst.eps)), noise=self._sd,
+                               shift=lambda delta: _shift(delta, inst.eps, env.c1, env.p))
 
 
 def hard_pair(

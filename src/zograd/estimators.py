@@ -473,48 +473,31 @@ class EstimatorOracle:
 
     # -- solver hot path ------------------------------------------------------
 
-    def lane_kernel_spec(self) -> Optional[tuple[int, tuple[float, ...]]]:
-        """``estimate`` as the compiled lane kernel computes it: its flag bits
-        (``_lanes.TWO_POINT``, ``EVAL_POINT``, ``CONTROLLED``) and the
-        formula data (ca, cb, cc, sigma, slope) of a 1-d quadratic target
-        under uncontrolled or additive controlled noise; None for any other
-        target or noise."""
+    def lane_spec(self):
+        """``estimate`` and ``make_stepper`` as the compiled lane kernel
+        computes and draws them (``_lanes.LaneSpec``) for a 1-d quadratic
+        target under uncontrolled or additive controlled noise: U and V as
+        ``PerturbationScheme.directions`` and ``v_of`` make them at d = 1,
+        weighted as ``_scaled`` weights them, then the noise of ``_noise``:
+        sigma*z, zeros for sigma = 0, or the plain psi of the additive
+        controlled model.  None for any other target or noise."""
         from . import _lanes  # imported on first use, not with zograd (see _lanes)
         coef = self.target.quadratic_1d
         if coef is None:
             return None
-        flags = (_lanes.TWO_POINT if self.feedback == "two_point" else 0) | (
-            _lanes.EVAL_POINT if self._eval_point else 0)
+        directions = {"spsa": _lanes.SIGNS, "surface": _lanes.UNIT, "rdsa": _lanes.UNIT, "sf": _lanes.PLAIN}
+        flags = directions[self.scheme.kind] | (_lanes.EVAL_POINT if self._eval_point else 0)
+        flags |= _lanes.TWO_POINT if self.feedback == "two_point" else 0
         if isinstance(self.noise, UncontrolledNoise):
-            return flags, (*coef, 0.0, 0.0)
-        additive = self.noise.additive
-        if additive is None or additive[0] is not self.target:
-            return None
-        return flags | _lanes.CONTROLLED, (*coef, *additive[1:])
-
-    def lane_draw_spec(self) -> Optional[tuple]:
-        """``make_stepper``'s draws as data (see ``_lanes.LaneDraws``), for the
-        C fill of a 1-d lane kernel run: a direction variate from
-        ``integers(0, 2)`` for SPSA and ``standard_normal`` otherwise, made
-        into U and V as ``PerturbationScheme.directions`` and ``v_of`` make
-        them at d = 1 and weighted as ``_scaled`` weights them; then the
-        noise of ``_noise``: sigma*z, zeros for sigma = 0, or the plain psi
-        of the additive controlled model.  None for d > 1 and for any other
-        controlled noise."""
-        from . import _lanes
-        if self.dim != 1:
-            return None
-        if isinstance(self.noise, ControlledNoise):
-            if self.noise.psi_sample is not _standard_normal_psi:
-                return None
-            noise, scale = _lanes.NORMAL, None
-        else:
             sigma = self.noise.sigma
-            noise, scale = (_lanes.NORMAL, lambda delta: sigma) if sigma > 0 else (_lanes.NONE, None)
-        kind = self.scheme.kind
-        transform = {"spsa": _lanes.SIGNS, "surface": _lanes.UNIT, "rdsa": _lanes.UNIT_SCALED, "sf": _lanes.PLAIN}
-        direction = _lanes.BITS if kind == "spsa" else _lanes.NORMAL
-        return direction, transform[kind], 1.0 if self.feedback == "one_point" else 0.5, noise, scale
+            data, noise = (*coef, 0.0, 0.0), (lambda delta: sigma) if sigma > 0 else None
+        else:
+            additive = self.noise.additive
+            if additive is None or additive[0] is not self.target or self.noise.psi_sample is not _standard_normal_psi:
+                return None
+            # psi unscaled: 1.0*z is z, bit for bit
+            flags, data, noise = flags | _lanes.CONTROLLED, (*coef, *additive[1:]), lambda delta: 1.0
+        return _lanes.LaneSpec(flags, data, 1.0 if self.feedback == "one_point" else 0.5, noise)
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
         """The draws of n solver steps, in chunks of ``(du, w, xi)``.
@@ -562,21 +545,16 @@ class ExactGradientOracle:
         g, _, _ = self.estimate(np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1), delta)
         return np.tile(g, (m, 1))
 
-    def lane_kernel_spec(self) -> Optional[tuple[int, tuple[float, ...]]]:
-        """``estimate`` as the compiled lane kernel computes it: its flag bits
-        (``_lanes.AT_X``, and ``SOFTABS`` for softabs) and the formula data
-        (v, eps) of an arm of a hard pair; None for any other target."""
+    def lane_spec(self):
+        """``estimate`` as the compiled lane kernel computes it
+        (``_lanes.LaneSpec``) for an arm of a hard pair, with no draws;
+        None for any other target."""
         from . import _lanes
         arm = self.target.hard_pair_arm
         if arm is None:
             return None
         family, v, eps = arm
-        return _lanes.AT_X | (_lanes.SOFTABS if family == "softabs" else 0), (v, eps)
-
-    def lane_draw_spec(self) -> tuple:
-        """``make_stepper``'s draws as data (see ``_lanes.LaneDraws``): none."""
-        from . import _lanes
-        return _lanes.NONE, _lanes.PLAIN, 1.0, _lanes.NONE, None
+        return _lanes.LaneSpec(_lanes.AT_X | (_lanes.SOFTABS if family == "softabs" else 0), (v, eps))
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
         return draw_chunks(rng, n, ())

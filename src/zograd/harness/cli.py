@@ -111,7 +111,7 @@ def _load_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
         "estimator": getattr(args, "estimator", None),
         "noise": getattr(args, "noise", None),
         "sigma": getattr(args, "sigma", None),
-        "replications": getattr(args, "reps", None),
+        "replications": None if experiment == "probe" else getattr(args, "reps", None),
         "tolerance": getattr(args, "tol", None),
         "oracle_spec": getattr(args, "oracle", None),
         "p": getattr(args, "p", None),
@@ -129,9 +129,10 @@ def _load_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
     return cfg.with_overrides(**overrides)
 
 
-def _pick_regret_estimator(cfg: ExperimentConfig) -> ExperimentConfig:
-    """When (p, q) are given without an estimator, choose the matching cell."""
-    if cfg.p is None or cfg.q is None:
+def _pick_regret_estimator(cfg: ExperimentConfig, estimator: Optional[str]) -> ExperimentConfig:
+    """When (p, q) are given without an ``--estimator``, choose the matching
+    cell; an explicit estimator wins, and the experiment checks its (p, q)."""
+    if cfg.p is None or cfg.q is None or estimator is not None:
         return cfg
     table = {(2.0, 2.0): "smoothing", (1.0, 2.0): "one-point"}
     est = table.get((float(cfg.p), float(cfg.q)))
@@ -192,7 +193,7 @@ def _main(args: argparse.Namespace) -> int:
                 f"{'PASS' if report.passed else 'FAIL'}"
             )
         elif args.command == "regret":
-            cfg = _pick_regret_estimator(_load_config(args, "regret"))
+            cfg = _pick_regret_estimator(_load_config(args, "regret"), args.estimator)
             report = regret_experiment(cfg)
             d = report.details
             print(

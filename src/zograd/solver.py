@@ -450,49 +450,6 @@ def _lane_schedules(schedules: Sequence[Schedule]):
     return np.array([[s.delta] for s in schedules]), list(zip(distinct, rows))
 
 
-def _compiled_chunk(oracle, body: ConvexBody, record: bool, regret: bool, rngs, horizon, schedules):
-    """(chunk function, flag bits, formula data, values per lane-step of each
-    draw slot du, w, xi (0 for a slot the oracle does not use), the run's
-    draws filled in C (``_lanes.LaneDraws``)) of the compiled lane kernel
-    for a run, or None where the numpy loop runs it: a recorded run, a body
-    other than a 1-d box, one generator driving two lanes, an oracle that
-    does not describe itself and its draws to the kernel (no
-    ``lane_kernel_spec`` or ``lane_draw_spec``, a spec of None, or a class
-    that redefines ``make_stepper``, ``_scaled`` or ``_noise`` below the
-    class that defines ``lane_draw_spec``, looked up at run time, so a
-    wrapper set on that class itself, such as a tracer's, leaves the spec in
-    force), a regret run of an oracle that answers at x (the kernel
-    evaluates f only for a quadratic), an oracle of the softabs pair where
-    the kernel holds no checked numpy tanh loop, or a kernel that could not
-    be built.  Builds the kernel on the first run it covers."""
-    from . import _lanes  # imported on first use, not with zograd (see _lanes)
-    describe = getattr(oracle, "lane_kernel_spec", None)
-    if record or describe is None or not isinstance(body, Box) or body.dim != 1:
-        return None
-    if len({id(g) for g in rngs}) < len(rngs):
-        return None
-    mro = type(oracle).__mro__
-    depth = lambda name: next((i for i, cls in enumerate(mro) if name in vars(cls)), len(mro))
-    own = depth("lane_draw_spec")
-    if own == len(mro) or min(depth(name) for name in ("make_stepper", "_scaled", "_noise")) < own:
-        return None
-    spec, draw_spec = describe(), oracle.lane_draw_spec()
-    if spec is None or draw_spec is None or (regret and spec[0] & _lanes.AT_X):
-        return None
-    fn = _lanes.kernel()
-    flags, coef = spec
-    if fn is None or (flags & _lanes.SOFTABS and not _lanes.tanh_bound()):
-        return None
-    if flags & _lanes.AT_X:
-        widths = (0, 0, 1 if flags & _lanes.SHIFTED else 0)
-    else:
-        arms = 2 if flags & _lanes.TWO_POINT else 1
-        widths = (arms, 1, 1 if flags & _lanes.CONTROLLED else arms)
-    draws = _lanes.LaneDraws(_lanes.lane_draws(), draw_spec, widths, rngs, [h - 1 for h in horizon],
-                             [s.delta for s in schedules])
-    return fn, flags, np.array([body.lower[0], body.upper[0], oracle.target.f_star, *coef]), widths, draws
-
-
 def _check_vicinity(offsets: np.ndarray, delta, norm: Norm, live: np.ndarray, first: int) -> None:
     """Raise DomainError where an evaluation point y of a chunk lies farther
     than delta from its query point x under the vicinity norm.  ``offsets``
@@ -552,21 +509,20 @@ def run(
     delta from its query point under that norm raises DomainError after
     its chunk.
 
-    A run that is not recorded, on a 1-d box, against an oracle whose
-    ``lane_kernel_spec`` is not None advances each chunk in one call of the
-    compiled kernel of ``_lanes.c``, which computes the same values bit for
-    bit: estimator oracles of a 1-d quadratic in either mode, and, in
-    optimization mode, the adversarial and exact-gradient oracles of an arm
-    of a hard pair (for the softabs pair, with numpy's own tanh loop, called
-    from C; where that loop is not bound, those runs take the numpy loop).
-    The kernel reads only draws filled in C from each lane's generator,
-    with numpy's own samplers, into per-run buffers (``_lanes.LaneDraws``):
-    the same values as the oracle's steppers', and each generator left in
-    the same state.  So it runs only an oracle whose ``lane_draw_spec``
-    states its draws, and only where every lane has a generator of its own;
-    other runs, and every run where the kernel does not load, take the
-    numpy loop.  A kernel call holds no interpreter lock, so runs on several
-    threads run in parallel.  Which path ran is logged at DEBUG.
+    A run that is not recorded, where ``_lanes.lane_run`` builds a
+    ``LaneRun`` for it, advances each chunk in one call of the compiled
+    kernel of ``_lanes.c``, which fills the chunk's draws in C from each
+    lane's generator with numpy's own samplers and computes the same values
+    bit for bit, leaving each generator in the same state: on a 1-d box,
+    where every lane has a generator of its own, estimator oracles of a
+    1-d quadratic in either mode, and, in optimization mode, the
+    adversarial and exact-gradient oracles of an arm of a hard pair (for
+    the softabs pair, with numpy's own tanh loop, called from C), each as
+    its ``lane_spec()`` states it.  There a lane stops at its horizon
+    instead of taking zero draws.  Other runs, and every run where the
+    kernel does not load, take the numpy loop.  A kernel call holds no
+    interpreter lock, so runs on several threads run in parallel.  Which
+    path ran is logged at DEBUG.
 
     The loss of round t is f at the oracle's evaluation point.  The oracle
     hands back the noiseless values of f it computed there; for two-point
@@ -608,20 +564,15 @@ def run(
     estimate, value, proj, f_star = oracle.estimate, f.value_rows, body.project, f.f_star
     multiply, subtract = np.multiply, np.subtract
     norm = getattr(oracle, "vicinity_norm", None)
-    compiled = _compiled_chunk(oracle, body, record, want_regret, rngs, horizon, schedules)
-    if not compiled:
-        steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizon, schedules, rngs)]
-    _log.debug("run: %d lanes, %d steps on the %s", lanes, n - 1, "compiled lane kernel" if compiled else "numpy loop")
-    if compiled:
-        from . import _lanes
+    kernel = None
+    if not record:
+        from . import _lanes  # imported on first use, not with zograd (see _lanes)
 
-        chunk_fn, flags, coef, widths, c_draws = compiled
-        flags |= _lanes.REGRET if want_regret else 0
-        if not flags & _lanes.AT_X and norm is None:  # the kernel writes its offsets y - x
-            raise DomainError("an estimator on the lane kernel needs a vicinity norm")
-        unused = shift = np.empty(0)
-        # room for each lane's tanh arguments, to which the kernel applies numpy's tanh loop once per step
-        tanh_args = np.empty(((2 if flags & _lanes.SHIFTED else 1) if flags & _lanes.SOFTABS else 0) * lanes)
+        kernel = _lanes.lane_run(oracle, body, want_regret, rngs, horizon, schedules)
+    if kernel is None:
+        steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizon, schedules, rngs)]
+    _log.debug("run: %d lanes, %d steps on the %s", lanes, n - 1, "numpy loop" if kernel is None else
+               "compiled lane kernel")
 
     x = np.tile(x0.astype(float), (lanes, 1))
     sum_x = x.copy()
@@ -644,16 +595,17 @@ def run(
         keep = ends[live] > t
         if not keep.all():
             live, x, sum_x, regret = live[keep], x[keep], sum_x[keep], regret[keep]
-            if compiled:
-                c_draws.retain(keep)
-            else:
+            if kernel is None:
                 steppers = [stepper for stepper, k in zip(steppers, keep) if k]
+            else:
+                kernel.retain(keep)
             delta, groups = _lane_schedules([schedules[lane] for lane in live])
         live_ends = ends[live]
         retiring = {e: np.flatnonzero(live_ends == e) for e in set(live_ends.tolist()) if e <= t + m}
         # the last chunk's draws go before the next are drawn (draw and eta are views of them)
         draws = eta_chunk = etas = draw = eta = None
-        draws = c_draws.chunk(m) if compiled else _next_chunk(steppers, m)
+        if kernel is None:
+            draws = _next_chunk(steppers, m)
         if len(groups) == 1:
             eta_chunk = groups[0][0].eta_array(t + m + 1, t + 1)
         else:
@@ -663,21 +615,11 @@ def run(
         shape = (m, live.size, x0.size)
         chunk_steps = steps[:math.prod(shape)].reshape(shape)
         chunk_offsets = [None] * m if norm is None else offsets[:math.prod(shape)].reshape(shape)
-        if compiled:
-            slots = iter(draws)
-            slot_draws = [next(slots) if k else unused for k in widths]
-            if flags & _lanes.SHIFTED:
-                shift = oracle.lane_shift(np.broadcast_to(delta, (live.size, 1)))
-            snap_at = np.zeros(live.size, dtype=_lanes.LONG)
-            for e, rows in retiring.items():
-                snap_at[rows] = e - t
-            snaps = np.empty((2, live.size))
-            chunk_fn(m, live.size, flags | (_lanes.LANE_ETA if len(groups) > 1 else 0), coef, *slot_draws,
-                     eta_chunk, shift, snap_at, x, sum_x, regret, chunk_steps,
-                     unused if norm is None else chunk_offsets, *snaps, tanh_args)
+        if kernel is not None:
+            kernel.step(eta_chunk, x, sum_x, regret, chunk_steps, None if norm is None else chunk_offsets)
             t += m
             for rows in retiring.values():
-                sums[live[rows], 0], regrets[live[rows], 0] = snaps[0, rows], snaps[1, rows]
+                sums[live[rows]], regrets[live[rows]] = sum_x[rows], regret[rows]
         else:
             etas = eta_chunk.tolist() if len(groups) == 1 else eta_chunk
             for draw, eta, step, offset in zip(zip(*draws) if draws else [()] * m, etas, chunk_steps,

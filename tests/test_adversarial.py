@@ -246,25 +246,26 @@ class TestHardInstance:
         se = float(np.std(g)) / math.sqrt(g.size)
         assert float(np.mean(g)) == pytest.approx(expected, abs=5 * se)
 
-    def test_lane_kernel_spec_and_shift(self):
+    def test_lane_spec_and_shift(self):
         convex = HardInstance("convex_smooth", -1, 0.1, ENV22).oracle()
         sc = HardInstance("strongly_convex", +1, 0.2, ENV12).oracle()
-        assert convex.lane_kernel_spec() == (_lanes.AT_X | _lanes.SHIFTED | _lanes.SOFTABS, (-1.0, 0.1))
-        assert sc.lane_kernel_spec() == (_lanes.AT_X | _lanes.SHIFTED, (1.0, 0.2))
+        assert convex.lane_spec()[:3] == (_lanes.AT_X | _lanes.SOFTABS, (-1.0, 0.1), 1.0)
+        assert sc.lane_spec()[:3] == (_lanes.AT_X, (1.0, 0.2), 1.0)
         # each lane's shift as estimate computes it for that lane's delta alone
         deltas = np.array([[0.05], [0.3], [0.9]])
         for oracle in (convex, sc):
-            env = oracle.envelope
+            env, shift = oracle.envelope, oracle.lane_spec().shift
             expected = [min(oracle.instance.eps, env.c1 * d**env.p) for d in deltas[:, 0].tolist()]
-            np.testing.assert_array_equal(oracle.lane_shift(deltas), expected)
-        assert 0.0 < convex.lane_shift(deltas)[0] < 0.1 == convex.lane_shift(deltas)[2]  # unsaturated, saturated
+            np.testing.assert_array_equal([shift(d) for d in deltas[:, 0].tolist()], expected)
+        shift = convex.lane_spec().shift
+        assert 0.0 < shift(0.05) < 0.1 == shift(0.9)  # unsaturated, saturated
 
-    def test_lane_draw_spec(self):
+    def test_lane_spec_draws(self):
         # no direction; the noise sd*z, with sd that of make_stepper's lane delta
         oracle = HardInstance("convex_smooth", -1, 0.1, ENV22).oracle()
-        direction, _, _, noise, noise_scale = oracle.lane_draw_spec()
-        assert (direction, noise) == (_lanes.NONE, _lanes.NORMAL)
-        assert noise_scale(0.3) == math.sqrt(oracle.envelope.c2_value(0.3))
+        spec = oracle.lane_spec()
+        assert not spec.flags & (_lanes.SIGNS | _lanes.UNIT | _lanes.PLAIN)
+        assert spec.noise(0.3) == math.sqrt(oracle.envelope.c2_value(0.3))
 
 
 class TestSeparableComposition:

@@ -344,18 +344,18 @@ class TestVicinityAndDeterminism:
             assert abs(y[0, 0] - 0.3) == pytest.approx(0.2)
 
 
-class TestLaneKernelSpec:
+class TestLaneSpec:
     F = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
 
     def test_quadratic_cells_hand_over_their_formula_data(self):
         f = self.F
-        one = EstimatorOracle(f, SPSA, UncontrolledNoise(3.0), "one_point").lane_kernel_spec()
-        assert one == (_lanes.EVAL_POINT, (0.5, -2.0, 1.5, 0.0, 0.0))
-        sf = EstimatorOracle(f, SF, UncontrolledNoise(1.0), "two_point").lane_kernel_spec()
-        assert sf == (_lanes.TWO_POINT, (0.5, -2.0, 1.5, 0.0, 0.0))
+        one = EstimatorOracle(f, SPSA, UncontrolledNoise(3.0), "one_point").lane_spec()
+        assert one[:2] == (_lanes.SIGNS | _lanes.EVAL_POINT, (0.5, -2.0, 1.5, 0.0, 0.0))
+        sf = EstimatorOracle(f, SF, UncontrolledNoise(1.0), "two_point").lane_spec()
+        assert sf[:2] == (_lanes.PLAIN | _lanes.TWO_POINT, (0.5, -2.0, 1.5, 0.0, 0.0))
         controlled = EstimatorOracle(f, SPSA, additive_controlled(f, 3.0, slope=0.5), "two_point")
-        assert controlled.lane_kernel_spec() == (
-            _lanes.TWO_POINT | _lanes.EVAL_POINT | _lanes.CONTROLLED, (0.5, -2.0, 1.5, 3.0, 0.5))
+        assert controlled.lane_spec()[:2] == (
+            _lanes.SIGNS | _lanes.TWO_POINT | _lanes.EVAL_POINT | _lanes.CONTROLLED, (0.5, -2.0, 1.5, 3.0, 0.5))
 
     def test_coefficients_reproduce_the_value(self):
         ca, cb, cc = self.F.quadratic_1d
@@ -363,40 +363,42 @@ class TestLaneKernelSpec:
         np.testing.assert_array_equal((ca * y + cb) * y + cc, self.F.value(y))
 
     def test_other_targets_and_noise_are_not_covered(self):
+        # other targets, d > 1, another target's additive model, and a
+        # custom psi law are run and drawn by the numpy loop only
         f = self.F
         other = quadratic([2.0])
         custom = ControlledNoise(observe=lambda x, psi: f.value(x) + psi, psi_sample=lambda rng, size: rng.standard_normal(size),
                                  smoothness_bound=1.0)
+        custom_psi = dataclasses.replace(custom, additive=(f, 1.0, 0.0))
         oracles = [
             EstimatorOracle(exp_one_d(), SPSA, UncontrolledNoise(1.0), "one_point"),
             EstimatorOracle(quadratic([1.0, 2.0]), SPSA, UncontrolledNoise(1.0), "one_point"),
+            EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"),
             EstimatorOracle(f, SPSA, additive_controlled(other, 1.0), "two_point"),
             EstimatorOracle(f, SPSA, custom, "two_point"),
+            EstimatorOracle(f, SPSA, custom_psi, "two_point"),
         ]
-        assert [o.lane_kernel_spec() for o in oracles] == [None] * 4
+        assert [o.lane_spec() for o in oracles] == [None] * 6
 
-    def test_draw_specs_name_sampler_transform_and_noise(self):
+    def test_draw_specs_name_direction_weight_and_noise(self):
         f = self.F
-        spec = lambda scheme, noise, feedback: EstimatorOracle(f, scheme, noise, feedback).lane_draw_spec()
+        spec = lambda scheme, noise, feedback: EstimatorOracle(f, scheme, noise, feedback).lane_spec()
+        directions = _lanes.SIGNS | _lanes.UNIT | _lanes.PLAIN
         one = spec(SPSA, UncontrolledNoise(3.0), "one_point")
-        assert one[:4] == (_lanes.BITS, _lanes.SIGNS, 1.0, _lanes.NORMAL) and one[4](0.2) == 3.0
-        assert spec(SURFACE, UncontrolledNoise(0.0), "one_point") == (_lanes.NORMAL, _lanes.UNIT, 1.0, _lanes.NONE, None)
+        assert (one.flags & directions, one.weight, one.noise(0.2)) == (_lanes.SIGNS, 1.0, 3.0)
+        smoothing = spec(SURFACE, UncontrolledNoise(0.0), "one_point")
+        assert (smoothing.flags & directions, smoothing.weight, smoothing.noise) == (_lanes.UNIT, 1.0, None)
+        # rdsa's U = (z/|z|)*sqrt(d) is z/|z| at d = 1
         rdsa = spec(RDSA, UncontrolledNoise(1.0), "two_point")
-        assert rdsa[:4] == (_lanes.NORMAL, _lanes.UNIT_SCALED, 0.5, _lanes.NORMAL)
-        assert spec(SF, additive_controlled(f, 3.0), "two_point") == (
-            _lanes.NORMAL, _lanes.PLAIN, 0.5, _lanes.NORMAL, None)
-        assert ExactGradientOracle(f).lane_draw_spec() == (_lanes.NONE, _lanes.PLAIN, 1.0, _lanes.NONE, None)
-
-    def test_draws_without_a_spec(self):
-        # a custom psi law and d > 1 are drawn by the numpy steppers only
-        f = self.F
-        custom = ControlledNoise(observe=lambda x, psi: f.value(x) + psi, psi_sample=lambda rng, size: rng.standard_normal(size),
-                                 smoothness_bound=1.0, additive=(f, 1.0, 0.0))
-        assert EstimatorOracle(f, SPSA, custom, "two_point").lane_draw_spec() is None
-        assert EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point").lane_draw_spec() is None
+        assert (rdsa.flags & directions, rdsa.weight, rdsa.noise(0.2)) == (_lanes.UNIT, 0.5, 1.0)
+        # the additive model's psi is the plain normal
+        controlled = spec(SF, additive_controlled(f, 3.0), "two_point")
+        assert (controlled.flags & directions, controlled.weight, controlled.noise(0.2)) == (_lanes.PLAIN, 0.5, 1.0)
+        assert spec(SPSA, UncontrolledNoise(3.0), "two_point").shift is None
+        exact = ExactGradientOracle(softabs(-1, 0.1)).lane_spec()
+        assert (exact.flags & directions, exact.noise, exact.shift) == (0, None, None)
 
     def test_exact_gradient_of_a_pair_arm(self):
-        assert ExactGradientOracle(softabs(-1, 0.1)).lane_kernel_spec() == (
-            _lanes.AT_X | _lanes.SOFTABS, (-1.0, 0.1))
-        assert ExactGradientOracle(strongly_convex_pair(+1, 0.2)).lane_kernel_spec() == (_lanes.AT_X, (1.0, 0.2))
-        assert ExactGradientOracle(self.F).lane_kernel_spec() is None
+        assert ExactGradientOracle(softabs(-1, 0.1)).lane_spec()[:2] == (_lanes.AT_X | _lanes.SOFTABS, (-1.0, 0.1))
+        assert ExactGradientOracle(strongly_convex_pair(+1, 0.2)).lane_spec()[:2] == (_lanes.AT_X, (1.0, 0.2))
+        assert ExactGradientOracle(self.F).lane_spec() is None

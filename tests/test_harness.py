@@ -29,7 +29,7 @@ from zograd.harness.experiments import (
 )
 from zograd.harness.fitting import fit_rate
 from zograd.harness.probes import probe_bias_variance
-from zograd.harness.cli import main
+from zograd.harness.cli import _load_config, build_parser, main
 from zograd.solver import NonFiniteIterate, Regularizer, manual_schedule, run
 from zograd.testbed import quadratic
 
@@ -133,6 +133,12 @@ class TestConfig:
         assert main(["rate", "--reps", str(2**20 + 1), "--horizons", "100 200"]) == 2
         assert capsys.readouterr().err.startswith("config error: replications")
 
+    def test_probe_reps_leave_replications_alone(self):
+        # probes draw on streams of their own, so --reps sets probe_reps only
+        args = build_parser().parse_args(["probe", "--reps", str(2**20 + 1)])
+        cfg = _load_config(args, "probe").validate()
+        assert (cfg.probe_reps, cfg.replications) == (2**20 + 1, ExperimentConfig().replications)
+
     def test_overrides_win(self):
         cfg = ExperimentConfig().with_overrides(sigma=9.0, replications=3)
         assert cfg.sigma == 9.0 and cfg.replications == 3
@@ -214,6 +220,13 @@ class TestExperiments:
                                horizons=SMALL_HORIZONS, replications=2)
         with pytest.raises(ConfigError, match="p:"):
             regret_experiment(cfg)
+
+    def test_explicit_regret_estimator_wins_over_p_q(self, capsys):
+        # spsa's cell has p = 1, so asking for p = q = 2 with it is bad input
+        argv = ["regret", "--estimator", "spsa", "--p", "2", "--q", "2", "--horizons", "100 200", "--reps", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: p: estimator cell has p=1.0") and err.count("\n") == 1
 
     def test_lower_bound_smoke(self, tmp_path):
         cfg = ExperimentConfig(
@@ -574,7 +587,7 @@ class TestThreadedFanOut:
         # where numpy's ziggurat tables cannot be read, or only the inline fill fails its check, the
         # kernel hands every normal to numpy's random_standard_normal (ki all zero); where the fill
         # fails its check inline and then handed over too, the numpy loop runs.  Same bytes each way
-        if _lanes.lane_draws() is None:
+        if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
         rate = lambda name: ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=2,
                                              master_seed=5, tolerance=5.0, out=str(tmp_path / name))
@@ -604,19 +617,20 @@ class TestThreadedFanOut:
             assert (tmp_path / f"{name}-numpy.csv").read_bytes() == (tmp_path / f"{name}-inline.csv").read_bytes()
 
     def test_kernel_load_names_its_normal_fill(self, monkeypatch, caplog):
-        if _lanes.lane_draws() is None:
+        if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
         monkeypatch.setattr(_lanes, "_loaded", [])
         with caplog.at_level(logging.DEBUG, logger="zograd"):
-            assert _lanes.lane_draws() is not None
+            assert _lanes.kernel() is not None
         assert any((ctypes.c_uint64 * 256).in_dll(_lanes._library().lib, "zg_ki"))
         assert caplog.text.count("lane kernel loaded") == 1
         assert "normals from numpy's ziggurat fast path inline" in caplog.text
 
     def test_import_leaves_out_process_pools(self):
+        # nor the compiled path and the cache key's hash, which each run imports on first use
         code = ("import sys, zograd, zograd.harness.cli, zograd.harness.experiments; "
                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing' "
-                "or m == 'concurrent.futures.process'))")
+                "or m in ('concurrent.futures.process', 'zograd._lanes', 'hashlib')))")
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)

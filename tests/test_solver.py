@@ -447,19 +447,19 @@ DRAW_ORACLES.update({k: o for k, o in KERNEL_ORACLES.items() if k.startswith("ad
 
 def _draw_both(oracle, schedules, horizons, seed):
     """Every chunk's draws of a kernel run, (C fill, numpy steppers), each
-    as run() would pass them to the kernel, and the lane generators of each
-    side after the last chunk."""
+    flat as the kernel reads them, du, w and xi one after the other, and the
+    lane generators of each side after the last chunk."""
     gens_c, gens_np = ([RngStream(seed, i).generator() for i in range(len(horizons))] for _ in range(2))
-    c_draws = solver._compiled_chunk(oracle, oracle.target.domain, False, False, gens_c, horizons, schedules)[4]
-    assert c_draws is not None
+    lanes = _lanes.lane_run(oracle, oracle.target.domain, False, gens_c, horizons, schedules)
+    assert lanes is not None
     steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizons, schedules, gens_np)]
     ends, live, t, chunks = np.array(horizons) - 1, np.arange(len(horizons)), 0, []
     for m in chunk_sizes(max(horizons) - 1):
         keep = ends[live] > t
         live = live[keep]
-        c_draws.retain(keep)
+        lanes.retain(keep)
         steppers = [stepper for stepper, k in zip(steppers, keep) if k]
-        chunks.append(([a.copy() for a in c_draws.chunk(m)], solver._next_chunk(steppers, m)))
+        chunks.append((lanes.draws(m).copy(), np.concatenate([a.ravel() for a in solver._next_chunk(steppers, m)])))
         t += m
     return chunks, gens_c, gens_np
 
@@ -534,7 +534,7 @@ def _samplers():
     """(the library's inline fill, numpy's random_standard_normal and
     random_standard_normal_fill as linked into it); skips where the library
     cannot be built, and asserts the draws take the inline fill."""
-    if _lanes.lane_draws() is None:
+    if _lanes.kernel() is None:
         pytest.skip("the lane kernel cannot be built with numpy's samplers here")
     lib = _lanes._library().lib
     assert any((ctypes.c_uint64 * 256).in_dll(lib, "zg_ki"))  # numpy's tables were read and the fill checked
@@ -624,6 +624,24 @@ class TestCompiledKernel:
             slow = run(*args, rng=gens(), horizons=horizons)
         np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
         np.testing.assert_array_equal(fast.error, slow.error)
+
+    def test_one_library_call_per_chunk(self, kernel_calls, monkeypatch):
+        # zg_lane_chunk fills each chunk's draws itself: the plain fill is
+        # never called, and the skip and the scratch size only as the run is built
+        lib, counts = _lanes._library(), {"fill": 0, "skip": 0, "scratch": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(lib, name, counted(name, getattr(lib, name)))
+        n = 3 * STEPS_PER_CHUNK + 100
+        run(KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], n, _FQ.domain, REG, rng=[RNG(i) for i in range(3)])
+        assert kernel_calls == [3] * len(chunk_sizes(n - 1)) == [3] * 4
+        assert counts == {"fill": 0, "skip": 3, "scratch": 1}
 
     @pytest.mark.parametrize("case", [
         "recorded", "recorded-adversarial", "ball", "d2", "separable-d2", "exp-target", "exact",
@@ -874,9 +892,15 @@ class TestCompiledKernel:
         f = quadratic([1.0, 2.0], [-0.5, 0.3]) if path == "d2" else _FQ
         honest = EstimatorOracle(f, scheme, UncontrolledNoise(1.0), "one_point")
         oracle = honest if path == "kernel" else _Inflated(f, scheme, UncontrolledNoise(1.0), "one_point")
-        fill = _lanes.LaneDraws.chunk
-        inflated = mock.patch.object(_lanes.LaneDraws, "chunk", lambda self, m: [3.0 * a if i == 0 else a
-                                                                                 for i, a in enumerate(fill(self, m))])
+        real = _lanes.lane_run
+
+        def lane_run(*args):
+            run = real(*args)
+            if run is not None:
+                run._table["delta"] *= 3.0  # offsets du = delta*U, the weights as they were
+            return run
+
+        inflated = mock.patch.object(_lanes, "lane_run", lane_run)
         args = (SCHEDULES[0], 600, f.domain, REG)
         calls = []
         with _counted_kernel(calls) if path == "kernel" else _numpy_loop():
@@ -897,7 +921,7 @@ class TestCompiledKernel:
         # lane 0 runs to n, over three chunks and more; up to five more lanes
         # end at their own horizons, most of them inside a chunk, on their
         # own schedules (so with their own delta and noise scale)
-        if _lanes.lane_draws() is None:
+        if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
         horizons = [n] + [min(h, n) for h, _ in others]
         schedules = [SCHEDULES[0]] + [SCHEDULES[i] for _, i in others]
@@ -905,15 +929,14 @@ class TestCompiledKernel:
         assert len(chunks) >= 4
         for fast, slow in chunks:
             assert len(fast) == len(slow)
-            for a, b in zip(fast, slow):
-                np.testing.assert_array_equal(_bits(a), _bits(b))
+            np.testing.assert_array_equal(_bits(fast), _bits(slow))
         assert [g.bit_generator.state for g in gens_c] == [g.bit_generator.state for g in gens_np]
 
     @pytest.mark.parametrize("kind", sorted(DRAW_ORACLES))
     def test_c_draws_leave_each_generator_as_the_numpy_path_does(self, kind, caplog):
         # six lanes, mixed schedules, horizons ending at once, inside the
         # second and third chunks and at n
-        if _lanes.lane_draws() is None:
+        if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
         oracle, n = DRAW_ORACLES[kind], 3 * STEPS_PER_CHUNK + 100
         horizons = [n, 1, 700, 1100, n, 1500]
@@ -931,12 +954,13 @@ class TestCompiledKernel:
         np.testing.assert_array_equal(fast.regret, slow.regret)
         assert [g.bit_generator.state for g in gens_c] == [g.bit_generator.state for g in gens_np]
 
-    @pytest.mark.parametrize("case", ["wrapped-stepper", "own-noise", "shared-generator"])
+    @pytest.mark.parametrize("case", ["wrapped-stepper", "own-noise", "own-estimate", "shared-generator"])
     def test_draw_path_is_decided_per_run(self, case, caplog):
         # a wrapper set on the class that states the spec (a tracer's) keeps
-        # the kernel; a subclass that redefines a draw method, or a generator
-        # driving two lanes, takes the numpy loop; each gives the numpy loop's values
-        if _lanes.lane_draws() is None:
+        # the kernel; a subclass that redefines a draw method or the
+        # estimate, or a generator driving two lanes, takes the numpy loop;
+        # each gives the numpy loop's values
+        if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
         oracle = KERNEL_ORACLES["spsa-2pt"]
 
@@ -955,10 +979,18 @@ class TestCompiledKernel:
                     return super()._noise(rng, shape)
 
             oracle = OwnNoise(oracle.target, oracle.scheme, oracle.noise, oracle.feedback)
+        elif case == "own-estimate":
+            class Doubled(EstimatorOracle):
+                def estimate(self, x, delta, *draws):
+                    g, y, fy = super().estimate(x, delta, *draws)
+                    return 2.0 * g, y, fy
+
+            oracle = Doubled(oracle.target, oracle.scheme, oracle.noise, oracle.feedback)
         with patch, caplog.at_level(logging.DEBUG, logger="zograd.solver"):
             got = run(oracle, SCHEDULES[0], 600, _FQ.domain, REG, rng=gens())
         with _numpy_loop():
-            want = run(KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], 600, _FQ.domain, REG, rng=gens())
+            want = run(oracle if case == "own-estimate" else KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], 600,
+                       _FQ.domain, REG, rng=gens())
         path = "compiled lane kernel" if case == "wrapped-stepper" else "numpy loop"
         assert f"steps on the {path}" in caplog.text
         np.testing.assert_array_equal(got.x_hat, want.x_hat)
