@@ -24,13 +24,16 @@ ORACLES = [
     "adversarial-sc,v=-1,eps=0.2,c1=1,p=1,c2=1,q=2,x=0.4",
 ]
 
+INVOCATIONS = [
+    ["probe", "--oracle", spec, "--delta-grid", "0.5 0.2 0.1 0.05", "--reps", "100000",
+     "--seed", "20260810", "--out", str(RESULTS / f"probe_{i}.csv")]
+    for i, spec in enumerate(ORACLES)
+]
+
 
 def run() -> int:
     failures = 0
-    for i, spec in enumerate(ORACLES):
-        out = RESULTS / f"probe_{i}.csv"
-        argv = ["probe", "--oracle", spec, "--delta-grid", "0.5 0.2 0.1 0.05",
-                "--reps", "100000", "--seed", "20260810", "--out", str(out)]
+    for argv in INVOCATIONS:
         print(f"$ zograd {' '.join(argv[:3])} ...")
         if main(argv) != 0:
             failures += 1

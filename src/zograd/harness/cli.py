@@ -2,8 +2,9 @@
 
 Subcommands mirror the experiment drivers: ``probe``, ``rate``,
 ``lowerbound``, ``regret``, and ``check``.  Every flag can also come from a
-JSON config file (``--config``); explicit flags win.  Exit code 0 iff all
-assertions of the invoked experiment pass, 1 if one fails, and 2 for input
+JSON config file (``--config``); explicit flags win: a flag's ``dest`` is
+the ``ExperimentConfig`` field it sets.  Exit code 0 iff all assertions of
+the invoked experiment pass, 1 if one fails, and 2 for input
 the experiment cannot run with (a config or domain error, reported in one
 line on stderr).  ``--log-level`` sends the ``zograd`` loggers' records
 at that level and above to stderr, so stdout stays one line.
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 from ..core import DomainError
 from .checks import run_checks
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, read_config_file
 from .experiments import (
     lower_bound_experiment,
     probe_experiment,
@@ -50,17 +51,18 @@ def build_parser() -> argparse.ArgumentParser:
     logs.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS, default=None,
                       help="log the zograd package's records at this level and above to stderr")
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, reps: str = "replications") -> None:
         p.add_argument("--config", help="JSON config file; explicit flags override it")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
+        p.add_argument("--seed", dest="master_seed", type=int, default=None, help="master seed")
         p.add_argument("--out", default=None, help="CSV output path (JSON summary sits next to it)")
         p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--reps", dest=reps, type=int, default=None)
 
     p_probe = sub.add_parser("probe", parents=[logs], help="bias/variance probe of one oracle over a delta grid")
-    common(p_probe)
-    p_probe.add_argument("--oracle", default=None, help="oracle spec, e.g. 'one-point,fn=quadratic,sigma=1.0'")
+    common(p_probe, reps="probe_reps")  # probes draw on streams of their own
+    p_probe.add_argument("--oracle", dest="oracle_spec", default=None,
+                         help="oracle spec, e.g. 'one-point,fn=quadratic,sigma=1.0'")
     p_probe.add_argument("--delta-grid", type=_float_list, default=None, metavar="LIST")
-    p_probe.add_argument("--reps", type=int, default=None)
 
     p_rate = sub.add_parser("rate", parents=[logs], help="optimization-error rate fit over a horizon grid")
     common(p_rate)
@@ -69,8 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--noise", choices=("controlled", "uncontrolled"), default=None)
     p_rate.add_argument("--sigma", type=float, default=None)
     p_rate.add_argument("--horizons", type=_int_list, default=None, metavar="LIST")
-    p_rate.add_argument("--reps", type=int, default=None)
-    p_rate.add_argument("--tol", type=float, default=None)
+    p_rate.add_argument("--tol", dest="tolerance", type=float, default=None)
 
     p_lb = sub.add_parser("lowerbound", parents=[logs], help="hard-pair floor experiment")
     common(p_lb)
@@ -80,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--c1", type=float, default=None)
     p_lb.add_argument("--c2", type=float, default=None)
     p_lb.add_argument("--n", type=int, default=None)
-    p_lb.add_argument("--reps", type=int, default=None)
 
     p_regret = sub.add_parser("regret", parents=[logs], help="cumulative-regret rate fit")
     common(p_regret)
@@ -90,49 +90,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_regret.add_argument("--estimator", choices=("one-point", "smoothing", "spsa", "rdsa", "sf"), default=None)
     p_regret.add_argument("--sigma", type=float, default=None)
     p_regret.add_argument("--horizons", type=_int_list, default=None, metavar="LIST")
-    p_regret.add_argument("--reps", type=int, default=None)
-    p_regret.add_argument("--tol", type=float, default=None)
+    p_regret.add_argument("--tol", dest="tolerance", type=float, default=None)
 
     sub.add_parser("check", parents=[logs], help="run the full property suite; exit 0 iff all pass")
     return parser
 
 
 def _load_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_json_file(args.config)
-        cfg = cfg.with_overrides(experiment=experiment)
-    else:
-        cfg = ExperimentConfig(experiment=experiment)
-    overrides = {
-        "master_seed": getattr(args, "seed", None),
-        "out": getattr(args, "out", None),
-        "workers": getattr(args, "workers", None),
-        "problem_class": getattr(args, "problem_class", None),
-        "estimator": getattr(args, "estimator", None),
-        "noise": getattr(args, "noise", None),
-        "sigma": getattr(args, "sigma", None),
-        "replications": None if experiment == "probe" else getattr(args, "reps", None),
-        "tolerance": getattr(args, "tol", None),
-        "oracle_spec": getattr(args, "oracle", None),
-        "p": getattr(args, "p", None),
-        "q": getattr(args, "q", None),
-        "c1": getattr(args, "c1", None),
-        "c2": getattr(args, "c2", None),
-        "n": getattr(args, "n", None),
-    }
-    if getattr(args, "horizons", None):
-        overrides["horizons"] = tuple(args.horizons)
-    if getattr(args, "delta_grid", None):
-        overrides["delta_grid"] = tuple(args.delta_grid)
-    if getattr(args, "reps", None) and experiment == "probe":
-        overrides["probe_reps"] = args.reps
-    return cfg.with_overrides(**overrides)
+    """The config file's fields, then every flag that was given (not None),
+    each under its ``dest``.  A regret run whose (p, q) are given and whose
+    estimator neither a flag nor the file names runs the matching cell."""
+    data = read_config_file(args.config) if args.config else {}
+    data.update((k, v) for k, v in vars(args).items() if v is not None and k not in ("command", "config", "log_level"))
+    cfg = ExperimentConfig.from_dict({**data, "experiment": experiment})
+    if experiment == "regret" and "estimator" not in data:
+        return _pick_regret_estimator(cfg)
+    return cfg
 
 
-def _pick_regret_estimator(cfg: ExperimentConfig, estimator: Optional[str]) -> ExperimentConfig:
-    """When (p, q) are given without an ``--estimator``, choose the matching
-    cell; an explicit estimator wins, and the experiment checks its (p, q)."""
-    if cfg.p is None or cfg.q is None or estimator is not None:
+def _pick_regret_estimator(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` on the estimator cell that matches its (p, q), where both are
+    given.  Only for an unnamed estimator: a named one wins, and the
+    experiment checks its (p, q)."""
+    if cfg.p is None or cfg.q is None:
         return cfg
     table = {(2.0, 2.0): "smoothing", (1.0, 2.0): "one-point"}
     est = table.get((float(cfg.p), float(cfg.q)))
@@ -162,8 +142,8 @@ def _main(args: argparse.Namespace) -> int:
     try:
         if args.command == "check":
             return run_checks()
+        cfg = _load_config(args, args.command)
         if args.command == "probe":
-            cfg = _load_config(args, "probe")
             report = probe_experiment(cfg)
             print(f"{report.experiment_id}: envelopes {'OK' if report.passed else 'VIOLATED'}")
             for row in report.details["rows"]:
@@ -174,7 +154,6 @@ def _main(args: argparse.Namespace) -> int:
                     f"{row['c2_bound']:.4g} + {SE_SLACK:g}se {SE_SLACK * row['var_se']:.2g})"
                 )
         elif args.command == "rate":
-            cfg = _load_config(args, "rate")
             report = rate_experiment(cfg)
             fit = report.fit
             print(
@@ -183,7 +162,6 @@ def _main(args: argparse.Namespace) -> int:
                 f"r^2 {fit.r_squared:.4f} -> {'PASS' if report.passed else 'FAIL'}"
             )
         elif args.command == "lowerbound":
-            cfg = _load_config(args, "lowerbound")
             report = lower_bound_experiment(cfg)
             d = report.details
             print(
@@ -193,7 +171,6 @@ def _main(args: argparse.Namespace) -> int:
                 f"{'PASS' if report.passed else 'FAIL'}"
             )
         elif args.command == "regret":
-            cfg = _pick_regret_estimator(_load_config(args, "regret"), args.estimator)
             report = regret_experiment(cfg)
             d = report.details
             print(
@@ -201,8 +178,6 @@ def _main(args: argparse.Namespace) -> int:
                 f"{d['regret_growth_exponent']:.4f} (target {d['target_growth_exponent']:.4f} "
                 f"+- {report.tolerance}) -> {'PASS' if report.passed else 'FAIL'}"
             )
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

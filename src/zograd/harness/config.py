@@ -92,8 +92,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ConfigError(f"{name}: must be positive")
-        if any(d <= 0 or d > 1 for d in self.delta_grid):
-            raise ConfigError("delta_grid: entries must lie in (0, 1]")
+        if not self.delta_grid or any(d <= 0 or d > 1 for d in self.delta_grid):
+            raise ConfigError("delta_grid: must be nonempty, with entries in (0, 1]")
         if self.probe_reps < 32:
             raise ConfigError("probe_reps: must be at least 32")
         return self
@@ -120,20 +120,18 @@ class ExperimentConfig:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file: top level must be an object")
-        return cls.from_dict(data)
-
     def with_overrides(self, **overrides: Any) -> "ExperimentConfig":
-        data = self.to_dict()
-        for key, value in overrides.items():
-            if value is not None:
-                data[key] = value
-        return ExperimentConfig.from_dict(data)
+        return ExperimentConfig.from_dict({**self.to_dict(), **overrides})
+
+
+def read_config_file(path: str | Path) -> dict[str, Any]:
+    """The fields a JSON config file sets, not yet validated: a caller can
+    tell a field the file names from a default."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config file: top level must be an object")
+    return data

@@ -22,7 +22,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -76,6 +75,14 @@ _SC_ALPHA_FLOOR = 4.0
 # one span stack per process, which the threads would interleave.
 ProcessPoolExecutor = ThreadPoolExecutor
 _SCHEMES = {"spsa": SPSA, "rdsa": RDSA, "sf": SF, "surface": SURFACE}
+# the config's problem classes, as the solver's and the hard pairs' names
+_PROBLEMS = {"convex": "convex_smooth", "sc": "strongly_convex"}
+# name -> (feedback, scheme) of an estimator cell: the config's estimators
+# but "exact", and the oracle spec's kinds with their default scheme name
+_ESTIMATORS = {"one-point": ("one_point", SPSA), "smoothing": ("one_point", SURFACE), "spsa": ("two_point", SPSA),
+               "rdsa": ("two_point", RDSA), "sf": ("two_point", SF)}
+_SPEC_KINDS = {"one-point": ("one_point", "spsa"), "smoothing": ("one_point", "surface"),
+               "two-point": ("two_point", "spsa")}
 
 
 # ---------------------------------------------------------------------------
@@ -117,25 +124,24 @@ def build_function(spec: dict, problem_class: str = "convex") -> ObjectiveFuncti
     raise ConfigError(f"function.name: unknown function {name!r}")
 
 
+def _estimator_cell(f: ObjectiveFunction, feedback: str, scheme, noise: str, sigma: float, slope: float,
+                    function_class: str = "convex_smooth") -> EstimatorOracle:
+    """The estimator oracle of one (feedback, scheme, noise) cell on f:
+    controlled noise is ``additive_controlled`` with that slope."""
+    model = additive_controlled(f, sigma, slope=slope) if noise == "controlled" else UncontrolledNoise(sigma)
+    return EstimatorOracle(target=f, scheme=scheme, noise=model, feedback=feedback, function_class=function_class)
+
+
 def build_estimator(cfg: ExperimentConfig, f: ObjectiveFunction):
-    """Map the CLI estimator names onto (feedback, scheme) pairs:
-    one-point -> one-point SPSA probes, smoothing -> surface sampling,
-    spsa/rdsa/sf -> two-point with that perturbation law."""
+    """The config's estimator cell on f (``_ESTIMATORS``): one-point ->
+    one-point SPSA probes, smoothing -> surface sampling, spsa/rdsa/sf ->
+    two-point with that perturbation law, exact -> true gradients."""
     if cfg.estimator == "exact":
         return ExactGradientOracle(f)
-    if cfg.estimator == "one-point":
-        feedback, scheme = "one_point", SPSA
-    elif cfg.estimator == "smoothing":
-        feedback, scheme = "one_point", SURFACE
-    else:
-        feedback, scheme = "two_point", _SCHEMES[cfg.estimator]
-    if cfg.noise == "controlled":
-        if feedback != "two_point":
-            raise ConfigError("noise: controlled noise requires a two-point estimator")
-        noise = additive_controlled(f, cfg.sigma, slope=cfg.noise_slope)
-    else:
-        noise = UncontrolledNoise(cfg.sigma)
-    return EstimatorOracle(target=f, scheme=scheme, noise=noise, feedback=feedback)
+    feedback, scheme = _ESTIMATORS[cfg.estimator]
+    if cfg.noise == "controlled" and feedback != "two_point":
+        raise ConfigError("noise: controlled noise requires a two-point estimator")
+    return _estimator_cell(f, feedback, scheme, cfg.noise, cfg.sigma, cfg.noise_slope)
 
 
 def sc_alpha(f: ObjectiveFunction) -> float:
@@ -197,66 +203,54 @@ class _Group:
 
 
 def _run_shard(
-    cfg: ExperimentConfig, pieces: Sequence[tuple[_Group, Sequence[int]]]
-) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Worker body: one run per stretch of a shard's group pieces
-    ``(group, reps)`` that share a kind and arm, returning each piece's
-    errors and regrets in replication order."""
-    out = []
-    for (kind, arm), stretch in groupby(pieces, key=lambda piece: (piece[0].kind, piece[0].arm)):
+    cfg: ExperimentConfig, lanes: Sequence[tuple[_Group, int]]
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Worker body: one run per stretch of lanes ``(group, rep)`` that share
+    a kind and arm, returning every lane's error and regret in lane order."""
+    errors, regrets = [], []
+    for (kind, arm), stretch in groupby(lanes, key=lambda lane: (lane[0].kind, lane[0].arm)):
         stretch = list(stretch)
         if kind == "adversarial":
             oracle, mode = AdversarialOracle(_lowerbound_pair(cfg)[arm]), "optimization"
         else:
             oracle, mode = build_estimator(cfg, build_function(cfg.function, cfg.problem_class)), kind
-        lanes = [(group, rep) for group, reps in stretch for rep in reps]
-        rngs = [RngStream(cfg.master_seed, group.stream(rep)).generator() for group, rep in lanes]
+        rngs = [RngStream(cfg.master_seed, group.stream(rep)).generator() for group, rep in stretch]
         try:
-            trace = run(oracle, [g.schedule for g, _ in lanes], max(g.n for g, _ in lanes), oracle.target.domain,
-                        Regularizer(), rng=rngs, mode=mode, horizons=[g.n for g, _ in lanes])
+            trace = run(oracle, [g.schedule for g, _ in stretch], max(g.n for g, _ in stretch), oracle.target.domain,
+                        Regularizer(), rng=rngs, mode=mode, horizons=[g.n for g, _ in stretch])
         except NonFiniteIterate as exc:
-            raise NonFiniteIterate(lanes[exc.lane][1], exc.first, exc.last) from None
-        start = 0
-        for _, reps in stretch:
-            done = slice(start, start + len(reps))
-            out.append((trace.error[done], None if trace.regret is None else trace.regret[done]))
-            start = done.stop
-    return out
+            raise NonFiniteIterate(stretch[exc.lane][1], exc.first, exc.last) from None
+        errors.append(trace.error)
+        regrets.append(trace.regret)
+    return np.concatenate(errors), None if regrets[0] is None else np.concatenate(regrets)
 
 
 def _fan_out(cfg: ExperimentConfig, groups: Sequence[_Group]) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
     """Errors and regrets of every group, replications in index order.
 
-    The replications of all groups, laid end to end, are cut into one
-    contiguous shard per worker (``cfg.workers``, at most one per
-    replication), and a worker makes one run for each oracle its shard
-    touches: one for all horizons of a rate or regret experiment, one per
-    lower-bound arm.  Several workers are threads of a pool with one thread
-    per shard; one worker runs everything in the calling thread.  The error
-    of the first shard that raises is raised here once every shard ended.
+    The replications of all groups, laid end to end as (group, rep) lanes,
+    are cut into one contiguous shard per worker (``cfg.workers``, at most
+    one per replication), and a worker makes one run for each oracle its
+    shard touches: one for all horizons of a rate or regret experiment, one
+    per lower-bound arm.  The shards' results, end to end again, are split
+    by each group's replications.  Several workers are threads of a pool
+    with one thread per shard; one worker runs everything in the calling
+    thread.  The error of the first shard that raises is raised here once
+    every shard ended.
     """
-    lanes = [(gi, rep) for gi, group in enumerate(groups) for rep in range(group.reps)]
+    lanes = [(group, rep) for group in groups for rep in range(group.reps)]
     size = -(-len(lanes) // cfg.workers)
-    shards = [
-        [(gi, [rep for _, rep in piece]) for gi, piece in groupby(lanes[i:i + size], key=itemgetter(0))]
-        for i in range(0, len(lanes), size)
-    ]
-    pieces = [[(groups[gi], reps) for gi, reps in shard] for shard in shards]
-    workers = min(cfg.workers, len(pieces))
-    if workers <= 1:
-        results = [_run_shard(cfg, shard) for shard in pieces]
+    shards = [lanes[i:i + size] for i in range(0, len(lanes), size)]
+    if len(shards) == 1:
+        results = [_run_shard(cfg, shards[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_shard, [cfg] * len(pieces), pieces))
-    errors, regrets = [[] for _ in groups], [[] for _ in groups]
-    for shard, shard_results in zip(shards, results):
-        for (gi, _), (err, reg) in zip(shard, shard_results):
-            errors[gi].append(err)
-            regrets[gi].append(reg)
-    return [
-        (np.concatenate(e), None if r[0] is None else np.concatenate(r))
-        for e, r in zip(errors, regrets)
-    ]
+        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+            results = list(pool.map(_run_shard, [cfg] * len(shards), shards))
+    cuts = np.cumsum([group.reps for group in groups])[:-1]
+    errors = np.split(np.concatenate([err for err, _ in results]), cuts)
+    if results[0][1] is None:
+        return [(err, None) for err in errors]
+    return list(zip(errors, np.split(np.concatenate([reg for _, reg in results]), cuts)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +366,7 @@ def rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         ses.append(float(errors.std(ddof=1) / math.sqrt(len(errors))) if len(errors) > 1 else 0.0)
         rows += _run_rows(experiment_id, group, raw)
     fit = fit_rate([(n, max(m, 1e-15)) for n, m in zip(cfg.horizons, means)])
-    problem = "convex_smooth" if cfg.problem_class == "convex" else "strongly_convex"
-    target = optimization_rate_exponent(problem, env.p, env.q)
+    target = optimization_rate_exponent(_PROBLEMS[cfg.problem_class], env.p, env.q)
     details = {
         "envelope": {"c1": env.c1, "p": env.p, "c2": env.c2, "q": env.q, "type": env.oracle_type},
         "per_horizon": [
@@ -407,8 +400,7 @@ def regret_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         means.append(float((regrets / max(group.n - 1, 1)).mean()))
         rows += _run_rows(experiment_id, group, errs, regrets)
     fit = fit_rate([(n, max(m, 1e-15)) for n, m in zip(cfg.horizons, means)])
-    problem = "convex_smooth" if cfg.problem_class == "convex" else "strongly_convex"
-    target_decay = regret_rate_exponent(problem, env.p, env.q)
+    target_decay = regret_rate_exponent(_PROBLEMS[cfg.problem_class], env.p, env.q)
     details = {
         "envelope": {"c1": env.c1, "p": env.p, "c2": env.c2, "q": env.q, "type": env.oracle_type},
         "per_horizon": [{"n": int(n), "mean_regret_per_round": m} for n, m in zip(cfg.horizons, means)],
@@ -426,8 +418,13 @@ def regret_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _lowerbound_pair(cfg: ExperimentConfig) -> tuple[HardInstance, HardInstance]:
-    problem = "convex_smooth" if cfg.problem_class == "convex" else "strongly_convex"
-    p, q, c1, c2 = _envelope_params(cfg)
+    """The hard pair at the optimal separation for ``cfg.n``; its envelope
+    holds the config's (p, q, c1, c2), 2, 2, 1 and 1 where unset."""
+    problem = _PROBLEMS[cfg.problem_class]
+    p = cfg.p if cfg.p is not None else 2.0
+    q = cfg.q if cfg.q is not None else 2.0
+    c1 = cfg.c1 if cfg.c1 is not None else 1.0
+    c2 = cfg.c2 if cfg.c2 is not None else 1.0
     eps = optimal_separation(problem, p, q, c1, c2, cfg.n)
     if problem == "convex_smooth" and eps >= EPS_CAP_CONVEX:
         raise ConfigError(
@@ -436,23 +433,14 @@ def _lowerbound_pair(cfg: ExperimentConfig) -> tuple[HardInstance, HardInstance]
     return hard_pair(problem, p, q, c1, c2, eps)
 
 
-def _envelope_params(cfg: ExperimentConfig) -> tuple[float, float, float, float]:
-    p = cfg.p if cfg.p is not None else 2.0
-    q = cfg.q if cfg.q is not None else 2.0
-    c1 = cfg.c1 if cfg.c1 is not None else 1.0
-    c2 = cfg.c2 if cfg.c2 is not None else 1.0
-    return p, q, c1, c2
-
-
 def lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run mirror descent against both arms of the hard pair at the optimal
     separation and check the closed-form floor from below."""
     cfg.validate()
-    problem = "convex_smooth" if cfg.problem_class == "convex" else "strongly_convex"
-    p, q, c1, c2 = _envelope_params(cfg)
     pair = _lowerbound_pair(cfg)
-    floor = minimax_lower_bound(problem, p, q, c1, c2, cfg.n)
-    experiment_id = f"lowerbound-{cfg.problem_class}-p{p}-q{q}"
+    env = pair[0].envelope
+    floor = minimax_lower_bound(pair[0].problem_class, env.p, env.q, env.c1, env.c2, cfg.n)
+    experiment_id = f"lowerbound-{cfg.problem_class}-p{env.p}-q{env.q}"
 
     reg = Regularizer()
     targets = [inst.objective() for inst in pair]
@@ -510,7 +498,7 @@ def parse_oracle_spec(spec: str):
     probe_x = np.array([float(kv.get("x", 0.25))])
 
     if kind in ("adversarial-convex", "adversarial-sc"):
-        problem = "convex_smooth" if kind.endswith("convex") else "strongly_convex"
+        problem = _PROBLEMS[kind.removeprefix("adversarial-")]
         env = OracleEnvelope(
             c1=float(kv.get("c1", 1.0)), p=float(kv.get("p", 2.0)),
             c2=float(kv.get("c2", 1.0)), q=float(kv.get("q", 2.0)),
@@ -524,26 +512,15 @@ def parse_oracle_spec(spec: str):
     )
     if kind == "exact":
         return ExactGradientOracle(f), probe_x
-    if kind == "smoothing":
-        feedback, default_scheme = "one_point", "surface"
-    elif kind == "one-point":
-        feedback, default_scheme = "one_point", "spsa"
-    elif kind == "two-point":
-        feedback, default_scheme = "two_point", "spsa"
-    else:
+    if kind not in _SPEC_KINDS:
         raise ConfigError(f"oracle_spec: unknown oracle kind {kind!r}")
+    feedback, default_scheme = _SPEC_KINDS[kind]
     scheme = _SCHEMES.get(kv.get("scheme", default_scheme))
     if scheme is None:
         raise ConfigError(f"oracle_spec: unknown scheme {kv.get('scheme')!r}")
-    sigma = float(kv.get("sigma", 1.0))
-    if kv.get("noise", "uncontrolled") == "controlled":
-        noise = additive_controlled(f, sigma)
-    else:
-        noise = UncontrolledNoise(sigma)
-    oracle = EstimatorOracle(
-        target=f, scheme=scheme, noise=noise, feedback=feedback,
-        function_class=kv.get("class", "convex_smooth"),
-    )
+    # the spec's controlled model has slope 0: the two-point difference cancels it
+    oracle = _estimator_cell(f, feedback, scheme, kv.get("noise", "uncontrolled"), float(kv.get("sigma", 1.0)),
+                             0.0, kv.get("class", "convex_smooth"))
     return oracle, probe_x
 
 

@@ -122,15 +122,6 @@ class Schedule:
         if not (0.0 < self.delta <= 1.0):
             raise DomainError(f"schedule delta must be in (0, 1], got {self.delta}")
 
-    def eta(self, t: int) -> float:
-        kind = self.eta_form[0]
-        if kind == "poly":
-            _, a, r, L, alpha = self.eta_form
-            return alpha / (a * t**r + L)
-        if kind == "inv_t":
-            return 2.0 / (self.eta_form[1] * t)
-        return self.eta_form[1]
-
     def eta_array(self, n: int, start: int = 1) -> np.ndarray:
         """eta_start .. eta_{n-1} as one vector; each entry is the same for
         every start."""

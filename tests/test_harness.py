@@ -1,3 +1,4 @@
+import argparse
 import ctypes
 import dataclasses
 import json
@@ -15,7 +16,7 @@ from zograd import _lanes
 from zograd.adversarial import HardInstance
 from zograd.core import OracleEnvelope, RngStream
 from zograd.estimators import ExactGradientOracle
-from zograd.harness.config import ConfigError, ExperimentConfig
+from zograd.harness.config import ConfigError, ExperimentConfig, read_config_file
 from zograd.harness.experiments import (
     build_estimator,
     build_function,
@@ -103,7 +104,7 @@ class TestConfig:
         )
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
-        again = ExperimentConfig.from_json_file(path)
+        again = ExperimentConfig.from_dict(read_config_file(path))
         assert again == cfg
 
     def test_unknown_field_names_path(self):
@@ -221,12 +222,15 @@ class TestExperiments:
         with pytest.raises(ConfigError, match="p:"):
             regret_experiment(cfg)
 
-    def test_explicit_regret_estimator_wins_over_p_q(self, capsys):
-        # spsa's cell has p = 1, so asking for p = q = 2 with it is bad input
-        argv = ["regret", "--estimator", "spsa", "--p", "2", "--q", "2", "--horizons", "100 200", "--reps", "2"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: p: estimator cell has p=1.0") and err.count("\n") == 1
+    @pytest.mark.parametrize("named_by", ["flag", "file"])
+    def test_explicit_regret_estimator_wins_over_p_q(self, named_by, tmp_path, capsys):
+        # spsa's cell has p = 1, so asking for p = q = 2 with it is bad input,
+        # whether the flag or the config file names it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"estimator": "spsa"}))
+        named = ["--estimator", "spsa"] if named_by == "flag" else ["--config", str(path)]
+        assert main(["regret", "--p", "2", "--q", "2", "--horizons", "100 200 400", "--reps", "2"] + named) == 2
+        assert capsys.readouterr().err == "config error: p: estimator cell has p=1.0, config asked for 2.0\n"
 
     def test_lower_bound_smoke(self, tmp_path):
         cfg = ExperimentConfig(
@@ -329,6 +333,31 @@ class TestCli:
                             + f"DEBUG:zograd.solver:run: 1 lanes, 1999 steps on the {path}\n" * 2)
         assert logging.getLogger("zograd").handlers == []  # nothing left behind
 
+    @pytest.mark.parametrize("argv, message", [
+        (["probe", "--reps", "0"], "config error: probe_reps: must be at least 32"),
+        (["probe", "--delta-grid", ""], "config error: delta_grid: must be nonempty"),
+        (["probe", "--config", "CONFIG"], "config error: delta_grid: must be nonempty"),
+        (["rate", "--horizons", "", "--reps", "1"], "config error: horizons: must be positive integers"),
+    ])
+    def test_zero_and_empty_lists_are_values(self, argv, message, tmp_path, capsys):
+        # a flag given as 0 or as an empty list, or a file's empty list, is
+        # checked like any other value, not taken for "not given"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"delta_grid": [], "probe_reps": 2000}))
+        argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+        if argv[0] == "probe":
+            argv += ["--oracle", "exact,fn=quadratic"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_every_flag_names_a_config_field(self):
+        # _load_config reads each flag's dest as the config field it sets
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        dests = {action.dest for p in (parser, *commands.values()) for action in p._actions} - {"help"}
+        assert dests - {f.name for f in dataclasses.fields(ExperimentConfig)} == {"command", "config", "log_level"}
+
     def test_bad_log_level_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["check", "--log-level", "LOUD"])
@@ -410,7 +439,7 @@ class TestLanes:
                                master_seed=5, workers=1)
         group = experiments._Group("optimization", 300, 0, 6, manual_schedule(0.1, ("const", 0.01)))
         with pytest.raises(NonFiniteIterate, match="replication 4"):
-            experiments._run_shard(cfg, [(group, range(3, 6))])
+            experiments._run_shard(cfg, [(group, rep) for rep in range(3, 6)])
 
 
 class TestRowsReplay:
@@ -454,8 +483,15 @@ class TestCommittedResults:
 
     @pytest.mark.parametrize("name", ["lowerbound_convex", "lowerbound_sc"])
     def test_acceptance_lowerbound_reproduces_its_files(self, tmp_path, name, capsys):
-        # the argument vector the acceptance script runs, writing to tmp_path
-        argv = next(a for a in _acceptance_invocations() if a[-1].endswith(f"{name}.csv"))
+        self._reproduces("run_acceptance", name, tmp_path)
+
+    @pytest.mark.parametrize("name", [f"probe_{i}" for i in range(7)])
+    def test_probe_envelopes_reproduces_its_files(self, tmp_path, name, capsys):
+        self._reproduces("probe_envelopes", name, tmp_path)
+
+    def _reproduces(self, script: str, name: str, tmp_path: Path) -> None:
+        # the argument vector the script runs, writing to tmp_path
+        argv = next(a for a in _script_invocations(script) if a[-1].endswith(f"{name}.csv"))
         out = tmp_path / f"{name}.csv"
         assert main(argv[:-1] + [str(out)]) == 0
         assert out.read_bytes() == (self.RESULTS / f"{name}.csv").read_bytes()
@@ -466,11 +502,11 @@ class TestCommittedResults:
         assert fresh == committed
 
 
-def _acceptance_invocations() -> list[list[str]]:
+def _script_invocations(script: str) -> list[list[str]]:
     import importlib.util
 
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_acceptance.py"
-    spec = importlib.util.spec_from_file_location("run_acceptance", path)
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{script}.py"
+    spec = importlib.util.spec_from_file_location(script, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.INVOCATIONS

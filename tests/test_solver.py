@@ -128,13 +128,13 @@ class TestSchedules:
 
     def test_opt_convex_exact_oracle(self):
         s = schedule_opt_convex(2.0, 2.0, 0.0, 0.0, 2.0, 1.0, 1.0, 1000)
-        assert s.eta(1) == pytest.approx(1.0)  # alpha / L
+        assert s.eta_array(2)[0] == pytest.approx(1.0)  # alpha / L
 
     def test_opt_sc_precondition(self):
         # alpha*mu must clear 2L for the step accounting to start at t = 1
         s = schedule_opt_sc(2.0, 2.0, 1.0, 1.0, 2.0, 4.0, 1.0, 1.0, 1000)
-        assert s.eta(1) == pytest.approx(2.0)
-        assert s.eta(10) == pytest.approx(0.2)
+        assert s.eta_array(11)[0] == pytest.approx(2.0)
+        assert s.eta_array(11)[9] == pytest.approx(0.2)
         with pytest.raises(DomainError):
             schedule_opt_sc(2.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1000)
 
