@@ -1,4 +1,4 @@
-/* zograd's lane loop (solver.run) in C, one call per chunk of steps.
+/* zograd's lane loop (solver.run) in C, one call per run.
 
    Mirror descent on a 1-d box against one of two kinds of oracle:
 
@@ -15,12 +15,18 @@
 
    A run is stated once, in its flag bits (the oracle's formula and draws,
    and the run's mode), its formula data, and one row per lane of the
-   lane's constants and generators (struct lane, _lanes.LaneRun).
-   zg_lane_chunk fills the chunk's draws of every lane (zg_lane_draws) and
-   then advances every lane through its m steps, all lanes one step at a
-   time; a lane whose horizon falls inside the chunk stops there.  The
-   draws are the ones solver.run would feed oracle.estimate, stacked
-   (steps, lanes, ...) as _next_chunk stacks them.
+   lane's constants, step sizes and generators (struct lane,
+   _lanes.LaneRun).  zg_lane_run advances every lane from step 1 to its
+   horizon in chunks of steps: it fills a chunk's draws of every lane
+   (zg_lane_draws) and then advances every lane through the chunk, all
+   lanes one step at a time, so that numpy's tanh loop gets every lane's
+   arguments of a step in one call; a lane whose horizon falls inside the
+   chunk stops there and leaves the table after it.  After each chunk it
+   checks, as solver.run does, that every lane's steps, sum and regret are
+   finite and then that every evaluation point lay within its lane's
+   vicinity tolerance, and stops at the first fault.  The draws are the
+   ones solver.run would feed oracle.estimate, stacked (steps, lanes, ...)
+   as _next_chunk stacks them.
 
    Each value is computed with the operations, and in the order, of the
    numpy code it replaces, so that compiled without contraction or
@@ -32,7 +38,7 @@
    and numpy/ufuncobject.h, the library holds the d->d inner loop of
    np.tanh, read from the ufunc once when it loads (zg_bind_tanh), and at
    each step applies it to the tanh arguments of every lane, written into
-   one buffer.  The loop touches no Python object, so a whole chunk runs
+   one buffer.  The loop touches no Python object, so a whole run goes
    without the interpreter lock.  Built without ZG_UFUNC, the kernel has no
    tanh and takes no SOFTABS cell.  The minima, maxima and clamps keep a
    NaN, as np.minimum and np.maximum do.
@@ -112,7 +118,6 @@ enum {
     TWO_POINT = 1,   /* two arms, du and xi hold (+, -) pairs */
     EVAL_POINT = 2,  /* the evaluation point is y = x + du, else x */
     CONTROLLED = 4,  /* xi holds one psi per step, shared by both arms */
-    LANE_ETA = 8,    /* eta is (steps, lanes), else one eta per step */
     REGRET = 16,     /* accumulate the loss of each round into regret */
     AT_X = 32,       /* a closed-form reply at y = x, not an estimator */
     SOFTABS = 64,    /* AT_X: the softabs pair, else the strongly convex one */
@@ -130,9 +135,22 @@ struct lane {
     double weight;          /* the weight over delta: 1/delta, or 0.5/delta for two arms */
     double scale;           /* the scale of its noise */
     double shift;           /* the adversarial shift min(eps, c1*delta^p) */
+    double tol;             /* the largest |y - x| accepted: its schedule's delta up to roundoff */
+    const double *eta;      /* its schedule's step sizes eta_1, eta_2, ... */
     long left;              /* the steps it has still to take */
+    long index;             /* its row of x, sum_x and regret */
     bitgen_t *dir, *noise;  /* the generators of its directions and of its noise */
 };
+
+/* The first fault of a run, as _lanes.FAULT: a lane whose steps, sum or
+   regret went non-finite within the chunk of steps first..last, or a lane
+   whose evaluation point lay dist from x at step first, beyond its tol */
+struct fault {
+    long lane, first, last;
+    double dist;
+};
+
+enum { NONFINITE = 1, ESCAPED = 2 };
 
 double random_standard_normal(bitgen_t *bitgen_state);
 void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng, intptr_t cnt,
@@ -323,13 +341,15 @@ static void widths(long flags, long *width)
     width[2] = (flags & AT_X) ? ((flags & NOISE) ? 1 : 0) : (flags & CONTROLLED) ? 1 : arms;
 }
 
-/* The doubles of scratch that zg_lane_chunk needs for m steps of lanes lanes */
+/* The doubles of scratch that zg_lane_run needs for chunks of m steps of
+   lanes lanes: a chunk's draws, then its variates or the tanh arguments of
+   a step, then one finiteness flag per lane */
 long zg_scratch(long m, long lanes, long flags)
 {
     long width[3];
     widths(flags, width);
     const long draws = (width[0] + width[1] + width[2]) * m * lanes, variates = (width[2] > 1 ? 2 : 1) * m;
-    return draws + (variates > 2 * lanes ? variates : 2 * lanes);
+    return draws + (variates > 2 * lanes ? variates : 2 * lanes) + lanes;
 }
 
 /* One chunk of m steps' draws of every lane, written to out as _next_chunk
@@ -418,94 +438,130 @@ static double at_x(long flags, const double *c, double xv, double shift, const d
     return xv > 0 ? lowered : nan_max(lowered, g_plus + shift);
 }
 
-/* Advance every lane of the table lane through the next m steps of its run,
-   after filling their draws (zg_lane_draws) into scratch, which holds
+/* Keep the lanes of the table that have steps left, in order; returns their count */
+static long keep_live(long lanes, struct lane *lane)
+{
+    long kept = 0;
+    for (long i = 0; i < lanes; i++)
+        if (lane[i].left > 0)
+            lane[kept++] = lane[i];
+    return kept;
+}
+
+/* Run every lane of the table lane to its horizon, in chunks of at most m
+   steps, each filled first (zg_lane_draws) into scratch, which holds
    zg_scratch(m, lanes, flags) values.  c holds lower, upper, f_star, then
    the oracle's formula data: ca, cb, cc, sigma, slope for an estimator, v,
-   eps for AT_X.  A lane takes min(m, left) steps and left goes down by as
-   many; steps[k] receives eta*G and, for an estimator, offsets[k] receives
-   y - x, k = step*lanes + lane, and both are 0 after the lane's last step.
-   For SOFTABS, the lanes' tanh arguments (two per lane for the adversarial
-   reply, at +1 and -1, one for the exact gradient) are written after the
-   draws in scratch, and numpy's loop replaces them with their tanh in
-   place. */
-void zg_lane_chunk(long m, long lanes, long flags, const double *c, struct lane *lane, const double *eta,
-                   double *x, double *sum_x, double *regret, double *steps, double *offsets, double *scratch)
+   eps for AT_X.  Lane i takes its left steps, the step at t with step size
+   eta[t - 1], and updates x, sum_x and regret at its index, which are then
+   its values at its horizon.  For SOFTABS, the lanes' tanh arguments of a
+   step (two per lane for the adversarial reply, at +1 and -1, one for the
+   exact gradient) are written after the draws in scratch, and numpy's loop
+   replaces them with their tanh in place.  The table is left holding the
+   lanes that were still running when the run ended.  Returns 0, or the
+   kind of the first fault, written to fault: after each chunk, the first
+   lane, in the table's order, whose steps eta*G, sum or regret are not
+   all finite (NONFINITE), else, for an estimator, the first step and lane
+   whose |y - x| exceeds the lane's tol (ESCAPED). */
+long zg_lane_run(long m, long lanes, long flags, const double *c, struct lane *lane, double *x, double *sum_x,
+                 double *regret, double *scratch, struct fault *fault)
 {
     long width[3];
     widths(flags, width);
-    const double *du = scratch, *w = du + width[0] * m * lanes, *xi = w + width[1] * m * lanes;
-    double *targs = scratch + zg_lane_draws(m, lanes, flags, lane, scratch);
+    bool *finite = (bool *)(scratch + zg_scratch(m, lanes, flags) - lanes);
     const double lo = c[0], hi = c[1], f_star = c[2];
     const double *q = c + 3;
     const long tw = !(flags & SOFTABS) ? 0 : (flags & SHIFTED) ? 2 : 1;  /* tanh arguments per lane */
-    for (long j = 0; j < m; j++) {
-#ifdef ZG_UFUNC
-        if (flags & SOFTABS) {
-            const double v = q[0], half_inv = 0.5 / q[1];
-            for (long i = 0; i < lanes; i++) {
-                if (flags & SHIFTED) {
-                    targs[2 * i] = (x[i] - 1.0) * half_inv;
-                    targs[2 * i + 1] = (x[i] - -1.0) * half_inv;
-                } else {
-                    targs[i] = (x[i] - v) * half_inv;
-                }
-            }
-            numpy_tanh(tw * lanes, targs);
-        }
-#endif
+    for (long t = 0; (lanes = keep_live(lanes, lane)) > 0;) {
+        long mc = 0;  /* the chunk's steps: the most a lane has left, at most m */
         for (long i = 0; i < lanes; i++) {
-            const long k = j * lanes + i;
-            if (j >= lane[i].left) {  /* past the lane's horizon */
-                steps[k] = 0.0;
-                if (!(flags & AT_X))
-                    offsets[k] = 0.0;
-                continue;
-            }
-            const double xv = x[i];
-            double g, y = xv, loss = 0.0;
-            if (flags & AT_X) {
-                const double *t = targs + tw * i;
-                g = (flags & SHIFTED) ? at_x(flags, q, xv, lane[i].shift, t) + xi[k] : at_x(flags, q, xv, 0.0, t);
-            } else if (!(flags & TWO_POINT)) {
-                const double yp = xv + du[k], fy = quad(q, yp);
-                g = (fy + xi[k]) * w[k];
-                y = (flags & EVAL_POINT) ? yp : xv;
-                loss = (flags & EVAL_POINT) ? fy : quad(q, xv);
-            } else {
-                const double yp = xv + du[2 * k], ym = xv + du[2 * k + 1];
-                const double fp = quad(q, yp), fm = quad(q, ym);
-                double zp, zm;
-                if (flags & CONTROLLED) {
-                    const double sp = q[3] * xi[k], slope = q[4];
-                    zp = fp + sp * (1.0 + slope * yp);
-                    zm = fm + sp * (1.0 + slope * ym);
-                } else {
-                    zp = fp + xi[2 * k];
-                    zm = fm + xi[2 * k + 1];
-                }
-                g = (zp - zm) * w[k];
-                y = (flags & EVAL_POINT) ? yp : xv;
-                if ((flags & EVAL_POINT) && !(flags & CONTROLLED))
-                    loss = 0.5 * (fp + fm);
-                else
-                    loss = 0.5 * (quad(q, y) + quad(q, 2.0 * xv - y));
-            }
-            if (flags & REGRET)
-                regret[i] += loss - f_star;
-            const double step = ((flags & LANE_ETA) ? eta[k] : eta[j]) * g;
-            steps[k] = step;
-            if (!(flags & AT_X))
-                offsets[k] = y - xv;
-            double v = xv - step;
-            if (v < lo)
-                v = lo;
-            if (v > hi)
-                v = hi;
-            x[i] = v;
-            sum_x[i] += v;
+            mc = lane[i].left > mc ? lane[i].left : mc;
+            finite[i] = true;
         }
+        mc = mc < m ? mc : m;
+        const double *du = scratch, *w = du + width[0] * mc * lanes, *xi = w + width[1] * mc * lanes;
+        double *targs = scratch + zg_lane_draws(mc, lanes, flags, lane, scratch);
+        struct fault escaped = {-1, 0, 0, 0.0};
+        for (long j = 0; j < mc; j++) {
+#ifdef ZG_UFUNC
+            if (flags & SOFTABS) {
+                const double v = q[0], half_inv = 0.5 / q[1];
+                for (long i = 0; i < lanes; i++) {
+                    const double xv = x[lane[i].index];
+                    if (flags & SHIFTED) {
+                        targs[2 * i] = (xv - 1.0) * half_inv;
+                        targs[2 * i + 1] = (xv - -1.0) * half_inv;
+                    } else {
+                        targs[i] = (xv - v) * half_inv;
+                    }
+                }
+                numpy_tanh(tw * lanes, targs);
+            }
+#endif
+            for (long i = 0; i < lanes; i++) {
+                const struct lane *l = lane + i;
+                if (j >= l->left)  /* past the lane's horizon */
+                    continue;
+                const long k = j * lanes + i, r = l->index;
+                const double xv = x[r];
+                double g, y = xv, loss = 0.0;
+                if (flags & AT_X) {
+                    const double *tv = targs + tw * i;
+                    g = (flags & SHIFTED) ? at_x(flags, q, xv, l->shift, tv) + xi[k] : at_x(flags, q, xv, 0.0, tv);
+                } else if (!(flags & TWO_POINT)) {
+                    const double yp = xv + du[k], fy = quad(q, yp);
+                    g = (fy + xi[k]) * w[k];
+                    y = (flags & EVAL_POINT) ? yp : xv;
+                    loss = (flags & EVAL_POINT) ? fy : quad(q, xv);
+                } else {
+                    const double yp = xv + du[2 * k], ym = xv + du[2 * k + 1];
+                    const double fp = quad(q, yp), fm = quad(q, ym);
+                    double zp, zm;
+                    if (flags & CONTROLLED) {
+                        const double sp = q[3] * xi[k], slope = q[4];
+                        zp = fp + sp * (1.0 + slope * yp);
+                        zm = fm + sp * (1.0 + slope * ym);
+                    } else {
+                        zp = fp + xi[2 * k];
+                        zm = fm + xi[2 * k + 1];
+                    }
+                    g = (zp - zm) * w[k];
+                    y = (flags & EVAL_POINT) ? yp : xv;
+                    if ((flags & EVAL_POINT) && !(flags & CONTROLLED))
+                        loss = 0.5 * (fp + fm);
+                    else
+                        loss = 0.5 * (quad(q, y) + quad(q, 2.0 * xv - y));
+                }
+                if (flags & REGRET)
+                    regret[r] += loss - f_star;
+                const double step = l->eta[t + j] * g;
+                if (!isfinite(step))
+                    finite[i] = false;
+                if (!(flags & AT_X) && escaped.lane < 0 && fabs(y - xv) > l->tol)  /* false for a NaN */
+                    escaped = (struct fault){r, t + j + 1, t + j + 1, fabs(y - xv)};
+                double v = xv - step;
+                if (v < lo)
+                    v = lo;
+                if (v > hi)
+                    v = hi;
+                x[r] = v;
+                sum_x[r] += v;
+            }
+        }
+        for (long i = 0; i < lanes; i++) {
+            const long r = lane[i].index;
+            if (!(finite[i] && isfinite(sum_x[r]) && isfinite(regret[r]))) {
+                *fault = (struct fault){r, t + 1, t + mc, 0.0};
+                return NONFINITE;
+            }
+        }
+        if (escaped.lane >= 0) {
+            *fault = escaped;
+            return ESCAPED;
+        }
+        for (long i = 0; i < lanes; i++)
+            lane[i].left -= lane[i].left < mc ? lane[i].left : mc;
+        t += mc;
     }
-    for (long i = 0; i < lanes; i++)
-        lane[i].left -= lane[i].left < m ? lane[i].left : m;
+    return 0;
 }

@@ -29,14 +29,16 @@ DEBUG and those runs take the numpy loop.
 
 A kernel run is a ``LaneRun``, which ``lane_run()`` builds where the
 kernel covers the run, from the oracle's ``lane_spec()`` (``LaneSpec``).
-Each chunk is one library call that fills the chunk's draws in C, with
-numpy's samplers, and advances every lane.  Its normals take numpy's
-ziggurat fast path inline, with the tables read out of numpy's own sampler
-when the library loads and every other draw handed back to that sampler;
-the fill is checked against numpy's normals then (``NORMAL_PREMISE``).
-Where the tables cannot be read or the check fails, every normal is handed
-to numpy's sampler and the fill is checked again; the reason is logged
-once at DEBUG, and where the second check fails too there is no kernel.
+The whole run is one library call, which advances every lane to its
+horizon chunk by chunk, fills each chunk's draws in C with numpy's
+samplers, and checks each chunk as the numpy loop does.  Its normals take
+numpy's ziggurat fast path inline, with the tables read out of numpy's own
+sampler when the library loads and every other draw handed back to that
+sampler; the fill is checked against numpy's normals then
+(``NORMAL_PREMISE``).  Where the tables cannot be read or the check fails,
+every normal is handed to numpy's sampler and the fill is checked again;
+the reason is logged once at DEBUG, and where the second check fails too
+there is no kernel.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import STEPS_PER_CHUNK, Box
+from .core import STEPS_PER_CHUNK, Box, vicinity_tolerance
 
 _log = logging.getLogger(__name__)
 
@@ -72,13 +74,17 @@ PYTHON_H = (Path(sys.base_prefix) / "include" / f"python{sys.version_info[0]}.{s
 UFUNCOBJECT_H = Path(np.get_include()) / "numpy" / "ufuncobject.h"
 TANH_SIGNATURE = "d->d"
 
-# flag bits of zg_lane_chunk, as in _lanes.c: the oracle's formula and draws, and the run's mode
-TWO_POINT, EVAL_POINT, CONTROLLED, LANE_ETA, REGRET = 1, 2, 4, 8, 16
+# flag bits of zg_lane_run, as in _lanes.c: the oracle's formula and draws, and the run's mode
+TWO_POINT, EVAL_POINT, CONTROLLED, REGRET = 1, 2, 4, 16
 AT_X, SOFTABS, SHIFTED, NOISE, SIGNS, UNIT, PLAIN = 32, 64, 128, 256, 512, 1024, 2048
 LONG = np.dtype(ctypes.c_long)  # the kernel's integers
 # a lane of a kernel run, as struct lane in _lanes.c
-LANE = np.dtype([("delta", float), ("weight", float), ("scale", float), ("shift", float), ("left", LONG),
-                 ("dir", np.uintp), ("noise", np.uintp)], align=True)
+LANE = np.dtype([("delta", float), ("weight", float), ("scale", float), ("shift", float), ("tol", float),
+                 ("eta", np.uintp), ("left", LONG), ("index", LONG), ("dir", np.uintp), ("noise", np.uintp)],
+                align=True)
+# the first fault of a kernel run, as struct fault in _lanes.c, and its kinds
+FAULT = np.dtype([("lane", LONG), ("first", LONG), ("last", LONG), ("dist", float)], align=True)
+NONFINITE, ESCAPED = 1, 2
 # (seed, count) of the normals the inline normal fill is checked on when the
 # library loads: the first normal of default_rng(seed) is drawn in strip 1 of
 # numpy's ziggurat, which numpy's tables send to the slow path every time,
@@ -118,8 +124,9 @@ class _Library:
     def __init__(self, lib, ufunc: bool):
         doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
         table, longs = np.ctypeslib.ndpointer(LANE, flags="C_CONTIGUOUS"), [ctypes.c_long] * 3
+        fault = np.ctypeslib.ndpointer(FAULT, flags="C_CONTIGUOUS")
         self.lib, self.ufunc, self.tanh = lib, ufunc, None
-        self.chunk = _declare(lib.zg_lane_chunk, longs + [doubles, table] + [doubles] * 5 + [ctypes.c_void_p, doubles])
+        self.run = _declare(lib.zg_lane_run, longs + [doubles, table] + [doubles] * 4 + [fault], ctypes.c_long)
         self.fill = _declare(lib.zg_lane_draws, longs + [table, doubles], ctypes.c_long)
         self.skip = _declare(lib.zg_skip, [ctypes.c_void_p] + longs + [doubles])
         self.scratch = _declare(lib.zg_scratch, longs, ctypes.c_long)
@@ -137,10 +144,10 @@ _loading = threading.Lock()
 
 
 def kernel() -> Optional[Callable]:
-    """``zg_lane_chunk`` of the compiled library, or None where it cannot
-    be built or loaded.  Built and loaded on the first call only."""
+    """``zg_lane_run`` of the compiled library, or None where it cannot be
+    built or loaded.  Built and loaded on the first call only."""
     loaded = _library()
-    return None if loaded is None else loaded.chunk
+    return None if loaded is None else loaded.run
 
 
 def tanh_bound() -> bool:
@@ -250,46 +257,62 @@ def lane_run(oracle, body, regret: bool, rngs: Sequence[np.random.Generator], ho
         return None
     if not (spec.flags & AT_X or getattr(oracle, "vicinity_norm", None)):  # the kernel writes y - x
         return None
-    chunk = kernel()
-    if chunk is None or (spec.flags & SOFTABS and not tanh_bound()):
+    advance = kernel()
+    if advance is None or (spec.flags & SOFTABS and not tanh_bound()):
         return None
-    return LaneRun(chunk, spec, regret, body, oracle.target.f_star, rngs, [h - 1 for h in horizons],
-                   [s.delta for s in schedules])
+    return LaneRun(advance, spec, regret, body, oracle.target.f_star, rngs, horizons, schedules)
 
 
 class LaneRun:
-    """A run on the compiled lane kernel (see ``lane_run``).  Each chunk of
-    steps is one call of ``chunk``, ``zg_lane_chunk``, which fills the
-    chunk's draws in C and advances the kept lanes.  Every value, and every
-    generator's final state, is that of the numpy loop fed by the steppers
-    ``make_stepper(end, delta, rng)`` of an oracle whose ``lane_spec()`` is
-    ``spec``.
+    """A run on the compiled lane kernel (see ``lane_run``): one call of
+    ``advance``, ``zg_lane_run``, which runs every lane to its horizon in
+    chunks of ``STEPS_PER_CHUNK`` steps, filling each chunk's draws in C.
+    Every value, every fault it reports, and every generator's final state
+    are those of the numpy loop fed by the steppers
+    ``make_stepper(h - 1, schedule.delta, rng)`` of an oracle whose
+    ``lane_spec()`` is ``spec``.
 
-    Its state is one ``LANE`` row per kept lane: the lane's delta, its
-    weight over delta, noise scale and shift, computed once from its delta,
-    the steps it has left, and its generators.  Directions read each lane's
-    own generator.  Noise reads it too where there are no directions;
-    otherwise it reads a copy made here and skipped in C past the lane's
-    ``end`` directions, as ``core.draw_chunks`` skips its copy."""
+    Its state is one ``LANE`` row per lane: the lane's delta, its weight
+    over delta, noise scale and shift, computed once from its delta, the
+    vicinity tolerance of its schedule's delta, its schedule's step sizes,
+    the steps it has left, its row of the run's arrays, and its
+    generators.  The step sizes are ``eta_array`` of each distinct
+    schedule, computed once to the longest horizon of its lanes.
+    Directions read each lane's own generator.  Noise reads it too where
+    there are no directions; otherwise it reads a copy made here and
+    skipped in C past the lane's directions, as ``core.draw_chunks`` skips
+    its copy."""
 
-    def __init__(self, chunk: Callable, spec: LaneSpec, regret: bool, body: Box, f_star: float,
-                 rngs: Sequence[np.random.Generator], ends: Sequence[int], deltas: Sequence[float]):
+    def __init__(self, advance: Callable, spec: LaneSpec, regret: bool, body: Box, f_star: float,
+                 rngs: Sequence[np.random.Generator], horizons: Sequence[int], schedules):
         lib = _library()
-        self._chunk, self._fill = chunk, lib.fill
+        self._advance, self._fill = advance, lib.fill
         self._flags = spec.flags | (REGRET if regret else 0) | (NOISE if spec.noise else 0) | (
             SHIFTED if spec.shift else 0)
         self._data = np.array([body.lower[0], body.upper[0], f_star, *spec.data])
         self._scratch = np.empty(lib.scratch(STEPS_PER_CHUNK, len(rngs), self._flags))
         self._gens = [g.bit_generator for g in rngs]  # kept alive while C holds their pointers
+        # each distinct schedule's step sizes, once, to the longest horizon of its lanes
+        distinct = {id(s): s for s in schedules}
+        longest = dict.fromkeys(distinct, 1)
+        for s, h in zip(schedules, horizons):
+            longest[id(s)] = max(longest[id(s)], h)
+        etas = [distinct[key].eta_array(h) for key, h in longest.items()]
+        self._eta = np.concatenate(etas)  # kept alive while C reads it
+        starts = np.cumsum([0] + [e.size for e in etas[:-1]])
+        address = dict(zip(longest, self._eta.ctypes.data + self._eta.itemsize * starts))
+        deltas = [s.delta for s in schedules]
         table = self._table = np.zeros(len(rngs), LANE)
-        table["delta"], table["left"] = deltas, ends
+        table["delta"], table["left"], table["index"] = deltas, [h - 1 for h in horizons], range(len(rngs))
+        table["tol"] = vicinity_tolerance(table["delta"])
+        table["eta"] = [address[id(s)] for s in schedules]
         table["weight"] = [spec.weight / d for d in deltas]
         for name, of in (("scale", spec.noise), ("shift", spec.shift)):
             if of:
                 table[name] = [of(d) for d in deltas]
         table["dir"] = table["noise"] = [_address(bg) for bg in self._gens]
         if self._flags & (SIGNS | UNIT | PLAIN) and spec.noise:
-            for i, (bg, end) in enumerate(zip(self._gens[:len(rngs)], ends)):
+            for i, (bg, end) in enumerate(zip(self._gens[:len(rngs)], table["left"].tolist())):
                 if end < 1:  # a lane that takes no step draws nothing
                     continue
                 ahead = type(bg)(0)  # seeded only to take the state: cheaper than copy.deepcopy
@@ -298,26 +321,25 @@ class LaneRun:
                 table["noise"][i] = _address(ahead)
                 lib.skip(int(table["noise"][i]), self._flags, end, STEPS_PER_CHUNK, self._scratch)
 
-    def retain(self, keep: np.ndarray) -> None:
-        """Keep only the lanes where ``keep`` is true, in order."""
-        self._table = self._table[keep]
-
-    def step(self, eta: np.ndarray, x: np.ndarray, sum_x: np.ndarray, regret: np.ndarray, steps: np.ndarray,
-             offsets: Optional[np.ndarray]) -> None:
-        """Advance the kept lanes through the next len(eta) steps, eta one
-        step size per step or a (steps, lanes, 1) array of them, updating
-        their iterates x, sums sum_x and regrets in place.  A lane stops at
-        its horizon, so that its sum and regret are then those at its last
-        step.  ``steps`` receives each step's eta*G and ``offsets`` each
-        step's y - x for an estimator (None for an oracle that answers at
-        x), laid out (steps, lanes, 1), and both are 0 after a lane's last
-        step."""
-        flags = self._flags | (LANE_ETA if eta.ndim > 1 else 0)
-        self._chunk(len(eta), self._table.size, flags, self._data, self._table, eta, x, sum_x, regret, steps,
-                    None if offsets is None else offsets.ctypes.data, self._scratch)
+    def run(self, x: np.ndarray, sum_x: np.ndarray, regret: np.ndarray) -> Optional[tuple]:
+        """Run every lane to its horizon, updating its iterate, sum and
+        regret, rows of the (lanes, 1) arrays x, sum_x and regret, in place,
+        so that its sum and regret are then those at its last step.  Returns
+        None, or the first fault, as the numpy loop finds it after each
+        chunk: (``NONFINITE``, lane, the chunk's first and last steps, 0.0)
+        for a lane whose steps eta*G, sum or regret went non-finite, else
+        (``ESCAPED``, lane, step, step, |y - x|) for an evaluation point
+        beyond the lane's vicinity tolerance.  The run then stops.  Call it
+        once."""
+        if not x.size == sum_x.size == regret.size == self._table.size:  # C writes one row per lane
+            raise ValueError(f"x, sum_x and regret must hold one row per lane, {self._table.size}")
+        fault = np.zeros(1, FAULT)
+        kind = self._advance(STEPS_PER_CHUNK, self._table.size, self._flags, self._data, self._table, x, sum_x,
+                             regret, self._scratch, fault)
+        return None if kind == 0 else (kind, *fault[0].tolist())
 
     def draws(self, m: int) -> np.ndarray:
-        """The next m steps' draws of the kept lanes as ``step`` fills them
+        """The next m steps' draws of the lanes as ``run`` fills a chunk's
         (``zg_lane_draws``): du, w and xi one after the other, each flat in
         the layout of ``solver._next_chunk``.  A view of the run's scratch,
         valid until the next chunk is drawn."""

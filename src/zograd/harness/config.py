@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ConfigError(f"replications: at most {1 << REP_BITS}, or stream ids would collide")
         if self.workers < 1:
             raise ConfigError("workers: must be a positive integer")
+        if self.experiment == "probe" and self.workers != 1:
+            raise ConfigError("workers: a probe runs on one thread, so must be 1")
         if self.n < 1:
             raise ConfigError("n: must be a positive integer")
         if self.tolerance <= 0:

@@ -135,12 +135,13 @@ def _estimator_cell(f: ObjectiveFunction, feedback: str, scheme, noise: str, sig
 def build_estimator(cfg: ExperimentConfig, f: ObjectiveFunction):
     """The config's estimator cell on f (``_ESTIMATORS``): one-point ->
     one-point SPSA probes, smoothing -> surface sampling, spsa/rdsa/sf ->
-    two-point with that perturbation law, exact -> true gradients."""
-    if cfg.estimator == "exact":
-        return ExactGradientOracle(f)
-    feedback, scheme = _ESTIMATORS[cfg.estimator]
+    two-point with that perturbation law, exact -> true gradients.
+    Controlled noise needs a two-point estimator."""
+    feedback, scheme = _ESTIMATORS.get(cfg.estimator, (None, None))
     if cfg.noise == "controlled" and feedback != "two_point":
         raise ConfigError("noise: controlled noise requires a two-point estimator")
+    if cfg.estimator == "exact":
+        return ExactGradientOracle(f)
     return _estimator_cell(f, feedback, scheme, cfg.noise, cfg.sigma, cfg.noise_slope)
 
 

@@ -457,11 +457,12 @@ def _check_vicinity(offsets: np.ndarray, delta, norm: Norm, live: np.ndarray, fi
     bad = dist > vicinity_tolerance(delta if np.ndim(delta) == 0 else delta[:, 0])
     if bad.any():
         step, row = np.argwhere(bad)[0]
-        lane_delta = delta if np.ndim(delta) == 0 else delta[row, 0]
-        raise DomainError(
-            f"lane {live[row]}: evaluation point escaped the delta-vicinity at step {first + step}: "
-            f"||x-y||={dist[step, row]} > {lane_delta}"
-        )
+        raise _escaped(live[row], first + step, dist[step, row], delta if np.ndim(delta) == 0 else delta[row, 0])
+
+
+def _escaped(lane: int, step: int, dist: float, delta: float) -> DomainError:
+    return DomainError(f"lane {lane}: evaluation point escaped the delta-vicinity at step {step}: "
+                       f"||x-y||={dist} > {delta}")
 
 
 def run(
@@ -501,17 +502,19 @@ def run(
     its chunk.
 
     A run that is not recorded, where ``_lanes.lane_run`` builds a
-    ``LaneRun`` for it, advances each chunk in one call of the compiled
-    kernel of ``_lanes.c``, which fills the chunk's draws in C from each
-    lane's generator with numpy's own samplers and computes the same values
-    bit for bit, leaving each generator in the same state: on a 1-d box,
-    where every lane has a generator of its own, estimator oracles of a
+    ``LaneRun`` for it, is one call of the compiled kernel of ``_lanes.c``.
+    The call runs every lane to its horizon in the same chunks, fills each
+    chunk's draws in C from each lane's generator with numpy's own
+    samplers, computes the same values bit for bit, checks each chunk as
+    the numpy loop does, so that the run raises the same error, and leaves
+    each generator in the same state.  It covers runs on a 1-d box, where
+    every lane has a generator of its own: estimator oracles of a
     1-d quadratic in either mode, and, in optimization mode, the
     adversarial and exact-gradient oracles of an arm of a hard pair (for
     the softabs pair, with numpy's own tanh loop, called from C), each as
     its ``lane_spec()`` states it.  There a lane stops at its horizon
     instead of taking zero draws.  Other runs, and every run where the
-    kernel does not load, take the numpy loop.  A kernel call holds no
+    kernel does not load, take the numpy loop.  The kernel call holds no
     interpreter lock, so runs on several threads run in parallel.  Which
     path ran is logged at DEBUG.
 
@@ -566,52 +569,49 @@ def run(
                "compiled lane kernel")
 
     x = np.tile(x0.astype(float), (lanes, 1))
-    sum_x = x.copy()
-    regret = np.zeros((lanes, 1))
     # each lane's sum and regret at its horizon; lanes of horizon 1 take no step
-    sums, regrets = sum_x.copy(), regret.copy()
-    # the lanes short of their horizon, in the order of the rows of x
-    live, ends = np.arange(lanes), np.array(horizon) - 1
-    # each step's eta*G and y - x, laid out (steps, lanes, d) for the live lanes
-    steps = np.empty(min(STEPS_PER_CHUNK, n - 1) * lanes * x0.size)
-    offsets = None if norm is None else np.empty(steps.size)
-    if record:
-        xs = np.full((n, lanes, x0.size), np.nan)
-        ys, gs = np.full((n - 1, lanes, x0.size), np.nan), np.full((n - 1, lanes, x0.size), np.nan)
-        losses_x, losses_y = np.full((n, lanes), np.nan), np.full((n - 1, lanes), np.nan)
-        xs[0], losses_x[0] = x, value(x)[:, 0]
-    t = 0
-    for m in chunk_sizes(n - 1):
-        # lanes whose horizon has passed leave the state at the next chunk
-        keep = ends[live] > t
-        if not keep.all():
-            live, x, sum_x, regret = live[keep], x[keep], sum_x[keep], regret[keep]
-            if kernel is None:
+    sums, regrets = x.copy(), np.zeros((lanes, 1))
+    if kernel is not None:
+        fault = kernel.run(x, sums, regrets)
+        if fault is not None:
+            kind, lane, first, last, dist = fault
+            if kind == _lanes.NONFINITE:
+                raise NonFiniteIterate(lane, first, last)
+            raise _escaped(lane, first, dist, schedules[lane].delta)
+    else:
+        sum_x, regret = sums.copy(), regrets.copy()
+        # the lanes short of their horizon, in the order of the rows of x
+        live, ends = np.arange(lanes), np.array(horizon) - 1
+        # each step's eta*G and y - x, laid out (steps, lanes, d) for the live lanes
+        steps = np.empty(min(STEPS_PER_CHUNK, n - 1) * lanes * x0.size)
+        offsets = None if norm is None else np.empty(steps.size)
+        if record:
+            xs = np.full((n, lanes, x0.size), np.nan)
+            ys, gs = np.full((n - 1, lanes, x0.size), np.nan), np.full((n - 1, lanes, x0.size), np.nan)
+            losses_x, losses_y = np.full((n, lanes), np.nan), np.full((n - 1, lanes), np.nan)
+            xs[0], losses_x[0] = x, value(x)[:, 0]
+        t = 0
+        for m in chunk_sizes(n - 1):
+            # lanes whose horizon has passed leave the state at the next chunk
+            keep = ends[live] > t
+            if not keep.all():
+                live, x, sum_x, regret = live[keep], x[keep], sum_x[keep], regret[keep]
                 steppers = [stepper for stepper, k in zip(steppers, keep) if k]
-            else:
-                kernel.retain(keep)
-            delta, groups = _lane_schedules([schedules[lane] for lane in live])
-        live_ends = ends[live]
-        retiring = {e: np.flatnonzero(live_ends == e) for e in set(live_ends.tolist()) if e <= t + m}
-        # the last chunk's draws go before the next are drawn (draw and eta are views of them)
-        draws = eta_chunk = etas = draw = eta = None
-        if kernel is None:
+                delta, groups = _lane_schedules([schedules[lane] for lane in live])
+            live_ends = ends[live]
+            retiring = {e: np.flatnonzero(live_ends == e) for e in set(live_ends.tolist()) if e <= t + m}
+            # the last chunk's draws go before the next are drawn (draw and eta are views of them)
+            draws = eta_chunk = etas = draw = eta = None
             draws = _next_chunk(steppers, m)
-        if len(groups) == 1:
-            eta_chunk = groups[0][0].eta_array(t + m + 1, t + 1)
-        else:
-            eta_chunk = np.empty((m, live.size, 1))
-            for sched, rows in groups:
-                eta_chunk[:, rows] = sched.eta_array(t + m + 1, t + 1)[:, None, None]
-        shape = (m, live.size, x0.size)
-        chunk_steps = steps[:math.prod(shape)].reshape(shape)
-        chunk_offsets = [None] * m if norm is None else offsets[:math.prod(shape)].reshape(shape)
-        if kernel is not None:
-            kernel.step(eta_chunk, x, sum_x, regret, chunk_steps, None if norm is None else chunk_offsets)
-            t += m
-            for rows in retiring.values():
-                sums[live[rows]], regrets[live[rows]] = sum_x[rows], regret[rows]
-        else:
+            if len(groups) == 1:
+                eta_chunk = groups[0][0].eta_array(t + m + 1, t + 1)
+            else:
+                eta_chunk = np.empty((m, live.size, 1))
+                for sched, rows in groups:
+                    eta_chunk[:, rows] = sched.eta_array(t + m + 1, t + 1)[:, None, None]
+            shape = (m, live.size, x0.size)
+            chunk_steps = steps[:math.prod(shape)].reshape(shape)
+            chunk_offsets = [None] * m if norm is None else offsets[:math.prod(shape)].reshape(shape)
             etas = eta_chunk.tolist() if len(groups) == 1 else eta_chunk
             for draw, eta, step, offset in zip(zip(*draws) if draws else [()] * m, etas, chunk_steps,
                                                chunk_offsets):
@@ -636,15 +636,15 @@ def run(
                 if t in retiring:
                     rows = retiring[t]
                     sums[live[rows]], regrets[live[rows]] = sum_x[rows], regret[rows]
-        finite = (
-            np.isfinite(chunk_steps).all(axis=(0, 2))
-            & np.isfinite(sum_x).all(axis=1)
-            & np.isfinite(regret[:, 0])
-        )
-        if not finite.all():
-            raise NonFiniteIterate(int(live[np.argmin(finite)]), t - m + 1, t)
-        if norm is not None:
-            _check_vicinity(chunk_offsets, delta, norm, live, t - m + 1)
+            finite = (
+                np.isfinite(chunk_steps).all(axis=(0, 2))
+                & np.isfinite(sum_x).all(axis=1)
+                & np.isfinite(regret[:, 0])
+            )
+            if not finite.all():
+                raise NonFiniteIterate(int(live[np.argmin(finite)]), t - m + 1, t)
+            if norm is not None:
+                _check_vicinity(chunk_offsets, delta, norm, live, t - m + 1)
 
     x_hat = sums / np.array(horizon, dtype=float)[:, None]
     error = value(x_hat)[:, 0] - f_star

@@ -158,8 +158,9 @@ class TestConfig:
         cfg = ExperimentConfig(estimator="sf")
         o = build_estimator(cfg, f)
         assert o.scheme.kind == "sf" and o.feedback == "two_point"
-        with pytest.raises(ConfigError, match="controlled"):
-            build_estimator(ExperimentConfig(estimator="smoothing", noise="controlled"), f)
+        for one_arm in ("smoothing", "exact"):
+            with pytest.raises(ConfigError, match="controlled"):
+                build_estimator(ExperimentConfig(estimator=one_arm, noise="controlled"), f)
 
 
 class TestOracleSpec:
@@ -347,6 +348,24 @@ class TestCli:
         argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
         if argv[0] == "probe":
             argv += ["--oracle", "exact,fn=quadratic"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rate", "--estimator", "exact", "--noise", "controlled", "--horizons", "300 1000 3000", "--reps", "2",
+          "--tol", "5"], "config error: noise: controlled noise requires a two-point estimator"),
+        (["probe", "--workers", "4"], "config error: workers: a probe runs on one thread, so must be 1"),
+        (["probe", "--config", "CONFIG"], "config error: workers: a probe runs on one thread, so must be 1"),
+    ], ids=["exact-controlled", "probe-workers-flag", "probe-workers-file"])
+    def test_unsupported_settings_exit_2_with_one_line(self, argv, message, tmp_path, capsys):
+        # a setting the run would drop (controlled noise on exact gradients,
+        # workers for a probe, which runs on one thread) is refused, not ignored
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"workers": 4}))
+        argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+        if argv[0] == "probe":
+            argv += ["--oracle", "exact,fn=quadratic", "--reps", "2000", "--out", str(tmp_path / "p.csv")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1

@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import logging
 import math
+import shutil
+import subprocess
 import sys
 import sysconfig
 import threading
@@ -32,6 +34,7 @@ from zograd.estimators import (
 from zograd.solver import (
     NonFiniteIterate,
     Regularizer,
+    Schedule,
     manual_schedule,
     md_step,
     optimization_rate_exponent,
@@ -447,8 +450,10 @@ DRAW_ORACLES.update({k: o for k, o in KERNEL_ORACLES.items() if k.startswith("ad
 
 def _draw_both(oracle, schedules, horizons, seed):
     """Every chunk's draws of a kernel run, (C fill, numpy steppers), each
-    flat as the kernel reads them, du, w and xi one after the other, and the
-    lane generators of each side after the last chunk."""
+    flat as the kernel reads them, du, w and xi one after the other, for
+    the lanes short of their horizon, and the lane generators of each side
+    after the last chunk.  The C fill holds every lane's columns: those of
+    the lanes past their horizon must be zeros, and the rest are taken."""
     gens_c, gens_np = ([RngStream(seed, i).generator() for i in range(len(horizons))] for _ in range(2))
     lanes = _lanes.lane_run(oracle, oracle.target.domain, False, gens_c, horizons, schedules)
     assert lanes is not None
@@ -457,9 +462,16 @@ def _draw_both(oracle, schedules, horizons, seed):
     for m in chunk_sizes(max(horizons) - 1):
         keep = ends[live] > t
         live = live[keep]
-        lanes.retain(keep)
         steppers = [stepper for stepper, k in zip(steppers, keep) if k]
-        chunks.append((lanes.draws(m).copy(), np.concatenate([a.ravel() for a in solver._next_chunk(steppers, m)])))
+        slow, every, taken, start = solver._next_chunk(steppers, m), lanes.draws(m), [], 0
+        for part in slow:
+            size = part.size // live.size * len(horizons)
+            columns = every[start:start + size].reshape(m, len(horizons), -1)
+            assert not np.delete(columns, live, axis=1).any()
+            taken.append(columns[:, live].ravel())
+            start += size
+        assert start == len(every)
+        chunks.append((np.concatenate(taken), np.concatenate([a.ravel() for a in slow])))
         t += m
     return chunks, gens_c, gens_np
 
@@ -578,6 +590,25 @@ class _Inflated(EstimatorOracle):
         return 3.0 * du, w
 
 
+@dataclasses.dataclass(frozen=True)
+class _Scripted(Schedule):
+    """Step size 0, so that the iterate stays where it is, but 1e30 at step
+    ``jump``, which throws it onto a bound of the box, and NaN at step
+    ``poison``, which makes the step and the iterate non-finite."""
+
+    jump: int = 0
+    poison: int = 0
+
+    def eta_array(self, n: int, start: int = 1) -> np.ndarray:
+        t = np.arange(start, max(n, start))
+        return np.where(t == self.jump, 1e30, np.where(t == self.poison, np.nan, 0.0))
+
+
+# at the bounds of this box, fl(x +- 0.3) - x lies beyond 0.3 plus the
+# vicinity tolerance's roundoff; at 0 it is 0.3 exactly
+_FAR = quadratic([1.0], [-2.0], interval(-1e5, 1e5), offset=1.5)
+
+
 class TestCompiledKernel:
     @given(
         st.sampled_from(KERNEL_CELLS),
@@ -619,15 +650,16 @@ class TestCompiledKernel:
         gens = lambda: [RngStream(8, i).generator() for i in range(6)]
         args = (oracle, schedules, n, oracle.target.domain, REG)
         fast = run(*args, rng=gens(), horizons=horizons)
-        assert kernel_calls == [5, 5, 4, 2]
+        assert kernel_calls == [6]  # one call for the run, with every lane
         with _numpy_loop():
             slow = run(*args, rng=gens(), horizons=horizons)
         np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
         np.testing.assert_array_equal(fast.error, slow.error)
 
-    def test_one_library_call_per_chunk(self, kernel_calls, monkeypatch):
-        # zg_lane_chunk fills each chunk's draws itself: the plain fill is
-        # never called, and the skip and the scratch size only as the run is built
+    def test_one_library_call_per_run(self, kernel_calls, monkeypatch):
+        # zg_lane_run runs every chunk and fills its draws itself: the plain
+        # fill is never called, and the skip and the scratch size only as the
+        # run is built
         lib, counts = _lanes._library(), {"fill": 0, "skip": 0, "scratch": 0}
 
         def counted(name, fn):
@@ -640,7 +672,7 @@ class TestCompiledKernel:
             monkeypatch.setattr(lib, name, counted(name, getattr(lib, name)))
         n = 3 * STEPS_PER_CHUNK + 100
         run(KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], n, _FQ.domain, REG, rng=[RNG(i) for i in range(3)])
-        assert kernel_calls == [3] * len(chunk_sizes(n - 1)) == [3] * 4
+        assert len(chunk_sizes(n - 1)) == 4 and kernel_calls == [3]
         assert counts == {"fill": 0, "skip": 3, "scratch": 1}
 
     @pytest.mark.parametrize("case", [
@@ -711,11 +743,12 @@ class TestCompiledKernel:
             assert sorted(p.name for p in cache.iterdir()) == sorted([_lanes._library_path().name, tmp.name, *kept])
 
     def test_infinite_noise_names_its_lane(self, kernel_calls):
-        # lane 0 ends at once, so lane 1 is the first row of the kernel's state
+        # lane 0 ends at once: the kernel gets all three lanes and drops lane
+        # 0 before its first chunk, so lane 1 is the first row it checks
         oracle = EstimatorOracle(_FQ, SPSA, UncontrolledNoise(math.inf), "one_point")
         with pytest.raises(NonFiniteIterate) as info:
             run(oracle, SCHEDULES[0], 100, _FQ.domain, REG, rng=[RNG(i) for i in range(3)], horizons=[1, 100, 100])
-        assert kernel_calls == [2]
+        assert kernel_calls == [3]
         assert (info.value.lane, info.value.first, info.value.last) == (1, 1, 99)
         assert "replication 1" in str(info.value)
 
@@ -727,7 +760,7 @@ class TestCompiledKernel:
         with pytest.raises(NonFiniteIterate) as info:
             run(oracle, SCHEDULES[0], 100, oracle.target.domain, REG, rng=[RNG(i) for i in range(3)],
                 horizons=[1, 100, 100])
-        assert kernel_calls == [2]
+        assert kernel_calls == [3]
         assert (info.value.lane, info.value.first, info.value.last) == (1, 1, 99)
         assert "replication 1" in str(info.value)
 
@@ -908,7 +941,45 @@ class TestCompiledKernel:
             with inflated, pytest.raises(DomainError,
                                          match="lane 0: evaluation point escaped the delta-vicinity at step 1"):
                 run(oracle, *args, rng=[RNG(i) for i in range(3)])
-        assert len(calls) == (3 if path == "kernel" else 0)  # two chunks, then one that raises
+        assert calls == ([3, 3] if path == "kernel" else [])  # one call per run: the honest run, then one that raises
+
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
+    @pytest.mark.parametrize("jump, poison, error, message", [
+        # lane 2 non-finite in chunk 2, lane 0 out of its vicinity in chunk 3
+        (2 * STEPS_PER_CHUNK + 10, STEPS_PER_CHUNK + 6, NonFiniteIterate,
+         f"replication 2: iterate went non-finite within steps {STEPS_PER_CHUNK + 1}..{2 * STEPS_PER_CHUNK}"),
+        # the reverse
+        (STEPS_PER_CHUNK + 5, 2 * STEPS_PER_CHUNK + 6, DomainError,
+         f"lane 0: evaluation point escaped the delta-vicinity at step {STEPS_PER_CHUNK + 6}: "
+         "||x-y||=0.3000000000029104 > 0.3"),
+        # both in chunk 2, the escape at the earlier step: finiteness is checked first
+        (STEPS_PER_CHUNK + 5, STEPS_PER_CHUNK + 18, NonFiniteIterate,
+         f"replication 2: iterate went non-finite within steps {STEPS_PER_CHUNK + 1}..{2 * STEPS_PER_CHUNK}"),
+    ])
+    def test_faults_are_reported_in_the_numpy_loops_order(self, path, jump, poison, error, message):
+        # lane 0 jumps to a bound of _FAR at step jump, and its next
+        # evaluation point escapes its vicinity; lane 2's step at poison is
+        # NaN; lanes 1 and 3 stay at 0
+        oracle = EstimatorOracle(_FAR, SPSA, UncontrolledNoise(1.0), "one_point")
+        still = _Scripted("manual", 0.3, ("const", 0.0))
+        schedules = [dataclasses.replace(still, jump=jump), still, dataclasses.replace(still, poison=poison), still]
+        calls = []
+        with _counted_kernel(calls) if path == "kernel" else _numpy_loop():
+            with pytest.raises(DomainError) as info:
+                run(oracle, schedules, 3 * STEPS_PER_CHUNK + 100, _FAR.domain, REG, x1=np.zeros(1),
+                    rng=[RNG(i) for i in range(4)])
+        assert calls == ([4] if path == "kernel" else [])
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_kernel_source_compiles_without_warnings(self, tmp_path):
+        if shutil.which(_lanes.CC) is None:
+            pytest.skip(f"no C compiler {_lanes.CC!r} here")
+        if not (_lanes.NPYRANDOM.is_file() and _lanes.BITGEN_H.is_file()):
+            pytest.skip("numpy's sampler library or its header is missing here")
+        command = _lanes._command(str(tmp_path / "lanes.so"))
+        done = subprocess.run([*command[:1], "-Wall", "-Wextra", "-Werror", *command[1:]], capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     @given(
         st.sampled_from(sorted(DRAW_ORACLES)),
