@@ -43,22 +43,26 @@
    tanh and takes no SOFTABS cell.  The minima, maxima and clamps keep a
    NaN, as np.minimum and np.maximum do.
 
-   The draws come from each lane's numpy bit generator, with the samplers
-   numpy's Generator itself calls, from numpy/random/lib/libnpyrandom.a,
-   linked in statically: random_bounded_uint64_fill for bits, and for
-   normals numpy's ziggurat (random_standard_normal, Marsaglia & Tsang
-   2000) with its fast path inlined.  That path takes one 64-bit draw per
-   value and applies the sign without a branch; the other draws, about 1 in
-   100, are handed back to random_standard_normal itself, which is given
-   the consumed draw again and then the lane's generator, so every
-   rejection and tail draw is numpy's own code.  The fast path's tables are
-   not copied: zg_bind_normal reads them out of random_standard_normal when
-   the library loads, and the loader checks the fill against
-   Generator.standard_normal; where the tables cannot be read or the check
-   fails, zg_unbind_normal sends every draw to random_standard_normal, and
-   the loader checks the fill again.  numpy's samplers are declared here
-   against numpy/random/bitgen.h, since numpy/random/distributions.h needs
-   Python.h. */
+   A lane's directions read its own numpy bit generator.  An estimator's
+   noise reads the twin of that generator jumped once
+   (bit_generator.jumped()), which _lanes.LaneRun takes from the
+   generator's state at the start of the run, as core.draw_chunks takes it;
+   an oracle that draws no directions reads its noise from the lane's
+   generator.  The draws come with the samplers numpy's Generator itself
+   calls, from numpy/random/lib/libnpyrandom.a, linked in statically:
+   random_bounded_uint64_fill for bits, and for normals numpy's ziggurat
+   (random_standard_normal, Marsaglia & Tsang 2000) with its fast path
+   inlined.  That path takes one 64-bit draw per value and applies the sign
+   without a branch; the other draws, about 1 in 100, are handed back to
+   random_standard_normal itself, which is given the consumed draw again
+   and then the lane's generator, so every rejection and tail draw is
+   numpy's own code.  The fast path's tables are not copied: zg_bind_normal
+   reads them out of random_standard_normal when the library loads, and the
+   loader checks the fill against Generator.standard_normal; where the
+   tables cannot be read or the check fails, zg_unbind_normal sends every
+   draw to random_standard_normal, and the loader checks the fill again.
+   numpy's samplers are declared here against numpy/random/bitgen.h, since
+   numpy/random/distributions.h needs Python.h. */
 
 #ifdef ZG_UFUNC
 /* Python.h goes before any standard header */
@@ -321,15 +325,6 @@ static void fill(bitgen_t *bg, long flags, long n, void *out)
         random_bounded_uint64_fill(bg, 0, 1, n, false, (uint64_t *)out);
     else
         zg_normal_fill(bg, n, (double *)out);
-}
-
-/* Advance bg past the variates of n directions of flags, drawn chunk at a
-   time, as the pass of core.draw_chunks that skips a copy of the generator
-   past the directions draws them.  scratch holds chunk values. */
-void zg_skip(bitgen_t *bg, long flags, long n, long chunk, void *scratch)
-{
-    for (long start = 0; start < n; start += chunk)
-        fill(bg, flags, n - start < chunk ? n - start : chunk, scratch);
 }
 
 /* The values per lane-step of each draw, du, w and xi, under flags */

@@ -128,7 +128,6 @@ class _Library:
         self.lib, self.ufunc, self.tanh = lib, ufunc, None
         self.run = _declare(lib.zg_lane_run, longs + [doubles, table] + [doubles] * 4 + [fault], ctypes.c_long)
         self.fill = _declare(lib.zg_lane_draws, longs + [table, doubles], ctypes.c_long)
-        self.skip = _declare(lib.zg_skip, [ctypes.c_void_p] + longs + [doubles])
         self.scratch = _declare(lib.zg_scratch, longs, ctypes.c_long)
         self.normal = _declare(lib.zg_normal_fill, [ctypes.c_void_p, ctypes.c_long, doubles])
 
@@ -279,9 +278,9 @@ class LaneRun:
     generators.  The step sizes are ``eta_array`` of each distinct
     schedule, computed once to the longest horizon of its lanes.
     Directions read each lane's own generator.  Noise reads it too where
-    there are no directions; otherwise it reads a copy made here and
-    skipped in C past the lane's directions, as ``core.draw_chunks`` skips
-    its copy."""
+    there are no directions; otherwise it reads the twin of the lane's
+    generator jumped once, taken here from its state at the start of the
+    run, as ``core.draw_chunks`` takes it."""
 
     def __init__(self, advance: Callable, spec: LaneSpec, regret: bool, body: Box, f_star: float,
                  rngs: Sequence[np.random.Generator], horizons: Sequence[int], schedules):
@@ -291,7 +290,6 @@ class LaneRun:
             SHIFTED if spec.shift else 0)
         self._data = np.array([body.lower[0], body.upper[0], f_star, *spec.data])
         self._scratch = np.empty(lib.scratch(STEPS_PER_CHUNK, len(rngs), self._flags))
-        self._gens = [g.bit_generator for g in rngs]  # kept alive while C holds their pointers
         # each distinct schedule's step sizes, once, to the longest horizon of its lanes
         distinct = {id(s): s for s in schedules}
         longest = dict.fromkeys(distinct, 1)
@@ -310,16 +308,11 @@ class LaneRun:
         for name, of in (("scale", spec.noise), ("shift", spec.shift)):
             if of:
                 table[name] = [of(d) for d in deltas]
-        table["dir"] = table["noise"] = [_address(bg) for bg in self._gens]
-        if self._flags & (SIGNS | UNIT | PLAIN) and spec.noise:
-            for i, (bg, end) in enumerate(zip(self._gens[:len(rngs)], table["left"].tolist())):
-                if end < 1:  # a lane that takes no step draws nothing
-                    continue
-                ahead = type(bg)(0)  # seeded only to take the state: cheaper than copy.deepcopy
-                ahead.state = bg.state
-                self._gens.append(ahead)
-                table["noise"][i] = _address(ahead)
-                lib.skip(int(table["noise"][i]), self._flags, end, STEPS_PER_CHUNK, self._scratch)
+        # the generators of the directions and of the noise, kept alive while C holds their pointers
+        self._dir = [g.bit_generator for g in rngs]
+        twins = self._flags & (SIGNS | UNIT | PLAIN) and spec.noise
+        self._noise = [bg.jumped() for bg in self._dir] if twins else self._dir
+        table["dir"], table["noise"] = ([_address(bg) for bg in gens] for gens in (self._dir, self._noise))
 
     def run(self, x: np.ndarray, sum_x: np.ndarray, regret: np.ndarray) -> Optional[tuple]:
         """Run every lane to its horizon, updating its iterate, sum and

@@ -13,7 +13,6 @@ All types here are immutable value objects and safe to share across workers.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
@@ -299,20 +298,17 @@ def draw_chunks(
     n: int,
     blocks: Sequence[Callable[[np.random.Generator, int], np.ndarray]],
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """Yield the randomness of n steps, one tuple of arrays per chunk.
+    """The randomness of n steps, one tuple of arrays per chunk.
 
     ``blocks`` are the draws of one kind, ``block(generator, m) -> array``
-    with leading axis m, in the order a one-shot draw of all n steps takes
-    them.  Concatenated over the chunks, block i returns bit for bit what
-    ``block(rng, n)`` returns after blocks 0..i-1 were drawn in full: block
-    0 reads rng itself, block i a copy advanced past blocks 0..i-1.
+    with leading axis m.  Block 0 (an estimator's directions) reads rng
+    itself.  Block i > 0 (its noise) reads a twin of rng jumped i times,
+    ``Generator(rng.bit_generator.jumped(i))``, taken here, from rng's
+    state before any draw: numpy's way to a stream that does not overlap
+    rng's.  Concatenated over the chunks, block i returns bit for bit what
+    ``block(generator, n)`` returns in one call, so chunking changes no
+    value, and a step's draws do not depend on n.  rng is left past block
+    0's draws only.
     """
-    sizes = chunk_sizes(n)
-    gens = [rng]
-    for block in blocks[:-1]:
-        ahead = copy.deepcopy(gens[-1])
-        for m in sizes:
-            block(ahead, m)
-        gens.append(ahead)
-    for m in sizes:
-        yield tuple(block(g, m) for block, g in zip(blocks, gens))
+    gens = [rng] + [np.random.Generator(rng.bit_generator.jumped(i)) for i in range(1, len(blocks))]
+    return (tuple(block(g, m) for block, g in zip(blocks, gens)) for m in chunk_sizes(n))

@@ -57,25 +57,14 @@ class PerturbationScheme:
 
     def sample_u(self, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` directions, shape (size, d)."""
-        return self.directions(self.raw(d, rng, size))
-
-    def raw(self, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The variates ``size`` directions are made from, shape (size, d):
-        they alone advance rng, so skipping directions needs no more."""
         if self.kind == "spsa":
-            return rng.integers(0, 2, size=(size, d))
-        return rng.standard_normal((size, d))
-
-    def directions(self, z: np.ndarray) -> np.ndarray:
-        """Directions from the variates of ``raw`` (normals are normalised
-        in place)."""
-        if self.kind == "spsa":
-            return z.astype(float) * 2.0 - 1.0
+            return rng.integers(0, 2, size=(size, d)).astype(float) * 2.0 - 1.0
+        z = rng.standard_normal((size, d))
         if self.kind == "sf":
             return z
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         if self.kind == "rdsa":
-            return z * math.sqrt(z.shape[1])
+            return z * math.sqrt(d)
         return z  # surface: uniform on the unit sphere
 
     def v_of(self, u: np.ndarray) -> np.ndarray:
@@ -477,7 +466,7 @@ class EstimatorOracle:
         """``estimate`` and ``make_stepper`` as the compiled lane kernel
         computes and draws them (``_lanes.LaneSpec``) for a 1-d quadratic
         target under uncontrolled or additive controlled noise: U and V as
-        ``PerturbationScheme.directions`` and ``v_of`` make them at d = 1,
+        ``PerturbationScheme.sample_u`` and ``v_of`` make them at d = 1,
         weighted as ``_scaled`` weights them, then the noise of ``_noise``:
         sigma*z, zeros for sigma = 0, or the plain psi of the additive
         controlled model.  None for any other target or noise."""
@@ -502,17 +491,13 @@ class EstimatorOracle:
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
         """The draws of n solver steps, in chunks of ``(du, w, xi)``.
 
-        The values replay a one-shot draw of all n directions U followed by
-        all n steps' noise.  Directions are made from their variates only
-        for the chunks handed out, not for the pass that skips the noise
-        stream past them, and no chunk is held once handed out.
+        The directions U are ``scheme.sample_u`` on rng; the noise reads a
+        twin of rng jumped once from its state here (``core.draw_chunks``).
+        No chunk is held once handed out.
         """
         d, shape = self.dim, self._noise_shape()
-        blocks = (lambda g, m: self.scheme.raw(d, g, m), lambda g, m: self._noise(g, (m, *shape)))
-        return map(
-            lambda chunk: (*self._scaled(self.scheme.directions(chunk[0]), delta), chunk[1]),
-            draw_chunks(rng, n, blocks),
-        )
+        blocks = (lambda g, m: self.scheme.sample_u(d, g, m), lambda g, m: self._noise(g, (m, *shape)))
+        return map(lambda chunk: (*self._scaled(chunk[0], delta), chunk[1]), draw_chunks(rng, n, blocks))
 
 
 @dataclass(frozen=True, eq=False)

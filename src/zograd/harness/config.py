@@ -11,6 +11,8 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
+from .fitting import FIT_HORIZONS
+
 
 class ConfigError(ValueError):
     pass
@@ -82,6 +84,8 @@ class ExperimentConfig:
             raise ConfigError("workers: must be a positive integer")
         if self.experiment == "probe" and self.workers != 1:
             raise ConfigError("workers: a probe runs on one thread, so must be 1")
+        if self.experiment in ("rate", "regret") and len(self.horizons) < FIT_HORIZONS:
+            raise ConfigError(f"horizons: a rate is fitted through at least {FIT_HORIZONS}")
         if self.n < 1:
             raise ConfigError("n: must be a positive integer")
         if self.tolerance <= 0:

@@ -10,6 +10,9 @@ import numpy as np
 
 from ..core import DomainError
 
+# the fewest horizons a rate is fitted through
+FIT_HORIZONS = 3
+
 
 @dataclass(frozen=True)
 class RateFit:
@@ -40,9 +43,9 @@ def ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, 
 
 
 def fit_rate(points: Sequence[tuple[int, float]]) -> RateFit:
-    """Fit error ~ c * n^(-exponent) through >= 3 horizons."""
-    if len(points) < 3:
-        raise DomainError("need at least 3 horizons to fit a rate")
+    """Fit error ~ c * n^(-exponent) through at least ``FIT_HORIZONS`` horizons."""
+    if len(points) < FIT_HORIZONS:
+        raise DomainError(f"need at least {FIT_HORIZONS} horizons to fit a rate")
     horizons = [int(n) for n, _ in points]
     errors = [float(e) for _, e in points]
     if any(e <= 0 or not math.isfinite(e) for e in errors):

@@ -494,12 +494,17 @@ def run(
     of a lane end at its horizon; later entries are NaN.
 
     Each lane's draws come from ``oracle.make_stepper`` in chunks of
-    ``core.STEPS_PER_CHUNK`` steps and feed ``oracle.estimate``; after each
-    chunk a lane whose step eta*G, iterate or regret went NaN or infinite
-    raises NonFiniteIterate.  For an oracle with a ``vicinity_norm`` (one
-    without answers at y = x itself), an evaluation point farther than
-    delta from its query point under that norm raises DomainError after
-    its chunk.
+    ``core.STEPS_PER_CHUNK`` steps and feed ``oracle.estimate``.  An
+    estimator's directions read the lane's generator and its noise a twin
+    of it jumped once from its state at the start of the run
+    (``core.draw_chunks``), so a lane's generator is left past its
+    directions only: a generator handed to a second run would draw noise
+    that overlaps the first run's.  The experiments give every run fresh
+    streams.  After each chunk a lane whose step eta*G, iterate or regret
+    went NaN or infinite raises NonFiniteIterate.  For an oracle with a
+    ``vicinity_norm`` (one without answers at y = x itself), an evaluation
+    point farther than delta from its query point under that norm raises
+    DomainError after its chunk.
 
     A run that is not recorded, where ``_lanes.lane_run`` builds a
     ``LaneRun`` for it, is one call of the compiled kernel of ``_lanes.c``.

@@ -42,41 +42,50 @@ FULL_HORIZONS = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
 SEED = 20260810
 TOL_EXPONENT = 0.08
 R2_MIN = 0.97
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def _report(criterion: int, detail: str) -> None:
     print(f"[criterion {criterion:02d}] PASS - {detail}")
 
 
-def _rate(problem_class, estimator, noise, sigma, reps=16):
+def _rate(problem_class, estimator, noise, sigma, out, reps=16):
     cfg = ExperimentConfig(
         experiment="rate", problem_class=problem_class, estimator=estimator,
         noise=noise, sigma=sigma, horizons=FULL_HORIZONS, replications=reps,
-        master_seed=SEED, tolerance=TOL_EXPONENT,
+        master_seed=SEED, tolerance=TOL_EXPONENT, out=str(out),
     )
     return rate_experiment(cfg)
 
 
-def test_criterion_01_rate_convex_smoothing():
+def _assert_committed(out: Path) -> None:
+    """The experiment wrote the rows that results/ holds under that name,
+    byte for byte (scripts/run_acceptance.py writes them there)."""
+    assert out.read_bytes() == (RESULTS / out.name).read_bytes()
+
+
+def test_criterion_01_rate_convex_smoothing(tmp_path):
     t0 = time.monotonic()
-    report = _rate("convex", "smoothing", "uncontrolled", 3.0)
+    report = _rate("convex", "smoothing", "uncontrolled", 3.0, tmp_path / "rate_convex_smoothing.csv")
     elapsed = time.monotonic() - t0
     assert abs(report.fit.exponent - 1 / 3) <= TOL_EXPONENT
     assert report.fit.r_squared >= R2_MIN
     assert elapsed <= 300.0
+    _assert_committed(tmp_path / "rate_convex_smoothing.csv")
     _report(1, f"smoothing convex exponent {report.fit.exponent:.4f} (target 1/3), "
                f"r2 {report.fit.r_squared:.4f}, {elapsed:.0f}s")
 
 
-def test_criterion_02_rate_convex_one_point():
-    report = _rate("convex", "one-point", "uncontrolled", 3.0)
+def test_criterion_02_rate_convex_one_point(tmp_path):
+    report = _rate("convex", "one-point", "uncontrolled", 3.0, tmp_path / "rate_convex_onepoint.csv")
     assert abs(report.fit.exponent - 1 / 4) <= TOL_EXPONENT
     assert report.fit.r_squared >= R2_MIN
+    _assert_committed(tmp_path / "rate_convex_onepoint.csv")
     _report(2, f"one-point convex exponent {report.fit.exponent:.4f} (target 1/4), "
                f"r2 {report.fit.r_squared:.4f}")
 
 
-def test_criterion_03_rate_strongly_convex():
+def test_criterion_03_rate_strongly_convex(tmp_path):
     # the schedule must be eta_t = 2/(mu t)
     from zograd.harness.experiments import build_estimator, build_function, schedule_for
 
@@ -89,17 +98,19 @@ def test_criterion_03_rate_strongly_convex():
     assert sched.eta_form == ("inv_t", f.strong_convexity)
     assert (oracle.envelope.p, oracle.envelope.q) == (2.0, 2.0)
 
-    report = _rate("sc", "smoothing", "uncontrolled", 0.3)
+    report = _rate("sc", "smoothing", "uncontrolled", 0.3, tmp_path / "rate_sc_smoothing.csv")
     assert abs(report.fit.exponent - 1 / 2) <= TOL_EXPONENT
+    _assert_committed(tmp_path / "rate_sc_smoothing.csv")
     _report(3, f"strongly convex exponent {report.fit.exponent:.4f} (target 1/2), "
                f"r2 {report.fit.r_squared:.4f}")
 
 
-def test_criterion_04_rate_controlled_two_point():
-    report = _rate("convex", "spsa", "controlled", 3.0)
+def test_criterion_04_rate_controlled_two_point(tmp_path):
+    report = _rate("convex", "spsa", "controlled", 3.0, tmp_path / "rate_controlled_spsa.csv")
     assert report.details["envelope"]["q"] == 0.0
     assert report.details["envelope"]["p"] == 1.0
     assert abs(report.fit.exponent - 1 / 2) <= TOL_EXPONENT
+    _assert_committed(tmp_path / "rate_controlled_spsa.csv")
     _report(4, f"controlled two-point exponent {report.fit.exponent:.4f} (target 1/2), "
                f"r2 {report.fit.r_squared:.4f}")
 
@@ -172,15 +183,16 @@ def test_criterion_07_lower_bound_floors():
     _report(7, "; ".join(results))
 
 
-def test_criterion_08_regret_rate():
+def test_criterion_08_regret_rate(tmp_path):
     cfg = ExperimentConfig(
         experiment="regret", problem_class="convex", estimator="smoothing",
         sigma=3.0, horizons=FULL_HORIZONS, replications=16, master_seed=SEED,
-        tolerance=TOL_EXPONENT,
+        tolerance=TOL_EXPONENT, out=str(tmp_path / "regret_convex.csv"),
     )
     report = regret_experiment(cfg)
     growth = report.details["regret_growth_exponent"]
     assert abs(growth - 2 / 3) <= TOL_EXPONENT
+    _assert_committed(tmp_path / "regret_convex.csv")
     _report(8, f"regret growth exponent {growth:.4f} (target 2/3), "
                f"r2 {report.fit.r_squared:.4f}")
 

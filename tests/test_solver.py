@@ -448,6 +448,32 @@ DRAW_ORACLES = {
 DRAW_ORACLES.update({k: o for k, o in KERNEL_ORACLES.items() if k.startswith("adversarial")})
 
 
+class TestDrawRule:
+    # an estimator's directions read the lane's generator; its noise reads
+    # the twin of that generator jumped once, from its state at the start
+    @pytest.mark.parametrize("kind", sorted(k for k, o in DRAW_ORACLES.items() if isinstance(o, EstimatorOracle)))
+    def test_stepper_reads_directions_from_rng_and_noise_from_its_jumped_twin(self, kind):
+        oracle, n, delta = DRAW_ORACLES[kind], 2 * STEPS_PER_CHUNK + 100, 0.3
+        rng, start = RNG(4), RNG(4)
+        du, w, xi = (np.concatenate(part) for part in zip(*oracle.make_stepper(n, delta, rng)))
+        want_du, want_w = oracle._scaled(oracle.scheme.sample_u(1, start, n), delta)
+        twin = np.random.Generator(RNG(4).bit_generator.jumped())
+        np.testing.assert_array_equal(_bits(du), _bits(want_du))
+        np.testing.assert_array_equal(_bits(w), _bits(want_w))
+        np.testing.assert_array_equal(_bits(xi), _bits(oracle._noise(twin, (n, *oracle._noise_shape()))))
+        assert rng.bit_generator.state == start.bit_generator.state  # past the directions only
+
+    @pytest.mark.parametrize("kind", sorted(k for k in DRAW_ORACLES if not k.endswith("sigma0")))
+    def test_recorded_iterates_do_not_depend_on_the_horizon(self, kind):
+        # the first h iterates of a run to 2h are those of the run to h
+        oracle, h = DRAW_ORACLES[kind], STEPS_PER_CHUNK + 100
+        with _numpy_loop():
+            short, long = [run(oracle, SCHEDULES[0], n, oracle.target.domain, REG, rng=RNG(6), record=True)
+                           for n in (h, 2 * h)]
+        assert short.xs.shape[0] == h
+        np.testing.assert_array_equal(_bits(long.xs[:h]), _bits(short.xs))
+
+
 def _draw_both(oracle, schedules, horizons, seed):
     """Every chunk's draws of a kernel run, (C fill, numpy steppers), each
     flat as the kernel reads them, du, w and xi one after the other, for
@@ -658,9 +684,8 @@ class TestCompiledKernel:
 
     def test_one_library_call_per_run(self, kernel_calls, monkeypatch):
         # zg_lane_run runs every chunk and fills its draws itself: the plain
-        # fill is never called, and the skip and the scratch size only as the
-        # run is built
-        lib, counts = _lanes._library(), {"fill": 0, "skip": 0, "scratch": 0}
+        # fill is never called, and the scratch size only as the run is built
+        lib, counts = _lanes._library(), {"fill": 0, "scratch": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -673,7 +698,7 @@ class TestCompiledKernel:
         n = 3 * STEPS_PER_CHUNK + 100
         run(KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], n, _FQ.domain, REG, rng=[RNG(i) for i in range(3)])
         assert len(chunk_sizes(n - 1)) == 4 and kernel_calls == [3]
-        assert counts == {"fill": 0, "skip": 3, "scratch": 1}
+        assert counts == {"fill": 0, "scratch": 1}
 
     @pytest.mark.parametrize("case", [
         "recorded", "recorded-adversarial", "ball", "d2", "separable-d2", "exp-target", "exact",
