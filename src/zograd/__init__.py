@@ -51,7 +51,6 @@ from .estimators import (
 from .adversarial import (
     AdversarialOracle,
     HardInstance,
-    SeparableAdversarialOracle,
     compose_separable,
     hard_pair,
     kl_divergence_bound,

@@ -6,6 +6,8 @@ gradient by ``min(eps, C1*delta^p)``, then clipped so the two means never
 cross.  The shift spends the full bias budget on hiding ``v``, which is what
 makes the sign statistically hard to identify; Gaussian noise of variance
 ``C2*delta^-q`` exhausts the variance budget.  The oracle returns ``Y = x``.
+One ``AdversarialOracle`` composes such pairs coordinate by coordinate into
+d dimensions; with one instance it is that pair arm's 1-d oracle.
 
 The closed-form quantities (worst-case tolerance, the KL bound it induces,
 the optimizing separation, and the resulting floor on any algorithm's
@@ -23,10 +25,8 @@ import numpy as np
 
 from .core import (
     DomainError,
+    Oracle,
     OracleEnvelope,
-    OracleQuery,
-    OracleResponse,
-    checked_response,
     draw_chunks,
 )
 from .testbed import ObjectiveFunction, separable, softabs, strongly_convex_pair
@@ -151,7 +151,7 @@ def minimax_lower_bound(
 
 
 # ---------------------------------------------------------------------------
-# Hard instance + oracle
+# Hard instances and their oracle, 1-d or composed coordinatewise
 # ---------------------------------------------------------------------------
 
 
@@ -170,8 +170,8 @@ class HardInstance:
             raise DomainError(f"unknown problem class {self.problem_class!r}")
         if self.v not in (+1, -1):
             raise DomainError("v must be +1 or -1")
-        if self.eps <= 0:
-            raise DomainError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise DomainError("eps must be finite and positive")
         if self.problem_class == "convex_smooth" and self.eps >= EPS_CAP_CONVEX:
             raise DomainError(
                 f"eps must stay below 1/(4 ln 2) ~ {EPS_CAP_CONVEX:.4f} for the convex pair"
@@ -192,62 +192,81 @@ class HardInstance:
         return mean_response_strongly_convex(self.v, x, delta, self.eps, self.envelope.c1, self.envelope.p)
 
     def oracle(self) -> "AdversarialOracle":
-        return AdversarialOracle(instance=self)
+        return AdversarialOracle(self)
 
 
-@dataclass(frozen=True, eq=False)
-class AdversarialOracle:
-    """The biased, clipped, Gaussian-noise oracle of a hard instance.
+class AdversarialOracle(Oracle):
+    """The biased, clipped, Gaussian-noise oracle of hard instances, one per
+    coordinate.
 
-    The reply mean is closed-form; noise is N(0, C2*delta^-q), drawn fresh
-    per query; the evaluation point is always the query point itself.
+    Coordinate i replies with its instance's closed-form mean plus noise
+    N(0, C2_i*delta^-q), drawn fresh per query; the evaluation point is
+    always the query point itself.  The instances share problem class, p
+    and q, so squared biases and variances add across coordinates: with
+    envelopes scaled to (C1/sqrt(d), C2/d) the composition meets the
+    d-dimensional (C1, C2) envelope under the Euclidean norm.  One instance
+    gives that instance's 1-d oracle, with its own function as target.
     """
 
-    instance: HardInstance
-
-    dim = 1
     unbiased = True  # Y = x deterministically
+
+    def __init__(self, *instances: HardInstance):
+        if not instances:
+            raise DomainError("an adversarial oracle needs at least one instance")
+        if len({(inst.problem_class, inst.envelope.p, inst.envelope.q) for inst in instances}) > 1:
+            raise DomainError("composed instances must share one problem class, p and q")
+        self.instances, self.instance, self.dim = instances, instances[0], len(instances)
 
     @functools.cached_property
     def target(self) -> ObjectiveFunction:
-        return self.instance.objective()
+        fs = [inst.objective() for inst in self.instances]
+        return fs[0] if self.dim == 1 else separable(fs)
 
-    @property
+    @functools.cached_property
     def envelope(self) -> OracleEnvelope:
-        return self.instance.envelope
+        """(hypot of the C1s, sum of the C2s): a lone instance's envelope
+        exactly, where a root of the sum of squares would overflow."""
+        c1 = math.hypot(*(inst.envelope.c1 for inst in self.instances))
+        c2 = sum(inst.envelope.c2 for inst in self.instances)
+        return OracleEnvelope(c1=c1, p=self.instance.envelope.p, c2=c2, q=self.instance.envelope.q)
 
-    def _sd(self, delta: float) -> float:
-        return math.sqrt(self.envelope.c2_value(delta))
+    def mean_response(self, x, delta) -> np.ndarray:
+        """Coordinatewise means at one point (d,) or at each row of (..., d);
+        delta is a float or an array that broadcasts against one column."""
+        x = np.asarray(x, dtype=float)
+        return np.concatenate(
+            [inst.mean_response(x[..., i:i + 1], delta) for i, inst in enumerate(self.instances)], axis=-1
+        )
+
+    def _sds(self, delta: float) -> np.ndarray:
+        return np.array([math.sqrt(inst.envelope.c2_value(delta)) for inst in self.instances])
 
     def estimate(self, x: np.ndarray, delta, xi: np.ndarray):
-        """Replies at the rows of x (lanes, 1): the closed-form mean plus the
-        drawn noise xi (lanes, 1); the evaluation point is x itself, where f
-        is not evaluated.  delta is a float or a (lanes, 1) column."""
-        return self.instance.mean_response(x, delta) + xi, x, None
+        """Replies at the rows of x (lanes, d): the means plus the drawn noise
+        xi (lanes, d); the evaluation point is x itself, where f is not
+        evaluated.  delta is a float or a (lanes, 1) column."""
+        return self.mean_response(x, delta) + xi, x, None
 
-    def query(self, x, delta: float, rng: np.random.Generator) -> OracleResponse:
-        q = OracleQuery(x, delta)
-        g, y, _ = self.estimate(q.x.reshape(1, 1), delta, self._sd(delta) * rng.standard_normal((1, 1)))
-        return checked_response(g[0], y[0], q)
-
-    def sample_gradients(self, x, delta, m, rng, antithetic: bool = False) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, 1)
-        return self.estimate(x, delta, self._sd(delta) * rng.standard_normal((m, 1)))[0]
+    def _sample(self, x, delta, m, rng, antithetic):
+        return self.estimate(x, delta, self._sds(delta) * rng.standard_normal((m, self.dim)))
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
-        """The noise of n solver steps, in chunks of one (m, 1) array."""
-        sd = self._sd(delta)
-        return draw_chunks(rng, n, (lambda g, m: sd * g.standard_normal((m, 1)),))
+        """The noise of n solver steps, in chunks of one (m, d) array."""
+        sds, d = self._sds(delta), self.dim
+        return draw_chunks(rng, n, (lambda g, m: sds * g.standard_normal((m, d)),))
 
     def lane_spec(self):
         """``estimate`` and ``make_stepper`` as the compiled lane kernel
-        computes and draws them (``_lanes.LaneSpec``): the reply of arm v of
-        separation eps, shifted by min(eps, c1*delta^p) as ``estimate``
-        shifts it, plus noise sd*z with sd = sqrt(c2(delta))."""
+        computes and draws them (``_lanes.LaneSpec``) at d = 1: the reply of
+        arm v of separation eps, shifted by min(eps, c1*delta^p) as
+        ``estimate`` shifts it, plus noise sd*z with the sd of ``_sds``.
+        None for d > 1."""
+        if self.dim > 1:
+            return None
         from . import _lanes  # imported on first use, not with zograd (see _lanes)
-        inst, env = self.instance, self.envelope
+        inst, env = self.instance, self.instance.envelope
         flags = _lanes.AT_X | (_lanes.SOFTABS if inst.problem_class == "convex_smooth" else 0)
-        return _lanes.LaneSpec(flags, (float(inst.v), float(inst.eps)), noise=self._sd,
+        return _lanes.LaneSpec(flags, (float(inst.v), float(inst.eps)), noise=lambda delta: float(self._sds(delta)[0]),
                                shift=lambda delta: _shift(delta, inst.eps, env.c1, env.p))
 
 
@@ -266,92 +285,19 @@ def hard_pair(
     )
 
 
-# ---------------------------------------------------------------------------
-# Separable d-dimensional composition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class SeparableAdversarialOracle:
-    """Coordinatewise composition of 1-d hard-instance oracles.
-
-    With per-coordinate envelopes scaled to (C1/sqrt(d), C2/d), the composed
-    oracle satisfies the d-dimensional (C1, C2) envelope under the Euclidean
-    norm: squared biases and variances add across coordinates.
-    """
-
-    instances: tuple[HardInstance, ...]
-
-    def __post_init__(self) -> None:
-        classes = {inst.problem_class for inst in self.instances}
-        if len(classes) != 1:
-            raise DomainError("separable composition requires a single problem class")
-
-    @property
-    def dim(self) -> int:
-        return len(self.instances)
-
-    unbiased = True
-
-    @property
-    def envelope(self) -> OracleEnvelope:
-        first = self.instances[0].envelope
-        c1 = math.sqrt(sum(inst.envelope.c1**2 for inst in self.instances))
-        c2 = sum(inst.envelope.c2 for inst in self.instances)
-        return OracleEnvelope(c1=c1, p=first.p, c2=c2, q=first.q, oracle_type="type_I")
-
-    @functools.cached_property
-    def target(self) -> ObjectiveFunction:
-        return separable([inst.objective() for inst in self.instances])
-
-    def mean_response(self, x: np.ndarray, delta) -> np.ndarray:
-        """Coordinatewise means at one point (d,) or at each row of (..., d);
-        delta is a float or an array that broadcasts against one column."""
-        x = np.asarray(x, dtype=float)
-        return np.concatenate(
-            [inst.mean_response(x[..., i:i + 1], delta) for i, inst in enumerate(self.instances)], axis=-1
-        )
-
-    def _sds(self, delta: float) -> np.ndarray:
-        return np.array([math.sqrt(inst.envelope.c2_value(delta)) for inst in self.instances])
-
-    def estimate(self, x: np.ndarray, delta, xi: np.ndarray):
-        """Replies at the rows of x (lanes, d): the means plus the drawn noise
-        xi (lanes, d); the evaluation point is x itself, where f is not
-        evaluated.  delta is a float or a (lanes, 1) column."""
-        return self.mean_response(x, delta) + xi, x, None
-
-    def query(self, x, delta: float, rng: np.random.Generator) -> OracleResponse:
-        q = OracleQuery(x, delta)
-        g, y, _ = self.estimate(q.x.reshape(1, -1), delta, self._sds(delta) * rng.standard_normal((1, self.dim)))
-        return checked_response(g[0], y[0], q)
-
-    def sample_gradients(self, x, delta, m, rng, antithetic: bool = False) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-        return self.estimate(x, delta, self._sds(delta) * rng.standard_normal((m, self.dim)))[0]
-
-    def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
-        """The noise of n solver steps, in chunks of one (m, d) array."""
-        sds = self._sds(delta)
-        return draw_chunks(rng, n, (lambda g, m: sds * g.standard_normal((m, self.dim)),))
-
-
-def compose_separable(instances: Sequence[HardInstance]) -> SeparableAdversarialOracle:
-    """Compose 1-d hard instances into a d-dimensional separable oracle;
-    mixing problem classes is an error."""
-    if not instances:
-        raise DomainError("compose_separable needs at least one instance")
-    return SeparableAdversarialOracle(instances=tuple(instances))
+def compose_separable(instances: Sequence[HardInstance]) -> AdversarialOracle:
+    """The d-dimensional oracle of 1-d hard instances, one per coordinate."""
+    return AdversarialOracle(*instances)
 
 
 def scaled_hard_coordinates(
     problem_class: str, p: float, q: float, c1: float, c2: float, eps: float, v: Sequence[int]
-) -> SeparableAdversarialOracle:
-    """Build the d-dim separable oracle whose coordinates carry the scaled
-    envelopes (c1/sqrt(d), c2/d), so the composition meets (c1, c2)."""
+) -> AdversarialOracle:
+    """The d-dimensional oracle whose coordinates carry the scaled envelopes
+    (c1/sqrt(d), c2/d), so the composition meets (c1, c2)."""
     d = len(v)
     env = OracleEnvelope(c1=c1 / math.sqrt(d), p=p, c2=c2 / d, q=q, oracle_type="type_I")
-    return compose_separable([HardInstance(problem_class, vi, eps, env) for vi in v])
+    return AdversarialOracle(*(HardInstance(problem_class, vi, eps, env) for vi in v))
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,35 @@ def checked_response(
     return OracleResponse(g=g, y=y)
 
 
+class Oracle:
+    """``query`` and ``sample_gradients`` of every oracle, both from its
+    ``_sample(x, delta, m, rng, antithetic)``: m replies at one point x
+    (1, d) as ``estimate`` gives them, (g, y, f(y)), drawn from rng."""
+
+    def query(self, x, delta: float, rng: np.random.Generator) -> OracleResponse:
+        """One reply at a point of the target's domain, drawn as
+        ``sample_gradients(x, delta, 1, rng)`` draws it, with its evaluation
+        point checked to lie within delta of x under the oracle's vicinity
+        norm (any norm where the oracle answers at x itself)."""
+        q = OracleQuery(x, delta)
+        if not self.target.domain.contains(q.x):
+            raise DomainError(f"query point {q.x} escapes the domain")
+        g, y, _ = self._sample(q.x.reshape(1, -1), delta, 1, rng, False)
+        return checked_response(g[0], y[0], q, getattr(self, "vicinity_norm", EUCLIDEAN))
+
+    def sample_gradients(self, x, delta: float, m: int, rng: np.random.Generator,
+                         antithetic: bool = False) -> np.ndarray:
+        """Draw ``m`` independent gradient estimates at (x, delta).
+
+        With ``antithetic=True`` each row of an estimator is the average of
+        its estimates at +U and -U (same noise law); the mean is unchanged,
+        the spread of the mean estimate collapses, so bias probes converge
+        far faster.  Oracles without directions ignore it.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
+        return self._sample(x, delta, m, rng, antithetic)[0]
+
+
 @dataclass(frozen=True)
 class OracleEnvelope:
     """The declared bias/variance contract ``(C1 * d**p, C2 * d**-q)``."""

@@ -17,7 +17,8 @@ with constants assembled from closed-form moments of (U, V).
 Every oracle computes its estimate in one vectorised ``estimate`` over a
 stack of query points, from draws passed in as arguments.  ``make_stepper``
 feeds the solver those draws chunk by chunk; ``query`` and
-``sample_gradients`` draw their own and call the same ``estimate``.
+``sample_gradients`` (``core.Oracle``) draw their own in ``_sample`` and
+call the same ``estimate``.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ from .core import (
     EUCLIDEAN,
     MAX_NORM,
     Norm,
+    Oracle,
     OracleEnvelope,
-    OracleQuery,
-    OracleResponse,
-    checked_response,
     draw_chunks,
 )
 from .testbed import ObjectiveFunction
@@ -329,7 +328,7 @@ def envelope_for(
 
 
 @dataclass(frozen=True, eq=False)
-class EstimatorOracle:
+class EstimatorOracle(Oracle):
     """A gradient oracle realized by noisy point evaluations of ``target``."""
 
     target: ObjectiveFunction
@@ -419,38 +418,12 @@ class EstimatorOracle:
             fa, z = None, self.noise.observe(arms, xi)
         return (z[:, 0] - z[:, 1]) * w, *((arms[:, 0], fa) if self._eval_point else (x, None))
 
-    # -- single query -------------------------------------------------------
-
-    def query(self, x: np.ndarray, delta: float, rng: np.random.Generator) -> OracleResponse:
-        q = OracleQuery(x, delta)
-        if not self.target.domain.contains(q.x):
-            raise DomainError(f"query point {q.x} escapes the domain")
-        g, y, _ = self._sample(q.x, delta, 1, rng, False)
-        return checked_response(g[0], y[0], q, self.vicinity_norm)
-
-    # -- vectorized sampling (probes) ----------------------------------------
-
-    def sample_gradients(
-        self,
-        x: np.ndarray,
-        delta: float,
-        m: int,
-        rng: np.random.Generator,
-        antithetic: bool = False,
-    ) -> np.ndarray:
-        """Draw ``m`` independent gradient estimates at (x, delta).
-
-        With ``antithetic=True`` each row is the average of the estimates at
-        +U and -U (same noise law); the mean is unchanged, the spread of the
-        mean estimate collapses, so bias probes converge far faster.
-        """
-        return self._sample(np.atleast_1d(np.asarray(x, dtype=float)), delta, m, rng, antithetic)[0]
+    # -- draws at one point (query, probes) ---------------------------------
 
     def _sample(self, x, delta, m, rng, antithetic):
-        """m estimates at one point: all m directions first, then the noise
-        arm by arm, one block of m per arm."""
+        """m estimates at one point x (1, d): all m directions first, then
+        the noise arm by arm, one block of m per arm."""
         du, w = self._scaled(self.scheme.sample_u(self.dim, rng, m), delta)
-        x = x.reshape(1, -1)
         if self.feedback == "two_point":
             xi = np.moveaxis(self._noise(rng, (self._noise_shape()[0], m, 1)), 0, 1)
             return self.estimate(x, delta, du, w, xi)
@@ -501,7 +474,7 @@ class EstimatorOracle:
 
 
 @dataclass(frozen=True, eq=False)
-class ExactGradientOracle:
+class ExactGradientOracle(Oracle):
     """Noise- and bias-free reference oracle: G = grad f(x), Y = x."""
 
     target: ObjectiveFunction
@@ -521,14 +494,9 @@ class ExactGradientOracle:
         f is not evaluated."""
         return self.target.gradient(x), x, None
 
-    def query(self, x: np.ndarray, delta: float, rng: np.random.Generator) -> OracleResponse:
-        q = OracleQuery(x, delta)
-        g, y, _ = self.estimate(q.x.reshape(1, -1), delta)
-        return checked_response(g[0], y[0], q)
-
-    def sample_gradients(self, x, delta, m, rng, antithetic=False) -> np.ndarray:
-        g, _, _ = self.estimate(np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1), delta)
-        return np.tile(g, (m, 1))
+    def _sample(self, x, delta, m, rng, antithetic):
+        g, y, fy = self.estimate(x, delta)
+        return np.tile(g, (m, 1)), y, fy
 
     def lane_spec(self):
         """``estimate`` as the compiled lane kernel computes it

@@ -484,7 +484,8 @@ def parse_oracle_spec(spec: str):
 
     Grammar: ``kind[,key=value]...`` with kinds one-point, two-point,
     smoothing, exact, adversarial-convex, adversarial-sc.  Keys: fn, scheme,
-    noise, sigma, v, eps, c1, p, c2, q, class, x.
+    noise, sigma, v, eps, a, c1, p, c2, q, class, x; each number must be
+    finite, and v an integer.
     """
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     if not parts:
@@ -496,20 +497,32 @@ def parse_oracle_spec(spec: str):
             raise ConfigError(f"oracle_spec: expected key=value, got {part!r}")
         k, v = part.split("=", 1)
         kv[k.strip()] = v.strip()
-    probe_x = np.array([float(kv.get("x", 0.25))])
+
+    def number(key: str, default, cast=float):
+        """The value of ``key`` as a finite ``cast`` (float or int), or
+        ``default`` where the spec does not name the key."""
+        if key not in kv:
+            return default
+        try:
+            value = cast(kv[key])
+        except ValueError:
+            raise ConfigError(f"oracle_spec: {key} must be {'an integer' if cast is int else 'a number'}, "
+                              f"got {kv[key]!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"oracle_spec: {key} must be finite, got {kv[key]!r}")
+        return value
+
+    probe_x = np.array([number("x", 0.25)])
 
     if kind in ("adversarial-convex", "adversarial-sc"):
         problem = _PROBLEMS[kind.removeprefix("adversarial-")]
-        env = OracleEnvelope(
-            c1=float(kv.get("c1", 1.0)), p=float(kv.get("p", 2.0)),
-            c2=float(kv.get("c2", 1.0)), q=float(kv.get("q", 2.0)),
-        )
-        inst = HardInstance(problem, int(kv.get("v", 1)), float(kv.get("eps", 0.1)), env)
+        env = OracleEnvelope(c1=number("c1", 1.0), p=number("p", 2.0), c2=number("c2", 1.0), q=number("q", 2.0))
+        inst = HardInstance(problem, number("v", 1, int), number("eps", 0.1), env)
         return AdversarialOracle(inst), probe_x
 
     f = build_function(
-        {"name": kv.get("fn", "quadratic"), "v": kv.get("v", 1), "eps": kv.get("eps", 0.1),
-         "a": [float(kv.get("a", 1.0))]}
+        {"name": kv.get("fn", "quadratic"), "v": number("v", 1, int), "eps": number("eps", 0.1),
+         "a": [number("a", 1.0)]}
     )
     if kind == "exact":
         return ExactGradientOracle(f), probe_x
@@ -520,7 +533,7 @@ def parse_oracle_spec(spec: str):
     if scheme is None:
         raise ConfigError(f"oracle_spec: unknown scheme {kv.get('scheme')!r}")
     # the spec's controlled model has slope 0: the two-point difference cancels it
-    oracle = _estimator_cell(f, feedback, scheme, kv.get("noise", "uncontrolled"), float(kv.get("sigma", 1.0)),
+    oracle = _estimator_cell(f, feedback, scheme, kv.get("noise", "uncontrolled"), number("sigma", 1.0),
                              0.0, kv.get("class", "convex_smooth"))
     return oracle, probe_x
 

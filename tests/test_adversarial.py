@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from zograd.adversarial import (
     GRID_X,
     AdversarialOracle,
     HardInstance,
-    SeparableAdversarialOracle,
     bias_excess_on_grid,
     compose_separable,
     convex_gap_slack,
@@ -205,6 +205,14 @@ class TestClosedForms:
 
 
 class TestHardInstance:
+    @pytest.mark.parametrize("problem, eps", [
+        ("convex_smooth", math.nan), ("strongly_convex", math.nan), ("strongly_convex", math.inf),
+        ("strongly_convex", -math.inf), ("strongly_convex", 0.0),
+    ])
+    def test_eps_must_be_finite_and_positive(self, problem, eps):
+        with pytest.raises(DomainError, match="eps must be finite and positive"):
+            HardInstance(problem, +1, eps, ENV12)
+
     def test_convex_cap_enforced(self):
         with pytest.raises(DomainError):
             HardInstance("convex_smooth", +1, 0.5, ENV22)  # 0.5 > 1/(4 ln 2)
@@ -306,5 +314,40 @@ class TestSeparableComposition:
         assert sampled == pytest.approx(total, rel=0.02)
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least one instance"):
             compose_separable([])
+        with pytest.raises(DomainError, match="at least one instance"):
+            AdversarialOracle()
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_mixed_exponents_rejected(self, order):
+        # composed p and q would be the first coordinate's: at delta = 0.05,
+        # (p=2, q=2) then (p=1, q=1) declares a bias bound of 0.0035 against a
+        # true 0.050, and the reverse a variance bound of 40 against 420
+        envs = (OracleEnvelope(c1=1.0, p=2.0, c2=1.0, q=2.0), OracleEnvelope(c1=1.0, p=1.0, c2=1.0, q=1.0))
+        insts = [HardInstance("strongly_convex", +1, 0.2, envs[i]) for i in order]
+        with pytest.raises(DomainError, match="problem class, p and q"):
+            compose_separable(insts)
+
+    @pytest.mark.parametrize("c1, c2", [(1.0, 2.0), (0.3, 1e-300), (1e200, 1.0), (2.5, math.inf), (1e200, math.inf)])
+    def test_one_coordinate_keeps_its_envelope(self, c1, c2):
+        # hypot(c1) is c1 exactly, where sqrt(c1**2) overflows from ~1.3e154
+        inst = HardInstance("strongly_convex", -1, 0.2, OracleEnvelope(c1=c1, p=1.0, c2=c2, q=2.0))
+        assert dataclasses.astuple(AdversarialOracle(inst).envelope) == dataclasses.astuple(inst.envelope)
+
+    def test_one_coordinate_is_the_instance_oracle(self):
+        for inst in (HardInstance("convex_smooth", -1, 0.1, ENV22), HardInstance("strongly_convex", +1, 0.2, ENV12)):
+            composed, own = compose_separable([inst]), inst.oracle()
+            x = np.array([0.3])
+            np.testing.assert_array_equal(composed.sample_gradients(x, 0.2, 1000, RngStream(5, 0).generator()),
+                                          own.sample_gradients(x, 0.2, 1000, RngStream(5, 0).generator()))
+            assert composed.lane_spec()[:3] == own.lane_spec()[:3]
+            f = inst.objective()
+            for target in (composed.target, own.target):
+                assert (target.name, target.f_star, target.hard_pair_arm) == (f.name, f.f_star, f.hard_pair_arm)
+                assert target.hard_pair_arm is not None
+                np.testing.assert_array_equal([target.domain.lower, target.domain.upper],
+                                              [f.domain.lower, f.domain.upper])
+
+    def test_several_coordinates_have_no_lane_spec(self):
+        assert scaled_hard_coordinates("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1, [+1, -1]).lane_spec() is None

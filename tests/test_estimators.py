@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zograd import _lanes
+from zograd.adversarial import hard_pair, scaled_hard_coordinates
 from zograd.core import MAX_NORM, DomainError, RngStream, interval
 from zograd.estimators import (
     ControlledNoise,
@@ -312,6 +313,21 @@ class TestVicinityAndDeterminism:
         o = EstimatorOracle(f, SPSA, UncontrolledNoise(0.0), "one_point")
         r = o.query(np.array([0.2]), 0.1, RNG(21))
         assert abs(r.y[0] - 0.2) == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("kind", ["one-point", "two-point", "controlled", "exact", "adversarial",
+                                      "adversarial-d2"])
+    def test_query_draws_what_one_sample_draws(self, kind):
+        f = quadratic([1.0])
+        oracle = {
+            "one-point": EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "one_point"),
+            "two-point": EstimatorOracle(f, SF, UncontrolledNoise(1.0), "two_point"),
+            "controlled": EstimatorOracle(f, SPSA, additive_controlled(f, 1.0, slope=1.0), "two_point"),
+            "exact": ExactGradientOracle(f),
+            "adversarial": hard_pair("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1)[1].oracle(),
+            "adversarial-d2": scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1]),
+        }[kind]
+        x = np.full(oracle.dim, 0.3)
+        np.testing.assert_array_equal(oracle.query(x, 0.1, RNG(23)).g, oracle.sample_gradients(x, 0.1, 1, RNG(23))[0])
 
     def test_out_of_domain_query_rejected(self):
         f = quadratic([1.0])

@@ -180,6 +180,18 @@ class TestOracleSpec:
             with pytest.raises(ConfigError):
                 parse_oracle_spec(bad)
 
+    @pytest.mark.parametrize("spec, key", [
+        ("adversarial-sc,v=1.5", "v"), ("adversarial-sc,v=abc", "v"), ("one-point,x=abc", "x"),
+        ("one-point,x=nan", "x"), ("exact,x=inf", "x"), ("adversarial-convex,eps=nan", "eps"),
+        ("adversarial-sc,c2=inf", "c2"), ("one-point,sigma=nan", "sigma"), ("two-point,a=-inf", "a"),
+    ])
+    def test_bad_spec_numbers_exit_2(self, spec, key, tmp_path, capsys):
+        code = main(["probe", "--oracle", spec, "--delta-grid", "0.5", "--reps", "100",
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert f"config error: oracle_spec: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
 
 class TestCsvPersistence:
     def test_round_trip(self, tmp_path):

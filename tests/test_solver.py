@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zograd import _lanes, solver
-from zograd.adversarial import hard_pair, scaled_hard_coordinates
+from zograd.adversarial import AdversarialOracle, hard_pair, scaled_hard_coordinates
 from zograd.core import STEPS_PER_CHUNK, Ball, Box, DomainError, RngStream, chunk_sizes, draw_chunks, interval
 from zograd.estimators import (
     EstimatorOracle,
@@ -1050,7 +1050,8 @@ class TestCompiledKernel:
         np.testing.assert_array_equal(fast.regret, slow.regret)
         assert [g.bit_generator.state for g in gens_c] == [g.bit_generator.state for g in gens_np]
 
-    @pytest.mark.parametrize("case", ["wrapped-stepper", "own-noise", "own-estimate", "shared-generator"])
+    @pytest.mark.parametrize("case", ["wrapped-stepper", "own-noise", "own-estimate", "adversarial-own-estimate",
+                                      "shared-generator"])
     def test_draw_path_is_decided_per_run(self, case, caplog):
         # a wrapper set on the class that states the spec (a tracer's) keeps
         # the kernel; a subclass that redefines a draw method or the
@@ -1082,10 +1083,17 @@ class TestCompiledKernel:
                     return 2.0 * g, y, fy
 
             oracle = Doubled(oracle.target, oracle.scheme, oracle.noise, oracle.feedback)
+        elif case == "adversarial-own-estimate":
+            class DoubledReply(AdversarialOracle):
+                def estimate(self, x, delta, xi):
+                    g, y, fy = super().estimate(x, delta, xi)
+                    return 2.0 * g, y, fy
+
+            oracle = DoubledReply(KERNEL_ORACLES["adversarial-sc-p1+1"].instance)
         with patch, caplog.at_level(logging.DEBUG, logger="zograd.solver"):
             got = run(oracle, SCHEDULES[0], 600, _FQ.domain, REG, rng=gens())
         with _numpy_loop():
-            want = run(oracle if case == "own-estimate" else KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], 600,
+            want = run(oracle if case.endswith("own-estimate") else KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], 600,
                        _FQ.domain, REG, rng=gens())
         path = "compiled lane kernel" if case == "wrapped-stepper" else "numpy loop"
         assert f"steps on the {path}" in caplog.text
