@@ -42,11 +42,9 @@ from .estimators import (
     SPSA,
     SURFACE,
     UncontrolledNoise,
-    additive_controlled,
     envelope_for,
     scheme_moments,
     smoothed_eval,
-    smoothing_oracle,
 )
 from .adversarial import (
     AdversarialOracle,

@@ -296,6 +296,8 @@ def scaled_hard_coordinates(
     """The d-dimensional oracle whose coordinates carry the scaled envelopes
     (c1/sqrt(d), c2/d), so the composition meets (c1, c2)."""
     d = len(v)
+    if d == 0:
+        raise DomainError("an adversarial oracle needs at least one instance")
     env = OracleEnvelope(c1=c1 / math.sqrt(d), p=p, c2=c2 / d, q=q, oracle_type="type_I")
     return AdversarialOracle(*(HardInstance(problem_class, vi, eps, env) for vi in v))
 

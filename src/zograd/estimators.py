@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -111,59 +111,27 @@ class UncontrolledNoise:
             raise DomainError("sigma must be nonnegative")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ControlledNoise:
-    """Common-random-numbers observation model Z = observe(x, psi).
+    """Common-random-numbers evaluation noise on a 1-d target:
+    Z = f(x) + (sigma*psi)*(1 + slope*x) with psi ~ N(0, 1).
 
     The algorithm owns the seed psi, reusing one draw for both evaluations of
-    a two-point query; f(x) must equal the psi-average of observe(x, psi).
-    ``smoothness_bound`` bounds sqrt(E[L_psi^2]) for observe(., psi);
-    ``grad_sq_bound`` bounds sup_x E_psi ||grad_x observe(x, psi)||_*^2 (falls
-    back to the target's squared gradient bound when None); ``residual_sq``
-    bounds E[(xi+ - xi-)^2] of the non-cancelling noise part (zero for purely
-    additive noise).  ``additive`` is (f, sigma, slope) when observe is
-    ``additive_controlled``'s Z = f(x) + (sigma*psi)*(1 + slope*x).
+    a two-point query.  With slope = 0 the two-point estimate cancels the
+    noise exactly.  A nonzero slope keeps the cancellation of the common
+    level but leaves a state-independent residual sigma*psi*slope*u*v in the
+    estimate, the constant-variance regime that shrinking delta cannot
+    average away.
     """
 
-    observe: Callable  # (x, psi) -> float, vectorized over x and psi in 1-d
-    psi_sample: Callable  # (rng, size) -> np.ndarray
-    smoothness_bound: float
-    residual_sq: float = 0.0
-    grad_sq_bound: Optional[float] = None
-    additive: Optional[tuple] = None
+    sigma: float
+    slope: float = 0.0
 
     kind = "controlled"
 
-
-def _standard_normal_psi(rng: np.random.Generator, size) -> np.ndarray:
-    """psi ~ N(0, 1), the seed law of ``additive_controlled``."""
-    return rng.standard_normal(size)
-
-
-def additive_controlled(
-    f: ObjectiveFunction, sigma: float, slope: float = 0.0
-) -> ControlledNoise:
-    """Z = f(x) + sigma*psi*(1 + slope*x) with psi ~ N(0, 1), for 1-d targets.
-
-    With slope = 0 this is the canonical common-random-numbers model where a
-    two-point query cancels the noise exactly.  A nonzero slope keeps the
-    cancellation of the common level but leaves a state-independent residual
-    sigma*psi*slope*u*v in the two-point estimate, i.e. the constant-variance
-    regime that cannot be averaged away by shrinking delta.
-    """
-    if f.dim != 1:
-        raise DomainError("additive_controlled is a 1-d observation model")
-    b1 = f.sup_gradient_dual()
-    # 0-d array constants: cheaper than Python floats in per-step numpy ops
-    sig_, slope_, one = np.array(float(sigma)), np.array(float(slope)), np.array(1.0)
-    return ControlledNoise(
-        observe=lambda x, psi: f.value(x) + sig_ * psi * (one + slope_ * x),
-        psi_sample=_standard_normal_psi,
-        smoothness_bound=f.smoothness,
-        residual_sq=4.0 * sigma**2 * slope**2,  # |x+ - x-| <= 2 delta <= 2
-        grad_sq_bound=b1**2 + sigma**2 * slope**2,
-        additive=(f, float(sigma), float(slope)),
-    )
+    def __post_init__(self) -> None:
+        if self.sigma < 0:
+            raise DomainError("sigma must be nonnegative")
 
 
 NoiseModel = UncontrolledNoise | ControlledNoise
@@ -275,7 +243,6 @@ def envelope_for(
     feedback: str,
     scheme: PerturbationScheme,
     f: ObjectiveFunction,
-    norm: Norm = EUCLIDEAN,
 ) -> OracleEnvelope:
     """Bias/variance envelope of the (class, noise, feedback) cell.
 
@@ -287,7 +254,7 @@ def envelope_for(
         raise DomainError(f"unknown function class {function_class!r}")
     if feedback not in ("one_point", "two_point"):
         raise DomainError(f"unknown feedback {feedback!r}")
-    m = scheme_moments(scheme, f.dim, norm)
+    m = scheme_moments(scheme, f.dim)
     L = f.smoothness
 
     if function_class == "c3":
@@ -298,8 +265,7 @@ def envelope_for(
         # ball-averaged surrogate: unbiased for the smoothed function
         c1, p = L / 2.0 * ball_mean_square_radius(f.dim), 2.0
     else:
-        smooth = noise.smoothness_bound if isinstance(noise, ControlledNoise) else L
-        c1, p = smooth / 2.0 * m["v_u2"], 1.0
+        c1, p = L / 2.0 * m["v_u2"], 1.0
 
     if isinstance(noise, UncontrolledNoise):
         if feedback == "one_point":
@@ -310,12 +276,15 @@ def envelope_for(
     else:
         if feedback == "one_point":
             raise DomainError("controlled noise requires two-point feedback")
+        sigma, slope = noise.sigma, noise.slope
         if function_class == "convex_smooth":
-            b1_sq = noise.grad_sq_bound if noise.grad_sq_bound is not None else f.sup_gradient_dual(norm) ** 2
-            c2 = 2.0 * b1_sq + noise.smoothness_bound**2 / 2.0 * m["v2_u4"]
+            # b1^2 bounds E_psi |dZ/dx|^2 = f'(x)^2 + (sigma*slope)^2
+            b1_sq = f.sup_gradient_dual() ** 2 + sigma**2 * slope**2
+            c2 = 2.0 * b1_sq + L**2 / 2.0 * m["v2_u4"]
             q = 0.0
         else:
-            c2 = 4.0 * m["v2"] * (noise.residual_sq + f.span())
+            # the residual (sigma*psi*slope*(x+ - x-))^2, with |x+ - x-| <= 2 delta <= 2
+            c2 = 4.0 * m["v2"] * (4.0 * sigma**2 * slope**2 + f.span())
             q = 2.0
 
     oracle_type = "type_II" if (feedback == "one_point" and scheme.kind == "surface") else "type_I"
@@ -336,13 +305,15 @@ class EstimatorOracle(Oracle):
     noise: NoiseModel
     feedback: str  # "one_point" | "two_point"
     function_class: str = "convex_smooth"
-    norm: Norm = EUCLIDEAN
 
     def __post_init__(self) -> None:
         if self.feedback not in ("one_point", "two_point"):
             raise DomainError(f"unknown feedback {self.feedback!r}")
-        if isinstance(self.noise, ControlledNoise) and self.feedback == "one_point":
-            raise DomainError("controlled noise requires two-point feedback")
+        if isinstance(self.noise, ControlledNoise):
+            if self.feedback == "one_point":
+                raise DomainError("controlled noise requires two-point feedback")
+            if self.target.dim != 1:
+                raise DomainError("controlled noise is a model of 1-d targets")
         if self.scheme.kind == "surface" and self.feedback == "two_point":
             raise DomainError("surface sampling is a one-point construction")
         # y = x + delta*U stays in the delta-vicinity only for bounded U
@@ -364,7 +335,7 @@ class EstimatorOracle(Oracle):
 
     @functools.cached_property
     def envelope(self) -> OracleEnvelope:
-        return envelope_for(self.function_class, self.noise, self.feedback, self.scheme, self.target, self.norm)
+        return envelope_for(self.function_class, self.noise, self.feedback, self.scheme, self.target)
 
     def _noise_shape(self) -> tuple[int, ...]:
         """Noise of one estimate: the evaluation noise of each arm, (1,) for
@@ -376,7 +347,7 @@ class EstimatorOracle(Oracle):
 
     def _noise(self, rng: np.random.Generator, shape) -> np.ndarray:
         if isinstance(self.noise, ControlledNoise):
-            return np.asarray(self.noise.psi_sample(rng, shape), dtype=float)
+            return rng.standard_normal(shape)  # psi, scaled in ``estimate``
         sig = self.noise.sigma
         return sig * rng.standard_normal(shape) if sig > 0 else np.zeros(shape)
 
@@ -399,11 +370,13 @@ class EstimatorOracle(Oracle):
         du and weights w of ``_scaled``, and the noise xi of
         ``_noise_shape``; delta is already in them.  One-point:
         G = (f(x + du) + xi) * w.  Two-point: G = (Z+ - Z-) * w with
-        Z = f(x +- du) + xi, or, for controlled noise, Z = observe(x +- du,
-        psi).  The evaluation point is x + du when the scheme keeps
-        ||x - y|| <= delta under its vicinity norm, and x itself otherwise.
-        The values are f(y) (lanes, 1), or f at both arms (lanes, 2, 1) for
-        two-point feedback; None where f was not evaluated noiselessly at y.
+        Z = f(a) + xi at the arms a = x +- du, or, for controlled noise,
+        Z = f(a) + (sigma*psi)*(1 + slope*a) with the one psi of xi.  The
+        evaluation point is x + du when the scheme keeps ||x - y|| <= delta
+        under its vicinity norm, and x itself otherwise.  The values are
+        f(y) (lanes, 1), or f at both arms (lanes, 2, 1) for two-point
+        feedback; None at x, and under controlled noise, where the regret
+        loss evaluates f at y and 2x - y itself, as the lane kernel does.
         """
         f = self.target.value_rows
         if self.feedback == "one_point":
@@ -411,11 +384,11 @@ class EstimatorOracle(Oracle):
             fy = f(y)
             return (fy + xi) * w, *((y, fy) if self._eval_point else (x, None))
         arms = x[:, None] + du
+        fa = f(arms)
         if isinstance(self.noise, UncontrolledNoise):
-            fa = f(arms)
             z = fa + xi
         else:
-            fa, z = None, self.noise.observe(arms, xi)
+            fa, z = None, fa + (self.noise.sigma * xi) * (1.0 + self.noise.slope * arms)
         return (z[:, 0] - z[:, 1]) * w, *((arms[:, 0], fa) if self._eval_point else (x, None))
 
     # -- draws at one point (query, probes) ---------------------------------
@@ -438,11 +411,11 @@ class EstimatorOracle(Oracle):
     def lane_spec(self):
         """``estimate`` and ``make_stepper`` as the compiled lane kernel
         computes and draws them (``_lanes.LaneSpec``) for a 1-d quadratic
-        target under uncontrolled or additive controlled noise: U and V as
-        ``PerturbationScheme.sample_u`` and ``v_of`` make them at d = 1,
-        weighted as ``_scaled`` weights them, then the noise of ``_noise``:
-        sigma*z, zeros for sigma = 0, or the plain psi of the additive
-        controlled model.  None for any other target or noise."""
+        target: U and V as ``PerturbationScheme.sample_u`` and ``v_of`` make
+        them at d = 1, weighted as ``_scaled`` weights them, then the noise
+        of ``_noise``: sigma*z, zeros for sigma = 0, or the plain psi of
+        controlled noise, which the kernel scales by its sigma and slope as
+        ``estimate`` does.  None for any other target."""
         from . import _lanes  # imported on first use, not with zograd (see _lanes)
         coef = self.target.quadratic_1d
         if coef is None:
@@ -454,11 +427,9 @@ class EstimatorOracle(Oracle):
             sigma = self.noise.sigma
             data, noise = (*coef, 0.0, 0.0), (lambda delta: sigma) if sigma > 0 else None
         else:
-            additive = self.noise.additive
-            if additive is None or additive[0] is not self.target or self.noise.psi_sample is not _standard_normal_psi:
-                return None
             # psi unscaled: 1.0*z is z, bit for bit
-            flags, data, noise = flags | _lanes.CONTROLLED, (*coef, *additive[1:]), lambda delta: 1.0
+            data = (*coef, float(self.noise.sigma), float(self.noise.slope))
+            flags, noise = flags | _lanes.CONTROLLED, lambda delta: 1.0
         return _lanes.LaneSpec(flags, data, 1.0 if self.feedback == "one_point" else 0.5, noise)
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
@@ -511,18 +482,6 @@ class ExactGradientOracle(Oracle):
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
         return draw_chunks(rng, n, ())
-
-
-def smoothing_oracle(
-    f: ObjectiveFunction, sigma: float = 0.0, function_class: str = "convex_smooth"
-) -> EstimatorOracle:
-    return EstimatorOracle(
-        target=f,
-        scheme=SURFACE,
-        noise=UncontrolledNoise(sigma),
-        feedback="one_point",
-        function_class=function_class,
-    )
 
 
 def smoothed_eval(

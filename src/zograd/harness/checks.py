@@ -23,9 +23,9 @@ from ..estimators import (
     SF,
     SPSA,
     SURFACE,
+    ControlledNoise,
     EstimatorOracle,
     UncontrolledNoise,
-    additive_controlled,
 )
 from ..solver import (
     Regularizer,
@@ -87,7 +87,7 @@ def _check_estimator_envelopes() -> str:
         EstimatorOracle(f, SURFACE, UncontrolledNoise(1.0), "one_point"),
         EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point"),
         EstimatorOracle(f, SF, UncontrolledNoise(1.0), "two_point"),
-        EstimatorOracle(f, SPSA, additive_controlled(f, 1.0), "two_point"),
+        EstimatorOracle(f, SPSA, ControlledNoise(1.0), "two_point"),
     ]
     x = np.array([0.3])
     for oracle in cells:

@@ -37,6 +37,7 @@ from ..adversarial import (
 )
 from ..core import OracleEnvelope, RngStream
 from ..estimators import (
+    ControlledNoise,
     EstimatorOracle,
     ExactGradientOracle,
     RDSA,
@@ -44,7 +45,6 @@ from ..estimators import (
     SPSA,
     SURFACE,
     UncontrolledNoise,
-    additive_controlled,
 )
 from ..solver import (
     NonFiniteIterate,
@@ -126,9 +126,9 @@ def build_function(spec: dict, problem_class: str = "convex") -> ObjectiveFuncti
 
 def _estimator_cell(f: ObjectiveFunction, feedback: str, scheme, noise: str, sigma: float, slope: float,
                     function_class: str = "convex_smooth") -> EstimatorOracle:
-    """The estimator oracle of one (feedback, scheme, noise) cell on f:
-    controlled noise is ``additive_controlled`` with that slope."""
-    model = additive_controlled(f, sigma, slope=slope) if noise == "controlled" else UncontrolledNoise(sigma)
+    """The estimator oracle of one (feedback, scheme, noise) cell on f, with
+    noise level sigma; only controlled noise has a slope."""
+    model = ControlledNoise(sigma, slope) if noise == "controlled" else UncontrolledNoise(sigma)
     return EstimatorOracle(target=f, scheme=scheme, noise=model, feedback=feedback, function_class=function_class)
 
 

@@ -147,13 +147,16 @@ def softabs(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFu
 
 def strongly_convex_pair(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFunction:
     """Unit-curvature parabola with minimizer nudged to ``v*eps``:
-    f(x) = x^2/2 - v*eps*x, f* = -eps^2/2."""
+    f(x) = x^2/2 - v*eps*x, f* = -eps^2/2.  The minimizer must lie in the
+    domain, or f* and x* would not be the constrained ones."""
     if eps <= 0:
         raise DomainError("eps must be positive")
     if v not in (+1, -1):
         raise DomainError("v must be +1 or -1")
     dom = domain if domain is not None else interval(-1.0, 1.0)
     ve = float(v) * float(eps)
+    if not dom.contains(np.array([ve]), tol=0.0):
+        raise DomainError(f"the minimizer v*eps = {ve:.4g} of the strongly convex pair lies outside its domain")
 
     return ObjectiveFunction(
         name=f"sc_pair(v={v:+d},eps={eps})",

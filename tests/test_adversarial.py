@@ -318,6 +318,8 @@ class TestSeparableComposition:
             compose_separable([])
         with pytest.raises(DomainError, match="at least one instance"):
             AdversarialOracle()
+        with pytest.raises(DomainError, match="at least one instance"):
+            scaled_hard_coordinates("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1, [])
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_mixed_exponents_rejected(self, order):

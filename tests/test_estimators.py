@@ -17,7 +17,6 @@ from zograd.estimators import (
     SURFACE,
     UncontrolledNoise,
     _sampled_moments,
-    additive_controlled,
     envelope_for,
     scheme_moments,
     smoothed_eval,
@@ -129,7 +128,7 @@ class TestTwoPoint:
 
     def test_controlled_noise_cancels(self):
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
-        o = EstimatorOracle(f, SPSA, additive_controlled(f, sigma=5.0), "two_point")  # slope 0: purely common
+        o = EstimatorOracle(f, SPSA, ControlledNoise(sigma=5.0), "two_point")  # slope 0: purely common
         delta = 0.2
         psi = np.array([0.0, -3.0, 0.7, 123.0]).reshape(4, 1, 1)  # one lane per psi
         x = np.full((4, 1), 0.4)
@@ -142,7 +141,7 @@ class TestTwoPoint:
 
     def test_state_scaled_residual_has_constant_variance(self):
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
-        o = EstimatorOracle(f, SPSA, additive_controlled(f, 2.0, slope=1.0), "two_point")
+        o = EstimatorOracle(f, SPSA, ControlledNoise(2.0, slope=1.0), "two_point")
         assert o.envelope.q == 0.0
         for delta in (0.5, 0.05):
             res = probe_bias_variance(o, np.array([0.5]), delta, 50_000, RNG(9))
@@ -155,7 +154,16 @@ class TestTwoPoint:
     def test_controlled_one_point_rejected(self):
         f = quadratic([1.0])
         with pytest.raises(DomainError):
-            EstimatorOracle(f, SPSA, additive_controlled(f, 1.0), "one_point")
+            EstimatorOracle(f, SPSA, ControlledNoise(1.0), "one_point")
+
+    def test_controlled_noise_needs_a_1d_target(self):
+        with pytest.raises(DomainError, match="1-d"):
+            EstimatorOracle(quadratic([1.0, 2.0]), SPSA, ControlledNoise(1.0), "two_point")
+
+    def test_negative_sigma_rejected(self):
+        for noise in (UncontrolledNoise, ControlledNoise):
+            with pytest.raises(DomainError, match="sigma"):
+                noise(-1.0)
 
 
 class TestSmoothing:
@@ -207,7 +215,7 @@ class TestEnvelopeTable:
         f = quadratic([1.0])
         fe = exp_one_d()
         u = UncontrolledNoise(1.0)
-        c = additive_controlled(f, 1.0)
+        c = ControlledNoise(1.0)
         assert (envelope_for("convex_smooth", u, "one_point", SPSA, f).p,
                 envelope_for("convex_smooth", u, "one_point", SPSA, f).q) == (1.0, 2.0)
         assert (envelope_for("c3", u, "two_point", SPSA, fe).p,
@@ -226,12 +234,48 @@ class TestEnvelopeTable:
     def test_unsupported_cells(self):
         f = quadratic([1.0])
         with pytest.raises(DomainError):
-            envelope_for("convex_smooth", additive_controlled(f, 1.0), "one_point", SPSA, f)
+            envelope_for("convex_smooth", ControlledNoise(1.0), "one_point", SPSA, f)
         with pytest.raises(DomainError):
             # the kinked family carries no third-derivative bound
             envelope_for("c3", UncontrolledNoise(1.0), "one_point", SPSA, kinked_quadratic())
         with pytest.raises(DomainError):
             envelope_for("weird", UncontrolledNoise(1.0), "one_point", SPSA, f)
+
+    # (c1, c2) of the controlled two-point SPSA cells, bit for bit, for
+    # sigma in {1, 3} and slope in {0, 0.5, 1} in both classes
+    CONTROLLED = {
+        ("quadratic", "convex_smooth", 1.0, 0.0): (0.5, 2.5),
+        ("quadratic", "convex_smooth", 1.0, 0.5): (0.5, 3.0),
+        ("quadratic", "convex_smooth", 1.0, 1.0): (0.5, 4.5),
+        ("quadratic", "convex_smooth", 3.0, 0.0): (0.5, 2.5),
+        ("quadratic", "convex_smooth", 3.0, 0.5): (0.5, 7.0),
+        ("quadratic", "convex_smooth", 3.0, 1.0): (0.5, 20.5),
+        ("quadratic", "c3", 1.0, 0.0): (0.0, 7.999999919983997),
+        ("quadratic", "c3", 1.0, 0.5): (0.0, 11.999999919983997),
+        ("quadratic", "c3", 1.0, 1.0): (0.0, 23.999999919984),
+        ("quadratic", "c3", 3.0, 0.0): (0.0, 7.999999919983997),
+        ("quadratic", "c3", 3.0, 0.5): (0.0, 43.999999919984),
+        ("quadratic", "c3", 3.0, 1.0): (0.0, 151.999999919984),
+        ("exp", "convex_smooth", 1.0, 0.0): (3.694528049465325, 33.204059900597244),
+        ("exp", "convex_smooth", 1.0, 0.5): (3.694528049465325, 33.704059900597244),
+        ("exp", "convex_smooth", 1.0, 1.0): (3.694528049465325, 35.204059900597244),
+        ("exp", "convex_smooth", 3.0, 0.0): (3.694528049465325, 33.204059900597244),
+        ("exp", "convex_smooth", 3.0, 0.5): (3.694528049465325, 37.704059900597244),
+        ("exp", "convex_smooth", 3.0, 1.0): (3.694528049465325, 51.204059900597244),
+        ("exp", "c3", 1.0, 0.0): (1.231509349821775, 17.556224315711933),
+        ("exp", "c3", 1.0, 0.5): (1.231509349821775, 21.556224315711933),
+        ("exp", "c3", 1.0, 1.0): (1.231509349821775, 33.55622431571193),
+        ("exp", "c3", 3.0, 0.0): (1.231509349821775, 17.556224315711933),
+        ("exp", "c3", 3.0, 0.5): (1.231509349821775, 53.55622431571193),
+        ("exp", "c3", 3.0, 1.0): (1.231509349821775, 161.55622431571194),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CONTROLLED))
+    def test_controlled_envelopes_are_pinned(self, cell):
+        name, function_class, sigma, slope = cell
+        f = quadratic([1.0]) if name == "quadratic" else exp_one_d()
+        env = envelope_for(function_class, ControlledNoise(sigma, slope), "two_point", SPSA, f)
+        assert (env.c1, env.c2) == self.CONTROLLED[cell]
 
     def test_c3_quadratic_has_zero_bias_coefficient(self):
         # quadratics carry B3 = 0, so the C^3 cell envelope collapses on them
@@ -252,7 +296,7 @@ class TestEnvelopeInvariants:
             (EstimatorOracle(fq, SURFACE, UncontrolledNoise(1.0), "one_point"), (0.25, 0.6, 0.9)),
             (EstimatorOracle(fe, SPSA, UncontrolledNoise(1.0), "two_point", function_class="c3"), (0.0, 0.4, -0.5)),
             (EstimatorOracle(fe, SF, UncontrolledNoise(1.0), "two_point"), (0.0, 0.4, -0.5)),
-            (EstimatorOracle(fq, SPSA, additive_controlled(fq, 1.0, slope=1.0), "two_point"), (0.25, 0.6, 0.9)),
+            (EstimatorOracle(fq, SPSA, ControlledNoise(1.0, slope=1.0), "two_point"), (0.25, 0.6, 0.9)),
         ]
 
     def test_bias_and_variance_inside_envelope(self):
@@ -321,7 +365,7 @@ class TestVicinityAndDeterminism:
         oracle = {
             "one-point": EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "one_point"),
             "two-point": EstimatorOracle(f, SF, UncontrolledNoise(1.0), "two_point"),
-            "controlled": EstimatorOracle(f, SPSA, additive_controlled(f, 1.0, slope=1.0), "two_point"),
+            "controlled": EstimatorOracle(f, SPSA, ControlledNoise(1.0, slope=1.0), "two_point"),
             "exact": ExactGradientOracle(f),
             "adversarial": hard_pair("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1)[1].oracle(),
             "adversarial-d2": scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1]),
@@ -369,7 +413,7 @@ class TestLaneSpec:
         assert one[:2] == (_lanes.SIGNS | _lanes.EVAL_POINT, (0.5, -2.0, 1.5, 0.0, 0.0))
         sf = EstimatorOracle(f, SF, UncontrolledNoise(1.0), "two_point").lane_spec()
         assert sf[:2] == (_lanes.PLAIN | _lanes.TWO_POINT, (0.5, -2.0, 1.5, 0.0, 0.0))
-        controlled = EstimatorOracle(f, SPSA, additive_controlled(f, 3.0, slope=0.5), "two_point")
+        controlled = EstimatorOracle(f, SPSA, ControlledNoise(3.0, slope=0.5), "two_point")
         assert controlled.lane_spec()[:2] == (
             _lanes.SIGNS | _lanes.TWO_POINT | _lanes.EVAL_POINT | _lanes.CONTROLLED, (0.5, -2.0, 1.5, 3.0, 0.5))
 
@@ -378,23 +422,23 @@ class TestLaneSpec:
         y = np.linspace(-1.5, 2.5, 101)
         np.testing.assert_array_equal((ca * y + cb) * y + cc, self.F.value(y))
 
-    def test_other_targets_and_noise_are_not_covered(self):
-        # other targets, d > 1, another target's additive model, and a
-        # custom psi law are run and drawn by the numpy loop only
-        f = self.F
-        other = quadratic([2.0])
-        custom = ControlledNoise(observe=lambda x, psi: f.value(x) + psi, psi_sample=lambda rng, size: rng.standard_normal(size),
-                                 smoothness_bound=1.0)
-        custom_psi = dataclasses.replace(custom, additive=(f, 1.0, 0.0))
+    def test_other_targets_are_not_covered(self):
+        # other targets and d > 1 are run and drawn by the numpy loop only
         oracles = [
             EstimatorOracle(exp_one_d(), SPSA, UncontrolledNoise(1.0), "one_point"),
+            EstimatorOracle(exp_one_d(), SPSA, ControlledNoise(1.0), "two_point"),
             EstimatorOracle(quadratic([1.0, 2.0]), SPSA, UncontrolledNoise(1.0), "one_point"),
             EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"),
-            EstimatorOracle(f, SPSA, additive_controlled(other, 1.0), "two_point"),
-            EstimatorOracle(f, SPSA, custom, "two_point"),
-            EstimatorOracle(f, SPSA, custom_psi, "two_point"),
         ]
-        assert [o.lane_spec() for o in oracles] == [None] * 6
+        assert [o.lane_spec() for o in oracles] == [None] * 4
+
+    @pytest.mark.parametrize("scheme", [SPSA, RDSA, SF])
+    def test_every_controlled_cell_is_covered(self, scheme):
+        for sigma in (0.0, 1.0, 3.0):
+            for slope in (0.0, 0.5, 1.0):
+                spec = EstimatorOracle(self.F, scheme, ControlledNoise(sigma, slope), "two_point").lane_spec()
+                assert spec.flags & _lanes.CONTROLLED
+                assert spec.data == (0.5, -2.0, 1.5, sigma, slope)
 
     def test_draw_specs_name_direction_weight_and_noise(self):
         f = self.F
@@ -407,8 +451,8 @@ class TestLaneSpec:
         # rdsa's U = (z/|z|)*sqrt(d) is z/|z| at d = 1
         rdsa = spec(RDSA, UncontrolledNoise(1.0), "two_point")
         assert (rdsa.flags & directions, rdsa.weight, rdsa.noise(0.2)) == (_lanes.UNIT, 0.5, 1.0)
-        # the additive model's psi is the plain normal
-        controlled = spec(SF, additive_controlled(f, 3.0), "two_point")
+        # controlled noise hands the kernel the plain normal psi
+        controlled = spec(SF, ControlledNoise(3.0), "two_point")
         assert (controlled.flags & directions, controlled.weight, controlled.noise(0.2)) == (_lanes.PLAIN, 0.5, 1.0)
         assert spec(SPSA, UncontrolledNoise(3.0), "two_point").shift is None
         exact = ExactGradientOracle(softabs(-1, 0.1)).lane_spec()

@@ -329,6 +329,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("c1", ["30", "1e200"])
+    def test_strongly_convex_minimizer_off_the_domain_exits_2(self, c1, tmp_path, capsys):
+        # the optimal separation is eps = 1.377 at c1 = 30 and 2.5e99 at
+        # c1 = 1e200, so the arm's minimizer v*eps leaves [-1, 1] and its
+        # declared f* = -eps^2/2 is not the constrained minimum
+        argv = ["lowerbound", "--class", "sc", "--p", "1", "--c1", c1, "--n", "1000", "--reps", "4",
+                "--out", str(tmp_path / "lb.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: the minimizer v*eps") and err.count("\n") == 1
+        assert not (tmp_path / "lb.csv").exists()
+
 
     LOWERBOUND = ["lowerbound", "--class", "sc", "--p", "1", "--q", "2", "--c1", "1", "--c2", "1",
                   "--n", "2000", "--reps", "4", "--seed", "3"]

@@ -22,6 +22,7 @@ from zograd import _lanes, solver
 from zograd.adversarial import AdversarialOracle, hard_pair, scaled_hard_coordinates
 from zograd.core import STEPS_PER_CHUNK, Ball, Box, DomainError, RngStream, chunk_sizes, draw_chunks, interval
 from zograd.estimators import (
+    ControlledNoise,
     EstimatorOracle,
     ExactGradientOracle,
     RDSA,
@@ -29,7 +30,6 @@ from zograd.estimators import (
     SPSA,
     SURFACE,
     UncontrolledNoise,
-    additive_controlled,
 )
 from zograd.solver import (
     NonFiniteIterate,
@@ -239,7 +239,7 @@ class TestRun:
         # the loss of a round is f at y, or the mean of f at both arms
         # x +- delta*u (y and 2x - y) for two-point feedback
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
-        noise = additive_controlled(f, 1.0) if noise == "controlled" else noise
+        noise = ControlledNoise(1.0) if noise == "controlled" else noise
         o = EstimatorOracle(f, SPSA, noise, feedback)
         tr = run(o, manual_schedule(0.2, ("const", 0.05)), 300, f.domain, REG, rng=RNG(11), mode="regret",
                  record=True)
@@ -308,7 +308,7 @@ def _oracles():
         "one-point": EstimatorOracle(fq, SPSA, UncontrolledNoise(3.0), "one_point"),
         "smoothing": EstimatorOracle(fq, SURFACE, UncontrolledNoise(3.0), "one_point"),
         "spsa-2pt": EstimatorOracle(fq, SPSA, UncontrolledNoise(3.0), "two_point"),
-        "spsa-controlled": EstimatorOracle(fq, SPSA, additive_controlled(fq, 3.0, slope=1.0), "two_point"),
+        "spsa-controlled": EstimatorOracle(fq, SPSA, ControlledNoise(3.0, slope=1.0), "two_point"),
         "sf-2pt-d2": EstimatorOracle(f2, SF, UncontrolledNoise(1.0), "two_point"),
         "smoothing-d2": EstimatorOracle(f2, SURFACE, UncontrolledNoise(1.0), "one_point"),
         "exact": ExactGradientOracle(fq),
@@ -413,8 +413,9 @@ KERNEL_ORACLES = {
     "smoothing": EstimatorOracle(_FQ, SURFACE, UncontrolledNoise(3.0), "one_point"),
     "spsa-2pt": EstimatorOracle(_FQ, SPSA, UncontrolledNoise(3.0), "two_point"),
     "sf-2pt": EstimatorOracle(_FQ, SF, UncontrolledNoise(1.0), "two_point"),
-    "controlled-slope-0": EstimatorOracle(_FQ, SPSA, additive_controlled(_FQ, 3.0), "two_point"),
-    "controlled-slope-1": EstimatorOracle(_FQ, SPSA, additive_controlled(_FQ, 3.0, slope=1.0), "two_point"),
+    "controlled-slope-0": EstimatorOracle(_FQ, SPSA, ControlledNoise(3.0), "two_point"),
+    "controlled-slope-1": EstimatorOracle(_FQ, SPSA, ControlledNoise(3.0, slope=1.0), "two_point"),
+    "controlled-slope-0.5-sf": EstimatorOracle(_FQ, SF, ControlledNoise(3.0, slope=0.5), "two_point"),
 }
 # and every oracle of the lower-bound experiment: both arms of both pairs at
 # p = 1 and p = 2, where the shift min(eps, c1*delta^p) saturates at eps for
@@ -435,14 +436,14 @@ KERNEL_CELLS = [
 
 # every cell whose draws the C fill makes: each scheme, one- and two-point
 # (surface is one-point only), uncontrolled noise with sigma = 0 and > 0 and
-# additive controlled noise (two-point only), and the adversarial oracles
+# controlled noise (two-point only), and the adversarial oracles
 # of both arms of both pairs
 DRAW_ORACLES = {
     f"{scheme.kind}-{feedback}-{name}": EstimatorOracle(_FQ, scheme, noise, feedback)
     for scheme in (SPSA, SURFACE, RDSA, SF)
     for feedback in ("one_point", "two_point")
     for name, noise in (("sigma0", UncontrolledNoise(0.0)), ("sigma3", UncontrolledNoise(3.0)),
-                        ("controlled", additive_controlled(_FQ, 3.0, slope=1.0)))
+                        ("controlled", ControlledNoise(3.0, slope=1.0)))
     if not (scheme is SURFACE and feedback == "two_point") and not (name == "controlled" and feedback == "one_point")
 }
 DRAW_ORACLES.update({k: o for k, o in KERNEL_ORACLES.items() if k.startswith("adversarial")})

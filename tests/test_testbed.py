@@ -113,6 +113,15 @@ class TestStronglyConvexPair:
         f = strongly_convex_pair(+1, 0.2)
         assert float(f.gradient(0.2)) == 0.0
 
+    @pytest.mark.parametrize("v, eps, domain", [(+1, 1.377, None), (-1, 2.5e99, None), (+1, 0.2, interval(-1.0, 0.1))])
+    def test_minimizer_off_the_domain_rejected(self, v, eps, domain):
+        # f* = -eps^2/2 holds only where v*eps lies in the domain
+        with pytest.raises(DomainError, match="outside its domain"):
+            strongly_convex_pair(v, eps, domain)
+
+    def test_minimizer_on_the_boundary_accepted(self):
+        assert strongly_convex_pair(-1, 1.0).f_star == -0.5
+
     def test_separation(self):
         eps = 0.2
         for v in (+1, -1):
