@@ -26,7 +26,9 @@
    finite and then that every evaluation point lay within its lane's
    vicinity tolerance, and stops at the first fault.  The draws are the
    ones solver.run would feed oracle.estimate, stacked (steps, lanes, ...)
-   as _next_chunk stacks them.
+   as _next_chunk stacks them.  zg_lane_draws is also called on its own, on
+   one lane of m steps, for the m replies an oracle draws at one point
+   (oracle._sample, through _lanes.probe_draws).
 
    Each value is computed with the operations, and in the order, of the
    numpy code it replaces, so that compiled without contraction or
@@ -47,9 +49,10 @@
    noise reads the twin of that generator jumped once
    (bit_generator.jumped()), which _lanes.LaneRun takes from the
    generator's state at the start of the run, as core.draw_chunks takes it;
-   an oracle that draws no directions reads its noise from the lane's
-   generator.  The draws come with the samplers numpy's Generator itself
-   calls, from numpy/random/lib/libnpyrandom.a, linked in statically:
+   an oracle that draws no directions, and a lane of draws at one point,
+   read their noise from the lane's generator.  The draws come with the
+   samplers numpy's Generator itself calls, from
+   numpy/random/lib/libnpyrandom.a, linked in statically:
    random_bounded_uint64_fill for bits, and for normals numpy's ziggurat
    (random_standard_normal, Marsaglia & Tsang 2000) with its fast path
    inlined.  That path takes one 64-bit draw per value and applies the sign
@@ -350,11 +353,13 @@ long zg_scratch(long m, long lanes, long flags)
 /* One chunk of m steps' draws of every lane, written to out as _next_chunk
    stacks the chunks of oracle.make_stepper: du (width[0] offsets per
    lane-step, du and then -du for two arms), then w (width[1]), then xi
-   (width[2]), each laid out (steps, lanes, ...).  Lane i draws its next
-   min(m, left) steps, directions from its dir generator and noise from its
-   noise generator, and gets zeros after them.  Each value is computed with
-   the operations, and in the order, of the numpy steppers.  The values
-   that follow the draws in out are scratch.  Returns the number of draws. */
+   (width[2]), each laid out (steps, lanes, ...); on one lane of m steps,
+   xi holds the noise of every arm in the order it was drawn.  Lane i draws
+   its next min(m, left) steps, directions from its dir generator and noise
+   from its noise generator, and gets zeros after them.  Each value is
+   computed with the operations, and in the order, of the numpy steppers.
+   The values that follow the draws in out are scratch.  Returns the number
+   of draws. */
 long zg_lane_draws(long m, long lanes, long flags, const struct lane *lane, double *out)
 {
     long width[3];

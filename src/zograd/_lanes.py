@@ -1,11 +1,12 @@
 """Build, cache and load the compiled lane kernel (``_lanes.c``).
 
 Importing zograd does not import this module: the oracles and the solver
-import it the first time a run asks for the kernel.  Where Python keeps no
-bytecode cache, every line a process imports is compiled as it starts.
+import it the first time a run, or a 1-d oracle's draws at one point, ask
+for the kernel.  Where Python keeps no bytecode cache, every line a process
+imports is compiled as it starts.
 
 ``kernel()`` compiles the C source with the system C compiler the first
-time a run asks for it (never at import), against numpy's sampler library
+time it is asked for (never at import), against numpy's sampler library
 (``numpy/random/lib/libnpyrandom.a``) and the header of its bit generators
 (``numpy/random/bitgen.h``), caches the shared library under
 ``__pycache__`` next to this file, named by a hash of its inputs, removes
@@ -39,6 +40,11 @@ sampler; the fill is checked against numpy's normals then
 every normal is handed to numpy's sampler and the fill is checked again;
 the reason is logged once at DEBUG, and where the second check fails too
 there is no kernel.
+
+The same fill makes the draws of an oracle's replies at one point at d = 1
+(``_sample``, under ``sample_gradients`` and the probes): ``probe_draws``
+fills them on one lane and returns them to the oracle's numpy
+``estimate``; where it returns None, numpy draws them.
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ TANH_SIGNATURE = "d->d"
 # flag bits of zg_lane_run, as in _lanes.c: the oracle's formula and draws, and the run's mode
 TWO_POINT, EVAL_POINT, CONTROLLED, REGRET = 1, 2, 4, 16
 AT_X, SOFTABS, SHIFTED, NOISE, SIGNS, UNIT, PLAIN = 32, 64, 128, 256, 512, 1024, 2048
+DIRECTIONS = SIGNS | UNIT | PLAIN
 LONG = np.dtype(ctypes.c_long)  # the kernel's integers
 # a lane of a kernel run, as struct lane in _lanes.c
 LANE = np.dtype([("delta", float), ("weight", float), ("scale", float), ("shift", float), ("tol", float),
@@ -96,21 +103,24 @@ NORMAL_PREMISE = (15, 8192)
 class LaneSpec(NamedTuple):
     """An oracle's ``estimate`` and ``make_stepper`` as the compiled lane
     kernel computes and draws them for one lane-step of a 1-d run
-    (``lane_spec()``).
+    (``lane_spec()``), and so the draws of its ``_sample``
+    (``probe_draws``).
 
     ``flags`` are the formula's bits (``TWO_POINT``, ``EVAL_POINT``,
     ``CONTROLLED``, or ``AT_X`` and ``SOFTABS``) and the direction's: SIGNS
     for U = 2b - 1 of bits from ``integers(0, 2)`` and V = 1/U, UNIT for
     U = z/|z| and PLAIN for U = z of a ``standard_normal`` z, with V = U.
     ``data`` is the formula data: (ca, cb, cc, sigma, slope) of an
-    estimator of a 1-d quadratic, (v, eps) of an arm of a hard pair.  The
+    estimator of a 1-d quadratic, (v, eps) of an arm of a hard pair; None
+    where the kernel draws for the oracle but does not compute its formula
+    (an estimator of another 1-d target), which ``lane_run`` refuses.  The
     offsets are du = delta*U, and -du for a second arm, and the weight is
     w = V*(weight/delta).  ``noise(delta)`` scales the standard normals of
     xi (None: xi is zeros), and ``shift(delta)`` is the adversarial reply's
     shift (None: the oracle is not shifted)."""
 
     flags: int
-    data: tuple[float, ...]
+    data: Optional[tuple[float, ...]]
     weight: float = 1.0
     noise: Optional[Callable[[float], float]] = None
     shift: Optional[Callable[[float], float]] = None
@@ -230,29 +240,36 @@ def _normal_mismatch(fill: Callable) -> Optional[str]:
     return None
 
 
+def _spec(oracle, redefined: Sequence[str]) -> Optional[LaneSpec]:
+    """``oracle.lane_spec()``, or None where its class has no ``lane_spec``
+    or redefines one of the methods ``redefined`` below the class that
+    defines it.  Looked up at call time, so that a wrapper set on that class
+    itself, such as a tracer's, leaves the spec in force."""
+    mro = type(oracle).__mro__
+    depth = lambda name: next((i for i, cls in enumerate(mro) if name in vars(cls)), len(mro))
+    own = depth("lane_spec")
+    if own == len(mro) or min(map(depth, redefined)) < own:
+        return None
+    return oracle.lane_spec()
+
+
 def lane_run(oracle, body, regret: bool, rngs: Sequence[np.random.Generator], horizons: Sequence[int],
              schedules) -> Optional["LaneRun"]:
     """The run of ``oracle`` on the compiled lane kernel, for lanes of
     generators ``rngs``, ``horizons`` and ``schedules``; or None where the
     numpy loop runs it: a body other than a 1-d box, one generator driving
-    two lanes, an oracle with no ``lane_spec`` or a spec of None, a class
-    that redefines ``estimate``, ``make_stepper``, ``_scaled`` or ``_noise``
-    below the class that defines ``lane_spec`` (looked up at run time, so a
-    wrapper set on that class itself, such as a tracer's, leaves the spec
-    in force), an estimator without a vicinity norm, a regret run of an
-    oracle that answers at x (the kernel evaluates f only for a quadratic),
-    an oracle of the softabs pair where the kernel holds no checked numpy
-    tanh loop, or a kernel that could not be built.  Builds the kernel on
-    the first run it covers."""
+    two lanes, no spec (``_spec``: an oracle with no ``lane_spec``, a class
+    that redefines ``estimate``, ``make_stepper``, ``_scaled`` or
+    ``_noise``, or a spec of None), a spec without formula data, an
+    estimator without a vicinity norm, a regret run of an oracle that
+    answers at x (the kernel evaluates f only for a quadratic), an oracle of
+    the softabs pair where the kernel holds no checked numpy tanh loop, or a
+    kernel that could not be built.  Builds the kernel on the first run it
+    covers."""
     if not isinstance(body, Box) or body.dim != 1 or len({id(g) for g in rngs}) < len(rngs):
         return None
-    mro = type(oracle).__mro__
-    depth = lambda name: next((i for i, cls in enumerate(mro) if name in vars(cls)), len(mro))
-    own = depth("lane_spec")
-    if own == len(mro) or min(map(depth, ("estimate", "make_stepper", "_scaled", "_noise"))) < own:
-        return None
-    spec = oracle.lane_spec()
-    if spec is None or (spec.flags & AT_X and regret):
+    spec = _spec(oracle, ("estimate", "make_stepper", "_scaled", "_noise"))
+    if spec is None or spec.data is None or (spec.flags & AT_X and regret):
         return None
     if not (spec.flags & AT_X or getattr(oracle, "vicinity_norm", None)):  # the kernel writes y - x
         return None
@@ -260,6 +277,36 @@ def lane_run(oracle, body, regret: bool, rngs: Sequence[np.random.Generator], ho
     if advance is None or (spec.flags & SOFTABS and not tanh_bound()):
         return None
     return LaneRun(advance, spec, regret, body, oracle.target.f_star, rngs, horizons, schedules)
+
+
+def probe_draws(oracle, delta: float, m: int, rng: np.random.Generator, two_arms: bool = False):
+    """The draws of ``oracle._sample``'s m replies at delta, bit for bit, from
+    one call of the library's fill (``zg_lane_draws``) on one lane whose
+    directions and noise both read rng: all m directions, then the noise
+    arm by arm in blocks of m.  ``two_arms`` draws a one-point estimator's
+    as a two-point one's, two blocks of noise, for antithetic pairs.
+    Returns (du, w, xi), views of one buffer: du (m, 1), or (m, 2, 1) with
+    du and -du, w (m, 1), both empty without directions, and xi (blocks, m,
+    1).  None where numpy draws them: m < 1, no spec (``_spec``: d > 1, or a
+    class that redefines ``_scaled``, ``_noise`` or ``_sample``), or no
+    kernel."""
+    spec = _spec(oracle, ("_scaled", "_noise", "_sample")) if m >= 1 else None
+    if spec is None or kernel() is None:
+        return None
+    lib = _library()
+    flags = spec.flags | (TWO_POINT if two_arms else 0) | (NOISE if spec.noise else 0)
+    lane = np.zeros(1, LANE)
+    lane["delta"], lane["weight"], lane["left"] = delta, spec.weight / delta, m
+    if spec.noise:
+        lane["scale"] = spec.noise(delta)
+    out = np.empty(lib.scratch(m, 1, flags))
+    with rng.bit_generator.lock:  # as a Generator holds it while it draws
+        lane["dir"] = lane["noise"] = _address(rng.bit_generator)
+        count = lib.fill(m, 1, flags, lane, out)
+    # on one lane, the fill's (steps, 1, arms) noise is in the order it was drawn: arm by arm it is (arms, m)
+    arms, directions = (2 if flags & TWO_POINT else 1), (m if flags & DIRECTIONS else 0)
+    du, w, xi = np.split(out[:count], [arms * directions, (arms + 1) * directions])
+    return du.reshape(m, 2, 1) if arms == 2 else du.reshape(-1, 1), w.reshape(-1, 1), xi.reshape(-1, m, 1)
 
 
 class LaneRun:

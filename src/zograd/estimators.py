@@ -107,7 +107,7 @@ class UncontrolledNoise:
     kind = "uncontrolled"
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # NaN too
             raise DomainError("sigma must be nonnegative")
 
 
@@ -130,7 +130,7 @@ class ControlledNoise:
     kind = "controlled"
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # NaN too
             raise DomainError("sigma must be nonnegative")
 
 
@@ -395,41 +395,54 @@ class EstimatorOracle(Oracle):
 
     def _sample(self, x, delta, m, rng, antithetic):
         """m estimates at one point x (1, d): all m directions first, then
-        the noise arm by arm, one block of m per arm."""
-        du, w = self._scaled(self.scheme.sample_u(self.dim, rng, m), delta)
-        if self.feedback == "two_point":
-            xi = np.moveaxis(self._noise(rng, (self._noise_shape()[0], m, 1)), 0, 1)
-            return self.estimate(x, delta, du, w, xi)
+        the noise arm by arm, one block of m per arm (two for antithetic
+        one-point pairs).  At d = 1 the library's fill makes those draws
+        (``_lanes.probe_draws``), where it can be built, with the bits
+        numpy would draw here."""
+        from . import _lanes  # imported on first use, not with zograd (see _lanes)
+        two_point = self.feedback == "two_point"
+        antithetic = antithetic and not two_point
+        drawn = _lanes.probe_draws(self, delta, m, rng, antithetic)
+        if drawn is None:
+            du, w = self._scaled(self.scheme.sample_u(self.dim, rng, m), delta)
+            xi = self._noise(rng, (2 if antithetic else self._noise_shape()[0], m, 1))
+        else:
+            du, w, xi = drawn
+            du = du[:, 0] if antithetic else du  # the +du arm
+        if two_point:
+            return self.estimate(x, delta, du, w, np.moveaxis(xi, 0, 1))
+        g, y, fy = self.estimate(x, delta, du, w, xi[0])
         if not antithetic:
-            return self.estimate(x, delta, du, w, self._noise(rng, (m, 1)))
-        xi_p, xi_m = self._noise(rng, (2, m, 1))
-        g, y, fy = self.estimate(x, delta, du, w, xi_p)
-        return 0.5 * (g + self.estimate(x, delta, -du, -w, xi_m)[0]), y, fy
+            return g, y, fy
+        return 0.5 * (g + self.estimate(x, delta, -du, -w, xi[1])[0]), y, fy
 
     # -- solver hot path ------------------------------------------------------
 
     def lane_spec(self):
         """``estimate`` and ``make_stepper`` as the compiled lane kernel
-        computes and draws them (``_lanes.LaneSpec``) for a 1-d quadratic
-        target: U and V as ``PerturbationScheme.sample_u`` and ``v_of`` make
-        them at d = 1, weighted as ``_scaled`` weights them, then the noise
-        of ``_noise``: sigma*z, zeros for sigma = 0, or the plain psi of
+        computes and draws them (``_lanes.LaneSpec``) for a 1-d target: U
+        and V as ``PerturbationScheme.sample_u`` and ``v_of`` make them at
+        d = 1, weighted as ``_scaled`` weights them, then the noise of
+        ``_noise``: sigma*z, zeros for sigma = 0, or the plain psi of
         controlled noise, which the kernel scales by its sigma and slope as
-        ``estimate`` does.  None for any other target."""
+        ``estimate`` does.  The formula data only for a quadratic target:
+        the kernel draws for any other but does not run it.  None for
+        d > 1."""
         from . import _lanes  # imported on first use, not with zograd (see _lanes)
-        coef = self.target.quadratic_1d
-        if coef is None:
+        if self.dim != 1:
             return None
         directions = {"spsa": _lanes.SIGNS, "surface": _lanes.UNIT, "rdsa": _lanes.UNIT, "sf": _lanes.PLAIN}
         flags = directions[self.scheme.kind] | (_lanes.EVAL_POINT if self._eval_point else 0)
         flags |= _lanes.TWO_POINT if self.feedback == "two_point" else 0
         if isinstance(self.noise, UncontrolledNoise):
             sigma = self.noise.sigma
-            data, noise = (*coef, 0.0, 0.0), (lambda delta: sigma) if sigma > 0 else None
+            model, noise = (0.0, 0.0), (lambda delta: sigma) if sigma > 0 else None
         else:
             # psi unscaled: 1.0*z is z, bit for bit
-            data = (*coef, float(self.noise.sigma), float(self.noise.slope))
+            model = (float(self.noise.sigma), float(self.noise.slope))
             flags, noise = flags | _lanes.CONTROLLED, lambda delta: 1.0
+        coef = self.target.quadratic_1d
+        data = None if coef is None else (*coef, *model)
         return _lanes.LaneSpec(flags, data, 1.0 if self.feedback == "one_point" else 0.5, noise)
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):

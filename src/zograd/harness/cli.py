@@ -13,6 +13,7 @@ at that level and above to stderr, so stdout stays one line.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from typing import Optional, Sequence
@@ -40,6 +41,7 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+@functools.cache  # built once per process: every default is None, so no call leaves state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zograd",

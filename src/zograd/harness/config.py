@@ -7,6 +7,7 @@ Validation failures name the offending field, e.g.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
@@ -66,6 +67,11 @@ class ExperimentConfig:
             raise ConfigError(f"estimator: must be one of {ESTIMATORS}")
         if self.noise not in NOISE_KINDS:
             raise ConfigError(f"noise: must be one of {NOISE_KINDS}")
+        # finite first: NaN passes every comparison test below
+        for name in ("sigma", "noise_slope", "tolerance", "p", "q", "c1", "c2"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"{name}: must be finite, got {v}")
         if self.sigma < 0:
             raise ConfigError("sigma: must be nonnegative")
         if not isinstance(self.function, dict) or "name" not in self.function:
@@ -98,7 +104,7 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ConfigError(f"{name}: must be positive")
-        if not self.delta_grid or any(d <= 0 or d > 1 for d in self.delta_grid):
+        if not self.delta_grid or not all(0 < d <= 1 for d in self.delta_grid):
             raise ConfigError("delta_grid: must be nonempty, with entries in (0, 1]")
         if self.probe_reps < 32:
             raise ConfigError("probe_reps: must be at least 32")

@@ -165,6 +165,11 @@ class TestTwoPoint:
             with pytest.raises(DomainError, match="sigma"):
                 noise(-1.0)
 
+    def test_nan_sigma_rejected(self):
+        for noise in (UncontrolledNoise, ControlledNoise):
+            with pytest.raises(DomainError, match="sigma"):
+                noise(math.nan)
+
 
 class TestSmoothing:
     def test_constant_function_mean_zero(self):
@@ -423,14 +428,24 @@ class TestLaneSpec:
         np.testing.assert_array_equal((ca * y + cb) * y + cc, self.F.value(y))
 
     def test_other_targets_are_not_covered(self):
-        # other targets and d > 1 are run and drawn by the numpy loop only
+        # another 1-d target's draws are stated, but not its formula, so the
+        # numpy loop runs it; d > 1 is run and drawn by numpy only
+        for oracle, quadratic_cell in (
+            (EstimatorOracle(exp_one_d(), SPSA, UncontrolledNoise(1.0), "one_point"),
+             EstimatorOracle(self.F, SPSA, UncontrolledNoise(1.0), "one_point")),
+            (EstimatorOracle(exp_one_d(), SPSA, ControlledNoise(1.0), "two_point"),
+             EstimatorOracle(self.F, SPSA, ControlledNoise(1.0), "two_point")),
+        ):
+            spec, covered = oracle.lane_spec(), quadratic_cell.lane_spec()
+            assert spec.data is None
+            assert (spec.flags, spec.weight, spec.noise(0.2)) == (covered.flags, covered.weight, covered.noise(0.2))
+            assert _lanes.lane_run(oracle, oracle.target.domain, False, [np.random.default_rng(0)], [10],
+                                   [None]) is None
         oracles = [
-            EstimatorOracle(exp_one_d(), SPSA, UncontrolledNoise(1.0), "one_point"),
-            EstimatorOracle(exp_one_d(), SPSA, ControlledNoise(1.0), "two_point"),
             EstimatorOracle(quadratic([1.0, 2.0]), SPSA, UncontrolledNoise(1.0), "one_point"),
             EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"),
         ]
-        assert [o.lane_spec() for o in oracles] == [None] * 4
+        assert [o.lane_spec() for o in oracles] == [None] * 2
 
     @pytest.mark.parametrize("scheme", [SPSA, RDSA, SF])
     def test_every_controlled_cell_is_covered(self, scheme):

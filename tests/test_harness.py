@@ -14,8 +14,8 @@ import pytest
 
 from zograd import _lanes
 from zograd.adversarial import HardInstance
-from zograd.core import OracleEnvelope, RngStream
-from zograd.estimators import ExactGradientOracle
+from zograd.core import EUCLIDEAN, MAX_NORM, Norm, OracleEnvelope, RngStream
+from zograd.estimators import SF, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
 from zograd.harness.config import ConfigError, ExperimentConfig, read_config_file
 from zograd.harness.experiments import (
     build_estimator,
@@ -29,7 +29,7 @@ from zograd.harness.experiments import (
     write_rows,
 )
 from zograd.harness.fitting import fit_rate
-from zograd.harness.probes import probe_bias_variance
+from zograd.harness.probes import ProbeResult, probe_bias_variance
 from zograd.harness.cli import _load_config, build_parser, main
 from zograd.solver import NonFiniteIterate, Regularizer, manual_schedule, run
 from zograd.testbed import quadratic
@@ -94,6 +94,45 @@ class TestProbe:
                 ExactGradientOracle(quadratic([1.0])), np.array([0.0]), 0.1, 8,
                 RngStream(1, 3).generator(),
             )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("norm", [EUCLIDEAN, MAX_NORM, Norm("one")], ids=lambda n: n.kind)
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_batch_statistics_equal_a_loop_over_the_batches(self, d, norm, antithetic):
+        # reps not a multiple of 32: the last reps % 32 draws join no batch
+        oracle = EstimatorOracle(quadratic([1.0, 2.0, 0.5][:d], [0.3, -0.2, 0.1][:d]), SF, UncontrolledNoise(1.0),
+                                 "one_point")
+        x, reps = np.full(d, 0.2), 32 * 97 + 13
+        got = probe_bias_variance(oracle, x, 0.3, reps, RngStream(7, d).generator(), norm, antithetic)
+        want = _probe_batch_by_batch(oracle, x, 0.3, reps, RngStream(7, d).generator(), norm, antithetic)
+        assert got.replications == want.replications == reps
+        got, want = (np.array(dataclasses.astuple(r), dtype=float) for r in (got, want))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _probe_batch_by_batch(oracle, x, delta, reps, rng, norm, antithetic):
+    """``probe_bias_variance`` with each of its 32 batches taken on its own,
+    in a loop."""
+    g = oracle.sample_gradients(x, delta, reps, rng, antithetic=antithetic)
+    grad, dual = oracle.target.gradient_at(x), norm.dual()
+
+    def dual_sq(rows):
+        if rows.shape[1] == 1:
+            return rows[:, 0] ** 2
+        if dual.kind == "euclidean":
+            return np.sum(rows * rows, axis=1)
+        if dual.kind == "one":
+            return np.sum(np.abs(rows), axis=1) ** 2
+        return np.max(np.abs(rows), axis=1) ** 2
+
+    per, biases, variances = reps // 32, np.empty(32), np.empty(32)
+    for b in range(32):
+        batch = g[b * per:(b + 1) * per]
+        biases[b] = dual.value(batch.mean(axis=0) - grad)
+        variances[b] = float(np.mean(dual_sq(batch - batch.mean(axis=0))))
+    mean_g = g.mean(axis=0)
+    return ProbeResult(float(delta), float(dual.value(mean_g - grad)), float(biases.std(ddof=1) / np.sqrt(32)),
+                       float(np.mean(dual_sq(g - mean_g))), float(variances.std(ddof=1) / np.sqrt(32)), reps)
 
 
 class TestConfig:
@@ -342,6 +381,45 @@ class TestCli:
         assert not (tmp_path / "lb.csv").exists()
 
 
+    SHORT_RATE = ["--horizons", "100 200 400", "--reps", "2"]
+    LB = ["lowerbound", "--class", "convex", "--p", "2", "--q", "2", "--c1", "1", "--c2", "1", "--n", "500", "--reps", "2"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rate", "--estimator", "one-point", "--sigma", "nan", *SHORT_RATE], "sigma: must be finite"),
+        (["rate", "--estimator", "spsa", "--noise", "controlled", "--sigma", "inf", *SHORT_RATE],
+         "sigma: must be finite"),
+        (["rate", "--estimator", "spsa", "--tol", "nan", *SHORT_RATE], "tolerance: must be finite"),
+        (["regret", "--estimator", "spsa", "--tol", "inf", *SHORT_RATE], "tolerance: must be finite"),
+        (["rate", "--config", "CONFIG", *SHORT_RATE], "noise_slope: must be finite"),
+        ([*LB[:3], "--p", "nan", *LB[5:]], "p: must be finite"),
+        ([*LB[:5], "--q", "inf", *LB[7:]], "q: must be finite"),
+        ([*LB[:7], "--c1", "nan", *LB[9:]], "c1: must be finite"),
+        ([*LB[:9], "--c2", "inf", *LB[11:]], "c2: must be finite"),
+        (["probe", "--oracle", "exact,fn=quadratic", "--delta-grid", "0.5 nan", "--reps", "64"],
+         "delta_grid: must be nonempty, with entries in (0, 1]"),
+    ])
+    def test_non_finite_inputs_exit_2_with_one_line(self, argv, message, tmp_path, capsys):
+        # NaN passes a test written as x < 0; the input is refused by name
+        # before any run, not reported later as a non-finite iterate or a FAIL
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"estimator": "spsa", "noise": "controlled", "noise_slope": math.nan}))
+        argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_the_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        # every flag defaults to None, so a flag of one call does not carry
+        # over into the next
+        assert build_parser() is build_parser()
+        given = build_parser().parse_args(["probe", "--seed", "5", "--reps", "64"])
+        assert (given.master_seed, given.probe_reps) == (5, 64)
+        assert vars(build_parser().parse_args(["probe"])) == {
+            "command": "probe", "log_level": None, "config": None, "master_seed": None, "out": None,
+            "workers": None, "probe_reps": None, "oracle_spec": None, "delta_grid": None}
+
     LOWERBOUND = ["lowerbound", "--class", "sc", "--p", "1", "--q", "2", "--c1", "1", "--c2", "1",
                   "--n", "2000", "--reps", "4", "--seed", "3"]
 
@@ -543,6 +621,12 @@ class TestCommittedResults:
 
     @pytest.mark.parametrize("name", [f"probe_{i}" for i in range(7)])
     def test_probe_envelopes_reproduces_its_files(self, tmp_path, name, capsys):
+        self._reproduces("probe_envelopes", name, tmp_path)
+
+    @pytest.mark.parametrize("name", [f"probe_{i}" for i in range(7)])
+    def test_probe_envelopes_reproduces_its_files_with_numpy_draws(self, tmp_path, name, capsys, monkeypatch):
+        # the test above draws through the library where it can be built
+        monkeypatch.setattr(_lanes, "kernel", lambda: None)
         self._reproduces("probe_envelopes", name, tmp_path)
 
     def _reproduces(self, script: str, name: str, tmp_path: Path) -> None:

@@ -31,6 +31,7 @@ from zograd.estimators import (
     SURFACE,
     UncontrolledNoise,
 )
+from zograd.harness.probes import probe_bias_variance
 from zograd.solver import (
     NonFiniteIterate,
     Regularizer,
@@ -46,7 +47,7 @@ from zograd.solver import (
     schedule_opt_sc,
     schedule_regret,
 )
-from zograd.testbed import exp_one_d, quadratic
+from zograd.testbed import exp_one_d, kinked_quadratic, quadratic
 
 REG = Regularizer()
 RNG = lambda i: RngStream(55, i).generator()
@@ -473,6 +474,103 @@ class TestDrawRule:
                            for n in (h, 2 * h)]
         assert short.xs.shape[0] == h
         np.testing.assert_array_equal(_bits(long.xs[:h]), _bits(short.xs))
+
+
+# every 1-d oracle whose draws at one point (``_sample``) the library makes:
+# the cells of DRAW_ORACLES, and three targets the kernel draws for but does
+# not run (the probe cells of the kinked quadratic and of exp)
+PROBE_ORACLES = {
+    **DRAW_ORACLES,
+    "sf-one_point-kinked": EstimatorOracle(kinked_quadratic(), SF, UncontrolledNoise(1.0), "one_point"),
+    "surface-one_point-exp": EstimatorOracle(exp_one_d(), SURFACE, UncontrolledNoise(1.0), "one_point"),
+    "spsa-two_point-exp": EstimatorOracle(exp_one_d(), SPSA, UncontrolledNoise(1.0), "two_point", "c3"),
+}
+
+
+def _counted_probe_draws(drawn: list):
+    """Patch ``_lanes.probe_draws`` to append whether each call drew."""
+    real = _lanes.probe_draws
+
+    def counted(*args, **kwargs):
+        got = real(*args, **kwargs)
+        drawn.append(got is not None)
+        return got
+
+    return mock.patch.object(_lanes, "probe_draws", counted)
+
+
+class TestProbeDraws:
+    # sample_gradients at d = 1 takes its draws from the library's fill, on
+    # one lane reading the probe's generator, and gives numpy's bits
+    @pytest.mark.parametrize("kind", sorted(PROBE_ORACLES))
+    @given(st.integers(0, 2**32), st.floats(0.01, 1.0), st.floats(-0.5, 0.5))
+    @settings(max_examples=8, deadline=None)
+    def test_library_draws_equal_numpy_draws(self, kind, seed, delta, x):
+        if _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        oracle = PROBE_ORACLES[kind]
+        for m in (1, 31, 32, 33, 4099):
+            for antithetic in (False, True):
+                fast, slow, drawn = np.random.default_rng(seed), np.random.default_rng(seed), []
+                with _counted_probe_draws(drawn):
+                    got = oracle.sample_gradients(np.array([x]), delta, m, fast, antithetic)
+                assert drawn == [True]
+                with _numpy_loop():
+                    want = oracle.sample_gradients(np.array([x]), delta, m, slow, antithetic)
+                assert got.shape == want.shape == (m, 1)
+                np.testing.assert_array_equal(_bits(got), _bits(want))
+                assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("redefined", ["_scaled", "_noise", "_sample", "adversarial-_sample"])
+    def test_a_subclass_that_redefines_a_draw_method_draws_with_numpy(self, redefined):
+        class OwnScaled(EstimatorOracle):
+            def _scaled(self, u, delta):
+                return super()._scaled(u, delta)
+
+        class OwnNoise(EstimatorOracle):
+            def _noise(self, rng, shape):
+                return super()._noise(rng, shape)
+
+        class OwnSample(EstimatorOracle):
+            def _sample(self, *args):
+                return super()._sample(*args)
+
+        class OwnReply(AdversarialOracle):
+            def _sample(self, *args):
+                return super()._sample(*args)
+
+        if redefined.startswith("adversarial"):
+            base = KERNEL_ORACLES["adversarial-sc-p1+1"]
+            oracle = OwnReply(base.instance)
+        else:
+            base = KERNEL_ORACLES["spsa-2pt"]
+            own = {"_scaled": OwnScaled, "_noise": OwnNoise, "_sample": OwnSample}[redefined]
+            oracle = own(base.target, base.scheme, base.noise, base.feedback)
+        assert _lanes.probe_draws(oracle, 0.2, 8, RNG(0)) is None
+        np.testing.assert_array_equal(oracle.sample_gradients(np.array([0.3]), 0.2, 99, RNG(1)),
+                                      base.sample_gradients(np.array([0.3]), 0.2, 99, RNG(1)))
+
+    def test_a_wrapper_on_sample_gradients_keeps_the_library_draws(self):
+        # a tracer wraps sample_gradients on the oracle classes themselves
+        if _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        drawn, oracle = [], KERNEL_ORACLES["one-point"]
+        for cls in (EstimatorOracle, AdversarialOracle):
+            real = cls.sample_gradients
+            wrapped = functools.wraps(real)(lambda self, *a, real=real, **k: real(self, *a, **k))
+            with mock.patch.object(cls, "sample_gradients", wrapped), _counted_probe_draws(drawn):
+                probe_bias_variance(oracle, np.array([0.3]), 0.2, 64, RNG(2))
+                probe_bias_variance(KERNEL_ORACLES["adversarial-sc-p1+1"], np.array([0.3]), 0.2, 64, RNG(3))
+        assert drawn == [True] * 4
+
+    def test_d_above_1_and_the_exact_oracle_draw_with_numpy(self):
+        drawn = []
+        with _counted_probe_draws(drawn):
+            for oracle in (EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"),
+                           scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1])):
+                oracle.sample_gradients(np.array([0.3, -0.1]), 0.2, 16, RNG(4))
+            ExactGradientOracle(_FQ).sample_gradients(np.array([0.3]), 0.2, 16, RNG(5))
+        assert drawn == [False, False]
 
 
 def _draw_both(oracle, schedules, horizons, seed):
