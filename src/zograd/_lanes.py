@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import STEPS_PER_CHUNK, Box, vicinity_tolerance
+from .core import STEPS_PER_CHUNK, Box, jumped, vicinity_tolerance
 
 _log = logging.getLogger(__name__)
 
@@ -326,8 +326,9 @@ class LaneRun:
     schedule, computed once to the longest horizon of its lanes.
     Directions read each lane's own generator.  Noise reads it too where
     there are no directions; otherwise it reads the twin of the lane's
-    generator jumped once, taken here from its state at the start of the
-    run, as ``core.draw_chunks`` takes it."""
+    generator jumped once, numpy's ``jumped()`` reached by its documented
+    advance (``core.jumped``), taken here from its state at the start of
+    the run, as ``core.draw_chunks`` takes it."""
 
     def __init__(self, advance: Callable, spec: LaneSpec, regret: bool, body: Box, f_star: float,
                  rngs: Sequence[np.random.Generator], horizons: Sequence[int], schedules):
@@ -358,7 +359,7 @@ class LaneRun:
         # the generators of the directions and of the noise, kept alive while C holds their pointers
         self._dir = [g.bit_generator for g in rngs]
         twins = self._flags & (SIGNS | UNIT | PLAIN) and spec.noise
-        self._noise = [bg.jumped() for bg in self._dir] if twins else self._dir
+        self._noise = [jumped(bg) for bg in self._dir] if twins else self._dir
         table["dir"], table["noise"] = ([_address(bg) for bg in gens] for gens in (self._dir, self._noise))
 
     def run(self, x: np.ndarray, sum_x: np.ndarray, regret: np.ndarray) -> Optional[tuple]:

@@ -299,7 +299,10 @@ def envelope_check(env: OracleEnvelope, delta: float) -> tuple[float, float]:
 class RngStream:
     """Counter-style stream derivation: the generator is a pure function of
     ``(master_seed, stream_id)``, so parallel replications are reproducible
-    independent of execution order."""
+    independent of execution order.  ``generator()`` is numpy's
+    ``default_rng(SeedSequence(master_seed, spawn_key=(stream_id,)))``: the
+    reference ``generators`` is checked against, and the cheaper way to one
+    generator."""
 
     master_seed: int
     stream_id: int = 0
@@ -307,6 +310,27 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(seq)
+
+
+def generators(master_seed: int, stream_ids: Sequence[int]) -> list[np.random.Generator]:
+    """``[RngStream(master_seed, i).generator() for i in stream_ids]``, state
+    for state, from one pass over the ids that hashes the master seed once
+    (``_streams``): the generators of a run's lanes.  Their ``seed_seq``
+    holds the seeding words, not a ``SeedSequence``."""
+    from ._streams import generators  # imports numpy.random, which zograd's import leaves out
+
+    return generators(master_seed, stream_ids)
+
+
+def jumped(bit_generator, jumps: int = 1):
+    """``bit_generator.jumped(jumps)``: a twin of the bit generator advanced
+    ``jumps`` times by its jump size from its state now, a stream that does
+    not overlap it.  A PCG64's twin is reached by numpy's documented
+    ``advance``, without the seeding ``jumped`` does and then discards
+    (``_streams``)."""
+    from ._streams import jumped
+
+    return jumped(bit_generator, jumps)
 
 
 # Solver steps draw their randomness in chunks of at most this many steps,
@@ -332,12 +356,13 @@ def draw_chunks(
     ``blocks`` are the draws of one kind, ``block(generator, m) -> array``
     with leading axis m.  Block 0 (an estimator's directions) reads rng
     itself.  Block i > 0 (its noise) reads a twin of rng jumped i times,
-    ``Generator(rng.bit_generator.jumped(i))``, taken here, from rng's
-    state before any draw: numpy's way to a stream that does not overlap
-    rng's.  Concatenated over the chunks, block i returns bit for bit what
+    a generator on numpy's ``rng.bit_generator.jumped(i)``, reached by its
+    documented advance (``jumped``), taken here, from rng's state before
+    any draw: numpy's way to a stream that does not overlap rng's.
+    Concatenated over the chunks, block i returns bit for bit what
     ``block(generator, n)`` returns in one call, so chunking changes no
     value, and a step's draws do not depend on n.  rng is left past block
     0's draws only.
     """
-    gens = [rng] + [np.random.Generator(rng.bit_generator.jumped(i)) for i in range(1, len(blocks))]
+    gens = [rng] + [np.random.Generator(jumped(rng.bit_generator, i)) for i in range(1, len(blocks))]
     return (tuple(block(g, m) for block, g in zip(blocks, gens)) for m in chunk_sizes(n))

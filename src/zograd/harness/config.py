@@ -74,6 +74,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be finite, got {v}")
         if self.sigma < 0:
             raise ConfigError("sigma: must be nonnegative")
+        # SeedSequence takes a nonnegative int; a bool or a float is no seed
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int) or self.master_seed < 0:
+            raise ConfigError(f"master_seed: must be a nonnegative integer, got {self.master_seed!r}")
         if not isinstance(self.function, dict) or "name" not in self.function:
             raise ConfigError("function.name: required")
         if self.noise_slope < 0:

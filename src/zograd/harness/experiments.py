@@ -35,7 +35,7 @@ from ..adversarial import (
     minimax_lower_bound,
     optimal_separation,
 )
-from ..core import OracleEnvelope, RngStream
+from ..core import OracleEnvelope, RngStream, generators
 from ..estimators import (
     ControlledNoise,
     EstimatorOracle,
@@ -215,7 +215,7 @@ def _run_shard(
             oracle, mode = AdversarialOracle(_lowerbound_pair(cfg)[arm]), "optimization"
         else:
             oracle, mode = build_estimator(cfg, build_function(cfg.function, cfg.problem_class)), kind
-        rngs = [RngStream(cfg.master_seed, group.stream(rep)).generator() for group, rep in stretch]
+        rngs = generators(cfg.master_seed, [group.stream(rep) for group, rep in stretch])
         try:
             trace = run(oracle, [g.schedule for g, _ in stretch], max(g.n for g, _ in stretch), oracle.target.domain,
                         Regularizer(), rng=rngs, mode=mode, horizons=[g.n for g, _ in stretch])

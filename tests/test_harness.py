@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zograd import _lanes
+from zograd import _lanes, _streams
 from zograd.adversarial import HardInstance
 from zograd.core import EUCLIDEAN, MAX_NORM, Norm, OracleEnvelope, RngStream
 from zograd.estimators import SF, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
@@ -172,6 +172,15 @@ class TestConfig:
             ExperimentConfig(replications=2**20 + 1).validate()
         assert main(["rate", "--reps", str(2**20 + 1), "--horizons", "100 200"]) == 2
         assert capsys.readouterr().err.startswith("config error: replications")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_a_seed_that_is_no_nonnegative_int_is_refused(self, seed):
+        with pytest.raises(ConfigError, match="master_seed: must be a nonnegative integer"):
+            ExperimentConfig(master_seed=seed).validate()
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**200])
+    def test_any_nonnegative_int_is_a_seed(self, seed):
+        assert ExperimentConfig(master_seed=seed).validate().master_seed == seed
 
     def test_probe_reps_leave_replications_alone(self):
         # probes draw on streams of their own, so --reps sets probe_reps only
@@ -409,6 +418,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("route, seed, shown", [("flag", "-1", "-1"), ("config", -1, "-1"),
+                                                    ("config", 2.0, "2.0"), ("config", False, "False")])
+    @pytest.mark.parametrize("command", [SHORT_RATE, LB])
+    def test_a_bad_seed_exits_2_naming_master_seed(self, command, route, seed, shown, tmp_path, capsys):
+        # numpy refuses a negative seed inside the run; exit 1 would read as a failed verdict
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"master_seed": seed}))
+        argv = ["rate", *command] if command is self.SHORT_RATE else list(command)
+        argv += ["--seed", seed] if route == "flag" else ["--config", str(config)]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: master_seed: must be a nonnegative integer, got {shown}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", ["kernel", "numpy loop"])
+    def test_numpys_generators_and_twins_write_the_same_rows(self, path, monkeypatch, tmp_path, capsys):
+        # the way numpy's own SeedSequence and jumped() take where the premise fails
+        argv = ["rate", "--estimator", "smoothing", *self.SHORT_RATE, "--tol", "5.0", "--seed", "5", "--out"]
+        if path == "numpy loop":
+            monkeypatch.setattr(_lanes, "kernel", lambda: None)
+        assert main(argv + [str(tmp_path / "fast.csv")]) == 0
+        monkeypatch.setattr(_streams, "generators", _streams._numpy_generators)
+        monkeypatch.setattr(_streams, "jumped", _streams._numpy_jumped)
+        assert main(argv + [str(tmp_path / "numpy.csv")]) == 0
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
     def test_the_parser_is_built_once_and_keeps_no_state(self, tmp_path):
         # every flag defaults to None, so a flag of one call does not carry
@@ -801,6 +837,16 @@ class TestThreadedFanOut:
         assert any((ctypes.c_uint64 * 256).in_dll(_lanes._library().lib, "zg_ki"))
         assert caplog.text.count("lane kernel loaded") == 1
         assert "normals from numpy's ziggurat fast path inline" in caplog.text
+
+    def test_import_leaves_out_numpy_random(self):
+        # it costs about 9 ms of start-up; the first run imports it for its generators
+        code = ("import sys, zograd, zograd.harness.cli, zograd.harness.experiments; "
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.random') or m == 'zograd._streams'))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_import_leaves_out_process_pools(self):
         # nor the compiled path and the cache key's hash, which each run imports on first use
