@@ -75,15 +75,19 @@ class ExperimentConfig:
         if self.sigma < 0:
             raise ConfigError("sigma: must be nonnegative")
         # SeedSequence takes a nonnegative int; a bool or a float is no seed
-        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int) or self.master_seed < 0:
+        if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigError(f"master_seed: must be a nonnegative integer, got {self.master_seed!r}")
+        # nor a count: a float would reach range() or an array shape, and true would run as 1
+        for name in ("replications", "workers", "n", "probe_reps"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name}: must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.function, dict) or "name" not in self.function:
             raise ConfigError("function.name: required")
         if self.noise_slope < 0:
             raise ConfigError("noise_slope: must be nonnegative")
-        if not self.horizons or any(int(h) < 1 for h in self.horizons):
-            raise ConfigError("horizons: must be positive integers")
-        if list(self.horizons) != sorted(set(int(h) for h in self.horizons)):
+        if not self.horizons or not all(_is_int(h) and h >= 1 for h in self.horizons):
+            raise ConfigError(f"horizons: must be positive integers, got {list(self.horizons)}")
+        if list(self.horizons) != sorted(set(self.horizons)):
             raise ConfigError("horizons: must be strictly increasing")
         if self.replications < 1:
             raise ConfigError("replications: must be a positive integer")
@@ -127,7 +131,7 @@ class ExperimentConfig:
             raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
         kwargs = dict(data)
         if "horizons" in kwargs:
-            kwargs["horizons"] = tuple(int(h) for h in kwargs["horizons"])
+            kwargs["horizons"] = tuple(kwargs["horizons"])
         if "delta_grid" in kwargs:
             kwargs["delta_grid"] = tuple(float(d) for d in kwargs["delta_grid"])
         return cls(**kwargs).validate()
@@ -137,6 +141,10 @@ class ExperimentConfig:
 
     def with_overrides(self, **overrides: Any) -> "ExperimentConfig":
         return ExperimentConfig.from_dict({**self.to_dict(), **overrides})
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def read_config_file(path: str | Path) -> dict[str, Any]:

@@ -86,9 +86,11 @@ def prox_inequality_gap(
     probes: np.ndarray,
     reg: Regularizer,
 ) -> float:
-    """max over probe points x (the rows of ``probes``) of
+    """max over probe points x (the rows of ``probes``, (k, d)) of
         <g, x_next - x> - (D(x, x_t) - D(x, x_next) - D(x_next, x_t)) / eta;
-    nonpositive (up to roundoff) whenever x_next is the prox point."""
+    nonpositive (up to roundoff) whenever x_next is the prox point.  Steps stack
+    on a leading axis, x_t, g_t, x_next (s, 1, d) and eta_t (s, 1), as a recorded
+    run's xs[:-1, None], gs[:, None], etas[:, None], xs[1:, None]: max over all."""
     probes = np.asarray(probes, dtype=float)
     lhs = np.sum(np.asarray(g_t, dtype=float) * (x_next - probes), axis=-1)
     rhs = (

@@ -106,6 +106,42 @@ class TestGridValidity:
             assert defect <= 1e-12
 
 
+class TestGridOnePass:
+    """The one (25, 401) pass equals the per-delta loop, bit for bit."""
+
+    @staticmethod
+    def _bias_per_delta(inst):
+        f, worst = inst.objective(), -math.inf
+        for delta in GRID_DELTA:
+            excess = np.abs(inst.mean_response(GRID_X, delta) - f.gradient(GRID_X)) - inst.envelope.c1_value(delta)
+            worst = max(worst, float(np.max(excess)))
+        return worst
+
+    @staticmethod
+    def _gap_per_delta(plus, minus):
+        slack = convex_gap_slack(plus.eps) if plus.problem_class == "convex_smooth" else 0.0
+        worst_excess, worst_defect = -math.inf, 0.0
+        for delta in GRID_DELTA:
+            target = 2.0 * max(plus.eps - plus.envelope.c1_value(delta), 0.0)
+            gap = np.abs(plus.mean_response(GRID_X, delta) - minus.mean_response(GRID_X, delta))
+            worst_excess = max(worst_excess, float(np.max(gap - target)) - slack)
+            if plus.problem_class == "strongly_convex":
+                worst_defect = max(worst_defect, float(np.max(np.abs(gap - target))))
+        return worst_excess, worst_defect
+
+    # the check's four pairs, a bias budget that covers eps on most of the grid, and a fractional p
+    @pytest.mark.parametrize("problem,p,q,c1,eps", [
+        ("convex_smooth", 1.0, 2.0, 1.0, 0.1), ("convex_smooth", 2.0, 2.0, 1.0, 0.1),
+        ("strongly_convex", 1.0, 2.0, 1.0, 0.2), ("strongly_convex", 2.0, 2.0, 1.0, 0.2),
+        ("convex_smooth", 2.0, 2.0, 40.0, 0.3), ("strongly_convex", 0.7, 1.0, 0.15, 0.05),
+    ])
+    def test_equals_the_per_delta_loop(self, problem, p, q, c1, eps):
+        plus, minus = hard_pair(problem, p, q, c1, 1.0, eps)
+        for inst in (plus, minus):
+            assert bias_excess_on_grid(inst) == self._bias_per_delta(inst)
+        assert gap_deviation_on_grid(plus, minus) == self._gap_per_delta(plus, minus)
+
+
 class TestClosedForms:
     def test_worst_case_tolerance_values(self):
         assert worst_case_tolerance(1.0, 1.0, 2.0, 2.0) == pytest.approx(math.sqrt(1.0 / 3.0))

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from zograd import _lanes, _streams
 from zograd.adversarial import HardInstance
 from zograd.core import EUCLIDEAN, MAX_NORM, Norm, OracleEnvelope, RngStream
 from zograd.estimators import SF, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
+from zograd.harness import checks
 from zograd.harness.config import ConfigError, ExperimentConfig, read_config_file
 from zograd.harness.experiments import (
     build_estimator,
@@ -35,6 +37,16 @@ from zograd.solver import NonFiniteIterate, Regularizer, manual_schedule, run
 from zograd.testbed import quadratic
 
 SMALL_HORIZONS = (300, 1000, 3000, 10000)
+CHECK_STDOUT = """\
+[PASS] projection: nonexpansive and idempotent on 2000 random pairs
+[PASS] finite-differences: all testbeds match central differences (worst 6.4e-11)
+[PASS] estimator-envelopes: bias/variance inside declared envelopes for 5 cells x 2 deltas
+[PASS] adversarial-grid: closed-form bias and gap identities exact on the 401x25 grid
+[PASS] separable-arithmetic: envelope arithmetic exact for the d=4 composition
+[PASS] prox-inequality: step optimality inequality holds at every iteration (worst gap 4.2e-14)
+[PASS] schedule-constants: schedule constants and closed forms self-consistent
+[PASS] determinism: equal RNG streams reproduce runs bitwise
+"""
 
 
 class TestFitRate:
@@ -177,6 +189,21 @@ class TestConfig:
     def test_a_seed_that_is_no_nonnegative_int_is_refused(self, seed):
         with pytest.raises(ConfigError, match="master_seed: must be a nonnegative integer"):
             ExperimentConfig(master_seed=seed).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("replications", 2.5), ("replications", True), ("workers", True), ("workers", 1.0), ("n", 1e4),
+        ("n", False), ("probe_reps", 64.5), ("probe_reps", "64"),
+    ])
+    def test_a_count_that_is_no_int_is_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer, got {value!r}$"):
+            ExperimentConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("horizons", [(100, 200.5, 400), (100.0, 200, 400), (True, 200, 400), ("100", 200)])
+    def test_a_horizon_that_is_no_int_is_refused(self, horizons):
+        with pytest.raises(ConfigError, match="horizons: must be positive integers"):
+            ExperimentConfig(horizons=horizons).validate()
+        with pytest.raises(ConfigError, match="horizons: must be positive integers"):
+            ExperimentConfig.from_dict({"horizons": list(horizons)})
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**200])
     def test_any_nonnegative_int_is_a_seed(self, seed):
@@ -344,6 +371,35 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("[PASS]") >= 8
 
+    @pytest.mark.parametrize("path", ["kernel", "numpy loop"])
+    def test_check_prints_its_eight_lines_byte_for_byte(self, path, capsys, monkeypatch):
+        # the worst finite-difference error and prox gap pin every float of both array passes
+        if path == "kernel" and _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built here")
+        if path == "numpy loop":
+            monkeypatch.setattr(_lanes, "kernel", lambda: None)
+        assert main(["check"]) == 0
+        assert capsys.readouterr().out == CHECK_STDOUT
+
+    def test_check_logs_each_checks_wall_time_at_info(self, capsys):
+        assert main(["check", "--log-level", "INFO"]) == 0
+        out = capsys.readouterr()
+        assert out.out == CHECK_STDOUT
+        logged = [re.fullmatch(r"INFO:zograd\.harness\.checks:(\S+): PASS in \d+\.\d ms", line)
+                  for line in out.err.splitlines()]
+        assert [m and m[1] for m in logged] == [name for name, _ in checks.ALL_CHECKS]
+        assert main(["check"]) == 0 and capsys.readouterr().err == ""
+
+    def test_a_failed_check_is_logged_as_failed(self, capsys, monkeypatch):
+        def broken():
+            raise AssertionError("off by one")
+
+        monkeypatch.setattr(checks, "ALL_CHECKS", [("broken", broken)])
+        assert main(["check", "--log-level", "INFO"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "[FAIL] broken: off by one\n"
+        assert re.fullmatch(r"INFO:zograd\.harness\.checks:broken: FAIL in \d+\.\d ms\n", out.err)
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg = ExperimentConfig(
@@ -432,6 +488,43 @@ class TestCli:
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: master_seed: must be a nonnegative integer, got {shown}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["rate", "--horizons", "100 200 400"], {"replications": 2.5}, "replications: must be an integer, got 2.5"),
+        (["rate", "--horizons", "100 200 400"], {"replications": True}, "replications: must be an integer, got True"),
+        (["rate", *SHORT_RATE], {"workers": True}, "workers: must be an integer, got True"),
+        (["rate", *SHORT_RATE], {"workers": 2.0}, "workers: must be an integer, got 2.0"),
+        (LB[:11] + ["--reps", "2"], {"n": 500.5}, "n: must be an integer, got 500.5"),
+        (["probe", "--oracle", "exact,fn=quadratic"], {"probe_reps": 64.5}, "probe_reps: must be an integer, got 64.5"),
+        (["rate", "--reps", "2"], {"horizons": [100, 200.5, 400]},
+         "horizons: must be positive integers, got [100, 200.5, 400]"),
+        (["rate", "--reps", "2"], {"horizons": [100, True, 400]},
+         "horizons: must be positive integers, got [100, True, 400]"),
+    ], ids=["reps-2.5", "reps-true", "workers-true", "workers-2.0", "n-500.5", "probe_reps-64.5", "horizon-200.5",
+            "horizon-true"])
+    def test_a_count_in_a_config_file_that_is_no_int_exits_2(self, argv, config, message, tmp_path, capsys):
+        # refused by name before any run: exit 1 would read as a failed verdict, and true is no count
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--tol", "5"] * (argv[0] == "rate") + ["--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["rate", "--horizons", "100 200 400", "--reps", "2.5"], "--reps"),
+        (["rate", "--horizons", "100 200 400", "--reps", "true"], "--reps"),
+        (["rate", *SHORT_RATE, "--workers", "true"], "--workers"),
+        (LB + ["--n", "500.5"], "--n"),
+        (["rate", "--horizons", "100 200.5 400", "--reps", "2"], "--horizons"),
+    ], ids=["reps-2.5", "reps-true", "workers-true", "n-500.5", "horizon-200.5"])
+    def test_a_count_flag_that_is_no_int_exits_2(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(out)])
+        assert info.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("path", ["kernel", "numpy loop"])

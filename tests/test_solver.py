@@ -106,6 +106,50 @@ class TestMdStep:
         assert prox_inequality_gap(x, g, eta, x_next, probes, REG) <= 1e-9
 
 
+class TestStackedProxGap:
+    """Steps stacked on a leading axis give the max of one call per step, bit for bit."""
+
+    @staticmethod
+    def _check_trace(f, oracle, seed):
+        # as `zograd check` records its run: 500 steps, 100 probes from their own stream
+        schedule = schedule_opt_convex(1.0, 2.0, oracle.envelope.c1, oracle.envelope.c2, 2.0, 1.0, 1.0, 500)
+        trace = run(oracle, schedule, 500, f.domain, REG, rng=RngStream(4242, seed).generator(), record=True)
+        probes = RngStream(4242, seed + 1).generator().uniform(-1.0, 1.0, size=(100, f.dim))
+        return trace, probes
+
+    @staticmethod
+    def _per_step(xs, gs, etas, probes):
+        return max(prox_inequality_gap(xs[t], gs[t], etas[t], xs[t + 1], probes, REG) for t in range(len(gs)))
+
+    @pytest.mark.parametrize("a", [[1.0], [1.0, 2.0]], ids=["check", "2-d"])
+    def test_equals_the_max_of_per_step_calls(self, a):
+        f = quadratic(a)
+        trace, probes = self._check_trace(f, EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point"), 3)
+        stacked = prox_inequality_gap(trace.xs[:-1, None], trace.gs[:, None], trace.etas[:, None],
+                                      trace.xs[1:, None], probes, REG)
+        assert stacked == self._per_step(trace.xs, trace.gs, trace.etas, probes)
+        if a == [1.0]:
+            assert f"{stacked:.1e}" == "4.2e-14"  # the check's printed worst gap
+
+    def test_one_stacked_step_is_the_single_call(self):
+        f = quadratic([1.0])
+        trace, probes = self._check_trace(f, EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point"), 3)
+        t = 17
+        single = prox_inequality_gap(trace.xs[t], trace.gs[t], trace.etas[t], trace.xs[t + 1], probes, REG)
+        stacked = prox_inequality_gap(trace.xs[t:t + 1, None], trace.gs[t:t + 1, None],
+                                      trace.etas[t:t + 1, None], trace.xs[t + 1:t + 2, None], probes, REG)
+        assert stacked == single
+
+    def test_one_step_off_its_prox_point_shows(self):
+        f = quadratic([1.0])
+        trace, probes = self._check_trace(f, EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point"), 3)
+        xs = trace.xs.copy()
+        xs[250] += 0.05
+        stacked = prox_inequality_gap(xs[:-1, None], trace.gs[:, None], trace.etas[:, None], xs[1:, None],
+                                      probes, REG)
+        assert stacked == self._per_step(xs, trace.gs, trace.etas, probes) > 1e-3
+
+
 class TestSchedules:
     def test_opt_convex_exponent_rule(self):
         s = schedule_opt_convex(2.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1000)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from zograd.core import DomainError, RngStream, interval
+from zograd.core import Ball, Box, DomainError, RngStream, interval
 from zograd.testbed import (
     exp_one_d,
     finite_diff_check,
@@ -253,3 +254,71 @@ class TestFiniteDiff:
     def test_rejects_zero_samples(self):
         with pytest.raises(DomainError):
             finite_diff_check(quadratic([1.0]), 0, RNG(5))
+
+
+def _finite_diff_per_point(f, samples, rng, step=1e-5):
+    """``finite_diff_check`` one point at a time: the reference its row pass
+    must equal bit for bit."""
+    worst = 0.0
+    for _ in range(samples):
+        if isinstance(f.domain, Box):
+            x = f.domain.lower + rng.random(f.dim) * (f.domain.upper - f.domain.lower)
+        else:
+            z = rng.standard_normal(f.dim)
+            z /= np.linalg.norm(z)
+            x = f.domain.center + f.domain.radius * rng.random() ** (1.0 / f.dim) * z
+        g = f.gradient_at(x)
+        fd = np.empty_like(g)
+        for i in range(f.dim):
+            e = np.zeros(f.dim)
+            e[i] = step
+            fd[i] = (f.value_at(x + e) - f.value_at(x - e)) / (2.0 * step)
+        worst = max(worst, float(np.linalg.norm(fd - g)) / max(float(np.linalg.norm(g)), 1.0))
+    return worst
+
+
+# the seven testbeds of `zograd check`, then 2-d, separable and ball-domain ones
+ROW_PASS_CASES = [
+    quadratic([1.0]),
+    quadratic([2.0, 0.5], [0.3, -0.1]),
+    softabs(+1, 0.1),
+    softabs(-1, 0.05),
+    strongly_convex_pair(+1, 0.2),
+    kinked_quadratic(),
+    exp_one_d(),
+    quadratic([1.0, 2.0], [0.3, 0.0]),
+    separable([softabs(+1, 0.1), strongly_convex_pair(-1, 0.3)]),
+    quadratic([1.0, 3.0, 0.5], [0.2, -0.4, 0.1], domain=Ball(np.zeros(3), 1.5)),
+    quadratic([2.0], [0.5], domain=Ball(np.zeros(1), 0.8)),
+]
+
+
+class TestFiniteDiffRowPass:
+    @pytest.mark.parametrize("samples", [1, 7, 100])
+    @pytest.mark.parametrize("f", ROW_PASS_CASES, ids=lambda f: f.name)
+    def test_equals_the_per_point_loop(self, f, samples):
+        rows, points = RNG(6), RNG(6)
+        assert finite_diff_check(f, samples, rows) == _finite_diff_per_point(f, samples, points)
+        # the same draws: both generators end in one state
+        assert rows.bit_generator.state == points.bit_generator.state
+
+    def test_the_checks_shared_stream_gives_the_per_point_worst(self):
+        # `zograd check` draws the seven testbeds' points from one generator in turn
+        rows, points = RngStream(4242, 1).generator(), RngStream(4242, 1).generator()
+        worst = [max(check(f, 100, rng) for f in ROW_PASS_CASES[:7])
+                 for check, rng in ((finite_diff_check, rows), (_finite_diff_per_point, points))]
+        assert worst[0] == worst[1] and f"{worst[0]:.1e}" == "6.4e-11"
+
+    def test_each_rows_norm_is_the_per_point_norm(self):
+        # one point per call exposes that row's norms; a sum of squares by
+        # np.sum or norm(axis=1) differs from BLAS's dot in the last bit for
+        # about one 3-d row in ten
+        f = quadratic([1.0, 3.0, 0.5], [0.2, -0.4, 0.1])
+        off = dataclasses.replace(f, gradient=lambda x: f.gradient(x) + 1e-3 * np.asarray(x)[..., ::-1])
+        for seed in range(60):
+            assert finite_diff_check(off, 1, RNG(seed)) == _finite_diff_per_point(off, 1, RNG(seed))
+
+    def test_a_wrong_gradient_shows_in_its_row(self):
+        f = quadratic([1.0, 2.0])
+        off = dataclasses.replace(f, gradient=lambda x: f.gradient(x) + np.array([0.0, 1e-3]))
+        assert finite_diff_check(off, 5, RNG(7)) == _finite_diff_per_point(off, 5, RNG(7)) > 1e-4
