@@ -42,9 +42,9 @@ the reason is logged once at DEBUG, and where the second check fails too
 there is no kernel.
 
 The same fill makes the draws of an oracle's replies at one point at d = 1
-(``_sample``, under ``sample_gradients`` and the probes): ``probe_draws``
-fills them on one lane and returns them to the oracle's numpy
-``estimate``; where it returns None, numpy draws them.
+(``_draws``, under ``query``, ``sample_gradients`` and the probes):
+``probe_draws`` fills them on one lane and returns them to the oracle's
+numpy ``estimate``; where it returns None, numpy draws them.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ NORMAL_PREMISE = (15, 8192)
 class LaneSpec(NamedTuple):
     """An oracle's ``estimate`` and ``make_stepper`` as the compiled lane
     kernel computes and draws them for one lane-step of a 1-d run
-    (``lane_spec()``), and so the draws of its ``_sample``
+    (``lane_spec()``), and so the draws of its ``_draws``
     (``probe_draws``).
 
     ``flags`` are the formula's bits (``TWO_POINT``, ``EVAL_POINT``,
@@ -280,7 +280,7 @@ def lane_run(oracle, body, regret: bool, rngs: Sequence[np.random.Generator], ho
 
 
 def probe_draws(oracle, delta: float, m: int, rng: np.random.Generator, two_arms: bool = False):
-    """The draws of ``oracle._sample``'s m replies at delta, bit for bit, from
+    """The draws ``oracle._draws`` makes for m replies at delta, bit for bit, from
     one call of the library's fill (``zg_lane_draws``) on one lane whose
     directions and noise both read rng: all m directions, then the noise
     arm by arm in blocks of m.  ``two_arms`` draws a one-point estimator's
@@ -288,9 +288,9 @@ def probe_draws(oracle, delta: float, m: int, rng: np.random.Generator, two_arms
     Returns (du, w, xi), views of one buffer: du (m, 1), or (m, 2, 1) with
     du and -du, w (m, 1), both empty without directions, and xi (blocks, m,
     1).  None where numpy draws them: m < 1, no spec (``_spec``: d > 1, or a
-    class that redefines ``_scaled``, ``_noise`` or ``_sample``), or no
+    class that redefines ``_scaled``, ``_noise`` or ``_draws``), or no
     kernel."""
-    spec = _spec(oracle, ("_scaled", "_noise", "_sample")) if m >= 1 else None
+    spec = _spec(oracle, ("_scaled", "_noise", "_draws")) if m >= 1 else None
     if spec is None or kernel() is None:
         return None
     lib = _library()

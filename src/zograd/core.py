@@ -226,33 +226,50 @@ def checked_response(
     return OracleResponse(g=g, y=y)
 
 
+# rows per ``estimate`` call of ``sample_gradients``: the temporaries of all 10^5
+# rows of a two-point probe (~10 MB) go back to the kernel and fault in again
+REPLY_BLOCK = 8192
+
+
 class Oracle:
-    """``query`` and ``sample_gradients`` of every oracle, both from its
-    ``_sample(x, delta, m, rng, antithetic)``: m replies at one point x
-    (1, d) as ``estimate`` gives them, (g, y, f(y)), drawn from rng."""
+    """``query`` and ``sample_gradients`` from an oracle's one ``estimate(x,
+    delta, *draws)`` and its ``_draws(delta, m, rng, antithetic)``: the
+    draws of m replies at one point (leading axis m), and None or the draws
+    of each reply's antithetic mirror.  By default there are no draws."""
+
+    def _draws(self, delta, m, rng, antithetic):
+        return (), None
 
     def query(self, x, delta: float, rng: np.random.Generator) -> OracleResponse:
         """One reply at a point of the target's domain, drawn as
-        ``sample_gradients(x, delta, 1, rng)`` draws it, with its evaluation
-        point checked to lie within delta of x under the oracle's vicinity
-        norm (any norm where the oracle answers at x itself)."""
+        ``sample_gradients(x, delta, 1, rng)`` draws it, in one ``estimate``
+        call, its evaluation point checked to lie within delta of x under
+        the oracle's vicinity norm (any norm where it answers at x)."""
         q = OracleQuery(x, delta)
         if not self.target.domain.contains(q.x):
             raise DomainError(f"query point {q.x} escapes the domain")
-        g, y, _ = self._sample(q.x.reshape(1, -1), delta, 1, rng, False)
+        g, y, _ = self.estimate(q.x.reshape(1, -1), delta, *self._draws(delta, 1, rng, False)[0])
         return checked_response(g[0], y[0], q, getattr(self, "vicinity_norm", EUCLIDEAN))
 
     def sample_gradients(self, x, delta: float, m: int, rng: np.random.Generator,
                          antithetic: bool = False) -> np.ndarray:
-        """Draw ``m`` independent gradient estimates at (x, delta).
-
-        With ``antithetic=True`` each row of an estimator is the average of
-        its estimates at +U and -U (same noise law); the mean is unchanged,
-        the spread of the mean estimate collapses, so bias probes converge
-        far faster.  Oracles without directions ignore it.
-        """
+        """``m`` independent gradient estimates (m, d) at a point x of the
+        target's domain, drawn in one pass and evaluated ``REPLY_BLOCK`` rows
+        at a time, the bits of one elementwise ``estimate`` call.  With
+        ``antithetic=True`` each row of an estimator averages its estimates
+        at +U and -U (same noise law), which keeps the mean and makes bias
+        probes converge far faster; oracles without directions ignore it."""
         x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-        return self._sample(x, delta, m, rng, antithetic)[0]
+        if not self.target.domain.contains(x):
+            raise DomainError(f"probe point {x[0]} escapes the domain")
+        draws, mirror = self._draws(delta, m, rng, antithetic)
+        g = np.empty((m, x.shape[1]))
+        for start in range(0, m, REPLY_BLOCK):
+            rows = slice(start, start + REPLY_BLOCK)
+            g[rows] = self.estimate(x, delta, *(a[rows] for a in draws))[0]
+            if mirror is not None:
+                g[rows] = 0.5 * (g[rows] + self.estimate(x, delta, *(a[rows] for a in mirror))[0])
+        return g
 
 
 @dataclass(frozen=True)
@@ -276,11 +293,6 @@ class OracleEnvelope:
 
     def c2_value(self, delta: float) -> float:
         return self.c2 * delta ** (-self.q)
-
-    def scaled(self, c1_factor: float, c2_factor: float) -> "OracleEnvelope":
-        return OracleEnvelope(
-            self.c1 * c1_factor, self.p, self.c2 * c2_factor, self.q, self.oracle_type
-        )
 
 
 def envelope_check(env: OracleEnvelope, delta: float) -> tuple[float, float]:

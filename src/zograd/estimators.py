@@ -17,8 +17,8 @@ with constants assembled from closed-form moments of (U, V).
 Every oracle computes its estimate in one vectorised ``estimate`` over a
 stack of query points, from draws passed in as arguments.  ``make_stepper``
 feeds the solver those draws chunk by chunk; ``query`` and
-``sample_gradients`` (``core.Oracle``) draw their own in ``_sample`` and
-call the same ``estimate``.
+``sample_gradients`` (``core.Oracle``) take theirs from ``_draws`` and
+call the same ``estimate``, block by block.
 """
 
 from __future__ import annotations
@@ -78,9 +78,7 @@ class PerturbationScheme:
 
     def u_bound(self, d: int) -> float:
         """sup ||U|| under the vicinity norm (inf for the Gaussian scheme)."""
-        if self.kind == "spsa":
-            return 1.0
-        if self.kind == "surface":
+        if self.kind in ("spsa", "surface"):
             return 1.0
         if self.kind == "rdsa":
             return math.sqrt(d)
@@ -323,10 +321,7 @@ class EstimatorOracle(Oracle):
     def dim(self) -> int:
         return self.target.dim
 
-    @property
-    def unbiased(self) -> bool:
-        """E[Y] = x: true for every scheme here (symmetric U, or Y = x)."""
-        return True
+    unbiased = True  # E[Y] = x for every scheme here (symmetric U, or Y = x)
 
     @property
     def vicinity_norm(self) -> Norm:
@@ -393,12 +388,12 @@ class EstimatorOracle(Oracle):
 
     # -- draws at one point (query, probes) ---------------------------------
 
-    def _sample(self, x, delta, m, rng, antithetic):
-        """m estimates at one point x (1, d): all m directions first, then
-        the noise arm by arm, one block of m per arm (two for antithetic
-        one-point pairs).  At d = 1 the library's fill makes those draws
-        (``_lanes.probe_draws``), where it can be built, with the bits
-        numpy would draw here."""
+    def _draws(self, delta, m, rng, antithetic):
+        """The draws (du, w, xi) of m replies at one point, and None or their
+        antithetic mirrors (-du, -w, a second block of noise): all m
+        directions, then the noise arm by arm in blocks of m.  At d = 1 the
+        library's fill draws them (``_lanes.probe_draws``), where it can be
+        built, with the bits numpy would draw here."""
         from . import _lanes  # imported on first use, not with zograd (see _lanes)
         two_point = self.feedback == "two_point"
         antithetic = antithetic and not two_point
@@ -410,11 +405,8 @@ class EstimatorOracle(Oracle):
             du, w, xi = drawn
             du = du[:, 0] if antithetic else du  # the +du arm
         if two_point:
-            return self.estimate(x, delta, du, w, np.moveaxis(xi, 0, 1))
-        g, y, fy = self.estimate(x, delta, du, w, xi[0])
-        if not antithetic:
-            return g, y, fy
-        return 0.5 * (g + self.estimate(x, delta, -du, -w, xi[1])[0]), y, fy
+            return (du, w, np.moveaxis(xi, 0, 1)), None
+        return (du, w, xi[0]), ((-du, -w, xi[1]) if antithetic else None)
 
     # -- solver hot path ------------------------------------------------------
 
@@ -477,10 +469,6 @@ class ExactGradientOracle(Oracle):
         """True gradients at the rows of x; the evaluation point is x, where
         f is not evaluated."""
         return self.target.gradient(x), x, None
-
-    def _sample(self, x, delta, m, rng, antithetic):
-        g, y, fy = self.estimate(x, delta)
-        return np.tile(g, (m, 1)), y, fy
 
     def lane_spec(self):
         """``estimate`` as the compiled lane kernel computes it

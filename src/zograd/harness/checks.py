@@ -1,6 +1,7 @@
 """The `check` suite: fast, deterministic property verification for the
 whole stack (envelopes, gradients, adversarial exactness, solver step
-inequality, reproducibility).  Exit code 0 iff every check passes."""
+inequality, reproducibility).  Exit code 0 iff every check passes.  Each
+bound is tested as ``not (value <= bound)``, so a NaN fails it."""
 
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ def _check_projection() -> str:
         # the 1000 (x, y) pairs in the order one pair at a time would draw them
         x, y = np.moveaxis(rng.normal(scale=3.0, size=(1000, 2, body.dim)), 1, 0)
         px, py = project(body, x), project(body, y)
-        if np.any(np.linalg.norm(px - py, axis=1) > np.linalg.norm(x - y, axis=1) + 1e-12):
+        if not np.all(np.linalg.norm(px - py, axis=1) <= np.linalg.norm(x - y, axis=1) + 1e-12):
             raise AssertionError("projection expanded a pair")
         if not np.allclose(project(body, px), px):
             raise AssertionError("projection is not idempotent")
@@ -67,8 +68,7 @@ def _check_projection() -> str:
 
 def _check_finite_differences() -> str:
     rng = RngStream(4242, 1).generator()
-    worst = 0.0
-    for f in (
+    fs = (
         quadratic([1.0]),
         quadratic([2.0, 0.5], [0.3, -0.1]),
         softabs(+1, 0.1),
@@ -76,9 +76,9 @@ def _check_finite_differences() -> str:
         strongly_convex_pair(+1, 0.2),
         kinked_quadratic(),
         exp_one_d(),
-    ):
-        worst = max(worst, finite_diff_check(f, 100, rng))
-    if worst > 1e-4:
+    )
+    worst = float(np.max([finite_diff_check(f, 100, rng) for f in fs]))  # a NaN stays NaN
+    if not worst <= 1e-4:
         raise AssertionError(f"finite-difference mismatch {worst:.2e}")
     return f"all testbeds match central differences (worst {worst:.1e})"
 
@@ -109,13 +109,13 @@ def _check_adversarial_grid() -> str:
     for problem, eps in (("convex_smooth", 0.1), ("strongly_convex", 0.2)):
         for p, q in ((1.0, 2.0), (2.0, 2.0)):
             plus, minus = hard_pair(problem, p, q, 1.0, 1.0, eps)
-            excess = max(bias_excess_on_grid(plus), bias_excess_on_grid(minus))
-            if excess > 1e-12:
+            excess = np.maximum(bias_excess_on_grid(plus), bias_excess_on_grid(minus))
+            if not excess <= 1e-12:
                 raise AssertionError(f"type-I bias excess {excess:.2e} for {problem}")
             gap_excess, gap_defect = gap_deviation_on_grid(plus, minus)
-            if gap_excess > 1e-12:
+            if not gap_excess <= 1e-12:
                 raise AssertionError(f"gap bound violated by {gap_excess:.2e}")
-            if problem == "strongly_convex" and gap_defect > 1e-12:
+            if problem == "strongly_convex" and not gap_defect <= 1e-12:
                 raise AssertionError(f"gap identity defect {gap_defect:.2e}")
     return "closed-form bias and gap identities exact on the 401x25 grid"
 
@@ -123,15 +123,15 @@ def _check_adversarial_grid() -> str:
 def _check_separable_arithmetic() -> str:
     oracle = scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1, +1, -1])
     env = oracle.envelope
-    if abs(env.c1 - 1.0) > 1e-12 or abs(env.c2 - 1.0) > 1e-12:
+    if not (abs(env.c1 - 1.0) <= 1e-12 and abs(env.c2 - 1.0) <= 1e-12):
         raise AssertionError("separable composition does not recover the declared envelope")
     delta = 0.3
     per_coord = oracle.instances[0].envelope
     total_var = sum(inst.envelope.c2_value(delta) for inst in oracle.instances)
-    if abs(total_var - env.c2_value(delta)) > 1e-12:
+    if not abs(total_var - env.c2_value(delta)) <= 1e-12:
         raise AssertionError("coordinate variances do not add up")
     bias = np.linalg.norm(oracle.mean_response(np.zeros(4), delta) - oracle.target.gradient_at(np.zeros(4)))
-    if bias > env.c1_value(delta) + 1e-12:
+    if not bias <= env.c1_value(delta) + 1e-12:
         raise AssertionError("composed bias escapes the d-dimensional envelope")
     if per_coord.c1 * math.sqrt(4) != env.c1:
         raise AssertionError("per-coordinate bias scale is not C1/sqrt(d)")
@@ -148,14 +148,14 @@ def _check_prox_inequality() -> str:
     probes = RngStream(4242, 4).generator().uniform(-1.0, 1.0, size=(100, 1))
     worst = prox_inequality_gap(trace.xs[:-1, None], trace.gs[:, None], trace.etas[:, None],
                                 trace.xs[1:, None], probes, reg)
-    if worst > 1e-8:
+    if not worst <= 1e-8:
         raise AssertionError(f"prox inequality violated by {worst:.2e}")
     return f"step optimality inequality holds at every iteration (worst gap {worst:.1e})"
 
 
 def _check_schedules() -> str:
     s = schedule_opt_convex(2.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1000)
-    if abs(s.params["r"] - 2.0 / 3.0) > 1e-12:
+    if not abs(s.params["r"] - 2.0 / 3.0) <= 1e-12:
         raise AssertionError("opt_convex r mismatch")
     try:
         schedule_opt_sc(2.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1000)
@@ -164,11 +164,11 @@ def _check_schedules() -> str:
     else:
         raise AssertionError("opt_sc accepted alpha*mu <= 2L")
     d_star = worst_case_tolerance(1.0, 1.0, 2.0, 2.0)
-    if abs(d_star - math.sqrt(1.0 / 3.0)) > 1e-12:
+    if not abs(d_star - math.sqrt(1.0 / 3.0)) <= 1e-12:
         raise AssertionError("worst-case tolerance closed form broke")
     lb = minimax_lower_bound("convex_smooth", 2.0, 2.0, 1.0, 1.0, 10_000)
     eps = optimal_separation("convex_smooth", 2.0, 2.0, 1.0, 1.0, 10_000)
-    if abs(lb - eps * 6.0 / 40.0) > 1e-12 * lb:
+    if not abs(lb - eps * 6.0 / 40.0) <= 1e-12 * lb:
         raise AssertionError("floor and separation are inconsistent")
     return "schedule constants and closed forms self-consistent"
 

@@ -149,12 +149,15 @@ def _is_int(v: Any) -> bool:
 
 def read_config_file(path: str | Path) -> dict[str, Any]:
     """The fields a JSON config file sets, not yet validated: a caller can
-    tell a field the file names from a default."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    tell a field the file names from a default.  A file that cannot be read
+    is a ``ConfigError`` that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: cannot be read ({exc.strerror or exc})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file: top level must be an object")
     return data

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
@@ -68,6 +70,8 @@ from ..testbed import (
 from .config import REP_BITS, ConfigError, ExperimentConfig
 from .fitting import RateFit, fit_rate
 from .probes import envelope_verdict, probe_bias_variance
+
+_log = logging.getLogger(__name__)
 
 _SC_ALPHA_FLOOR = 4.0
 # The pool _fan_out builds, looked up here at each call: perfbench/tracing.py
@@ -540,7 +544,8 @@ def parse_oracle_spec(spec: str):
 
 def probe_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Probe an oracle's bias/variance over the delta grid and compare with
-    its declared envelope under ``probes.envelope_verdict``."""
+    its declared envelope under ``probes.envelope_verdict``; each delta's
+    verdict and wall time are logged at INFO."""
     cfg.validate()
     if cfg.oracle_spec is None:
         raise ConfigError("oracle_spec: required for probe runs")
@@ -550,9 +555,12 @@ def probe_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     all_ok = True
     for i, delta in enumerate(cfg.delta_grid):
+        start = time.perf_counter()
         rng = RngStream(cfg.master_seed, (40 << REP_BITS) | i).generator()
         res = probe_bias_variance(oracle, x, delta, cfg.probe_reps, rng)
         bias_ok, var_ok = envelope_verdict(res, env)
+        _log.info("%s delta=%g: %s in %.1f ms", experiment_id, delta, "PASS" if bias_ok and var_ok else "FAIL",
+                  1e3 * (time.perf_counter() - start))
         all_ok = all_ok and bias_ok and var_ok
         rows.append(
             (cfg.oracle_spec, delta, res.bias_est, res.bias_se, res.var_est, res.var_se,

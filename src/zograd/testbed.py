@@ -376,7 +376,8 @@ def finite_diff_check(
     step: float = 1e-5,
 ) -> float:
     """Worst relative error of the exact gradient against central differences
-    at random interior points; denominators fall back to 1 for flat regions.
+    at random interior points, NaN where any point's is NaN; denominators
+    fall back to 1 for flat regions.
     The points are drawn as one at a time would draw them and evaluated as
     rows (samples, d): the gradient once, f on both sides once per coordinate."""
     if samples < 1:
@@ -396,4 +397,4 @@ def finite_diff_check(
         fd[:, i] = (plus - minus)[:, 0] / (2.0 * step)
     # each row's norm by BLAS's dot, as np.linalg.norm takes one vector's
     norm = lambda v: np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
-    return float(np.fmax.reduce(norm(fd - g) / np.maximum(norm(g), 1.0), initial=0.0))
+    return float(np.max(norm(fd - g) / np.maximum(norm(g), 1.0), initial=0.0))

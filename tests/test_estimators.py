@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zograd import _lanes
+from zograd import _lanes, core
 from zograd.adversarial import hard_pair, scaled_hard_coordinates
-from zograd.core import MAX_NORM, DomainError, RngStream, interval
+from zograd.core import MAX_NORM, REPLY_BLOCK, DomainError, RngStream, interval
 from zograd.estimators import (
     ControlledNoise,
     EstimatorOracle,
@@ -350,6 +351,68 @@ class TestEnvelopeCache:
         assert louder.envelope.c2 == pytest.approx(416.0)
 
 
+_F1 = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
+# (oracle, antithetic, point) of every kind of reply sample_gradients
+# evaluates in blocks: estimators of each feedback, noise and antithetic
+# pairs, adversarial and exact oracles, at d = 1 (where the library draws
+# for the estimators and the adversarial oracle) and at d = 2 (numpy draws)
+BLOCK_CASES = {
+    "one-point": (EstimatorOracle(_F1, SPSA, UncontrolledNoise(3.0), "one_point"), False),
+    "one-point-antithetic": (EstimatorOracle(_F1, SPSA, UncontrolledNoise(3.0), "one_point"), True),
+    "smoothing-antithetic": (EstimatorOracle(exp_one_d(), SURFACE, UncontrolledNoise(1.0), "one_point"), True),
+    "two-point": (EstimatorOracle(exp_one_d(), SPSA, UncontrolledNoise(1.0), "two_point", "c3"), False),
+    "two-point-sf": (EstimatorOracle(_F1, SF, UncontrolledNoise(1.0), "two_point"), False),
+    "controlled": (EstimatorOracle(_F1, SPSA, ControlledNoise(3.0, slope=1.0), "two_point"), False),
+    "one-point-d2": (EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"), False),
+    "adversarial": (hard_pair("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1)[0].oracle(), False),
+    "adversarial-d2": (scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1]), False),
+    "exact": (ExactGradientOracle(softabs(-1, 0.1)), False),
+    "exact-d2": (ExactGradientOracle(quadratic([1.0, 2.0])), False),
+}
+BLOCK_ORACLES = {kind: oracle for kind, (oracle, _) in BLOCK_CASES.items()}
+
+
+class TestReplyBlocks:
+    # sample_gradients draws its m replies in one pass and evaluates them
+    # REPLY_BLOCK rows at a time: the bits of one estimate call on all rows
+    @pytest.mark.parametrize("path", ["library", "numpy"])
+    @pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
+    def test_blocks_give_the_bits_of_one_call(self, kind, path, monkeypatch):
+        if path == "library" and _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        if path == "numpy":
+            monkeypatch.setattr(_lanes, "kernel", lambda: None)
+        oracle, antithetic = BLOCK_CASES[kind]
+        x = np.full(oracle.dim, 0.3)
+        for m in (1, REPLY_BLOCK - 1, REPLY_BLOCK, REPLY_BLOCK + 1, 2 * REPLY_BLOCK + 3):
+            blocked, whole = RNG(30 + m), RNG(30 + m)
+            got = oracle.sample_gradients(x, 0.2, m, blocked, antithetic)
+            with monkeypatch.context() as one_call:
+                one_call.setattr(core, "REPLY_BLOCK", 10 * m)
+                want = oracle.sample_gradients(x, 0.2, m, whole, antithetic)
+            assert got.shape == want.shape == (m, oracle.dim)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            assert blocked.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("path", ["library", "numpy"])
+    def test_a_probe_holds_block_sized_temporaries(self, path, monkeypatch):
+        # all 10^5 rows of a two-point probe at once took a traced peak of
+        # 10.7 MiB with the library and 9.2 MiB without; in blocks, 6.6 and 5.1
+        if path == "library" and _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        if path == "numpy":
+            monkeypatch.setattr(_lanes, "kernel", lambda: None)
+        oracle, x = BLOCK_ORACLES["two-point"], np.array([0.0])
+        probe_bias_variance(oracle, x, 0.1, 1000, RNG(40))  # builds or loads the library untraced
+        tracemalloc.start()
+        try:
+            probe_bias_variance(oracle, x, 0.1, 100_000, RNG(41))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+
 class TestVicinityAndDeterminism:
     def test_sf_reports_query_point(self):
         f = quadratic([1.0])
@@ -383,6 +446,13 @@ class TestVicinityAndDeterminism:
         o = EstimatorOracle(f, SPSA, UncontrolledNoise(0.0), "one_point")
         with pytest.raises(DomainError):
             o.query(np.array([5.0]), 0.1, RNG(22))
+
+    @pytest.mark.parametrize("kind", sorted(k for k in BLOCK_ORACLES if not k.endswith("antithetic")))
+    def test_out_of_domain_samples_rejected_before_any_draw(self, kind):
+        oracle, rng, start = BLOCK_ORACLES[kind], RNG(24), RNG(24)
+        with pytest.raises(DomainError, match="escapes the domain"):
+            oracle.sample_gradients(np.full(oracle.dim, 5.0), 0.1, 100, rng)
+        assert rng.bit_generator.state == start.bit_generator.state
 
     def test_all_oracles_unbiased_in_y(self):
         f = quadratic([1.0])

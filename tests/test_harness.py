@@ -400,6 +400,46 @@ class TestCli:
         assert out.out == "[FAIL] broken: off by one\n"
         assert re.fullmatch(r"INFO:zograd\.harness\.checks:broken: FAIL in \d+\.\d ms\n", out.err)
 
+    @pytest.mark.parametrize("check, name", [
+        ("finite-differences", "exp_one_d"),  # the last testbed, with a gradient that is NaN everywhere
+        ("prox-inequality", "prox_inequality_gap"),
+        ("adversarial-grid", "bias_excess_on_grid"),  # the minus arm's, the second of the two compared
+        ("adversarial-grid", "gap_deviation_on_grid"),
+    ])
+    def test_a_nan_fails_its_check(self, check, name, capsys, monkeypatch):
+        real = getattr(checks, name)
+        nan = {
+            "exp_one_d": lambda: dataclasses.replace(real(), gradient=lambda x: np.full(np.shape(x), np.nan)),
+            "prox_inequality_gap": lambda *a: math.nan,
+            "bias_excess_on_grid": lambda inst: math.nan if inst.v == -1 else real(inst),
+            "gap_deviation_on_grid": lambda *a: (math.nan, 0.0),
+        }[name]
+        monkeypatch.setattr(checks, name, nan)
+        assert main(["check"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(checks.ALL_CHECKS)
+        assert [line.split(":")[0] for line in lines if not line.startswith("[PASS]")] == [f"[FAIL] {check}"]
+
+    def test_a_probe_point_outside_the_domain_exits_2(self, tmp_path, capsys):
+        # the quadratic's domain is [-1, 1]
+        argv = ["probe", "--oracle", "one-point,x=5", "--reps", "64", "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "domain error: probe point [5.] escapes the domain\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_probe_logs_each_deltas_wall_time_at_info(self, tmp_path, capsys):
+        argv = ["probe", "--oracle", "two-point,fn=exp,class=c3,sigma=1.0,x=0.0", "--delta-grid", "0.5 0.1",
+                "--reps", "2000", "--seed", "3"]
+        assert main(argv + ["--out", str(tmp_path / "quiet.csv")]) == 0
+        quiet = capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "loud.csv"), "--log-level", "INFO"]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out and quiet.err == ""
+        logged = [re.fullmatch(r"INFO:zograd\.harness\.experiments:probe-two-point delta=(\S+): PASS in \d+\.\d ms",
+                               line) for line in loud.err.splitlines()]
+        assert [m and m[1] for m in logged] == ["0.5", "0.1"]
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg = ExperimentConfig(
@@ -413,11 +453,22 @@ class TestCli:
         rows = read_rows(out)
         assert len(rows) == len(SMALL_HORIZONS) * 3  # CLI override beat the file
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{"], ids=["not-json", "not-utf-8"])
+    def test_config_error_exit_code(self, content, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_bytes(content)
         assert main(["rate", "--config", str(bad)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config file: invalid JSON (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_a_config_file_that_cannot_be_read_exits_2(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        assert main(["rate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {path}: cannot be read (") and err.count("\n") == 1
+        with pytest.raises(ConfigError, match="cannot be read"):
+            read_config_file(path)
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--c1", "0", "config error: c1: must be positive"),

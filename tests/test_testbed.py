@@ -255,6 +255,15 @@ class TestFiniteDiff:
         with pytest.raises(DomainError):
             finite_diff_check(quadratic([1.0]), 0, RNG(5))
 
+    @pytest.mark.parametrize("rows", ["every", "one"])
+    def test_a_nan_gradient_gives_nan(self, rows):
+        f = exp_one_d()
+        if rows == "every":
+            nan = lambda x: np.full(np.shape(x), np.nan)
+        else:  # only the second of the points
+            nan = lambda x: np.where(np.arange(np.size(x)).reshape(np.shape(x)) == 1, np.nan, f.gradient(x))
+        assert math.isnan(finite_diff_check(dataclasses.replace(f, gradient=nan), 5, RNG(8)))
+
 
 def _finite_diff_per_point(f, samples, rng, step=1e-5):
     """``finite_diff_check`` one point at a time: the reference its row pass
