@@ -3,10 +3,9 @@
 
 Writes CSV/JSON artifacts under results/ and prints one line per
 experiment.  Exit code 0 iff all experiments pass their assertions.
-It takes about 7 s on a shared 2-vCPU x86_64 machine (13 s while that
-machine ran about 1.4x slower), building the compiled lane kernel on the
-way, and about 50 s (116 s) where the kernel cannot be built and the
-solver runs its numpy loop.
+It takes about 2 s on a shared 2-vCPU x86_64 machine with the compiled
+lane kernel cached, and about 40 s where the kernel cannot be built and
+the solver runs its numpy loop.
 """
 
 from __future__ import annotations

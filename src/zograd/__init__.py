@@ -17,8 +17,6 @@ from .core import (
     OracleQuery,
     OracleResponse,
     RngStream,
-    dual_norm,
-    envelope_check,
     interval,
     project,
 )
@@ -49,7 +47,6 @@ from .estimators import (
 from .adversarial import (
     AdversarialOracle,
     HardInstance,
-    compose_separable,
     hard_pair,
     kl_divergence_bound,
     mean_response_convex,
@@ -64,7 +61,6 @@ from .solver import (
     RunTrace,
     Schedule,
     manual_schedule,
-    md_step,
     optimization_rate_exponent,
     prox_inequality_gap,
     regret_rate_exponent,

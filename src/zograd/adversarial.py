@@ -291,11 +291,6 @@ def hard_pair(
     )
 
 
-def compose_separable(instances: Sequence[HardInstance]) -> AdversarialOracle:
-    """The d-dimensional oracle of 1-d hard instances, one per coordinate."""
-    return AdversarialOracle(*instances)
-
-
 def scaled_hard_coordinates(
     problem_class: str, p: float, q: float, c1: float, c2: float, eps: float, v: Sequence[int]
 ) -> AdversarialOracle:

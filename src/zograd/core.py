@@ -61,17 +61,9 @@ class Norm:
     def dual(self) -> "Norm":
         return Norm(_DUAL_KIND[self.kind])
 
-    def dual_value(self, g: np.ndarray) -> float:
-        return self.dual().value(g)
-
 
 EUCLIDEAN = Norm("euclidean")
 MAX_NORM = Norm("max")
-
-
-def dual_norm(norm: Norm, g: np.ndarray) -> float:
-    """Value of the dual norm: euclidean -> l2, max -> l1."""
-    return norm.dual_value(g)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +226,9 @@ REPLY_BLOCK = 8192
 class Oracle:
     """``query`` and ``sample_gradients`` from an oracle's one ``estimate(x,
     delta, *draws)`` and its ``_draws(delta, m, rng, antithetic)``: the
-    draws of m replies at one point (leading axis m), and None or the draws
-    of each reply's antithetic mirror.  By default there are no draws."""
+    draws of m replies at one point (leading axis m), and None or a function
+    of a row slice that returns the draws of those replies' antithetic
+    mirrors.  By default there are no draws."""
 
     def _draws(self, delta, m, rng, antithetic):
         return (), None
@@ -268,7 +261,7 @@ class Oracle:
             rows = slice(start, start + REPLY_BLOCK)
             g[rows] = self.estimate(x, delta, *(a[rows] for a in draws))[0]
             if mirror is not None:
-                g[rows] = 0.5 * (g[rows] + self.estimate(x, delta, *(a[rows] for a in mirror))[0])
+                g[rows] = 0.5 * (g[rows] + self.estimate(x, delta, *mirror(rows))[0])
         return g
 
 
@@ -293,13 +286,6 @@ class OracleEnvelope:
 
     def c2_value(self, delta: float) -> float:
         return self.c2 * delta ** (-self.q)
-
-
-def envelope_check(env: OracleEnvelope, delta: float) -> tuple[float, float]:
-    """Evaluate ``(c1(delta), c2(delta))``; delta outside (0, 1] is an error."""
-    if not (0.0 < delta <= 1.0):
-        raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    return env.c1_value(delta), env.c2_value(delta)
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,6 @@ NoiseModel = UncontrolledNoise | ControlledNoise
 # Moments of (U, V), cached per (scheme, d, norm)
 # ---------------------------------------------------------------------------
 
-_MOMENT_SAMPLES = 1_000_000
-_MOMENT_SEED = 852_654_618
 _moment_cache: dict[tuple[str, int, str], dict[str, float]] = {}
 
 
@@ -165,10 +163,10 @@ def _gaussian_norm_moment(d: int, k: int) -> float:
 def scheme_moments(scheme: PerturbationScheme, d: int, norm: Norm = EUCLIDEAN) -> dict[str, float]:
     """E[|V|* |U|^k] moments used by the envelope constants.
 
-    Exact where a closed form exists: constant-norm schemes, and the
-    Gaussian under the Euclidean norm (Nesterov & Spokoiny 2017, Lemma 1),
-    where |V| = |U| = ||z||.  Otherwise a Monte Carlo estimate, seeded per
-    cache key so envelopes are bit-reproducible.
+    Closed forms: constant-norm schemes, and the Gaussian under the
+    Euclidean norm (Nesterov & Spokoiny 2017, Lemma 1), where |V| = |U| =
+    ||z||.  Every scheme has them under the Euclidean norm, which
+    ``envelope_for`` takes; any other key has none and is a DomainError.
     """
     key = (scheme.kind, d, norm.kind)
     if key in _moment_cache:
@@ -190,39 +188,9 @@ def scheme_moments(scheme: PerturbationScheme, d: int, norm: Norm = EUCLIDEAN) -
             "v2_u4": float(d * (d + 2) * (d + 4)),
         }
     else:
-        moments = _sampled_moments(scheme, d, norm)
+        raise DomainError(f"no closed-form moments for {scheme.kind} at d={d} under the {norm.kind} norm")
     _moment_cache[key] = moments
     return moments
-
-
-def _sampled_moments(scheme: PerturbationScheme, d: int, norm: Norm) -> dict[str, float]:
-    stream = np.random.default_rng(
-        np.random.SeedSequence(_MOMENT_SEED, spawn_key=(SCHEME_KINDS.index(scheme.kind), d, 0 if norm.kind == "euclidean" else 1))
-    )
-    sums = np.zeros(4)
-    block = 200_000
-    done = 0
-    while done < _MOMENT_SAMPLES:
-        m = min(block, _MOMENT_SAMPLES - done)
-        u = scheme.sample_u(d, stream, m)
-        v = scheme.v_of(u)
-        v_dual = np.sum(np.abs(v), axis=1)
-        u_norm = np.max(np.abs(u), axis=1)
-        sums += np.array(
-            [
-                np.sum(v_dual * u_norm**2),
-                np.sum(v_dual**2),
-                np.sum(v_dual * u_norm**3),
-                np.sum(v_dual**2 * u_norm**4),
-            ]
-        )
-        done += m
-    return {
-        "v_u2": float(sums[0] / _MOMENT_SAMPLES),
-        "v2": float(sums[1] / _MOMENT_SAMPLES),
-        "v_u3": float(sums[2] / _MOMENT_SAMPLES),
-        "v2_u4": float(sums[3] / _MOMENT_SAMPLES),
-    }
 
 
 def ball_mean_square_radius(d: int) -> float:
@@ -389,8 +357,8 @@ class EstimatorOracle(Oracle):
     # -- draws at one point (query, probes) ---------------------------------
 
     def _draws(self, delta, m, rng, antithetic):
-        """The draws (du, w, xi) of m replies at one point, and None or their
-        antithetic mirrors (-du, -w, a second block of noise): all m
+        """The draws (du, w, xi) of m replies at one point, and None or the
+        rows' antithetic mirrors (-du, -w, a second block of noise): all m
         directions, then the noise arm by arm in blocks of m.  At d = 1 the
         library's fill draws them (``_lanes.probe_draws``), where it can be
         built, with the bits numpy would draw here."""
@@ -406,7 +374,8 @@ class EstimatorOracle(Oracle):
             du = du[:, 0] if antithetic else du  # the +du arm
         if two_point:
             return (du, w, np.moveaxis(xi, 0, 1)), None
-        return (du, w, xi[0]), ((-du, -w, xi[1]) if antithetic else None)
+        # the mirror's draws negated block by block, not all at once
+        return (du, w, xi[0]), ((lambda rows: (-du[rows], -w[rows], xi[1][rows])) if antithetic else None)
 
     # -- solver hot path ------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """The `check` suite: fast, deterministic property verification for the
 whole stack (envelopes, gradients, adversarial exactness, solver step
 inequality, reproducibility).  Exit code 0 iff every check passes.  Each
-bound is tested as ``not (value <= bound)``, so a NaN fails it."""
+bound is one ``verdicts.require``, so a value or bound that is not finite
+fails it."""
 
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ from ..testbed import (
     softabs,
     strongly_convex_pair,
 )
-from .probes import envelope_verdict, probe_bias_variance
+from .probes import envelope_verdicts, probe_bias_variance
+from .verdicts import require
 
 Check = tuple[str, Callable[[], str]]
 
@@ -59,10 +61,9 @@ def _check_projection() -> str:
         # the 1000 (x, y) pairs in the order one pair at a time would draw them
         x, y = np.moveaxis(rng.normal(scale=3.0, size=(1000, 2, body.dim)), 1, 0)
         px, py = project(body, x), project(body, y)
-        if not np.all(np.linalg.norm(px - py, axis=1) <= np.linalg.norm(x - y, axis=1) + 1e-12):
-            raise AssertionError("projection expanded a pair")
-        if not np.allclose(project(body, px), px):
-            raise AssertionError("projection is not idempotent")
+        expansion = np.max(np.linalg.norm(px - py, axis=1) - np.linalg.norm(x - y, axis=1))
+        require("largest expansion of a pair", expansion, "<=", 1e-12)
+        require("largest move of a projected point", np.max(np.abs(project(body, px) - px)), "<=", 1e-8)
     return "nonexpansive and idempotent on 2000 random pairs"
 
 
@@ -77,9 +78,8 @@ def _check_finite_differences() -> str:
         kinked_quadratic(),
         exp_one_d(),
     )
-    worst = float(np.max([finite_diff_check(f, 100, rng) for f in fs]))  # a NaN stays NaN
-    if not worst <= 1e-4:
-        raise AssertionError(f"finite-difference mismatch {worst:.2e}")
+    worst = require("finite-difference mismatch", np.max([finite_diff_check(f, 100, rng) for f in fs]),
+                    "<=", 1e-4).value
     return f"all testbeds match central differences (worst {worst:.1e})"
 
 
@@ -95,13 +95,9 @@ def _check_estimator_envelopes() -> str:
     ]
     x = np.array([0.3])
     for oracle in cells:
-        env = oracle.envelope
         for delta in (0.5, 0.1):
-            bias_ok, var_ok = envelope_verdict(probe_bias_variance(oracle, x, delta, 50_000, rng), env)
-            if not bias_ok:
-                raise AssertionError(f"bias envelope violated for {oracle.scheme.kind}/{oracle.feedback}")
-            if not var_ok:
-                raise AssertionError(f"variance envelope violated for {oracle.scheme.kind}/{oracle.feedback}")
+            for v in envelope_verdicts(probe_bias_variance(oracle, x, delta, 50_000, rng), oracle.envelope):
+                require(f"{oracle.scheme.kind}/{oracle.feedback} {v.what}", v.value, v.relation, v.bound)
     return "bias/variance inside declared envelopes for 5 cells x 2 deltas"
 
 
@@ -110,31 +106,26 @@ def _check_adversarial_grid() -> str:
         for p, q in ((1.0, 2.0), (2.0, 2.0)):
             plus, minus = hard_pair(problem, p, q, 1.0, 1.0, eps)
             excess = np.maximum(bias_excess_on_grid(plus), bias_excess_on_grid(minus))
-            if not excess <= 1e-12:
-                raise AssertionError(f"type-I bias excess {excess:.2e} for {problem}")
+            require(f"type-I bias excess for {problem}", excess, "<=", 1e-12)
             gap_excess, gap_defect = gap_deviation_on_grid(plus, minus)
-            if not gap_excess <= 1e-12:
-                raise AssertionError(f"gap bound violated by {gap_excess:.2e}")
-            if problem == "strongly_convex" and not gap_defect <= 1e-12:
-                raise AssertionError(f"gap identity defect {gap_defect:.2e}")
+            require(f"gap bound excess for {problem}", gap_excess, "<=", 1e-12)
+            if problem == "strongly_convex":
+                require("gap identity defect", gap_defect, "<=", 1e-12)
     return "closed-form bias and gap identities exact on the 401x25 grid"
 
 
 def _check_separable_arithmetic() -> str:
     oracle = scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1, +1, -1])
     env = oracle.envelope
-    if not (abs(env.c1 - 1.0) <= 1e-12 and abs(env.c2 - 1.0) <= 1e-12):
-        raise AssertionError("separable composition does not recover the declared envelope")
+    require("|composed C1 - 1|", abs(env.c1 - 1.0), "<=", 1e-12)
+    require("|composed C2 - 1|", abs(env.c2 - 1.0), "<=", 1e-12)
     delta = 0.3
     per_coord = oracle.instances[0].envelope
     total_var = sum(inst.envelope.c2_value(delta) for inst in oracle.instances)
-    if not abs(total_var - env.c2_value(delta)) <= 1e-12:
-        raise AssertionError("coordinate variances do not add up")
+    require("|sum of coordinate variances - c2(delta)|", abs(total_var - env.c2_value(delta)), "<=", 1e-12)
     bias = np.linalg.norm(oracle.mean_response(np.zeros(4), delta) - oracle.target.gradient_at(np.zeros(4)))
-    if not bias <= env.c1_value(delta) + 1e-12:
-        raise AssertionError("composed bias escapes the d-dimensional envelope")
-    if per_coord.c1 * math.sqrt(4) != env.c1:
-        raise AssertionError("per-coordinate bias scale is not C1/sqrt(d)")
+    require("composed bias", bias, "<=", env.c1_value(delta) + 1e-12)
+    require("|per-coordinate C1 * sqrt(d) - C1|", abs(per_coord.c1 * math.sqrt(4) - env.c1), "<=", 0.0)
     return "envelope arithmetic exact for the d=4 composition"
 
 
@@ -148,15 +139,13 @@ def _check_prox_inequality() -> str:
     probes = RngStream(4242, 4).generator().uniform(-1.0, 1.0, size=(100, 1))
     worst = prox_inequality_gap(trace.xs[:-1, None], trace.gs[:, None], trace.etas[:, None],
                                 trace.xs[1:, None], probes, reg)
-    if not worst <= 1e-8:
-        raise AssertionError(f"prox inequality violated by {worst:.2e}")
+    require("worst prox inequality gap", worst, "<=", 1e-8)
     return f"step optimality inequality holds at every iteration (worst gap {worst:.1e})"
 
 
 def _check_schedules() -> str:
     s = schedule_opt_convex(2.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1000)
-    if not abs(s.params["r"] - 2.0 / 3.0) <= 1e-12:
-        raise AssertionError("opt_convex r mismatch")
+    require("|opt_convex r - 2/3|", abs(s.params["r"] - 2.0 / 3.0), "<=", 1e-12)
     try:
         schedule_opt_sc(2.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1000)
     except DomainError:
@@ -164,12 +153,10 @@ def _check_schedules() -> str:
     else:
         raise AssertionError("opt_sc accepted alpha*mu <= 2L")
     d_star = worst_case_tolerance(1.0, 1.0, 2.0, 2.0)
-    if not abs(d_star - math.sqrt(1.0 / 3.0)) <= 1e-12:
-        raise AssertionError("worst-case tolerance closed form broke")
+    require("|worst-case tolerance - sqrt(1/3)|", abs(d_star - math.sqrt(1.0 / 3.0)), "<=", 1e-12)
     lb = minimax_lower_bound("convex_smooth", 2.0, 2.0, 1.0, 1.0, 10_000)
     eps = optimal_separation("convex_smooth", 2.0, 2.0, 1.0, 1.0, 10_000)
-    if not abs(lb - eps * 6.0 / 40.0) <= 1e-12 * lb:
-        raise AssertionError("floor and separation are inconsistent")
+    require("|floor - 6/40 separation|", abs(lb - eps * 6.0 / 40.0), "<=", 1e-12 * lb)
     return "schedule constants and closed forms self-consistent"
 
 
@@ -182,8 +169,8 @@ def _check_determinism() -> str:
             rng=RngStream(7, 5).generator())
         for _ in range(2)
     ]
-    if traces[0].x_hat[0] != traces[1].x_hat[0] or traces[0].error != traces[1].error:
-        raise AssertionError("equal streams produced different runs")
+    require("|x_hat difference| of equal-stream runs", abs(traces[0].x_hat[0] - traces[1].x_hat[0]), "<=", 0.0)
+    require("|error difference| of equal-stream runs", abs(traces[0].error - traces[1].error), "<=", 0.0)
     return "equal RNG streams reproduce runs bitwise"
 
 

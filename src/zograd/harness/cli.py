@@ -160,7 +160,7 @@ def _main(args: argparse.Namespace) -> int:
             fit = report.fit
             print(
                 f"{report.experiment_id}: exponent {fit.exponent:.4f} "
-                f"(target {report.target_exponent:.4f} +- {report.tolerance}), "
+                f"(target {report.target_exponent:.4f} +- {cfg.tolerance}), "
                 f"r^2 {fit.r_squared:.4f} -> {'PASS' if report.passed else 'FAIL'}"
             )
         elif args.command == "lowerbound":
@@ -178,7 +178,7 @@ def _main(args: argparse.Namespace) -> int:
             print(
                 f"{report.experiment_id}: regret growth exponent "
                 f"{d['regret_growth_exponent']:.4f} (target {d['target_growth_exponent']:.4f} "
-                f"+- {report.tolerance}) -> {'PASS' if report.passed else 'FAIL'}"
+                f"+- {cfg.tolerance}) -> {'PASS' if report.passed else 'FAIL'}"
             )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby
 from pathlib import Path
 from typing import Optional, Sequence
@@ -69,7 +69,8 @@ from ..testbed import (
 )
 from .config import REP_BITS, ConfigError, ExperimentConfig
 from .fitting import RateFit, fit_rate
-from .probes import envelope_verdict, probe_bias_variance
+from .probes import envelope_verdicts, probe_bias_variance
+from .verdicts import Verdict, verdict
 
 _log = logging.getLogger(__name__)
 
@@ -268,11 +269,14 @@ class ExperimentReport:
     experiment_id: str
     fit: Optional[RateFit]
     target_exponent: Optional[float]
-    tolerance: float
-    passed: bool
+    verdicts: tuple[Verdict, ...]
     details: dict
     csv_path: Optional[str]
     json_path: Optional[str]
+
+    @property
+    def passed(self) -> bool:
+        return all(v.passed for v in self.verdicts)
 
 
 def _fmt(value) -> str:
@@ -317,12 +321,17 @@ def _run_rows(label: str, group: _Group, errors: np.ndarray, regrets: Optional[n
 
 
 def _report(cfg: ExperimentConfig, experiment_id: str, header: Sequence[str], rows: Sequence[Sequence],
-            fit: Optional[RateFit], target: Optional[float], passed: bool, details: dict) -> ExperimentReport:
+            fit: Optional[RateFit], target: Optional[float], verdicts: Sequence[Verdict],
+            details: dict) -> ExperimentReport:
     """Write the CSV at ``cfg.out`` and the JSON summary next to it (nothing
-    when ``cfg.out`` is None) and return the report."""
+    when ``cfg.out`` is None) and return the report, which passed iff every
+    verdict did; the verdicts go in ``details["verdicts"]``."""
+    details["verdicts"] = [asdict(v) for v in verdicts]
     csv_path = json_path = None
     if cfg.out is not None:
         csv_path, json_path = str(Path(cfg.out)), str(Path(cfg.out).with_suffix(".json"))
+    report = ExperimentReport(experiment_id, fit, target, tuple(verdicts), details, csv_path, json_path)
+    if cfg.out is not None:
         write_rows(csv_path, header, rows)
         write_summary(json_path, {
             "experiment_id": experiment_id,
@@ -331,11 +340,11 @@ def _report(cfg: ExperimentConfig, experiment_id: str, header: Sequence[str], ro
             "r_squared": fit.r_squared if fit else None,
             "target_exponent": target,
             "tolerance": cfg.tolerance,
-            "passed": bool(passed),
+            "passed": report.passed,
             "config": cfg.to_dict(),
             "details": details,
         })
-    return ExperimentReport(experiment_id, fit, target, cfg.tolerance, passed, details, csv_path, json_path)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +389,8 @@ def rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         ],
         "r_squared": fit.r_squared,
     }
-    return _report(cfg, experiment_id, _RUN_HEADER, rows, fit, target,
-                   abs(fit.exponent - target) <= cfg.tolerance, details)
+    verdicts = [verdict("|exponent - target|", abs(fit.exponent - target), "<=", cfg.tolerance)]
+    return _report(cfg, experiment_id, _RUN_HEADER, rows, fit, target, verdicts, details)
 
 
 def regret_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -413,8 +422,8 @@ def regret_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "target_growth_exponent": 1.0 - target_decay,
         "r_squared": fit.r_squared,
     }
-    return _report(cfg, experiment_id, _RUN_HEADER, rows, fit, target_decay,
-                   abs(fit.exponent - target_decay) <= cfg.tolerance, details)
+    verdicts = [verdict("|decay exponent - target|", abs(fit.exponent - target_decay), "<=", cfg.tolerance)]
+    return _report(cfg, experiment_id, _RUN_HEADER, rows, fit, target_decay, verdicts, details)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +472,6 @@ def lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     sanity = float(np.mean([
         run(ExactGradientOracle(f), arm.schedule, cfg.n, f.domain, reg).error for arm, f in zip(arms, targets)
     ]))
-    passed = (mean + 3.0 * se >= floor) and (sanity < floor)
     rows = []
     for arm, errs in zip(arms, per_arm):
         rows += _run_rows(f"{experiment_id}-v{'+' if arm.arm == 0 else '-'}", arm, errs)
@@ -475,7 +483,9 @@ def lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "separation": pair[0].eps,
         "exact_oracle_error": sanity,
     }
-    return _report(cfg, experiment_id, _RUN_HEADER, rows, None, None, passed, details)
+    verdicts = [verdict("mean error + 3se", mean + 3.0 * se, ">=", floor),
+                verdict("exact-oracle error", sanity, "<", floor)]
+    return _report(cfg, experiment_id, _RUN_HEADER, rows, None, None, verdicts, details)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +554,7 @@ def parse_oracle_spec(spec: str):
 
 def probe_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Probe an oracle's bias/variance over the delta grid and compare with
-    its declared envelope under ``probes.envelope_verdict``; each delta's
+    its declared envelope under ``probes.envelope_verdicts``; each delta's
     verdict and wall time are logged at INFO."""
     cfg.validate()
     if cfg.oracle_spec is None:
@@ -552,21 +562,20 @@ def probe_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     oracle, x = parse_oracle_spec(cfg.oracle_spec)
     env = oracle.envelope
     experiment_id = f"probe-{cfg.oracle_spec.split(',')[0]}"
-    rows = []
-    all_ok = True
+    rows, verdicts = [], []
     for i, delta in enumerate(cfg.delta_grid):
         start = time.perf_counter()
         rng = RngStream(cfg.master_seed, (40 << REP_BITS) | i).generator()
         res = probe_bias_variance(oracle, x, delta, cfg.probe_reps, rng)
-        bias_ok, var_ok = envelope_verdict(res, env)
-        _log.info("%s delta=%g: %s in %.1f ms", experiment_id, delta, "PASS" if bias_ok and var_ok else "FAIL",
+        bias, var = envelope_verdicts(res, env)
+        _log.info("%s delta=%g: %s in %.1f ms", experiment_id, delta, "PASS" if bias.passed and var.passed else "FAIL",
                   1e3 * (time.perf_counter() - start))
-        all_ok = all_ok and bias_ok and var_ok
+        verdicts += [bias, var]
         rows.append(
             (cfg.oracle_spec, delta, res.bias_est, res.bias_se, res.var_est, res.var_se,
-             res.replications, env.c1_value(delta), env.c2_value(delta), int(bias_ok), int(var_ok))
+             res.replications, env.c1_value(delta), env.c2_value(delta), int(bias.passed), int(var.passed))
         )
     header = ("oracle", "delta", "bias", "bias_se", "var", "var_se", "reps",
               "c1_bound", "c2_bound", "bias_ok", "var_ok")
     details = {"rows": [dict(zip(header, r)) for r in rows]}
-    return _report(cfg, experiment_id, header, rows, None, None, all_ok, details)
+    return _report(cfg, experiment_id, header, rows, None, None, verdicts, details)

@@ -9,9 +9,10 @@ import numpy as np
 
 from ..core import DomainError, EUCLIDEAN, Norm, OracleEnvelope
 from .fitting import ols_loglog
+from .verdicts import Verdict, verdict
 
 _BATCHES = 32
-# the slack of the probe verdict, ``envelope_verdict``
+# the slack of the probe verdicts, ``envelope_verdicts``
 SE_SLACK = 5.0
 VAR_FACTOR = 1.05
 
@@ -79,13 +80,14 @@ def probe_bias_variance(
     )
 
 
-def envelope_verdict(res: ProbeResult, env: OracleEnvelope) -> tuple[bool, bool]:
-    """(bias ok, variance ok) of a probe against the envelope at its delta:
-    bias <= c1(delta) + SE_SLACK*se and variance <= VAR_FACTOR*c2(delta) +
-    SE_SLACK*se."""
+def envelope_verdicts(res: ProbeResult, env: OracleEnvelope) -> tuple[Verdict, Verdict]:
+    """The bias and variance verdicts of a probe against the envelope at its
+    delta: bias <= c1(delta) + SE_SLACK*se and variance <= VAR_FACTOR*c2(delta)
+    + SE_SLACK*se."""
     return (
-        res.bias_est <= env.c1_value(res.delta) + SE_SLACK * res.bias_se,
-        res.var_est <= VAR_FACTOR * env.c2_value(res.delta) + SE_SLACK * res.var_se,
+        verdict(f"bias at delta={res.delta:g}", res.bias_est, "<=", env.c1_value(res.delta) + SE_SLACK * res.bias_se),
+        verdict(f"variance at delta={res.delta:g}", res.var_est, "<=",
+                VAR_FACTOR * env.c2_value(res.delta) + SE_SLACK * res.var_se),
     )
 
 

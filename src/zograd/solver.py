@@ -26,7 +26,6 @@ from .core import (
     DomainError,
     Norm,
     chunk_sizes,
-    project,
     vicinity_tolerance,
 )
 
@@ -62,20 +61,6 @@ class Regularizer:
         if isinstance(body, Ball):
             return 2.0 * body.radius**2
         raise DomainError(f"unsupported body {type(body)!r}")
-
-
-def md_step(
-    x_t: np.ndarray,
-    g_t: np.ndarray,
-    eta_t: float,
-    reg: Regularizer,
-    body: ConvexBody,
-) -> np.ndarray:
-    """One mirror-descent update; for the squared-Euclidean map this is the
-    projected gradient step."""
-    if eta_t <= 0:
-        raise DomainError("step size must be positive")
-    return project(body, np.asarray(x_t, dtype=float) - eta_t * np.asarray(g_t, dtype=float))
 
 
 def prox_inequality_gap(

@@ -12,7 +12,6 @@ from zograd.adversarial import (
     AdversarialOracle,
     HardInstance,
     bias_excess_on_grid,
-    compose_separable,
     convex_gap_slack,
     gap_deviation_on_grid,
     hard_pair,
@@ -315,7 +314,7 @@ class TestHardInstance:
 class TestSeparableComposition:
     def test_single_coordinate_matches_base(self):
         inst = HardInstance("strongly_convex", +1, 0.2, ENV12)
-        composed = compose_separable([inst])
+        composed = AdversarialOracle(inst)
         x = np.array([0.3])
         np.testing.assert_allclose(
             composed.mean_response(x, 0.2), [float(inst.mean_response(0.3, 0.2))]
@@ -325,7 +324,7 @@ class TestSeparableComposition:
         a = HardInstance("strongly_convex", +1, 0.2, ENV12)
         b = HardInstance("convex_smooth", +1, 0.1, ENV22)
         with pytest.raises(DomainError):
-            compose_separable([a, b])
+            AdversarialOracle(a, b)
 
     def test_envelope_arithmetic_exact(self):
         oracle = scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1, +1, -1])
@@ -351,8 +350,6 @@ class TestSeparableComposition:
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError, match="at least one instance"):
-            compose_separable([])
-        with pytest.raises(DomainError, match="at least one instance"):
             AdversarialOracle()
         with pytest.raises(DomainError, match="at least one instance"):
             scaled_hard_coordinates("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1, [])
@@ -365,7 +362,7 @@ class TestSeparableComposition:
         envs = (OracleEnvelope(c1=1.0, p=2.0, c2=1.0, q=2.0), OracleEnvelope(c1=1.0, p=1.0, c2=1.0, q=1.0))
         insts = [HardInstance("strongly_convex", +1, 0.2, envs[i]) for i in order]
         with pytest.raises(DomainError, match="problem class, p and q"):
-            compose_separable(insts)
+            AdversarialOracle(*insts)
 
     @pytest.mark.parametrize("c1, c2", [(1.0, 2.0), (0.3, 1e-300), (1e200, 1.0), (2.5, math.inf), (1e200, math.inf)])
     def test_one_coordinate_keeps_its_envelope(self, c1, c2):
@@ -375,7 +372,7 @@ class TestSeparableComposition:
 
     def test_one_coordinate_is_the_instance_oracle(self):
         for inst in (HardInstance("convex_smooth", -1, 0.1, ENV22), HardInstance("strongly_convex", +1, 0.2, ENV12)):
-            composed, own = compose_separable([inst]), inst.oracle()
+            composed, own = AdversarialOracle(inst), inst.oracle()
             x = np.array([0.3])
             np.testing.assert_array_equal(composed.sample_gradients(x, 0.2, 1000, RngStream(5, 0).generator()),
                                           own.sample_gradients(x, 0.2, 1000, RngStream(5, 0).generator()))

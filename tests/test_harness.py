@@ -17,7 +17,7 @@ from zograd import _lanes, _streams
 from zograd.adversarial import HardInstance
 from zograd.core import EUCLIDEAN, MAX_NORM, Norm, OracleEnvelope, RngStream
 from zograd.estimators import SF, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
-from zograd.harness import checks
+from zograd.harness import checks, experiments
 from zograd.harness.config import ConfigError, ExperimentConfig, read_config_file
 from zograd.harness.experiments import (
     build_estimator,
@@ -33,6 +33,7 @@ from zograd.harness.experiments import (
 from zograd.harness.fitting import fit_rate
 from zograd.harness.probes import ProbeResult, probe_bias_variance
 from zograd.harness.cli import _load_config, build_parser, main
+from zograd.harness.verdicts import RELATIONS, require, verdict
 from zograd.solver import NonFiniteIterate, Regularizer, manual_schedule, run
 from zograd.testbed import quadratic
 
@@ -405,20 +406,47 @@ class TestCli:
         ("prox-inequality", "prox_inequality_gap"),
         ("adversarial-grid", "bias_excess_on_grid"),  # the minus arm's, the second of the two compared
         ("adversarial-grid", "gap_deviation_on_grid"),
+        ("projection", "project"),
+        ("estimator-envelopes", "probe_bias_variance:bias"),
+        ("estimator-envelopes", "probe_bias_variance:variance"),
+        ("separable-arithmetic", "scaled_hard_coordinates:envelope"),
+        ("separable-arithmetic", "scaled_hard_coordinates:bias"),
+        ("schedule-constants", "worst_case_tolerance"),
+        ("determinism", "run"),  # the runs that are not recorded: the prox check records its run
     ])
     def test_a_nan_fails_its_check(self, check, name, capsys, monkeypatch):
+        # a NaN in the measured value of each verdict of the suite in turn
+        name, _, case = name.partition(":")
         real = getattr(checks, name)
+
+        def separable(*a):
+            oracle = real(*a)
+            if case == "envelope":
+                oracle.envelope = dataclasses.replace(oracle.envelope, c1=math.nan)
+            else:
+                oracle.mean_response = lambda x, delta: np.full(np.shape(x), np.nan)
+            return oracle
+
         nan = {
             "exp_one_d": lambda: dataclasses.replace(real(), gradient=lambda x: np.full(np.shape(x), np.nan)),
             "prox_inequality_gap": lambda *a: math.nan,
             "bias_excess_on_grid": lambda inst: math.nan if inst.v == -1 else real(inst),
             "gap_deviation_on_grid": lambda *a: (math.nan, 0.0),
+            "project": lambda body, x: np.full(np.shape(x), np.nan),
+            "probe_bias_variance": lambda *a: dataclasses.replace(
+                real(*a), **{"bias_est" if case == "bias" else "var_est": math.nan}),
+            "scaled_hard_coordinates": separable,
+            "worst_case_tolerance": lambda *a: math.nan,
+            "run": lambda *a, **k: real(*a, **k) if k.get("record") else dataclasses.replace(real(*a, **k), error=math.nan),
         }[name]
         monkeypatch.setattr(checks, name, nan)
         assert main(["check"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(checks.ALL_CHECKS)
-        assert [line.split(":")[0] for line in lines if not line.startswith("[PASS]")] == [f"[FAIL] {check}"]
+        failed = [line for line in lines if not line.startswith("[PASS]")]
+        assert [line.split(":")[0] for line in failed] == [f"[FAIL] {check}"]
+        # it names the quantity, its value, the relation and the bound
+        assert re.fullmatch(rf"\[FAIL\] {check}: \S.* = nan, not <= \S+", failed[0])
 
     def test_a_probe_point_outside_the_domain_exits_2(self, tmp_path, capsys):
         # the quadratic's domain is [-1, 1]
@@ -677,6 +705,81 @@ class TestCli:
         assert "--log-level" in capsys.readouterr().err
 
 
+class TestVerdicts:
+    FLOATS = [0.5, 1.0, 2.0, math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("relation", sorted(RELATIONS))
+    @pytest.mark.parametrize("value", FLOATS)
+    @pytest.mark.parametrize("bound", [1.0, math.inf, -math.inf, math.nan])
+    def test_every_relation_on_finite_infinite_and_nan_floats(self, relation, value, bound):
+        v = verdict("x", np.float64(value), relation, bound)
+        assert type(v.value) is type(v.bound) is float and (v.what, v.relation) == ("x", relation)
+        holds = {"<=": value <= bound, "<": value < bound, ">=": value >= bound}[relation]
+        assert v.passed is (math.isfinite(value) and math.isfinite(bound) and holds)
+        # the margin is positive inside the bound, zero on it, negative outside,
+        # and NaN where the two have no difference
+        if math.isnan(value) or math.isnan(bound) or (math.isinf(value) and value == bound):
+            assert math.isnan(v.margin)
+        else:
+            inside = value < bound if relation != ">=" else value > bound
+            assert (v.margin > 0, v.margin == 0, v.margin < 0) == (inside, value == bound, not inside and value != bound)
+            if math.isfinite(value) and math.isfinite(bound):
+                assert abs(v.margin) == abs(value - bound)
+
+    def test_require_raises_what_fails_and_returns_what_passes(self):
+        assert require("gap", 0.5, "<=", 1.0) == verdict("gap", 0.5, "<=", 1.0)
+        with pytest.raises(AssertionError, match=r"^gap = 1\.5, not < 1$"):
+            require("gap", 1.5, "<", 1.0)
+        with pytest.raises(AssertionError, match=r"^gap = 0\.5, not <= nan$"):
+            require("gap", 0.5, "<=", math.nan)
+
+    def test_a_report_passes_iff_every_verdict_does_and_records_them(self, tmp_path):
+        cfg = ExperimentConfig(experiment="lowerbound", problem_class="convex", p=2.0, q=2.0, c1=1.0, c2=1.0,
+                               n=500, replications=2, out=str(tmp_path / "lb.csv"))
+        report = lower_bound_experiment(cfg)
+        assert report.passed and [v.relation for v in report.verdicts] == [">=", "<"]
+        recorded = json.loads((tmp_path / "lb.json").read_text())["details"]["verdicts"]
+        assert recorded == report.details["verdicts"] == [dataclasses.asdict(v) for v in report.verdicts]
+        assert recorded[0]["value"] == report.details["mean_plus_3se"]
+        assert recorded[0]["margin"] == report.details["mean_plus_3se"] - report.details["floor"]
+        failed = dataclasses.replace(report, verdicts=(*report.verdicts, verdict("x", 1.0, "<", 1.0)))
+        assert not failed.passed
+
+    PROBE = ["probe", "--oracle", "one-point,fn=quadratic", "--delta-grid", "0.5 0.1", "--reps", "2000"]
+
+    @pytest.mark.parametrize("argv, name, line", [
+        (["rate", "--estimator", "spsa", *TestCli.SHORT_RATE], "fit_rate", "exponent nan"),
+        (["regret", "--estimator", "spsa", *TestCli.SHORT_RATE], "fit_rate", "exponent nan"),
+        (TestCli.LB, "_fan_out", "mean nan + 3se nan"),
+        (TestCli.LB, "run", "exact-oracle sanity nan"),
+        (TestCli.LB, "minimax_lower_bound:nan", "floor nan"),
+        (TestCli.LB, "minimax_lower_bound:inf", "floor inf"),
+        (PROBE, "probe_bias_variance:bias", "bias=nan"),
+        (PROBE, "probe_bias_variance:variance", "var=nan"),
+    ])
+    def test_a_nan_or_an_infinite_bound_fails_the_experiment(self, argv, name, line, tmp_path, capsys, monkeypatch):
+        # a NaN in the measured value of each experiment's verdicts in turn,
+        # and a floor (the lower bound's bound) that is NaN or infinite
+        name, _, case = name.partition(":")
+        real = getattr(experiments, name)
+        nan = {
+            "fit_rate": lambda points: dataclasses.replace(real(points), exponent=math.nan),
+            "_fan_out": lambda cfg, groups: [(np.full_like(err, math.nan), reg) for err, reg in real(cfg, groups)],
+            "run": lambda oracle, *a, **k: (dataclasses.replace(real(oracle, *a, **k), error=math.nan)
+                                            if isinstance(oracle, ExactGradientOracle) else real(oracle, *a, **k)),
+            "minimax_lower_bound": lambda *a: float(case),
+            "probe_bias_variance": lambda *a: dataclasses.replace(
+                real(*a), **{"bias_est" if case == "bias" else "var_est": math.nan}),
+        }[name]
+        monkeypatch.setattr(experiments, name, nan)
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        out = capsys.readouterr()
+        first = out.out.splitlines()[0]
+        assert out.err == "" and line in out.out
+        assert first.endswith("-> FAIL") or first.endswith(": envelopes VIOLATED")
+        assert json.loads((tmp_path / "out.json").read_text())["passed"] is False
+
+
 class TestCliCells:
     """Every cell the CLI writes parses: numbers as floats, text columns as text."""
 
@@ -797,6 +900,12 @@ class TestCommittedResults:
 
     @pytest.mark.parametrize("name", ["lowerbound_convex", "lowerbound_sc"])
     def test_acceptance_lowerbound_reproduces_its_files(self, tmp_path, name, capsys):
+        self._reproduces("run_acceptance", name, tmp_path)
+
+    # the acceptance criteria compare only these runs' CSV bytes
+    @pytest.mark.parametrize("name", ["rate_convex_smoothing", "rate_convex_onepoint", "rate_sc_smoothing",
+                                      "rate_controlled_spsa", "regret_convex"])
+    def test_acceptance_rate_and_regret_reproduce_their_files(self, tmp_path, name, capsys):
         self._reproduces("run_acceptance", name, tmp_path)
 
     @pytest.mark.parametrize("name", [f"probe_{i}" for i in range(7)])
