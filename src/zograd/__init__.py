@@ -18,7 +18,6 @@ from .core import (
     OracleResponse,
     RngStream,
     interval,
-    project,
 )
 from .testbed import (
     ObjectiveFunction,

@@ -153,14 +153,8 @@ class Ball:
         )
 
 
+# ``body.project(x)``: the Euclidean projection of a point (d,) or of each row of a stack (..., d)
 ConvexBody = Union[Box, Ball]
-
-
-def project(body: ConvexBody, x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the body: componentwise clamp for boxes,
-    radial scaling for balls. Total and idempotent.  ``x`` may be one point
-    (d,) or a stack of points (..., d), each row projected on its own."""
-    return body.project(x)
 
 
 def interval(lower: float, upper: float) -> Box:

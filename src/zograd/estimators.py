@@ -42,6 +42,7 @@ from .core import (
 from .testbed import ObjectiveFunction
 
 SCHEME_KINDS = ("spsa", "rdsa", "sf", "surface")
+FUNCTION_CLASSES = ("convex_smooth", "c3")  # the classes envelope_for has constants for
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ def envelope_for(
     C^3 constants for functions without a third-derivative bound) raise
     DomainError.
     """
-    if function_class not in ("convex_smooth", "c3"):
+    if function_class not in FUNCTION_CLASSES:
         raise DomainError(f"unknown function class {function_class!r}")
     if feedback not in ("one_point", "two_point"):
         raise DomainError(f"unknown feedback {feedback!r}")

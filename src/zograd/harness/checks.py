@@ -22,7 +22,7 @@ from ..adversarial import (
     scaled_hard_coordinates,
     worst_case_tolerance,
 )
-from ..core import Ball, Box, DomainError, RngStream, project
+from ..core import Ball, Box, DomainError, RngStream
 from ..estimators import (
     SF,
     SPSA,
@@ -60,10 +60,10 @@ def _check_projection() -> str:
     for body in (Box(np.array([-1.0, -2.0]), np.array([1.0, 0.5])), Ball(np.zeros(3), 1.5)):
         # the 1000 (x, y) pairs in the order one pair at a time would draw them
         x, y = np.moveaxis(rng.normal(scale=3.0, size=(1000, 2, body.dim)), 1, 0)
-        px, py = project(body, x), project(body, y)
+        px, py = body.project(x), body.project(y)
         expansion = np.max(np.linalg.norm(px - py, axis=1) - np.linalg.norm(x - y, axis=1))
         require("largest expansion of a pair", expansion, "<=", 1e-12)
-        require("largest move of a projected point", np.max(np.abs(project(body, px) - px)), "<=", 1e-8)
+        require("largest move of a projected point", np.max(np.abs(body.project(px) - px)), "<=", 1e-8)
     return "nonexpansive and idempotent on 2000 random pairs"
 
 

@@ -2,8 +2,9 @@
 
 Subcommands mirror the experiment drivers: ``probe``, ``rate``,
 ``lowerbound``, ``regret``, and ``check``.  Every flag can also come from a
-JSON config file (``--config``); explicit flags win: a flag's ``dest`` is
-the ``ExperimentConfig`` field it sets.  Exit code 0 iff all assertions of
+JSON config file (``--config``); explicit flags win: a flag's ``dest`` is the
+``ExperimentConfig`` field it sets, whose kind (``config.FIELDS``) gives the
+flag's type and choices.  Exit code 0 iff all assertions of
 the invoked experiment pass, 1 if one fails, and 2 for input
 the experiment cannot run with (a config or domain error, reported in one
 line on stderr).  ``--log-level`` sends the ``zograd`` loggers' records
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 from ..core import DomainError
 from .checks import run_checks
-from .config import ConfigError, ExperimentConfig, read_config_file
+from .config import FIELDS, ConfigError, ExperimentConfig, read_config_file
 from .experiments import (
     lower_bound_experiment,
     probe_experiment,
@@ -31,14 +32,6 @@ from .probes import SE_SLACK, VAR_FACTOR
 
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
 
 
 @functools.cache  # built once per process: every default is None, so no call leaves state in it
@@ -53,49 +46,32 @@ def build_parser() -> argparse.ArgumentParser:
     logs.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS, default=None,
                       help="log the zograd package's records at this level and above to stderr")
 
-    def common(p: argparse.ArgumentParser, reps: str = "replications") -> None:
+    # command -> (help, its flags): a word ``name`` is a flag --name and ``flag=field`` a flag --flag; each sets
+    # that config field and takes the field's type and choices.  Probes draw on streams of their own.
+    commands = {
+        "probe": ("bias/variance probe of one oracle over a delta grid",
+                  "reps=probe_reps oracle=oracle_spec delta_grid"),
+        "rate": ("optimization-error rate fit over a horizon grid",
+                 "reps=replications class=problem_class estimator noise sigma horizons tol=tolerance"),
+        "lowerbound": ("hard-pair floor experiment", "reps=replications class=problem_class p q c1 c2 n"),
+        "regret": ("cumulative-regret rate fit",
+                   "reps=replications class=problem_class p q estimator sigma horizons tol=tolerance"),
+    }
+    for command, (text, words) in commands.items():
+        p = sub.add_parser(command, parents=[logs], help=text)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
-        p.add_argument("--seed", dest="master_seed", type=int, default=None, help="master seed")
-        p.add_argument("--out", default=None, help="CSV output path (JSON summary sits next to it)")
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--reps", dest=reps, type=int, default=None)
-
-    p_probe = sub.add_parser("probe", parents=[logs], help="bias/variance probe of one oracle over a delta grid")
-    common(p_probe, reps="probe_reps")  # probes draw on streams of their own
-    p_probe.add_argument("--oracle", dest="oracle_spec", default=None,
-                         help="oracle spec, e.g. 'one-point,fn=quadratic,sigma=1.0'")
-    p_probe.add_argument("--delta-grid", type=_float_list, default=None, metavar="LIST")
-
-    p_rate = sub.add_parser("rate", parents=[logs], help="optimization-error rate fit over a horizon grid")
-    common(p_rate)
-    p_rate.add_argument("--class", dest="problem_class", choices=("convex", "sc"), default=None)
-    p_rate.add_argument("--estimator", choices=("one-point", "smoothing", "spsa", "rdsa", "sf", "exact"), default=None)
-    p_rate.add_argument("--noise", choices=("controlled", "uncontrolled"), default=None)
-    p_rate.add_argument("--sigma", type=float, default=None)
-    p_rate.add_argument("--horizons", type=_int_list, default=None, metavar="LIST")
-    p_rate.add_argument("--tol", dest="tolerance", type=float, default=None)
-
-    p_lb = sub.add_parser("lowerbound", parents=[logs], help="hard-pair floor experiment")
-    common(p_lb)
-    p_lb.add_argument("--class", dest="problem_class", choices=("convex", "sc"), default=None)
-    p_lb.add_argument("--p", type=float, default=None)
-    p_lb.add_argument("--q", type=float, default=None)
-    p_lb.add_argument("--c1", type=float, default=None)
-    p_lb.add_argument("--c2", type=float, default=None)
-    p_lb.add_argument("--n", type=int, default=None)
-
-    p_regret = sub.add_parser("regret", parents=[logs], help="cumulative-regret rate fit")
-    common(p_regret)
-    p_regret.add_argument("--class", dest="problem_class", choices=("convex", "sc"), default=None)
-    p_regret.add_argument("--p", type=float, default=None)
-    p_regret.add_argument("--q", type=float, default=None)
-    p_regret.add_argument("--estimator", choices=("one-point", "smoothing", "spsa", "rdsa", "sf"), default=None)
-    p_regret.add_argument("--sigma", type=float, default=None)
-    p_regret.add_argument("--horizons", type=_int_list, default=None, metavar="LIST")
-    p_regret.add_argument("--tol", dest="tolerance", type=float, default=None)
-
+        for word in f"seed=master_seed out workers {words}".split():
+            flag, _, dest = word.partition("=")
+            dest = dest or flag
+            kind = FIELDS[dest]
+            p.add_argument(f"--{flag.replace('_', '-')}", dest=dest, type=kind.read,
+                           choices=kind.names or None, default=None, help=_HELP.get(flag))
     sub.add_parser("check", parents=[logs], help="run the full property suite; exit 0 iff all pass")
     return parser
+
+
+_HELP = {"seed": "master seed", "out": "CSV output path (JSON summary sits next to it)",
+         "oracle": "oracle spec, e.g. 'one-point,fn=quadratic,sigma=1.0'"}
 
 
 def _load_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
@@ -180,11 +156,12 @@ def _main(args: argparse.Namespace) -> int:
                 f"{d['regret_growth_exponent']:.4f} (target {d['target_growth_exponent']:.4f} "
                 f"+- {cfg.tolerance}) -> {'PASS' if report.passed else 'FAIL'}"
             )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, DomainError) as exc:  # on one line, whatever line breaks a named key holds
+        print("config error:" if isinstance(exc, ConfigError) else "domain error:", *str(exc).splitlines(),
+              file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:  # a closed form that inputs of extreme magnitude take out of float range
+        print(f"domain error: the inputs take a closed form out of float range ({exc})", file=sys.stderr)
         return 2
     return 0 if report.passed else 1
 

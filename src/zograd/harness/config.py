@@ -1,17 +1,27 @@
-"""Experiment configuration: one flat dataclass, JSON on disk, CLI overrides.
+"""What the program takes from outside, each input declared once.
 
-Validation failures name the offending field, e.g.
-``ConfigError("replications: must be a positive integer")``.
+Three grammars reach the harness: the ``ExperimentConfig`` fields (from a
+JSON config file or the CLI flags that set them), the ``function`` spec
+among them, and the ``--oracle`` spec string.  A config field's kind sits
+in its dataclass field's metadata (``FIELDS``), a function spec's keys in
+``FUNCTIONS`` next to the testbed builder they feed, and an oracle spec's
+keys in ``SPEC_KINDS``; ``from_dict``, ``validate``, the CLI's flag types
+and choices and both spec readers read these, and each name list is
+written once, below.  A value that does not fit is a ``ConfigError`` whose
+one line names the input by its path, e.g. ``horizons[1]: must be an
+integer, got 2.5`` or ``oracle_spec.sigm: not a key of one-point (...)``.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
+from ..estimators import FUNCTION_CLASSES, RDSA, SF, SPSA, SURFACE
+from ..testbed import exp_one_d, kinked_quadratic, quadratic, softabs, strongly_convex_pair
 from .fitting import FIT_HORIZONS
 
 
@@ -19,102 +29,193 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_HORIZONS = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
+class Kind(NamedTuple):
+    """What one input may be: a ``cast`` (int, float or str) value, never a
+    bool.  A number is finite, an int counts as a float, and it is at least
+    ``lo`` (positive where ``strict``, with ``lo`` 0) and at most ``hi``
+    where those are set; a str is one of ``names`` where they are given.
+    Null is one too where ``null``, and where ``many`` the input is a
+    nonempty list of such values, kept as a tuple of ``cast`` values."""
 
-ESTIMATORS = ("one-point", "smoothing", "spsa", "rdsa", "sf", "exact")
-PROBLEM_CLASSES = ("convex", "sc")
+    cast: type = float
+    names: tuple[str, ...] = ()
+    lo: Optional[float] = None
+    strict: bool = False
+    hi: Optional[float] = None
+    null: bool = False
+    many: bool = False
+
+    @property
+    def read(self):
+        """The parser of a value from command-line text, a list's items separated by commas or spaces."""
+        if not self.many:
+            return self.cast
+        def read_list(text: str) -> list:
+            return [self.cast(tok) for tok in text.replace(",", " ").split()]
+        read_list.__name__ = f"{self.cast.__name__} list"  # argparse names a bad value by it
+        return read_list
+
+    def check(self, path: str, value: Any) -> Any:
+        """``value`` as it is kept, or a ConfigError that names ``path``."""
+        if value is None and self.null:
+            return None
+        if self.many and (not isinstance(value, (list, tuple)) or not value):
+            raise ConfigError(f"{path}: must be a nonempty list, got {value!r}")
+        for i, item in enumerate(value if self.many else [value]):
+            fault = self._fault(item)
+            if fault is not None:
+                raise ConfigError(f"{path}{f'[{i}]' if self.many else ''}: must be {fault}, got {item!r}")
+        return tuple(map(self.cast, value)) if self.many else value
+
+    def _fault(self, v: Any) -> Optional[str]:
+        if self.names:
+            return None if isinstance(v, str) and v in self.names else "one of " + ", ".join(self.names)
+        if self.cast is str:
+            return None if isinstance(v, str) else "a string"
+        if isinstance(v, bool) or not isinstance(v, int if self.cast is int else (int, float)):
+            return "an integer" if self.cast is int else "a number"
+        if self.cast is float and not abs(v) <= sys.float_info.max:  # NaN, ±inf, or an int no float holds
+            return "finite"
+        if self.lo is not None and (v <= self.lo if self.strict else v < self.lo):
+            return ("positive" if self.strict else "nonnegative") if self.lo == 0 else f"at least {self.lo}"
+        return f"at most {self.hi:g}" if self.hi is not None and v > self.hi else None
+
+
+class FunctionSpec:
+    """An object naming a testbed function, "auto" or one of ``FUNCTIONS``,
+    plus keys of that function: its builder's and, together, ``lower`` and
+    ``upper`` of a box domain.  "auto" takes no keys."""
+
+    def check(self, path: str, spec: Any) -> dict:
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{path}: must be an object, got {spec!r}")
+        name = Kind(str, ("auto", *FUNCTIONS)).check(f"{path}.name", spec.get("name"))
+        keys = {} if name == "auto" else {**FUNCTIONS[name][1], "lower": (NUMBERS, None), "upper": (NUMBERS, None)}
+        for key, value in spec.items():
+            if key == "name":
+                continue
+            if key not in keys:
+                raise ConfigError(f"{path}.{key}: not a key of {name} (its keys: {', '.join(keys) or 'none'})")
+            keys[key][0].check(f"{path}.{key}", value)
+        if ("lower" in spec) != ("upper" in spec):
+            raise ConfigError(f"{path}: lower and upper must be given together")
+        return spec
+
+
+NUMBER, INTEGER, COUNT = Kind(float), Kind(int), Kind(int, lo=1)
+NONNEGATIVE, POSITIVE = Kind(float, lo=0), Kind(float, lo=0, strict=True)
+NUMBERS = Kind(float, many=True)
+
+EXPERIMENTS = ("rate", "regret", "lowerbound", "probe", "check")
+SCHEMES = {scheme.kind: scheme for scheme in (SPSA, RDSA, SF, SURFACE)}
+# name -> (feedback, scheme) of an estimator cell; "exact" is true gradients
+ESTIMATORS = {"one-point": ("one_point", SPSA), "smoothing": ("one_point", SURFACE), "spsa": ("two_point", SPSA),
+              "rdsa": ("two_point", RDSA), "sf": ("two_point", SF), "exact": (None, None)}
+# the config's problem classes, as the solver's and the hard pairs' names
+PROBLEM_CLASSES = {"convex": "convex_smooth", "sc": "strongly_convex"}
 NOISE_KINDS = ("uncontrolled", "controlled")
+# name -> (testbed builder, {key: (kind, default)}), the builder's keyword
+# arguments besides its domain
+FUNCTIONS = {
+    "quadratic": (quadratic, {"a": (NUMBERS, [1.0]), "b": (NUMBERS, None), "offset": (NUMBER, 0.0)}),
+    "softabs": (softabs, {"v": (INTEGER, 1), "eps": (POSITIVE, 0.1)}),
+    "sc_pair": (strongly_convex_pair, {"v": (INTEGER, 1), "eps": (POSITIVE, 0.1)}),
+    "kinked": (kinked_quadratic, {"a_neg": (POSITIVE, 0.5), "a_pos": (POSITIVE, 1.5)}),
+    "exp": (exp_one_d, {}),
+}
 # A replication's RNG stream id packs (tag << REP_BITS) | rep, so a group
 # holds at most 2**REP_BITS replications before its ids run into the next tag.
 REP_BITS = 20
 
 
+# The --oracle grammar, kind[,key=value]...: kind -> its keys and their kinds.
+# A key of the function ``fn`` (v, eps, a) must be one that function takes.
+_FUNCTION_KEYS = {"x": NUMBER, "fn": Kind(str, ("auto", *FUNCTIONS)), "v": INTEGER, "eps": POSITIVE, "a": NUMBER}
+_CELL_KEYS = {**_FUNCTION_KEYS, "scheme": Kind(str, tuple(SCHEMES)), "noise": Kind(str, NOISE_KINDS),
+              "sigma": NONNEGATIVE, "class": Kind(str, FUNCTION_CLASSES)}
+_ARM_KEYS = {"x": NUMBER, "v": INTEGER, "eps": POSITIVE, "c1": POSITIVE, "p": NONNEGATIVE, "c2": POSITIVE,
+             "q": NONNEGATIVE}
+SPEC_KINDS = {"one-point": _CELL_KEYS, "smoothing": _CELL_KEYS, "two-point": _CELL_KEYS, "exact": _FUNCTION_KEYS,
+              **{f"adversarial-{c}": _ARM_KEYS for c in PROBLEM_CLASSES}}
+
+
+def read_oracle_spec(spec: str) -> tuple[str, dict[str, Any]]:
+    """The kind of an ``--oracle`` spec and the values of the keys it gives,
+    each checked against ``SPEC_KINDS``."""
+    kind, *parts = [part.strip() for part in spec.split(",")]
+    keys = SPEC_KINDS[Kind(str, tuple(SPEC_KINDS)).check("oracle_spec kind", kind)]
+    values: dict[str, Any] = {}
+    for part in filter(None, parts):
+        key, eq, text = (s.strip() for s in part.partition("="))
+        path = f"oracle_spec.{key}"
+        if not eq:
+            raise ConfigError(f"oracle_spec: expected key=value, got {part!r}")
+        if key not in keys:
+            raise ConfigError(f"{path}: not a key of {kind} (its keys: {', '.join(keys)})")
+        if key in values:
+            raise ConfigError(f"{path}: given twice")
+        try:
+            value = keys[key].read(text)
+        except ValueError:
+            value = text  # refused below as what it is: text that reads as no number
+        values[key] = keys[key].check(path, value)
+    if "fn" in keys:
+        fn = values.get("fn", "quadratic")
+        for key in sorted(values.keys() & {"v", "eps", "a"}):
+            if fn == "auto" or key not in FUNCTIONS[fn][1]:
+                raise ConfigError(f"oracle_spec.{key}: not a key of the function {fn}")
+    return kind, values
+
+
+DEFAULT_HORIZONS = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
+
+
+def _field(kind, default=None, **factory):
+    return field(metadata={"kind": kind}, **(factory or {"default": default}))
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a rate/regret/lower-bound/probe run needs, round-trippable
-    through JSON without loss."""
+    through JSON without loss.  Each field's metadata holds its kind."""
 
-    experiment: str = "rate"
-    problem_class: str = "convex"
-    estimator: str = "smoothing"
-    noise: str = "uncontrolled"
-    sigma: float = 1.0
-    noise_slope: float = 1.0
-    function: dict = field(default_factory=lambda: {"name": "auto"})
-    horizons: tuple[int, ...] = DEFAULT_HORIZONS
-    replications: int = 16
-    master_seed: int = 20260810
-    out: Optional[str] = None
-    workers: int = 1
-    tolerance: float = 0.08
+    experiment: str = _field(Kind(str, EXPERIMENTS), "rate")
+    problem_class: str = _field(Kind(str, tuple(PROBLEM_CLASSES)), "convex")
+    estimator: str = _field(Kind(str, tuple(ESTIMATORS)), "smoothing")
+    noise: str = _field(Kind(str, NOISE_KINDS), "uncontrolled")
+    sigma: float = _field(NONNEGATIVE, 1.0)
+    noise_slope: float = _field(NONNEGATIVE, 1.0)
+    function: dict = _field(FunctionSpec(), default_factory=lambda: {"name": "auto"})
+    horizons: tuple[int, ...] = _field(Kind(int, lo=1, many=True), DEFAULT_HORIZONS)
+    replications: int = _field(COUNT, 16)
+    master_seed: int = _field(Kind(int, lo=0), 20260810)
+    out: Optional[str] = _field(Kind(str, null=True))
+    workers: int = _field(COUNT, 1)
+    tolerance: float = _field(POSITIVE, 0.08)
     # lower-bound / regret envelope parameters
-    p: Optional[float] = None
-    q: Optional[float] = None
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    n: int = 10_000
+    p: Optional[float] = _field(Kind(float, lo=0, null=True))
+    q: Optional[float] = _field(Kind(float, lo=0, null=True))
+    c1: Optional[float] = _field(Kind(float, lo=0, strict=True, null=True))
+    c2: Optional[float] = _field(Kind(float, lo=0, strict=True, null=True))
+    n: int = _field(COUNT, 10_000)
     # probe parameters
-    oracle_spec: Optional[str] = None
-    delta_grid: tuple[float, ...] = (0.5, 0.2, 0.1, 0.05)
-    probe_reps: int = 100_000
+    oracle_spec: Optional[str] = _field(Kind(str, null=True))
+    delta_grid: tuple[float, ...] = _field(Kind(float, lo=0, strict=True, hi=1, many=True), (0.5, 0.2, 0.1, 0.05))
+    probe_reps: int = _field(Kind(int, lo=32), 100_000)
 
     def validate(self) -> "ExperimentConfig":
-        if self.experiment not in ("rate", "regret", "lowerbound", "probe", "check"):
-            raise ConfigError(f"experiment: unknown kind {self.experiment!r}")
-        if self.problem_class not in PROBLEM_CLASSES:
-            raise ConfigError(f"problem_class: must be one of {PROBLEM_CLASSES}")
-        if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"estimator: must be one of {ESTIMATORS}")
-        if self.noise not in NOISE_KINDS:
-            raise ConfigError(f"noise: must be one of {NOISE_KINDS}")
-        # finite first: NaN passes every comparison test below
-        for name in ("sigma", "noise_slope", "tolerance", "p", "q", "c1", "c2"):
-            v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
-                raise ConfigError(f"{name}: must be finite, got {v}")
-        if self.sigma < 0:
-            raise ConfigError("sigma: must be nonnegative")
-        # SeedSequence takes a nonnegative int; a bool or a float is no seed
-        if not _is_int(self.master_seed) or self.master_seed < 0:
-            raise ConfigError(f"master_seed: must be a nonnegative integer, got {self.master_seed!r}")
-        # nor a count: a float would reach range() or an array shape, and true would run as 1
-        for name in ("replications", "workers", "n", "probe_reps"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name}: must be an integer, got {getattr(self, name)!r}")
-        if not isinstance(self.function, dict) or "name" not in self.function:
-            raise ConfigError("function.name: required")
-        if self.noise_slope < 0:
-            raise ConfigError("noise_slope: must be nonnegative")
-        if not self.horizons or not all(_is_int(h) and h >= 1 for h in self.horizons):
-            raise ConfigError(f"horizons: must be positive integers, got {list(self.horizons)}")
+        """Each field checked against its kind and kept as its kind keeps it
+        (a list as a tuple), then the rules that tie fields together."""
+        for name, kind in FIELDS.items():
+            setattr(self, name, kind.check(name, getattr(self, name)))
         if list(self.horizons) != sorted(set(self.horizons)):
             raise ConfigError("horizons: must be strictly increasing")
-        if self.replications < 1:
-            raise ConfigError("replications: must be a positive integer")
         if self.replications > 1 << REP_BITS:
             raise ConfigError(f"replications: at most {1 << REP_BITS}, or stream ids would collide")
-        if self.workers < 1:
-            raise ConfigError("workers: must be a positive integer")
         if self.experiment == "probe" and self.workers != 1:
             raise ConfigError("workers: a probe runs on one thread, so must be 1")
         if self.experiment in ("rate", "regret") and len(self.horizons) < FIT_HORIZONS:
             raise ConfigError(f"horizons: a rate is fitted through at least {FIT_HORIZONS}")
-        if self.n < 1:
-            raise ConfigError("n: must be a positive integer")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance: must be positive")
-        for name in ("p", "q"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ConfigError(f"{name}: must be nonnegative")
-        for name in ("c1", "c2"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name}: must be positive")
-        if not self.delta_grid or not all(0 < d <= 1 for d in self.delta_grid):
-            raise ConfigError("delta_grid: must be nonempty, with entries in (0, 1]")
-        if self.probe_reps < 32:
-            raise ConfigError("probe_reps: must be at least 32")
         return self
 
     def to_dict(self) -> dict[str, Any]:
@@ -125,16 +226,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """The config of the fields ``data`` sets, each value checked
+        against its field's kind (``validate``) before anything runs."""
+        unknown = set(data) - FIELDS.keys()
         if unknown:
             raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
-        kwargs = dict(data)
-        if "horizons" in kwargs:
-            kwargs["horizons"] = tuple(kwargs["horizons"])
-        if "delta_grid" in kwargs:
-            kwargs["delta_grid"] = tuple(float(d) for d in kwargs["delta_grid"])
-        return cls(**kwargs).validate()
+        return cls(**data).validate()
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -143,8 +240,7 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict({**self.to_dict(), **overrides})
 
 
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+FIELDS = {f.name: f.metadata["kind"] for f in fields(ExperimentConfig)}
 
 
 def read_config_file(path: str | Path) -> dict[str, Any]:
@@ -156,7 +252,7 @@ def read_config_file(path: str | Path) -> dict[str, Any]:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config file {path}: cannot be read ({exc.strerror or exc})") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too many digits or too deeply nested
         raise ConfigError(f"config file: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file: top level must be an object")

@@ -22,7 +22,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,17 +37,8 @@ from ..adversarial import (
     minimax_lower_bound,
     optimal_separation,
 )
-from ..core import OracleEnvelope, RngStream, generators
-from ..estimators import (
-    ControlledNoise,
-    EstimatorOracle,
-    ExactGradientOracle,
-    RDSA,
-    SF,
-    SPSA,
-    SURFACE,
-    UncontrolledNoise,
-)
+from ..core import Box, OracleEnvelope, RngStream, generators
+from ..estimators import ControlledNoise, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
 from ..solver import (
     NonFiniteIterate,
     Regularizer,
@@ -59,15 +50,9 @@ from ..solver import (
     schedule_opt_sc,
     schedule_regret,
 )
-from ..testbed import (
-    ObjectiveFunction,
-    exp_one_d,
-    kinked_quadratic,
-    quadratic,
-    softabs,
-    strongly_convex_pair,
-)
-from .config import REP_BITS, ConfigError, ExperimentConfig
+from ..testbed import ObjectiveFunction
+from .config import (ESTIMATORS, FUNCTIONS, PROBLEM_CLASSES, REP_BITS, SCHEMES, ConfigError, ExperimentConfig,
+                     read_oracle_spec)
 from .fitting import RateFit, fit_rate
 from .probes import envelope_verdicts, probe_bias_variance
 from .verdicts import Verdict, verdict
@@ -79,15 +64,6 @@ _SC_ALPHA_FLOOR = 4.0
 # puts its traced process pool in under this name, because its tracer keeps
 # one span stack per process, which the threads would interleave.
 ProcessPoolExecutor = ThreadPoolExecutor
-_SCHEMES = {"spsa": SPSA, "rdsa": RDSA, "sf": SF, "surface": SURFACE}
-# the config's problem classes, as the solver's and the hard pairs' names
-_PROBLEMS = {"convex": "convex_smooth", "sc": "strongly_convex"}
-# name -> (feedback, scheme) of an estimator cell: the config's estimators
-# but "exact", and the oracle spec's kinds with their default scheme name
-_ESTIMATORS = {"one-point": ("one_point", SPSA), "smoothing": ("one_point", SURFACE), "spsa": ("two_point", SPSA),
-               "rdsa": ("two_point", RDSA), "sf": ("two_point", SF)}
-_SPEC_KINDS = {"one-point": ("one_point", "spsa"), "smoothing": ("one_point", "surface"),
-               "two-point": ("two_point", "spsa")}
 
 
 # ---------------------------------------------------------------------------
@@ -107,26 +83,15 @@ def default_function_spec(problem_class: str) -> dict:
 
 
 def build_function(spec: dict, problem_class: str = "convex") -> ObjectiveFunction:
-    name = spec.get("name")
-    if name == "auto":
+    """The testbed function of a checked ``function`` spec: its builder
+    (``config.FUNCTIONS``) on the spec's keys, each key the spec leaves out
+    at its default; "auto" is ``default_function_spec``."""
+    if spec["name"] == "auto":
         spec = default_function_spec(problem_class)
-        name = spec["name"]
-    domain = None
-    if "lower" in spec or "upper" in spec:
-        from ..core import Box
-
-        domain = Box(np.asarray(spec["lower"], dtype=float), np.asarray(spec["upper"], dtype=float))
-    if name == "quadratic":
-        return quadratic(spec.get("a", [1.0]), spec.get("b"), domain, float(spec.get("offset", 0.0)))
-    if name == "softabs":
-        return softabs(int(spec.get("v", 1)), float(spec.get("eps", 0.1)), domain)
-    if name == "sc_pair":
-        return strongly_convex_pair(int(spec.get("v", 1)), float(spec.get("eps", 0.1)), domain)
-    if name == "kinked":
-        return kinked_quadratic(float(spec.get("a_neg", 0.5)), float(spec.get("a_pos", 1.5)), domain)
-    if name == "exp":
-        return exp_one_d(domain)
-    raise ConfigError(f"function.name: unknown function {name!r}")
+    builder, keys = FUNCTIONS[spec["name"]]
+    domain = None if "lower" not in spec else Box(np.asarray(spec["lower"], dtype=float),
+                                                  np.asarray(spec["upper"], dtype=float))
+    return builder(domain=domain, **{key: spec.get(key, default) for key, (_, default) in keys.items()})
 
 
 def _estimator_cell(f: ObjectiveFunction, feedback: str, scheme, noise: str, sigma: float, slope: float,
@@ -138,14 +103,14 @@ def _estimator_cell(f: ObjectiveFunction, feedback: str, scheme, noise: str, sig
 
 
 def build_estimator(cfg: ExperimentConfig, f: ObjectiveFunction):
-    """The config's estimator cell on f (``_ESTIMATORS``): one-point ->
-    one-point SPSA probes, smoothing -> surface sampling, spsa/rdsa/sf ->
+    """The config's estimator cell on f (``config.ESTIMATORS``): one-point
+    -> one-point SPSA probes, smoothing -> surface sampling, spsa/rdsa/sf ->
     two-point with that perturbation law, exact -> true gradients.
     Controlled noise needs a two-point estimator."""
-    feedback, scheme = _ESTIMATORS.get(cfg.estimator, (None, None))
+    feedback, scheme = ESTIMATORS[cfg.estimator]
     if cfg.noise == "controlled" and feedback != "two_point":
         raise ConfigError("noise: controlled noise requires a two-point estimator")
-    if cfg.estimator == "exact":
+    if feedback is None:
         return ExactGradientOracle(f)
     return _estimator_cell(f, feedback, scheme, cfg.noise, cfg.sigma, cfg.noise_slope)
 
@@ -327,13 +292,13 @@ def _report(cfg: ExperimentConfig, experiment_id: str, header: Sequence[str], ro
     when ``cfg.out`` is None) and return the report, which passed iff every
     verdict did; the verdicts go in ``details["verdicts"]``."""
     details["verdicts"] = [asdict(v) for v in verdicts]
-    csv_path = json_path = None
-    if cfg.out is not None:
-        csv_path, json_path = str(Path(cfg.out)), str(Path(cfg.out).with_suffix(".json"))
-    report = ExperimentReport(experiment_id, fit, target, tuple(verdicts), details, csv_path, json_path)
-    if cfg.out is not None:
-        write_rows(csv_path, header, rows)
-        write_summary(json_path, {
+    report = ExperimentReport(experiment_id, fit, target, tuple(verdicts), details, None, None)
+    if cfg.out is None:
+        return report
+    try:
+        report = replace(report, csv_path=str(Path(cfg.out)), json_path=str(Path(cfg.out).with_suffix(".json")))
+        write_rows(report.csv_path, header, rows)
+        write_summary(report.json_path, {
             "experiment_id": experiment_id,
             "exponent": fit.exponent if fit else None,
             "intercept": fit.intercept if fit else None,
@@ -344,6 +309,8 @@ def _report(cfg: ExperimentConfig, experiment_id: str, header: Sequence[str], ro
             "config": cfg.to_dict(),
             "details": details,
         })
+    except (OSError, ValueError) as exc:  # a path with no file name, a directory, one that cannot be written
+        raise ConfigError(f"out: cannot be written ({exc})") from None
     return report
 
 
@@ -380,7 +347,7 @@ def rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         ses.append(float(errors.std(ddof=1) / math.sqrt(len(errors))) if len(errors) > 1 else 0.0)
         rows += _run_rows(experiment_id, group, raw)
     fit = fit_rate([(n, max(m, 1e-15)) for n, m in zip(cfg.horizons, means)])
-    target = optimization_rate_exponent(_PROBLEMS[cfg.problem_class], env.p, env.q)
+    target = optimization_rate_exponent(PROBLEM_CLASSES[cfg.problem_class], env.p, env.q)
     details = {
         "envelope": {"c1": env.c1, "p": env.p, "c2": env.c2, "q": env.q, "type": env.oracle_type},
         "per_horizon": [
@@ -397,11 +364,10 @@ def regret_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Fit the per-round regret decay over the horizon grid; the cumulative
     regret growth exponent is 1 minus the fitted decay."""
     cfg.validate()
+    if cfg.estimator == "exact":
+        raise ConfigError("estimator: exact gradients have no regret schedule; name a zeroth-order estimator")
     f = build_function(cfg.function, cfg.problem_class)
-    oracle = build_estimator(cfg, f)
-    if not getattr(oracle, "unbiased", False):
-        raise ConfigError("estimator: regret mode requires an unbiased oracle (E[Y] = x)")
-    env = oracle.envelope
+    env = build_estimator(cfg, f).envelope
     if cfg.p is not None and cfg.p != env.p:
         raise ConfigError(f"p: estimator cell has p={env.p}, config asked for {cfg.p}")
     if cfg.q is not None and cfg.q != env.q:
@@ -414,7 +380,7 @@ def regret_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         means.append(float((regrets / max(group.n - 1, 1)).mean()))
         rows += _run_rows(experiment_id, group, errs, regrets)
     fit = fit_rate([(n, max(m, 1e-15)) for n, m in zip(cfg.horizons, means)])
-    target_decay = regret_rate_exponent(_PROBLEMS[cfg.problem_class], env.p, env.q)
+    target_decay = regret_rate_exponent(PROBLEM_CLASSES[cfg.problem_class], env.p, env.q)
     details = {
         "envelope": {"c1": env.c1, "p": env.p, "c2": env.c2, "q": env.q, "type": env.oracle_type},
         "per_horizon": [{"n": int(n), "mean_regret_per_round": m} for n, m in zip(cfg.horizons, means)],
@@ -434,7 +400,7 @@ def regret_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _lowerbound_pair(cfg: ExperimentConfig) -> tuple[HardInstance, HardInstance]:
     """The hard pair at the optimal separation for ``cfg.n``; its envelope
     holds the config's (p, q, c1, c2), 2, 2, 1 and 1 where unset."""
-    problem = _PROBLEMS[cfg.problem_class]
+    problem = PROBLEM_CLASSES[cfg.problem_class]
     p = cfg.p if cfg.p is not None else 2.0
     q = cfg.q if cfg.q is not None else 2.0
     c1 = cfg.c1 if cfg.c1 is not None else 1.0
@@ -494,60 +460,23 @@ def lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def parse_oracle_spec(spec: str):
-    """Build an oracle plus its probe point from a compact spec string.
-
-    Grammar: ``kind[,key=value]...`` with kinds one-point, two-point,
-    smoothing, exact, adversarial-convex, adversarial-sc.  Keys: fn, scheme,
-    noise, sigma, v, eps, a, c1, p, c2, q, class, x; each number must be
-    finite, and v an integer.
-    """
-    parts = [p.strip() for p in spec.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("oracle_spec: empty")
-    kind = parts[0]
-    kv: dict[str, str] = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ConfigError(f"oracle_spec: expected key=value, got {part!r}")
-        k, v = part.split("=", 1)
-        kv[k.strip()] = v.strip()
-
-    def number(key: str, default, cast=float):
-        """The value of ``key`` as a finite ``cast`` (float or int), or
-        ``default`` where the spec does not name the key."""
-        if key not in kv:
-            return default
-        try:
-            value = cast(kv[key])
-        except ValueError:
-            raise ConfigError(f"oracle_spec: {key} must be {'an integer' if cast is int else 'a number'}, "
-                              f"got {kv[key]!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"oracle_spec: {key} must be finite, got {kv[key]!r}")
-        return value
-
-    probe_x = np.array([number("x", 0.25)])
-
-    if kind in ("adversarial-convex", "adversarial-sc"):
-        problem = _PROBLEMS[kind.removeprefix("adversarial-")]
-        env = OracleEnvelope(c1=number("c1", 1.0), p=number("p", 2.0), c2=number("c2", 1.0), q=number("q", 2.0))
-        inst = HardInstance(problem, number("v", 1, int), number("eps", 0.1), env)
+    """Build an oracle plus its probe point (key x) from a compact spec
+    string, ``kind[,key=value]...``, whose kinds and keys are
+    ``config.SPEC_KINDS``; a key the spec leaves out takes its default."""
+    kind, kv = read_oracle_spec(spec)
+    probe_x = np.array([kv.get("x", 0.25)])
+    if kind.startswith("adversarial-"):
+        env = OracleEnvelope(c1=kv.get("c1", 1.0), p=kv.get("p", 2.0), c2=kv.get("c2", 1.0), q=kv.get("q", 2.0))
+        inst = HardInstance(PROBLEM_CLASSES[kind.removeprefix("adversarial-")], kv.get("v", 1), kv.get("eps", 0.1), env)
         return AdversarialOracle(inst), probe_x
-
-    f = build_function(
-        {"name": kv.get("fn", "quadratic"), "v": number("v", 1, int), "eps": number("eps", 0.1),
-         "a": [number("a", 1.0)]}
-    )
+    fn_keys = {k: [kv[k]] if k == "a" else kv[k] for k in kv.keys() & {"v", "eps", "a"}}
+    f = build_function({"name": kv.get("fn", "quadratic"), **fn_keys})
     if kind == "exact":
         return ExactGradientOracle(f), probe_x
-    if kind not in _SPEC_KINDS:
-        raise ConfigError(f"oracle_spec: unknown oracle kind {kind!r}")
-    feedback, default_scheme = _SPEC_KINDS[kind]
-    scheme = _SCHEMES.get(kv.get("scheme", default_scheme))
-    if scheme is None:
-        raise ConfigError(f"oracle_spec: unknown scheme {kv.get('scheme')!r}")
+    feedback = "two_point" if kind == "two-point" else "one_point"
+    scheme = SCHEMES[kv.get("scheme", "surface" if kind == "smoothing" else "spsa")]
     # the spec's controlled model has slope 0: the two-point difference cancels it
-    oracle = _estimator_cell(f, feedback, scheme, kv.get("noise", "uncontrolled"), number("sigma", 1.0),
+    oracle = _estimator_cell(f, feedback, scheme, kv.get("noise", "uncontrolled"), kv.get("sigma", 1.0),
                              0.0, kv.get("class", "convex_smooth"))
     return oracle, probe_x
 

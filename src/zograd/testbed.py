@@ -239,7 +239,7 @@ def exp_one_d(domain: ConvexBody | None = None) -> ObjectiveFunction:
 
 
 def quadratic(
-    a_diag: Sequence[float],
+    a: Sequence[float],
     b: Sequence[float] | None = None,
     domain: ConvexBody | None = None,
     offset: float = 0.0,
@@ -252,13 +252,13 @@ def quadratic(
     the absolute evaluation level that single-evaluation estimators divide
     by delta, so it is part of the instance.
     """
-    a = np.atleast_1d(np.asarray(a_diag, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
     if np.any(a < 0):
         raise DomainError("curvatures must be nonnegative")
     d = a.size
     bvec = np.zeros(d) if b is None else np.atleast_1d(np.asarray(b, dtype=float))
     if bvec.size != d:
-        raise DomainError("b must match the dimension of a_diag")
+        raise DomainError("b must match the dimension of a")
     dom = domain if domain is not None else Box(-np.ones(d), np.ones(d))
     if dom.dim != d:
         raise DomainError("domain dimension mismatch")

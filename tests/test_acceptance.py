@@ -2,8 +2,8 @@
 tolerances.  Each prints a PASS line with the measured quantities (visible
 with `pytest -s` or in the verbose test listing)."""
 
+import json
 import math
-import time
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +21,7 @@ from zograd.estimators import EstimatorOracle, SF, SPSA, SURFACE, UncontrolledNo
 from zograd.harness.checks import run_checks
 from zograd.harness.cli import main as cli_main
 from zograd.harness.config import ExperimentConfig
-from zograd.harness.experiments import (
-    lower_bound_experiment,
-    rate_experiment,
-    regret_experiment,
-)
+from zograd.harness.experiments import lower_bound_experiment
 from zograd.harness.probes import bias_slope, variance_slope
 from zograd.solver import Regularizer, prox_inequality_gap, run, schedule_opt_sc
 from zograd.testbed import (
@@ -49,43 +45,40 @@ def _report(criterion: int, detail: str) -> None:
     print(f"[criterion {criterion:02d}] PASS - {detail}")
 
 
-def _rate(problem_class, estimator, noise, sigma, out, reps=16):
-    cfg = ExperimentConfig(
-        experiment="rate", problem_class=problem_class, estimator=estimator,
-        noise=noise, sigma=sigma, horizons=FULL_HORIZONS, replications=reps,
-        master_seed=SEED, tolerance=TOL_EXPONENT, out=str(out),
-    )
-    return rate_experiment(cfg)
-
-
-def _assert_committed(out: Path) -> None:
-    """The experiment wrote the rows that results/ holds under that name,
-    byte for byte (scripts/run_acceptance.py writes them there)."""
+def _cell(acceptance_cell, name, problem_class, estimator, noise, sigma):
+    """The JSON summary and wall time of the run of scripts/run_acceptance.py
+    that writes results/<name>.csv (``conftest.acceptance_cell``), once it is
+    checked that the run had the criterion's inputs, at 16 replications over
+    the full horizons, and wrote the rows that results/ holds byte for byte."""
+    _, out, elapsed = acceptance_cell(name)
+    summary = json.loads(out.with_suffix(".json").read_text())
+    cfg = summary["config"]
+    assert (cfg["problem_class"], cfg["estimator"], cfg["noise"], cfg["sigma"]) == (
+        problem_class, estimator, noise, sigma)
+    assert (tuple(cfg["horizons"]), cfg["replications"], cfg["master_seed"], cfg["tolerance"]) == (
+        FULL_HORIZONS, 16, SEED, TOL_EXPONENT)
     assert out.read_bytes() == (RESULTS / out.name).read_bytes()
+    return summary, elapsed
 
 
-def test_criterion_01_rate_convex_smoothing(tmp_path):
-    t0 = time.monotonic()
-    report = _rate("convex", "smoothing", "uncontrolled", 3.0, tmp_path / "rate_convex_smoothing.csv")
-    elapsed = time.monotonic() - t0
-    assert abs(report.fit.exponent - 1 / 3) <= TOL_EXPONENT
-    assert report.fit.r_squared >= R2_MIN
+def test_criterion_01_rate_convex_smoothing(acceptance_cell):
+    summary, elapsed = _cell(acceptance_cell, "rate_convex_smoothing", "convex", "smoothing", "uncontrolled", 3.0)
+    assert abs(summary["exponent"] - 1 / 3) <= TOL_EXPONENT
+    assert summary["r_squared"] >= R2_MIN
     assert elapsed <= 300.0
-    _assert_committed(tmp_path / "rate_convex_smoothing.csv")
-    _report(1, f"smoothing convex exponent {report.fit.exponent:.4f} (target 1/3), "
-               f"r2 {report.fit.r_squared:.4f}, {elapsed:.0f}s")
+    _report(1, f"smoothing convex exponent {summary['exponent']:.4f} (target 1/3), "
+               f"r2 {summary['r_squared']:.4f}, {elapsed:.0f}s")
 
 
-def test_criterion_02_rate_convex_one_point(tmp_path):
-    report = _rate("convex", "one-point", "uncontrolled", 3.0, tmp_path / "rate_convex_onepoint.csv")
-    assert abs(report.fit.exponent - 1 / 4) <= TOL_EXPONENT
-    assert report.fit.r_squared >= R2_MIN
-    _assert_committed(tmp_path / "rate_convex_onepoint.csv")
-    _report(2, f"one-point convex exponent {report.fit.exponent:.4f} (target 1/4), "
-               f"r2 {report.fit.r_squared:.4f}")
+def test_criterion_02_rate_convex_one_point(acceptance_cell):
+    summary, _ = _cell(acceptance_cell, "rate_convex_onepoint", "convex", "one-point", "uncontrolled", 3.0)
+    assert abs(summary["exponent"] - 1 / 4) <= TOL_EXPONENT
+    assert summary["r_squared"] >= R2_MIN
+    _report(2, f"one-point convex exponent {summary['exponent']:.4f} (target 1/4), "
+               f"r2 {summary['r_squared']:.4f}")
 
 
-def test_criterion_03_rate_strongly_convex(tmp_path):
+def test_criterion_03_rate_strongly_convex(acceptance_cell):
     # the schedule must be eta_t = 2/(mu t)
     from zograd.harness.experiments import build_estimator, build_function, schedule_for
 
@@ -98,21 +91,19 @@ def test_criterion_03_rate_strongly_convex(tmp_path):
     assert sched.eta_form == ("inv_t", f.strong_convexity)
     assert (oracle.envelope.p, oracle.envelope.q) == (2.0, 2.0)
 
-    report = _rate("sc", "smoothing", "uncontrolled", 0.3, tmp_path / "rate_sc_smoothing.csv")
-    assert abs(report.fit.exponent - 1 / 2) <= TOL_EXPONENT
-    _assert_committed(tmp_path / "rate_sc_smoothing.csv")
-    _report(3, f"strongly convex exponent {report.fit.exponent:.4f} (target 1/2), "
-               f"r2 {report.fit.r_squared:.4f}")
+    summary, _ = _cell(acceptance_cell, "rate_sc_smoothing", "sc", "smoothing", "uncontrolled", 0.3)
+    assert abs(summary["exponent"] - 1 / 2) <= TOL_EXPONENT
+    _report(3, f"strongly convex exponent {summary['exponent']:.4f} (target 1/2), "
+               f"r2 {summary['r_squared']:.4f}")
 
 
-def test_criterion_04_rate_controlled_two_point(tmp_path):
-    report = _rate("convex", "spsa", "controlled", 3.0, tmp_path / "rate_controlled_spsa.csv")
-    assert report.details["envelope"]["q"] == 0.0
-    assert report.details["envelope"]["p"] == 1.0
-    assert abs(report.fit.exponent - 1 / 2) <= TOL_EXPONENT
-    _assert_committed(tmp_path / "rate_controlled_spsa.csv")
-    _report(4, f"controlled two-point exponent {report.fit.exponent:.4f} (target 1/2), "
-               f"r2 {report.fit.r_squared:.4f}")
+def test_criterion_04_rate_controlled_two_point(acceptance_cell):
+    summary, _ = _cell(acceptance_cell, "rate_controlled_spsa", "convex", "spsa", "controlled", 3.0)
+    assert summary["details"]["envelope"]["q"] == 0.0
+    assert summary["details"]["envelope"]["p"] == 1.0
+    assert abs(summary["exponent"] - 1 / 2) <= TOL_EXPONENT
+    _report(4, f"controlled two-point exponent {summary['exponent']:.4f} (target 1/2), "
+               f"r2 {summary['r_squared']:.4f}")
 
 
 def test_criterion_05_estimator_slopes():
@@ -183,18 +174,13 @@ def test_criterion_07_lower_bound_floors():
     _report(7, "; ".join(results))
 
 
-def test_criterion_08_regret_rate(tmp_path):
-    cfg = ExperimentConfig(
-        experiment="regret", problem_class="convex", estimator="smoothing",
-        sigma=3.0, horizons=FULL_HORIZONS, replications=16, master_seed=SEED,
-        tolerance=TOL_EXPONENT, out=str(tmp_path / "regret_convex.csv"),
-    )
-    report = regret_experiment(cfg)
-    growth = report.details["regret_growth_exponent"]
+def test_criterion_08_regret_rate(acceptance_cell):
+    # the script names (p, q) = (2, 2), whose estimator cell is smoothing
+    summary, _ = _cell(acceptance_cell, "regret_convex", "convex", "smoothing", "uncontrolled", 3.0)
+    growth = summary["details"]["regret_growth_exponent"]
     assert abs(growth - 2 / 3) <= TOL_EXPONENT
-    _assert_committed(tmp_path / "regret_convex.csv")
     _report(8, f"regret growth exponent {growth:.4f} (target 2/3), "
-               f"r2 {report.fit.r_squared:.4f}")
+               f"r2 {summary['r_squared']:.4f}")
 
 
 def test_criterion_09_property_suites():
@@ -244,8 +230,6 @@ def test_criterion_10_reproducibility(tmp_path):
     assert out_a.read_bytes() == out_c.read_bytes()
     # fitted summaries carry the same numbers (the config echo differs in
     # its output path and worker count only)
-    import json
-
     sum_a = json.loads(Path(str(out_a)).with_suffix(".json").read_text())
     sum_c = json.loads(Path(str(out_c)).with_suffix(".json").read_text())
     assert sum_a["exponent"] == sum_c["exponent"]

@@ -22,7 +22,6 @@ from zograd.core import (
     generators,
     interval,
     jumped,
-    project,
 )
 
 finite_vectors = st.lists(
@@ -64,15 +63,15 @@ class TestNorms:
 class TestBodies:
     def test_box_clamp(self):
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        np.testing.assert_allclose(project(box, np.array([0.5, 2.0])), [0.5, 1.0])
+        np.testing.assert_allclose(box.project(np.array([0.5, 2.0])), [0.5, 1.0])
 
     def test_ball_radial_scaling(self):
         ball = Ball(np.zeros(2), 1.0)
-        np.testing.assert_allclose(project(ball, np.array([3.0, 4.0])), [0.6, 0.8])
+        np.testing.assert_allclose(ball.project(np.array([3.0, 4.0])), [0.6, 0.8])
 
     def test_interior_point_fixed(self):
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        np.testing.assert_allclose(project(box, np.zeros(2)), [0.0, 0.0])
+        np.testing.assert_allclose(box.project(np.zeros(2)), [0.0, 0.0])
 
     def test_empty_interior_rejected(self):
         with pytest.raises(DomainError):
@@ -88,9 +87,9 @@ class TestBodies:
     def test_projection_nonexpansive(self, xs, ys):
         x, y = np.array(xs), np.array(ys)
         for body in (Box(np.array([-1.0, -0.5]), np.array([0.7, 1.0])), Ball(np.zeros(2), 1.3)):
-            px, py = project(body, x), project(body, y)
+            px, py = body.project(x), body.project(y)
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
-            np.testing.assert_allclose(project(body, px), px, atol=1e-12)
+            np.testing.assert_allclose(body.project(px), px, atol=1e-12)
 
     def test_projection_nonexpansive_bulk(self):
         rng = RngStream(99, 0).generator()
@@ -99,7 +98,7 @@ class TestBodies:
             x = rng.normal(scale=4.0, size=(1000, body.dim))
             y = rng.normal(scale=4.0, size=(1000, body.dim))
             for xi, yi in zip(x, y):
-                assert np.linalg.norm(project(body, xi) - project(body, yi)) <= np.linalg.norm(
+                assert np.linalg.norm(body.project(xi) - body.project(yi)) <= np.linalg.norm(
                     xi - yi
                 ) + 1e-12
 

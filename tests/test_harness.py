@@ -1,6 +1,7 @@
 import argparse
 import ctypes
 import dataclasses
+import inspect
 import json
 import logging
 import math
@@ -12,13 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zograd import _lanes, _streams
 from zograd.adversarial import HardInstance
 from zograd.core import EUCLIDEAN, MAX_NORM, Norm, OracleEnvelope, RngStream
 from zograd.estimators import SF, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
 from zograd.harness import checks, experiments
-from zograd.harness.config import ConfigError, ExperimentConfig, read_config_file
+from zograd.harness.config import FIELDS, FUNCTIONS, SPEC_KINDS, ConfigError, ExperimentConfig, read_config_file
 from zograd.harness.experiments import (
     build_estimator,
     build_function,
@@ -188,7 +191,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
     def test_a_seed_that_is_no_nonnegative_int_is_refused(self, seed):
-        with pytest.raises(ConfigError, match="master_seed: must be a nonnegative integer"):
+        fault = "nonnegative" if seed == -1 else "an integer"
+        with pytest.raises(ConfigError, match=f"^master_seed: must be {fault}, got {re.escape(repr(seed))}$"):
             ExperimentConfig(master_seed=seed).validate()
 
     @pytest.mark.parametrize("field, value", [
@@ -201,9 +205,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("horizons", [(100, 200.5, 400), (100.0, 200, 400), (True, 200, 400), ("100", 200)])
     def test_a_horizon_that_is_no_int_is_refused(self, horizons):
-        with pytest.raises(ConfigError, match="horizons: must be positive integers"):
+        index, value = next((i, h) for i, h in enumerate(horizons) if type(h) is not int)
+        message = f"^horizons\\[{index}\\]: must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
             ExperimentConfig(horizons=horizons).validate()
-        with pytest.raises(ConfigError, match="horizons: must be positive integers"):
+        with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict({"horizons": list(horizons)})
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**200])
@@ -265,7 +271,7 @@ class TestOracleSpec:
         code = main(["probe", "--oracle", spec, "--delta-grid", "0.5", "--reps", "100",
                      "--out", str(tmp_path / "p.csv")])
         assert code == 2
-        assert f"config error: oracle_spec: {key} must be" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: oracle_spec.{key}: must be")
         assert not (tmp_path / "p.csv").exists()
 
 
@@ -406,7 +412,7 @@ class TestCli:
         ("prox-inequality", "prox_inequality_gap"),
         ("adversarial-grid", "bias_excess_on_grid"),  # the minus arm's, the second of the two compared
         ("adversarial-grid", "gap_deviation_on_grid"),
-        ("projection", "project"),
+        ("projection", "Box"),  # the box of the check, whose projection is NaN
         ("estimator-envelopes", "probe_bias_variance:bias"),
         ("estimator-envelopes", "probe_bias_variance:variance"),
         ("separable-arithmetic", "scaled_hard_coordinates:envelope"),
@@ -432,7 +438,7 @@ class TestCli:
             "prox_inequality_gap": lambda *a: math.nan,
             "bias_excess_on_grid": lambda inst: math.nan if inst.v == -1 else real(inst),
             "gap_deviation_on_grid": lambda *a: (math.nan, 0.0),
-            "project": lambda body, x: np.full(np.shape(x), np.nan),
+            "Box": lambda *a: type("NanBox", (real,), {"project": lambda body, x: np.full(np.shape(x), np.nan)})(*a),
             "probe_bias_variance": lambda *a: dataclasses.replace(
                 real(*a), **{"bias_est" if case == "bias" else "var_est": math.nan}),
             "scaled_hard_coordinates": separable,
@@ -540,7 +546,7 @@ class TestCli:
         ([*LB[:7], "--c1", "nan", *LB[9:]], "c1: must be finite"),
         ([*LB[:9], "--c2", "inf", *LB[11:]], "c2: must be finite"),
         (["probe", "--oracle", "exact,fn=quadratic", "--delta-grid", "0.5 nan", "--reps", "64"],
-         "delta_grid: must be nonempty, with entries in (0, 1]"),
+         "delta_grid[1]: must be finite, got nan"),
     ])
     def test_non_finite_inputs_exit_2_with_one_line(self, argv, message, tmp_path, capsys):
         # NaN passes a test written as x < 0; the input is refused by name
@@ -554,8 +560,10 @@ class TestCli:
         assert err.startswith(f"config error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("route, seed, shown", [("flag", "-1", "-1"), ("config", -1, "-1"),
-                                                    ("config", 2.0, "2.0"), ("config", False, "False")])
+    @pytest.mark.parametrize("route, seed, shown", [("flag", "-1", "nonnegative, got -1"),
+                                                    ("config", -1, "nonnegative, got -1"),
+                                                    ("config", 2.0, "an integer, got 2.0"),
+                                                    ("config", False, "an integer, got False")])
     @pytest.mark.parametrize("command", [SHORT_RATE, LB])
     def test_a_bad_seed_exits_2_naming_master_seed(self, command, route, seed, shown, tmp_path, capsys):
         # numpy refuses a negative seed inside the run; exit 1 would read as a failed verdict
@@ -566,7 +574,7 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == f"config error: master_seed: must be a nonnegative integer, got {shown}\n"
+        assert err == f"config error: master_seed: must be {shown}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, config, message", [
@@ -576,10 +584,8 @@ class TestCli:
         (["rate", *SHORT_RATE], {"workers": 2.0}, "workers: must be an integer, got 2.0"),
         (LB[:11] + ["--reps", "2"], {"n": 500.5}, "n: must be an integer, got 500.5"),
         (["probe", "--oracle", "exact,fn=quadratic"], {"probe_reps": 64.5}, "probe_reps: must be an integer, got 64.5"),
-        (["rate", "--reps", "2"], {"horizons": [100, 200.5, 400]},
-         "horizons: must be positive integers, got [100, 200.5, 400]"),
-        (["rate", "--reps", "2"], {"horizons": [100, True, 400]},
-         "horizons: must be positive integers, got [100, True, 400]"),
+        (["rate", "--reps", "2"], {"horizons": [100, 200.5, 400]}, "horizons[1]: must be an integer, got 200.5"),
+        (["rate", "--reps", "2"], {"horizons": [100, True, 400]}, "horizons[1]: must be an integer, got True"),
     ], ids=["reps-2.5", "reps-true", "workers-true", "workers-2.0", "n-500.5", "probe_reps-64.5", "horizon-200.5",
             "horizon-true"])
     def test_a_count_in_a_config_file_that_is_no_int_exits_2(self, argv, config, message, tmp_path, capsys):
@@ -646,9 +652,9 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["probe", "--reps", "0"], "config error: probe_reps: must be at least 32"),
-        (["probe", "--delta-grid", ""], "config error: delta_grid: must be nonempty"),
-        (["probe", "--config", "CONFIG"], "config error: delta_grid: must be nonempty"),
-        (["rate", "--horizons", "", "--reps", "1"], "config error: horizons: must be positive integers"),
+        (["probe", "--delta-grid", ""], "config error: delta_grid: must be a nonempty list, got []"),
+        (["probe", "--config", "CONFIG"], "config error: delta_grid: must be a nonempty list, got []"),
+        (["rate", "--horizons", "", "--reps", "1"], "config error: horizons: must be a nonempty list, got []"),
     ])
     def test_zero_and_empty_lists_are_values(self, argv, message, tmp_path, capsys):
         # a flag given as 0 or as an empty list, or a file's empty list, is
@@ -692,17 +698,184 @@ class TestCli:
         assert err.startswith("config error: horizons: ") and err.count("\n") == 1
 
     def test_every_flag_names_a_config_field(self):
-        # _load_config reads each flag's dest as the config field it sets
+        # _load_config reads each flag's dest as the config field it sets, and
+        # the flag takes that field's type and choices from its kind
         parser = build_parser()
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-        dests = {action.dest for p in (parser, *commands.values()) for action in p._actions} - {"help"}
+        actions = [action for p in (parser, *commands.values()) for action in p._actions]
+        dests = {action.dest for action in actions} - {"help"}
         assert dests - {f.name for f in dataclasses.fields(ExperimentConfig)} == {"command", "config", "log_level"}
+        for action in (action for action in actions if action.dest in FIELDS):
+            kind = FIELDS[action.dest]
+            assert action.choices == (kind.names or None)
+            assert action.type.__name__ == kind.read.__name__, action.dest
 
     def test_bad_log_level_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["check", "--log-level", "LOUD"])
         assert info.value.code == 2
         assert "--log-level" in capsys.readouterr().err
+
+
+# JSON values of every sort: wrong types, NaN, +-inf, bools, null, nested
+# lists, objects with a function spec's keys, and names the tables hold; no
+# "/" in a string, so a fuzzed out path stays in the test's directory
+_WORDS = ["quadratic", "softabs", "sc_pair", "kinked", "exp", "auto", "exact", "spsa", "smoothing", "one-point",
+          "controlled", "sc", "convex", "probe"]
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 300) | st.floats() | st.floats(1e-3, 1.0) | st.sampled_from(_WORDS)
+    | st.text(st.characters(blacklist_characters="/\\"), max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["name", "a", "b", "offset", "v", "eps", "a_neg", "a_pos", "lower", "upper", "c"]), inner,
+        max_size=3),
+    max_leaves=4)
+_SPEC_WORDS = st.sampled_from(["nan", "inf", "-inf", "1e308", "1.5", "0", "-1", "1", "2", "0.1", "", "x", *_WORDS,
+                               "surface", "rdsa", "c3", "convex_smooth"]) | st.floats(-2, 2).map(repr)
+
+
+@st.composite
+def _specs(draw) -> str:
+    """An oracle spec of mostly the kind's own keys, each half the time with
+    a value of that key's kind, so that many specs run."""
+    kind = draw(st.sampled_from([*SPEC_KINDS, "mystery", ""]))
+    words = []
+    for key in draw(st.lists(st.sampled_from([*SPEC_KINDS.get(kind, ()), "sigm"]), max_size=3, unique=True)):
+        own = SPEC_KINDS.get(kind, {}).get(key)
+        if own is None or draw(st.booleans()):
+            words.append(f"{key}={draw(_SPEC_WORDS)}")
+        elif own.names:
+            words.append(f"{key}={draw(st.sampled_from(own.names))}")
+        else:
+            words.append(f"{key}={draw(st.integers(-1, 1) if own.cast is int else st.floats(-1, 1))!r}")
+    return ",".join([kind, *words])
+
+
+def _valid(kind, top: int) -> st.SearchStrategy:
+    """Values of ``kind`` up to ``top`` as a JSON config file holds them: an
+    int where a float is asked for stays an int."""
+    if kind.many and kind.cast is int:
+        values = st.lists(st.integers(1, top), min_size=3, max_size=6, unique=True).map(sorted)
+    elif kind.many:
+        values = st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4)
+    elif kind.names or kind.cast is str:
+        values = st.sampled_from(kind.names) if kind.names else st.text(max_size=8)
+    else:
+        low = kind.lo if kind.lo is not None else -top
+        ints = st.integers(math.floor(low) + 1 if kind.strict else math.ceil(low), top)
+        values = ints if kind.cast is int else ints | st.floats(low, top, exclude_min=kind.strict)
+    return st.none() | values if kind.null else values
+
+
+@st.composite
+def _fuzzed_field(draw) -> tuple:
+    """A config field and any JSON value, or a valid one small enough to run at once."""
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    return name, draw(_VALUES if name == "function" else _VALUES | _valid(FIELDS[name], 300))
+
+
+class TestInputs:
+    """Each input is checked against its one declaration in ``config``: a bad
+    one exits 2 before any run, with one stderr line that names it."""
+
+    # the smallest runs of each command, to which a test adds one field
+    TINY = {
+        "rate": {"horizons": [100, 200, 300], "replications": 2, "tolerance": 5.0},
+        "regret": {"horizons": [100, 200, 300], "replications": 2, "tolerance": 5.0},
+        "lowerbound": {"n": 500, "replications": 2},
+        "probe": {"oracle_spec": "exact", "probe_reps": 64, "delta_grid": [0.5]},
+    }
+
+    def _main(self, command: str, config: dict, tmp_path: Path, capsys, *flags: str):
+        """Exit code, stdout and stderr of a run of ``command`` on the tiny
+        config plus ``config``, from a config file."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.TINY[command], **config}))
+        code = main([command, "--config", str(path), *flags])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("command, config, path", [
+        ("rate", {"horizons": 5}, "horizons"),
+        ("rate", {"sigma": "1.0"}, "sigma"),
+        ("lowerbound", {"p": "2"}, "p"),
+        ("rate", {"noise_slope": None}, "noise_slope"),
+        ("rate", {"out": 5}, "out"),
+        ("probe", {"delta_grid": ["x"]}, "delta_grid[0]"),
+        ("probe", {"delta_grid": "0.5"}, "delta_grid"),
+        ("rate", {"function": {"name": "quadratic", "a": "x"}}, "function.a"),
+        ("rate", {"function": {"name": "quadratic", "lower": [0.0]}}, "function"),
+        ("rate", {"function": {"name": "auto", "lower": [0.0], "upper": [1.0]}}, "function.lower"),
+        ("rate", {"sigma": True}, "sigma"),
+        ("probe", {"oracle_spec": "one-point,fn=quadratic,sigm=5"}, "oracle_spec.sigm"),
+        ("probe", {"oracle_spec": "one-point,noise=foo"}, "oracle_spec.noise"),
+        ("probe", {"oracle_spec": "one-point,sigma=1,sigma=5"}, "oracle_spec.sigma"),
+        ("probe", {"oracle_spec": "exact,fn=exp,a=2"}, "oracle_spec.a"),
+        ("regret", {"estimator": "exact"}, "estimator"),
+        ("rate", {"out": ""}, "out"),
+    ])
+    def test_a_bad_input_exits_2_naming_it(self, command, config, path, tmp_path, capsys):
+        # each of these once ended in a traceback, or ran other inputs than the ones given
+        code, out, err = self._main(command, config, tmp_path, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+
+    def test_regret_refuses_exact_gradients_by_flag_too(self, capsys):
+        # --estimator shares the config's estimator names, so exact parses
+        assert main(["regret", "--estimator", "exact", "--horizons", "100 200 300", "--reps", "2"]) == 2
+        assert capsys.readouterr().err.startswith("config error: estimator: exact gradients have no regret schedule")
+        with pytest.raises(ConfigError, match="^estimator: "):
+            regret_experiment(ExperimentConfig(experiment="regret", estimator="exact", horizons=(100, 200, 300)))
+
+    def test_every_function_key_is_a_parameter_of_its_builder(self):
+        for name, (builder, keys) in FUNCTIONS.items():
+            params = inspect.signature(builder).parameters
+            assert set(params) == {*keys, "domain"}, name
+            for key, (_, default) in keys.items():
+                assert params[key].default in (inspect.Parameter.empty, default), (name, key)
+
+    def _assert_contract(self, code: int, out: str, err: str) -> None:
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err.count("\n") == 1
+            head, _, rest = err.partition(": ")
+            # a config error names the field (or the oracle spec) it refuses
+            assert head == "domain error" or re.split(r"[.\[: ]", rest)[0] in FIELDS, err
+        else:
+            verdict = out.splitlines()[0]
+            assert ("PASS" in verdict or "OK" in verdict) if code == 0 else ("FAIL" in verdict or "VIOLATED" in verdict)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(command=st.sampled_from(sorted(TINY)), field=_fuzzed_field())
+    def test_fuzzed_config_fields_exit_0_1_or_2_and_say_why(self, command, field, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a fuzzed relative out path writes
+        self._assert_contract(*self._main(command, dict([field]), tmp_path, capsys))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(spec=_specs())
+    def test_fuzzed_oracle_specs_exit_0_1_or_2_and_say_why(self, spec, tmp_path, capsys):
+        self._assert_contract(*self._main("probe", {}, tmp_path, capsys, "--oracle", spec))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_a_valid_config_echoes_unchanged(self, data):
+        given = {name: data.draw(_valid(kind, 1 << 20)) for name, kind in FIELDS.items() if name != "function"}
+        given["function"] = data.draw(st.sampled_from([
+            {"name": "auto"}, {"name": "quadratic", "a": [2, 1.5], "offset": 3},
+            {"name": "exp", "lower": [-1], "upper": [2]}, {"name": "softabs", "v": -1, "eps": 0.2}]))
+        if given["experiment"] == "probe":
+            given["workers"] = 1
+        cfg = ExperimentConfig.from_dict(given)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        # the echo writes each value as the file gave it: 3 stays 3 and 2.0 stays 2.0
+        assert json.loads(cfg.to_json()) == given and cfg.to_json() == json.dumps(given, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent / "results").glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_each_committed_config_echoes_unchanged(self, path):
+        config = json.loads(path.read_text())["config"]
+        assert ExperimentConfig.from_dict(config).to_json() == json.dumps(config, indent=2, sort_keys=True)
 
 
 class TestVerdicts:
@@ -899,46 +1072,34 @@ class TestCommittedResults:
     RESULTS = Path(__file__).resolve().parent.parent / "results"
 
     @pytest.mark.parametrize("name", ["lowerbound_convex", "lowerbound_sc"])
-    def test_acceptance_lowerbound_reproduces_its_files(self, tmp_path, name, capsys):
-        self._reproduces("run_acceptance", name, tmp_path)
+    def test_acceptance_lowerbound_reproduces_its_files(self, script_cell, name, capsys):
+        self._reproduces(*script_cell("run_acceptance", name))
 
-    # the acceptance criteria compare only these runs' CSV bytes
+    # the acceptance criteria check these same runs (conftest.acceptance_cell)
     @pytest.mark.parametrize("name", ["rate_convex_smoothing", "rate_convex_onepoint", "rate_sc_smoothing",
                                       "rate_controlled_spsa", "regret_convex"])
-    def test_acceptance_rate_and_regret_reproduce_their_files(self, tmp_path, name, capsys):
-        self._reproduces("run_acceptance", name, tmp_path)
+    def test_acceptance_rate_and_regret_reproduce_their_files(self, acceptance_cell, name, capsys):
+        self._reproduces(*acceptance_cell(name)[:2])
 
     @pytest.mark.parametrize("name", [f"probe_{i}" for i in range(7)])
-    def test_probe_envelopes_reproduces_its_files(self, tmp_path, name, capsys):
-        self._reproduces("probe_envelopes", name, tmp_path)
+    def test_probe_envelopes_reproduces_its_files(self, script_cell, name, capsys):
+        self._reproduces(*script_cell("probe_envelopes", name))
 
     @pytest.mark.parametrize("name", [f"probe_{i}" for i in range(7)])
-    def test_probe_envelopes_reproduces_its_files_with_numpy_draws(self, tmp_path, name, capsys, monkeypatch):
+    def test_probe_envelopes_reproduces_its_files_with_numpy_draws(self, script_cell, name, capsys, monkeypatch):
         # the test above draws through the library where it can be built
         monkeypatch.setattr(_lanes, "kernel", lambda: None)
-        self._reproduces("probe_envelopes", name, tmp_path)
+        self._reproduces(*script_cell("probe_envelopes", name))
 
-    def _reproduces(self, script: str, name: str, tmp_path: Path) -> None:
-        # the argument vector the script runs, writing to tmp_path
-        argv = next(a for a in _script_invocations(script) if a[-1].endswith(f"{name}.csv"))
-        out = tmp_path / f"{name}.csv"
-        assert main(argv[:-1] + [str(out)]) == 0
-        assert out.read_bytes() == (self.RESULTS / f"{name}.csv").read_bytes()
+    def _reproduces(self, code: int, out: Path) -> None:
+        # a run of the script's own argument vector, written elsewhere
+        assert code == 0
+        assert out.read_bytes() == (self.RESULTS / out.name).read_bytes()
         fresh = json.loads(out.with_suffix(".json").read_text())
-        committed = json.loads((self.RESULTS / f"{name}.json").read_text())
+        committed = json.loads((self.RESULTS / out.with_suffix(".json").name).read_text())
         assert fresh["config"].pop("out") == str(out)
         committed["config"].pop("out")
         assert fresh == committed
-
-
-def _script_invocations(script: str) -> list[list[str]]:
-    import importlib.util
-
-    path = Path(__file__).resolve().parent.parent / "scripts" / f"{script}.py"
-    spec = importlib.util.spec_from_file_location(script, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.INVOCATIONS
 
 
 class TestWorkerDeterminism:
