@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -155,31 +154,27 @@ def minimax_lower_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class HardInstance:
-    """One arm of a 1-d hard pair: the function for sign v plus the envelope
-    of the adversarial oracle attached to it."""
+    """One arm of a 1-d hard pair, ``problem_class`` "convex_smooth" or
+    "strongly_convex": the function for sign v plus the envelope of the
+    adversarial oracle attached to it."""
 
-    problem_class: str  # "convex_smooth" | "strongly_convex"
-    v: int
-    eps: float
-    envelope: OracleEnvelope
-
-    def __post_init__(self) -> None:
-        if self.problem_class not in ("convex_smooth", "strongly_convex"):
-            raise DomainError(f"unknown problem class {self.problem_class!r}")
-        if self.v not in (+1, -1):
+    def __init__(self, problem_class: str, v: int, eps: float, envelope: OracleEnvelope):
+        if problem_class not in ("convex_smooth", "strongly_convex"):
+            raise DomainError(f"unknown problem class {problem_class!r}")
+        if v not in (+1, -1):
             raise DomainError("v must be +1 or -1")
-        if not 0.0 < self.eps < math.inf:
+        if not 0.0 < eps < math.inf:
             raise DomainError("eps must be finite and positive")
-        if self.problem_class == "convex_smooth" and self.eps >= EPS_CAP_CONVEX:
+        if problem_class == "convex_smooth" and eps >= EPS_CAP_CONVEX:
             raise DomainError(
                 f"eps must stay below 1/(4 ln 2) ~ {EPS_CAP_CONVEX:.4f} for the convex pair"
             )
-        if self.envelope.oracle_type != "type_I":
+        if envelope.oracle_type != "type_I":
             raise DomainError("hard instances use type-I envelopes")
-        if self.envelope.p <= 0 or self.envelope.c1 <= 0:
+        if envelope.p <= 0 or envelope.c1 <= 0:
             raise DomainError("degenerate bias envelope (p or C1 zero) is not supported")
+        self.problem_class, self.v, self.eps, self.envelope = problem_class, v, eps, envelope
 
     def objective(self) -> ObjectiveFunction:
         if self.problem_class == "convex_smooth":

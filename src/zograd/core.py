@@ -8,19 +8,33 @@ The conventions shared by every estimator and adversarial instance live here:
 * an oracle declares its bias/variance envelope ``c1(d) = C1 * d**p`` and
   ``c2(d) = C2 * d**-q``.
 
-All types here are immutable value objects and safe to share across workers.
+The types here are plain classes and ``NamedTuple``s, never changed after
+they are built, so they are safe to share across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
 
 class DomainError(ValueError):
     """An argument escaped the contract it was declared under."""
+
+
+class Value:
+    """A record that equals a record of its own class with equal attributes,
+    and hashes and prints by them."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 # ---------------------------------------------------------------------------
@@ -30,16 +44,14 @@ class DomainError(ValueError):
 _DUAL_KIND = {"euclidean": "euclidean", "max": "one", "one": "max"}
 
 
-@dataclass(frozen=True)
-class Norm:
+class Norm(Value):
     """A norm on R^d. ``euclidean`` and ``max`` are the primal choices;
     ``one`` arises as the dual of ``max``."""
 
-    kind: str = "euclidean"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _DUAL_KIND:
-            raise DomainError(f"unknown norm kind {self.kind!r}")
+    def __init__(self, kind: str = "euclidean"):
+        if kind not in _DUAL_KIND:
+            raise DomainError(f"unknown norm kind {kind!r}")
+        self.kind = kind
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -71,25 +83,20 @@ MAX_NORM = Norm("max")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box ``[lower, upper]`` with nonempty interior."""
 
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        up = np.atleast_1d(np.asarray(self.upper, dtype=float))
+    def __init__(self, lower: np.ndarray, upper: np.ndarray):
+        lo = np.atleast_1d(np.asarray(lower, dtype=float))
+        up = np.atleast_1d(np.asarray(upper, dtype=float))
         if lo.shape != up.shape or lo.ndim != 1:
             raise DomainError("box bounds must be 1-d arrays of equal length")
         if not np.all(lo < up):
             raise DomainError("box must have a nonempty interior (lower < upper)")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
+        self.lower, self.upper = lo, up
         # 1-d bounds as 0-d arrays: numpy clamps a stack of points (..., 1)
         # against those without its slower general broadcasting path
-        object.__setattr__(self, "_clamp", (lo.reshape(()), up.reshape(())) if lo.size == 1 else (lo, up))
+        self._clamp = (lo.reshape(()), up.reshape(())) if lo.size == 1 else (lo, up)
 
     @property
     def dim(self) -> int:
@@ -116,19 +123,14 @@ class Box:
         return norm.value(corner)
 
 
-@dataclass(frozen=True, eq=False)
 class Ball:
     """Euclidean ball of positive radius."""
 
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
+    def __init__(self, center: np.ndarray, radius: float):
+        c = np.atleast_1d(np.asarray(center, dtype=float))
+        if radius <= 0:
             raise DomainError("ball must have a nonempty interior (radius > 0)")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
+        self.center, self.radius = c, float(radius)
 
     @property
     def dim(self) -> int:
@@ -167,22 +169,16 @@ def interval(lower: float, upper: float) -> Box:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class OracleQuery:
     """A point in the domain plus the bias/variance tolerance knob."""
 
-    x: np.ndarray
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.delta <= 1.0):
-            raise DomainError(f"delta must lie in (0, 1], got {self.delta}")
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "delta", float(self.delta))
+    def __init__(self, x: np.ndarray, delta: float):
+        if not (0.0 < delta <= 1.0):
+            raise DomainError(f"delta must lie in (0, 1], got {delta}")
+        self.x, self.delta = np.atleast_1d(np.asarray(x, dtype=float)), float(delta)
 
 
-@dataclass(frozen=True, eq=False)
-class OracleResponse:
+class OracleResponse(NamedTuple):
     """Gradient estimate ``g`` and the evaluation point ``y`` charged for it."""
 
     g: np.ndarray
@@ -259,21 +255,16 @@ class Oracle:
         return g
 
 
-@dataclass(frozen=True)
-class OracleEnvelope:
-    """The declared bias/variance contract ``(C1 * d**p, C2 * d**-q)``."""
+class OracleEnvelope(Value):
+    """The declared bias/variance contract ``(C1 * d**p, C2 * d**-q)`` of an
+    ``oracle_type`` "type_I" or "type_II" oracle."""
 
-    c1: float
-    p: float
-    c2: float
-    q: float
-    oracle_type: str = "type_I"  # or "type_II"
-
-    def __post_init__(self) -> None:
-        if self.c1 < 0 or self.c2 < 0 or self.p < 0 or self.q < 0:
+    def __init__(self, c1: float, p: float, c2: float, q: float, oracle_type: str = "type_I"):
+        if c1 < 0 or c2 < 0 or p < 0 or q < 0:
             raise DomainError("envelope coefficients and exponents must be nonnegative")
-        if self.oracle_type not in ("type_I", "type_II"):
-            raise DomainError(f"unknown oracle type {self.oracle_type!r}")
+        if oracle_type not in ("type_I", "type_II"):
+            raise DomainError(f"unknown oracle type {oracle_type!r}")
+        self.c1, self.p, self.c2, self.q, self.oracle_type = c1, p, c2, q, oracle_type
 
     def c1_value(self, delta: float) -> float:
         return self.c1 * delta**self.p
@@ -287,8 +278,7 @@ class OracleEnvelope:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(NamedTuple):
     """Counter-style stream derivation: the generator is a pure function of
     ``(master_seed, stream_id)``, so parallel replications are reproducible
     independent of execution order.  ``generator()`` is numpy's

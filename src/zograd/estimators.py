@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,6 +36,7 @@ from .core import (
     Norm,
     Oracle,
     OracleEnvelope,
+    Value,
     draw_chunks,
 )
 from .testbed import ObjectiveFunction
@@ -45,15 +45,13 @@ SCHEME_KINDS = ("spsa", "rdsa", "sf", "surface")
 FUNCTION_CLASSES = ("convex_smooth", "c3")  # the classes envelope_for has constants for
 
 
-@dataclass(frozen=True)
-class PerturbationScheme:
+class PerturbationScheme(Value):
     """A joint law for the probe direction U and the weight vector V."""
 
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in SCHEME_KINDS:
-            raise DomainError(f"unknown perturbation scheme {self.kind!r}")
+    def __init__(self, kind: str):
+        if kind not in SCHEME_KINDS:
+            raise DomainError(f"unknown perturbation scheme {kind!r}")
+        self.kind = kind
 
     def sample_u(self, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` directions, shape (size, d)."""
@@ -97,21 +95,18 @@ SURFACE = PerturbationScheme("surface")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UncontrolledNoise:
+class UncontrolledNoise(Value):
     """Additive Gaussian evaluation noise, independent per evaluation."""
-
-    sigma: float = 0.0
 
     kind = "uncontrolled"
 
-    def __post_init__(self) -> None:
-        if not self.sigma >= 0:  # NaN too
+    def __init__(self, sigma: float = 0.0):
+        if not sigma >= 0:  # NaN too
             raise DomainError("sigma must be nonnegative")
+        self.sigma = sigma
 
 
-@dataclass(frozen=True)
-class ControlledNoise:
+class ControlledNoise(Value):
     """Common-random-numbers evaluation noise on a 1-d target:
     Z = f(x) + (sigma*psi)*(1 + slope*x) with psi ~ N(0, 1).
 
@@ -123,14 +118,12 @@ class ControlledNoise:
     average away.
     """
 
-    sigma: float
-    slope: float = 0.0
-
     kind = "controlled"
 
-    def __post_init__(self) -> None:
-        if not self.sigma >= 0:  # NaN too
+    def __init__(self, sigma: float, slope: float = 0.0):
+        if not sigma >= 0:  # NaN too
             raise DomainError("sigma must be nonnegative")
+        self.sigma, self.slope = sigma, slope
 
 
 NoiseModel = UncontrolledNoise | ControlledNoise
@@ -263,28 +256,25 @@ def envelope_for(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class EstimatorOracle(Oracle):
-    """A gradient oracle realized by noisy point evaluations of ``target``."""
+    """A gradient oracle realized by noisy point evaluations of ``target``,
+    with ``feedback`` "one_point" or "two_point"."""
 
-    target: ObjectiveFunction
-    scheme: PerturbationScheme
-    noise: NoiseModel
-    feedback: str  # "one_point" | "two_point"
-    function_class: str = "convex_smooth"
-
-    def __post_init__(self) -> None:
-        if self.feedback not in ("one_point", "two_point"):
-            raise DomainError(f"unknown feedback {self.feedback!r}")
-        if isinstance(self.noise, ControlledNoise):
-            if self.feedback == "one_point":
+    def __init__(self, target: ObjectiveFunction, scheme: PerturbationScheme, noise: NoiseModel, feedback: str,
+                 function_class: str = "convex_smooth"):
+        if feedback not in ("one_point", "two_point"):
+            raise DomainError(f"unknown feedback {feedback!r}")
+        if isinstance(noise, ControlledNoise):
+            if feedback == "one_point":
                 raise DomainError("controlled noise requires two-point feedback")
-            if self.target.dim != 1:
+            if target.dim != 1:
                 raise DomainError("controlled noise is a model of 1-d targets")
-        if self.scheme.kind == "surface" and self.feedback == "two_point":
+        if scheme.kind == "surface" and feedback == "two_point":
             raise DomainError("surface sampling is a one-point construction")
+        self.target, self.scheme, self.noise, self.feedback = target, scheme, noise, feedback
+        self.function_class = function_class
         # y = x + delta*U stays in the delta-vicinity only for bounded U
-        object.__setattr__(self, "_eval_point", self.scheme.u_bound(self.target.dim) <= 1.0)
+        self._eval_point = scheme.u_bound(target.dim) <= 1.0
 
     @property
     def dim(self) -> int:
@@ -419,11 +409,11 @@ class EstimatorOracle(Oracle):
         return map(lambda chunk: (*self._scaled(chunk[0], delta), chunk[1]), draw_chunks(rng, n, blocks))
 
 
-@dataclass(frozen=True, eq=False)
 class ExactGradientOracle(Oracle):
     """Noise- and bias-free reference oracle: G = grad f(x), Y = x."""
 
-    target: ObjectiveFunction
+    def __init__(self, target: ObjectiveFunction):
+        self.target = target
 
     @property
     def dim(self) -> int:

@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         for word in f"seed=master_seed out workers {words}".split():
             flag, _, dest = word.partition("=")
             dest = dest or flag
-            kind = FIELDS[dest]
+            kind = FIELDS[dest][0]
             p.add_argument(f"--{flag.replace('_', '-')}", dest=dest, type=kind.read,
                            choices=kind.names or None, default=None, help=_HELP.get(flag))
     sub.add_parser("check", parents=[logs], help="run the full property suite; exit 0 iff all pass")

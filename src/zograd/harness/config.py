@@ -2,8 +2,8 @@
 
 Three grammars reach the harness: the ``ExperimentConfig`` fields (from a
 JSON config file or the CLI flags that set them), the ``function`` spec
-among them, and the ``--oracle`` spec string.  A config field's kind sits
-in its dataclass field's metadata (``FIELDS``), a function spec's keys in
+among them, and the ``--oracle`` spec string.  A config field's kind and
+default sit in ``FIELDS``, a function spec's keys in
 ``FUNCTIONS`` next to the testbed builder they feed, and an oracle spec's
 keys in ``SPEC_KINDS``; ``from_dict``, ``validate``, the CLI's flag types
 and choices and both spec readers read these, and each name list is
@@ -15,11 +15,12 @@ integer, got 2.5`` or ``oracle_spec.sigm: not a key of one-point (...)``.
 from __future__ import annotations
 
 import json
+import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, NamedTuple, Optional
 
+from ..core import Value
 from ..estimators import FUNCTION_CLASSES, RDSA, SF, SPSA, SURFACE
 from ..testbed import exp_one_d, kinked_quadratic, quadratic, softabs, strongly_convex_pair
 from .fitting import FIT_HORIZONS
@@ -168,45 +169,50 @@ def read_oracle_spec(spec: str) -> tuple[str, dict[str, Any]]:
 
 
 DEFAULT_HORIZONS = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
-
-
-def _field(kind, default=None, **factory):
-    return field(metadata={"kind": kind}, **(factory or {"default": default}))
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything a rate/regret/lower-bound/probe run needs, round-trippable
-    through JSON without loss.  Each field's metadata holds its kind."""
-
-    experiment: str = _field(Kind(str, EXPERIMENTS), "rate")
-    problem_class: str = _field(Kind(str, tuple(PROBLEM_CLASSES)), "convex")
-    estimator: str = _field(Kind(str, tuple(ESTIMATORS)), "smoothing")
-    noise: str = _field(Kind(str, NOISE_KINDS), "uncontrolled")
-    sigma: float = _field(NONNEGATIVE, 1.0)
-    noise_slope: float = _field(NONNEGATIVE, 1.0)
-    function: dict = _field(FunctionSpec(), default_factory=lambda: {"name": "auto"})
-    horizons: tuple[int, ...] = _field(Kind(int, lo=1, many=True), DEFAULT_HORIZONS)
-    replications: int = _field(COUNT, 16)
-    master_seed: int = _field(Kind(int, lo=0), 20260810)
-    out: Optional[str] = _field(Kind(str, null=True))
-    workers: int = _field(COUNT, 1)
-    tolerance: float = _field(POSITIVE, 0.08)
+# name -> (kind, default) of each ExperimentConfig field
+FIELDS = {
+    "experiment": (Kind(str, EXPERIMENTS), "rate"),
+    "problem_class": (Kind(str, tuple(PROBLEM_CLASSES)), "convex"),
+    "estimator": (Kind(str, tuple(ESTIMATORS)), "smoothing"),
+    "noise": (Kind(str, NOISE_KINDS), "uncontrolled"),
+    "sigma": (NONNEGATIVE, 1.0),
+    "noise_slope": (NONNEGATIVE, 1.0),
+    "function": (FunctionSpec(), {"name": "auto"}),  # never changed in place: every config shares it
+    "horizons": (Kind(int, lo=1, many=True), DEFAULT_HORIZONS),
+    "replications": (COUNT, 16),
+    "master_seed": (Kind(int, lo=0), 20260810),
+    "out": (Kind(str, null=True), None),
+    "workers": (COUNT, 1),
+    "tolerance": (POSITIVE, 0.08),
     # lower-bound / regret envelope parameters
-    p: Optional[float] = _field(Kind(float, lo=0, null=True))
-    q: Optional[float] = _field(Kind(float, lo=0, null=True))
-    c1: Optional[float] = _field(Kind(float, lo=0, strict=True, null=True))
-    c2: Optional[float] = _field(Kind(float, lo=0, strict=True, null=True))
-    n: int = _field(COUNT, 10_000)
+    "p": (Kind(float, lo=0, null=True), None),
+    "q": (Kind(float, lo=0, null=True), None),
+    "c1": (Kind(float, lo=0, strict=True, null=True), None),
+    "c2": (Kind(float, lo=0, strict=True, null=True), None),
+    "n": (COUNT, 10_000),
     # probe parameters
-    oracle_spec: Optional[str] = _field(Kind(str, null=True))
-    delta_grid: tuple[float, ...] = _field(Kind(float, lo=0, strict=True, hi=1, many=True), (0.5, 0.2, 0.1, 0.05))
-    probe_reps: int = _field(Kind(int, lo=32), 100_000)
+    "oracle_spec": (Kind(str, null=True), None),
+    "delta_grid": (Kind(float, lo=0, strict=True, hi=1, many=True), (0.5, 0.2, 0.1, 0.05)),
+    "probe_reps": (Kind(int, lo=32), 100_000),
+}
+
+
+class ExperimentConfig(Value):
+    """Everything a rate/regret/lower-bound/probe run needs, round-trippable
+    through JSON without loss: the ``FIELDS`` given by keyword, each other
+    field at its default."""
+
+    def __init__(self, **fields: Any):
+        unknown = fields.keys() - FIELDS.keys()
+        if unknown:
+            raise TypeError(f"ExperimentConfig has no field {sorted(unknown)[0]!r}")
+        for name, (_, default) in FIELDS.items():
+            setattr(self, name, fields.get(name, default))
 
     def validate(self) -> "ExperimentConfig":
         """Each field checked against its kind and kept as its kind keeps it
         (a list as a tuple), then the rules that tie fields together."""
-        for name, kind in FIELDS.items():
+        for name, (kind, _) in FIELDS.items():
             setattr(self, name, kind.check(name, getattr(self, name)))
         if list(self.horizons) != sorted(set(self.horizons)):
             raise ConfigError("horizons: must be strictly increasing")
@@ -216,10 +222,13 @@ class ExperimentConfig:
             raise ConfigError("workers: a probe runs on one thread, so must be 1")
         if self.experiment in ("rate", "regret") and len(self.horizons) < FIT_HORIZONS:
             raise ConfigError(f"horizons: a rate is fitted through at least {FIT_HORIZONS}")
+        # checked before the run, since the experiment writes out only after it
+        if self.out is not None and (not Path(self.out).name or os.path.isdir(self.out)):
+            raise ConfigError(f"out: must name a file, not a directory, got {self.out!r}")
         return self
 
     def to_dict(self) -> dict[str, Any]:
-        d = asdict(self)
+        d = dict(vars(self))
         d["horizons"] = list(self.horizons)
         d["delta_grid"] = list(self.delta_grid)
         return d
@@ -238,9 +247,6 @@ class ExperimentConfig:
 
     def with_overrides(self, **overrides: Any) -> "ExperimentConfig":
         return ExperimentConfig.from_dict({**self.to_dict(), **overrides})
-
-
-FIELDS = {f.name: f.metadata["kind"] for f in fields(ExperimentConfig)}
 
 
 def read_config_file(path: str | Path) -> dict[str, Any]:

@@ -22,10 +22,10 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from contextlib import contextmanager
 from itertools import groupby
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from ..adversarial import (
     minimax_lower_bound,
     optimal_separation,
 )
-from ..core import Box, OracleEnvelope, RngStream, generators
+from ..core import Box, DomainError, OracleEnvelope, RngStream, generators
 from ..estimators import ControlledNoise, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
 from ..solver import (
     NonFiniteIterate,
@@ -115,6 +115,23 @@ def build_estimator(cfg: ExperimentConfig, f: ObjectiveFunction):
     return _estimator_cell(f, feedback, scheme, cfg.noise, cfg.sigma, cfg.noise_slope)
 
 
+@contextmanager
+def _closed_form(fields: str, what: str):
+    """A DomainError that names the config's ``fields`` where their values
+    take the closed form of ``what``, computed in the block, out of float range."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        raise DomainError(f"{fields}: the {what}'s closed form leaves float range at these values ({exc})") from None
+
+
+def _envelope(cfg: ExperimentConfig, f: ObjectiveFunction) -> OracleEnvelope:
+    """The envelope of the config's estimator cell on f, which reads sigma,
+    and noise_slope under controlled noise."""
+    with _closed_form("sigma, noise_slope" if cfg.noise == "controlled" else "sigma", "envelope"):
+        return build_estimator(cfg, f).envelope
+
+
 def sc_alpha(f: ObjectiveFunction) -> float:
     """Schedule bookkeeping scale for the strongly convex regime; must exceed
     2L/mu for the step-size accounting to be valid from t = 1."""
@@ -152,8 +169,7 @@ def schedule_for(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Group:
+class _Group(NamedTuple):
     """The replications of one horizon or one lower-bound arm: lanes
     ``0..reps-1`` run under ``schedule``, which the experiment derives once
     with ``schedule_for``, each on the stream ``stream(rep)``.  ``kind`` is the
@@ -229,8 +245,7 @@ def _fan_out(cfg: ExperimentConfig, groups: Sequence[_Group]) -> list[tuple[np.n
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     experiment_id: str
     fit: Optional[RateFit]
     target_exponent: Optional[float]
@@ -291,12 +306,12 @@ def _report(cfg: ExperimentConfig, experiment_id: str, header: Sequence[str], ro
     """Write the CSV at ``cfg.out`` and the JSON summary next to it (nothing
     when ``cfg.out`` is None) and return the report, which passed iff every
     verdict did; the verdicts go in ``details["verdicts"]``."""
-    details["verdicts"] = [asdict(v) for v in verdicts]
+    details["verdicts"] = [v._asdict() for v in verdicts]
     report = ExperimentReport(experiment_id, fit, target, tuple(verdicts), details, None, None)
     if cfg.out is None:
         return report
     try:
-        report = replace(report, csv_path=str(Path(cfg.out)), json_path=str(Path(cfg.out).with_suffix(".json")))
+        report = report._replace(csv_path=str(Path(cfg.out)), json_path=str(Path(cfg.out).with_suffix(".json")))
         write_rows(report.csv_path, header, rows)
         write_summary(report.json_path, {
             "experiment_id": experiment_id,
@@ -332,7 +347,7 @@ def rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     it with the envelope's predicted rate."""
     cfg.validate()
     f = build_function(cfg.function, cfg.problem_class)
-    env = build_estimator(cfg, f).envelope
+    env = _envelope(cfg, f)
     experiment_id = f"rate-{cfg.problem_class}-{cfg.estimator}-{cfg.noise}"
     rows: list[tuple] = []
     means: list[float] = []
@@ -367,7 +382,7 @@ def regret_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.estimator == "exact":
         raise ConfigError("estimator: exact gradients have no regret schedule; name a zeroth-order estimator")
     f = build_function(cfg.function, cfg.problem_class)
-    env = build_estimator(cfg, f).envelope
+    env = _envelope(cfg, f)
     if cfg.p is not None and cfg.p != env.p:
         raise ConfigError(f"p: estimator cell has p={env.p}, config asked for {cfg.p}")
     if cfg.q is not None and cfg.q != env.q:
@@ -417,9 +432,10 @@ def lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run mirror descent against both arms of the hard pair at the optimal
     separation and check the closed-form floor from below."""
     cfg.validate()
-    pair = _lowerbound_pair(cfg)
-    env = pair[0].envelope
-    floor = minimax_lower_bound(pair[0].problem_class, env.p, env.q, env.c1, env.c2, cfg.n)
+    with _closed_form("p, q, c1, c2, n", "separation and floor"):
+        pair = _lowerbound_pair(cfg)
+        env = pair[0].envelope
+        floor = minimax_lower_bound(pair[0].problem_class, env.p, env.q, env.c1, env.c2, cfg.n)
     experiment_id = f"lowerbound-{cfg.problem_class}-p{env.p}-q{env.q}"
 
     reg = Regularizer()

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -14,8 +13,7 @@ from ..core import DomainError
 FIT_HORIZONS = 3
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     """Ordinary least squares on (log n, log error); the decay exponent is
     the negated slope."""
 

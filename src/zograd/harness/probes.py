@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +26,7 @@ def _dual_sq(rows: np.ndarray, norm: Norm) -> np.ndarray:
     return dual.rows(rows) ** 2
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     delta: float
     bias_est: float
     bias_se: float

@@ -5,14 +5,13 @@ fails the same way everywhere and each run records the margin it passed by."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # relation -> (the value must stay below the bound, the relation is strict)
 RELATIONS = {"<=": (True, False), "<": (True, True), ">=": (False, False)}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """``value relation bound``, tested: ``margin`` is how far the value sits
     inside the bound (bound - value for ``<=`` and ``<``, value - bound for
     ``>=``), negative on the wrong side."""

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .core import (
     ConvexBody,
     DomainError,
     Norm,
+    Value,
     chunk_sizes,
     vicinity_tolerance,
 )
@@ -38,15 +38,13 @@ _log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Regularizer:
+class Regularizer(Value):
     """Squared-Euclidean mirror map (alpha = 1): D(x, y) = ||x - y||^2 / 2."""
 
-    kind: str = "squared_euclidean"
-
-    def __post_init__(self) -> None:
-        if self.kind != "squared_euclidean":
+    def __init__(self, kind: str = "squared_euclidean"):
+        if kind != "squared_euclidean":
             raise DomainError("only the squared-Euclidean regularizer is supported")
+        self.kind = kind
 
     def divergence(self, x: np.ndarray, y: np.ndarray) -> float:
         """D(x, y); rows of stacked points (..., d) give one value per row."""
@@ -89,9 +87,9 @@ def prox_inequality_gap(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """A tolerance delta plus a step-size rule.
+class Schedule(Value):
+    """A tolerance delta plus a step-size rule, the ``params`` it was
+    derived from (none by default) and ``notes`` on its derivation.
 
     ``eta_form`` is one of
       ("poly", a, r, L, alpha)  ->  eta_t = alpha / (a * t**r + L)
@@ -99,15 +97,12 @@ class Schedule:
       ("const", c)              ->  eta_t = c
     """
 
-    mode: str
-    delta: float
-    eta_form: tuple
-    params: dict = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.delta <= 1.0):
-            raise DomainError(f"schedule delta must be in (0, 1], got {self.delta}")
+    def __init__(self, mode: str, delta: float, eta_form: tuple, params: Optional[dict] = None,
+                 notes: tuple[str, ...] = ()):
+        if not (0.0 < delta <= 1.0):
+            raise DomainError(f"schedule delta must be in (0, 1], got {delta}")
+        self.mode, self.delta, self.eta_form = mode, delta, eta_form
+        self.params, self.notes = {} if params is None else params, notes
 
     def eta_array(self, n: int, start: int = 1) -> np.ndarray:
         """eta_start .. eta_{n-1} as one vector; each entry is the same for
@@ -363,8 +358,7 @@ def regret_rate_exponent(problem_class: str, p: float, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class RunTrace:
+class RunTrace(NamedTuple):
     """What one mirror-descent run produced.
 
     A run over a single generator reports one replication: ``x_hat`` is (d,),

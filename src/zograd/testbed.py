@@ -10,7 +10,6 @@ the solver evaluates all of its lanes in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .core import Box, ConvexBody, DomainError, Norm, EUCLIDEAN, interval
 
 
-@dataclass(frozen=True, eq=False)
 class ObjectiveFunction:
     """An evaluatable convex objective with exact gradient and known optimum.
 
@@ -28,23 +26,21 @@ class ObjectiveFunction:
     they map points (..., d) to values (...) and gradients (..., d).
     """
 
-    name: str
-    dim: int
-    domain: ConvexBody
-    smoothness: float
-    strong_convexity: float
-    value: Callable
-    gradient: Callable
-    f_star: float
-    x_star: Optional[np.ndarray]
-    third_derivative_bound: Optional[float] = None
-    margin: float = 1.0
-    # (ca, cb, cc) of a 1-d quadratic whose value is (ca*x + cb)*x + cc,
-    # computed in that order; the compiled lane kernel evaluates f from these
-    quadratic_1d: Optional[tuple[float, float, float]] = None
-    # (family, v, eps) of arm v of a hard pair, family "softabs" or
-    # "strongly_convex"; the compiled lane kernel computes the gradient from these
-    hard_pair_arm: Optional[tuple[str, float, float]] = None
+    def __init__(self, name: str, dim: int, domain: ConvexBody, smoothness: float, strong_convexity: float,
+                 value: Callable, gradient: Callable, f_star: float, x_star: Optional[np.ndarray],
+                 third_derivative_bound: Optional[float] = None, margin: float = 1.0,
+                 quadratic_1d: Optional[tuple[float, float, float]] = None,
+                 hard_pair_arm: Optional[tuple[str, float, float]] = None):
+        self.name, self.dim, self.domain = name, dim, domain
+        self.smoothness, self.strong_convexity = smoothness, strong_convexity
+        self.value, self.gradient, self.f_star, self.x_star = value, gradient, f_star, x_star
+        self.third_derivative_bound, self.margin = third_derivative_bound, margin
+        # (ca, cb, cc) of a 1-d quadratic whose value is (ca*x + cb)*x + cc,
+        # computed in that order; the compiled lane kernel evaluates f from these
+        self.quadratic_1d = quadratic_1d
+        # (family, v, eps) of arm v of a hard pair, family "softabs" or
+        # "strongly_convex"; the compiled lane kernel computes the gradient from these
+        self.hard_pair_arm = hard_pair_arm
 
     def value_at(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

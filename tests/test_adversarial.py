@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -368,7 +367,7 @@ class TestSeparableComposition:
     def test_one_coordinate_keeps_its_envelope(self, c1, c2):
         # hypot(c1) is c1 exactly, where sqrt(c1**2) overflows from ~1.3e154
         inst = HardInstance("strongly_convex", -1, 0.2, OracleEnvelope(c1=c1, p=1.0, c2=c2, q=2.0))
-        assert dataclasses.astuple(AdversarialOracle(inst).envelope) == dataclasses.astuple(inst.envelope)
+        assert AdversarialOracle(inst).envelope == inst.envelope
 
     def test_one_coordinate_is_the_instance_oracle(self):
         for inst in (HardInstance("convex_smooth", -1, 0.1, ENV22), HardInstance("strongly_convex", +1, 0.2, ENV12)):

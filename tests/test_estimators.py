@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -347,7 +346,7 @@ class TestEnvelopeCache:
         # c2 = 4*(sigma^2 + sup|f|^2) for one-point SPSA on x^2/2, sup|f| = 2
         cell = EstimatorOracle(quadratic([1.0]), SPSA, UncontrolledNoise(1.0), "one_point")
         assert cell.envelope.c2 == pytest.approx(20.0)
-        louder = dataclasses.replace(cell, noise=UncontrolledNoise(10.0))
+        louder = EstimatorOracle(cell.target, cell.scheme, UncontrolledNoise(10.0), cell.feedback)
         assert louder.envelope.c2 == pytest.approx(416.0)
 
 

@@ -1,11 +1,11 @@
 import argparse
 import ctypes
-import dataclasses
 import inspect
 import json
 import logging
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from zograd import _lanes, _streams
 from zograd.adversarial import HardInstance
-from zograd.core import EUCLIDEAN, MAX_NORM, Norm, OracleEnvelope, RngStream
-from zograd.estimators import SF, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
+from zograd.core import (EUCLIDEAN, MAX_NORM, Ball, Box, Norm, OracleEnvelope, OracleQuery, OracleResponse, RngStream,
+                         interval)
+from zograd.estimators import (SF, SPSA, ControlledNoise, EstimatorOracle, ExactGradientOracle, PerturbationScheme,
+                               UncontrolledNoise)
 from zograd.harness import checks, experiments
 from zograd.harness.config import FIELDS, FUNCTIONS, SPEC_KINDS, ConfigError, ExperimentConfig, read_config_file
 from zograd.harness.experiments import (
@@ -37,8 +39,8 @@ from zograd.harness.fitting import fit_rate
 from zograd.harness.probes import ProbeResult, probe_bias_variance
 from zograd.harness.cli import _load_config, build_parser, main
 from zograd.harness.verdicts import RELATIONS, require, verdict
-from zograd.solver import NonFiniteIterate, Regularizer, manual_schedule, run
-from zograd.testbed import quadratic
+from zograd.solver import NonFiniteIterate, Regularizer, manual_schedule, run, schedule_opt_convex
+from zograd.testbed import ObjectiveFunction, quadratic
 
 SMALL_HORIZONS = (300, 1000, 3000, 10000)
 CHECK_STDOUT = """\
@@ -122,7 +124,7 @@ class TestProbe:
         got = probe_bias_variance(oracle, x, 0.3, reps, RngStream(7, d).generator(), norm, antithetic)
         want = _probe_batch_by_batch(oracle, x, 0.3, reps, RngStream(7, d).generator(), norm, antithetic)
         assert got.replications == want.replications == reps
-        got, want = (np.array(dataclasses.astuple(r), dtype=float) for r in (got, want))
+        got, want = (np.array(r, dtype=float) for r in (got, want))
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -428,22 +430,23 @@ class TestCli:
         def separable(*a):
             oracle = real(*a)
             if case == "envelope":
-                oracle.envelope = dataclasses.replace(oracle.envelope, c1=math.nan)
+                oracle.envelope = OracleEnvelope(**{**vars(oracle.envelope), "c1": math.nan})
             else:
                 oracle.mean_response = lambda x, delta: np.full(np.shape(x), np.nan)
             return oracle
 
         nan = {
-            "exp_one_d": lambda: dataclasses.replace(real(), gradient=lambda x: np.full(np.shape(x), np.nan)),
+            "exp_one_d": lambda: ObjectiveFunction(**{**vars(real()),
+                                                      "gradient": lambda x: np.full(np.shape(x), np.nan)}),
             "prox_inequality_gap": lambda *a: math.nan,
             "bias_excess_on_grid": lambda inst: math.nan if inst.v == -1 else real(inst),
             "gap_deviation_on_grid": lambda *a: (math.nan, 0.0),
             "Box": lambda *a: type("NanBox", (real,), {"project": lambda body, x: np.full(np.shape(x), np.nan)})(*a),
-            "probe_bias_variance": lambda *a: dataclasses.replace(
-                real(*a), **{"bias_est" if case == "bias" else "var_est": math.nan}),
+            "probe_bias_variance": lambda *a: real(*a)._replace(
+                **{"bias_est" if case == "bias" else "var_est": math.nan}),
             "scaled_hard_coordinates": separable,
             "worst_case_tolerance": lambda *a: math.nan,
-            "run": lambda *a, **k: real(*a, **k) if k.get("record") else dataclasses.replace(real(*a, **k), error=math.nan),
+            "run": lambda *a, **k: real(*a, **k) if k.get("record") else real(*a, **k)._replace(error=math.nan),
         }[name]
         monkeypatch.setattr(checks, name, nan)
         assert main(["check"]) == 1
@@ -704,9 +707,9 @@ class TestCli:
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
         actions = [action for p in (parser, *commands.values()) for action in p._actions]
         dests = {action.dest for action in actions} - {"help"}
-        assert dests - {f.name for f in dataclasses.fields(ExperimentConfig)} == {"command", "config", "log_level"}
+        assert dests - FIELDS.keys() == {"command", "config", "log_level"}
         for action in (action for action in actions if action.dest in FIELDS):
-            kind = FIELDS[action.dest]
+            kind = FIELDS[action.dest][0]
             assert action.choices == (kind.names or None)
             assert action.type.__name__ == kind.read.__name__, action.dest
 
@@ -770,7 +773,7 @@ def _valid(kind, top: int) -> st.SearchStrategy:
 def _fuzzed_field(draw) -> tuple:
     """A config field and any JSON value, or a valid one small enough to run at once."""
     name = draw(st.sampled_from(sorted(FIELDS)))
-    return name, draw(_VALUES if name == "function" else _VALUES | _valid(FIELDS[name], 300))
+    return name, draw(_VALUES if name == "function" else _VALUES | _valid(FIELDS[name][0], 300))
 
 
 class TestInputs:
@@ -819,6 +822,32 @@ class TestInputs:
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["rate", "lowerbound", "probe"])
+    @pytest.mark.parametrize("out", ["", "a directory"])
+    def test_an_out_path_that_names_no_file_is_refused_before_the_run(self, command, out, tmp_path, capsys,
+                                                                         monkeypatch):
+        # _report writes the CSV only after the run, which such a path would throw away
+        calls = []
+        monkeypatch.setattr(experiments, "run", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(experiments, "probe_bias_variance", lambda *a: calls.append(a))
+        code, stdout, err = self._main(command, {"out": out and str(tmp_path)}, tmp_path, capsys)
+        assert (code, stdout, calls) == (2, "", [])
+        assert err == f"config error: out: must name a file, not a directory, got {out and str(tmp_path)!r}\n"
+
+    @pytest.mark.parametrize("command, config, fields", [
+        ("rate", {"sigma": 1e200}, "sigma"),
+        ("rate", {"estimator": "spsa", "noise": "controlled", "noise_slope": 1e200}, "sigma, noise_slope"),
+        ("regret", {"sigma": 1e200}, "sigma"),
+        ("lowerbound", {"c1": 1e308}, "p, q, c1, c2, n"),
+        ("lowerbound", {"p": 1e200}, "p, q, c1, c2, n"),
+    ])
+    def test_a_closed_form_out_of_float_range_names_the_fields_it_reads(self, command, config, fields, tmp_path,
+                                                                          capsys):
+        code, out, err = self._main(command, config, tmp_path, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"domain error: {fields}: the ") and "closed form leaves float range" in err
+        assert err.count("\n") == 1
+
     def test_regret_refuses_exact_gradients_by_flag_too(self, capsys):
         # --estimator shares the config's estimator names, so exact parses
         assert main(["regret", "--estimator", "exact", "--horizons", "100 200 300", "--reps", "2"]) == 2
@@ -860,12 +889,15 @@ class TestInputs:
     @settings(max_examples=100, deadline=None, database=None)
     @given(data=st.data())
     def test_a_valid_config_echoes_unchanged(self, data):
-        given = {name: data.draw(_valid(kind, 1 << 20)) for name, kind in FIELDS.items() if name != "function"}
+        given = {name: data.draw(_valid(kind, 1 << 20)) for name, (kind, _) in FIELDS.items() if name != "function"}
         given["function"] = data.draw(st.sampled_from([
             {"name": "auto"}, {"name": "quadratic", "a": [2, 1.5], "offset": 3},
             {"name": "exp", "lower": [-1], "upper": [2]}, {"name": "softabs", "v": -1, "eps": 0.2}]))
         if given["experiment"] == "probe":
             given["workers"] = 1
+        # out names a file that is no directory, or validate refuses it
+        given["out"] = data.draw(st.none() | st.text(min_size=1, max_size=8).filter(
+            lambda text: Path(text).name and not os.path.isdir(text)))
         cfg = ExperimentConfig.from_dict(given)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
         # the echo writes each value as the file gave it: 3 stays 3 and 2.0 stays 2.0
@@ -876,6 +908,74 @@ class TestInputs:
     def test_each_committed_config_echoes_unchanged(self, path):
         config = json.loads(path.read_text())["config"]
         assert ExperimentConfig.from_dict(config).to_json() == json.dumps(config, indent=2, sort_keys=True)
+
+
+# cosh on [-1, 1], from callables that pickle by name (a testbed builder's closures do not)
+_COSH = ObjectiveFunction("cosh", 1, interval(-1.0, 1.0), math.cosh(1.0), 1.0, np.cosh, np.sinh, 1.0, np.zeros(1))
+# zograd's records: a plain class, or a NamedTuple where the record is a value with no check
+RECORDS = {
+    "Norm": lambda: Norm("max"),
+    "Box": lambda: Box([0.0, -1.0], [1.0, 2.0]),
+    "Ball": lambda: Ball([0.5, 0.0], 2.0),
+    "OracleQuery": lambda: OracleQuery([0.25], 0.5),
+    "OracleResponse": lambda: OracleResponse(np.array([1.5]), np.array([0.3])),
+    "OracleEnvelope": lambda: OracleEnvelope(1.0, 2.0, 3.0, 2.0, "type_II"),
+    "RngStream": lambda: RngStream(20260810, 7),
+    "PerturbationScheme": lambda: PerturbationScheme("rdsa"),
+    "UncontrolledNoise": lambda: UncontrolledNoise(0.5),
+    "ControlledNoise": lambda: ControlledNoise(1.0, 0.25),
+    "EstimatorOracle": lambda: EstimatorOracle(_COSH, SPSA, UncontrolledNoise(1.0), "one_point"),
+    "ExactGradientOracle": lambda: ExactGradientOracle(_COSH),
+    "Regularizer": Regularizer,
+    "Schedule": lambda: schedule_opt_convex(2.0, 2.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1000),
+    "RunTrace": lambda: run(ExactGradientOracle(_COSH), manual_schedule(0.5, ("const", 0.1)), 20, _COSH.domain,
+                            Regularizer(), record=True),
+    "HardInstance": lambda: HardInstance("convex_smooth", -1, 0.1, OracleEnvelope(1.0, 2.0, 1.0, 2.0)),
+    "ObjectiveFunction": lambda: _COSH,
+    "ExperimentConfig": lambda: ExperimentConfig(experiment="lowerbound", c1=2.0, out="lb.csv").validate(),
+    "_Group": lambda: experiments._Group("optimization", 100, 1, 2, manual_schedule(0.5, ("const", 0.1))),
+    "ExperimentReport": lambda: experiments.ExperimentReport(
+        "rate-x", fit_rate([(100, 1.0), (200, 0.6), (400, 0.3)]), 0.5, (verdict("gap", 0.5, "<=", 1.0),),
+        {"floor": 0.25}, "x.csv", "x.json"),
+    "RateFit": lambda: fit_rate([(100, 1.0), (200, 0.6), (400, 0.3)]),
+    "ProbeResult": lambda: ProbeResult(0.1, 0.02, 0.001, 1.5, 0.1, 64),
+    "Verdict": lambda: verdict("gap", 0.5, "<=", 1.0),
+}
+# records whose equality is by value, not by identity
+VALUE_RECORDS = {"Norm", "OracleEnvelope", "RngStream", "PerturbationScheme", "UncontrolledNoise", "ControlledNoise",
+                 "Regularizer", "Schedule", "ExperimentConfig", "_Group", "ExperimentReport", "RateFit", "ProbeResult",
+                 "Verdict"}
+
+
+def _same(a, b) -> bool:
+    """a and b hold equal values: arrays element by element, zograd's
+    records field by field."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if type(a).__module__.startswith("zograd."):
+        a, b = (r._asdict() if isinstance(r, tuple) else vars(r) for r in (a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+class TestRecords:
+    def test_every_record_is_listed(self):
+        assert len(RECORDS) == 23 and VALUE_RECORDS < RECORDS.keys()
+        assert all(type(make()).__name__ == name for name, make in RECORDS.items())
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_a_record_survives_pickling(self, name):
+        # a traced pass ships configs, groups and schedules to a process pool
+        record = RECORDS[name]()
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and _same(back, record)
+        if name in VALUE_RECORDS:
+            assert back == record
 
 
 class TestVerdicts:
@@ -912,10 +1012,10 @@ class TestVerdicts:
         report = lower_bound_experiment(cfg)
         assert report.passed and [v.relation for v in report.verdicts] == [">=", "<"]
         recorded = json.loads((tmp_path / "lb.json").read_text())["details"]["verdicts"]
-        assert recorded == report.details["verdicts"] == [dataclasses.asdict(v) for v in report.verdicts]
+        assert recorded == report.details["verdicts"] == [v._asdict() for v in report.verdicts]
         assert recorded[0]["value"] == report.details["mean_plus_3se"]
         assert recorded[0]["margin"] == report.details["mean_plus_3se"] - report.details["floor"]
-        failed = dataclasses.replace(report, verdicts=(*report.verdicts, verdict("x", 1.0, "<", 1.0)))
+        failed = report._replace(verdicts=(*report.verdicts, verdict("x", 1.0, "<", 1.0)))
         assert not failed.passed
 
     PROBE = ["probe", "--oracle", "one-point,fn=quadratic", "--delta-grid", "0.5 0.1", "--reps", "2000"]
@@ -936,13 +1036,13 @@ class TestVerdicts:
         name, _, case = name.partition(":")
         real = getattr(experiments, name)
         nan = {
-            "fit_rate": lambda points: dataclasses.replace(real(points), exponent=math.nan),
+            "fit_rate": lambda points: real(points)._replace(exponent=math.nan),
             "_fan_out": lambda cfg, groups: [(np.full_like(err, math.nan), reg) for err, reg in real(cfg, groups)],
-            "run": lambda oracle, *a, **k: (dataclasses.replace(real(oracle, *a, **k), error=math.nan)
+            "run": lambda oracle, *a, **k: (real(oracle, *a, **k)._replace(error=math.nan)
                                             if isinstance(oracle, ExactGradientOracle) else real(oracle, *a, **k)),
             "minimax_lower_bound": lambda *a: float(case),
-            "probe_bias_variance": lambda *a: dataclasses.replace(
-                real(*a), **{"bias_est" if case == "bias" else "var_est": math.nan}),
+            "probe_bias_variance": lambda *a: real(*a)._replace(
+                **{"bias_est" if case == "bias" else "var_est": math.nan}),
         }[name]
         monkeypatch.setattr(experiments, name, nan)
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
@@ -1010,7 +1110,7 @@ class TestLanes:
         build = experiments.build_function
         monkeypatch.setattr(
             experiments, "build_function",
-            lambda spec, cls="convex": dataclasses.replace(build(spec, cls), f_star=1.0),
+            lambda spec, cls="convex": ObjectiveFunction(**{**vars(build(spec, cls)), "f_star": 1.0}),
         )
         cfg = ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=3,
                                master_seed=5, tolerance=5.0, out=str(tmp_path / "neg.csv"))
@@ -1170,7 +1270,8 @@ class TestThreadedFanOut:
 
         def poisoned(inst):
             if inst.v < 0:
-                inst = dataclasses.replace(inst, envelope=dataclasses.replace(inst.envelope, c2=math.inf))
+                envelope = OracleEnvelope(**{**vars(inst.envelope), "c2": math.inf})
+                inst = HardInstance(**{**vars(inst), "envelope": envelope})
             return real(inst)
 
         monkeypatch.setattr(experiments, "AdversarialOracle", poisoned)
@@ -1254,21 +1355,25 @@ class TestThreadedFanOut:
 
     def test_import_leaves_out_numpy_random(self):
         # it costs about 9 ms of start-up; the first run imports it for its generators
-        code = ("import sys, zograd, zograd.harness.cli, zograd.harness.experiments; "
-                "print(sorted(m for m in sys.modules if m.startswith('numpy.random') or m == 'zograd._streams'))")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        assert _setup_modules("m.startswith('numpy.random') or m == 'zograd._streams'") == []
 
     def test_import_leaves_out_process_pools(self):
         # nor the compiled path and the cache key's hash, which each run imports on first use
-        code = ("import sys, zograd, zograd.harness.cli, zograd.harness.experiments; "
-                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing' "
-                "or m in ('concurrent.futures.process', 'zograd._lanes', 'hashlib')))")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        assert _setup_modules("m.partition('.')[0] == 'multiprocessing' "
+                              "or m in ('concurrent.futures.process', 'zograd._lanes', 'hashlib')") == []
+
+    def test_import_leaves_out_dataclasses(self):
+        # its records generated their methods as source text and compiled it, about 9 ms of start-up
+        assert _setup_modules("m == 'dataclasses'") == []
+
+
+def _setup_modules(select: str) -> list[str]:
+    """The modules ``m`` for which the expression ``select`` holds, sorted, in a
+    fresh interpreter that imported zograd, its CLI and its experiments."""
+    code = ("import json, sys, zograd, zograd.harness.cli, zograd.harness.experiments; "
+            f"print(json.dumps(sorted(m for m in sys.modules if {select})))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)

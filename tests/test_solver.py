@@ -1,6 +1,5 @@
 import contextlib
 import ctypes
-import dataclasses
 import functools
 import logging
 import math
@@ -19,8 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zograd import _lanes, solver
-from zograd.adversarial import AdversarialOracle, hard_pair, scaled_hard_coordinates
-from zograd.core import STEPS_PER_CHUNK, Ball, Box, DomainError, RngStream, chunk_sizes, draw_chunks, interval
+from zograd.adversarial import AdversarialOracle, HardInstance, hard_pair, scaled_hard_coordinates
+from zograd.core import (STEPS_PER_CHUNK, Ball, Box, DomainError, OracleEnvelope, RngStream, chunk_sizes, draw_chunks,
+                         interval)
 from zograd.estimators import (
     ControlledNoise,
     EstimatorOracle,
@@ -756,14 +756,14 @@ class _Inflated(EstimatorOracle):
         return 3.0 * du, w
 
 
-@dataclasses.dataclass(frozen=True)
 class _Scripted(Schedule):
-    """Step size 0, so that the iterate stays where it is, but 1e30 at step
-    ``jump``, which throws it onto a bound of the box, and NaN at step
-    ``poison``, which makes the step and the iterate non-finite."""
+    """Step size 0 at delta 0.3, so that the iterate stays where it is, but
+    1e30 at step ``jump``, which throws it onto a bound of the box, and NaN at
+    step ``poison``, which makes the step and the iterate non-finite."""
 
-    jump: int = 0
-    poison: int = 0
+    def __init__(self, jump: int = 0, poison: int = 0):
+        super().__init__("manual", 0.3, ("const", 0.0))
+        self.jump, self.poison = jump, poison
 
     def eta_array(self, n: int, start: int = 1) -> np.ndarray:
         t = np.arange(start, max(n, start))
@@ -921,7 +921,8 @@ class TestCompiledKernel:
     def test_infinite_adversarial_noise_names_its_lane(self, kind, kernel_calls):
         # c2 = inf makes the noise, and so the step, infinite
         inst = KERNEL_ORACLES[kind].instance
-        oracle = dataclasses.replace(inst, envelope=dataclasses.replace(inst.envelope, c2=math.inf)).oracle()
+        envelope = OracleEnvelope(**{**vars(inst.envelope), "c2": math.inf})
+        oracle = HardInstance(**{**vars(inst), "envelope": envelope}).oracle()
         with pytest.raises(NonFiniteIterate) as info:
             run(oracle, SCHEDULES[0], 100, oracle.target.domain, REG, rng=[RNG(i) for i in range(3)],
                 horizons=[1, 100, 100])
@@ -1126,8 +1127,8 @@ class TestCompiledKernel:
         # evaluation point escapes its vicinity; lane 2's step at poison is
         # NaN; lanes 1 and 3 stay at 0
         oracle = EstimatorOracle(_FAR, SPSA, UncontrolledNoise(1.0), "one_point")
-        still = _Scripted("manual", 0.3, ("const", 0.0))
-        schedules = [dataclasses.replace(still, jump=jump), still, dataclasses.replace(still, poison=poison), still]
+        still = _Scripted()
+        schedules = [_Scripted(jump=jump), still, _Scripted(poison=poison), still]
         calls = []
         with _counted_kernel(calls) if path == "kernel" else _numpy_loop():
             with pytest.raises(DomainError) as info:
