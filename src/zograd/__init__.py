@@ -56,9 +56,9 @@ from .adversarial import (
     worst_case_tolerance,
 )
 from .solver import (
-    Regularizer,
     RunTrace,
     Schedule,
+    divergence_diameter,
     manual_schedule,
     optimization_rate_exponent,
     prox_inequality_gap,

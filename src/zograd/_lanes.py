@@ -253,19 +253,20 @@ def _spec(oracle, redefined: Sequence[str]) -> Optional[LaneSpec]:
     return oracle.lane_spec()
 
 
-def lane_run(oracle, body, regret: bool, rngs: Sequence[np.random.Generator], horizons: Sequence[int],
+def lane_run(oracle, regret: bool, rngs: Sequence[np.random.Generator], horizons: Sequence[int],
              schedules) -> Optional["LaneRun"]:
     """The run of ``oracle`` on the compiled lane kernel, for lanes of
     generators ``rngs``, ``horizons`` and ``schedules``; or None where the
-    numpy loop runs it: a body other than a 1-d box, one generator driving
-    two lanes, no spec (``_spec``: an oracle with no ``lane_spec``, a class
-    that redefines ``estimate``, ``make_stepper``, ``_scaled`` or
-    ``_noise``, or a spec of None), a spec without formula data, an
+    numpy loop runs it: a target whose domain is not a 1-d box, one
+    generator driving two lanes, no spec (``_spec``: an oracle with no
+    ``lane_spec``, a class that redefines ``estimate``, ``make_stepper``,
+    ``_scaled`` or ``_noise``, or a spec of None), a spec without formula data, an
     estimator without a vicinity norm, a regret run of an oracle that
     answers at x (the kernel evaluates f only for a quadratic), an oracle of
     the softabs pair where the kernel holds no checked numpy tanh loop, or a
     kernel that could not be built.  Builds the kernel on the first run it
     covers."""
+    body = oracle.target.domain
     if not isinstance(body, Box) or body.dim != 1 or len({id(g) for g in rngs}) < len(rngs):
         return None
     spec = _spec(oracle, ("estimate", "make_stepper", "_scaled", "_noise"))

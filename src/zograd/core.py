@@ -117,10 +117,10 @@ class Box:
     def dilate(self, margin: float) -> "Box":
         return Box(self.lower - margin, self.upper + margin)
 
-    def sup_norm(self, norm: Norm = EUCLIDEAN) -> float:
-        """sup over the box of ||x||; attained at a vertex."""
+    def sup_norm(self) -> float:
+        """sup over the box of ||x||_2; attained at a vertex."""
         corner = np.maximum(np.abs(self.lower), np.abs(self.upper))
-        return norm.value(corner)
+        return EUCLIDEAN.value(corner)
 
 
 class Ball:
@@ -149,10 +149,9 @@ class Ball:
         x = np.asarray(x, dtype=float)
         return float(np.linalg.norm(x - self.center)) <= self.radius + tol
 
-    def sup_norm(self, norm: Norm = EUCLIDEAN) -> float:
-        return norm.value(self.center) + self.radius * (
-            1.0 if norm.kind != "one" else np.sqrt(self.dim)
-        )
+    def sup_norm(self) -> float:
+        """sup over the ball of ||x||_2."""
+        return EUCLIDEAN.value(self.center) + self.radius
 
 
 # ``body.project(x)``: the Euclidean projection of a point (d,) or of each row of a stack (..., d)

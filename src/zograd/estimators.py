@@ -72,7 +72,7 @@ class PerturbationScheme(Value):
             return u.shape[-1] * u
         return u
 
-    def vicinity_norm(self, d: int) -> Norm:
+    def vicinity_norm(self) -> Norm:
         return MAX_NORM if self.kind == "spsa" else EUCLIDEAN
 
     def u_bound(self, d: int) -> float:
@@ -285,7 +285,7 @@ class EstimatorOracle(Oracle):
     @property
     def vicinity_norm(self) -> Norm:
         """The norm under which ||x - y|| <= delta holds."""
-        return self.scheme.vicinity_norm(self.dim)
+        return self.scheme.vicinity_norm()
 
     @functools.cached_property
     def envelope(self) -> OracleEnvelope:

@@ -32,7 +32,6 @@ from ..estimators import (
     UncontrolledNoise,
 )
 from ..solver import (
-    Regularizer,
     manual_schedule,
     prox_inequality_gap,
     run,
@@ -133,12 +132,11 @@ def _check_prox_inequality() -> str:
     f = quadratic([1.0])
     oracle = EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point")
     schedule = schedule_opt_convex(1.0, 2.0, oracle.envelope.c1, oracle.envelope.c2, 2.0, 1.0, 1.0, 500)
-    reg = Regularizer()
     rng = RngStream(4242, 3).generator()
-    trace = run(oracle, schedule, 500, f.domain, reg, rng=rng, record=True)
+    trace = run(oracle, schedule, 500, rng=rng, record=True)
     probes = RngStream(4242, 4).generator().uniform(-1.0, 1.0, size=(100, 1))
     worst = prox_inequality_gap(trace.xs[:-1, None], trace.gs[:, None], trace.etas[:, None],
-                                trace.xs[1:, None], probes, reg)
+                                trace.xs[1:, None], probes)
     require("worst prox inequality gap", worst, "<=", 1e-8)
     return f"step optimality inequality holds at every iteration (worst gap {worst:.1e})"
 
@@ -164,11 +162,7 @@ def _check_determinism() -> str:
     f = quadratic([1.0])
     oracle = EstimatorOracle(f, SURFACE, UncontrolledNoise(1.0), "one_point")
     schedule = manual_schedule(0.3, ("poly", 1.0, 0.75, 1.0, 1.0))
-    traces = [
-        run(oracle, schedule, 2000, f.domain, Regularizer(),
-            rng=RngStream(7, 5).generator())
-        for _ in range(2)
-    ]
+    traces = [run(oracle, schedule, 2000, rng=RngStream(7, 5).generator()) for _ in range(2)]
     require("|x_hat difference| of equal-stream runs", abs(traces[0].x_hat[0] - traces[1].x_hat[0]), "<=", 0.0)
     require("|error difference| of equal-stream runs", abs(traces[0].error - traces[1].error), "<=", 0.0)
     return "equal RNG streams reproduce runs bitwise"

@@ -169,6 +169,10 @@ def read_oracle_spec(spec: str) -> tuple[str, dict[str, Any]]:
 
 
 DEFAULT_HORIZONS = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
+# The most steps of a run and replies of a probe, so that what either allocates up front stays near
+# 1 GB: the kernel's step-size table takes 8 B per step of each schedule (0.8 GB for one at the cap),
+# a probe roughly 40 B per reply (0.4 GB).
+MAX_STEPS, MAX_REPLIES = 10**8, 10**7
 # name -> (kind, default) of each ExperimentConfig field
 FIELDS = {
     "experiment": (Kind(str, EXPERIMENTS), "rate"),
@@ -178,7 +182,7 @@ FIELDS = {
     "sigma": (NONNEGATIVE, 1.0),
     "noise_slope": (NONNEGATIVE, 1.0),
     "function": (FunctionSpec(), {"name": "auto"}),  # never changed in place: every config shares it
-    "horizons": (Kind(int, lo=1, many=True), DEFAULT_HORIZONS),
+    "horizons": (Kind(int, lo=1, hi=MAX_STEPS, many=True), DEFAULT_HORIZONS),
     "replications": (COUNT, 16),
     "master_seed": (Kind(int, lo=0), 20260810),
     "out": (Kind(str, null=True), None),
@@ -189,11 +193,11 @@ FIELDS = {
     "q": (Kind(float, lo=0, null=True), None),
     "c1": (Kind(float, lo=0, strict=True, null=True), None),
     "c2": (Kind(float, lo=0, strict=True, null=True), None),
-    "n": (COUNT, 10_000),
+    "n": (Kind(int, lo=1, hi=MAX_STEPS), 10_000),
     # probe parameters
     "oracle_spec": (Kind(str, null=True), None),
     "delta_grid": (Kind(float, lo=0, strict=True, hi=1, many=True), (0.5, 0.2, 0.1, 0.05)),
-    "probe_reps": (Kind(int, lo=32), 100_000),
+    "probe_reps": (Kind(int, lo=32, hi=MAX_REPLIES), 100_000),
 }
 
 

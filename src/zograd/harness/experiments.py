@@ -41,8 +41,8 @@ from ..core import Box, DomainError, OracleEnvelope, RngStream, generators
 from ..estimators import ControlledNoise, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
 from ..solver import (
     NonFiniteIterate,
-    Regularizer,
     Schedule,
+    divergence_diameter,
     optimization_rate_exponent,
     regret_rate_exponent,
     run,
@@ -82,16 +82,20 @@ def default_function_spec(problem_class: str) -> dict:
             "lower": [0.0], "upper": [1.0]}
 
 
-def build_function(spec: dict, problem_class: str = "convex") -> ObjectiveFunction:
+def build_function(spec: dict, problem_class: str = "convex", path: str = "function") -> ObjectiveFunction:
     """The testbed function of a checked ``function`` spec: its builder
     (``config.FUNCTIONS``) on the spec's keys, each key the spec leaves out
-    at its default; "auto" is ``default_function_spec``."""
+    at its default; "auto" is ``default_function_spec``.  A spec the
+    builder refuses is a DomainError that names the spec by its ``path``."""
     if spec["name"] == "auto":
         spec = default_function_spec(problem_class)
     builder, keys = FUNCTIONS[spec["name"]]
-    domain = None if "lower" not in spec else Box(np.asarray(spec["lower"], dtype=float),
-                                                  np.asarray(spec["upper"], dtype=float))
-    return builder(domain=domain, **{key: spec.get(key, default) for key, (_, default) in keys.items()})
+    try:
+        domain = None if "lower" not in spec else Box(np.asarray(spec["lower"], dtype=float),
+                                                      np.asarray(spec["upper"], dtype=float))
+        return builder(domain=domain, **{key: spec.get(key, default) for key, (_, default) in keys.items()})
+    except DomainError as exc:
+        raise DomainError(f"{path}: {spec['name']}: {exc}") from None
 
 
 def _estimator_cell(f: ObjectiveFunction, feedback: str, scheme, noise: str, sigma: float, slope: float,
@@ -138,15 +142,10 @@ def sc_alpha(f: ObjectiveFunction) -> float:
     return max(_SC_ALPHA_FLOOR, 3.0 * f.smoothness / f.strong_convexity)
 
 
-def schedule_for(
-    problem_class: str,
-    env: OracleEnvelope,
-    f: ObjectiveFunction,
-    n: int,
-    mode: str,
-    reg: Regularizer,
-) -> Schedule:
-    D = reg.diameter(f.domain)
+def schedule_for(problem_class: str, env: OracleEnvelope, f: ObjectiveFunction, n: int, mode: str) -> Schedule:
+    """The tuned schedule of the regime (problem class, mode) for f's
+    domain and an oracle of envelope ``env``, at horizon n."""
+    D = divergence_diameter(f.domain)
     if mode == "optimization":
         if problem_class == "convex":
             return schedule_opt_convex(
@@ -203,8 +202,8 @@ def _run_shard(
             oracle, mode = build_estimator(cfg, build_function(cfg.function, cfg.problem_class)), kind
         rngs = generators(cfg.master_seed, [group.stream(rep) for group, rep in stretch])
         try:
-            trace = run(oracle, [g.schedule for g, _ in stretch], max(g.n for g, _ in stretch), oracle.target.domain,
-                        Regularizer(), rng=rngs, mode=mode, horizons=[g.n for g, _ in stretch])
+            trace = run(oracle, [g.schedule for g, _ in stretch], max(g.n for g, _ in stretch), rng=rngs, mode=mode,
+                        horizons=[g.n for g, _ in stretch])
         except NonFiniteIterate as exc:
             raise NonFiniteIterate(stretch[exc.lane][1], exc.first, exc.last) from None
         errors.append(trace.error)
@@ -335,9 +334,8 @@ def _report(cfg: ExperimentConfig, experiment_id: str, header: Sequence[str], ro
 
 
 def _horizon_groups(cfg: ExperimentConfig, mode: str, env: OracleEnvelope, f: ObjectiveFunction) -> list[_Group]:
-    reg = Regularizer()
     return [
-        _Group(mode, n, h_idx, cfg.replications, schedule_for(cfg.problem_class, env, f, n, mode, reg))
+        _Group(mode, n, h_idx, cfg.replications, schedule_for(cfg.problem_class, env, f, n, mode))
         for h_idx, n in enumerate(cfg.horizons)
     ]
 
@@ -414,13 +412,17 @@ def regret_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _lowerbound_pair(cfg: ExperimentConfig) -> tuple[HardInstance, HardInstance]:
     """The hard pair at the optimal separation for ``cfg.n``; its envelope
-    holds the config's (p, q, c1, c2), 2, 2, 1 and 1 where unset."""
+    holds the config's (p, q, c1, c2), 2, 2, 1 and 1 where unset.  A
+    separation that overflowed, underflowed to 0 or went NaN is an
+    ArithmeticError, which ``_closed_form`` reports with the inputs' names."""
     problem = PROBLEM_CLASSES[cfg.problem_class]
     p = cfg.p if cfg.p is not None else 2.0
     q = cfg.q if cfg.q is not None else 2.0
     c1 = cfg.c1 if cfg.c1 is not None else 1.0
     c2 = cfg.c2 if cfg.c2 is not None else 1.0
     eps = optimal_separation(problem, p, q, c1, c2, cfg.n)
+    if not 0.0 < eps < math.inf:
+        raise ArithmeticError(f"separation {eps!r}")
     if problem == "convex_smooth" and eps >= EPS_CAP_CONVEX:
         raise ConfigError(
             f"n: optimal separation {eps:.4f} exceeds the convex cap {EPS_CAP_CONVEX:.4f}; increase n"
@@ -438,11 +440,10 @@ def lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         floor = minimax_lower_bound(pair[0].problem_class, env.p, env.q, env.c1, env.c2, cfg.n)
     experiment_id = f"lowerbound-{cfg.problem_class}-p{env.p}-q{env.q}"
 
-    reg = Regularizer()
     targets = [inst.objective() for inst in pair]
     arms = [
         _Group("adversarial", cfg.n, 2 + v_idx, cfg.replications,
-               schedule_for(cfg.problem_class, inst.envelope, f, cfg.n, "optimization", reg), v_idx)
+               schedule_for(cfg.problem_class, inst.envelope, f, cfg.n, "optimization"), v_idx)
         for v_idx, (inst, f) in enumerate(zip(pair, targets))
     ]
     per_arm = [errs for errs, _ in _fan_out(cfg, arms)]
@@ -451,9 +452,7 @@ def lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     se = float(arr.std(ddof=1) / math.sqrt(arr.size))
     # exact-gradient sanity, one deterministic run per arm: the floor is
     # oracle-induced, not solver-induced
-    sanity = float(np.mean([
-        run(ExactGradientOracle(f), arm.schedule, cfg.n, f.domain, reg).error for arm, f in zip(arms, targets)
-    ]))
+    sanity = float(np.mean([run(ExactGradientOracle(f), arm.schedule, cfg.n).error for arm, f in zip(arms, targets)]))
     rows = []
     for arm, errs in zip(arms, per_arm):
         rows += _run_rows(f"{experiment_id}-v{'+' if arm.arm == 0 else '-'}", arm, errs)
@@ -486,7 +485,7 @@ def parse_oracle_spec(spec: str):
         inst = HardInstance(PROBLEM_CLASSES[kind.removeprefix("adversarial-")], kv.get("v", 1), kv.get("eps", 0.1), env)
         return AdversarialOracle(inst), probe_x
     fn_keys = {k: [kv[k]] if k == "a" else kv[k] for k in kv.keys() & {"v", "eps", "a"}}
-    f = build_function({"name": kv.get("fn", "quadratic"), **fn_keys})
+    f = build_function({"name": kv.get("fn", "quadratic"), **fn_keys}, path="oracle_spec")
     if kind == "exact":
         return ExactGradientOracle(f), probe_x
     feedback = "two_point" if kind == "two-point" else "one_point"

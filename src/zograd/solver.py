@@ -2,11 +2,13 @@
 tolerance/step-size schedules for all four regimes: optimization or regret,
 convex or strongly convex.
 
-The regularizer is the squared Euclidean norm, so the update is projected
-gradient descent: X_{t+1} = project(X_t - eta_t * G_t).  The schedule
-constructors take the envelope (p, q, C1, C2), the divergence diameter D,
-the strong-convexity scale alpha of the regularizer bookkeeping, and the
-horizon n, and return the closed-form (delta, eta_t) pair.
+The feasible set K is the target's domain and the regularizer is
+R = ||x||^2 / 2, so the update is projected gradient descent:
+X_{t+1} = project(X_t - eta_t * G_t).  The schedule constructors take the
+envelope (p, q, C1, C2), the divergence diameter D of K
+(``divergence_diameter``), the strong-convexity scale alpha of the
+regularizer bookkeeping, and the horizon n, and return the closed-form
+(delta, eta_t) pair.
 """
 
 from __future__ import annotations
@@ -34,51 +36,35 @@ _log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# Regularizer
+# The squared-Euclidean regularizer R = ||x||^2 / 2
 # ---------------------------------------------------------------------------
 
 
-class Regularizer(Value):
-    """Squared-Euclidean mirror map (alpha = 1): D(x, y) = ||x - y||^2 / 2."""
-
-    def __init__(self, kind: str = "squared_euclidean"):
-        if kind != "squared_euclidean":
-            raise DomainError("only the squared-Euclidean regularizer is supported")
-        self.kind = kind
-
-    def divergence(self, x: np.ndarray, y: np.ndarray) -> float:
-        """D(x, y); rows of stacked points (..., d) give one value per row."""
-        diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return 0.5 * np.sum(diff * diff, axis=-1)
-
-    def diameter(self, body: ConvexBody) -> float:
-        """sup_{x,y in K} D(x, y): half the squared diameter."""
-        if isinstance(body, Box):
-            side = body.upper - body.lower
-            return 0.5 * float(np.dot(side, side))
-        if isinstance(body, Ball):
-            return 2.0 * body.radius**2
-        raise DomainError(f"unsupported body {type(body)!r}")
+def divergence_diameter(body: ConvexBody) -> float:
+    """sup_{x,y in K} D(x, y), half the squared diameter of the body: the
+    D the schedules take."""
+    if isinstance(body, Box):
+        side = body.upper - body.lower
+        return 0.5 * float(np.dot(side, side))
+    if isinstance(body, Ball):
+        return 2.0 * body.radius**2
+    raise DomainError(f"unsupported body {type(body)!r}")
 
 
-def prox_inequality_gap(
-    x_t: np.ndarray,
-    g_t: np.ndarray,
-    eta_t: float,
-    x_next: np.ndarray,
-    probes: np.ndarray,
-    reg: Regularizer,
-) -> float:
+def prox_inequality_gap(x_t: np.ndarray, g_t: np.ndarray, eta_t: float, x_next: np.ndarray,
+                        probes: np.ndarray) -> float:
     """max over probe points x (the rows of ``probes``, (k, d)) of
         <g, x_next - x> - (D(x, x_t) - D(x, x_next) - D(x_next, x_t)) / eta;
     nonpositive (up to roundoff) whenever x_next is the prox point.  Steps stack
     on a leading axis, x_t, g_t, x_next (s, 1, d) and eta_t (s, 1), as a recorded
     run's xs[:-1, None], gs[:, None], etas[:, None], xs[1:, None]: max over all."""
+    def D(x, y):  # ||x - y||^2 / 2, one value per row
+        diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        return 0.5 * np.sum(diff * diff, axis=-1)
+
     probes = np.asarray(probes, dtype=float)
     lhs = np.sum(np.asarray(g_t, dtype=float) * (x_next - probes), axis=-1)
-    rhs = (
-        reg.divergence(probes, x_t) - reg.divergence(probes, x_next) - reg.divergence(x_next, x_t)
-    ) / eta_t
+    rhs = (D(probes, x_t) - D(probes, x_next) - D(x_next, x_t)) / eta_t
     return float(np.max(lhs - rhs))
 
 
@@ -117,8 +103,8 @@ class Schedule(Value):
         return np.full(t.shape, self.eta_form[1])
 
 
-def manual_schedule(delta: float, eta_form: tuple, mode: str = "manual") -> Schedule:
-    return Schedule(mode=mode, delta=delta, eta_form=eta_form)
+def manual_schedule(delta: float, eta_form: tuple) -> Schedule:
+    return Schedule(mode="manual", delta=delta, eta_form=eta_form)
 
 
 def _clamp_delta(delta: float, notes: list[str]) -> float:
@@ -450,15 +436,14 @@ def run(
     oracle,
     schedule: Union[Schedule, Sequence[Schedule]],
     n: int,
-    body: ConvexBody,
-    reg: Regularizer,
     x1: Optional[np.ndarray] = None,
     rng: Union[np.random.Generator, Sequence[np.random.Generator], None] = None,
     mode: str = "optimization",
     record: bool = False,
     horizons: Optional[Sequence[int]] = None,
 ) -> RunTrace:
-    """Run mirror descent against the oracle and average.
+    """Run mirror descent against the oracle over its target's domain and
+    average.
 
     Every generator in ``rng`` drives one lane, an independent replication;
     all lanes advance together as one (lanes, d) iterate.  ``schedule`` is
@@ -532,23 +517,22 @@ def run(
     if mode == "regret" and not getattr(oracle, "unbiased", False):
         warnings.append("regret bound not guaranteed: oracle is biased in Y")
 
-    x0 = np.asarray(x1, dtype=float) if x1 is not None else body.center
-    x0 = np.atleast_1d(x0)
-    if not body.contains(x0):
+    x0 = np.atleast_1d(np.asarray(x1, dtype=float) if x1 is not None else f.domain.center)
+    if not f.domain.contains(x0):
         raise DomainError("x1 must lie in the feasible set")
 
     lane_delta = delta if shared else delta[:, 0]
     two_point = getattr(oracle, "feedback", "") == "two_point"
     want_regret = mode == "regret"
     want_loss = want_regret or record
-    estimate, value, proj, f_star = oracle.estimate, f.value_rows, body.project, f.f_star
+    estimate, value, proj, f_star = oracle.estimate, f.value_rows, f.domain.project, f.f_star
     multiply, subtract = np.multiply, np.subtract
     norm = getattr(oracle, "vicinity_norm", None)
     kernel = None
     if not record:
         from . import _lanes  # imported on first use, not with zograd (see _lanes)
 
-        kernel = _lanes.lane_run(oracle, body, want_regret, rngs, horizon, schedules)
+        kernel = _lanes.lane_run(oracle, want_regret, rngs, horizon, schedules)
     if kernel is None:
         steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizon, schedules, rngs)]
     _log.debug("run: %d lanes, %d steps on the %s", lanes, n - 1, "numpy loop" if kernel is None else

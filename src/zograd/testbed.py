@@ -1,7 +1,8 @@
 """Objective functions with exact gradients and known optima.
 
-Every function is evaluable on a margin-dilated copy of its domain so that
-estimators probing ``x + delta*u`` with ``delta <= 1`` stay inside.  Values
+Every function is evaluable on its domain dilated by ``MARGIN`` so that
+estimators probing ``x + delta*u`` with ``delta <= 1`` stay inside.  A
+function's dimension is its domain's; the 1-d families take intervals only.  Values
 and gradients are numpy-vectorized: 1-d functions act elementwise on arrays
 of any shape, d-dimensional ones on the last axis of a stack of points, so
 the solver evaluates all of its lanes in one call.
@@ -16,6 +17,9 @@ import numpy as np
 
 from .core import Box, ConvexBody, DomainError, Norm, EUCLIDEAN, interval
 
+# delta <= 1 and ||u|| <= 1 keep every probe x + delta*u inside the domain dilated by this
+MARGIN = 1.0
+
 
 class ObjectiveFunction:
     """An evaluatable convex objective with exact gradient and known optimum.
@@ -26,15 +30,16 @@ class ObjectiveFunction:
     they map points (..., d) to values (...) and gradients (..., d).
     """
 
-    def __init__(self, name: str, dim: int, domain: ConvexBody, smoothness: float, strong_convexity: float,
+    def __init__(self, name: str, domain: ConvexBody, smoothness: float, strong_convexity: float,
                  value: Callable, gradient: Callable, f_star: float, x_star: Optional[np.ndarray],
-                 third_derivative_bound: Optional[float] = None, margin: float = 1.0,
+                 third_derivative_bound: Optional[float] = None,
                  quadratic_1d: Optional[tuple[float, float, float]] = None,
                  hard_pair_arm: Optional[tuple[str, float, float]] = None):
-        self.name, self.dim, self.domain = name, dim, domain
+        # the domain's dimension, kept as an attribute: value_rows reads it at every step
+        self.name, self.domain, self.dim = name, domain, domain.dim
         self.smoothness, self.strong_convexity = smoothness, strong_convexity
         self.value, self.gradient, self.f_star, self.x_star = value, gradient, f_star, x_star
-        self.third_derivative_bound, self.margin = third_derivative_bound, margin
+        self.third_derivative_bound = third_derivative_bound
         # (ca, cb, cc) of a 1-d quadratic whose value is (ca*x + cb)*x + cc,
         # computed in that order; the compiled lane kernel evaluates f from these
         self.quadratic_1d = quadratic_1d
@@ -59,10 +64,11 @@ class ObjectiveFunction:
         """f at each row of x (lanes, d), as a column (lanes, 1)."""
         return self.value(x) if self.dim == 1 else self.value(x)[..., None]
 
-    # -- sups over the margin-dilated domain (envelope bookkeeping) --------
+    # -- sups over the dilated domain (envelope bookkeeping) ----------------
 
-    def _search_points(self, dilated: bool, n_random: int = 100_000) -> np.ndarray:
-        body = self.domain.dilate(self.margin) if dilated and isinstance(self.domain, Box) else self.domain
+    def _search_points(self, dilated: bool) -> np.ndarray:
+        n_random = 100_000  # points of the random search over a d > 2 box or a ball
+        body = self.domain.dilate(MARGIN) if dilated and isinstance(self.domain, Box) else self.domain
         if isinstance(body, Box):
             if self.dim == 1:
                 return np.linspace(body.lower[0], body.upper[0], 10_000)
@@ -84,12 +90,12 @@ class ObjectiveFunction:
         return body.center + z * r
 
     def sup_abs(self) -> float:
-        """sup |f| over the margin-dilated domain (grid / random search)."""
+        """sup |f| over the dilated domain (grid / random search)."""
         vals = np.asarray(self.value(self._search_points(dilated=True)), dtype=float)
         return float(np.max(np.abs(vals)))
 
     def span(self) -> float:
-        """sup f - inf f over the margin-dilated domain."""
+        """sup f - inf f over the dilated domain."""
         vals = np.asarray(self.value(self._search_points(dilated=True)), dtype=float)
         return float(np.max(vals) - np.min(vals))
 
@@ -104,6 +110,16 @@ class ObjectiveFunction:
 # ---------------------------------------------------------------------------
 
 
+def _interval_domain(domain: ConvexBody | None) -> Box:
+    """The domain of a 1-d family: ``domain``, [-1, 1] where it is None;
+    any other body than an interval is a DomainError."""
+    dom = domain if domain is not None else interval(-1.0, 1.0)
+    if not isinstance(dom, Box) or dom.dim != 1:
+        raise DomainError(f"a 1-d function needs an interval, got a {type(dom).__name__.lower()} of dimension "
+                          f"{dom.dim}")
+    return dom
+
+
 def softabs(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFunction:
     """Smooth surrogate of ``eps*|x - v|`` with curvature capped at 1/2.
 
@@ -115,7 +131,7 @@ def softabs(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFu
         raise DomainError("eps must be positive")
     if v not in (+1, -1):
         raise DomainError("v must be +1 or -1")
-    dom = domain if domain is not None else interval(-1.0, 1.0)
+    dom = _interval_domain(domain)
     e = float(eps)
     vf = float(v)
 
@@ -128,7 +144,6 @@ def softabs(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFu
 
     return ObjectiveFunction(
         name=f"softabs(v={v:+d},eps={eps})",
-        dim=1,
         domain=dom,
         smoothness=0.5,
         strong_convexity=0.0,
@@ -149,14 +164,13 @@ def strongly_convex_pair(v: int, eps: float, domain: ConvexBody | None = None) -
         raise DomainError("eps must be positive")
     if v not in (+1, -1):
         raise DomainError("v must be +1 or -1")
-    dom = domain if domain is not None else interval(-1.0, 1.0)
+    dom = _interval_domain(domain)
     ve = float(v) * float(eps)
     if not dom.contains(np.array([ve]), tol=0.0):
         raise DomainError(f"the minimizer v*eps = {ve:.4g} of the strongly convex pair lies outside its domain")
 
     return ObjectiveFunction(
         name=f"sc_pair(v={v:+d},eps={eps})",
-        dim=1,
         domain=dom,
         smoothness=1.0,
         strong_convexity=1.0,
@@ -181,7 +195,7 @@ def kinked_quadratic(
     """
     if a_neg <= 0 or a_pos <= 0:
         raise DomainError("curvatures must be positive")
-    dom = domain if domain is not None else interval(-1.0, 1.0)
+    dom = _interval_domain(domain)
     an, ap = float(a_neg), float(a_pos)
 
     def value(x):
@@ -194,7 +208,6 @@ def kinked_quadratic(
 
     return ObjectiveFunction(
         name=f"kinked({a_neg},{a_pos})",
-        dim=1,
         domain=dom,
         smoothness=max(an, ap),
         strong_convexity=min(an, ap),
@@ -209,15 +222,12 @@ def kinked_quadratic(
 def exp_one_d(domain: ConvexBody | None = None) -> ObjectiveFunction:
     """f(x) = exp(x) - x: strictly convex, C^infinity, nonvanishing third
     derivative (the workhorse for quadratic-bias slope measurements)."""
-    dom = domain if domain is not None else interval(-1.0, 1.0)
-    if not isinstance(dom, Box):
-        raise DomainError("exp_one_d expects an interval domain")
-    hi = dom.upper[0] + 1.0
-    lo = dom.lower[0] - 1.0
+    dom = _interval_domain(domain)
+    hi = dom.upper[0] + MARGIN
+    lo = dom.lower[0] - MARGIN
 
     return ObjectiveFunction(
         name="exp_minus_linear",
-        dim=1,
         domain=dom,
         smoothness=math.exp(hi),
         strong_convexity=math.exp(lo),
@@ -282,7 +292,6 @@ def quadratic(
         f_star = float(value(x_star))
     return ObjectiveFunction(
         name=f"quadratic(d={d})",
-        dim=d,
         domain=dom,
         smoothness=float(np.max(a)),
         strong_convexity=float(np.min(a)),
@@ -347,7 +356,6 @@ def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
     x_stars = [c.x_star for c in comps]
     return ObjectiveFunction(
         name=f"separable[{','.join(c.name for c in comps)}]",
-        dim=d,
         domain=dom,
         smoothness=max(c.smoothness for c in comps),
         strong_convexity=min(c.strong_convexity for c in comps),
@@ -356,7 +364,6 @@ def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
         f_star=float(sum(c.f_star for c in comps)),
         x_star=None if any(x is None for x in x_stars) else np.array([float(x[0]) for x in x_stars]),
         third_derivative_bound=None if any(v is None for v in b3s) else max(b3s),
-        margin=min(c.margin for c in comps),
     )
 
 

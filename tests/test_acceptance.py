@@ -23,7 +23,7 @@ from zograd.harness.cli import main as cli_main
 from zograd.harness.config import ExperimentConfig
 from zograd.harness.experiments import lower_bound_experiment
 from zograd.harness.probes import bias_slope, variance_slope
-from zograd.solver import Regularizer, prox_inequality_gap, run, schedule_opt_sc
+from zograd.solver import divergence_diameter, prox_inequality_gap, run, schedule_opt_sc
 from zograd.testbed import (
     exp_one_d,
     finite_diff_check,
@@ -87,7 +87,7 @@ def test_criterion_03_rate_strongly_convex(acceptance_cell):
                            master_seed=SEED)
     f = build_function(cfg.function, "sc")
     oracle = build_estimator(cfg, f)
-    sched = schedule_for("sc", oracle.envelope, f, 10_000, "optimization", Regularizer())
+    sched = schedule_for("sc", oracle.envelope, f, 10_000, "optimization")
     assert sched.eta_form == ("inv_t", f.strong_convexity)
     assert (oracle.envelope.p, oracle.envelope.q) == (2.0, 2.0)
 
@@ -188,13 +188,12 @@ def test_criterion_09_property_suites():
     f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
     oracle = EstimatorOracle(f, SURFACE, UncontrolledNoise(1.0), "one_point")
     env = oracle.envelope
-    reg = Regularizer()
-    sched = schedule_opt_sc(env.p, env.q, env.c1, env.c2, reg.diameter(f.domain),
+    sched = schedule_opt_sc(env.p, env.q, env.c1, env.c2, divergence_diameter(f.domain),
                             4.0, 1.0, 1.0, 1000, env.oracle_type)
-    trace = run(oracle, sched, 1000, f.domain, reg, rng=RngStream(SEED, 77).generator(), record=True)
+    trace = run(oracle, sched, 1000, rng=RngStream(SEED, 77).generator(), record=True)
     probes = RngStream(SEED, 78).generator().uniform(0.0, 1.0, size=(100, 1))
     worst = max(
-        prox_inequality_gap(trace.xs[t], trace.gs[t], trace.etas[t], trace.xs[t + 1], probes, reg)
+        prox_inequality_gap(trace.xs[t], trace.gs[t], trace.etas[t], trace.xs[t + 1], probes)
         for t in range(trace.n - 1)
     )
     assert worst <= 1e-8

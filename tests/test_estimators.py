@@ -526,8 +526,7 @@ class TestLaneSpec:
             spec, covered = oracle.lane_spec(), quadratic_cell.lane_spec()
             assert spec.data is None
             assert (spec.flags, spec.weight, spec.noise(0.2)) == (covered.flags, covered.weight, covered.noise(0.2))
-            assert _lanes.lane_run(oracle, oracle.target.domain, False, [np.random.default_rng(0)], [10],
-                                   [None]) is None
+            assert _lanes.lane_run(oracle, False, [np.random.default_rng(0)], [10], [None]) is None
         oracles = [
             EstimatorOracle(quadratic([1.0, 2.0]), SPSA, UncontrolledNoise(1.0), "one_point"),
             EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"),

@@ -23,7 +23,8 @@ from zograd.core import (EUCLIDEAN, MAX_NORM, Ball, Box, Norm, OracleEnvelope, O
 from zograd.estimators import (SF, SPSA, ControlledNoise, EstimatorOracle, ExactGradientOracle, PerturbationScheme,
                                UncontrolledNoise)
 from zograd.harness import checks, experiments
-from zograd.harness.config import FIELDS, FUNCTIONS, SPEC_KINDS, ConfigError, ExperimentConfig, read_config_file
+from zograd.harness.config import (FIELDS, FUNCTIONS, MAX_REPLIES, MAX_STEPS, SPEC_KINDS, ConfigError, ExperimentConfig,
+                                   read_config_file)
 from zograd.harness.experiments import (
     build_estimator,
     build_function,
@@ -39,7 +40,7 @@ from zograd.harness.fitting import fit_rate
 from zograd.harness.probes import ProbeResult, probe_bias_variance
 from zograd.harness.cli import _load_config, build_parser, main
 from zograd.harness.verdicts import RELATIONS, require, verdict
-from zograd.solver import NonFiniteIterate, Regularizer, manual_schedule, run, schedule_opt_convex
+from zograd.solver import NonFiniteIterate, manual_schedule, run, schedule_opt_convex
 from zograd.testbed import ObjectiveFunction, quadratic
 
 SMALL_HORIZONS = (300, 1000, 3000, 10000)
@@ -126,6 +127,11 @@ class TestProbe:
         assert got.replications == want.replications == reps
         got, want = (np.array(r, dtype=float) for r in (got, want))
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _rebuilt(f: ObjectiveFunction, **changes) -> ObjectiveFunction:
+    """f built again with ``changes`` to its arguments (its dim is its domain's, not an argument)."""
+    return ObjectiveFunction(**{**{k: v for k, v in vars(f).items() if k != "dim"}, **changes})
 
 
 def _probe_batch_by_batch(oracle, x, delta, reps, rng, norm, antithetic):
@@ -436,8 +442,7 @@ class TestCli:
             return oracle
 
         nan = {
-            "exp_one_d": lambda: ObjectiveFunction(**{**vars(real()),
-                                                      "gradient": lambda x: np.full(np.shape(x), np.nan)}),
+            "exp_one_d": lambda: _rebuilt(real(), gradient=lambda x: np.full(np.shape(x), np.nan)),
             "prox_inequality_gap": lambda *a: math.nan,
             "bias_excess_on_grid": lambda inst: math.nan if inst.v == -1 else real(inst),
             "gap_deviation_on_grid": lambda *a: (math.nan, 0.0),
@@ -840,6 +845,8 @@ class TestInputs:
         ("regret", {"sigma": 1e200}, "sigma"),
         ("lowerbound", {"c1": 1e308}, "p, q, c1, c2, n"),
         ("lowerbound", {"p": 1e200}, "p, q, c1, c2, n"),
+        ("lowerbound", {"p": 1e308}, "p, q, c1, c2, n"),  # a NaN separation
+        ("lowerbound", {"c1": 5e-324}, "p, q, c1, c2, n"),  # a separation that underflows to 0
     ])
     def test_a_closed_form_out_of_float_range_names_the_fields_it_reads(self, command, config, fields, tmp_path,
                                                                           capsys):
@@ -847,6 +854,30 @@ class TestInputs:
         assert (code, out) == (2, "")
         assert err.startswith(f"domain error: {fields}: the ") and "closed form leaves float range" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flags, field, cap", [
+        ("lowerbound", ["--n", "10000000000000000000000"], "n", MAX_STEPS),
+        ("rate", ["--horizons", "100 200 10000000000000000000000"], "horizons[2]", MAX_STEPS),
+        ("probe", ["--reps", "10000000000000000000000"], "probe_reps", MAX_REPLIES),
+    ])
+    def test_a_count_beyond_its_cap_is_refused_before_the_run(self, command, flags, field, cap, tmp_path, capsys,
+                                                               monkeypatch):
+        # 10^22 is past numpy's largest array too: a value between the cap and that would allocate, so none is tried
+        calls = []
+        monkeypatch.setattr(experiments, "run", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(experiments, "probe_bias_variance", lambda *a: calls.append(a))
+        code, out, err = self._main(command, {}, tmp_path, capsys, *flags)
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"config error: {field}: must be at most {cap:g}, got 10000000000000000000000\n"
+
+    @pytest.mark.parametrize("name", ["softabs", "sc_pair", "kinked", "exp"])
+    def test_a_1d_function_on_a_box_of_2_coordinates_is_refused(self, name, tmp_path, capsys):
+        out = tmp_path / "rate.csv"
+        spec = {"name": name, "lower": [-1, -1], "upper": [1, 1]}
+        code, stdout, err = self._main("rate", {"function": spec, "out": str(out)}, tmp_path, capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"domain error: function: {name}: a 1-d function needs an interval, got a box of dimension 2\n"
+        assert not out.exists()
 
     def test_regret_refuses_exact_gradients_by_flag_too(self, capsys):
         # --estimator shares the config's estimator names, so exact parses
@@ -911,7 +942,7 @@ class TestInputs:
 
 
 # cosh on [-1, 1], from callables that pickle by name (a testbed builder's closures do not)
-_COSH = ObjectiveFunction("cosh", 1, interval(-1.0, 1.0), math.cosh(1.0), 1.0, np.cosh, np.sinh, 1.0, np.zeros(1))
+_COSH = ObjectiveFunction("cosh", interval(-1.0, 1.0), math.cosh(1.0), 1.0, np.cosh, np.sinh, 1.0, np.zeros(1))
 # zograd's records: a plain class, or a NamedTuple where the record is a value with no check
 RECORDS = {
     "Norm": lambda: Norm("max"),
@@ -926,10 +957,8 @@ RECORDS = {
     "ControlledNoise": lambda: ControlledNoise(1.0, 0.25),
     "EstimatorOracle": lambda: EstimatorOracle(_COSH, SPSA, UncontrolledNoise(1.0), "one_point"),
     "ExactGradientOracle": lambda: ExactGradientOracle(_COSH),
-    "Regularizer": Regularizer,
     "Schedule": lambda: schedule_opt_convex(2.0, 2.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1000),
-    "RunTrace": lambda: run(ExactGradientOracle(_COSH), manual_schedule(0.5, ("const", 0.1)), 20, _COSH.domain,
-                            Regularizer(), record=True),
+    "RunTrace": lambda: run(ExactGradientOracle(_COSH), manual_schedule(0.5, ("const", 0.1)), 20, record=True),
     "HardInstance": lambda: HardInstance("convex_smooth", -1, 0.1, OracleEnvelope(1.0, 2.0, 1.0, 2.0)),
     "ObjectiveFunction": lambda: _COSH,
     "ExperimentConfig": lambda: ExperimentConfig(experiment="lowerbound", c1=2.0, out="lb.csv").validate(),
@@ -943,8 +972,7 @@ RECORDS = {
 }
 # records whose equality is by value, not by identity
 VALUE_RECORDS = {"Norm", "OracleEnvelope", "RngStream", "PerturbationScheme", "UncontrolledNoise", "ControlledNoise",
-                 "Regularizer", "Schedule", "ExperimentConfig", "_Group", "ExperimentReport", "RateFit", "ProbeResult",
-                 "Verdict"}
+                 "Schedule", "ExperimentConfig", "_Group", "ExperimentReport", "RateFit", "ProbeResult", "Verdict"}
 
 
 def _same(a, b) -> bool:
@@ -965,7 +993,7 @@ def _same(a, b) -> bool:
 
 class TestRecords:
     def test_every_record_is_listed(self):
-        assert len(RECORDS) == 23 and VALUE_RECORDS < RECORDS.keys()
+        assert len(RECORDS) == 22 and VALUE_RECORDS < RECORDS.keys()
         assert all(type(make()).__name__ == name for name, make in RECORDS.items())
 
     @pytest.mark.parametrize("name", RECORDS)
@@ -1110,7 +1138,7 @@ class TestLanes:
         build = experiments.build_function
         monkeypatch.setattr(
             experiments, "build_function",
-            lambda spec, cls="convex": ObjectiveFunction(**{**vars(build(spec, cls)), "f_star": 1.0}),
+            lambda spec, cls="convex": _rebuilt(build(spec, cls), f_star=1.0),
         )
         cfg = ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=3,
                                master_seed=5, tolerance=5.0, out=str(tmp_path / "neg.csv"))
@@ -1157,9 +1185,9 @@ class TestRowsReplay:
                 oracle = build_estimator(cfg, build_function(cfg.function, cfg.problem_class))
                 env = oracle.envelope
             f, n = oracle.target, int(row["n"])
-            schedule = experiments.schedule_for(cfg.problem_class, env, f, n, mode, Regularizer())
+            schedule = experiments.schedule_for(cfg.problem_class, env, f, n, mode)
             assert schedule.delta == float(row["delta"])
-            trace = run(oracle, schedule, n, f.domain, Regularizer(), mode=mode,
+            trace = run(oracle, schedule, n, mode=mode,
                         rng=RngStream(cfg.master_seed, int(row["seed"])).generator())
             assert trace.error == float(row["error"]), row
             if experiment == "regret":
@@ -1365,6 +1393,38 @@ class TestThreadedFanOut:
     def test_import_leaves_out_dataclasses(self):
         # its records generated their methods as source text and compiled it, about 9 ms of start-up
         assert _setup_modules("m == 'dataclasses'") == []
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer (``perfbench/tracing.py``) wraps zograd's layer
+    entry points by name and binds their parameters; its traced passes read
+    the spans.  This runs them in tier-1, which leaves out ``perfbench/``."""
+
+    def test_a_traced_rate_and_check_pass_and_their_runs_carry_a_cell(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        code = "\n".join([
+            "import json, sys",
+            f"sys.path.insert(0, {str(root / 'perfbench')!r})",
+            "import tracing",
+            "from zograd.harness import cli",
+            f"tracer = tracing.Tracer({str(tmp_path)!r})",
+            "tracing.install(tracer)",
+            # the benchmark's smoothing rate cell at its horizons, which passes, and the check suite
+            "rate = ['rate', '--sigma', '3.0', '--reps', '16', '--horizons', '1000 3000 10000']",
+            "codes = [cli.main(rate), cli.main(['check'])]",
+            "runs = [s['attrs'] for s in tracer.spans if s['name'] == 'solver.run']",
+            "print(json.dumps({'codes': codes, 'cells': [r['cell'] for r in runs],"
+            " 'steps': [r['steps'] for r in runs]}))",
+        ])
+        src = str(root / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        traced = json.loads(done.stdout.splitlines()[-1])
+        assert traced["codes"] == [0, 0]
+        # the rate's one run of all its lanes, then the check's recorded prox run and its two determinism runs
+        assert traced["cells"] == ["smoothing", "spsa-2pt-recorded", "smoothing", "smoothing"]
+        assert traced["steps"] == [9999, 499, 1999, 1999]
 
 
 def _setup_modules(select: str) -> list[str]:

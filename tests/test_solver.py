@@ -34,8 +34,8 @@ from zograd.estimators import (
 from zograd.harness.probes import probe_bias_variance
 from zograd.solver import (
     NonFiniteIterate,
-    Regularizer,
     Schedule,
+    divergence_diameter,
     manual_schedule,
     optimization_rate_exponent,
     prox_inequality_gap,
@@ -48,25 +48,16 @@ from zograd.solver import (
 )
 from zograd.testbed import exp_one_d, kinked_quadratic, quadratic
 
-REG = Regularizer()
 RNG = lambda i: RngStream(55, i).generator()
 
 
-class TestRegularizer:
-    def test_divergence_zero_at_identity(self):
-        x = np.array([0.3, -0.4])
-        assert REG.divergence(x, x) == 0.0
-
-    def test_divergence_lower_bound(self):
-        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert REG.divergence(x, y) >= 0.5 * float(np.sum((x - y) ** 2)) - 1e-15
-
+class TestDivergenceDiameter:
     def test_diameter_box(self):
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        assert REG.diameter(box) == pytest.approx(4.0)  # ||(2,2)||^2 / 2
+        assert divergence_diameter(box) == pytest.approx(4.0)  # ||(2,2)||^2 / 2
 
     def test_diameter_ball(self):
-        assert REG.diameter(Ball(np.zeros(2), 1.5)) == pytest.approx(4.5)
+        assert divergence_diameter(Ball(np.zeros(2), 1.5)) == pytest.approx(4.5)
 
 
 class TestMdStep:
@@ -98,7 +89,7 @@ class TestMdStep:
         g = np.array([g0])
         x_next = body.project(x - eta * g)
         probes = np.linspace(-1.0, 1.0, 25).reshape(-1, 1)
-        assert prox_inequality_gap(x, g, eta, x_next, probes, REG) <= 1e-9
+        assert prox_inequality_gap(x, g, eta, x_next, probes) <= 1e-9
 
 
 class TestStackedProxGap:
@@ -108,20 +99,20 @@ class TestStackedProxGap:
     def _check_trace(f, oracle, seed):
         # as `zograd check` records its run: 500 steps, 100 probes from their own stream
         schedule = schedule_opt_convex(1.0, 2.0, oracle.envelope.c1, oracle.envelope.c2, 2.0, 1.0, 1.0, 500)
-        trace = run(oracle, schedule, 500, f.domain, REG, rng=RngStream(4242, seed).generator(), record=True)
+        trace = run(oracle, schedule, 500, rng=RngStream(4242, seed).generator(), record=True)
         probes = RngStream(4242, seed + 1).generator().uniform(-1.0, 1.0, size=(100, f.dim))
         return trace, probes
 
     @staticmethod
     def _per_step(xs, gs, etas, probes):
-        return max(prox_inequality_gap(xs[t], gs[t], etas[t], xs[t + 1], probes, REG) for t in range(len(gs)))
+        return max(prox_inequality_gap(xs[t], gs[t], etas[t], xs[t + 1], probes) for t in range(len(gs)))
 
     @pytest.mark.parametrize("a", [[1.0], [1.0, 2.0]], ids=["check", "2-d"])
     def test_equals_the_max_of_per_step_calls(self, a):
         f = quadratic(a)
         trace, probes = self._check_trace(f, EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point"), 3)
         stacked = prox_inequality_gap(trace.xs[:-1, None], trace.gs[:, None], trace.etas[:, None],
-                                      trace.xs[1:, None], probes, REG)
+                                      trace.xs[1:, None], probes)
         assert stacked == self._per_step(trace.xs, trace.gs, trace.etas, probes)
         if a == [1.0]:
             assert f"{stacked:.1e}" == "4.2e-14"  # the check's printed worst gap
@@ -130,9 +121,9 @@ class TestStackedProxGap:
         f = quadratic([1.0])
         trace, probes = self._check_trace(f, EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point"), 3)
         t = 17
-        single = prox_inequality_gap(trace.xs[t], trace.gs[t], trace.etas[t], trace.xs[t + 1], probes, REG)
+        single = prox_inequality_gap(trace.xs[t], trace.gs[t], trace.etas[t], trace.xs[t + 1], probes)
         stacked = prox_inequality_gap(trace.xs[t:t + 1, None], trace.gs[t:t + 1, None],
-                                      trace.etas[t:t + 1, None], trace.xs[t + 1:t + 2, None], probes, REG)
+                                      trace.etas[t:t + 1, None], trace.xs[t + 1:t + 2, None], probes)
         assert stacked == single
 
     def test_one_step_off_its_prox_point_shows(self):
@@ -141,7 +132,7 @@ class TestStackedProxGap:
         xs = trace.xs.copy()
         xs[250] += 0.05
         stacked = prox_inequality_gap(xs[:-1, None], trace.gs[:, None], trace.etas[:, None], xs[1:, None],
-                                      probes, REG)
+                                      probes)
         assert stacked == self._per_step(xs, trace.gs, trace.etas, probes) > 1e-3
 
 
@@ -219,13 +210,13 @@ class TestSchedules:
 class TestRun:
     def test_single_round_returns_start(self):
         f = quadratic([1.0])
-        tr = run(ExactGradientOracle(f), manual_schedule(0.5, ("const", 0.1)), 1, f.domain, REG,
+        tr = run(ExactGradientOracle(f), manual_schedule(0.5, ("const", 0.1)), 1,
                  x1=np.array([0.7]), rng=RNG(0))
         np.testing.assert_array_equal(tr.x_hat, [0.7])
 
     def test_zero_gradient_oracle_stays_put(self):
         f = quadratic([0.0], [0.0])
-        tr = run(ExactGradientOracle(f), manual_schedule(0.5, ("const", 0.1)), 100, f.domain, REG,
+        tr = run(ExactGradientOracle(f), manual_schedule(0.5, ("const", 0.1)), 100,
                  x1=np.array([0.3]), rng=RNG(1), record=True)
         assert np.all(tr.xs == 0.3)
 
@@ -233,14 +224,14 @@ class TestRun:
         # eta_t = 2/t with a noiseless oracle: averaged error <= (f(x1)-f*)/n
         f = quadratic([1.0])
         n = 1000
-        tr = run(ExactGradientOracle(f), manual_schedule(1e-6, ("inv_t", 1.0)), n, f.domain, REG,
+        tr = run(ExactGradientOracle(f), manual_schedule(1e-6, ("inv_t", 1.0)), n,
                  x1=np.array([1.0]), rng=RNG(2))
         assert tr.error <= 2.0 / n
 
     def test_feasibility_and_averaging(self):
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
         o = EstimatorOracle(f, SPSA, UncontrolledNoise(2.0), "one_point")
-        tr = run(o, manual_schedule(0.3, ("poly", 1.0, 0.75, 1.0, 1.0)), 500, f.domain, REG,
+        tr = run(o, manual_schedule(0.3, ("poly", 1.0, 0.75, 1.0, 1.0)), 500,
                  rng=RNG(3), record=True)
         assert np.all(tr.xs >= 0.0) and np.all(tr.xs <= 1.0)
         np.testing.assert_allclose(tr.x_hat, tr.xs.mean(axis=0), atol=1e-12)
@@ -252,24 +243,24 @@ class TestRun:
         o = EstimatorOracle(f, SURFACE, UncontrolledNoise(1.0), "one_point")
         s = schedule_opt_convex(2.0, 2.0, o.envelope.c1, o.envelope.c2, 0.5, 1.0, 1.0, 400,
                                 o.envelope.oracle_type)
-        tr = run(o, s, 400, f.domain, REG, rng=RNG(4), record=True)
+        tr = run(o, s, 400, rng=RNG(4), record=True)
         probes = RNG(5).uniform(0.0, 1.0, size=(100, 1))
         for t in range(tr.n - 1):
-            assert prox_inequality_gap(tr.xs[t], tr.gs[t], tr.etas[t], tr.xs[t + 1], probes, REG) <= 1e-8
+            assert prox_inequality_gap(tr.xs[t], tr.gs[t], tr.etas[t], tr.xs[t + 1], probes) <= 1e-8
 
     def test_noiseless_sanity_bound(self):
         # exact oracle + convex schedule: error within the transient bound
         f = quadratic([1.0])
         n = 1000
-        s = schedule_opt_convex(2.0, 2.0, 0.0, 0.0, REG.diameter(f.domain), 1.0, f.smoothness, n)
-        tr = run(ExactGradientOracle(f), s, n, f.domain, REG, x1=np.array([1.0]), rng=RNG(6))
-        bound = (f.value_at(np.array([1.0])) - f.f_star + REG.diameter(f.domain) * f.smoothness) / n
+        s = schedule_opt_convex(2.0, 2.0, 0.0, 0.0, divergence_diameter(f.domain), 1.0, f.smoothness, n)
+        tr = run(ExactGradientOracle(f), s, n, x1=np.array([1.0]), rng=RNG(6))
+        bound = (f.value_at(np.array([1.0])) - f.f_star + divergence_diameter(f.domain) * f.smoothness) / n
         assert tr.error <= bound + 1e-12
 
     def test_regret_mode_accumulates(self):
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
         o = EstimatorOracle(f, SURFACE, UncontrolledNoise(1.0), "one_point")
-        tr = run(o, manual_schedule(0.2, ("const", 0.01)), 200, f.domain, REG, rng=RNG(7), mode="regret")
+        tr = run(o, manual_schedule(0.2, ("const", 0.01)), 200, rng=RNG(7), mode="regret")
         assert tr.regret is not None and tr.regret > 0
 
     @pytest.mark.parametrize("feedback, noise", [
@@ -281,7 +272,7 @@ class TestRun:
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
         noise = ControlledNoise(1.0) if noise == "controlled" else noise
         o = EstimatorOracle(f, SPSA, noise, feedback)
-        tr = run(o, manual_schedule(0.2, ("const", 0.05)), 300, f.domain, REG, rng=RNG(11), mode="regret",
+        tr = run(o, manual_schedule(0.2, ("const", 0.05)), 300, rng=RNG(11), mode="regret",
                  record=True)
         at_y = f.value(tr.ys[:, 0])
         if feedback == "one_point":
@@ -296,8 +287,7 @@ class TestRun:
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
         per_round = []
         for n in (1000, 10_000):
-            tr = run(ExactGradientOracle(f), manual_schedule(0.2, ("inv_t", 1.0)), n,
-                     f.domain, REG, rng=RNG(10), mode="regret")
+            tr = run(ExactGradientOracle(f), manual_schedule(0.2, ("inv_t", 1.0)), n, rng=RNG(10), mode="regret")
             per_round.append(tr.regret / (n - 1))
         assert per_round[0] <= 20.0 / 1000
         assert per_round[1] <= per_round[0] / 5.0  # decays much faster than n^{-1/3}
@@ -317,48 +307,47 @@ class TestRun:
             def estimate(self, x, delta):
                 return f.gradient(x), x, None
 
-        tr = run(BiasedY(), manual_schedule(0.2, ("const", 0.01)), 10, f.domain, REG,
+        tr = run(BiasedY(), manual_schedule(0.2, ("const", 0.01)), 10,
                  rng=RNG(8), mode="regret")
         assert any("biased" in w for w in tr.warnings)
 
     def test_infeasible_start_rejected(self):
         f = quadratic([1.0])
         with pytest.raises(DomainError):
-            run(ExactGradientOracle(f), manual_schedule(0.2, ("const", 0.01)), 10, f.domain, REG,
+            run(ExactGradientOracle(f), manual_schedule(0.2, ("const", 0.01)), 10,
                 x1=np.array([3.0]), rng=RNG(9))
 
     def test_lane_and_recorded_paths_agree(self):
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
         o = EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point")
         s = manual_schedule(0.25, ("poly", 2.0, 0.75, 1.0, 1.0))
-        lanes = run(o, s, 300, f.domain, REG, rng=[RngStream(12, i).generator() for i in range(5)])
-        slow = run(o, s, 300, f.domain, REG, rng=RngStream(12, 3).generator(), record=True)
+        lanes = run(o, s, 300, rng=[RngStream(12, i).generator() for i in range(5)])
+        slow = run(o, s, 300, rng=RngStream(12, 3).generator(), record=True)
         assert lanes.x_hat[3, 0] == pytest.approx(slow.x_hat[0], abs=1e-15)
         assert lanes.error[3] == pytest.approx(slow.error, abs=1e-15)
 
 
 def _oracles():
-    """One oracle of every kind the solver runs, 1-d and d > 1, with the
-    body it runs on."""
+    """One oracle of every kind the solver runs, 1-d and d > 1, on a box
+    and on a ball."""
     fq = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
     f2 = quadratic([1.0, 2.0], [-0.5, 0.3])
+    f2_ball = quadratic([1.0, 2.0], [-0.5, 0.3], Ball(np.zeros(2), 0.5))
     convex, _ = hard_pair("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1)
     _, sc = hard_pair("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2)
-    oracles = {
+    return {
         "one-point": EstimatorOracle(fq, SPSA, UncontrolledNoise(3.0), "one_point"),
         "smoothing": EstimatorOracle(fq, SURFACE, UncontrolledNoise(3.0), "one_point"),
         "spsa-2pt": EstimatorOracle(fq, SPSA, UncontrolledNoise(3.0), "two_point"),
         "spsa-controlled": EstimatorOracle(fq, SPSA, ControlledNoise(3.0, slope=1.0), "two_point"),
         "sf-2pt-d2": EstimatorOracle(f2, SF, UncontrolledNoise(1.0), "two_point"),
         "smoothing-d2": EstimatorOracle(f2, SURFACE, UncontrolledNoise(1.0), "one_point"),
+        "smoothing-d2-ball": EstimatorOracle(f2_ball, SURFACE, UncontrolledNoise(1.0), "one_point"),
         "exact": ExactGradientOracle(fq),
         "adversarial-convex": convex.oracle(),
         "adversarial-sc": sc.oracle(),
         "separable-d4": scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1, +1, -1]),
     }
-    cases = {kind: (o, o.target.domain) for kind, o in oracles.items()}
-    cases["smoothing-d2-ball"] = (oracles["smoothing-d2"], Ball(np.zeros(2), 0.5))
-    return cases
 
 
 ORACLES = _oracles()
@@ -384,14 +373,14 @@ class TestLanes:
     def test_each_lane_equals_its_single_run(self, kind, mode, lanes, seed, n, others):
         # lane 0 runs to n on the first schedule; the others run to their own
         # horizons (most end within a chunk) on their own schedules
-        oracle, body = ORACLES[kind]
+        oracle = ORACLES[kind]
         horizons = [n] + [min(h, n) for h, _ in others[:lanes - 1]]
         schedules = [SCHEDULES[0]] + [SCHEDULES[i] for _, i in others[:lanes - 1]]
         gens = lambda: [RngStream(seed, i).generator() for i in range(lanes)]
-        multi = run(oracle, schedules, n, body, REG, rng=gens(), mode=mode, horizons=horizons)
+        multi = run(oracle, schedules, n, rng=gens(), mode=mode, horizons=horizons)
         assert multi.x_hat.shape == (lanes, oracle.dim)
         for lane, g in enumerate(gens()):
-            single = run(oracle, schedules[lane], horizons[lane], body, REG, rng=g, mode=mode)
+            single = run(oracle, schedules[lane], horizons[lane], rng=g, mode=mode)
             np.testing.assert_array_equal(multi.x_hat[lane], single.x_hat)
             assert multi.error[lane] == single.error
             if mode == "regret":
@@ -403,9 +392,9 @@ class TestLanes:
         f = quadratic([1.0])
         gens = [RngStream(4, i).generator() for i in range(2)]
         with pytest.raises(DomainError, match="longest"):
-            run(ExactGradientOracle(f), SCHEDULES[0], 10, f.domain, REG, rng=gens, horizons=[5, 8])
+            run(ExactGradientOracle(f), SCHEDULES[0], 10, rng=gens, horizons=[5, 8])
         with pytest.raises(DomainError, match="one entry per lane"):
-            run(ExactGradientOracle(f), SCHEDULES[:1], 10, f.domain, REG, rng=gens)
+            run(ExactGradientOracle(f), SCHEDULES[:1], 10, rng=gens)
 
     def test_non_finite_iterate_names_its_lane(self):
         f = quadratic([1.0])
@@ -433,7 +422,7 @@ class TestLanes:
         # clamp back onto the box: the step itself must be caught
         for bad in (np.nan, np.inf):
             with pytest.raises(NonFiniteIterate) as info:
-                run(PoisonedLane(bad), manual_schedule(0.2, ("const", 0.01)), 3 * STEPS_PER_CHUNK, f.domain, REG,
+                run(PoisonedLane(bad), manual_schedule(0.2, ("const", 0.01)), 3 * STEPS_PER_CHUNK,
                     rng=gens)
             assert info.value.lane == 2
             assert (info.value.first, info.value.last) == (STEPS_PER_CHUNK + 1, 2 * STEPS_PER_CHUNK)
@@ -509,7 +498,7 @@ class TestDrawRule:
         # the first h iterates of a run to 2h are those of the run to h
         oracle, h = DRAW_ORACLES[kind], STEPS_PER_CHUNK + 100
         with _numpy_loop():
-            short, long = [run(oracle, SCHEDULES[0], n, oracle.target.domain, REG, rng=RNG(6), record=True)
+            short, long = [run(oracle, SCHEDULES[0], n, rng=RNG(6), record=True)
                            for n in (h, 2 * h)]
         assert short.xs.shape[0] == h
         np.testing.assert_array_equal(_bits(long.xs[:h]), _bits(short.xs))
@@ -621,7 +610,7 @@ def _draw_both(oracle, schedules, horizons, seed):
     after the last chunk.  The C fill holds every lane's columns: those of
     the lanes past their horizon must be zeros, and the rest are taken."""
     gens_c, gens_np = ([RngStream(seed, i).generator() for i in range(len(horizons))] for _ in range(2))
-    lanes = _lanes.lane_run(oracle, oracle.target.domain, False, gens_c, horizons, schedules)
+    lanes = _lanes.lane_run(oracle, False, gens_c, horizons, schedules)
     assert lanes is not None
     steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizons, schedules, gens_np)]
     ends, live, t, chunks = np.array(horizons) - 1, np.arange(len(horizons)), 0, []
@@ -789,16 +778,15 @@ class TestCompiledKernel:
         # them inside a chunk, on their own schedules (so with their own delta)
         kind, mode = cell
         oracle = KERNEL_ORACLES[kind]
-        body = oracle.target.domain
         horizons = [n] + [min(h, n) for h, _ in others[:lanes - 1]]
         schedules = [SCHEDULES[0]] + [SCHEDULES[i] for _, i in others[:lanes - 1]]
         gens = lambda: [RngStream(seed, i).generator() for i in range(lanes)]
         calls = []
         with _counted_kernel(calls):
-            fast = run(oracle, schedules, n, body, REG, rng=gens(), mode=mode, horizons=horizons)
+            fast = run(oracle, schedules, n, rng=gens(), mode=mode, horizons=horizons)
         assert calls
         with _numpy_loop():
-            slow = run(oracle, schedules, n, body, REG, rng=gens(), mode=mode, horizons=horizons)
+            slow = run(oracle, schedules, n, rng=gens(), mode=mode, horizons=horizons)
         np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
         np.testing.assert_array_equal(fast.error, slow.error)
         if mode == "regret":
@@ -814,7 +802,7 @@ class TestCompiledKernel:
         horizons = [n, 1, 700, 1100, n, 1500]
         schedules = [SCHEDULES[i % 3] for i in range(6)]
         gens = lambda: [RngStream(8, i).generator() for i in range(6)]
-        args = (oracle, schedules, n, oracle.target.domain, REG)
+        args = (oracle, schedules, n)
         fast = run(*args, rng=gens(), horizons=horizons)
         assert kernel_calls == [6]  # one call for the run, with every lane
         with _numpy_loop():
@@ -836,7 +824,7 @@ class TestCompiledKernel:
         for name in counts:
             monkeypatch.setattr(lib, name, counted(name, getattr(lib, name)))
         n = 3 * STEPS_PER_CHUNK + 100
-        run(KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], n, _FQ.domain, REG, rng=[RNG(i) for i in range(3)])
+        run(KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], n, rng=[RNG(i) for i in range(3)])
         assert len(chunk_sizes(n - 1)) == 4 and kernel_calls == [3]
         assert counts == {"fill": 0, "scratch": 1}
 
@@ -845,26 +833,24 @@ class TestCompiledKernel:
         "adversarial-regret",
     ])
     def test_other_runs_take_the_numpy_loop(self, case, kernel_calls):
-        oracle, body, record = KERNEL_ORACLES["one-point"], _FQ.domain, case.startswith("recorded")
+        oracle, record = KERNEL_ORACLES["one-point"], case.startswith("recorded")
         mode = "regret" if case.endswith("regret") else "optimization"
-        if case == "ball":
-            body = Ball(np.array([0.5]), 0.5)
+        if case == "ball":  # the one-point cell's target on the ball that is its interval
+            f = quadratic([1.0], [-2.0], Ball(np.array([0.5]), 0.5), offset=1.5)
+            oracle = EstimatorOracle(f, SPSA, UncontrolledNoise(3.0), "one_point")
         elif case == "d2":
-            oracle, body = ORACLES["smoothing-d2"]
+            oracle = ORACLES["smoothing-d2"]
         elif case == "separable-d2":
             oracle = scaled_hard_coordinates("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1, [+1, -1])
-            body = oracle.target.domain
         elif case == "exp-target":
-            f = exp_one_d(interval(0.0, 1.0))
-            oracle, body = EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "one_point"), f.domain
+            oracle = EstimatorOracle(exp_one_d(interval(0.0, 1.0)), SPSA, UncontrolledNoise(1.0), "one_point")
         elif case == "exact":  # on a quadratic, not on an arm of a hard pair
-            oracle, body = ORACLES["exact"]
+            oracle = ORACLES["exact"]
         elif case in ("recorded-adversarial", "adversarial-regret"):
             oracle = KERNEL_ORACLES["adversarial-convex-p2+1"]
-            body = oracle.target.domain
-        run(oracle, SCHEDULES[0], 50, body, REG, rng=[RNG(i) for i in range(3)], mode=mode, record=record)
+        run(oracle, SCHEDULES[0], 50, rng=[RNG(i) for i in range(3)], mode=mode, record=record)
         assert kernel_calls == []
-        run(KERNEL_ORACLES["one-point"], SCHEDULES[0], 50, _FQ.domain, REG, rng=[RNG(i) for i in range(3)])
+        run(KERNEL_ORACLES["one-point"], SCHEDULES[0], 50, rng=[RNG(i) for i in range(3)])
         assert kernel_calls == [3]
 
     @pytest.mark.parametrize("missing", ["CC", "NPYRANDOM", "BITGEN_H"])
@@ -873,7 +859,7 @@ class TestCompiledKernel:
         # kernel, the reason logged once, and the numpy loop's results
         oracle = KERNEL_ORACLES["controlled-slope-1"]
         gens = lambda: [RngStream(21, i).generator() for i in range(4)]
-        args = (oracle, SCHEDULES[1], 700, _FQ.domain, REG)
+        args = (oracle, SCHEDULES[1], 700)
         expected = run(*args, rng=gens(), mode="regret")
         gone = tmp_path / "no-such-file"
         monkeypatch.setattr(_lanes, missing, str(gone) if missing == "CC" else gone)
@@ -912,7 +898,7 @@ class TestCompiledKernel:
         # 0 before its first chunk, so lane 1 is the first row it checks
         oracle = EstimatorOracle(_FQ, SPSA, UncontrolledNoise(math.inf), "one_point")
         with pytest.raises(NonFiniteIterate) as info:
-            run(oracle, SCHEDULES[0], 100, _FQ.domain, REG, rng=[RNG(i) for i in range(3)], horizons=[1, 100, 100])
+            run(oracle, SCHEDULES[0], 100, rng=[RNG(i) for i in range(3)], horizons=[1, 100, 100])
         assert kernel_calls == [3]
         assert (info.value.lane, info.value.first, info.value.last) == (1, 1, 99)
         assert "replication 1" in str(info.value)
@@ -924,7 +910,7 @@ class TestCompiledKernel:
         envelope = OracleEnvelope(**{**vars(inst.envelope), "c2": math.inf})
         oracle = HardInstance(**{**vars(inst), "envelope": envelope}).oracle()
         with pytest.raises(NonFiniteIterate) as info:
-            run(oracle, SCHEDULES[0], 100, oracle.target.domain, REG, rng=[RNG(i) for i in range(3)],
+            run(oracle, SCHEDULES[0], 100, rng=[RNG(i) for i in range(3)],
                 horizons=[1, 100, 100])
         assert kernel_calls == [3]
         assert (info.value.lane, info.value.first, info.value.last) == (1, 1, 99)
@@ -1022,11 +1008,11 @@ class TestCompiledKernel:
         monkeypatch.setattr(_lanes, "_loaded", [])
         oracle = KERNEL_ORACLES["adversarial-convex-p2+1"]
         with caplog.at_level(logging.DEBUG, logger="zograd"):
-            run(KERNEL_ORACLES["one-point"], SCHEDULES[0], 600, _FQ.domain, REG, rng=[RNG(i) for i in range(3)])
+            run(KERNEL_ORACLES["one-point"], SCHEDULES[0], 600, rng=[RNG(i) for i in range(3)])
             assert _lanes._loaded[0].tanh is None
             assert "tanh" not in caplog.text
             for _ in range(2):
-                run(oracle, SCHEDULES[0], 600, oracle.target.domain, REG, rng=[RNG(i) for i in range(3)])
+                run(oracle, SCHEDULES[0], 600, rng=[RNG(i) for i in range(3)])
         assert _lanes._loaded[0].tanh is True
         assert caplog.text.count("numpy's tanh loop bound in the lane kernel") == 1
         assert caplog.text.count("steps on the compiled lane kernel") == 3
@@ -1100,7 +1086,7 @@ class TestCompiledKernel:
             return run
 
         inflated = mock.patch.object(_lanes, "lane_run", lane_run)
-        args = (SCHEDULES[0], 600, f.domain, REG)
+        args = (SCHEDULES[0], 600)
         calls = []
         with _counted_kernel(calls) if path == "kernel" else _numpy_loop():
             run(honest, *args, rng=[RNG(i) for i in range(3)])
@@ -1132,7 +1118,7 @@ class TestCompiledKernel:
         calls = []
         with _counted_kernel(calls) if path == "kernel" else _numpy_loop():
             with pytest.raises(DomainError) as info:
-                run(oracle, schedules, 3 * STEPS_PER_CHUNK + 100, _FAR.domain, REG, x1=np.zeros(1),
+                run(oracle, schedules, 3 * STEPS_PER_CHUNK + 100, x1=np.zeros(1),
                     rng=[RNG(i) for i in range(4)])
         assert calls == ([4] if path == "kernel" else [])
         assert (type(info.value), str(info.value)) == (error, message)
@@ -1180,7 +1166,7 @@ class TestCompiledKernel:
         schedules = [SCHEDULES[i % 3] for i in range(6)]
         mode = "optimization" if kind.startswith("adversarial") else "regret"
         gens_c, gens_np = ([RngStream(8, i).generator() for i in range(6)] for _ in range(2))
-        args = (oracle, schedules, n, oracle.target.domain, REG)
+        args = (oracle, schedules, n)
         with caplog.at_level(logging.DEBUG, logger="zograd.solver"):
             fast = run(*args, rng=gens_c, horizons=horizons, mode=mode)
         assert "steps on the compiled lane kernel" in caplog.text
@@ -1232,10 +1218,10 @@ class TestCompiledKernel:
 
             oracle = DoubledReply(KERNEL_ORACLES["adversarial-sc-p1+1"].instance)
         with patch, caplog.at_level(logging.DEBUG, logger="zograd.solver"):
-            got = run(oracle, SCHEDULES[0], 600, _FQ.domain, REG, rng=gens())
+            got = run(oracle, SCHEDULES[0], 600, rng=gens())
         with _numpy_loop():
             want = run(oracle if case.endswith("own-estimate") else KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], 600,
-                       _FQ.domain, REG, rng=gens())
+                       rng=gens())
         path = "compiled lane kernel" if case == "wrapped-stepper" else "numpy loop"
         assert f"steps on the {path}" in caplog.text
         np.testing.assert_array_equal(got.x_hat, want.x_hat)

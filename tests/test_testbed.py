@@ -18,6 +18,11 @@ from zograd.testbed import (
 RNG = lambda i: RngStream(2024, i).generator()
 
 
+def _rebuilt(f: ObjectiveFunction, **changes) -> ObjectiveFunction:
+    """f built again with ``changes`` to its arguments (its dim is its domain's, not an argument)."""
+    return ObjectiveFunction(**{**{k: v for k, v in vars(f).items() if k != "dim"}, **changes})
+
+
 def sample_convexity_smoothness(f, n=200, seed=3):
     """f(y) >= f(x) + <g, y-x> - tol and f(y) <= ... + (L/2)|y-x|^2 + tol."""
     rng = RngStream(seed, 0).generator()
@@ -228,6 +233,19 @@ class TestKinkedAndExp:
         sample_convexity_smoothness(exp_one_d())
 
 
+class TestDimension:
+    @pytest.mark.parametrize("build", [
+        lambda dom: softabs(+1, 0.1, dom), lambda dom: strongly_convex_pair(-1, 0.2, dom),
+        lambda dom: kinked_quadratic(domain=dom), lambda dom: exp_one_d(dom),
+    ])
+    def test_a_1d_family_takes_intervals_only(self, build):
+        assert build(interval(-0.5, 0.5)).dim == 1
+        for dom, got in ((Box(-np.ones(2), np.ones(2)), "a box of dimension 2"),
+                         (Ball(np.zeros(1), 0.5), "a ball of dimension 1")):
+            with pytest.raises(DomainError, match=f"needs an interval, got {got}$"):
+                build(dom)
+
+
 class TestFiniteDiff:
     def test_quadratic_nearly_exact(self):
         err = finite_diff_check(quadratic([1.0, 2.0], [0.3, 0.0]), 100, RNG(1))
@@ -262,7 +280,7 @@ class TestFiniteDiff:
             nan = lambda x: np.full(np.shape(x), np.nan)
         else:  # only the second of the points
             nan = lambda x: np.where(np.arange(np.size(x)).reshape(np.shape(x)) == 1, np.nan, f.gradient(x))
-        assert math.isnan(finite_diff_check(ObjectiveFunction(**{**vars(f), "gradient": nan}), 5, RNG(8)))
+        assert math.isnan(finite_diff_check(_rebuilt(f, gradient=nan), 5, RNG(8)))
 
 
 def _finite_diff_per_point(f, samples, rng, step=1e-5):
@@ -323,11 +341,11 @@ class TestFiniteDiffRowPass:
         # np.sum or norm(axis=1) differs from BLAS's dot in the last bit for
         # about one 3-d row in ten
         f = quadratic([1.0, 3.0, 0.5], [0.2, -0.4, 0.1])
-        off = ObjectiveFunction(**{**vars(f), "gradient": lambda x: f.gradient(x) + 1e-3 * np.asarray(x)[..., ::-1]})
+        off = _rebuilt(f, gradient=lambda x: f.gradient(x) + 1e-3 * np.asarray(x)[..., ::-1])
         for seed in range(60):
             assert finite_diff_check(off, 1, RNG(seed)) == _finite_diff_per_point(off, 1, RNG(seed))
 
     def test_a_wrong_gradient_shows_in_its_row(self):
         f = quadratic([1.0, 2.0])
-        off = ObjectiveFunction(**{**vars(f), "gradient": lambda x: f.gradient(x) + np.array([0.0, 1e-3])})
+        off = _rebuilt(f, gradient=lambda x: f.gradient(x) + np.array([0.0, 1e-3]))
         assert finite_diff_check(off, 5, RNG(7)) == _finite_diff_per_point(off, 5, RNG(7)) > 1e-4
