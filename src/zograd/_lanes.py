@@ -1,8 +1,8 @@
 """Build, cache and load the compiled lane kernel (``_lanes.c``).
 
-Importing zograd does not import this module: the oracles and the solver
-import it the first time a run, or a 1-d oracle's draws at one point, ask
-for the kernel.  Where Python keeps no bytecode cache, every line a process
+No zograd module imports this one when it is imported: the oracles and
+the solver import it the first time a run, or a 1-d oracle's draws at one
+point, ask for the kernel.  Where Python keeps no bytecode cache, every line a process
 imports is compiled as it starts.
 
 ``kernel()`` compiles the C source with the system C compiler the first

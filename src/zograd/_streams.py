@@ -1,8 +1,9 @@
 """A run's generators and their jumped twins, without the seeding numpy
 does for each object and then discards.
 
-Importing zograd imports neither this module nor ``numpy.random``, which it
-imports: ``core.generators`` and ``core.jumped`` import it on first use.
+No zograd module imports this one, or ``numpy.random``, which it imports,
+when it is imported: ``core.generators`` and ``core.jumped`` import it on
+first use.
 
 ``generators(master_seed, ids)`` equals, state for state,
 ``[RngStream(master_seed, i).generator() for i in ids]``, that is

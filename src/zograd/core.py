@@ -298,7 +298,7 @@ def generators(master_seed: int, stream_ids: Sequence[int]) -> list[np.random.Ge
     for state, from one pass over the ids that hashes the master seed once
     (``_streams``): the generators of a run's lanes.  Their ``seed_seq``
     holds the seeding words, not a ``SeedSequence``."""
-    from ._streams import generators  # imports numpy.random, which zograd's import leaves out
+    from ._streams import generators  # imports numpy.random, which importing zograd's modules leaves out
 
     return generators(master_seed, stream_ids)
 

@@ -1,6 +1,1 @@
 """Experiment drivers: statistical probes, rate fitting, floor checks, CLI."""
-
-from .fitting import RateFit, fit_rate
-from .probes import ProbeResult, probe_bias_variance
-
-__all__ = ["RateFit", "fit_rate", "ProbeResult", "probe_bias_variance"]

@@ -20,7 +20,6 @@ import sys
 from typing import Optional, Sequence
 
 from ..core import DomainError
-from .checks import run_checks
 from .config import FIELDS, ConfigError, ExperimentConfig, read_config_file
 from .experiments import (
     lower_bound_experiment,
@@ -34,31 +33,43 @@ from .probes import SE_SLACK, VAR_FACTOR
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
-@functools.cache  # built once per process: every default is None, so no call leaves state in it
-def build_parser() -> argparse.ArgumentParser:
+# command -> (help, its flags): a word ``name`` is a flag --name and ``flag=field`` a flag --flag; each sets
+# that config field and takes the field's type and choices.  Probes draw on streams of their own.  ``check``
+# takes no flags but --log-level.
+COMMANDS = {
+    "probe": ("bias/variance probe of one oracle over a delta grid",
+              "reps=probe_reps oracle=oracle_spec delta_grid"),
+    "rate": ("optimization-error rate fit over a horizon grid",
+             "reps=replications class=problem_class estimator noise sigma horizons tol=tolerance"),
+    "lowerbound": ("hard-pair floor experiment", "reps=replications class=problem_class p q c1 c2 n"),
+    "regret": ("cumulative-regret rate fit",
+               "reps=replications class=problem_class p q estimator sigma horizons tol=tolerance"),
+    "check": ("run the full property suite; exit 0 iff all pass", None),
+}
+
+
+@functools.cache  # built once per process and command: every default is None, so no call leaves state in it
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser: with ``command``, of that subcommand alone, which
+    parses an argv that starts with it as the full parser does; without,
+    of all of them, for ``--help`` and an argv whose first word is no command."""
     parser = argparse.ArgumentParser(
         prog="zograd",
         description="Biased noisy gradient oracles: estimator probes, rate and regret "
         "experiments, and minimax floor checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the full parser's metavar is its choices, so the one-command parser's usage reads the same
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
     logs = argparse.ArgumentParser(add_help=False)
     logs.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS, default=None,
                       help="log the zograd package's records at this level and above to stderr")
-
-    # command -> (help, its flags): a word ``name`` is a flag --name and ``flag=field`` a flag --flag; each sets
-    # that config field and takes the field's type and choices.  Probes draw on streams of their own.
-    commands = {
-        "probe": ("bias/variance probe of one oracle over a delta grid",
-                  "reps=probe_reps oracle=oracle_spec delta_grid"),
-        "rate": ("optimization-error rate fit over a horizon grid",
-                 "reps=replications class=problem_class estimator noise sigma horizons tol=tolerance"),
-        "lowerbound": ("hard-pair floor experiment", "reps=replications class=problem_class p q c1 c2 n"),
-        "regret": ("cumulative-regret rate fit",
-                   "reps=replications class=problem_class p q estimator sigma horizons tol=tolerance"),
-    }
-    for command, (text, words) in commands.items():
-        p = sub.add_parser(command, parents=[logs], help=text)
+    for name, (text, words) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, parents=[logs], help=text)
+        if words is None:
+            continue
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         for word in f"seed=master_seed out workers {words}".split():
             flag, _, dest = word.partition("=")
@@ -66,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
             kind = FIELDS[dest][0]
             p.add_argument(f"--{flag.replace('_', '-')}", dest=dest, type=kind.read,
                            choices=kind.names or None, default=None, help=_HELP.get(flag))
-    sub.add_parser("check", parents=[logs], help="run the full property suite; exit 0 iff all pass")
     return parser
 
 
@@ -100,7 +110,8 @@ def _pick_regret_estimator(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     if args.log_level is None:
         return _main(args)
     # attached for this call only, so repeated calls in one process do not stack handlers
@@ -119,6 +130,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _main(args: argparse.Namespace) -> int:
     try:
         if args.command == "check":
+            from .checks import run_checks  # only the check suite compiles it
+
             return run_checks()
         cfg = _load_config(args, args.command)
         if args.command == "probe":

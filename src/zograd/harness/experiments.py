@@ -12,6 +12,9 @@ of one solver run, each lane to its own horizon; with several workers each
 worker, a thread of this process, runs a contiguous shard of those lanes.
 The compiled lane kernel holds no interpreter lock while it runs, so the
 shards of kernel runs run in parallel; numpy-loop runs mostly hold it.
+The lower-bound experiment and the adversarial probe specs import
+``zograd.adversarial`` where they use it, so a rate, regret or estimator
+probe run never compiles that module.
 """
 
 from __future__ import annotations
@@ -25,18 +28,10 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from itertools import groupby
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..adversarial import (
-    EPS_CAP_CONVEX,
-    AdversarialOracle,
-    HardInstance,
-    hard_pair,
-    minimax_lower_bound,
-    optimal_separation,
-)
 from ..core import Box, DomainError, OracleEnvelope, RngStream, generators
 from ..estimators import ControlledNoise, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
 from ..solver import (
@@ -56,6 +51,9 @@ from .config import (ESTIMATORS, FUNCTIONS, PROBLEM_CLASSES, REP_BITS, SCHEMES, 
 from .fitting import RateFit, fit_rate
 from .probes import envelope_verdicts, probe_bias_variance
 from .verdicts import Verdict, verdict
+
+if TYPE_CHECKING:
+    from ..adversarial import HardInstance
 
 _log = logging.getLogger(__name__)
 
@@ -197,6 +195,8 @@ def _run_shard(
     for (kind, arm), stretch in groupby(lanes, key=lambda lane: (lane[0].kind, lane[0].arm)):
         stretch = list(stretch)
         if kind == "adversarial":
+            from ..adversarial import AdversarialOracle
+
             oracle, mode = AdversarialOracle(_lowerbound_pair(cfg)[arm]), "optimization"
         else:
             oracle, mode = build_estimator(cfg, build_function(cfg.function, cfg.problem_class)), kind
@@ -415,6 +415,8 @@ def _lowerbound_pair(cfg: ExperimentConfig) -> tuple[HardInstance, HardInstance]
     holds the config's (p, q, c1, c2), 2, 2, 1 and 1 where unset.  A
     separation that overflowed, underflowed to 0 or went NaN is an
     ArithmeticError, which ``_closed_form`` reports with the inputs' names."""
+    from ..adversarial import EPS_CAP_CONVEX, hard_pair, optimal_separation
+
     problem = PROBLEM_CLASSES[cfg.problem_class]
     p = cfg.p if cfg.p is not None else 2.0
     q = cfg.q if cfg.q is not None else 2.0
@@ -433,6 +435,8 @@ def _lowerbound_pair(cfg: ExperimentConfig) -> tuple[HardInstance, HardInstance]
 def lower_bound_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run mirror descent against both arms of the hard pair at the optimal
     separation and check the closed-form floor from below."""
+    from ..adversarial import minimax_lower_bound
+
     cfg.validate()
     with _closed_form("p, q, c1, c2, n", "separation and floor"):
         pair = _lowerbound_pair(cfg)
@@ -481,6 +485,8 @@ def parse_oracle_spec(spec: str):
     kind, kv = read_oracle_spec(spec)
     probe_x = np.array([kv.get("x", 0.25)])
     if kind.startswith("adversarial-"):
+        from ..adversarial import AdversarialOracle, HardInstance
+
         env = OracleEnvelope(c1=kv.get("c1", 1.0), p=kv.get("p", 2.0), c2=kv.get("c2", 1.0), q=kv.get("q", 2.0))
         inst = HardInstance(PROBLEM_CLASSES[kind.removeprefix("adversarial-")], kv.get("v", 1), kv.get("eps", 0.1), env)
         return AdversarialOracle(inst), probe_x

@@ -332,7 +332,10 @@ def _quadratic_minimizer(a: np.ndarray, b: np.ndarray, dom: ConvexBody) -> np.nd
 
 def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
     """Coordinatewise sum of 1-d objectives: diagonal Hessian, so the smooth
-    and strongly-convex constants are the max/min of the components'."""
+    and strongly-convex constants are the max/min of the components'.  Of
+    one component it is that component: a 1-d objective is evaluated
+    elementwise, keeping the coordinate axis, and the lane kernel's forms
+    of it hold."""
     comps = list(components)
     if not comps:
         raise DomainError("separable needs at least one component")
@@ -352,6 +355,7 @@ def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
         x = np.asarray(x, dtype=float)
         return np.stack([c.gradient(x[..., i]) for i, c in enumerate(comps)], axis=-1)
 
+    one = comps[0] if d == 1 else None
     b3s = [c.third_derivative_bound for c in comps]
     x_stars = [c.x_star for c in comps]
     return ObjectiveFunction(
@@ -359,11 +363,13 @@ def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
         domain=dom,
         smoothness=max(c.smoothness for c in comps),
         strong_convexity=min(c.strong_convexity for c in comps),
-        value=value,
-        gradient=grad,
+        value=value if one is None else one.value,
+        gradient=grad if one is None else one.gradient,
         f_star=float(sum(c.f_star for c in comps)),
         x_star=None if any(x is None for x in x_stars) else np.array([float(x[0]) for x in x_stars]),
         third_derivative_bound=None if any(v is None for v in b3s) else max(b3s),
+        quadratic_1d=None if one is None else one.quadratic_1d,
+        hard_pair_arm=None if one is None else one.hard_pair_arm,
     )
 
 

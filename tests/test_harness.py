@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zograd import _lanes, _streams
+from zograd import _lanes, _streams, adversarial
 from zograd.adversarial import HardInstance
 from zograd.core import (EUCLIDEAN, MAX_NORM, Ball, Box, Norm, OracleEnvelope, OracleQuery, OracleResponse, RngStream,
                          interval)
@@ -1060,9 +1060,11 @@ class TestVerdicts:
     ])
     def test_a_nan_or_an_infinite_bound_fails_the_experiment(self, argv, name, line, tmp_path, capsys, monkeypatch):
         # a NaN in the measured value of each experiment's verdicts in turn,
-        # and a floor (the lower bound's bound) that is NaN or infinite
+        # and a floor (the lower bound's bound) that is NaN or infinite; the
+        # experiment imports the floor's closed form from its module at each call
         name, _, case = name.partition(":")
-        real = getattr(experiments, name)
+        owner = adversarial if name == "minimax_lower_bound" else experiments
+        real = getattr(owner, name)
         nan = {
             "fit_rate": lambda points: real(points)._replace(exponent=math.nan),
             "_fan_out": lambda cfg, groups: [(np.full_like(err, math.nan), reg) for err, reg in real(cfg, groups)],
@@ -1072,7 +1074,7 @@ class TestVerdicts:
             "probe_bias_variance": lambda *a: real(*a)._replace(
                 **{"bias_est" if case == "bias" else "var_est": math.nan}),
         }[name]
-        monkeypatch.setattr(experiments, name, nan)
+        monkeypatch.setattr(owner, name, nan)
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
         out = capsys.readouterr()
         first = out.out.splitlines()[0]
@@ -1291,10 +1293,9 @@ class TestThreadedFanOut:
 
     def test_non_finite_shard_raises_as_at_one_worker(self, tmp_path, monkeypatch):
         # c2 = inf on the second arm only: at 2 workers the second shard,
-        # a worker thread, raises while the first completes
-        from zograd.harness import experiments
-
-        real = experiments.AdversarialOracle
+        # a worker thread, raises while the first completes; each worker
+        # imports the oracle class from its module when it builds an arm's oracle
+        real = adversarial.AdversarialOracle
 
         def poisoned(inst):
             if inst.v < 0:
@@ -1302,7 +1303,7 @@ class TestThreadedFanOut:
                 inst = HardInstance(**{**vars(inst), "envelope": envelope})
             return real(inst)
 
-        monkeypatch.setattr(experiments, "AdversarialOracle", poisoned)
+        monkeypatch.setattr(adversarial, "AdversarialOracle", poisoned)
         raised = []
         for workers in (1, 2):
             cfg = ExperimentConfig(workers=workers, out=str(tmp_path / f"lb{workers}.csv"), **self.LOWERBOUND)
@@ -1394,6 +1395,20 @@ class TestThreadedFanOut:
         # its records generated their methods as source text and compiled it, about 9 ms of start-up
         assert _setup_modules("m == 'dataclasses'") == []
 
+    LAZY_MODULES = "m in ('zograd.adversarial', 'zograd.harness.checks')"
+
+    def test_import_leaves_out_the_adversarial_module_and_the_check_suite(self):
+        # only the lower bound, the adversarial probe specs and the check suite run them
+        assert _setup_modules(self.LAZY_MODULES) == []
+
+    @pytest.mark.parametrize("argv, imported", [
+        (["rate", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"], []),
+        (["regret", "--estimator", "spsa", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"], []),
+        (["lowerbound", "--class", "sc", "--p", "1", "--n", "2000", "--reps", "4"], ["zograd.adversarial"]),
+    ], ids=["rate", "regret", "lowerbound"])
+    def test_a_command_imports_only_what_it_runs(self, argv, imported):
+        assert _setup_modules(self.LAZY_MODULES, argv) == imported
+
 
 class TestBenchmarkTracer:
     """The benchmark's tracer (``perfbench/tracing.py``) wraps zograd's layer
@@ -1427,13 +1442,15 @@ class TestBenchmarkTracer:
         assert traced["steps"] == [9999, 499, 1999, 1999]
 
 
-def _setup_modules(select: str) -> list[str]:
+def _setup_modules(select: str, argv: list[str] | None = None) -> list[str]:
     """The modules ``m`` for which the expression ``select`` holds, sorted, in a
-    fresh interpreter that imported zograd, its CLI and its experiments."""
+    fresh interpreter that imported zograd, its CLI and its experiments, and
+    then, given an ``argv``, ran one ``cli.main(argv)`` that exits 0."""
+    run = "" if argv is None else f"assert zograd.harness.cli.main({argv!r}) == 0; "
     code = ("import json, sys, zograd, zograd.harness.cli, zograd.harness.experiments; "
-            f"print(json.dumps(sorted(m for m in sys.modules if {select})))")
+            f"{run}print(json.dumps(sorted(m for m in sys.modules if {select})))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+    return json.loads(done.stdout.splitlines()[-1])

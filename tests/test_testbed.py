@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from zograd.core import Ball, Box, DomainError, RngStream, interval
+from zograd.estimators import SPSA, SURFACE, ControlledNoise, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
+from zograd.solver import manual_schedule, run
 from zograd.testbed import (
     ObjectiveFunction,
     exp_one_d,
@@ -171,6 +173,30 @@ class TestSeparable:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             separable([])
+
+    @pytest.mark.parametrize("c", [
+        softabs(+1, 0.1), strongly_convex_pair(-1, 0.3), quadratic([2.0], [-1.0]), exp_one_d(), kinked_quadratic(),
+    ], ids=lambda c: c.name)
+    def test_one_component_is_that_component(self, c):
+        # the identity relation: separable([c]) is c in value, gradient, envelope and run errors
+        f = separable([c])
+        x = np.linspace(c.domain.lower[0], c.domain.upper[0], 7)[:, None]
+        assert f.value_rows(x).shape == (7, 1)
+        np.testing.assert_array_equal(f.value_rows(x), c.value_rows(x))
+        np.testing.assert_array_equal(f.gradient(x), c.gradient(x))
+        assert (f.f_star, f.smoothness, f.strong_convexity) == (c.f_star, c.smoothness, c.strong_convexity)
+        oracles = [
+            ExactGradientOracle,
+            lambda g: EstimatorOracle(g, SURFACE, UncontrolledNoise(1.0), "one_point"),
+            lambda g: EstimatorOracle(g, SPSA, ControlledNoise(1.0, 0.5), "two_point"),
+        ]
+        for oracle in oracles:
+            assert oracle(f).envelope == oracle(c).envelope
+            for mode in ("optimization", "regret"):
+                traces = [run(oracle(g), manual_schedule(0.5, ("const", 0.1)), 50, rng=[RNG(i) for i in range(3)],
+                              mode=mode) for g in (f, c)]
+                np.testing.assert_array_equal(traces[0].error, traces[1].error)
+                np.testing.assert_array_equal(traces[0].regret, traces[1].regret)
 
 
 class TestQuadratic:
