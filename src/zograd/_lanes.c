@@ -1,4 +1,5 @@
-/* zograd's lane loop (solver.run) in C, one call per run.
+/* zograd's lane loop (solver.run) in C, one call per run, and an oracle's
+   m replies at one point (oracle.sample_gradients), one call per probe.
 
    Mirror descent on a 1-d box against one of two kinds of oracle:
 
@@ -26,23 +27,34 @@
    finite and then that every evaluation point lay within its lane's
    vicinity tolerance, and stops at the first fault.  The draws are the
    ones solver.run would feed oracle.estimate, stacked (steps, lanes, ...)
-   as _next_chunk stacks them.  zg_lane_draws is also called on its own, on
-   one lane of m steps, for the m replies an oracle draws at one point
-   (oracle._sample, through _lanes.probe_draws).
+   as _next_chunk stacks them.
+
+   zg_probe makes the m replies of a 1-d oracle at one point x
+   (_lanes.probe_replies): zg_lane_draws fills their draws on one lane of m
+   steps, reading the probe's generator for the directions and the noise,
+   as the oracle's _draws reads it, and the formulas of the run, shared
+   with it (values, reply, at_x), compute each reply from them.  A probe
+   also takes the estimators of two more 1-d targets, which runs do not:
+   the kinked quadratic 0.5*a*y*y, a = a_neg for y < 0 and a_pos
+   otherwise, and exp(y) - y; and an antithetic one-point probe (MIRROR),
+   whose reply is the mean of the replies at +du and at -du with weight
+   -w and a second block of noise.
 
    Each value is computed with the operations, and in the order, of the
    numpy code it replaces, so that compiled without contraction or
    fast-math (-ffp-contract=off) every result equals numpy's bit for bit.
    An operation that leaves every double unchanged, such as rdsa's scaling
    by sqrt(d) = 1 at d = 1, is omitted, and one is added where it spares a
-   flag: the additive controlled model's psi is scaled by 1.0.  tanh is numpy's own: libm's
-   differs from it in the last bit.  Built with ZG_UFUNC, against Python.h
-   and numpy/ufuncobject.h, the library holds the d->d inner loop of
-   np.tanh, read from the ufunc once when it loads (zg_bind_tanh), and at
-   each step applies it to the tanh arguments of every lane, written into
-   one buffer.  The loop touches no Python object, so a whole run goes
-   without the interpreter lock.  Built without ZG_UFUNC, the kernel has no
-   tanh and takes no SOFTABS cell.  The minima, maxima and clamps keep a
+   flag: the additive controlled model's psi is scaled by 1.0.  tanh and
+   exp are numpy's own: libm's differ from them in the last bit.  Built
+   with ZG_UFUNC, against Python.h and numpy/ufuncobject.h, the library
+   holds the d->d inner loops of np.tanh and np.exp, each read from its
+   ufunc the first time a reply needs it (zg_bind_loop).  A run applies the
+   tanh loop at each step to the tanh arguments of every lane, written into
+   one buffer; a probe applies the exp loop to the arms of a block of
+   replies.  The loops touch no Python object, so a whole call goes without
+   the interpreter lock.  Built without ZG_UFUNC, the kernel has neither
+   and takes no SOFTABS or EXP cell.  The minima, maxima and clamps keep a
    NaN, as np.minimum and np.maximum do.
 
    A lane's directions read its own numpy bit generator.  An estimator's
@@ -75,41 +87,45 @@
 #include "numpy/ndarraytypes.h"
 #include "numpy/ufuncobject.h"
 
-/* numpy's inner loop of np.tanh for doubles and its data, or NULL */
-static PyUFuncGenericFunction tanh_loop;
-static void *tanh_data;
+/* the d->d inner loops of np.tanh and np.exp that the library binds, and their data, or NULL */
+enum { TANH_LOOP, EXP_LOOP, LOOPS };
+static PyUFuncGenericFunction loop[LOOPS];
+static void *loop_data[LOOPS];
 
-/* Bind inner loop i of the ufunc np.tanh.  Reads the ufunc's loop table
-   only, so it calls no Python API; called with the interpreter lock held.
-   0, or -1 where loop i is not a d->d loop of a one-in, one-out ufunc. */
-int zg_bind_tanh(PyObject *ufunc, long i)
+/* Bind inner loop i of the ufunc np.tanh or np.exp as loop `which`.
+   Reads the ufunc's loop table only, so it calls no Python API; called
+   with the interpreter lock held.  0, or -1 where loop i is not a d->d
+   loop of a one-in, one-out ufunc. */
+int zg_bind_loop(PyObject *ufunc, long i, long which)
 {
     const PyUFuncObject *u = (const PyUFuncObject *)ufunc;
-    if (u->nin != 1 || u->nout != 1 || i < 0 || i >= u->ntypes || u->functions == NULL
-        || u->functions[i] == NULL || u->types[2 * i] != NPY_DOUBLE || u->types[2 * i + 1] != NPY_DOUBLE)
+    if (which < 0 || which >= LOOPS || u->nin != 1 || u->nout != 1 || i < 0 || i >= u->ntypes
+        || u->functions == NULL || u->functions[i] == NULL || u->types[2 * i] != NPY_DOUBLE
+        || u->types[2 * i + 1] != NPY_DOUBLE)
         return -1;
-    tanh_loop = u->functions[i];
-    tanh_data = u->data == NULL ? NULL : u->data[i];
+    loop[which] = u->functions[i];
+    loop_data[which] = u->data == NULL ? NULL : u->data[i];
     return 0;
 }
 
-/* numpy's tanh of x[0 .. n-1], in place, as np.tanh(x, out=x) applies it */
-static void numpy_tanh(long n, double *x)
+/* numpy's loop `which` on x[0 .. n-1], in place, as np.tanh(x, out=x) or
+   np.exp(x, out=x) applies it */
+static void numpy_loop(long which, long n, double *x)
 {
     char *args[2] = {(char *)x, (char *)x};
     npy_intp dims[1] = {n}, steps[2] = {sizeof(double), sizeof(double)};
-    tanh_loop(args, dims, steps, tanh_data);
+    loop[which](args, dims, steps, loop_data[which]);
 }
 
-/* The bound loop on x[0 .. n-1], in place, one call per consecutive piece,
-   the k-th of pieces[k % count] values (the last may be shorter): how the
-   loader checks it against np.tanh. */
-void zg_tanh(long n, const long *pieces, long count, double *x)
+/* The bound loop `which` on x[0 .. n-1], in place, one call per
+   consecutive piece, the k-th of pieces[k % count] values (the last may be
+   shorter): how the loader checks it against its ufunc. */
+void zg_loop(long which, long n, const long *pieces, long count, double *x)
 {
     long start = 0;
     for (long k = 0; start < n; k++) {
         const long piece = pieces[k % count] < n - start ? pieces[k % count] : n - start;
-        numpy_tanh(piece, x + start);
+        numpy_loop(which, piece, x + start);
         start += piece;
     }
 }
@@ -125,6 +141,7 @@ enum {
     TWO_POINT = 1,   /* two arms, du and xi hold (+, -) pairs */
     EVAL_POINT = 2,  /* the evaluation point is y = x + du, else x */
     CONTROLLED = 4,  /* xi holds one psi per step, shared by both arms */
+    MIRROR = 8,      /* a one-point reply averaged with its mirror at -du, -w and a second block of noise */
     REGRET = 16,     /* accumulate the loss of each round into regret */
     AT_X = 32,       /* a closed-form reply at y = x, not an estimator */
     SOFTABS = 64,    /* AT_X: the softabs pair, else the strongly convex one */
@@ -133,6 +150,8 @@ enum {
     SIGNS = 512,     /* directions U = 2b - 1 of bits b, V = 1/U */
     UNIT = 1024,     /* directions U = z/|z| of normals z, V = U */
     PLAIN = 2048,    /* directions U = z of normals z, V = U */
+    KINKED = 4096,   /* f is the kinked quadratic, not the quadratic */
+    EXP = 8192,      /* f is exp(y) - y, not the quadratic */
 };
 #define DIRECTIONS (SIGNS | UNIT | PLAIN)
 
@@ -333,7 +352,7 @@ static void fill(bitgen_t *bg, long flags, long n, void *out)
 /* The values per lane-step of each draw, du, w and xi, under flags */
 static void widths(long flags, long *width)
 {
-    const long arms = (flags & TWO_POINT) ? 2 : 1;
+    const long arms = (flags & (TWO_POINT | MIRROR)) ? 2 : 1;
     width[0] = (flags & DIRECTIONS) ? arms : 0;
     width[1] = (flags & DIRECTIONS) ? 1 : 0;
     width[2] = (flags & AT_X) ? ((flags & NOISE) ? 1 : 0) : (flags & CONTROLLED) ? 1 : arms;
@@ -409,6 +428,49 @@ static double quad(const double *c, double y)
     return (c[0] * y + c[1]) * y + c[2];
 }
 
+/* f at the n points y = x + du[i] into fy, with the operations of the
+   target's value: the quadratic (c[0]*y + c[1])*y + c[2], the kinked
+   quadratic 0.5*a*y*y with a = c[0] for y < 0 and c[1] otherwise (KINKED),
+   or exp(y) - y with numpy's exp (EXP) */
+static void values(long flags, const double *c, long n, double x, const double *du, double *restrict fy)
+{
+#ifdef ZG_UFUNC
+    if (flags & EXP) {
+        for (long i = 0; i < n; i++)
+            fy[i] = x + du[i];
+        numpy_loop(EXP_LOOP, n, fy);
+        for (long i = 0; i < n; i++)
+            fy[i] -= x + du[i];
+        return;
+    }
+#endif
+    if (!(flags & KINKED)) {
+        for (long i = 0; i < n; i++)
+            fy[i] = quad(c, x + du[i]);
+        return;
+    }
+    const double half[2] = {0.5 * c[1], 0.5 * c[0]};  /* 0.5*a for y >= 0 (or NaN), for y < 0 */
+    for (long i = 0; i < n; i++) {
+        const double y = x + du[i];
+        fy[i] = half[y < 0] * y * y;
+    }
+}
+
+/* G of one estimator reply at x from its arms' offsets du and values fy =
+   f(x + du), the arm at +du and, for two arms, the one at -du, its noise,
+   xi[0] and the second arm's xi[stride], or the one psi xi[0] of both arms
+   (CONTROLLED, where c[3] and c[4] are sigma and slope), and its weight w */
+static double reply(long flags, const double *c, double x, const double *du, const double *fy, const double *xi,
+                    long stride, double w)
+{
+    if (!(flags & TWO_POINT))
+        return (fy[0] + xi[0]) * w;
+    if (!(flags & CONTROLLED))
+        return (fy[0] + xi[0] - (fy[1] + xi[stride])) * w;
+    const double sp = c[3] * xi[0], slope = c[4];
+    return (fy[0] + sp * (1.0 + slope * (x + du[0])) - (fy[1] + sp * (1.0 + slope * (x + du[1])))) * w;
+}
+
 /* np.minimum and np.maximum: a NaN in either wins, else b on a tie */
 static double nan_min(double a, double b)
 {
@@ -419,6 +481,22 @@ static double nan_max(double a, double b)
 {
     return (a != a || a > b) ? a : b;
 }
+
+#ifdef ZG_UFUNC
+/* The tanh arguments at xv of an oracle of the softabs pair, into t: the
+   slopes' at +1 and -1 for the adversarial reply (SHIFTED), else arm v's;
+   half_inv is 0.5/eps.  Returns their count. */
+static long tanh_args(long flags, double v, double half_inv, double xv, double *t)
+{
+    if (!(flags & SHIFTED)) {
+        t[0] = (xv - v) * half_inv;
+        return 1;
+    }
+    t[0] = (xv - 1.0) * half_inv;
+    t[1] = (xv - -1.0) * half_inv;
+    return 2;
+}
+#endif
 
 /* G of lane i at xv under an AT_X oracle of arm c[0] = v, separation
    c[1] = eps; t holds numpy's tanh of the lane's arguments. */
@@ -485,17 +563,10 @@ long zg_lane_run(long m, long lanes, long flags, const double *c, struct lane *l
         for (long j = 0; j < mc; j++) {
 #ifdef ZG_UFUNC
             if (flags & SOFTABS) {
-                const double v = q[0], half_inv = 0.5 / q[1];
-                for (long i = 0; i < lanes; i++) {
-                    const double xv = x[lane[i].index];
-                    if (flags & SHIFTED) {
-                        targs[2 * i] = (xv - 1.0) * half_inv;
-                        targs[2 * i + 1] = (xv - -1.0) * half_inv;
-                    } else {
-                        targs[i] = (xv - v) * half_inv;
-                    }
-                }
-                numpy_tanh(tw * lanes, targs);
+                const double half_inv = 0.5 / q[1];
+                for (long i = 0; i < lanes; i++)
+                    tanh_args(flags, q[0], half_inv, x[lane[i].index], targs + tw * i);
+                numpy_loop(TANH_LOOP, tw * lanes, targs);
             }
 #endif
             for (long i = 0; i < lanes; i++) {
@@ -510,25 +581,16 @@ long zg_lane_run(long m, long lanes, long flags, const double *c, struct lane *l
                     g = (flags & SHIFTED) ? at_x(flags, q, xv, l->shift, tv) + xi[k] : at_x(flags, q, xv, 0.0, tv);
                 } else if (!(flags & TWO_POINT)) {
                     const double yp = xv + du[k], fy = quad(q, yp);
-                    g = (fy + xi[k]) * w[k];
+                    g = reply(flags, q, xv, du + k, &fy, xi + k, 1, w[k]);
                     y = (flags & EVAL_POINT) ? yp : xv;
                     loss = (flags & EVAL_POINT) ? fy : quad(q, xv);
                 } else {
-                    const double yp = xv + du[2 * k], ym = xv + du[2 * k + 1];
-                    const double fp = quad(q, yp), fm = quad(q, ym);
-                    double zp, zm;
-                    if (flags & CONTROLLED) {
-                        const double sp = q[3] * xi[k], slope = q[4];
-                        zp = fp + sp * (1.0 + slope * yp);
-                        zm = fm + sp * (1.0 + slope * ym);
-                    } else {
-                        zp = fp + xi[2 * k];
-                        zm = fm + xi[2 * k + 1];
-                    }
-                    g = (zp - zm) * w[k];
-                    y = (flags & EVAL_POINT) ? yp : xv;
+                    const double ya[2] = {xv + du[2 * k], xv + du[2 * k + 1]};
+                    const double fa[2] = {quad(q, ya[0]), quad(q, ya[1])};
+                    g = reply(flags, q, xv, du + 2 * k, fa, xi + width[2] * k, 1, w[k]);
+                    y = (flags & EVAL_POINT) ? ya[0] : xv;
                     if ((flags & EVAL_POINT) && !(flags & CONTROLLED))
-                        loss = 0.5 * (fp + fm);
+                        loss = 0.5 * (fa[0] + fa[1]);
                     else
                         loss = 0.5 * (quad(q, y) + quad(q, 2.0 * xv - y));
                 }
@@ -564,4 +626,68 @@ long zg_lane_run(long m, long lanes, long flags, const double *c, struct lane *l
         t += mc;
     }
     return 0;
+}
+
+/* The replies at x of rows r0 .. r0 + n - 1 into g, from the offsets du
+   of all rows and the values fy of these rows' arms, under the formula
+   bits `form`, a constant at each call, so that its branches resolve when
+   it is compiled; for MIRROR the mean of each reply and its mirror */
+static inline __attribute__((always_inline)) void replies(long form, const double *c, long n, long r0, long m,
+                                                          double x, const double *du, const double *fy,
+                                                          const double *w, const double *xi, double *g)
+{
+    const long arms = (form & (TWO_POINT | MIRROR)) ? 2 : 1;
+    for (long j = 0, r = r0; j < n; j++, r++) {
+        const double *d = du + arms * r, *fr = fy + arms * j;
+        const double once = reply(form, c, x, d, fr, xi + r, m, w[r]);
+        g[r] = (form & MIRROR) ? 0.5 * (once + reply(form, c, x, d + 1, fr + 1, xi + m + r, m, -w[r])) : once;
+    }
+}
+
+#define PROBE_BLOCK 512
+
+/* The m replies G at x of one oracle, written to g, as
+   oracle.sample_gradients gives them: the draws of its one lane, filled
+   (zg_lane_draws) into scratch, which holds zg_scratch(m, 1, flags)
+   values, where on one lane xi holds the noise arm by arm in blocks of m;
+   then each reply with the operations of estimate, f evaluated at the
+   arms of PROBE_BLOCK replies at a time, and for MIRROR the mean of a
+   reply and its mirror.  c holds the oracle's formula data, as in
+   zg_lane_run. */
+void zg_probe(long m, long flags, const double *c, const struct lane *lane, double x, double *g, double *scratch)
+{
+    long width[3];
+    widths(flags, width);
+    zg_lane_draws(m, 1, flags, lane, scratch);
+    const long arms = width[0];
+    const double *du = scratch, *w = du + arms * m, *xi = w + width[1] * m;
+    if (flags & AT_X) {  /* one mean at x, plus the noise */
+        double t[2] = {0.0, 0.0};
+#ifdef ZG_UFUNC
+        if (flags & SOFTABS)
+            numpy_loop(TANH_LOOP, tanh_args(flags, c[0], 0.5 / c[1], x, t), t);
+#endif
+        const double mean = at_x(flags, c, x, lane->shift, t);
+        for (long j = 0; j < m; j++)
+            g[j] = (flags & SHIFTED) ? mean + xi[j] : mean;
+        return;
+    }
+    double fy[2 * PROBE_BLOCK];
+    for (long start = 0; start < m; start += PROBE_BLOCK) {
+        const long n = m - start < PROBE_BLOCK ? m - start : PROBE_BLOCK;
+        values(flags, c, arms * n, x, du + arms * start, fy);
+        switch (flags & (TWO_POINT | CONTROLLED | MIRROR)) {  /* the loop of each form, its branches resolved */
+        case TWO_POINT | CONTROLLED:
+            replies(TWO_POINT | CONTROLLED, c, n, start, m, x, du, fy, w, xi, g);
+            break;
+        case TWO_POINT:
+            replies(TWO_POINT, c, n, start, m, x, du, fy, w, xi, g);
+            break;
+        case MIRROR:
+            replies(MIRROR, c, n, start, m, x, du, fy, w, xi, g);
+            break;
+        default:
+            replies(0, c, n, start, m, x, du, fy, w, xi, g);
+        }
+    }
 }

@@ -1,32 +1,30 @@
 """Build, cache and load the compiled lane kernel (``_lanes.c``).
 
 No zograd module imports this one when it is imported: the oracles and
-the solver import it the first time a run, or a 1-d oracle's draws at one
+the solver import it the first time a run, or a probe's replies at one
 point, ask for the kernel.  Where Python keeps no bytecode cache, every line a process
 imports is compiled as it starts.
 
 ``kernel()`` compiles the C source with the system C compiler the first
 time it is asked for (never at import), against numpy's sampler library
-(``numpy/random/lib/libnpyrandom.a``) and the header of its bit generators
-(``numpy/random/bitgen.h``), caches the shared library under
-``__pycache__`` next to this file, named by a hash of its inputs, removes
-the libraries of other inputs there once the build is in place, and loads
-it with ctypes, once per process, under a lock, so that threads running
-their first runs together share one load.  If any of that fails (no
-compiler, no sampler library or header, a read-only package directory, a
-library that does not load), it logs the reason once at DEBUG and returns
-None, and the solver keeps its numpy loop.  A ctypes call releases the
-interpreter lock, and nothing the library runs takes it back, so runs on
+(``numpy/random/lib/libnpyrandom.a``) and bit generator header
+(``numpy/random/bitgen.h``), caches the library under ``__pycache__``
+beside this file, named by a hash of its inputs (removing those of other
+inputs), and loads it with ctypes, once per process, under a lock.  If any
+of that fails (no compiler, sampler library or header, a read-only
+directory, a library that does not load), it logs the reason once at DEBUG
+and returns None, and numpy computes everything.  A ctypes call releases
+the interpreter lock, and the library never takes it back, so runs on
 several threads run in parallel.
 
 Where Python's header (``Python.h``) and numpy's ufunc header
 (``numpy/ufuncobject.h``) exist, the library is built against them and, on
-the first run of an oracle of the softabs pair, binds the ``d->d`` inner
-loop of ``np.tanh`` and checks it against ``np.tanh`` bit for bit
-(``tanh_bound()``), once per process; the kernel applies that loop to the
-tanh arguments of those lower-bound oracles.  Where a header is missing,
-the loop cannot be bound or the check fails, the reason is logged once at
-DEBUG and those runs take the numpy loop.
+the first reply that needs one, binds the ``d->d`` inner loop of
+``np.tanh`` (softabs runs and probes) or of ``np.exp`` (probes of
+``exp_one_d``) and checks it against that ufunc bit for bit
+(``loop_bound()``), once per process and never when the library loads.
+Where a header is missing, the loop cannot be bound or the check fails,
+the reason is logged once at DEBUG and those replies are numpy's.
 
 A kernel run is a ``LaneRun``, which ``lane_run()`` builds where the
 kernel covers the run, from the oracle's ``lane_spec()`` (``LaneSpec``).
@@ -41,10 +39,10 @@ every normal is handed to numpy's sampler and the fill is checked again;
 the reason is logged once at DEBUG, and where the second check fails too
 there is no kernel.
 
-The same fill makes the draws of an oracle's replies at one point at d = 1
-(``_draws``, under ``query``, ``sample_gradients`` and the probes):
-``probe_draws`` fills them on one lane and returns them to the oracle's
-numpy ``estimate``; where it returns None, numpy draws them.
+A probe's m replies at one point at d = 1 (``sample_gradients``) are one
+library call too (``probe_replies``): the same fill draws them on one lane
+and the kernel's formulas compute them.  Where it refuses, the oracle's
+numpy ``_draws`` and ``estimate`` make them.
 """
 
 from __future__ import annotations
@@ -72,17 +70,18 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # numpy's samplers, the C functions its Generator calls, and their header
 NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 BITGEN_H = Path(np.get_include()) / "numpy" / "random" / "bitgen.h"
-# the headers that give the layout of np.tanh's loop table, and the loop the
-# kernel calls.  Python.h is where sysconfig's posix_prefix scheme puts it,
-# found without sysconfig, whose paths take ~2 ms to build in each process.
+# the headers that give the layout of a ufunc's loop table.  Python.h is where sysconfig's
+# posix_prefix scheme puts it, found without sysconfig, whose paths take ~2 ms to build.
 PYTHON_H = (Path(sys.base_prefix) / "include" / f"python{sys.version_info[0]}.{sys.version_info[1]}{sys.abiflags}"
             / "Python.h")
 UFUNCOBJECT_H = Path(np.get_include()) / "numpy" / "ufuncobject.h"
-TANH_SIGNATURE = "d->d"
+# the numpy loops the library can bind, in its order, and the replies that need each
+LOOPS = {"tanh": "softabs runs and probes", "exp": "exp probes"}
+LOOP_SIGNATURE = "d->d"
 
-# flag bits of zg_lane_run, as in _lanes.c: the oracle's formula and draws, and the run's mode
-TWO_POINT, EVAL_POINT, CONTROLLED, REGRET = 1, 2, 4, 16
-AT_X, SOFTABS, SHIFTED, NOISE, SIGNS, UNIT, PLAIN = 32, 64, 128, 256, 512, 1024, 2048
+# flag bits of zg_lane_run and zg_probe, as in _lanes.c: the oracle's formula and draws, and the run's mode
+TWO_POINT, EVAL_POINT, CONTROLLED, MIRROR, REGRET = 1, 2, 4, 8, 16
+AT_X, SOFTABS, SHIFTED, NOISE, SIGNS, UNIT, PLAIN, KINKED, EXP = 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192
 DIRECTIONS = SIGNS | UNIT | PLAIN
 LONG = np.dtype(ctypes.c_long)  # the kernel's integers
 # a lane of a kernel run, as struct lane in _lanes.c
@@ -103,21 +102,20 @@ NORMAL_PREMISE = (15, 8192)
 class LaneSpec(NamedTuple):
     """An oracle's ``estimate`` and ``make_stepper`` as the compiled lane
     kernel computes and draws them for one lane-step of a 1-d run
-    (``lane_spec()``), and so the draws of its ``_draws``
-    (``probe_draws``).
+    (``lane_spec()``), and so its m replies at one point (``probe_replies``).
 
     ``flags`` are the formula's bits (``TWO_POINT``, ``EVAL_POINT``,
-    ``CONTROLLED``, or ``AT_X`` and ``SOFTABS``) and the direction's: SIGNS
-    for U = 2b - 1 of bits from ``integers(0, 2)`` and V = 1/U, UNIT for
-    U = z/|z| and PLAIN for U = z of a ``standard_normal`` z, with V = U.
-    ``data`` is the formula data: (ca, cb, cc, sigma, slope) of an
-    estimator of a 1-d quadratic, (v, eps) of an arm of a hard pair; None
-    where the kernel draws for the oracle but does not compute its formula
-    (an estimator of another 1-d target), which ``lane_run`` refuses.  The
-    offsets are du = delta*U, and -du for a second arm, and the weight is
-    w = V*(weight/delta).  ``noise(delta)`` scales the standard normals of
-    xi (None: xi is zeros), and ``shift(delta)`` is the adversarial reply's
-    shift (None: the oracle is not shifted)."""
+    ``CONTROLLED``, ``KINKED`` or ``EXP``, or ``AT_X`` and ``SOFTABS``) and
+    the direction's: SIGNS for U = 2b - 1 of bits from ``integers(0, 2)``
+    and V = 1/U, UNIT for U = z/|z| and PLAIN for U = z of a
+    ``standard_normal`` z, with V = U.  ``data`` is the formula data: (c0,
+    c1, c2, sigma, slope) of an estimator, with (ca, cb, cc) of a quadratic,
+    (a_neg, a_pos, 0) of the kinked one, zeros for exp; (v, eps) of an arm
+    of a hard pair; None where the kernel draws for the oracle but computes
+    no reply (another 1-d target).  The offsets are du = delta*U, and -du
+    for a second arm, and the weight is w = V*(weight/delta).
+    ``noise(delta)`` scales the standard normals of xi (None: xi is zeros),
+    and ``shift(delta)`` is the adversarial reply's shift (None: none)."""
 
     flags: int
     data: Optional[tuple[float, ...]]
@@ -128,16 +126,17 @@ class LaneSpec(NamedTuple):
 
 class _Library:
     """The loaded library: its entry points, declared for ctypes, whether it
-    was built against the headers of numpy's tanh loop, and whether that
-    loop is bound and checked (None until a softabs run asks)."""
+    was built against the headers of numpy's loops, and which of those
+    loops are bound and checked (``loops``: name -> bool, once asked)."""
 
     def __init__(self, lib, ufunc: bool):
         doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
         table, longs = np.ctypeslib.ndpointer(LANE, flags="C_CONTIGUOUS"), [ctypes.c_long] * 3
         fault = np.ctypeslib.ndpointer(FAULT, flags="C_CONTIGUOUS")
-        self.lib, self.ufunc, self.tanh = lib, ufunc, None
+        self.lib, self.ufunc, self.loops = lib, ufunc, {}
         self.run = _declare(lib.zg_lane_run, longs + [doubles, table] + [doubles] * 4 + [fault], ctypes.c_long)
         self.fill = _declare(lib.zg_lane_draws, longs + [table, doubles], ctypes.c_long)
+        self.probe = _declare(lib.zg_probe, longs[:2] + [doubles, table, ctypes.c_double, doubles, doubles])
         self.scratch = _declare(lib.zg_scratch, longs, ctypes.c_long)
         self.normal = _declare(lib.zg_normal_fill, [ctypes.c_void_p, ctypes.c_long, doubles])
 
@@ -159,70 +158,76 @@ def kernel() -> Optional[Callable]:
     return None if loaded is None else loaded.run
 
 
-def tanh_bound() -> bool:
-    """Whether the kernel holds numpy's own tanh loop, checked against
-    ``np.tanh``: only then does it run the oracles of the softabs pair.
-    The first call binds and checks the loop, once per process."""
+def loop_bound(name: str) -> bool:
+    """Whether the kernel holds numpy's own loop of ``np.tanh`` or
+    ``np.exp`` (``name``), checked against that ufunc: only then does it
+    compute the replies that need it (``LOOPS``).  The first call for a name
+    binds and checks its loop, once per process."""
     loaded = _library()
     if loaded is None:
         return False
     with _loading:
-        if loaded.tanh is None:
-            unbound = _bind_tanh(loaded.lib) if loaded.ufunc else f"{PYTHON_H} or {UFUNCOBJECT_H} is missing"
+        if name not in loaded.loops:
+            unbound = _bind_loop(loaded.lib, name) if loaded.ufunc else f"{PYTHON_H} or {UFUNCOBJECT_H} is missing"
             if unbound is None:
-                _log.debug("numpy's tanh loop bound in the lane kernel")
+                _log.debug("numpy's %s loop bound in the lane kernel", name)
             else:
-                _log.debug("lane kernel without numpy's tanh loop (softabs runs take the numpy loop): %s", unbound)
-            loaded.tanh = unbound is None
-        return loaded.tanh
+                _log.debug("lane kernel without numpy's %s loop (%s take numpy): %s", name, LOOPS[name], unbound)
+            loaded.loops[name] = unbound is None
+        return loaded.loops[name]
 
 
-def tanh_premise() -> np.ndarray:
-    """The values the bound tanh loop is checked on: tanh arguments of the
-    adversarial reply at +1 and -1 over a spread of iterates and
-    separations, standard normals, and signed zeros, a subnormal, values
-    where tanh saturates and infinities."""
+def loop_premise(name: str) -> np.ndarray:
+    """The values the bound loop of ``np.tanh`` or ``np.exp`` is checked on:
+    the tanh arguments of the adversarial reply at +1 and -1 over iterates
+    and separations, or the exp arguments x - delta and x + delta*z of
+    probes over points and deltas; standard normals; signed zeros, a
+    subnormal, values near saturation, overflow or underflow, infinities."""
     rng = np.random.default_rng(20260810)
     x = rng.uniform(-1.0, 1.0, 3000)
-    eps = rng.uniform(0.005, 0.35, 3000)
-    return np.concatenate([(x - 1.0) * (0.5 / eps), (x - -1.0) * (0.5 / eps), rng.standard_normal(2000),
-                           [0.0, -0.0, 1e-300, 19.0, 25.0, -40.0, np.inf, -np.inf]])
+    if name == "tanh":
+        eps = rng.uniform(0.005, 0.35, 3000)
+        spread, ends = ((x - 1.0) * (0.5 / eps), (x - -1.0) * (0.5 / eps)), [19.0, 25.0, -40.0]
+    else:
+        delta = rng.uniform(0.01, 1.0, 3000)
+        spread, ends = (x - delta, x + delta * rng.standard_normal(3000)), [709.7, -708.5, -745.1]
+    return np.concatenate([*spread, rng.standard_normal(2000), [0.0, -0.0, 1e-300, *ends, np.inf, -np.inf]])
 
 
-def _tanh_mismatch(apply: Callable) -> Optional[str]:
+def _loop_mismatch(apply: Callable, name: str) -> Optional[str]:
     """Why ``apply(n, pieces, count, x)``, the bound loop applied in place
     to x in consecutive pieces, the k-th of ``pieces[k % count]`` values,
-    does not give ``np.tanh``'s bits on ``tanh_premise()``, or None where it
-    gives them for each value alone, for all values in one buffer and
-    interleaved with their reverse, and in pieces of 2 to 17 values, past
-    the widths of its vector steps and into their tails."""
-    values = tanh_premise()
+    does not give the bits of ``np.tanh`` or ``np.exp`` (``name``) on
+    ``loop_premise(name)``, or None where it does for each value alone, in
+    one buffer, interleaved with their reverse, and in pieces of 2 to 17
+    values, past the widths of its vector steps and into their tails."""
+    values, ufunc = loop_premise(name), getattr(np, name)
     interleaved = np.stack((values, values[::-1]), axis=1).ravel()
     cases = {"alone": (values, [1]), "in one buffer": (values, [values.size]),
              "interleaved": (interleaved, [interleaved.size]), "in pieces of 2 to 17": (values, range(2, 18))}
-    for name, (buffer, pieces) in cases.items():
+    for case, (buffer, pieces) in cases.items():
         got = buffer.copy()
         apply(got.size, np.array(pieces, LONG), len(pieces), got)
-        if not np.array_equal(got.view(np.int64), np.tanh(buffer).view(np.int64)):
-            return f"it differs from np.tanh {name}"
+        if not np.array_equal(got.view(np.int64), ufunc(buffer).view(np.int64)):
+            return f"it differs from np.{name} {case}"
     return None
 
 
-def _bind_tanh(lib) -> Optional[str]:
-    """Bind np.tanh's d->d inner loop in the library and check it: None
-    where the kernel may call it, else the reason it may not."""
-    if TANH_SIGNATURE not in np.tanh.types:
-        return f"np.tanh has no {TANH_SIGNATURE} loop"
-    index = np.tanh.types.index(TANH_SIGNATURE)
-    # holds the interpreter lock: it reads np.tanh itself
-    bind = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_long)(("zg_bind_tanh", lib))
-    if bind(np.tanh, index) != 0:
-        return f"loop {index} of np.tanh is not a d->d loop"
-    apply = lib.zg_tanh
-    apply.argtypes = [ctypes.c_long, np.ctypeslib.ndpointer(LONG, flags="C_CONTIGUOUS"), ctypes.c_long,
-                      np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")]
-    apply.restype = None
-    return _tanh_mismatch(apply)
+def _bind_loop(lib, name: str) -> Optional[str]:
+    """Bind the d->d inner loop of ``np.tanh`` or ``np.exp`` (``name``) in
+    the library and check it: None where the kernel may call it, else the
+    reason it may not."""
+    ufunc = getattr(np, name)
+    if LOOP_SIGNATURE not in ufunc.types:
+        return f"np.{name} has no {LOOP_SIGNATURE} loop"
+    index, which = ufunc.types.index(LOOP_SIGNATURE), list(LOOPS).index(name)
+    # holds the interpreter lock: it reads the ufunc itself
+    bind = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_long, ctypes.c_long)(("zg_bind_loop", lib))
+    if bind(ufunc, index, which) != 0:
+        return f"loop {index} of np.{name} is not a d->d loop"
+    pointer = lambda dtype: np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+    apply = _declare(lib.zg_loop, [ctypes.c_long] * 2 + [pointer(LONG), ctypes.c_long, pointer(np.float64)])
+    return _loop_mismatch(functools.partial(apply, which), name)
 
 
 def _normal_mismatch(fill: Callable) -> Optional[str]:
@@ -257,57 +262,65 @@ def lane_run(oracle, regret: bool, rngs: Sequence[np.random.Generator], horizons
              schedules) -> Optional["LaneRun"]:
     """The run of ``oracle`` on the compiled lane kernel, for lanes of
     generators ``rngs``, ``horizons`` and ``schedules``; or None where the
-    numpy loop runs it: a target whose domain is not a 1-d box, one
-    generator driving two lanes, no spec (``_spec``: an oracle with no
-    ``lane_spec``, a class that redefines ``estimate``, ``make_stepper``,
-    ``_scaled`` or ``_noise``, or a spec of None), a spec without formula data, an
-    estimator without a vicinity norm, a regret run of an oracle that
-    answers at x (the kernel evaluates f only for a quadratic), an oracle of
-    the softabs pair where the kernel holds no checked numpy tanh loop, or a
-    kernel that could not be built.  Builds the kernel on the first run it
-    covers."""
+    numpy loop runs it: a domain that is not a 1-d box, one generator
+    driving two lanes, no spec (``_spec``: no ``lane_spec``, a class that
+    redefines ``estimate``, ``make_stepper``, ``_scaled`` or ``_noise``, or
+    a spec of None), a spec without formula data or of the kinked or exp
+    target, an estimator without a vicinity norm, a regret run of an oracle
+    that answers at x, a softabs oracle without a checked tanh loop, or no
+    kernel.  Builds the kernel on the first run it covers."""
     body = oracle.target.domain
     if not isinstance(body, Box) or body.dim != 1 or len({id(g) for g in rngs}) < len(rngs):
         return None
     spec = _spec(oracle, ("estimate", "make_stepper", "_scaled", "_noise"))
-    if spec is None or spec.data is None or (spec.flags & AT_X and regret):
+    if spec is None or spec.data is None or spec.flags & (KINKED | EXP) or (spec.flags & AT_X and regret):
         return None
     if not (spec.flags & AT_X or getattr(oracle, "vicinity_norm", None)):  # the kernel writes y - x
         return None
     advance = kernel()
-    if advance is None or (spec.flags & SOFTABS and not tanh_bound()):
+    if advance is None or (spec.flags & SOFTABS and not loop_bound("tanh")):
         return None
     return LaneRun(advance, spec, regret, body, oracle.target.f_star, rngs, horizons, schedules)
 
 
-def probe_draws(oracle, delta: float, m: int, rng: np.random.Generator, two_arms: bool = False):
-    """The draws ``oracle._draws`` makes for m replies at delta, bit for bit, from
-    one call of the library's fill (``zg_lane_draws``) on one lane whose
-    directions and noise both read rng: all m directions, then the noise
-    arm by arm in blocks of m.  ``two_arms`` draws a one-point estimator's
-    as a two-point one's, two blocks of noise, for antithetic pairs.
-    Returns (du, w, xi), views of one buffer: du (m, 1), or (m, 2, 1) with
-    du and -du, w (m, 1), both empty without directions, and xi (blocks, m,
-    1).  None where numpy draws them: m < 1, no spec (``_spec``: d > 1, or a
-    class that redefines ``_scaled``, ``_noise`` or ``_draws``), or no
-    kernel."""
-    spec = _spec(oracle, ("_scaled", "_noise", "_draws")) if m >= 1 else None
-    if spec is None or kernel() is None:
-        return None
-    lib = _library()
-    flags = spec.flags | (TWO_POINT if two_arms else 0) | (NOISE if spec.noise else 0)
-    lane = np.zeros(1, LANE)
-    lane["delta"], lane["weight"], lane["left"] = delta, spec.weight / delta, m
-    if spec.noise:
-        lane["scale"] = spec.noise(delta)
-    out = np.empty(lib.scratch(m, 1, flags))
+def probe_replies(oracle, x: np.ndarray, delta: float, m: int, rng: np.random.Generator, antithetic: bool = False):
+    """``oracle.sample_gradients(x, delta, m, rng, antithetic)`` at a 1-d
+    point x (1, 1), bit for bit, from one library call (``zg_probe``), which
+    leaves rng where the oracle's numpy draws leave it: the draws of
+    ``_draws`` on one lane whose directions and noise both read rng (all m
+    directions, then the noise arm by arm in blocks of m; an antithetic
+    one-point estimator's as two arms, ``MIRROR``), then each reply by the
+    formula of ``lane_spec()``.  Returns (the replies (m, 1), None), or
+    (None, why numpy makes them)."""
+    spec = _spec(oracle, ("estimate", "_scaled", "_noise", "_draws")) if m >= 1 else None
+    if spec is None or spec.data is None:
+        return None, "no C formula: no replies, d > 1, another target, or a redefined draw or estimate"
+    if kernel() is None:
+        return None, "no lane kernel"
+    for name, flag in (("tanh", SOFTABS), ("exp", EXP)):
+        if spec.flags & flag and not loop_bound(name):
+            return None, f"{name} loop not bound"
+    flags, lib = _flags(spec) | (MIRROR if antithetic and not spec.flags & (TWO_POINT | AT_X) else 0), _library()
+    lane, g, scratch = _table(spec, [delta]), np.empty((m, 1)), np.empty(lib.scratch(m, 1, flags))
+    lane["left"] = m
     with rng.bit_generator.lock:  # as a Generator holds it while it draws
         lane["dir"] = lane["noise"] = _address(rng.bit_generator)
-        count = lib.fill(m, 1, flags, lane, out)
-    # on one lane, the fill's (steps, 1, arms) noise is in the order it was drawn: arm by arm it is (arms, m)
-    arms, directions = (2 if flags & TWO_POINT else 1), (m if flags & DIRECTIONS else 0)
-    du, w, xi = np.split(out[:count], [arms * directions, (arms + 1) * directions])
-    return du.reshape(m, 2, 1) if arms == 2 else du.reshape(-1, 1), w.reshape(-1, 1), xi.reshape(-1, m, 1)
+        lib.probe(m, flags, np.array(spec.data, float), lane, x[0, 0], g, scratch)
+    return g, None
+
+
+def _flags(spec: LaneSpec) -> int:
+    return spec.flags | (NOISE if spec.noise else 0) | (SHIFTED if spec.shift else 0)  # the kernel's flags of spec
+
+
+def _table(spec: LaneSpec, deltas: Sequence[float]) -> np.ndarray:
+    """A ``LANE`` row per delta: the delta, the weight over it, and the noise scale and shift of ``spec`` there."""
+    table = np.zeros(len(deltas), LANE)
+    table["delta"], table["weight"] = deltas, [spec.weight / d for d in deltas]
+    for name, of in (("scale", spec.noise), ("shift", spec.shift)):
+        if of:
+            table[name] = [of(d) for d in deltas]
+    return table
 
 
 class LaneRun:
@@ -319,24 +332,20 @@ class LaneRun:
     ``make_stepper(h - 1, schedule.delta, rng)`` of an oracle whose
     ``lane_spec()`` is ``spec``.
 
-    Its state is one ``LANE`` row per lane: the lane's delta, its weight
-    over delta, noise scale and shift, computed once from its delta, the
-    vicinity tolerance of its schedule's delta, its schedule's step sizes,
-    the steps it has left, its row of the run's arrays, and its
-    generators.  The step sizes are ``eta_array`` of each distinct
-    schedule, computed once to the longest horizon of its lanes.
+    Its state is one ``LANE`` row per lane (``_table``), then the vicinity
+    tolerance of its delta, its schedule's step sizes (``eta_array`` of
+    each distinct schedule, once, to the longest horizon of its lanes), its
+    steps left, its row of the run's arrays, and its generators.
     Directions read each lane's own generator.  Noise reads it too where
-    there are no directions; otherwise it reads the twin of the lane's
-    generator jumped once, numpy's ``jumped()`` reached by its documented
-    advance (``core.jumped``), taken here from its state at the start of
-    the run, as ``core.draw_chunks`` takes it."""
+    there are no directions; otherwise the twin of that generator jumped
+    once (``core.jumped``), taken from its state at the start of the run,
+    as ``core.draw_chunks`` takes it."""
 
     def __init__(self, advance: Callable, spec: LaneSpec, regret: bool, body: Box, f_star: float,
                  rngs: Sequence[np.random.Generator], horizons: Sequence[int], schedules):
         lib = _library()
         self._advance, self._fill = advance, lib.fill
-        self._flags = spec.flags | (REGRET if regret else 0) | (NOISE if spec.noise else 0) | (
-            SHIFTED if spec.shift else 0)
+        self._flags = _flags(spec) | (REGRET if regret else 0)
         self._data = np.array([body.lower[0], body.upper[0], f_star, *spec.data])
         self._scratch = np.empty(lib.scratch(STEPS_PER_CHUNK, len(rngs), self._flags))
         # each distinct schedule's step sizes, once, to the longest horizon of its lanes
@@ -348,18 +357,13 @@ class LaneRun:
         self._eta = np.concatenate(etas)  # kept alive while C reads it
         starts = np.cumsum([0] + [e.size for e in etas[:-1]])
         address = dict(zip(longest, self._eta.ctypes.data + self._eta.itemsize * starts))
-        deltas = [s.delta for s in schedules]
-        table = self._table = np.zeros(len(rngs), LANE)
-        table["delta"], table["left"], table["index"] = deltas, [h - 1 for h in horizons], range(len(rngs))
+        table = self._table = _table(spec, [s.delta for s in schedules])
+        table["left"], table["index"] = [h - 1 for h in horizons], range(len(rngs))
         table["tol"] = vicinity_tolerance(table["delta"])
         table["eta"] = [address[id(s)] for s in schedules]
-        table["weight"] = [spec.weight / d for d in deltas]
-        for name, of in (("scale", spec.noise), ("shift", spec.shift)):
-            if of:
-                table[name] = [of(d) for d in deltas]
         # the generators of the directions and of the noise, kept alive while C holds their pointers
         self._dir = [g.bit_generator for g in rngs]
-        twins = self._flags & (SIGNS | UNIT | PLAIN) and spec.noise
+        twins = self._flags & DIRECTIONS and spec.noise
         self._noise = [jumped(bg) for bg in self._dir] if twins else self._dir
         table["dir"], table["noise"] = ([_address(bg) for bg in gens] for gens in (self._dir, self._noise))
 
@@ -406,7 +410,7 @@ def _capsule_pointer():
 
 
 def _ufunc_args() -> tuple[str, ...]:
-    """Compile arguments that build numpy's tanh loop in, against Python's
+    """Compile arguments that build numpy's loops in, against Python's
     header and numpy's ufunc header; empty where either file is missing."""
     if not (PYTHON_H.is_file() and UFUNCOBJECT_H.is_file()):
         return ()
@@ -427,14 +431,10 @@ def _library_path() -> Path:
     import platform
 
     command = _command("")
-    key = hashlib.sha256(SOURCE.read_bytes())
-    key.update(" ".join((*command, platform.machine(), np.__version__)).encode())
-    key.update(NPYRANDOM.read_bytes())
-    key.update(BITGEN_H.read_bytes())
-    if "-DZG_UFUNC" in command:
-        key.update(sys.version.encode())
-        key.update(PYTHON_H.read_bytes())
-        key.update(UFUNCOBJECT_H.read_bytes())
+    key, ufunc = hashlib.sha256(SOURCE.read_bytes()), "-DZG_UFUNC" in command
+    key.update(" ".join((*command, platform.machine(), np.__version__, sys.version if ufunc else "")).encode())
+    for part in (NPYRANDOM, BITGEN_H, *((PYTHON_H, UFUNCOBJECT_H) if ufunc else ())):
+        key.update(part.read_bytes())
     return CACHE / f"_lanes-{key.hexdigest()[:16]}.so"
 
 

@@ -243,13 +243,8 @@ class AdversarialOracle(Oracle):
         return self.mean_response(x, delta) + xi, x, None
 
     def _draws(self, delta, m, rng, antithetic):
-        """The noise xi (m, d) of m replies at one point, with no mirror; at
-        d = 1 the library's fill draws it (``_lanes.probe_draws``), where it
-        can be built, with the bits numpy would draw here."""
-        from . import _lanes  # imported on first use, not with zograd (see _lanes)
-        drawn = _lanes.probe_draws(self, delta, m, rng)
-        xi = self._sds(delta) * rng.standard_normal((m, self.dim)) if drawn is None else drawn[2][0]
-        return (xi,), None
+        """The noise xi (m, d) of m replies at one point, with no mirror."""
+        return (self._sds(delta) * rng.standard_normal((m, self.dim)),), None
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
         """The noise of n solver steps, in chunks of one (m, d) array."""

@@ -14,9 +14,12 @@ they are built, so they are safe to share across workers.
 
 from __future__ import annotations
 
+import logging
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
+
+_log = logging.getLogger(__name__)
 
 
 class DomainError(ValueError):
@@ -215,9 +218,9 @@ REPLY_BLOCK = 8192
 class Oracle:
     """``query`` and ``sample_gradients`` from an oracle's one ``estimate(x,
     delta, *draws)`` and its ``_draws(delta, m, rng, antithetic)``: the
-    draws of m replies at one point (leading axis m), and None or a function
-    of a row slice that returns the draws of those replies' antithetic
-    mirrors.  By default there are no draws."""
+    draws of m replies at one point (leading axis m), made with numpy, and
+    None or a function of a row slice that returns the draws of those
+    replies' antithetic mirrors.  By default there are no draws."""
 
     def _draws(self, delta, m, rng, antithetic):
         return (), None
@@ -236,14 +239,25 @@ class Oracle:
     def sample_gradients(self, x, delta: float, m: int, rng: np.random.Generator,
                          antithetic: bool = False) -> np.ndarray:
         """``m`` independent gradient estimates (m, d) at a point x of the
-        target's domain, drawn in one pass and evaluated ``REPLY_BLOCK`` rows
-        at a time, the bits of one elementwise ``estimate`` call.  With
-        ``antithetic=True`` each row of an estimator averages its estimates
-        at +U and -U (same noise law), which keeps the mean and makes bias
-        probes converge far faster; oracles without directions ignore it."""
+        target's domain, drawn in one pass (``_draws``) and evaluated
+        ``REPLY_BLOCK`` rows at a time, the bits of one elementwise
+        ``estimate`` call.  With ``antithetic=True`` each row of an
+        estimator averages its estimates at +U and -U (same noise law), which
+        keeps the mean and makes bias probes converge far faster; oracles
+        without directions ignore it.  At d = 1, where the oracle's
+        ``lane_spec()`` carries formula data, one call of the compiled lane
+        library makes the m replies instead (``_lanes.probe_replies``), with
+        these bits, leaving rng where these draws leave it.  Which path made
+        them, and why numpy did, is logged at DEBUG."""
         x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
         if not self.target.domain.contains(x):
             raise DomainError(f"probe point {x[0]} escapes the domain")
+        from . import _lanes  # imported on first use, not with zograd (see _lanes)
+        g, refused = _lanes.probe_replies(self, x, delta, m, rng, antithetic)
+        _log.debug("sample_gradients: %d replies from %s", m,
+                   "the compiled lane kernel" if refused is None else f"numpy's estimate ({refused})")
+        if g is not None:
+            return g
         draws, mirror = self._draws(delta, m, rng, antithetic)
         g = np.empty((m, x.shape[1]))
         for start in range(0, m, REPLY_BLOCK):

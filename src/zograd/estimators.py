@@ -18,7 +18,8 @@ Every oracle computes its estimate in one vectorised ``estimate`` over a
 stack of query points, from draws passed in as arguments.  ``make_stepper``
 feeds the solver those draws chunk by chunk; ``query`` and
 ``sample_gradients`` (``core.Oracle``) take theirs from ``_draws`` and
-call the same ``estimate``, block by block.
+call the same ``estimate``, block by block.  ``lane_spec`` states the same
+formulas and draws for the compiled lane kernel.
 """
 
 from __future__ import annotations
@@ -350,19 +351,11 @@ class EstimatorOracle(Oracle):
     def _draws(self, delta, m, rng, antithetic):
         """The draws (du, w, xi) of m replies at one point, and None or the
         rows' antithetic mirrors (-du, -w, a second block of noise): all m
-        directions, then the noise arm by arm in blocks of m.  At d = 1 the
-        library's fill draws them (``_lanes.probe_draws``), where it can be
-        built, with the bits numpy would draw here."""
-        from . import _lanes  # imported on first use, not with zograd (see _lanes)
+        directions, then the noise arm by arm in blocks of m."""
         two_point = self.feedback == "two_point"
         antithetic = antithetic and not two_point
-        drawn = _lanes.probe_draws(self, delta, m, rng, antithetic)
-        if drawn is None:
-            du, w = self._scaled(self.scheme.sample_u(self.dim, rng, m), delta)
-            xi = self._noise(rng, (2 if antithetic else self._noise_shape()[0], m, 1))
-        else:
-            du, w, xi = drawn
-            du = du[:, 0] if antithetic else du  # the +du arm
+        du, w = self._scaled(self.scheme.sample_u(self.dim, rng, m), delta)
+        xi = self._noise(rng, (2 if antithetic else self._noise_shape()[0], m, 1))
         if two_point:
             return (du, w, np.moveaxis(xi, 0, 1)), None
         # the mirror's draws negated block by block, not all at once
@@ -377,9 +370,10 @@ class EstimatorOracle(Oracle):
         d = 1, weighted as ``_scaled`` weights them, then the noise of
         ``_noise``: sigma*z, zeros for sigma = 0, or the plain psi of
         controlled noise, which the kernel scales by its sigma and slope as
-        ``estimate`` does.  The formula data only for a quadratic target:
-        the kernel draws for any other but does not run it.  None for
-        d > 1."""
+        ``estimate`` does.  The formula data for a target the kernel
+        evaluates (``formula_1d``): runs take only the quadratic, probes
+        the kinked quadratic and exp too (``KINKED``, ``EXP``); for any
+        other the kernel draws but computes no reply.  None for d > 1."""
         from . import _lanes  # imported on first use, not with zograd (see _lanes)
         if self.dim != 1:
             return None
@@ -393,8 +387,10 @@ class EstimatorOracle(Oracle):
             # psi unscaled: 1.0*z is z, bit for bit
             model = (float(self.noise.sigma), float(self.noise.slope))
             flags, noise = flags | _lanes.CONTROLLED, lambda delta: 1.0
-        coef = self.target.quadratic_1d
-        data = None if coef is None else (*coef, *model)
+        formula, data = self.target.formula_1d, None
+        if formula is not None:  # the coefficients, padded to three
+            flags |= {"quadratic": 0, "kinked": _lanes.KINKED, "exp": _lanes.EXP}[formula[0]]
+            data = (*(*formula[1:], 0.0, 0.0, 0.0)[:3], *model)
         return _lanes.LaneSpec(flags, data, 1.0 if self.feedback == "one_point" else 0.5, noise)
 
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):

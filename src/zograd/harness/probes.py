@@ -16,14 +16,17 @@ SE_SLACK = 5.0
 VAR_FACTOR = 1.05
 
 
-def _dual_sq(rows: np.ndarray, norm: Norm) -> np.ndarray:
-    """The squared dual norm of each row of rows (..., d)."""
+def _centred_dual_sq(rows: np.ndarray, centre: np.ndarray, norm: Norm, scratch: np.ndarray) -> np.ndarray:
+    """The squared dual norm of each row of rows - centre (..., d), the
+    difference centred and squared in ``scratch``, an array of rows' shape
+    that it overwrites."""
+    np.subtract(rows, centre, out=scratch)
     if rows.shape[-1] == 1:
-        return rows[..., 0] ** 2
+        return np.square(scratch, out=scratch)[..., 0]
     dual = norm.dual()
     if dual.kind == "euclidean":
-        return np.sum(rows * rows, axis=-1)
-    return dual.rows(rows) ** 2
+        return np.square(scratch, out=scratch).sum(axis=-1)
+    return dual.rows(scratch) ** 2
 
 
 class ProbeResult(NamedTuple):
@@ -48,10 +51,11 @@ def probe_bias_variance(
 
     Standard errors come from 32 batch means, the batches the first
     32*(reps // 32) draws split into in order, all taken in one pass over a
-    (32, reps // 32, d) view.  ``antithetic=True`` averages each draw with
-    its mirrored perturbation; the bias estimate is unchanged in expectation
-    but concentrates much faster (use it for slope fits, not for variance
-    estimation).
+    (32, reps // 32, d) view.  The whole sample and the batches are centred
+    and squared in one scratch array.  ``antithetic=True`` averages each
+    draw with its mirrored perturbation; the bias estimate is unchanged in
+    expectation but concentrates much faster (use it for slope fits, not for
+    variance estimation).
     """
     if reps < _BATCHES:
         raise DomainError(f"need at least {_BATCHES} replications")
@@ -60,14 +64,15 @@ def probe_bias_variance(
     grad = oracle.target.gradient_at(x)
     dual = norm.dual()
 
-    mean_g = g.mean(axis=0)
+    mean_g, scratch = g.mean(axis=0), np.empty_like(g)
     bias_est = dual.value(mean_g - grad)
-    var_est = float(np.mean(_dual_sq(g - mean_g, norm)))
+    var_est = float(np.mean(_centred_dual_sq(g, mean_g, norm, scratch)))
 
-    batches = g[:_BATCHES * (reps // _BATCHES)].reshape(_BATCHES, reps // _BATCHES, -1)
+    per = reps // _BATCHES
+    batches, batch_scratch = (a[:_BATCHES * per].reshape(_BATCHES, per, -1) for a in (g, scratch))
     means = batches.mean(axis=1)
     biases = dual.rows(means - grad)
-    variances = _dual_sq(batches - means[:, None], norm).mean(axis=1)
+    variances = _centred_dual_sq(batches, means[:, None], norm, batch_scratch).mean(axis=1)
     return ProbeResult(
         delta=float(delta),
         bias_est=float(bias_est),

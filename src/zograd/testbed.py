@@ -33,16 +33,17 @@ class ObjectiveFunction:
     def __init__(self, name: str, domain: ConvexBody, smoothness: float, strong_convexity: float,
                  value: Callable, gradient: Callable, f_star: float, x_star: Optional[np.ndarray],
                  third_derivative_bound: Optional[float] = None,
-                 quadratic_1d: Optional[tuple[float, float, float]] = None,
+                 formula_1d: Optional[tuple] = None,
                  hard_pair_arm: Optional[tuple[str, float, float]] = None):
         # the domain's dimension, kept as an attribute: value_rows reads it at every step
         self.name, self.domain, self.dim = name, domain, domain.dim
         self.smoothness, self.strong_convexity = smoothness, strong_convexity
         self.value, self.gradient, self.f_star, self.x_star = value, gradient, f_star, x_star
         self.third_derivative_bound = third_derivative_bound
-        # (ca, cb, cc) of a 1-d quadratic whose value is (ca*x + cb)*x + cc,
-        # computed in that order; the compiled lane kernel evaluates f from these
-        self.quadratic_1d = quadratic_1d
+        # the value of a 1-d family as the compiled lane kernel evaluates it, in
+        # the same order: ("quadratic", ca, cb, cc) for (ca*x + cb)*x + cc,
+        # ("kinked", a_neg, a_pos) for 0.5*a*x*x, or ("exp",) for exp(x) - x
+        self.formula_1d = formula_1d
         # (family, v, eps) of arm v of a hard pair, family "softabs" or
         # "strongly_convex"; the compiled lane kernel computes the gradient from these
         self.hard_pair_arm = hard_pair_arm
@@ -216,6 +217,7 @@ def kinked_quadratic(
         f_star=0.0,
         x_star=np.array([0.0]),
         third_derivative_bound=None,
+        formula_1d=("kinked", an, ap),
     )
 
 
@@ -236,6 +238,7 @@ def exp_one_d(domain: ConvexBody | None = None) -> ObjectiveFunction:
         f_star=1.0,
         x_star=np.array([0.0]),
         third_derivative_bound=math.exp(hi),
+        formula_1d=("exp",),
     )
 
 
@@ -300,7 +303,7 @@ def quadratic(
         f_star=f_star,
         x_star=x_star,
         third_derivative_bound=0.0,
-        quadratic_1d=(float(ca), float(cb), float(cc)) if d == 1 else None,
+        formula_1d=("quadratic", float(ca), float(cb), float(cc)) if d == 1 else None,
     )
 
 
@@ -368,7 +371,7 @@ def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
         f_star=float(sum(c.f_star for c in comps)),
         x_star=None if any(x is None for x in x_stars) else np.array([float(x[0]) for x in x_stars]),
         third_derivative_bound=None if any(v is None for v in b3s) else max(b3s),
-        quadratic_1d=None if one is None else one.quadratic_1d,
+        formula_1d=None if one is None else one.formula_1d,
         hard_pair_arm=None if one is None else one.hard_pair_arm,
     )
 

@@ -353,8 +353,8 @@ class TestEnvelopeCache:
 _F1 = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
 # (oracle, antithetic, point) of every kind of reply sample_gradients
 # evaluates in blocks: estimators of each feedback, noise and antithetic
-# pairs, adversarial and exact oracles, at d = 1 (where the library draws
-# for the estimators and the adversarial oracle) and at d = 2 (numpy draws)
+# pairs, adversarial and exact oracles, at d = 1 (where the library makes
+# the replies, on the "library" path) and at d = 2 (numpy makes them)
 BLOCK_CASES = {
     "one-point": (EstimatorOracle(_F1, SPSA, UncontrolledNoise(3.0), "one_point"), False),
     "one-point-antithetic": (EstimatorOracle(_F1, SPSA, UncontrolledNoise(3.0), "one_point"), True),
@@ -396,7 +396,8 @@ class TestReplyBlocks:
     @pytest.mark.parametrize("path", ["library", "numpy"])
     def test_a_probe_holds_block_sized_temporaries(self, path, monkeypatch):
         # all 10^5 rows of a two-point probe at once took a traced peak of
-        # 10.7 MiB with the library and 9.2 MiB without; in blocks, 6.6 and 5.1
+        # 9.2 MiB on numpy's estimate, and in blocks 5.1; the library's one
+        # call, its draws and its replies, takes 6.1
         if path == "library" and _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
         if path == "numpy":
@@ -414,7 +415,8 @@ class TestReplyBlocks:
     @pytest.mark.parametrize("path, mib", [("library", 7.0), ("numpy", 5.0)])
     def test_an_antithetic_probe_negates_its_mirror_block_by_block(self, path, mib, monkeypatch):
         # negating all 10^5 mirror draws before the blocks took a traced peak
-        # of 7.9 MiB with the library and 5.6 MiB without; per block, 6.5 and 4.2
+        # of 5.6 MiB on numpy's estimate, and per block 4.2; the library's
+        # one call, its draws and its replies, takes 6.1
         if path == "library" and _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
         if path == "numpy":
@@ -510,23 +512,31 @@ class TestLaneSpec:
             _lanes.SIGNS | _lanes.TWO_POINT | _lanes.EVAL_POINT | _lanes.CONTROLLED, (0.5, -2.0, 1.5, 3.0, 0.5))
 
     def test_coefficients_reproduce_the_value(self):
-        ca, cb, cc = self.F.quadratic_1d
+        # each 1-d family's formula, in the order the kernel computes it, gives its value's bits
         y = np.linspace(-1.5, 2.5, 101)
+        kinked, exp = kinked_quadratic(0.3, 1.7), exp_one_d()
+        assert (kinked.formula_1d, exp.formula_1d) == (("kinked", 0.3, 1.7), ("exp",))
+        kind, ca, cb, cc = self.F.formula_1d
+        assert kind == "quadratic"
         np.testing.assert_array_equal((ca * y + cb) * y + cc, self.F.value(y))
+        half = np.where(y < 0, 0.5 * 0.3, 0.5 * 1.7)
+        np.testing.assert_array_equal(half * y * y, kinked.value(y))
+        np.testing.assert_array_equal(np.exp(y) - y, exp.value(y))
 
     def test_other_targets_are_not_covered(self):
-        # another 1-d target's draws are stated, but not its formula, so the
-        # numpy loop runs it; d > 1 is run and drawn by numpy only
-        for oracle, quadratic_cell in (
-            (EstimatorOracle(exp_one_d(), SPSA, UncontrolledNoise(1.0), "one_point"),
-             EstimatorOracle(self.F, SPSA, UncontrolledNoise(1.0), "one_point")),
-            (EstimatorOracle(exp_one_d(), SPSA, ControlledNoise(1.0), "two_point"),
-             EstimatorOracle(self.F, SPSA, ControlledNoise(1.0), "two_point")),
-        ):
-            spec, covered = oracle.lane_spec(), quadratic_cell.lane_spec()
-            assert spec.data is None
-            assert (spec.flags, spec.weight, spec.noise(0.2)) == (covered.flags, covered.weight, covered.noise(0.2))
-            assert _lanes.lane_run(oracle, False, [np.random.default_rng(0)], [10], [None]) is None
+        # another 1-d target's draws are stated, but not its formula, so
+        # numpy runs it and makes its probe replies; the kinked and exp
+        # targets hand their formula to probes, but runs take the numpy loop;
+        # d > 1 is run and drawn by numpy only
+        for target, kind in ((softabs(+1, 0.1), 0), (kinked_quadratic(), _lanes.KINKED), (exp_one_d(), _lanes.EXP)):
+            for noise, feedback in ((UncontrolledNoise(1.0), "one_point"), (ControlledNoise(1.0), "two_point")):
+                spec = EstimatorOracle(target, SPSA, noise, feedback).lane_spec()
+                covered = EstimatorOracle(self.F, SPSA, noise, feedback).lane_spec()
+                assert (spec.data is None) == (kind == 0)
+                assert (spec.flags, spec.weight, spec.noise(0.2)) == (covered.flags | kind, covered.weight,
+                                                                       covered.noise(0.2))
+                oracle = EstimatorOracle(target, SPSA, noise, feedback)
+                assert _lanes.lane_run(oracle, False, [np.random.default_rng(0)], [10], [None]) is None
         oracles = [
             EstimatorOracle(quadratic([1.0, 2.0]), SPSA, UncontrolledNoise(1.0), "one_point"),
             EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"),

@@ -128,6 +128,44 @@ class TestProbe:
         got, want = (np.array(r, dtype=float) for r in (got, want))
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("reps", [33, 50_000, 99_999, 100_000])
+    @pytest.mark.parametrize("kind", ["one-point", "adversarial", "d2-max"])
+    def test_statistics_in_one_scratch_equal_fresh_temporaries(self, kind, reps):
+        # centring and squaring in place keeps all five floats of the
+        # formula that builds g - mean_g and batches - means afresh
+        oracle, norm = EstimatorOracle(quadratic([1.0]), SPSA, UncontrolledNoise(1.0), "one_point"), EUCLIDEAN
+        if kind == "adversarial":
+            oracle = HardInstance("convex_smooth", +1, 0.1, OracleEnvelope(1.0, 2.0, 1.0, 2.0)).oracle()
+        elif kind == "d2-max":
+            oracle, norm = EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"), MAX_NORM
+        x = np.full(oracle.dim, 0.3)
+        got = probe_bias_variance(oracle, x, 0.2, reps, RngStream(8, reps).generator(), norm)
+        want = _probe_with_fresh_temporaries(oracle, x, 0.2, reps, RngStream(8, reps).generator(), norm)
+        got, want = (np.array(r, dtype=float) for r in (got, want))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _probe_with_fresh_temporaries(oracle, x, delta, reps, rng, norm):
+    """``probe_bias_variance``'s five floats from new arrays of g - mean_g and
+    of batches - means."""
+    g = oracle.sample_gradients(x, delta, reps, rng)
+    grad, dual = oracle.target.gradient_at(x), norm.dual()
+
+    def dual_sq(rows):
+        if rows.shape[-1] == 1:
+            return rows[..., 0] ** 2
+        if dual.kind == "euclidean":
+            return np.sum(rows * rows, axis=-1)
+        return dual.rows(rows) ** 2
+
+    mean_g = g.mean(axis=0)
+    batches = g[:32 * (reps // 32)].reshape(32, reps // 32, -1)
+    means = batches.mean(axis=1)
+    variances = dual_sq(batches - means[:, None]).mean(axis=1)
+    return ProbeResult(float(delta), float(dual.value(mean_g - grad)),
+                       float(dual.rows(means - grad).std(ddof=1) / np.sqrt(32)), float(np.mean(dual_sq(g - mean_g))),
+                       float(variances.std(ddof=1) / np.sqrt(32)), reps)
+
 
 def _rebuilt(f: ObjectiveFunction, **changes) -> ObjectiveFunction:
     """f built again with ``changes`` to its arguments (its dim is its domain's, not an argument)."""
@@ -1217,9 +1255,25 @@ class TestCommittedResults:
 
     @pytest.mark.parametrize("name", [f"probe_{i}" for i in range(7)])
     def test_probe_envelopes_reproduces_its_files_with_numpy_draws(self, script_cell, name, capsys, monkeypatch):
-        # the test above draws through the library where it can be built
+        # the test above makes the replies in the library where it can be built
         monkeypatch.setattr(_lanes, "kernel", lambda: None)
         self._reproduces(*script_cell("probe_envelopes", name))
+
+    @pytest.mark.parametrize("name", ["probe_2", "probe_3"])
+    def test_exp_probes_reproduce_their_files_with_the_exp_loop_refused(self, script_cell, name, capsys,
+                                                                         monkeypatch, caplog):
+        # the probes of exp on numpy's draws and estimate where the library
+        # holds no checked exp loop
+        if _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        real = _lanes._loop_mismatch
+        monkeypatch.setattr(_lanes, "_loop_mismatch",
+                            lambda apply, name: "it differs from np.exp" if name == "exp" else real(apply, name))
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            self._reproduces(*script_cell("probe_envelopes", name))
+        assert caplog.text.count("replies from numpy's estimate (exp loop not bound)") == 4
+        assert not _lanes.loop_bound("exp")
 
     def _reproduces(self, code: int, out: Path) -> None:
         # a run of the script's own argument vector, written elsewhere
@@ -1316,7 +1370,7 @@ class TestThreadedFanOut:
     def test_unbound_tanh_runs_softabs_on_the_numpy_loop(self, cause, tmp_path, monkeypatch, caplog):
         # without numpy's tanh loop, the softabs runs of a 2-worker
         # lower-bound experiment take the numpy loop, with the same bytes
-        if _lanes.kernel() is None or not _lanes.tanh_bound():
+        if _lanes.kernel() is None or not _lanes.loop_bound("tanh"):
             pytest.skip("the lane kernel cannot be built with numpy's tanh loop here")
         cfg = lambda name: ExperimentConfig(workers=2, out=str(tmp_path / name), **self.LOWERBOUND)
         lower_bound_experiment(cfg("bound.csv"))
@@ -1325,14 +1379,14 @@ class TestThreadedFanOut:
             monkeypatch.setattr(_lanes, "PYTHON_H", tmp_path / "no-such-file")
             monkeypatch.setattr(_lanes, "CACHE", tmp_path / "cache")
         elif cause == "accessor":  # np.tanh's loop 1 is f->f, which the library refuses to bind
-            monkeypatch.setattr(_lanes, "TANH_SIGNATURE", "f->f")
+            monkeypatch.setattr(_lanes, "LOOP_SIGNATURE", "f->f")
         else:
-            monkeypatch.setattr(_lanes, "_tanh_mismatch", lambda apply: "it differs from np.tanh")
+            monkeypatch.setattr(_lanes, "_loop_mismatch", lambda apply, name: "it differs from np.tanh")
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             lower_bound_experiment(cfg("unbound.csv"))
-        assert _lanes.kernel() is not None and not _lanes.tanh_bound()
+        assert _lanes.kernel() is not None and not _lanes.loop_bound("tanh")
         assert Path(cfg("unbound.csv").out).read_bytes() == Path(cfg("bound.csv").out).read_bytes()
-        assert caplog.text.count("without numpy's tanh loop (softabs runs take the numpy loop)") == 1
+        assert caplog.text.count("without numpy's tanh loop (softabs runs and probes take numpy)") == 1
         assert caplog.text.count("lane kernel loaded") == 1
         # each arm's adversarial run, then each arm's exact-gradient sanity run
         assert caplog.text.count("steps on the numpy loop") == 4
@@ -1409,6 +1463,25 @@ class TestThreadedFanOut:
     def test_a_command_imports_only_what_it_runs(self, argv, imported):
         assert _setup_modules(self.LAZY_MODULES, argv) == imported
 
+    # whether the process bound numpy's exp loop in the lane kernel, which
+    # only the probes of exp need: its bind and check run in the first one
+    EXP_BOUND = ("(lambda lanes: bool(lanes and lanes._loaded and lanes._loaded[0]"
+                 " and 'exp' in lanes._loaded[0].loops))(sys.modules.get('zograd._lanes'))")
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"],
+        ["regret", "--estimator", "spsa", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"],
+        ["lowerbound", "--class", "convex", "--p", "2", "--n", "2000", "--reps", "4"],
+    ], ids=["rate", "regret", "lowerbound"])
+    def test_a_run_leaves_numpys_exp_loop_unbound(self, argv):
+        assert _in_fresh_process(self.EXP_BOUND, argv) is False
+
+    def test_a_probe_of_exp_binds_numpys_exp_loop(self):
+        if _lanes.kernel() is None or not _lanes.loop_bound("exp"):
+            pytest.skip("the lane kernel cannot bind numpy's exp loop here")
+        argv = ["probe", "--oracle", "smoothing,fn=exp,sigma=1.0,x=0.0", "--delta-grid", "0.5", "--reps", "64"]
+        assert _in_fresh_process(self.EXP_BOUND, argv) is True
+
 
 class TestBenchmarkTracer:
     """The benchmark's tracer (``perfbench/tracing.py``) wraps zograd's layer
@@ -1446,9 +1519,16 @@ def _setup_modules(select: str, argv: list[str] | None = None) -> list[str]:
     """The modules ``m`` for which the expression ``select`` holds, sorted, in a
     fresh interpreter that imported zograd, its CLI and its experiments, and
     then, given an ``argv``, ran one ``cli.main(argv)`` that exits 0."""
+    return _in_fresh_process(f"sorted(m for m in sys.modules if {select})", argv)
+
+
+def _in_fresh_process(expression: str, argv: list[str] | None = None):
+    """The value of ``expression``, through JSON, in a fresh interpreter that
+    imported zograd, its CLI and its experiments, and then, given an
+    ``argv``, ran one ``cli.main(argv)`` that exits 0."""
     run = "" if argv is None else f"assert zograd.harness.cli.main({argv!r}) == 0; "
     code = ("import json, sys, zograd, zograd.harness.cli, zograd.harness.experiments; "
-            f"{run}print(json.dumps(sorted(m for m in sys.modules if {select})))")
+            f"{run}print(json.dumps({expression}))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)

@@ -46,7 +46,7 @@ from zograd.solver import (
     schedule_opt_sc,
     schedule_regret,
 )
-from zograd.testbed import exp_one_d, kinked_quadratic, quadratic
+from zograd.testbed import exp_one_d, kinked_quadratic, quadratic, softabs
 
 RNG = lambda i: RngStream(55, i).generator()
 
@@ -504,54 +504,70 @@ class TestDrawRule:
         np.testing.assert_array_equal(_bits(long.xs[:h]), _bits(short.xs))
 
 
-# every 1-d oracle whose draws at one point (``_draws``) the library makes:
-# the cells of DRAW_ORACLES, and three targets the kernel draws for but does
-# not run (the probe cells of the kinked quadratic and of exp)
+# every 1-d oracle whose replies at one point (``sample_gradients``) the
+# library makes: the cells of DRAW_ORACLES, on the quadratic; estimators of
+# the kinked quadratic and of exp, which runs do not take; and the exact
+# gradient of each arm of the hard pairs
 PROBE_ORACLES = {
     **DRAW_ORACLES,
     "sf-one_point-kinked": EstimatorOracle(kinked_quadratic(), SF, UncontrolledNoise(1.0), "one_point"),
+    "spsa-two_point-kinked": EstimatorOracle(kinked_quadratic(0.3, 2.0), SPSA, UncontrolledNoise(0.5), "two_point"),
     "surface-one_point-exp": EstimatorOracle(exp_one_d(), SURFACE, UncontrolledNoise(1.0), "one_point"),
+    "rdsa-one_point-exp-sigma0": EstimatorOracle(exp_one_d(), RDSA, UncontrolledNoise(0.0), "one_point"),
     "spsa-two_point-exp": EstimatorOracle(exp_one_d(), SPSA, UncontrolledNoise(1.0), "two_point", "c3"),
+    "sf-two_point-exp-controlled": EstimatorOracle(exp_one_d(), SF, ControlledNoise(1.0, slope=0.5), "two_point"),
+    **{k: o for k, o in KERNEL_ORACLES.items() if k.startswith("exact")},
 }
 
 
-def _counted_probe_draws(drawn: list):
-    """Patch ``_lanes.probe_draws`` to append whether each call drew."""
-    real = _lanes.probe_draws
+def _counted_probe_replies(made: list):
+    """Patch ``_lanes.probe_replies`` to append whether each call made the replies."""
+    real = _lanes.probe_replies
 
     def counted(*args, **kwargs):
         got = real(*args, **kwargs)
-        drawn.append(got is not None)
+        made.append(got[0] is not None)
         return got
 
-    return mock.patch.object(_lanes, "probe_draws", counted)
+    return mock.patch.object(_lanes, "probe_replies", counted)
 
 
-class TestProbeDraws:
-    # sample_gradients at d = 1 takes its draws from the library's fill, on
-    # one lane reading the probe's generator, and gives numpy's bits
+def _skip_without_loops(oracle):
+    """Skip where the library, or a numpy loop the oracle's replies need, is missing here."""
+    if _lanes.kernel() is None:
+        pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+    flags = oracle.lane_spec().flags
+    for name, flag in (("tanh", _lanes.SOFTABS), ("exp", _lanes.EXP)):
+        if flags & flag and not _lanes.loop_bound(name):
+            pytest.skip(f"the lane kernel cannot bind numpy's {name} loop here")
+
+
+class TestProbeReplies:
+    # sample_gradients at d = 1 takes its m replies from one library call,
+    # which draws on one lane reading the probe's generator and evaluates
+    # each reply in C, and gives numpy's bits and final generator state
     @pytest.mark.parametrize("kind", sorted(PROBE_ORACLES))
     @given(st.integers(0, 2**32), st.floats(0.01, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=8, deadline=None)
-    def test_library_draws_equal_numpy_draws(self, kind, seed, delta, at):
-        if _lanes.kernel() is None:
-            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+    def test_library_replies_equal_numpy_replies(self, kind, seed, delta, at):
         oracle = PROBE_ORACLES[kind]
+        _skip_without_loops(oracle)
         body = oracle.target.domain  # a probe point lies in it
         x = float(body.lower[0] + at * (body.upper[0] - body.lower[0]))
-        for m in (1, 31, 32, 33, 4099):
+        for m in (1, 31, 32, 33, 4099, 2 * STEPS_PER_CHUNK + 1):
             for antithetic in (False, True):
-                fast, slow, drawn = np.random.default_rng(seed), np.random.default_rng(seed), []
-                with _counted_probe_draws(drawn):
+                fast, slow, made = np.random.default_rng(seed), np.random.default_rng(seed), []
+                with _counted_probe_replies(made):
                     got = oracle.sample_gradients(np.array([x]), delta, m, fast, antithetic)
-                assert drawn == [True]
+                assert made == [True]
                 with _numpy_loop():
                     want = oracle.sample_gradients(np.array([x]), delta, m, slow, antithetic)
                 assert got.shape == want.shape == (m, 1)
                 np.testing.assert_array_equal(_bits(got), _bits(want))
                 assert fast.bit_generator.state == slow.bit_generator.state
 
-    @pytest.mark.parametrize("redefined", ["_scaled", "_noise", "_draws", "adversarial-_draws"])
+    @pytest.mark.parametrize("redefined", ["_scaled", "_noise", "_draws", "estimate", "adversarial-_draws",
+                                           "adversarial-estimate"])
     def test_a_subclass_that_redefines_a_draw_method_draws_with_numpy(self, redefined):
         class OwnScaled(EstimatorOracle):
             def _scaled(self, u, delta):
@@ -565,42 +581,83 @@ class TestProbeDraws:
             def _draws(self, *args):
                 return super()._draws(*args)
 
-        class OwnReply(AdversarialOracle):
+        class OwnEstimate(EstimatorOracle):
+            def estimate(self, *args):
+                return super().estimate(*args)
+
+        class OwnReplyDraws(AdversarialOracle):
             def _draws(self, *args):
                 return super()._draws(*args)
 
+        class OwnReply(AdversarialOracle):
+            def estimate(self, *args):
+                return super().estimate(*args)
+
         if redefined.startswith("adversarial"):
             base = KERNEL_ORACLES["adversarial-sc-p1+1"]
-            oracle = OwnReply(base.instance)
+            oracle = (OwnReplyDraws if redefined.endswith("_draws") else OwnReply)(base.instance)
         else:
             base = KERNEL_ORACLES["spsa-2pt"]
-            own = {"_scaled": OwnScaled, "_noise": OwnNoise, "_draws": OwnDraws}[redefined]
+            own = {"_scaled": OwnScaled, "_noise": OwnNoise, "_draws": OwnDraws, "estimate": OwnEstimate}[redefined]
             oracle = own(base.target, base.scheme, base.noise, base.feedback)
-        assert _lanes.probe_draws(oracle, 0.2, 8, RNG(0)) is None
+        assert _lanes.probe_replies(oracle, np.array([[0.3]]), 0.2, 8, RNG(0))[0] is None
         np.testing.assert_array_equal(oracle.sample_gradients(np.array([0.3]), 0.2, 99, RNG(1)),
                                       base.sample_gradients(np.array([0.3]), 0.2, 99, RNG(1)))
 
-    def test_a_wrapper_on_sample_gradients_keeps_the_library_draws(self):
+    def test_a_wrapper_on_sample_gradients_keeps_the_library_replies(self):
         # a tracer wraps sample_gradients on the oracle classes themselves
         if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
-        drawn, oracle = [], KERNEL_ORACLES["one-point"]
+        made, oracle = [], KERNEL_ORACLES["one-point"]
         for cls in (EstimatorOracle, AdversarialOracle):
             real = cls.sample_gradients
             wrapped = functools.wraps(real)(lambda self, *a, real=real, **k: real(self, *a, **k))
-            with mock.patch.object(cls, "sample_gradients", wrapped), _counted_probe_draws(drawn):
+            with mock.patch.object(cls, "sample_gradients", wrapped), _counted_probe_replies(made):
                 probe_bias_variance(oracle, np.array([0.3]), 0.2, 64, RNG(2))
                 probe_bias_variance(KERNEL_ORACLES["adversarial-sc-p1+1"], np.array([0.3]), 0.2, 64, RNG(3))
-        assert drawn == [True] * 4
+        assert made == [True] * 4
 
-    def test_d_above_1_and_the_exact_oracle_draw_with_numpy(self):
-        drawn = []
-        with _counted_probe_draws(drawn):
+    def test_d_above_1_and_other_targets_take_numpy(self):
+        made = []
+        with _counted_probe_replies(made):
             for oracle in (EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"),
                            scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1])):
                 oracle.sample_gradients(np.array([0.3, -0.1]), 0.2, 16, RNG(4))
             ExactGradientOracle(_FQ).sample_gradients(np.array([0.3]), 0.2, 16, RNG(5))
-        assert drawn == [False, False]
+            EstimatorOracle(softabs(+1, 0.1), SPSA, UncontrolledNoise(1.0), "one_point").sample_gradients(
+                np.array([0.3]), 0.2, 16, RNG(6))
+        assert made == [False] * 4
+
+    def test_a_refused_exp_loop_gives_numpys_replies(self, monkeypatch, caplog):
+        # where numpy's exp loop fails its check, exp probes take numpy's
+        # estimate, with the same bits, and each probe logs why
+        oracle = PROBE_ORACLES["spsa-two_point-exp"]
+        _skip_without_loops(oracle)
+        x, args = np.array([0.2]), (0.1, 5000)
+        bound = [oracle.sample_gradients(x, *args, RNG(7), antithetic) for antithetic in (False, True)]
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        real = _lanes._loop_mismatch
+        monkeypatch.setattr(_lanes, "_loop_mismatch",
+                            lambda apply, name: "it differs from np.exp" if name == "exp" else real(apply, name))
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            for antithetic, want in zip((False, True), bound):
+                got = oracle.sample_gradients(x, *args, RNG(7), antithetic)
+                np.testing.assert_array_equal(_bits(got), _bits(want))
+            probe_bias_variance(oracle, x, 0.1, 64, RNG(8))
+        assert not _lanes.loop_bound("exp") and _lanes.kernel() is not None
+        assert caplog.text.count("lane kernel without numpy's exp loop (exp probes take numpy)") == 1
+        assert caplog.text.count("replies from numpy's estimate (exp loop not bound)") == 3
+
+    def test_a_probe_logs_which_path_made_its_replies(self, caplog):
+        oracle = KERNEL_ORACLES["one-point"]
+        with caplog.at_level(logging.DEBUG, logger="zograd.core"):
+            probe_bias_variance(oracle, np.array([0.3]), 0.2, 64, RNG(9))
+            with _numpy_loop():
+                probe_bias_variance(oracle, np.array([0.3]), 0.2, 64, RNG(9))
+        path = "the compiled lane kernel" if _lanes.kernel() is not None else "numpy's estimate (no lane kernel)"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sample_gradients: 64 replies from {path}",
+            "sample_gradients: 64 replies from numpy's estimate (no lane kernel)"]
 
 
 def _draw_both(oracle, schedules, horizons, seed):
@@ -916,44 +973,49 @@ class TestCompiledKernel:
         assert (info.value.lane, info.value.first, info.value.last) == (1, 1, 99)
         assert "replication 1" in str(info.value)
 
-    def test_numpy_tanh_ignores_its_buffer_layout(self):
+    @pytest.mark.parametrize("name", ["tanh", "exp"])
+    def test_numpy_loop_ignores_its_buffer_layout(self, name):
         # the kernel hands numpy's tanh loop the tanh arguments of all lanes
         # in one interleaved buffer, where the numpy loop takes each arm's
-        # column: its parity rests on numpy's tanh giving each value the
-        # same bits, on the values the loader checks the bound loop on
-        values = _lanes.tanh_premise()
+        # column, and numpy's exp loop a probe's arms in blocks of 512, where
+        # numpy's estimate takes 8192: its parity rests on numpy's ufunc
+        # giving each value the same bits, on the values the loader checks
+        # the bound loop on
+        values, ufunc = _lanes.loop_premise(name), getattr(np, name)
         assert values.size == 8008
-        alone = np.array([np.tanh(np.array([[v]]))[0, 0] for v in values])
-        column = np.tanh(values[:, None])[:, 0]
+        alone = np.array([ufunc(np.array([[v]]))[0, 0] for v in values])
+        column = ufunc(values[:, None])[:, 0]
         interleaved = np.stack((values, values[::-1]), axis=1)
-        np.tanh(interleaved, out=interleaved)
+        ufunc(interleaved, out=interleaved)
         bits = lambda a: np.ascontiguousarray(a).view(np.int64)
         np.testing.assert_array_equal(bits(column), bits(alone))
         np.testing.assert_array_equal(bits(interleaved[:, 0]), bits(alone))
         np.testing.assert_array_equal(bits(interleaved[::-1, 1]), bits(alone))
 
-    def test_tanh_check_sees_one_bit(self):
-        # the loader's check of the bound loop passes np.tanh itself, and
-        # fails libm's tanh and a loop one bit off on one value alone
-        assert _lanes._tanh_mismatch(lambda n, pieces, count, x: np.tanh(x, out=x)) is None
+    @pytest.mark.parametrize("name, libm", [("tanh", math.tanh), ("exp", lambda v: math.exp(min(v, 709.7)))])
+    def test_loop_check_sees_one_bit(self, name, libm):
+        # the loader's check of a bound loop passes the numpy ufunc itself,
+        # and fails libm's function and a loop one bit off on one value alone
+        ufunc = getattr(np, name)
+        assert _lanes._loop_mismatch(lambda n, pieces, count, x: ufunc(x, out=x), name) is None
 
-        def libm(n, pieces, count, x):
-            x[:] = [math.tanh(v) for v in x]
+        def of_libm(n, pieces, count, x):
+            x[:] = [libm(v) for v in x]
 
         def off_alone(n, pieces, count, x):
-            np.tanh(x, out=x)
+            ufunc(x, out=x)
             if list(pieces) == [1]:
                 x[100] = np.nextafter(x[100], np.inf)
 
-        assert _lanes._tanh_mismatch(libm) == "it differs from np.tanh alone"
-        assert _lanes._tanh_mismatch(off_alone) == "it differs from np.tanh alone"
+        assert _lanes._loop_mismatch(of_libm, name) == f"it differs from np.{name} alone"
+        assert _lanes._loop_mismatch(off_alone, name) == f"it differs from np.{name} alone"
 
     def test_kernel_holds_numpy_tanh(self):
         # Python.h is looked up where sysconfig puts it, without sysconfig
         assert _lanes.PYTHON_H == Path(sysconfig.get_path("include")) / "Python.h"
         if not (_lanes.PYTHON_H.is_file() and _lanes.UFUNCOBJECT_H.is_file()) or _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built against Python's and numpy's headers here")
-        assert _lanes.tanh_bound()
+        assert _lanes.loop_bound("tanh") and _lanes.loop_bound("exp")
 
     def test_kernel_loads_once_under_threads(self, monkeypatch):
         # four threads make their first kernel call, and then their first
@@ -962,27 +1024,27 @@ class TestCompiledKernel:
         # and its act
         if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built here")
-        loads, binds, real, real_bind = [], [], _lanes._load, _lanes._bind_tanh
+        loads, binds, real, real_bind = [], [], _lanes._load, _lanes._bind_loop
 
         def slow_load():
             loads.append(threading.get_ident())
             time.sleep(0.05)
             return real()
 
-        def slow_bind(lib):
+        def slow_bind(lib, name):
             binds.append(threading.get_ident())
             time.sleep(0.05)
-            return real_bind(lib)
+            return real_bind(lib, name)
 
         monkeypatch.setattr(_lanes, "_loaded", [])
         monkeypatch.setattr(_lanes, "_load", slow_load)
-        monkeypatch.setattr(_lanes, "_bind_tanh", slow_bind)
+        monkeypatch.setattr(_lanes, "_bind_loop", slow_bind)
         start, got, bound = threading.Barrier(4), [None] * 4, [None] * 4
 
         def first_call(i):
             start.wait(timeout=10)
             got[i] = _lanes.kernel()
-            bound[i] = _lanes.tanh_bound()
+            bound[i] = _lanes.loop_bound("tanh")
 
         threads = [threading.Thread(target=first_call, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -1003,17 +1065,17 @@ class TestCompiledKernel:
     def test_tanh_loop_is_bound_on_the_first_softabs_run(self, monkeypatch, caplog):
         # an estimator run leaves numpy's tanh loop unbound; the first run of
         # a softabs oracle binds and checks it, and runs on the kernel
-        if _lanes.kernel() is None or not _lanes.tanh_bound():
+        if _lanes.kernel() is None or not _lanes.loop_bound("tanh"):
             pytest.skip("the lane kernel cannot be built with numpy's tanh loop here")
         monkeypatch.setattr(_lanes, "_loaded", [])
         oracle = KERNEL_ORACLES["adversarial-convex-p2+1"]
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             run(KERNEL_ORACLES["one-point"], SCHEDULES[0], 600, rng=[RNG(i) for i in range(3)])
-            assert _lanes._loaded[0].tanh is None
+            assert _lanes._loaded[0].loops == {}
             assert "tanh" not in caplog.text
             for _ in range(2):
                 run(oracle, SCHEDULES[0], 600, rng=[RNG(i) for i in range(3)])
-        assert _lanes._loaded[0].tanh is True
+        assert _lanes._loaded[0].loops == {"tanh": True}
         assert caplog.text.count("numpy's tanh loop bound in the lane kernel") == 1
         assert caplog.text.count("steps on the compiled lane kernel") == 3
 
