@@ -27,7 +27,10 @@
    finite and then that every evaluation point lay within its lane's
    vicinity tolerance, and stops at the first fault.  The draws are the
    ones solver.run would feed oracle.estimate, stacked (steps, lanes, ...)
-   as _next_chunk stacks them.
+   as _next_chunk stacks them.  A recorded run is given a record buffer,
+   the arrays of solver.RunTrace, into which each live lane-step writes
+   the values it computes for the step and the regret: its new iterate,
+   evaluation point, G and, for an estimator, round loss.
 
    zg_probe makes the m replies of a 1-d oracle at one point x
    (_lanes.probe_replies): zg_lane_draws fills their draws on one lane of m
@@ -460,8 +463,8 @@ static void values(long flags, const double *c, long n, double x, const double *
    f(x + du), the arm at +du and, for two arms, the one at -du, its noise,
    xi[0] and the second arm's xi[stride], or the one psi xi[0] of both arms
    (CONTROLLED, where c[3] and c[4] are sigma and slope), and its weight w */
-static double reply(long flags, const double *c, double x, const double *du, const double *fy, const double *xi,
-                    long stride, double w)
+static inline __attribute__((always_inline)) double reply(long flags, const double *c, double x, const double *du,
+                                                          const double *fy, const double *xi, long stride, double w)
 {
     if (!(flags & TWO_POINT))
         return (fy[0] + xi[0]) * w;
@@ -517,7 +520,7 @@ static double at_x(long flags, const double *c, double xv, double shift, const d
 }
 
 /* Keep the lanes of the table that have steps left, in order; returns their count */
-static long keep_live(long lanes, struct lane *lane)
+static inline __attribute__((always_inline)) long keep_live(long lanes, struct lane *lane)
 {
     long kept = 0;
     for (long i = 0; i < lanes; i++)
@@ -536,16 +539,23 @@ static long keep_live(long lanes, struct lane *lane)
    step (two per lane for the adversarial reply, at +1 and -1, one for the
    exact gradient) are written after the draws in scratch, and numpy's loop
    replaces them with their tanh in place.  The table is left holding the
-   lanes that were still running when the run ended.  Returns 0, or the
-   kind of the first fault, written to fault: after each chunk, the first
-   lane, in the table's order, whose steps eta*G, sum or regret are not
-   all finite (NONFINITE), else, for an estimator, the first step and lane
-   whose |y - x| exceeds the lane's tol (ESCAPED). */
-long zg_lane_run(long m, long lanes, long flags, const double *c, struct lane *lane, double *x, double *sum_x,
-                 double *regret, double *scratch, struct fault *fault)
+   lanes that were still running when the run ended.  Where record is not
+   NULL, its four arrays, laid out (steps, lanes) by index, get lane i's
+   new iterate, y, G and, for an estimator, loss of step t at (t - 1)*lanes
+   + index.  Returns 0, or the kind of the first fault, written to fault:
+   after each chunk, the first lane, in the table's order, whose steps
+   eta*G, sum or regret are not all finite (NONFINITE), else, for an
+   estimator, the first step and lane whose |y - x| exceeds the lane's tol
+   (ESCAPED).  at is AT_X or 0, the AT_X bit of flags as a constant. */
+static inline __attribute__((always_inline)) long lane_run(long at, long m, long lanes, long flags, const double *c,
+                                                           struct lane *lane, double *x, double *sum_x,
+                                                           double *regret, double *scratch, double *const *record,
+                                                           struct fault *fault)
 {
+    flags = (flags & ~AT_X) | at;
     long width[3];
     widths(flags, width);
+    const long stride = lanes;  /* the record's values per step */
     bool *finite = (bool *)(scratch + zg_scratch(m, lanes, flags) - lanes);
     const double lo = c[0], hi = c[1], f_star = c[2];
     const double *q = c + 3;
@@ -608,6 +618,14 @@ long zg_lane_run(long m, long lanes, long flags, const double *c, struct lane *l
                     v = hi;
                 x[r] = v;
                 sum_x[r] += v;
+                if (record) {
+                    const long at = (t + j) * stride + r;
+                    record[0][at] = v;
+                    record[1][at] = y;
+                    record[2][at] = g;
+                    if (!(flags & AT_X))
+                        record[3][at] = loss;
+                }
             }
         }
         for (long i = 0; i < lanes; i++) {
@@ -626,6 +644,21 @@ long zg_lane_run(long m, long lanes, long flags, const double *c, struct lane *l
         t += mc;
     }
     return 0;
+}
+
+/* lane_run, compiled once for the oracles that answer at x and once for
+   the estimators, and each once for a recorded run and once, with its
+   record writes left out, for one that is not, so that each loop holds
+   only its own branches; the helpers it calls are inlined into each, as
+   into one loop */
+long zg_lane_run(long m, long lanes, long flags, const double *c, struct lane *lane, double *x, double *sum_x,
+                 double *regret, double *scratch, double *const *record, struct fault *fault)
+{
+    if (flags & AT_X)
+        return record ? lane_run(AT_X, m, lanes, flags, c, lane, x, sum_x, regret, scratch, record, fault)
+                      : lane_run(AT_X, m, lanes, flags, c, lane, x, sum_x, regret, scratch, NULL, fault);
+    return record ? lane_run(0, m, lanes, flags, c, lane, x, sum_x, regret, scratch, record, fault)
+                  : lane_run(0, m, lanes, flags, c, lane, x, sum_x, regret, scratch, NULL, fault);
 }
 
 /* The replies at x of rows r0 .. r0 + n - 1 into g, from the offsets du

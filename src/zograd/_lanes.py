@@ -28,12 +28,12 @@ the reason is logged once at DEBUG and those replies are numpy's.
 
 A kernel run is a ``LaneRun``, which ``lane_run()`` builds where the
 kernel covers the run, from the oracle's ``lane_spec()`` (``LaneSpec``).
-The whole run is one library call, which advances every lane to its
-horizon chunk by chunk, fills each chunk's draws in C with numpy's
-samplers, and checks each chunk as the numpy loop does.  Its normals take
-numpy's ziggurat fast path inline, with the tables read out of numpy's own
-sampler when the library loads and every other draw handed back to that
-sampler; the fill is checked against numpy's normals then
+The whole run, recorded or not, is one library call, which advances every
+lane to its horizon chunk by chunk, fills each chunk's draws in C with
+numpy's samplers, and checks each chunk as the numpy loop does.  Its
+normals take numpy's ziggurat fast path inline, with the tables read out
+of numpy's own sampler when the library loads and every other draw handed
+back to that sampler; the fill is checked against numpy's normals then
 (``NORMAL_PREMISE``).  Where the tables cannot be read or the check fails,
 every normal is handed to numpy's sampler and the fill is checked again;
 the reason is logged once at DEBUG, and where the second check fails too
@@ -134,7 +134,8 @@ class _Library:
         table, longs = np.ctypeslib.ndpointer(LANE, flags="C_CONTIGUOUS"), [ctypes.c_long] * 3
         fault = np.ctypeslib.ndpointer(FAULT, flags="C_CONTIGUOUS")
         self.lib, self.ufunc, self.loops = lib, ufunc, {}
-        self.run = _declare(lib.zg_lane_run, longs + [doubles, table] + [doubles] * 4 + [fault], ctypes.c_long)
+        self.run = _declare(lib.zg_lane_run, longs + [doubles, table] + [doubles] * 4 + [ctypes.c_void_p, fault],
+                            ctypes.c_long)
         self.fill = _declare(lib.zg_lane_draws, longs + [table, doubles], ctypes.c_long)
         self.probe = _declare(lib.zg_probe, longs[:2] + [doubles, table, ctypes.c_double, doubles, doubles])
         self.scratch = _declare(lib.zg_scratch, longs, ctypes.c_long)
@@ -326,8 +327,9 @@ def _table(spec: LaneSpec, deltas: Sequence[float]) -> np.ndarray:
 class LaneRun:
     """A run on the compiled lane kernel (see ``lane_run``): one call of
     ``advance``, ``zg_lane_run``, which runs every lane to its horizon in
-    chunks of ``STEPS_PER_CHUNK`` steps, filling each chunk's draws in C.
-    Every value, every fault it reports, and every generator's final state
+    chunks of ``STEPS_PER_CHUNK`` steps, filling each chunk's draws in C,
+    and writes a recorded run's steps into its record buffer.  Every value,
+    every record, every fault it reports, and every generator's final state
     are those of the numpy loop fed by the steppers
     ``make_stepper(h - 1, schedule.delta, rng)`` of an oracle whose
     ``lane_spec()`` is ``spec``.
@@ -367,21 +369,29 @@ class LaneRun:
         self._noise = [jumped(bg) for bg in self._dir] if twins else self._dir
         table["dir"], table["noise"] = ([_address(bg) for bg in gens] for gens in (self._dir, self._noise))
 
-    def run(self, x: np.ndarray, sum_x: np.ndarray, regret: np.ndarray) -> Optional[tuple]:
+    def run(self, x: np.ndarray, sum_x: np.ndarray, regret: np.ndarray,
+            record: Sequence[np.ndarray] = ()) -> Optional[tuple]:
         """Run every lane to its horizon, updating its iterate, sum and
         regret, rows of the (lanes, 1) arrays x, sum_x and regret, in place,
-        so that its sum and regret are then those at its last step.  Returns
+        so that its sum and regret are then those at its last step; each
+        lane-step's new iterate, y, G and, for an estimator, loss go to
+        ``record``, where given: ``RunTrace``'s xs[1:], ys, gs and losses_y
+        (steps, lanes, ...), left as they are past each horizon.  Returns
         None, or the first fault, as the numpy loop finds it after each
         chunk: (``NONFINITE``, lane, the chunk's first and last steps, 0.0)
         for a lane whose steps eta*G, sum or regret went non-finite, else
         (``ESCAPED``, lane, step, step, |y - x|) for an evaluation point
         beyond the lane's vicinity tolerance.  The run then stops.  Call it
         once."""
-        if not x.size == sum_x.size == regret.size == self._table.size:  # C writes one row per lane
-            raise ValueError(f"x, sum_x and regret must hold one row per lane, {self._table.size}")
-        fault = np.zeros(1, FAULT)
-        kind = self._advance(STEPS_PER_CHUNK, self._table.size, self._flags, self._data, self._table, x, sum_x,
-                             regret, self._scratch, fault)
+        lanes, steps = self._table.size, self._table["left"].max(initial=0)
+        if not x.size == sum_x.size == regret.size == lanes:  # C writes one row per lane
+            raise ValueError(f"x, sum_x and regret must hold one row per lane, {lanes}")
+        if record and (len(record) != 4 or any(a.dtype != float or not a.flags.c_contiguous or a.size != steps * lanes
+                                               for a in record)):
+            raise ValueError(f"a record is four contiguous float arrays of {steps} steps of {lanes} lanes")
+        fault, pointers = np.zeros(1, FAULT), np.array([a.ctypes.data for a in record], np.uintp)  # double *[4]
+        kind = self._advance(STEPS_PER_CHUNK, lanes, self._flags, self._data, self._table, x, sum_x, regret,
+                             self._scratch, pointers.ctypes.data if record else None, fault)
         return None if kind == 0 else (kind, *fault[0].tolist())
 
     def draws(self, m: int) -> np.ndarray:

@@ -472,22 +472,25 @@ def run(
     point farther than delta from its query point under that norm raises
     DomainError after its chunk.
 
-    A run that is not recorded, where ``_lanes.lane_run`` builds a
-    ``LaneRun`` for it, is one call of the compiled kernel of ``_lanes.c``.
-    The call runs every lane to its horizon in the same chunks, fills each
-    chunk's draws in C from each lane's generator with numpy's own
-    samplers, computes the same values bit for bit, checks each chunk as
-    the numpy loop does, so that the run raises the same error, and leaves
-    each generator in the same state.  It covers runs on a 1-d box, where
-    every lane has a generator of its own: estimator oracles of a
-    1-d quadratic in either mode, and, in optimization mode, the
-    adversarial and exact-gradient oracles of an arm of a hard pair (for
-    the softabs pair, with numpy's own tanh loop, called from C), each as
-    its ``lane_spec()`` states it.  There a lane stops at its horizon
-    instead of taking zero draws.  Other runs, and every run where the
-    kernel does not load, take the numpy loop.  The kernel call holds no
-    interpreter lock, so runs on several threads run in parallel.  Which
-    path ran is logged at DEBUG.
+    A run, recorded or not, where ``_lanes.lane_run`` builds a ``LaneRun``
+    for it, is one call of the compiled kernel of ``_lanes.c``.  The call
+    runs every lane to its horizon in the same chunks, fills each chunk's
+    draws in C from each lane's generator with numpy's own samplers,
+    computes the same values bit for bit, writes them into a recorded run's
+    records, checks each chunk as the numpy loop does, so that the run
+    raises the same error, and leaves each generator in the same state.
+    (f at a recorded run's iterates, and at the evaluation points of an
+    oracle that answers at x, is evaluated over its records after the
+    call.)  It covers runs on a 1-d box, where every lane has a generator
+    of its own: estimator oracles of a 1-d quadratic in either mode, and,
+    in optimization mode, the adversarial and exact-gradient oracles of an
+    arm of a hard pair (for the softabs pair, with numpy's own tanh loop,
+    called from C), each as its ``lane_spec()`` states it.  There a lane
+    stops at its horizon instead of taking zero draws.  Other runs, and
+    every run where the kernel does not load, take the numpy loop.  The
+    kernel call holds no interpreter lock, so runs on several threads run
+    in parallel.  Which path ran, and whether the run is recorded, is
+    logged at DEBUG.
 
     The loss of round t is f at the oracle's evaluation point.  The oracle
     hands back the noiseless values of f it computed there; for two-point
@@ -528,26 +531,34 @@ def run(
     estimate, value, proj, f_star = oracle.estimate, f.value_rows, f.domain.project, f.f_star
     multiply, subtract = np.multiply, np.subtract
     norm = getattr(oracle, "vicinity_norm", None)
-    kernel = None
-    if not record:
-        from . import _lanes  # imported on first use, not with zograd (see _lanes)
+    from . import _lanes  # imported on first use, not with zograd (see _lanes)
 
-        kernel = _lanes.lane_run(oracle, want_regret, rngs, horizon, schedules)
+    kernel = _lanes.lane_run(oracle, want_regret, rngs, horizon, schedules)
     if kernel is None:
         steppers = [oracle.make_stepper(h - 1, s.delta, g) for h, s, g in zip(horizon, schedules, rngs)]
-    _log.debug("run: %d lanes, %d steps on the %s", lanes, n - 1, "numpy loop" if kernel is None else
-               "compiled lane kernel")
+    _log.debug("run: %d lanes, %d steps%s on the %s", lanes, n - 1, ", recorded," if record else "",
+               "numpy loop" if kernel is None else "compiled lane kernel")
 
     x = np.tile(x0.astype(float), (lanes, 1))
     # each lane's sum and regret at its horizon; lanes of horizon 1 take no step
     sums, regrets = x.copy(), np.zeros((lanes, 1))
+    if record:  # NaN past each lane's horizon
+        xs = np.full((n, lanes, x0.size), np.nan)
+        ys, gs = np.full((n - 1, lanes, x0.size), np.nan), np.full((n - 1, lanes, x0.size), np.nan)
+        losses_x, losses_y = np.full((n, lanes), np.nan), np.full((n - 1, lanes), np.nan)
+        xs[0], losses_x[0] = x, value(x)[:, 0]
     if kernel is not None:
-        fault = kernel.run(x, sums, regrets)
+        fault = kernel.run(x, sums, regrets, (xs[1:], ys, gs, losses_y) if record else ())
         if fault is not None:
             kind, lane, first, last, dist = fault
             if kind == _lanes.NONFINITE:
                 raise NonFiniteIterate(lane, first, last)
             raise _escaped(lane, first, dist, schedules[lane].delta)
+        if record:  # f at the new iterates, and at y = x where the oracle answers there, of the steps taken
+            taken = ~np.isnan(ys[..., 0])
+            losses_x[1:][taken] = value(xs[1:][taken])[:, 0]
+            if norm is None:
+                losses_y[taken] = value(ys[taken])[:, 0]
     else:
         sum_x, regret = sums.copy(), regrets.copy()
         # the lanes short of their horizon, in the order of the rows of x
@@ -555,11 +566,6 @@ def run(
         # each step's eta*G and y - x, laid out (steps, lanes, d) for the live lanes
         steps = np.empty(min(STEPS_PER_CHUNK, n - 1) * lanes * x0.size)
         offsets = None if norm is None else np.empty(steps.size)
-        if record:
-            xs = np.full((n, lanes, x0.size), np.nan)
-            ys, gs = np.full((n - 1, lanes, x0.size), np.nan), np.full((n - 1, lanes, x0.size), np.nan)
-            losses_x, losses_y = np.full((n, lanes), np.nan), np.full((n - 1, lanes), np.nan)
-            xs[0], losses_x[0] = x, value(x)[:, 0]
         t = 0
         for m in chunk_sizes(n - 1):
             # lanes whose horizon has passed leave the state at the next chunk
@@ -615,6 +621,10 @@ def run(
                 raise NonFiniteIterate(int(live[np.argmin(finite)]), t - m + 1, t)
             if norm is not None:
                 _check_vicinity(chunk_offsets, delta, norm, live, t - m + 1)
+        if record:  # a lane's zero-draw steps past its horizon, up to the end of that chunk, are not its records
+            for lane, h in enumerate(horizon):
+                xs[h:, lane] = ys[h - 1:, lane] = gs[h - 1:, lane] = np.nan
+                losses_x[h:, lane] = losses_y[h - 1:, lane] = np.nan
 
     x_hat = sums / np.array(horizon, dtype=float)[:, None]
     error = value(x_hat)[:, 0] - f_star

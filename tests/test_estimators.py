@@ -372,21 +372,24 @@ BLOCK_ORACLES = {kind: oracle for kind, (oracle, _) in BLOCK_CASES.items()}
 
 
 class TestReplyBlocks:
-    # sample_gradients draws its m replies in one pass and evaluates them
-    # REPLY_BLOCK rows at a time: the bits of one estimate call on all rows
+    # sample_gradients draws its m replies in one pass and, without the
+    # library, evaluates them REPLY_BLOCK rows at a time: the bits of one
+    # estimate call on all rows, and at d = 1 of the library's one call
     @pytest.mark.parametrize("path", ["library", "numpy"])
     @pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
     def test_blocks_give_the_bits_of_one_call(self, kind, path, monkeypatch):
         if path == "library" and _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
-        if path == "numpy":
-            monkeypatch.setattr(_lanes, "kernel", lambda: None)
         oracle, antithetic = BLOCK_CASES[kind]
         x = np.full(oracle.dim, 0.3)
         for m in (1, REPLY_BLOCK - 1, REPLY_BLOCK, REPLY_BLOCK + 1, 2 * REPLY_BLOCK + 3):
             blocked, whole = RNG(30 + m), RNG(30 + m)
-            got = oracle.sample_gradients(x, 0.2, m, blocked, antithetic)
-            with monkeypatch.context() as one_call:
+            with monkeypatch.context() as numpy_blocks:
+                numpy_blocks.setattr(_lanes, "kernel", lambda: None)
+                got = oracle.sample_gradients(x, 0.2, m, blocked, antithetic)
+            with monkeypatch.context() as one_call:  # the library's call, else numpy's one block
+                if path == "numpy":
+                    one_call.setattr(_lanes, "kernel", lambda: None)
                 one_call.setattr(core, "REPLY_BLOCK", 10 * m)
                 want = oracle.sample_gradients(x, 0.2, m, whole, antithetic)
             assert got.shape == want.shape == (m, oracle.dim)

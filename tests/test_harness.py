@@ -434,6 +434,17 @@ class TestCli:
         assert main(["check"]) == 0
         assert capsys.readouterr().out == CHECK_STDOUT
 
+    @pytest.mark.parametrize("path", ["compiled lane kernel", "numpy loop"])
+    def test_the_check_suites_debug_lines_name_the_recorded_runs_path(self, path, caplog, monkeypatch):
+        if path == "compiled lane kernel" and _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built here")
+        if path == "numpy loop":
+            monkeypatch.setattr(_lanes, "kernel", lambda: None)
+        with caplog.at_level(logging.DEBUG, logger="zograd.solver"):
+            assert checks.run_checks(verbose=False) == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "zograd.solver"] == [
+            f"run: 1 lanes, 499 steps, recorded, on the {path}"] + [f"run: 1 lanes, 1999 steps on the {path}"] * 2
+
     def test_check_logs_each_checks_wall_time_at_info(self, capsys):
         assert main(["check", "--log-level", "INFO"]) == 0
         out = capsys.readouterr()

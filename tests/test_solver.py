@@ -31,6 +31,7 @@ from zograd.estimators import (
     SURFACE,
     UncontrolledNoise,
 )
+from zograd.harness import checks
 from zograd.harness.probes import probe_bias_variance
 from zograd.solver import (
     NonFiniteIterate,
@@ -322,9 +323,10 @@ class TestRun:
         o = EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point")
         s = manual_schedule(0.25, ("poly", 2.0, 0.75, 1.0, 1.0))
         lanes = run(o, s, 300, rng=[RngStream(12, i).generator() for i in range(5)])
-        slow = run(o, s, 300, rng=RngStream(12, 3).generator(), record=True)
-        assert lanes.x_hat[3, 0] == pytest.approx(slow.x_hat[0], abs=1e-15)
-        assert lanes.error[3] == pytest.approx(slow.error, abs=1e-15)
+        with _numpy_loop():
+            slow = run(o, s, 300, rng=RngStream(12, 3).generator(), record=True)
+        np.testing.assert_array_equal(_bits(lanes.x_hat[3]), _bits(slow.x_hat))
+        np.testing.assert_array_equal(_bits(lanes.error[3]), _bits(slow.error))
 
 
 def _oracles():
@@ -692,6 +694,16 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).reshape(-1).view(np.int64)
 
 
+def _assert_same_runs(fast, slow):
+    """Two RunTraces hold the same bits, records too; a NaN is any NaN."""
+    bits = lambda v: _bits(np.where(np.isnan(v), np.nan, v))
+    for field in ("x_hat", "error", "regret", "xs", "ys", "gs", "losses_x", "losses_y", "etas"):
+        a, b = getattr(fast, field), getattr(slow, field)
+        assert (a is None) == (b is None), field
+        if a is not None:
+            np.testing.assert_array_equal(bits(a), bits(b), err_msg=field)
+
+
 def _counted_kernel(calls: list):
     """Patch in the compiled kernel, appending the lane count of each call
     to ``calls``; skips where no kernel can be built."""
@@ -828,9 +840,10 @@ class TestCompiledKernel:
         st.integers(0, 2**16),
         st.integers(2, 3 * STEPS_PER_CHUNK + 300),
         st.lists(st.tuples(st.integers(1, 3 * STEPS_PER_CHUNK + 300), st.integers(0, 2)), min_size=4, max_size=4),
+        st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_kernel_equals_numpy_loop(self, cell, lanes, seed, n, others):
+    def test_kernel_equals_numpy_loop(self, cell, lanes, seed, n, others, record):
         # lane 0 runs to n; the others end at their own horizons, most of
         # them inside a chunk, on their own schedules (so with their own delta)
         kind, mode = cell
@@ -840,14 +853,38 @@ class TestCompiledKernel:
         gens = lambda: [RngStream(seed, i).generator() for i in range(lanes)]
         calls = []
         with _counted_kernel(calls):
-            fast = run(oracle, schedules, n, rng=gens(), mode=mode, horizons=horizons)
+            fast = run(oracle, schedules, n, rng=gens(), mode=mode, record=record, horizons=horizons)
         assert calls
         with _numpy_loop():
-            slow = run(oracle, schedules, n, rng=gens(), mode=mode, horizons=horizons)
-        np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
-        np.testing.assert_array_equal(fast.error, slow.error)
-        if mode == "regret":
-            np.testing.assert_array_equal(fast.regret, slow.regret)
+            slow = run(oracle, schedules, n, rng=gens(), mode=mode, record=record, horizons=horizons)
+        _assert_same_runs(fast, slow)
+
+    @pytest.mark.parametrize("cell", KERNEL_CELLS, ids=[f"{kind}-{mode}" for kind, mode in KERNEL_CELLS])
+    def test_recorded_kernel_run_equals_the_recorded_numpy_loop(self, cell, kernel_calls):
+        # six lanes on mixed schedules, horizons ending at once, inside the
+        # second and third chunks and at n; each record NaN past its lane's horizon
+        (kind, mode), n = cell, 3 * STEPS_PER_CHUNK + 100
+        horizons, schedules = [n, 1, 700, 1100, n, 1500], [SCHEDULES[i % 3] for i in range(6)]
+        fast_gens, slow_gens = ([RngStream(9, i).generator() for i in range(6)] for _ in range(2))
+        args = (KERNEL_ORACLES[kind], schedules, n)
+        fast = run(*args, rng=fast_gens, mode=mode, record=True, horizons=horizons)
+        assert kernel_calls == [6]
+        with _numpy_loop():
+            slow = run(*args, rng=slow_gens, mode=mode, record=True, horizons=horizons)
+        _assert_same_runs(fast, slow)
+        for lane, h in enumerate(horizons):
+            assert not np.isnan(fast.xs[:h, lane]).any() and np.isnan(fast.xs[h:, lane]).all()
+            assert not np.isnan(fast.losses_y[:h - 1, lane]).any() and np.isnan(fast.losses_y[h - 1:, lane]).all()
+        assert [g.bit_generator.state for g in fast_gens] == [g.bit_generator.state for g in slow_gens]
+
+    def test_a_record_must_fit_the_run(self):
+        lanes = _lanes.lane_run(KERNEL_ORACLES["one-point"], False, [RNG(0), RNG(1)], [10, 4], SCHEDULES[:2])
+        if lanes is None:
+            pytest.skip("the lane kernel cannot be built here")
+        x, record = np.zeros((2, 1)), [np.full((9, 2, 1), np.nan) for _ in range(3)] + [np.full((9, 2), np.nan)]
+        for bad in (record[:3], record[:3] + [np.full((8, 2), np.nan)], record[:3] + [record[3].T]):
+            with pytest.raises(ValueError, match="a record is four contiguous float arrays of 9 steps of 2 lanes"):
+                lanes.run(x, x.copy(), x.copy(), bad)
 
     @pytest.mark.parametrize("kind", sorted(k for k in KERNEL_ORACLES if k.startswith(("adversarial", "exact"))))
     def test_pair_oracles_equal_numpy_loop_over_three_chunks(self, kind, kernel_calls):
@@ -885,12 +922,19 @@ class TestCompiledKernel:
         assert len(chunk_sizes(n - 1)) == 4 and kernel_calls == [3]
         assert counts == {"fill": 0, "scratch": 1}
 
-    @pytest.mark.parametrize("case", [
-        "recorded", "recorded-adversarial", "ball", "d2", "separable-d2", "exp-target", "exact",
-        "adversarial-regret",
-    ])
+    def test_the_check_suite_takes_no_numpy_step(self, kernel_calls, monkeypatch):
+        # each solver run of `zograd check`, the recorded prox-inequality run
+        # and the two determinism runs, is one kernel call, and no numpy
+        # estimate runs: its probes' replies are the library's too
+        runs, estimates, estimate = [], [], EstimatorOracle.estimate
+        monkeypatch.setattr(EstimatorOracle, "estimate", lambda *args: estimates.append(1) or estimate(*args))
+        monkeypatch.setattr(checks, "run", lambda *args, **kw: runs.append(kw.get("record", False)) or run(*args, **kw))
+        assert checks.run_checks(verbose=False) == 0
+        assert (estimates, runs, kernel_calls) == ([], [True, False, False], [1, 1, 1])
+
+    @pytest.mark.parametrize("case", ["ball", "d2", "separable-d2", "exp-target", "exact", "adversarial-regret"])
     def test_other_runs_take_the_numpy_loop(self, case, kernel_calls):
-        oracle, record = KERNEL_ORACLES["one-point"], case.startswith("recorded")
+        oracle = KERNEL_ORACLES["one-point"]
         mode = "regret" if case.endswith("regret") else "optimization"
         if case == "ball":  # the one-point cell's target on the ball that is its interval
             f = quadratic([1.0], [-2.0], Ball(np.array([0.5]), 0.5), offset=1.5)
@@ -903,9 +947,10 @@ class TestCompiledKernel:
             oracle = EstimatorOracle(exp_one_d(interval(0.0, 1.0)), SPSA, UncontrolledNoise(1.0), "one_point")
         elif case == "exact":  # on a quadratic, not on an arm of a hard pair
             oracle = ORACLES["exact"]
-        elif case in ("recorded-adversarial", "adversarial-regret"):
+        elif case == "adversarial-regret":
             oracle = KERNEL_ORACLES["adversarial-convex-p2+1"]
-        run(oracle, SCHEDULES[0], 50, rng=[RNG(i) for i in range(3)], mode=mode, record=record)
+        for record in (False, True):
+            run(oracle, SCHEDULES[0], 50, rng=[RNG(i) for i in range(3)], mode=mode, record=record)
         assert kernel_calls == []
         run(KERNEL_ORACLES["one-point"], SCHEDULES[0], 50, rng=[RNG(i) for i in range(3)])
         assert kernel_calls == [3]
@@ -1178,12 +1223,13 @@ class TestCompiledKernel:
         still = _Scripted()
         schedules = [_Scripted(jump=jump), still, _Scripted(poison=poison), still]
         calls = []
-        with _counted_kernel(calls) if path == "kernel" else _numpy_loop():
-            with pytest.raises(DomainError) as info:
-                run(oracle, schedules, 3 * STEPS_PER_CHUNK + 100, x1=np.zeros(1),
-                    rng=[RNG(i) for i in range(4)])
-        assert calls == ([4] if path == "kernel" else [])
-        assert (type(info.value), str(info.value)) == (error, message)
+        for record in (False, True):
+            with _counted_kernel(calls) if path == "kernel" else _numpy_loop():
+                with pytest.raises(DomainError) as info:
+                    run(oracle, schedules, 3 * STEPS_PER_CHUNK + 100, x1=np.zeros(1),
+                        rng=[RNG(i) for i in range(4)], record=record)
+            assert (type(info.value), str(info.value)) == (error, message)
+        assert calls == ([4, 4] if path == "kernel" else [])
 
     def test_kernel_source_compiles_without_warnings(self, tmp_path):
         if shutil.which(_lanes.CC) is None:
