@@ -124,21 +124,15 @@ def optimal_separation(problem_class: str, p: float, q: float, c1: float, c2: fl
     raise DomainError(f"unknown problem class {problem_class!r}")
 
 
-def minimax_lower_bound(
-    problem_class: str, p: float, q: float, c1: float, c2: float, n: int, d: int = 1
-) -> float:
+def minimax_lower_bound(problem_class: str, p: float, q: float, c1: float, c2: float, n: int) -> float:
     """Closed-form floor on the optimization error of any algorithm that sees
-    n replies from a (C1 d^p, C2 d^-q) biased-gradient oracle."""
-    if min(p, c1, c2) <= 0 or q < 0 or n <= 0 or d < 1:
-        raise DomainError("need positive p, c1, c2, n, d and nonnegative q")
+    n replies from a 1-d (C1 d^p, C2 d^-q) biased-gradient oracle."""
+    if min(p, c1, c2) <= 0 or q < 0 or n <= 0:
+        raise DomainError("need positive p, c1, c2, n and nonnegative q")
     two_pq = 2.0 * p + q
     if problem_class == "convex_smooth":
-        powers = c1 ** (q / two_pq) * c2 ** (p / two_pq) * n ** (-p / two_pq)
-        if d == 1:
-            k = two_pq**2 / (4.0 * q ** (q / two_pq) * (4.0 * p + q) ** ((4.0 * p + q) / two_pq))
-            return k * powers
-        k = two_pq**2 / (2.0 * q ** (q / two_pq) * (4.0 * p + q) ** ((4.0 * p + q) / two_pq))
-        return math.sqrt(d) * k * powers
+        k = two_pq**2 / (4.0 * q ** (q / two_pq) * (4.0 * p + q) ** ((4.0 * p + q) / two_pq))
+        return k * c1 ** (q / two_pq) * c2 ** (p / two_pq) * n ** (-p / two_pq)
     if problem_class == "strongly_convex":
         k = (
             2.0 ** ((2.0 * p - q) / two_pq)
@@ -185,9 +179,6 @@ class HardInstance:
         if self.problem_class == "convex_smooth":
             return mean_response_convex(self.v, x, delta, self.eps, self.envelope.c1, self.envelope.p)
         return mean_response_strongly_convex(self.v, x, delta, self.eps, self.envelope.c1, self.envelope.p)
-
-    def oracle(self) -> "AdversarialOracle":
-        return AdversarialOracle(self)
 
 
 class AdversarialOracle(Oracle):

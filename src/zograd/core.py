@@ -2,9 +2,10 @@
 
 The conventions shared by every estimator and adversarial instance live here:
 
-* queries carry a point ``x`` and a tolerance ``delta`` in ``(0, 1]``;
-* responses carry a gradient estimate ``g`` and an evaluation point ``y``
-  with ``||x - y|| <= delta`` under the oracle's vicinity norm;
+* an oracle replies at a point ``x`` of its target's domain, for a
+  tolerance ``delta`` in ``(0, 1]``, with a gradient estimate ``g`` and an
+  evaluation point ``y`` with ``||x - y|| <= delta`` under its vicinity norm
+  (``vicinity_tolerance``; the solver checks it chunk by chunk);
 * an oracle declares its bias/variance envelope ``c1(d) = C1 * d**p`` and
   ``c2(d) = C2 * d**-q``.
 
@@ -44,15 +45,13 @@ class Value:
 # Norms
 # ---------------------------------------------------------------------------
 
-_DUAL_KIND = {"euclidean": "euclidean", "max": "one", "one": "max"}
-
 
 class Norm(Value):
-    """A norm on R^d. ``euclidean`` and ``max`` are the primal choices;
-    ``one`` arises as the dual of ``max``."""
+    """A norm on R^d, ``euclidean`` or ``max`` (the vicinity norm of sign
+    directions)."""
 
     def __init__(self, kind: str = "euclidean"):
-        if kind not in _DUAL_KIND:
+        if kind not in ("euclidean", "max"):
             raise DomainError(f"unknown norm kind {kind!r}")
         self.kind = kind
 
@@ -60,21 +59,14 @@ class Norm(Value):
         x = np.asarray(x, dtype=float)
         if self.kind == "euclidean":
             return float(np.sqrt(np.sum(x * x)))
-        if self.kind == "max":
-            return float(np.max(np.abs(x))) if x.size else 0.0
-        return float(np.sum(np.abs(x)))
+        return float(np.max(np.abs(x))) if x.size else 0.0
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """The norm of each row of x (..., d)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "euclidean":
             return np.sqrt(np.sum(x * x, axis=-1))
-        if self.kind == "max":
-            return np.max(np.abs(x), axis=-1)
-        return np.sum(np.abs(x), axis=-1)
-
-    def dual(self) -> "Norm":
-        return Norm(_DUAL_KIND[self.kind])
+        return np.max(np.abs(x), axis=-1)
 
 
 EUCLIDEAN = Norm("euclidean")
@@ -167,24 +159,8 @@ def interval(lower: float, upper: float) -> Box:
 
 
 # ---------------------------------------------------------------------------
-# Queries, responses, envelopes
+# Replies, envelopes
 # ---------------------------------------------------------------------------
-
-
-class OracleQuery:
-    """A point in the domain plus the bias/variance tolerance knob."""
-
-    def __init__(self, x: np.ndarray, delta: float):
-        if not (0.0 < delta <= 1.0):
-            raise DomainError(f"delta must lie in (0, 1], got {delta}")
-        self.x, self.delta = np.atleast_1d(np.asarray(x, dtype=float)), float(delta)
-
-
-class OracleResponse(NamedTuple):
-    """Gradient estimate ``g`` and the evaluation point ``y`` charged for it."""
-
-    g: np.ndarray
-    y: np.ndarray
 
 
 def vicinity_tolerance(delta):
@@ -193,48 +169,23 @@ def vicinity_tolerance(delta):
     return delta * (1.0 + 1e-12) + 1e-15
 
 
-def checked_response(
-    g: np.ndarray,
-    y: np.ndarray,
-    query: OracleQuery,
-    vicinity_norm: Norm = EUCLIDEAN,
-) -> OracleResponse:
-    """Build a response, asserting ``||x - y|| <= delta`` (up to roundoff)."""
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    dist = vicinity_norm.value(y - query.x)
-    if dist > vicinity_tolerance(query.delta):
-        raise DomainError(
-            f"evaluation point escaped the delta-vicinity: ||x-y||={dist} > {query.delta}"
-        )
-    return OracleResponse(g=g, y=y)
-
-
 # rows per ``estimate`` call of ``sample_gradients``: the temporaries of all 10^5
 # rows of a two-point probe (~10 MB) go back to the kernel and fault in again
 REPLY_BLOCK = 8192
 
 
 class Oracle:
-    """``query`` and ``sample_gradients`` from an oracle's one ``estimate(x,
-    delta, *draws)`` and its ``_draws(delta, m, rng, antithetic)``: the
-    draws of m replies at one point (leading axis m), made with numpy, and
-    None or a function of a row slice that returns the draws of those
-    replies' antithetic mirrors.  By default there are no draws."""
+    """``sample_gradients`` from an oracle's one ``estimate(x, delta,
+    *draws)``, which returns the replies ``g``, their evaluation points ``y``
+    and f there at the rows of x, and its ``_draws(delta, m, rng,
+    antithetic)``: the draws of m replies at one point (leading axis m),
+    made with numpy, and None or a function of a row slice that returns the
+    draws of those replies' antithetic mirrors.  By default there are no
+    draws.  The solver takes its draws from ``make_stepper`` and checks each
+    chunk's evaluation points against ``vicinity_tolerance``."""
 
     def _draws(self, delta, m, rng, antithetic):
         return (), None
-
-    def query(self, x, delta: float, rng: np.random.Generator) -> OracleResponse:
-        """One reply at a point of the target's domain, drawn as
-        ``sample_gradients(x, delta, 1, rng)`` draws it, in one ``estimate``
-        call, its evaluation point checked to lie within delta of x under
-        the oracle's vicinity norm (any norm where it answers at x)."""
-        q = OracleQuery(x, delta)
-        if not self.target.domain.contains(q.x):
-            raise DomainError(f"query point {q.x} escapes the domain")
-        g, y, _ = self.estimate(q.x.reshape(1, -1), delta, *self._draws(delta, 1, rng, False)[0])
-        return checked_response(g[0], y[0], q, getattr(self, "vicinity_norm", EUCLIDEAN))
 
     def sample_gradients(self, x, delta: float, m: int, rng: np.random.Generator,
                          antithetic: bool = False) -> np.ndarray:

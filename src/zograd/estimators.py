@@ -16,9 +16,9 @@ with constants assembled from closed-form moments of (U, V).
 
 Every oracle computes its estimate in one vectorised ``estimate`` over a
 stack of query points, from draws passed in as arguments.  ``make_stepper``
-feeds the solver those draws chunk by chunk; ``query`` and
-``sample_gradients`` (``core.Oracle``) take theirs from ``_draws`` and
-call the same ``estimate``, block by block.  ``lane_spec`` states the same
+feeds the solver those draws chunk by chunk; ``sample_gradients``
+(``core.Oracle``) takes the draws of a probe from ``_draws`` and calls the
+same ``estimate``, block by block.  ``lane_spec`` states the same
 formulas and draws for the compiled lane kernel.
 """
 
@@ -346,7 +346,7 @@ class EstimatorOracle(Oracle):
             fa, z = None, fa + (self.noise.sigma * xi) * (1.0 + self.noise.slope * arms)
         return (z[:, 0] - z[:, 1]) * w, *((arms[:, 0], fa) if self._eval_point else (x, None))
 
-    # -- draws at one point (query, probes) ---------------------------------
+    # -- draws at one point (probes) ----------------------------------------
 
     def _draws(self, delta, m, rng, antithetic):
         """The draws (du, w, xi) of m replies at one point, and None or the
@@ -440,25 +440,3 @@ class ExactGradientOracle(Oracle):
     def make_stepper(self, n: int, delta: float, rng: np.random.Generator):
         return draw_chunks(rng, n, ())
 
-
-def smoothed_eval(
-    f: ObjectiveFunction,
-    x: np.ndarray,
-    delta: float,
-    samples: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo value of the unit-ball average of f around x, the surrogate
-    the smoothing estimator is unbiased for. Test-side instrument only."""
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = f.dim
-    if d == 1:
-        w = rng.uniform(-1.0, 1.0, size=samples)
-        return float(np.mean(f.value(x[0] + delta * w)))
-    z = rng.standard_normal((samples, d))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    r = rng.random(samples) ** (1.0 / d)
-    pts = x + delta * z * r[:, None]
-    return float(np.mean([f.value_at(p) for p in pts]))

@@ -246,9 +246,6 @@ class ExperimentConfig(Value):
             raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
         return cls(**data).validate()
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def with_overrides(self, **overrides: Any) -> "ExperimentConfig":
         return ExperimentConfig.from_dict({**self.to_dict(), **overrides})
 

@@ -274,11 +274,6 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]
             writer.writerow([_fmt(v) for v in row])
 
 
-def read_rows(path: str | Path) -> list[dict]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
 def write_summary(path: str | Path, payload: dict) -> None:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)

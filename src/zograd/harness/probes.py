@@ -6,7 +6,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..core import DomainError, EUCLIDEAN, Norm, OracleEnvelope
+from ..core import DomainError, EUCLIDEAN, OracleEnvelope
 from .fitting import ols_loglog
 from .verdicts import Verdict, verdict
 
@@ -16,17 +16,12 @@ SE_SLACK = 5.0
 VAR_FACTOR = 1.05
 
 
-def _centred_dual_sq(rows: np.ndarray, centre: np.ndarray, norm: Norm, scratch: np.ndarray) -> np.ndarray:
-    """The squared dual norm of each row of rows - centre (..., d), the
+def _centred_sq(rows: np.ndarray, centre: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of each row of rows - centre (..., d), the
     difference centred and squared in ``scratch``, an array of rows' shape
     that it overwrites."""
-    np.subtract(rows, centre, out=scratch)
-    if rows.shape[-1] == 1:
-        return np.square(scratch, out=scratch)[..., 0]
-    dual = norm.dual()
-    if dual.kind == "euclidean":
-        return np.square(scratch, out=scratch).sum(axis=-1)
-    return dual.rows(scratch) ** 2
+    np.square(np.subtract(rows, centre, out=scratch), out=scratch)
+    return scratch[..., 0] if rows.shape[-1] == 1 else scratch.sum(axis=-1)
 
 
 class ProbeResult(NamedTuple):
@@ -44,10 +39,9 @@ def probe_bias_variance(
     delta: float,
     reps: int,
     rng: np.random.Generator,
-    norm: Norm = EUCLIDEAN,
     antithetic: bool = False,
 ) -> ProbeResult:
-    """Estimate ||E G - grad f(x)||_* and E||G - E G||_*^2 at (x, delta).
+    """Estimate ||E G - grad f(x)||_2 and E||G - E G||_2^2 at (x, delta).
 
     Standard errors come from 32 batch means, the batches the first
     32*(reps // 32) draws split into in order, all taken in one pass over a
@@ -62,17 +56,16 @@ def probe_bias_variance(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     g = oracle.sample_gradients(x, delta, reps, rng, antithetic=antithetic)
     grad = oracle.target.gradient_at(x)
-    dual = norm.dual()
 
     mean_g, scratch = g.mean(axis=0), np.empty_like(g)
-    bias_est = dual.value(mean_g - grad)
-    var_est = float(np.mean(_centred_dual_sq(g, mean_g, norm, scratch)))
+    bias_est = EUCLIDEAN.value(mean_g - grad)
+    var_est = float(np.mean(_centred_sq(g, mean_g, scratch)))
 
     per = reps // _BATCHES
     batches, batch_scratch = (a[:_BATCHES * per].reshape(_BATCHES, per, -1) for a in (g, scratch))
     means = batches.mean(axis=1)
-    biases = dual.rows(means - grad)
-    variances = _centred_dual_sq(batches, means[:, None], norm, batch_scratch).mean(axis=1)
+    biases = EUCLIDEAN.rows(means - grad)
+    variances = _centred_sq(batches, means[:, None], batch_scratch).mean(axis=1)
     return ProbeResult(
         delta=float(delta),
         bias_est=float(bias_est),
@@ -100,13 +93,10 @@ def bias_slope(
     deltas: Sequence[float],
     reps: int,
     rng: np.random.Generator,
-    norm: Norm = EUCLIDEAN,
 ) -> tuple[float, list[ProbeResult]]:
     """Least-squares slope of log(bias) against log(delta), measured with
     antithetic pairs so the Monte Carlo mean is tight."""
-    results = [
-        probe_bias_variance(oracle, x, d, reps, rng, norm, antithetic=True) for d in deltas
-    ]
+    results = [probe_bias_variance(oracle, x, d, reps, rng, antithetic=True) for d in deltas]
     slope, _, _ = ols_loglog([r.delta for r in results], [max(r.bias_est, 1e-300) for r in results])
     return slope, results
 
@@ -117,8 +107,7 @@ def variance_slope(
     deltas: Sequence[float],
     reps: int,
     rng: np.random.Generator,
-    norm: Norm = EUCLIDEAN,
 ) -> tuple[float, list[ProbeResult]]:
-    results = [probe_bias_variance(oracle, x, d, reps, rng, norm) for d in deltas]
+    results = [probe_bias_variance(oracle, x, d, reps, rng) for d in deltas]
     slope, _, _ = ols_loglog([r.delta for r in results], [r.var_est for r in results])
     return slope, results

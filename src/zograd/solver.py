@@ -210,7 +210,7 @@ def schedule_opt_sc(
     """Strongly convex optimization schedule: eta_t = 2/(mu t), requiring
     alpha*mu > 2L so the per-step bookkeeping a_t = alpha*mu*t/2 - L stays
     positive from t = 1."""
-    if min(p, q, D, alpha, mu, L) <= 0 or n < 1 or c1 < 0 or c2 < 0:
+    if min(p, D, alpha, mu, L) <= 0 or q < 0 or n < 1 or c1 < 0 or c2 < 0:
         raise DomainError("schedule inputs must be positive (c1, c2 nonnegative)")
     if alpha * mu <= 2.0 * L:
         raise DomainError(f"need alpha*mu > 2L, got alpha*mu={alpha * mu} vs 2L={2 * L}")

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Box, ConvexBody, DomainError, Norm, EUCLIDEAN, interval
+from .core import Box, ConvexBody, DomainError, EUCLIDEAN, interval
 
 # delta <= 1 and ||u|| <= 1 keep every probe x + delta*u inside the domain dilated by this
 MARGIN = 1.0
@@ -47,12 +47,6 @@ class ObjectiveFunction:
         # (family, v, eps) of arm v of a hard pair, family "softabs" or
         # "strongly_convex"; the compiled lane kernel computes the gradient from these
         self.hard_pair_arm = hard_pair_arm
-
-    def value_at(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1:
-            return float(self.value(float(x.reshape(()) if x.ndim == 0 else x[0])))
-        return float(self.value(x))
 
     def gradient_at(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -100,11 +94,12 @@ class ObjectiveFunction:
         vals = np.asarray(self.value(self._search_points(dilated=True)), dtype=float)
         return float(np.max(vals) - np.min(vals))
 
-    def sup_gradient_dual(self, norm: Norm = EUCLIDEAN, dilated: bool = False) -> float:
-        g = np.asarray(self.gradient(self._search_points(dilated=dilated)), dtype=float)
+    def sup_gradient_dual(self) -> float:
+        """sup ||grad f||_2 over the domain (the Euclidean norm is its own dual)."""
+        g = np.asarray(self.gradient(self._search_points(dilated=False)), dtype=float)
         if self.dim == 1:
             return float(np.max(np.abs(g)))
-        return float(np.max(norm.dual().rows(g)))
+        return float(np.max(EUCLIDEAN.rows(g)))
 
 # ---------------------------------------------------------------------------
 # 1-d families

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zograd import _lanes
 from zograd.adversarial import (
@@ -24,6 +26,8 @@ from zograd.adversarial import (
 )
 from zograd.core import DomainError, OracleEnvelope, RngStream
 from zograd.testbed import softabs
+
+from instruments import one_reply
 
 ENV22 = OracleEnvelope(c1=1.0, p=2.0, c2=1.0, q=2.0)
 ENV12 = OracleEnvelope(c1=1.0, p=1.0, c2=1.0, q=2.0)
@@ -193,10 +197,20 @@ class TestClosedForms:
         lb = minimax_lower_bound("strongly_convex", 2.0, 2.0, 1.0, 1.0, n)
         assert lb == pytest.approx(27.0 * (2.0 / 7.0**7) ** (1 / 3) * n ** (-2 / 3))
 
-    def test_lower_bound_scales_with_constants(self):
-        lb = minimax_lower_bound("convex_smooth", 1.0, 2.0, 4.0, 9.0, 10_000)
-        base = minimax_lower_bound("convex_smooth", 1.0, 2.0, 1.0, 1.0, 10_000)
-        assert lb == pytest.approx(base * 4.0**0.5 * 9.0**0.25)
+    @pytest.mark.parametrize("closed_form", [minimax_lower_bound, optimal_separation], ids=lambda f: f.__name__)
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(problem=st.sampled_from(["convex_smooth", "strongly_convex"]), p=st.floats(0.25, 4.0),
+           q=st.floats(0.0, 4.0), c1=st.floats(1e-3, 1e3), c2=st.floats(1e-3, 1e3), n=st.integers(1, 10**8),
+           lam1=st.floats(1e-3, 1e3), lam2=st.floats(1e-3, 1e3))
+    def test_lower_bound_scales_with_constants(self, closed_form, problem, p, q, c1, c2, n, lam1, lam2):
+        # both separations and the convex floor go as c1^(q/(2p+q)) c2^(p/(2p+q));
+        # the strongly convex floor, eps^2 up to a constant, as their squares
+        two_pq = 2.0 * p + q
+        power = lam1 ** (q / two_pq) * lam2 ** (p / two_pq)
+        k = 2 if closed_form is minimax_lower_bound and problem == "strongly_convex" else 1
+        base = closed_form(problem, p, q, c1, c2, n)
+        scaled = closed_form(problem, p, q, lam1 * c1, lam2 * c2, n)
+        assert scaled == pytest.approx(base * power**k, rel=1e-12, abs=0.0)
 
     def test_lower_bound_monotonicity(self):
         for problem in ("convex_smooth", "strongly_convex"):
@@ -208,11 +222,6 @@ class TestClosedForms:
             assert minimax_lower_bound(problem, 2.0, 2.0, 1.0, 2.0, 1000) > minimax_lower_bound(
                 problem, *args, 1000
             )
-
-    def test_dimension_scaling(self):
-        one = minimax_lower_bound("convex_smooth", 2.0, 2.0, 1.0, 1.0, 1000, d=1)
-        four = minimax_lower_bound("convex_smooth", 2.0, 2.0, 1.0, 1.0, 1000, d=4)
-        assert four == pytest.approx(2.0 * 2.0 * one)  # sqrt(4) and the stated x2 prefactor
 
     def test_separation_consistency_convex(self):
         # plugging the optimizing separation back into the floor expression
@@ -269,12 +278,12 @@ class TestHardInstance:
 
     def test_oracle_reports_query_point(self):
         inst = HardInstance("strongly_convex", +1, 0.2, ENV12)
-        r = inst.oracle().query(np.array([0.3]), 0.1, RngStream(1, 0).generator())
-        np.testing.assert_array_equal(r.y, [0.3])
+        y = one_reply(AdversarialOracle(inst), np.array([0.3]), 0.1, RngStream(1, 0).generator())[1]
+        np.testing.assert_array_equal(y, [0.3])
 
     def test_oracle_noise_variance(self):
         inst = HardInstance("strongly_convex", +1, 0.2, ENV12)
-        oracle = inst.oracle()
+        oracle = AdversarialOracle(inst)
         delta = 0.2
         g = oracle.sample_gradients(np.array([0.1]), delta, 1_000_000, RngStream(2, 0).generator())
         target = inst.envelope.c2_value(delta)
@@ -282,15 +291,15 @@ class TestHardInstance:
 
     def test_oracle_mean_matches_closed_form(self):
         inst = HardInstance("strongly_convex", -1, 0.2, ENV12)
-        oracle = inst.oracle()
+        oracle = AdversarialOracle(inst)
         g = oracle.sample_gradients(np.array([0.4]), 0.3, 200_000, RngStream(3, 0).generator())
         expected = float(mean_response_strongly_convex(-1, 0.4, 0.3, 0.2, 1.0, 1.0))
         se = float(np.std(g)) / math.sqrt(g.size)
         assert float(np.mean(g)) == pytest.approx(expected, abs=5 * se)
 
     def test_lane_spec_and_shift(self):
-        convex = HardInstance("convex_smooth", -1, 0.1, ENV22).oracle()
-        sc = HardInstance("strongly_convex", +1, 0.2, ENV12).oracle()
+        convex = AdversarialOracle(HardInstance("convex_smooth", -1, 0.1, ENV22))
+        sc = AdversarialOracle(HardInstance("strongly_convex", +1, 0.2, ENV12))
         assert convex.lane_spec()[:3] == (_lanes.AT_X | _lanes.SOFTABS, (-1.0, 0.1), 1.0)
         assert sc.lane_spec()[:3] == (_lanes.AT_X, (1.0, 0.2), 1.0)
         # each lane's shift as estimate computes it for that lane's delta alone
@@ -304,7 +313,7 @@ class TestHardInstance:
 
     def test_lane_spec_draws(self):
         # no direction; the noise sd*z, with sd that of make_stepper's lane delta
-        oracle = HardInstance("convex_smooth", -1, 0.1, ENV22).oracle()
+        oracle = AdversarialOracle(HardInstance("convex_smooth", -1, 0.1, ENV22))
         spec = oracle.lane_spec()
         assert not spec.flags & (_lanes.SIGNS | _lanes.UNIT | _lanes.PLAIN)
         assert spec.noise(0.3) == math.sqrt(oracle.envelope.c2_value(0.3))
@@ -370,18 +379,17 @@ class TestSeparableComposition:
         assert AdversarialOracle(inst).envelope == inst.envelope
 
     def test_one_coordinate_is_the_instance_oracle(self):
+        # its replies are the instance's mean plus noise of the instance's
+        # variance, and its target is the instance's function
         for inst in (HardInstance("convex_smooth", -1, 0.1, ENV22), HardInstance("strongly_convex", +1, 0.2, ENV12)):
-            composed, own = AdversarialOracle(inst), inst.oracle()
-            x = np.array([0.3])
-            np.testing.assert_array_equal(composed.sample_gradients(x, 0.2, 1000, RngStream(5, 0).generator()),
-                                          own.sample_gradients(x, 0.2, 1000, RngStream(5, 0).generator()))
-            assert composed.lane_spec()[:3] == own.lane_spec()[:3]
-            f = inst.objective()
-            for target in (composed.target, own.target):
-                assert (target.name, target.f_star, target.hard_pair_arm) == (f.name, f.f_star, f.hard_pair_arm)
-                assert target.hard_pair_arm is not None
-                np.testing.assert_array_equal([target.domain.lower, target.domain.upper],
-                                              [f.domain.lower, f.domain.upper])
+            oracle, x = AdversarialOracle(inst), np.array([0.3])
+            noise = math.sqrt(inst.envelope.c2_value(0.2)) * RngStream(5, 0).generator().standard_normal((1000, 1))
+            np.testing.assert_array_equal(oracle.sample_gradients(x, 0.2, 1000, RngStream(5, 0).generator()),
+                                          inst.mean_response(x, 0.2) + noise)
+            f, target = inst.objective(), oracle.target
+            assert (target.name, target.f_star, target.hard_pair_arm) == (f.name, f.f_star, f.hard_pair_arm)
+            assert target.hard_pair_arm is not None
+            np.testing.assert_array_equal([target.domain.lower, target.domain.upper], [f.domain.lower, f.domain.upper])
 
     def test_several_coordinates_have_no_lane_spec(self):
         assert scaled_hard_coordinates("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1, [+1, -1]).lane_spec() is None

@@ -16,9 +16,7 @@ from zograd.core import (
     MAX_NORM,
     Norm,
     OracleEnvelope,
-    OracleQuery,
     RngStream,
-    checked_response,
     generators,
     interval,
     jumped,
@@ -30,34 +28,32 @@ finite_vectors = st.lists(
 
 
 class TestNorms:
-    def test_euclidean_dual_is_euclidean(self):
-        assert EUCLIDEAN.dual().value(np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-    def test_max_dual_is_one(self):
-        assert MAX_NORM.dual().value(np.array([1.0, -2.0, 3.0])) == pytest.approx(6.0)
-
     def test_zero_vector(self):
         for norm in (EUCLIDEAN, MAX_NORM):
-            assert norm.dual().value(np.zeros(3)) == 0.0
+            assert norm.value(np.zeros(3)) == 0.0
+            np.testing.assert_array_equal(norm.rows(np.zeros((2, 3))), [0.0, 0.0])
 
-    @given(finite_vectors)
-    def test_dual_of_dual_is_identity(self, xs):
-        x = np.array(xs)
-        for norm in (EUCLIDEAN, MAX_NORM, Norm("one")):
-            assert norm.dual().dual().kind == norm.kind
-            assert norm.dual().dual().value(x) == norm.value(x)
+    @given(finite_vectors, finite_vectors)
+    def test_cauchy_schwarz(self, gs, xs):
+        # the Euclidean norm is its own dual: the probes measure bias and
+        # variance under it, and sup_gradient_dual takes it
+        d = min(len(gs), len(xs))
+        g, x = np.array(gs[:d]), np.array(xs[:d])
+        lhs = abs(float(np.dot(g, x)))
+        assert lhs <= EUCLIDEAN.value(g) * EUCLIDEAN.value(x) * (1 + 1e-9) + 1e-9
 
     @given(finite_vectors, finite_vectors)
     def test_holder_inequality(self, gs, xs):
+        # the max norm against the l1 norm of g, its dual
         d = min(len(gs), len(xs))
         g, x = np.array(gs[:d]), np.array(xs[:d])
-        for norm in (EUCLIDEAN, MAX_NORM):
-            lhs = abs(float(np.dot(g, x)))
-            assert lhs <= norm.dual().value(g) * norm.value(x) * (1 + 1e-9) + 1e-9
+        lhs = abs(float(np.dot(g, x)))
+        assert lhs <= float(np.sum(np.abs(g))) * MAX_NORM.value(x) * (1 + 1e-9) + 1e-9
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(DomainError):
-            Norm("manhattan-ish")
+        for kind in ("manhattan-ish", "one"):
+            with pytest.raises(DomainError):
+                Norm(kind)
 
 
 class TestBodies:
@@ -101,27 +97,6 @@ class TestBodies:
                 assert np.linalg.norm(body.project(xi) - body.project(yi)) <= np.linalg.norm(
                     xi - yi
                 ) + 1e-12
-
-
-class TestQueryResponse:
-    def test_delta_out_of_range(self):
-        for delta in (0.0, -0.1, 1.5):
-            with pytest.raises(DomainError):
-                OracleQuery(np.array([0.0]), delta)
-
-    def test_response_vicinity_enforced(self):
-        q = OracleQuery(np.array([0.0]), 0.1)
-        checked_response(np.array([1.0]), np.array([0.1]), q)
-        with pytest.raises(DomainError):
-            checked_response(np.array([1.0]), np.array([0.2]), q)
-
-    def test_response_vicinity_max_norm(self):
-        q = OracleQuery(np.array([0.0, 0.0]), 0.5)
-        # l-inf ball allows corners that the Euclidean ball rejects
-        y = np.array([0.5, 0.5])
-        checked_response(np.zeros(2), y, q, MAX_NORM)
-        with pytest.raises(DomainError):
-            checked_response(np.zeros(2), y, q, EUCLIDEAN)
 
 
 class TestEnvelope:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zograd import _lanes, core
-from zograd.adversarial import hard_pair, scaled_hard_coordinates
+from zograd.adversarial import AdversarialOracle, hard_pair, scaled_hard_coordinates
 from zograd.core import MAX_NORM, REPLY_BLOCK, DomainError, RngStream, interval
 from zograd.estimators import (
     ControlledNoise,
@@ -18,10 +18,11 @@ from zograd.estimators import (
     UncontrolledNoise,
     envelope_for,
     scheme_moments,
-    smoothed_eval,
 )
 from zograd.harness.probes import bias_slope, probe_bias_variance, variance_slope
 from zograd.testbed import exp_one_d, kinked_quadratic, quadratic, softabs, strongly_convex_pair
+
+from instruments import one_reply, smoothed_eval, value_at
 
 RNG = lambda i: RngStream(77, i).generator()
 
@@ -105,11 +106,11 @@ class TestOnePoint:
         res = probe_bias_variance(o, np.array([0.0]), 0.1, 50_000, RNG(5), antithetic=True)
         assert res.bias_est <= o.envelope.c1_value(0.1) + 5 * res.bias_se
 
-    def test_query_reports_probe_arm_for_both_feedbacks(self):
+    def test_reply_reports_probe_arm_for_both_feedbacks(self):
         f = quadratic([1.0])
         for feedback in ("one_point", "two_point"):
             o = EstimatorOracle(f, SPSA, UncontrolledNoise(0.0), feedback)
-            assert o.query(np.array([0.0]), 0.2, RNG(6)).y[0] in (0.2, -0.2)
+            assert one_reply(o, np.array([0.0]), 0.2, RNG(6))[1][0] in (0.2, -0.2)
 
 
 class TestTwoPoint:
@@ -180,19 +181,19 @@ class TestSmoothing:
     def test_smoothed_eval_linear_identity(self):
         f = quadratic([0.0], [2.0])
         val = smoothed_eval(f, np.array([0.4]), 0.5, 200_000, RNG(11))
-        assert val == pytest.approx(f.value_at(np.array([0.4])), abs=5e-3)
+        assert val == pytest.approx(value_at(f, np.array([0.4])), abs=5e-3)
 
     def test_smoothed_eval_quadratic_shift(self):
         # averaging x^2/2 over [x - d, x + d] lifts the value by d^2/6
         f = quadratic([1.0])
         x = np.array([0.2])
         val = smoothed_eval(f, x, 0.3, 400_000, RNG(12))
-        assert val - f.value_at(x) == pytest.approx(0.015, abs=4e-4)
+        assert val - value_at(f, x) == pytest.approx(0.015, abs=4e-4)
 
     def test_smoothed_eval_vanishing_tolerance(self):
         f = quadratic([1.0])
         val = smoothed_eval(f, np.array([0.3]), 1e-3, 100_000, RNG(13))
-        assert abs(val - f.value_at(np.array([0.3]))) <= 1e-6
+        assert abs(val - value_at(f, np.array([0.3]))) <= 1e-6
 
     def test_unbiased_for_smoothed_surrogate(self):
         # E[G] matches the finite-difference slope of the smoothed value
@@ -363,7 +364,7 @@ BLOCK_CASES = {
     "two-point-sf": (EstimatorOracle(_F1, SF, UncontrolledNoise(1.0), "two_point"), False),
     "controlled": (EstimatorOracle(_F1, SPSA, ControlledNoise(3.0, slope=1.0), "two_point"), False),
     "one-point-d2": (EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"), False),
-    "adversarial": (hard_pair("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1)[0].oracle(), False),
+    "adversarial": (AdversarialOracle(hard_pair("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1)[0]), False),
     "adversarial-d2": (scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1]), False),
     "exact": (ExactGradientOracle(softabs(-1, 0.1)), False),
     "exact-d2": (ExactGradientOracle(quadratic([1.0, 2.0])), False),
@@ -439,35 +440,37 @@ class TestVicinityAndDeterminism:
     def test_sf_reports_query_point(self):
         f = quadratic([1.0])
         o = EstimatorOracle(f, SF, UncontrolledNoise(0.0), "one_point")
-        r = o.query(np.array([0.2]), 0.1, RNG(20))
-        np.testing.assert_array_equal(r.y, [0.2])
+        np.testing.assert_array_equal(one_reply(o, np.array([0.2]), 0.1, RNG(20))[1], [0.2])
 
     def test_spsa_reports_probe_arm(self):
         f = quadratic([1.0])
         o = EstimatorOracle(f, SPSA, UncontrolledNoise(0.0), "one_point")
-        r = o.query(np.array([0.2]), 0.1, RNG(21))
-        assert abs(r.y[0] - 0.2) == pytest.approx(0.1)
+        assert abs(one_reply(o, np.array([0.2]), 0.1, RNG(21))[1][0] - 0.2) == pytest.approx(0.1)
 
     @pytest.mark.parametrize("kind", ["one-point", "two-point", "controlled", "exact", "adversarial",
                                       "adversarial-d2"])
-    def test_query_draws_what_one_sample_draws(self, kind):
+    def test_one_reply_draws_what_one_sample_draws(self, kind):
+        # estimate over the draws of one reply gives the bits of the batched
+        # path (the lane kernel at d = 1) and is charged for a point within delta
         f = quadratic([1.0])
         oracle = {
             "one-point": EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "one_point"),
             "two-point": EstimatorOracle(f, SF, UncontrolledNoise(1.0), "two_point"),
             "controlled": EstimatorOracle(f, SPSA, ControlledNoise(1.0, slope=1.0), "two_point"),
             "exact": ExactGradientOracle(f),
-            "adversarial": hard_pair("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1)[1].oracle(),
+            "adversarial": AdversarialOracle(hard_pair("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1)[1]),
             "adversarial-d2": scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1]),
         }[kind]
         x = np.full(oracle.dim, 0.3)
-        np.testing.assert_array_equal(oracle.query(x, 0.1, RNG(23)).g, oracle.sample_gradients(x, 0.1, 1, RNG(23))[0])
+        g, y = one_reply(oracle, x, 0.1, RNG(23))
+        np.testing.assert_array_equal(g, oracle.sample_gradients(x, 0.1, 1, RNG(23))[0])
+        assert y.shape == x.shape and float(np.max(np.abs(y - x))) <= 0.1 * (1 + 1e-12)
 
-    def test_out_of_domain_query_rejected(self):
+    def test_out_of_domain_reply_rejected(self):
         f = quadratic([1.0])
         o = EstimatorOracle(f, SPSA, UncontrolledNoise(0.0), "one_point")
         with pytest.raises(DomainError):
-            o.query(np.array([5.0]), 0.1, RNG(22))
+            o.sample_gradients(np.array([5.0]), 0.1, 1, RNG(22))
 
     @pytest.mark.parametrize("kind", sorted(k for k in BLOCK_ORACLES if not k.endswith("antithetic")))
     def test_out_of_domain_samples_rejected_before_any_draw(self, kind):

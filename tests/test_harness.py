@@ -17,11 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zograd import _lanes, _streams, adversarial
-from zograd.adversarial import HardInstance
-from zograd.core import (EUCLIDEAN, MAX_NORM, Ball, Box, Norm, OracleEnvelope, OracleQuery, OracleResponse, RngStream,
-                         interval)
-from zograd.estimators import (SF, SPSA, ControlledNoise, EstimatorOracle, ExactGradientOracle, PerturbationScheme,
-                               UncontrolledNoise)
+from zograd.adversarial import AdversarialOracle, HardInstance
+from zograd.core import EUCLIDEAN, Ball, Box, Norm, OracleEnvelope, RngStream, interval
+from zograd.estimators import (RDSA, SF, SPSA, ControlledNoise, EstimatorOracle, ExactGradientOracle,
+                               PerturbationScheme, UncontrolledNoise)
 from zograd.harness import checks, experiments
 from zograd.harness.config import (FIELDS, FUNCTIONS, MAX_REPLIES, MAX_STEPS, SPEC_KINDS, ConfigError, ExperimentConfig,
                                    read_config_file)
@@ -32,7 +31,6 @@ from zograd.harness.experiments import (
     parse_oracle_spec,
     probe_experiment,
     rate_experiment,
-    read_rows,
     regret_experiment,
     write_rows,
 )
@@ -42,6 +40,8 @@ from zograd.harness.cli import _load_config, build_parser, main
 from zograd.harness.verdicts import RELATIONS, require, verdict
 from zograd.solver import NonFiniteIterate, manual_schedule, run, schedule_opt_convex
 from zograd.testbed import ObjectiveFunction, quadratic
+
+from instruments import read_rows
 
 SMALL_HORIZONS = (300, 1000, 3000, 10000)
 CHECK_STDOUT = """\
@@ -94,7 +94,7 @@ class TestProbe:
         inst = HardInstance("strongly_convex", +1, 0.2, env)
         delta = 0.1
         res = probe_bias_variance(
-            inst.oracle(), np.array([0.4]), delta, 100_000, RngStream(1, 1).generator()
+            AdversarialOracle(inst), np.array([0.4]), delta, 100_000, RngStream(1, 1).generator()
         )
         assert res.bias_est == pytest.approx(min(0.2, delta), abs=5 * res.bias_se)
 
@@ -103,7 +103,7 @@ class TestProbe:
         inst = HardInstance("strongly_convex", +1, 0.2, env)
         delta = 0.25
         res = probe_bias_variance(
-            inst.oracle(), np.array([0.1]), delta, 1_000_000, RngStream(1, 2).generator()
+            AdversarialOracle(inst), np.array([0.1]), delta, 1_000_000, RngStream(1, 2).generator()
         )
         assert res.var_est == pytest.approx(env.c2_value(delta), rel=0.05)
 
@@ -115,56 +115,52 @@ class TestProbe:
             )
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("norm", [EUCLIDEAN, MAX_NORM, Norm("one")], ids=lambda n: n.kind)
+    @pytest.mark.parametrize("scheme", [SF, SPSA, RDSA], ids=lambda s: s.kind)
     @pytest.mark.parametrize("antithetic", [False, True])
-    def test_batch_statistics_equal_a_loop_over_the_batches(self, d, norm, antithetic):
+    def test_batch_statistics_equal_a_loop_over_the_batches(self, d, scheme, antithetic):
         # reps not a multiple of 32: the last reps % 32 draws join no batch
-        oracle = EstimatorOracle(quadratic([1.0, 2.0, 0.5][:d], [0.3, -0.2, 0.1][:d]), SF, UncontrolledNoise(1.0),
+        oracle = EstimatorOracle(quadratic([1.0, 2.0, 0.5][:d], [0.3, -0.2, 0.1][:d]), scheme, UncontrolledNoise(1.0),
                                  "one_point")
         x, reps = np.full(d, 0.2), 32 * 97 + 13
-        got = probe_bias_variance(oracle, x, 0.3, reps, RngStream(7, d).generator(), norm, antithetic)
-        want = _probe_batch_by_batch(oracle, x, 0.3, reps, RngStream(7, d).generator(), norm, antithetic)
+        got = probe_bias_variance(oracle, x, 0.3, reps, RngStream(7, d).generator(), antithetic)
+        want = _probe_batch_by_batch(oracle, x, 0.3, reps, RngStream(7, d).generator(), antithetic)
         assert got.replications == want.replications == reps
         got, want = (np.array(r, dtype=float) for r in (got, want))
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("reps", [33, 50_000, 99_999, 100_000])
-    @pytest.mark.parametrize("kind", ["one-point", "adversarial", "d2-max"])
+    @pytest.mark.parametrize("kind", ["one-point", "adversarial", "d2"])
     def test_statistics_in_one_scratch_equal_fresh_temporaries(self, kind, reps):
         # centring and squaring in place keeps all five floats of the
         # formula that builds g - mean_g and batches - means afresh
-        oracle, norm = EstimatorOracle(quadratic([1.0]), SPSA, UncontrolledNoise(1.0), "one_point"), EUCLIDEAN
+        oracle = EstimatorOracle(quadratic([1.0]), SPSA, UncontrolledNoise(1.0), "one_point")
         if kind == "adversarial":
-            oracle = HardInstance("convex_smooth", +1, 0.1, OracleEnvelope(1.0, 2.0, 1.0, 2.0)).oracle()
-        elif kind == "d2-max":
-            oracle, norm = EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"), MAX_NORM
+            oracle = AdversarialOracle(HardInstance("convex_smooth", +1, 0.1, OracleEnvelope(1.0, 2.0, 1.0, 2.0)))
+        elif kind == "d2":
+            oracle = EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point")
         x = np.full(oracle.dim, 0.3)
-        got = probe_bias_variance(oracle, x, 0.2, reps, RngStream(8, reps).generator(), norm)
-        want = _probe_with_fresh_temporaries(oracle, x, 0.2, reps, RngStream(8, reps).generator(), norm)
+        got = probe_bias_variance(oracle, x, 0.2, reps, RngStream(8, reps).generator())
+        want = _probe_with_fresh_temporaries(oracle, x, 0.2, reps, RngStream(8, reps).generator())
         got, want = (np.array(r, dtype=float) for r in (got, want))
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _probe_with_fresh_temporaries(oracle, x, delta, reps, rng, norm):
+def _probe_with_fresh_temporaries(oracle, x, delta, reps, rng):
     """``probe_bias_variance``'s five floats from new arrays of g - mean_g and
     of batches - means."""
     g = oracle.sample_gradients(x, delta, reps, rng)
-    grad, dual = oracle.target.gradient_at(x), norm.dual()
+    grad = oracle.target.gradient_at(x)
 
-    def dual_sq(rows):
-        if rows.shape[-1] == 1:
-            return rows[..., 0] ** 2
-        if dual.kind == "euclidean":
-            return np.sum(rows * rows, axis=-1)
-        return dual.rows(rows) ** 2
+    def norm_sq(rows):
+        return rows[..., 0] ** 2 if rows.shape[-1] == 1 else np.sum(rows * rows, axis=-1)
 
     mean_g = g.mean(axis=0)
     batches = g[:32 * (reps // 32)].reshape(32, reps // 32, -1)
     means = batches.mean(axis=1)
-    variances = dual_sq(batches - means[:, None]).mean(axis=1)
-    return ProbeResult(float(delta), float(dual.value(mean_g - grad)),
-                       float(dual.rows(means - grad).std(ddof=1) / np.sqrt(32)), float(np.mean(dual_sq(g - mean_g))),
-                       float(variances.std(ddof=1) / np.sqrt(32)), reps)
+    variances = norm_sq(batches - means[:, None]).mean(axis=1)
+    return ProbeResult(float(delta), float(EUCLIDEAN.value(mean_g - grad)),
+                       float(EUCLIDEAN.rows(means - grad).std(ddof=1) / np.sqrt(32)),
+                       float(np.mean(norm_sq(g - mean_g))), float(variances.std(ddof=1) / np.sqrt(32)), reps)
 
 
 def _rebuilt(f: ObjectiveFunction, **changes) -> ObjectiveFunction:
@@ -172,29 +168,24 @@ def _rebuilt(f: ObjectiveFunction, **changes) -> ObjectiveFunction:
     return ObjectiveFunction(**{**{k: v for k, v in vars(f).items() if k != "dim"}, **changes})
 
 
-def _probe_batch_by_batch(oracle, x, delta, reps, rng, norm, antithetic):
+def _probe_batch_by_batch(oracle, x, delta, reps, rng, antithetic):
     """``probe_bias_variance`` with each of its 32 batches taken on its own,
     in a loop."""
     g = oracle.sample_gradients(x, delta, reps, rng, antithetic=antithetic)
-    grad, dual = oracle.target.gradient_at(x), norm.dual()
+    grad = oracle.target.gradient_at(x)
 
-    def dual_sq(rows):
-        if rows.shape[1] == 1:
-            return rows[:, 0] ** 2
-        if dual.kind == "euclidean":
-            return np.sum(rows * rows, axis=1)
-        if dual.kind == "one":
-            return np.sum(np.abs(rows), axis=1) ** 2
-        return np.max(np.abs(rows), axis=1) ** 2
+    def norm_sq(rows):
+        return rows[:, 0] ** 2 if rows.shape[1] == 1 else np.sum(rows * rows, axis=1)
 
     per, biases, variances = reps // 32, np.empty(32), np.empty(32)
     for b in range(32):
         batch = g[b * per:(b + 1) * per]
-        biases[b] = dual.value(batch.mean(axis=0) - grad)
-        variances[b] = float(np.mean(dual_sq(batch - batch.mean(axis=0))))
+        biases[b] = EUCLIDEAN.value(batch.mean(axis=0) - grad)
+        variances[b] = float(np.mean(norm_sq(batch - batch.mean(axis=0))))
     mean_g = g.mean(axis=0)
-    return ProbeResult(float(delta), float(dual.value(mean_g - grad)), float(biases.std(ddof=1) / np.sqrt(32)),
-                       float(np.mean(dual_sq(g - mean_g))), float(variances.std(ddof=1) / np.sqrt(32)), reps)
+    return ProbeResult(float(delta), float(EUCLIDEAN.value(mean_g - grad)),
+                       float(biases.std(ddof=1) / np.sqrt(32)), float(np.mean(norm_sq(g - mean_g))),
+                       float(variances.std(ddof=1) / np.sqrt(32)), reps)
 
 
 class TestConfig:
@@ -204,7 +195,7 @@ class TestConfig:
             horizons=(100, 1000, 10000), replications=4, master_seed=99, out="x.csv",
         )
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(cfg.to_dict()))
         again = ExperimentConfig.from_dict(read_config_file(path))
         assert again == cfg
 
@@ -412,6 +403,20 @@ class TestCli:
         assert out.exists() and out.with_suffix(".json").exists()
         assert "exponent" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--class", "sc", "--estimator", "exact", "--horizons", "300 1000 3000", "--reps", "2"],
+        ["rate", "--class", "sc", "--estimator", "spsa", "--noise", "controlled", "--horizons", "300 1000 3000",
+         "--reps", "2"],
+        ["lowerbound", "--class", "sc", "--q", "0", "--n", "2000", "--reps", "4"],
+    ], ids=["exact", "controlled-spsa", "lowerbound-q0"])
+    def test_strongly_convex_cells_at_q_zero_print_a_verdict(self, argv, tmp_path, capsys):
+        # the exact oracle's and controlled noise's envelopes have q = 0, which
+        # the strongly convex schedule takes as the convex and regret ones do
+        code = main(argv + ["--seed", "3", "--out", str(tmp_path / "sc.csv")])
+        out = capsys.readouterr()
+        assert code in (0, 1) and out.err == ""
+        assert re.fullmatch(r"\S+: .* -> (PASS|FAIL)\n", out.out)
+
     def test_probe_cli_smoke(self, tmp_path, capsys):
         code = main([
             "probe", "--oracle", "exact,fn=quadratic", "--delta-grid", "0.5 0.1",
@@ -537,7 +542,7 @@ class TestCli:
             experiment="rate", horizons=SMALL_HORIZONS, replications=2,
             master_seed=5, tolerance=5.0,
         )
-        cfg_path.write_text(cfg.to_json())
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
         out = tmp_path / "r.csv"
         code = main(["rate", "--config", str(cfg_path), "--reps", "3", "--out", str(out)])
         assert code == 0
@@ -981,13 +986,15 @@ class TestInputs:
         cfg = ExperimentConfig.from_dict(given)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
         # the echo writes each value as the file gave it: 3 stays 3 and 2.0 stays 2.0
-        assert json.loads(cfg.to_json()) == given and cfg.to_json() == json.dumps(given, indent=2, sort_keys=True)
+        echo = json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
+        assert json.loads(echo) == given and echo == json.dumps(given, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent / "results").glob("*.json")),
                              ids=lambda path: path.stem)
     def test_each_committed_config_echoes_unchanged(self, path):
         config = json.loads(path.read_text())["config"]
-        assert ExperimentConfig.from_dict(config).to_json() == json.dumps(config, indent=2, sort_keys=True)
+        echo = ExperimentConfig.from_dict(config).to_dict()
+        assert json.dumps(echo, indent=2, sort_keys=True) == json.dumps(config, indent=2, sort_keys=True)
 
 
 # cosh on [-1, 1], from callables that pickle by name (a testbed builder's closures do not)
@@ -997,8 +1004,6 @@ RECORDS = {
     "Norm": lambda: Norm("max"),
     "Box": lambda: Box([0.0, -1.0], [1.0, 2.0]),
     "Ball": lambda: Ball([0.5, 0.0], 2.0),
-    "OracleQuery": lambda: OracleQuery([0.25], 0.5),
-    "OracleResponse": lambda: OracleResponse(np.array([1.5]), np.array([0.3])),
     "OracleEnvelope": lambda: OracleEnvelope(1.0, 2.0, 3.0, 2.0, "type_II"),
     "RngStream": lambda: RngStream(20260810, 7),
     "PerturbationScheme": lambda: PerturbationScheme("rdsa"),
@@ -1042,7 +1047,7 @@ def _same(a, b) -> bool:
 
 class TestRecords:
     def test_every_record_is_listed(self):
-        assert len(RECORDS) == 22 and VALUE_RECORDS < RECORDS.keys()
+        assert len(RECORDS) == 20 and VALUE_RECORDS < RECORDS.keys()
         assert all(type(make()).__name__ == name for name, make in RECORDS.items())
 
     @pytest.mark.parametrize("name", RECORDS)

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from zograd import _lanes, solver
 from zograd.adversarial import AdversarialOracle, HardInstance, hard_pair, scaled_hard_coordinates
-from zograd.core import (STEPS_PER_CHUNK, Ball, Box, DomainError, OracleEnvelope, RngStream, chunk_sizes, draw_chunks,
-                         interval)
+from zograd.core import (EUCLIDEAN, MAX_NORM, STEPS_PER_CHUNK, Ball, Box, DomainError, OracleEnvelope, RngStream,
+                         chunk_sizes, draw_chunks, interval)
 from zograd.estimators import (
     ControlledNoise,
     EstimatorOracle,
@@ -48,6 +48,8 @@ from zograd.solver import (
     schedule_regret,
 )
 from zograd.testbed import exp_one_d, kinked_quadratic, quadratic, softabs
+
+from instruments import value_at
 
 RNG = lambda i: RngStream(55, i).generator()
 
@@ -173,6 +175,24 @@ class TestSchedules:
         with pytest.raises(DomainError):
             schedule_opt_sc(2.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1000)
 
+    def test_delta_out_of_range(self):
+        for delta in (0.0, -0.1, 1.5, math.nan):
+            with pytest.raises(DomainError, match="schedule delta must be in"):
+                manual_schedule(delta, ("const", 0.1))
+
+    def test_opt_sc_takes_q_zero_as_its_siblings_do(self):
+        # q = 0 is the envelope of the exact oracle and of controlled noise
+        args = (2.0, 4.0, 1.0, 1.0, 1000)  # D, alpha, mu, L, n
+        exact = schedule_opt_sc(1.0, 0.0, 0.0, 0.0, *args)
+        assert exact.delta == solver._DELTA_FLOOR and exact.notes == ("degenerate bias coefficient: delta pinned",)
+        controlled = schedule_opt_sc(1.0, 0.0, 0.5, 3.0, *args)
+        log_factor = math.log(1000) + 1.0 + 4.0 / (4.0 - 2.0)
+        assert controlled.delta == pytest.approx(3.0 * log_factor / (math.sqrt(2.0 * 2.0 * 4.0) * 0.5 * 1000))
+        assert schedule_opt_convex(1.0, 0.0, 0.5, 3.0, 2.0, 4.0, 1.0, 1000).delta > 0
+        assert schedule_regret(1.0, 0.0, 0.5, 3.0, 2.0, 4.0, 1.0, 1.0, 1000, strongly_convex=True).delta > 0
+        with pytest.raises(DomainError, match="schedule inputs"):
+            schedule_opt_sc(1.0, -0.5, 0.5, 3.0, *args)
+
     def test_opt_sc_delta_behavior(self):
         grow = schedule_opt_sc(2.0, 2.0, 1.0, 4.0, 2.0, 4.0, 1.0, 1.0, 100_000)
         base = schedule_opt_sc(2.0, 2.0, 1.0, 1.0, 2.0, 4.0, 1.0, 1.0, 100_000)
@@ -208,6 +228,33 @@ class TestSchedules:
         assert regret_rate_exponent("strongly_convex", 2.0, 2.0) == pytest.approx(1 / 2)
 
 
+class TestVicinity:
+    """``_check_vicinity``, the check of each chunk's evaluation points."""
+
+    def test_vicinity_enforced(self):
+        # (steps, lanes, d) = (2, 3, 1); the live lanes are 4, 5 and 7 from step 10
+        offsets = np.full((2, 3, 1), 0.1)
+        solver._check_vicinity(offsets, 0.1, EUCLIDEAN, np.array([4, 5, 7]), 10)
+        offsets[1, 2, 0] = -0.2
+        with pytest.raises(DomainError, match=r"lane 7: evaluation point escaped the delta-vicinity at step 11: "
+                                              r"\|\|x-y\|\|=0.2 > 0.1"):
+            solver._check_vicinity(offsets, 0.1, EUCLIDEAN, np.array([4, 5, 7]), 10)
+
+    def test_vicinity_max_norm(self):
+        # the max-norm ball holds the corners that the Euclidean ball refuses
+        corner = np.full((1, 1, 2), 0.5)
+        solver._check_vicinity(corner, 0.5, MAX_NORM, np.array([0]), 1)
+        with pytest.raises(DomainError, match="lane 0: evaluation point escaped the delta-vicinity at step 1"):
+            solver._check_vicinity(corner, 0.5, EUCLIDEAN, np.array([0]), 1)
+
+    def test_vicinity_per_lane_delta(self):
+        # a (lanes, 1) column of deltas: each lane is held to its own
+        offsets = np.full((1, 3, 1), 0.2)
+        solver._check_vicinity(offsets, np.array([[0.2], [0.3], [0.2]]), EUCLIDEAN, np.arange(3), 1)
+        with pytest.raises(DomainError, match=r"lane 1: .* > 0.1$"):
+            solver._check_vicinity(offsets, np.array([[0.2], [0.1], [0.2]]), EUCLIDEAN, np.arange(3), 1)
+
+
 class TestRun:
     def test_single_round_returns_start(self):
         f = quadratic([1.0])
@@ -237,7 +284,7 @@ class TestRun:
         assert np.all(tr.xs >= 0.0) and np.all(tr.xs <= 1.0)
         np.testing.assert_allclose(tr.x_hat, tr.xs.mean(axis=0), atol=1e-12)
         # Jensen: the averaged point cannot beat the average loss
-        assert f.value_at(tr.x_hat) <= float(np.mean(tr.losses_x)) + 1e-12
+        assert value_at(f, tr.x_hat) <= float(np.mean(tr.losses_x)) + 1e-12
 
     def test_prox_inequality_along_trajectory(self):
         f = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
@@ -255,7 +302,7 @@ class TestRun:
         n = 1000
         s = schedule_opt_convex(2.0, 2.0, 0.0, 0.0, divergence_diameter(f.domain), 1.0, f.smoothness, n)
         tr = run(ExactGradientOracle(f), s, n, x1=np.array([1.0]), rng=RNG(6))
-        bound = (f.value_at(np.array([1.0])) - f.f_star + divergence_diameter(f.domain) * f.smoothness) / n
+        bound = (value_at(f, np.array([1.0])) - f.f_star + divergence_diameter(f.domain) * f.smoothness) / n
         assert tr.error <= bound + 1e-12
 
     def test_regret_mode_accumulates(self):
@@ -346,8 +393,8 @@ def _oracles():
         "smoothing-d2": EstimatorOracle(f2, SURFACE, UncontrolledNoise(1.0), "one_point"),
         "smoothing-d2-ball": EstimatorOracle(f2_ball, SURFACE, UncontrolledNoise(1.0), "one_point"),
         "exact": ExactGradientOracle(fq),
-        "adversarial-convex": convex.oracle(),
-        "adversarial-sc": sc.oracle(),
+        "adversarial-convex": AdversarialOracle(convex),
+        "adversarial-sc": AdversarialOracle(sc),
         "separable-d4": scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1, +1, -1]),
     }
 
@@ -455,7 +502,7 @@ KERNEL_ORACLES = {
 for _cls, _name in (("convex_smooth", "convex"), ("strongly_convex", "sc")):
     for _p in (1.0, 2.0):
         for _arm in hard_pair(_cls, _p, 2.0, 1.0, 1.0, 0.13):
-            KERNEL_ORACLES[f"adversarial-{_name}-p{_p:g}{_arm.v:+d}"] = _arm.oracle()
+            KERNEL_ORACLES[f"adversarial-{_name}-p{_p:g}{_arm.v:+d}"] = AdversarialOracle(_arm)
             KERNEL_ORACLES[f"exact-{_name}{_arm.v:+d}"] = ExactGradientOracle(_arm.objective())
 # the cells the kernel runs: estimators in both modes, the oracles that
 # answer at x in optimization mode (their regret runs take the numpy loop)
@@ -1010,7 +1057,7 @@ class TestCompiledKernel:
         # c2 = inf makes the noise, and so the step, infinite
         inst = KERNEL_ORACLES[kind].instance
         envelope = OracleEnvelope(**{**vars(inst.envelope), "c2": math.inf})
-        oracle = HardInstance(**{**vars(inst), "envelope": envelope}).oracle()
+        oracle = AdversarialOracle(HardInstance(**{**vars(inst), "envelope": envelope}))
         with pytest.raises(NonFiniteIterate) as info:
             run(oracle, SCHEDULES[0], 100, rng=[RNG(i) for i in range(3)],
                 horizons=[1, 100, 100])
@@ -1201,6 +1248,16 @@ class TestCompiledKernel:
                                          match="lane 0: evaluation point escaped the delta-vicinity at step 1"):
                 run(oracle, *args, rng=[RNG(i) for i in range(3)])
         assert calls == ([3, 3] if path == "kernel" else [])  # one call per run: the honest run, then one that raises
+        if path == "d2" and scheme is SPSA:
+            # the honest offsets are the corners (+-delta, +-delta): within delta
+            # under the max norm, which passed them above, and beyond it under
+            # the Euclidean norm
+            delta = SCHEDULES[0].delta
+            du = honest._draws(delta, 8, RNG(0), False)[0][0]
+            np.testing.assert_array_equal(np.abs(du), delta)
+            solver._check_vicinity(du[None], delta, MAX_NORM, np.arange(8), 1)
+            with pytest.raises(DomainError, match="lane 0: evaluation point escaped the delta-vicinity at step 1"):
+                solver._check_vicinity(du[None], delta, EUCLIDEAN, np.arange(8), 1)
 
     @pytest.mark.parametrize("path", ["kernel", "numpy"])
     @pytest.mark.parametrize("jump, poison, error, message", [
