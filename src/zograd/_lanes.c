@@ -43,6 +43,11 @@
    whose reply is the mean of the replies at +du and at -du with weight
    -w and a second block of noise.
 
+   zg_seed writes the words each lane's PCG64 seeds from
+   (_lanes.seed_words, core.generators): numpy's SeedSequence hash of the
+   master seed and of each stream's key, one call for all of a run's
+   lanes; the loader checks it against SeedSequence on one case.
+
    Each value is computed with the operations, and in the order, of the
    numpy code it replaces, so that compiled without contraction or
    fast-math (-ffp-contract=off) every result equals numpy's bit for bit.
@@ -721,6 +726,66 @@ void zg_probe(long m, long flags, const double *c, const struct lane *lane, doub
             break;
         default:
             replies(0, c, n, start, m, x, du, fy, w, xi, g);
+        }
+    }
+}
+
+/* numpy's SeedSequence (numpy/random/bit_generator.pyx): its pool size,
+   the hash constants of its pool (A) and of its output (B), and its mix */
+enum { POOL = 4 };
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_L 0xca01f9ddu
+#define MIX_R 0x4973f715u
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash, uint32_t mult)
+{
+    value ^= *hash;
+    *hash *= mult;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    const uint32_t r = MIX_L * x - MIX_R * y;
+    return r ^ r >> 16;
+}
+
+/* The 4 words a PCG64 seeds from of each of count streams, into out (count
+   rows of 4), as SeedSequence(master, spawn_key=(key,)).generate_state(4,
+   np.uint64) gives them: the master seed's n_master 32-bit words (least
+   significant first), padded with zeros to the pool, are hashed into the
+   pool of 4 and mixed, its fifth and later words and then the stream's key
+   words are mixed in, and the pool is hashed into 8 words, paired into 4.
+   Stream s's key is the next key_lengths[s] words of keys.  The pool after
+   the master seed, and the hash constant there, depend on the master seed
+   alone, so they are computed once. */
+void zg_seed(const uint32_t *master, long n_master, const uint32_t *keys, const long *key_lengths, long count,
+             uint64_t *out)
+{
+    uint32_t start[POOL], hash = INIT_A;
+    for (long i = 0; i < POOL; i++)
+        start[i] = hashmix(i < n_master ? master[i] : 0, &hash, MULT_A);
+    for (long src = 0; src < POOL; src++)
+        for (long dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                start[dst] = mix(start[dst], hashmix(start[src], &hash, MULT_A));
+    for (long k = POOL; k < n_master; k++)
+        for (long dst = 0; dst < POOL; dst++)
+            start[dst] = mix(start[dst], hashmix(master[k], &hash, MULT_A));
+    for (long s = 0; s < count; s++, out += 4) {
+        uint32_t pool[POOL], h = hash, h_out = INIT_B;
+        for (long i = 0; i < POOL; i++)
+            pool[i] = start[i];
+        for (long k = 0; k < key_lengths[s]; k++, keys++)
+            for (long dst = 0; dst < POOL; dst++)
+                pool[dst] = mix(pool[dst], hashmix(*keys, &h, MULT_A));
+        for (long i = 0; i < 8; i++) {  /* word i is the low half of out[i / 2] for even i, else its high half */
+            const uint64_t word = hashmix(pool[i % POOL], &h_out, MULT_B);
+            out[i / 2] = i % 2 ? out[i / 2] | word << 32 : word;
         }
     }
 }

@@ -1,9 +1,11 @@
 """Build, cache and load the compiled lane kernel (``_lanes.c``).
 
-No zograd module imports this one when it is imported: the oracles and
-the solver import it the first time a run, or a probe's replies at one
-point, ask for the kernel.  Where Python keeps no bytecode cache, every line a process
-imports is compiled as it starts.
+No zograd module imports this one when it is imported: ``core`` imports
+it the first time a run's generators are seeded, and the oracles and the
+solver the first time a run, or a probe's replies at one point, ask for
+the kernel.  Where Python keeps no bytecode cache, every line a process
+imports is compiled as it starts, so the code that only a build or a bind
+of numpy's loops runs is in ``_lanes_build``, imported only then.
 
 ``kernel()`` compiles the C source with the system C compiler the first
 time it is asked for (never at import), against numpy's sampler library
@@ -43,6 +45,12 @@ A probe's m replies at one point at d = 1 (``sample_gradients``) are one
 library call too (``probe_replies``): the same fill draws them on one lane
 and the kernel's formulas compute them.  Where it refuses, the oracle's
 numpy ``_draws`` and ``estimate`` make them.
+
+The library also seeds a run's lanes (``seed_words``): one call hashes
+every stream's words as numpy's SeedSequence does (NEP 19 keeps its
+output stable), checked against SeedSequence when the library loads
+(``SEED_PREMISE``); where they differ, the reason is logged once at DEBUG
+and ``core.generators`` takes SeedSequence, as without a library.
 """
 
 from __future__ import annotations
@@ -50,15 +58,17 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
-import os
+import operator
 import sys
 import threading
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
-from .core import STEPS_PER_CHUNK, Box, jumped, vicinity_tolerance
+from .core import STEPS_PER_CHUNK, Box, vicinity_tolerance
 
 _log = logging.getLogger(__name__)
 
@@ -77,7 +87,6 @@ PYTHON_H = (Path(sys.base_prefix) / "include" / f"python{sys.version_info[0]}.{s
 UFUNCOBJECT_H = Path(np.get_include()) / "numpy" / "ufuncobject.h"
 # the numpy loops the library can bind, in its order, and the replies that need each
 LOOPS = {"tanh": "softabs runs and probes", "exp": "exp probes"}
-LOOP_SIGNATURE = "d->d"
 
 # flag bits of zg_lane_run and zg_probe, as in _lanes.c: the oracle's formula and draws, and the run's mode
 TWO_POINT, EVAL_POINT, CONTROLLED, MIRROR, REGRET = 1, 2, 4, 8, 16
@@ -97,6 +106,9 @@ NONFINITE, ESCAPED = 1, 2
 # and the count takes the draws past tail values and wedge rejections
 # (tests/test_solver.py pins both)
 NORMAL_PREMISE = (15, 8192)
+# (master seed, stream id) the library's seeding is checked on when it loads:
+# 5 words, so that one is mixed in after the pool, and a key of 2
+SEED_PREMISE = ((1 << 130) | 20260810, (7 << 32) | 5)
 
 
 class LaneSpec(NamedTuple):
@@ -125,9 +137,10 @@ class LaneSpec(NamedTuple):
 
 
 class _Library:
-    """The loaded library: its entry points, declared for ctypes, whether it
-    was built against the headers of numpy's loops, and which of those
-    loops are bound and checked (``loops``: name -> bool, once asked)."""
+    """The loaded library: its entry points, declared for ctypes (``seed``
+    None where its seeding failed its check), whether it was built against
+    the headers of numpy's loops, and which of those loops are bound and
+    checked (``loops``: name -> bool, once asked)."""
 
     def __init__(self, lib, ufunc: bool):
         doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
@@ -140,6 +153,9 @@ class _Library:
         self.probe = _declare(lib.zg_probe, longs[:2] + [doubles, table, ctypes.c_double, doubles, doubles])
         self.scratch = _declare(lib.zg_scratch, longs, ctypes.c_long)
         self.normal = _declare(lib.zg_normal_fill, [ctypes.c_void_p, ctypes.c_long, doubles])
+        words, seeds = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS") for dtype in (np.uint32, np.uint64))
+        self.seed = _declare(lib.zg_seed, [words, ctypes.c_long, words, np.ctypeslib.ndpointer(LONG), ctypes.c_long,
+                                           seeds])
 
 
 def _declare(fn, argtypes: list, restype=None):
@@ -169,66 +185,15 @@ def loop_bound(name: str) -> bool:
         return False
     with _loading:
         if name not in loaded.loops:
-            unbound = _bind_loop(loaded.lib, name) if loaded.ufunc else f"{PYTHON_H} or {UFUNCOBJECT_H} is missing"
+            from ._lanes_build import bind_loop  # only a bind needs it
+
+            unbound = bind_loop(loaded, name)
             if unbound is None:
                 _log.debug("numpy's %s loop bound in the lane kernel", name)
             else:
                 _log.debug("lane kernel without numpy's %s loop (%s take numpy): %s", name, LOOPS[name], unbound)
             loaded.loops[name] = unbound is None
         return loaded.loops[name]
-
-
-def loop_premise(name: str) -> np.ndarray:
-    """The values the bound loop of ``np.tanh`` or ``np.exp`` is checked on:
-    the tanh arguments of the adversarial reply at +1 and -1 over iterates
-    and separations, or the exp arguments x - delta and x + delta*z of
-    probes over points and deltas; standard normals; signed zeros, a
-    subnormal, values near saturation, overflow or underflow, infinities."""
-    rng = np.random.default_rng(20260810)
-    x = rng.uniform(-1.0, 1.0, 3000)
-    if name == "tanh":
-        eps = rng.uniform(0.005, 0.35, 3000)
-        spread, ends = ((x - 1.0) * (0.5 / eps), (x - -1.0) * (0.5 / eps)), [19.0, 25.0, -40.0]
-    else:
-        delta = rng.uniform(0.01, 1.0, 3000)
-        spread, ends = (x - delta, x + delta * rng.standard_normal(3000)), [709.7, -708.5, -745.1]
-    return np.concatenate([*spread, rng.standard_normal(2000), [0.0, -0.0, 1e-300, *ends, np.inf, -np.inf]])
-
-
-def _loop_mismatch(apply: Callable, name: str) -> Optional[str]:
-    """Why ``apply(n, pieces, count, x)``, the bound loop applied in place
-    to x in consecutive pieces, the k-th of ``pieces[k % count]`` values,
-    does not give the bits of ``np.tanh`` or ``np.exp`` (``name``) on
-    ``loop_premise(name)``, or None where it does for each value alone, in
-    one buffer, interleaved with their reverse, and in pieces of 2 to 17
-    values, past the widths of its vector steps and into their tails."""
-    values, ufunc = loop_premise(name), getattr(np, name)
-    interleaved = np.stack((values, values[::-1]), axis=1).ravel()
-    cases = {"alone": (values, [1]), "in one buffer": (values, [values.size]),
-             "interleaved": (interleaved, [interleaved.size]), "in pieces of 2 to 17": (values, range(2, 18))}
-    for case, (buffer, pieces) in cases.items():
-        got = buffer.copy()
-        apply(got.size, np.array(pieces, LONG), len(pieces), got)
-        if not np.array_equal(got.view(np.int64), ufunc(buffer).view(np.int64)):
-            return f"it differs from np.{name} {case}"
-    return None
-
-
-def _bind_loop(lib, name: str) -> Optional[str]:
-    """Bind the d->d inner loop of ``np.tanh`` or ``np.exp`` (``name``) in
-    the library and check it: None where the kernel may call it, else the
-    reason it may not."""
-    ufunc = getattr(np, name)
-    if LOOP_SIGNATURE not in ufunc.types:
-        return f"np.{name} has no {LOOP_SIGNATURE} loop"
-    index, which = ufunc.types.index(LOOP_SIGNATURE), list(LOOPS).index(name)
-    # holds the interpreter lock: it reads the ufunc itself
-    bind = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_long, ctypes.c_long)(("zg_bind_loop", lib))
-    if bind(ufunc, index, which) != 0:
-        return f"loop {index} of np.{name} is not a d->d loop"
-    pointer = lambda dtype: np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-    apply = _declare(lib.zg_loop, [ctypes.c_long] * 2 + [pointer(LONG), ctypes.c_long, pointer(np.float64)])
-    return _loop_mismatch(functools.partial(apply, which), name)
 
 
 def _normal_mismatch(fill: Callable) -> Optional[str]:
@@ -244,6 +209,106 @@ def _normal_mismatch(fill: Callable) -> Optional[str]:
     if ours.bit_generator.state != numpys.bit_generator.state:
         return "it leaves the generator in another state than numpy's"
     return None
+
+
+class Words(ISeedSequence):
+    """The 4 64-bit words a PCG64 seeds from, a contiguous uint64 array,
+    handed over as they are: numpy's interface for custom seed sequences."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, np.dtype(dtype)) != (4, np.dtype(np.uint64)):
+            raise ValueError("holds the 4 uint64 words of one PCG64 seeding")
+        return self.words
+
+
+# the words a twin is seeded from before it takes a state
+_FIXED = Words(np.zeros(4, np.uint64))
+# PCG64.jumped advances by this many steps per jump
+JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
+def twin(bit_generator, jumps: int = 1):
+    """``bit_generator.jumped(jumps)`` (``core.jumped``), which seeds a new
+    bit generator from the system's entropy and then overwrites its state.
+    A PCG64's twin is a PCG64 seeded from fixed words that takes its state
+    and advances ``jumps * JUMP`` steps, as ``PCG64.jumped`` documents it,
+    where that gives ``jumped``'s state on one case (``_twin_holds``)."""
+    if type(bit_generator) is not PCG64 or not _twin_holds():
+        return bit_generator.jumped(jumps)
+    return _advanced(bit_generator, jumps)
+
+
+def _advanced(bit_generator, jumps: int):
+    advanced = PCG64(_FIXED)
+    advanced.state = bit_generator.state
+    return advanced.advance(jumps * JUMP)
+
+
+@functools.cache
+def _twin_holds() -> bool:
+    """Whether ``_advanced`` gives ``jumped``'s state jumped 3 times, from a
+    state with a 32-bit half of a draw kept back; where it does not, or
+    raises, logs once that numpy's ``jumped`` makes the twins."""
+    bg = PCG64(20260810)
+    Generator(bg).integers(1 << 32, dtype=np.uint32)
+    try:
+        if _advanced(bg, 3).state == bg.jumped(3).state:
+            return True
+        reason = "they differ from numpy's on the premise"
+    except Exception as exc:  # any fault of the twin leaves numpy's jumped in force
+        reason = f"{type(exc).__name__}: {exc}"
+    _log.debug("jumped twins from numpy's jumped: %s", reason)
+    return False
+
+
+def seed_words(master_seed: int, stream_ids: Sequence[int]) -> Optional[np.ndarray]:
+    """The 4 words a PCG64 seeds from for each id of ``stream_ids``, a row
+    each, as ``SeedSequence(master_seed, spawn_key=(id,)).generate_state(4,
+    np.uint64)`` gives them, from one library call (``zg_seed``); or None
+    where there is no library, or its seeding failed its check when it
+    loaded.  A seed or id that is negative raises ValueError, and one that
+    is no integer TypeError, as SeedSequence does."""
+    loaded = _library()
+    return None if loaded is None or loaded.seed is None else _seed(loaded.seed, master_seed, stream_ids)
+
+
+def _seed(seed: Callable, master_seed: int, stream_ids: Sequence[int]) -> np.ndarray:
+    """``zg_seed`` (``seed``) of each id's key words, appended, under the master seed's words."""
+    master, keys, lengths = _words(master_seed), [], []
+    for i in stream_ids:
+        key = _words(i)
+        keys += key
+        lengths.append(len(key))
+    out = np.empty((len(lengths), 4), np.uint64)
+    seed(np.array(master, np.uint32), len(master), np.array(keys, np.uint32), np.array(lengths, LONG), len(lengths),
+         out)
+    return out
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of a nonnegative integer, least significant first;
+    [0] for 0: SeedSequence's words of an entropy or a key."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _seed_mismatch(seed: Callable) -> Optional[str]:
+    """Why ``seed``, the library's ``zg_seed``, does not give the words of
+    numpy's SeedSequence on ``SEED_PREMISE``, or None where it does."""
+    master, stream = SEED_PREMISE
+    want = np.random.SeedSequence(master, spawn_key=(stream,)).generate_state(4, np.uint64)
+    return None if np.array_equal(_seed(seed, master, [stream])[0], want) else "its words differ from numpy's"
 
 
 def _spec(oracle, redefined: Sequence[str]) -> Optional[LaneSpec]:
@@ -340,13 +405,13 @@ class LaneRun:
     steps left, its row of the run's arrays, and its generators.
     Directions read each lane's own generator.  Noise reads it too where
     there are no directions; otherwise the twin of that generator jumped
-    once (``core.jumped``), taken from its state at the start of the run,
+    once (``twin``), taken from its state at the start of the run,
     as ``core.draw_chunks`` takes it."""
 
     def __init__(self, advance: Callable, spec: LaneSpec, regret: bool, body: Box, f_star: float,
                  rngs: Sequence[np.random.Generator], horizons: Sequence[int], schedules):
         lib = _library()
-        self._advance, self._fill = advance, lib.fill
+        self._advance = advance
         self._flags = _flags(spec) | (REGRET if regret else 0)
         self._data = np.array([body.lower[0], body.upper[0], f_star, *spec.data])
         self._scratch = np.empty(lib.scratch(STEPS_PER_CHUNK, len(rngs), self._flags))
@@ -366,7 +431,7 @@ class LaneRun:
         # the generators of the directions and of the noise, kept alive while C holds their pointers
         self._dir = [g.bit_generator for g in rngs]
         twins = self._flags & DIRECTIONS and spec.noise
-        self._noise = [jumped(bg) for bg in self._dir] if twins else self._dir
+        self._noise = [twin(bg) for bg in self._dir] if twins else self._dir
         table["dir"], table["noise"] = ([_address(bg) for bg in gens] for gens in (self._dir, self._noise))
 
     def run(self, x: np.ndarray, sum_x: np.ndarray, regret: np.ndarray,
@@ -393,17 +458,6 @@ class LaneRun:
         kind = self._advance(STEPS_PER_CHUNK, lanes, self._flags, self._data, self._table, x, sum_x, regret,
                              self._scratch, pointers.ctypes.data if record else None, fault)
         return None if kind == 0 else (kind, *fault[0].tolist())
-
-    def draws(self, m: int) -> np.ndarray:
-        """The next m steps' draws of the lanes as ``run`` fills a chunk's
-        (``zg_lane_draws``): du, w and xi one after the other, each flat in
-        the layout of ``solver._next_chunk``.  A view of the run's scratch,
-        valid until the next chunk is drawn."""
-        if not 0 < m <= STEPS_PER_CHUNK:  # the scratch holds one chunk
-            raise ValueError(f"a chunk has 1 to {STEPS_PER_CHUNK} steps, not {m}")
-        count = self._fill(m, self._table.size, self._flags, self._table, self._scratch)
-        self._table["left"] -= np.minimum(self._table["left"], m)
-        return self._scratch[:count]
 
 
 def _address(bit_generator) -> int:
@@ -448,31 +502,6 @@ def _library_path() -> Path:
     return CACHE / f"_lanes-{key.hexdigest()[:16]}.so"
 
 
-def _build(path: Path) -> None:
-    """Compile into a temporary file beside ``path`` and move it into place,
-    so a concurrent run never loads a half-written library, then remove the
-    libraries of other inputs beside it (never a temporary file).  A compile
-    that fails or hangs raises OSError, with the compiler's messages."""
-    import subprocess  # only a build needs it: a process that finds the library cached never imports it
-    import tempfile
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    try:
-        subprocess.run(_command(tmp), check=True, capture_output=True, timeout=120)
-        os.replace(tmp, path)
-        for stale in path.parent.glob("_lanes-*.so"):
-            if stale != path:
-                stale.unlink(missing_ok=True)  # another build may have removed it first
-    except subprocess.SubprocessError as exc:
-        detail = (getattr(exc, "stderr", b"") or b"").decode(errors="replace").strip()
-        raise OSError(f"{type(exc).__name__}: {exc} {detail}") from exc
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def _library():
     with _loading:
         if not _loaded:
@@ -484,7 +513,9 @@ def _load():
     try:
         path = _library_path()
         if not path.exists():
-            _build(path)
+            from ._lanes_build import build  # only a build needs it
+
+            build(path)
         lib = np.ctypeslib.load_library(path.name, str(path.parent))
         loaded = _Library(lib, bool(_ufunc_args()))
     except (OSError, AttributeError) as exc:  # the numpy loop runs instead
@@ -503,4 +534,8 @@ def _load():
                        "normals from numpy's random_standard_normal: %s", refused, again)
             return None
         _log.debug("lane kernel loaded from %s, normals from numpy's random_standard_normal: %s", path, refused)
+    unseeded = _seed_mismatch(loaded.seed)
+    if unseeded is not None:  # numpy's SeedSequence seeds the lanes (core.generators)
+        _log.debug("lane seeding from numpy's SeedSequence: %s", unseeded)
+        loaded.seed = None
     return loaded

@@ -7,7 +7,10 @@ The conventions shared by every estimator and adversarial instance live here:
   evaluation point ``y`` with ``||x - y|| <= delta`` under its vicinity norm
   (``vicinity_tolerance``; the solver checks it chunk by chunk);
 * an oracle declares its bias/variance envelope ``c1(d) = C1 * d**p`` and
-  ``c2(d) = C2 * d**-q``.
+  ``c2(d) = C2 * d**-q``;
+* a run's lanes draw from the generators of ``(master_seed, stream_id)``,
+  numpy's SeedSequence seeding, hashed by the lane library where it loads
+  (``generators``), and their noise from twins (``jumped``).
 
 The types here are plain classes and ``NamedTuple``s, never changed after
 they are built, so they are safe to share across workers.
@@ -247,8 +250,8 @@ class RngStream(NamedTuple):
     ``(master_seed, stream_id)``, so parallel replications are reproducible
     independent of execution order.  ``generator()`` is numpy's
     ``default_rng(SeedSequence(master_seed, spawn_key=(stream_id,)))``: the
-    reference ``generators`` is checked against, and the cheaper way to one
-    generator."""
+    reference ``generators`` is checked against, and its way where the lane
+    library cannot seed."""
 
     master_seed: int
     stream_id: int = 0
@@ -260,12 +263,14 @@ class RngStream(NamedTuple):
 
 def generators(master_seed: int, stream_ids: Sequence[int]) -> list[np.random.Generator]:
     """``[RngStream(master_seed, i).generator() for i in stream_ids]``, state
-    for state, from one pass over the ids that hashes the master seed once
-    (``_streams``): the generators of a run's lanes.  Their ``seed_seq``
-    holds the seeding words, not a ``SeedSequence``."""
-    from ._streams import generators  # imports numpy.random, which importing zograd's modules leaves out
+    for state, each PCG64 seeded from (and its ``seed_seq`` holding) words the
+    lane library hashes for all the ids in one call, or by SeedSequence."""
+    from . import _lanes  # imports numpy.random, which importing zograd's modules leaves out
 
-    return generators(master_seed, stream_ids)
+    words = _lanes.seed_words(master_seed, stream_ids)
+    if words is None:
+        return [RngStream(master_seed, i).generator() for i in stream_ids]
+    return [np.random.Generator(np.random.PCG64(_lanes.Words(row))) for row in words]
 
 
 def jumped(bit_generator, jumps: int = 1):
@@ -273,10 +278,10 @@ def jumped(bit_generator, jumps: int = 1):
     ``jumps`` times by its jump size from its state now, a stream that does
     not overlap it.  A PCG64's twin is reached by numpy's documented
     ``advance``, without the seeding ``jumped`` does and then discards
-    (``_streams``)."""
-    from ._streams import jumped
+    (``_lanes.twin``)."""
+    from ._lanes import twin
 
-    return jumped(bit_generator, jumps)
+    return twin(bit_generator, jumps)
 
 
 # Solver steps draw their randomness in chunks of at most this many steps,

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from zograd.core import DomainError
+from zograd import _lanes
+from zograd.core import STEPS_PER_CHUNK, DomainError
 from zograd.testbed import ObjectiveFunction
 
 
@@ -48,3 +49,16 @@ def one_reply(oracle, x, delta: float, rng: np.random.Generator) -> tuple[np.nda
     x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
     g, y, _ = oracle.estimate(x, delta, *oracle._draws(delta, 1, rng, False)[0])
     return g[0], y[0]
+
+
+def lane_draws(lanes: _lanes.LaneRun, m: int) -> np.ndarray:
+    """The next m steps' draws of a kernel run's lanes as its ``run`` fills
+    a chunk's (``zg_lane_draws``): du, w and xi one after the other, each
+    flat in the layout of ``solver._next_chunk``.  A view of the run's
+    scratch, valid until the next chunk is drawn."""
+    if not 0 < m <= STEPS_PER_CHUNK:  # the scratch holds one chunk
+        raise ValueError(f"a chunk has 1 to {STEPS_PER_CHUNK} steps, not {m}")
+    table = lanes._table
+    count = _lanes._library().fill(m, table.size, lanes._flags, table, lanes._scratch)
+    table["left"] -= np.minimum(table["left"], m)
+    return lanes._scratch[:count]

@@ -1,5 +1,7 @@
+import functools
 import logging
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import MT19937, PCG64, PCG64DXSM
 
-from zograd import _streams
+from zograd import _lanes
 from zograd.core import (
     Ball,
     Box,
@@ -145,6 +147,20 @@ def _states(gens) -> list:
 stream_ids = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96))
 
 
+@pytest.fixture(scope="class", params=["library", "numpy"])
+def seeding(request):
+    """The lane library's seeding, or numpy's SeedSequence where the library
+    refuses to seed (as where its check fails when it loads).  Class-scoped,
+    for the hypothesis test; every test of the class takes it."""
+    if request.param == "library":
+        if _lanes.seed_words(0, [0]) is None:
+            pytest.skip("the lane library cannot seed here: it cannot be built, or its seeding fails its check")
+        yield request.param
+    else:
+        with mock.patch.object(_lanes, "seed_words", lambda master_seed, stream_ids: None):
+            yield request.param
+
+
 class TestGenerators:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**160)), ids=st.lists(stream_ids, max_size=10))
@@ -152,10 +168,15 @@ class TestGenerators:
     @example(seed=2**128 - 1, ids=[0, 2**32 - 1, 2**32, 5])  # a master seed of 4 words, key widths mixed
     @example(seed=2**128, ids=[2**64, 1, 2**32 + 1])  # 5 words: one mixed in after the pool
     @example(seed=20260810, ids=[(tag << 20) | rep for tag in (0, 1, 2, 40) for rep in (0, 15)])
-    def test_each_generator_is_its_streams(self, seed, ids):
+    def test_each_generator_is_its_streams(self, seeding, seed, ids):
         assert _states(generators(seed, ids)) == _states(RngStream(seed, i).generator() for i in ids)
 
-    def test_a_generator_draws_and_pickles_as_its_streams(self):
+    def test_the_library_seeds_from_its_words(self, seeding):
+        # the library's generators hold their seeding words, numpy's a SeedSequence
+        seq = generators(5, [1])[0].bit_generator.seed_seq
+        assert type(seq) is (_lanes.Words if seeding == "library" else np.random.SeedSequence)
+
+    def test_a_generator_draws_and_pickles_as_its_streams(self, seeding):
         ours, = generators(77, [3])
         twin = pickle.loads(pickle.dumps(ours))
         want = RngStream(77, 3).generator().standard_normal(64)
@@ -163,7 +184,7 @@ class TestGenerators:
         np.testing.assert_array_equal(twin.standard_normal(64), want)
 
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
-    def test_a_seed_numpy_refuses_is_refused(self, seed, error):
+    def test_a_seed_numpy_refuses_is_refused(self, seeding, seed, error):
         with pytest.raises(error):
             RngStream(seed, 0).generator()
         with pytest.raises(error):
@@ -205,31 +226,49 @@ class TestJumped:
 class TestPremise:
     SEED, IDS = 20260810, [0, 1, 2**32 + 7]
 
-    @pytest.mark.parametrize("broken", ["off", "raises"])
-    def test_a_failed_premise_falls_back_to_numpy(self, broken, monkeypatch, caplog):
-        real_generators, real_jumped = _streams._fast_generators, _streams._fast_jumped
-        if broken == "off":  # another seed's generators, one jump too many
-            fast = (lambda seed, ids: real_generators(seed + 1, ids), lambda bg, jumps=1: real_jumped(bg, jumps + 1))
-        else:
-            fast = (lambda seed, ids: 1 / 0, lambda bg, jumps=1: 1 / 0)
-        monkeypatch.setattr(_streams, "_fast_generators", fast[0])
-        monkeypatch.setattr(_streams, "_fast_jumped", fast[1])
-        with caplog.at_level(logging.DEBUG, logger="zograd"):
-            chosen = _streams._choose()
-        assert chosen == (_streams._numpy_generators, _streams._numpy_jumped)
-        assert caplog.text.count("stream generators from numpy's way") == 1
-        assert caplog.text.count("jumped twins from numpy's way") == 1
-        assert ("ZeroDivisionError" in caplog.text) == (broken == "raises")
-        monkeypatch.setattr(_streams, "generators", chosen[0])
-        monkeypatch.setattr(_streams, "jumped", chosen[1])
-        gens = generators(self.SEED, self.IDS)
-        assert _states(gens) == _states(RngStream(self.SEED, i).generator() for i in self.IDS)
-        assert jumped(gens[0].bit_generator, 2).state == gens[0].bit_generator.jumped(2).state
+    @pytest.fixture
+    def wrong_seeding(self, monkeypatch):
+        """A library whose ``zg_seed`` gives the words of the next master
+        seed, loaded afresh; the real entry point is back afterwards."""
+        lib = _lanes._library() and _lanes._library().lib
+        if lib is None:
+            pytest.skip("the lane library cannot be built here")
+        real = lib.zg_seed
+        monkeypatch.setattr(lib, "zg_seed", lambda master, *rest: real(master + np.uint32(1), *rest))
+        monkeypatch.setattr(_lanes, "_loaded", [])
 
-    def test_the_premise_holds_silently_on_this_numpy(self, caplog):
-        # else every run takes numpy's way, and the tests above compare it with itself
-        fast = (_streams._fast_generators, _streams._fast_jumped)
-        assert (_streams.generators, _streams.jumped) == fast
+    def test_a_wrong_library_seeding_falls_back_to_numpy(self, wrong_seeding, caplog):
         with caplog.at_level(logging.DEBUG, logger="zograd"):
-            assert _streams._choose() == fast
-        assert caplog.text == ""
+            gens = generators(self.SEED, self.IDS)
+            again = generators(self.SEED + 1, self.IDS)
+        assert _lanes.kernel() is not None and _lanes._library().seed is None
+        assert caplog.text.count("lane seeding from numpy's SeedSequence: its words differ from numpy's") == 1
+        assert _states(gens) == _states(RngStream(self.SEED, i).generator() for i in self.IDS)
+        assert _states(again) == _states(RngStream(self.SEED + 1, i).generator() for i in self.IDS)
+        assert all(type(g.bit_generator.seed_seq) is np.random.SeedSequence for g in gens + again)
+
+    @pytest.mark.parametrize("broken", ["off", "raises"])
+    def test_a_failed_twin_premise_falls_back_to_numpys_jumped(self, broken, monkeypatch, caplog):
+        real = _lanes._advanced
+        if broken == "off":  # one jump too many
+            monkeypatch.setattr(_lanes, "_advanced", lambda bg, jumps: real(bg, jumps + 1))
+        else:
+            monkeypatch.setattr(_lanes, "_advanced", lambda bg, jumps: 1 / 0)
+        monkeypatch.setattr(_lanes, "_twin_holds", functools.cache(_lanes._twin_holds.__wrapped__))
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            bg = generators(self.SEED, self.IDS)[0].bit_generator
+            twins = [jumped(bg, 2), jumped(bg, 1)]
+        assert not _lanes._twin_holds()
+        assert caplog.text.count("jumped twins from numpy's jumped") == 1
+        assert ("ZeroDivisionError" in caplog.text) == (broken == "raises")
+        assert [t.state for t in twins] == [bg.jumped(2).state, bg.jumped(1).state]
+
+    def test_the_premises_hold_silently_on_this_numpy(self, monkeypatch, caplog):
+        # else every run takes numpy's way, and the tests above compare it with itself
+        monkeypatch.setattr(_lanes, "_twin_holds", functools.cache(_lanes._twin_holds.__wrapped__))
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            assert _lanes._twin_holds()
+            library = _lanes._library()
+        assert library is None or library.seed is not None
+        assert "lane seeding from" not in caplog.text and "jumped twins from" not in caplog.text

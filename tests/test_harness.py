@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zograd import _lanes, _streams, adversarial
+from zograd import _lanes, _lanes_build, adversarial, core
 from zograd.adversarial import AdversarialOracle, HardInstance
 from zograd.core import EUCLIDEAN, Ball, Box, Norm, OracleEnvelope, RngStream, interval
 from zograd.estimators import (RDSA, SF, SPSA, ControlledNoise, EstimatorOracle, ExactGradientOracle,
@@ -675,15 +675,22 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("path", ["kernel", "numpy loop"])
-    def test_numpys_generators_and_twins_write_the_same_rows(self, path, monkeypatch, tmp_path, capsys):
-        # the way numpy's own SeedSequence and jumped() take where the premise fails
+    def test_numpys_generators_and_twins_write_the_same_rows(self, path, monkeypatch, tmp_path, capsys, caplog):
+        # the way numpy's own SeedSequence and jumped() take where the
+        # library's seeding and the twin fail their checks
         argv = ["rate", "--estimator", "smoothing", *self.SHORT_RATE, "--tol", "5.0", "--seed", "5", "--out"]
         if path == "numpy loop":
             monkeypatch.setattr(_lanes, "kernel", lambda: None)
         assert main(argv + [str(tmp_path / "fast.csv")]) == 0
-        monkeypatch.setattr(_streams, "generators", _streams._numpy_generators)
-        monkeypatch.setattr(_streams, "jumped", _streams._numpy_jumped)
-        assert main(argv + [str(tmp_path / "numpy.csv")]) == 0
+        lib = _lanes._library() and _lanes._library().lib
+        if lib is not None:  # the library seeds the next master seed's words
+            real = lib.zg_seed
+            monkeypatch.setattr(lib, "zg_seed", lambda master, *rest: real(master + np.uint32(1), *rest))
+            monkeypatch.setattr(_lanes, "_loaded", [])
+        monkeypatch.setattr(_lanes, "_twin_holds", lambda: False)
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            assert main(argv + [str(tmp_path / "numpy.csv")]) == 0
+        assert caplog.text.count("lane seeding from numpy's SeedSequence") == (lib is not None)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
     def test_the_parser_is_built_once_and_keeps_no_state(self, tmp_path):
@@ -1283,8 +1290,8 @@ class TestCommittedResults:
         if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
         monkeypatch.setattr(_lanes, "_loaded", [])
-        real = _lanes._loop_mismatch
-        monkeypatch.setattr(_lanes, "_loop_mismatch",
+        real = _lanes_build.loop_mismatch
+        monkeypatch.setattr(_lanes_build, "loop_mismatch",
                             lambda apply, name: "it differs from np.exp" if name == "exp" else real(apply, name))
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             self._reproduces(*script_cell("probe_envelopes", name))
@@ -1300,6 +1307,86 @@ class TestCommittedResults:
         assert fresh["config"].pop("out") == str(out)
         committed["config"].pop("out")
         assert fresh == committed
+
+
+class TestScaleRelation:
+    """The scale relation, a metamorphic one, on the oracles of the rate and
+    regret acceptance cells 01, 02, 03, 04 and 08: f -> lam*f and sigma ->
+    lam*sigma leave delta and every iterate and evaluation point unchanged,
+    and multiply every error and regret by lam, in both modes.
+
+    Why it holds.  Every envelope constant is homogeneous in (f, sigma): c1
+    is L times a moment of the scheme, so it scales by lam; c2 sums sigma**2,
+    sup|f|**2, sup|f'|**2 and L**2 terms, so it scales by lam**2 (the
+    controlled cell's slope multiplies the point, not f, and stays).  Then:
+
+    - convex optimization (``schedule_opt_convex``, type I and II): a ~
+      c1**(q/(2p+q)) * c2**(p/(2p+q)) scales by lam and delta ~
+      c1**(-2/(2p+q)) * c2**(1/(2p+q)) stays, so eta = alpha/(a t**r + L),
+      alpha = 1, scales by 1/lam;
+    - convex regret (``schedule_regret``): c1_hat (C1, r_sup*C1 for type I,
+      plus L/4 at p = 2; r_sup is the domain's) scales by lam, delta ~
+      (c2/c1_hat**2)**(1/(2p+q)) stays and the constant eta ~
+      c2**(-p/(2p+q)) * c1_hat**(-q/(2p+q)) scales by 1/lam; at q = 0 (cell
+      04) delta is the floor 1e-9, which stays too;
+    - strongly convex (cell 03): ``sc_alpha`` = max(4, 3L/mu) reads f only
+      through L/mu, which stays, so alpha is fixed (4 here, where L = mu =
+      1), and with it ``schedule_opt_sc``'s log factor log n + 1 +
+      alpha*mu/(alpha*mu - 2L); its delta ~ (c2/(mu*c1))**(1/(p+q)) and
+      the strongly convex regret delta ~ (c2/(alpha*mu*c1_hat))**(1/(p+q))
+      stay, and eta_t = 2/(mu t) scales by 1/lam.
+
+    On the same draws every reply G = (f(y) + sigma*xi)*w then scales by
+    lam, so every step eta*G and every iterate stay, and f(x) - f* and the
+    regret scale by lam.
+
+    Only rounding is allowed.  lam = 2 and 4 round nowhere but in the
+    schedules' powers; lam = 3 rounds f, sigma and all that follows.  A
+    reply carries a relative rounding of about eps*|f|/(delta*|f'|) through
+    the difference of f over 2 delta, and n steps add it up, so each
+    quantity is held to n*eps/delta relative (2.2e-13/delta at n = 1000;
+    measured at most 78 eps/delta)."""
+
+    CELLS = {"01": "rate_convex_smoothing", "02": "rate_convex_onepoint", "03": "rate_sc_smoothing",
+             "04": "rate_controlled_spsa", "08": "regret_convex"}
+    N, LANES = 1000, 4
+
+    def _run(self, cfg: ExperimentConfig, lam: float, mode: str):
+        spec = experiments.default_function_spec(cfg.problem_class)
+        scaled = {**spec, "a": [lam * a for a in spec["a"]], "b": [lam * b for b in spec["b"]],
+                  "offset": lam * spec["offset"]}
+        f = build_function(scaled, cfg.problem_class)
+        oracle = build_estimator(cfg.with_overrides(sigma=lam * cfg.sigma), f)
+        schedule = experiments.schedule_for(cfg.problem_class, oracle.envelope, f, self.N, mode)
+        rngs = core.generators(cfg.master_seed, range(self.LANES))
+        return f, schedule.delta, run(oracle, schedule, self.N, rng=rngs, mode=mode, record=True)
+
+    @pytest.mark.parametrize("path", ["kernel", "numpy loop"])
+    @pytest.mark.parametrize("mode", ["optimization", "regret"])
+    @pytest.mark.parametrize("cell", list(CELLS))
+    def test_scaling_f_and_sigma_scales_errors_and_regret(self, cell, mode, path, monkeypatch):
+        from conftest import _invocation
+
+        argv = _invocation("run_acceptance", self.CELLS[cell])
+        cfg = _load_config(build_parser(argv[0]).parse_args(argv), argv[0])
+        assert cfg.function == {"name": "auto"}  # the default quadratic, which _run scales
+        if path == "kernel" and _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built here")
+        if path == "numpy loop":
+            monkeypatch.setattr(_lanes, "kernel", lambda: None)
+        f, delta, base = self._run(cfg, 1.0, mode)
+        tol = self.N * np.finfo(float).eps / delta
+        for lam in (2.0, 3.0, 4.0):
+            _, scaled_delta, got = self._run(cfg, lam, mode)
+            assert scaled_delta == pytest.approx(delta, rel=8 * np.finfo(float).eps, abs=0)
+            for name in ("xs", "ys"):
+                np.testing.assert_allclose(getattr(got, name), getattr(base, name), rtol=0, atol=tol, err_msg=name)
+            # f(x) - f* is a difference of values of the size of f on the domain
+            np.testing.assert_allclose(got.error / lam, base.error, rtol=0, atol=tol * f.sup_abs())
+            if mode == "regret":
+                np.testing.assert_allclose(got.regret / lam, base.regret, rtol=tol)
+            else:
+                assert got.regret is None
 
 
 class TestWorkerDeterminism:
@@ -1395,9 +1482,9 @@ class TestThreadedFanOut:
             monkeypatch.setattr(_lanes, "PYTHON_H", tmp_path / "no-such-file")
             monkeypatch.setattr(_lanes, "CACHE", tmp_path / "cache")
         elif cause == "accessor":  # np.tanh's loop 1 is f->f, which the library refuses to bind
-            monkeypatch.setattr(_lanes, "LOOP_SIGNATURE", "f->f")
+            monkeypatch.setattr(_lanes_build, "LOOP_SIGNATURE", "f->f")
         else:
-            monkeypatch.setattr(_lanes, "_loop_mismatch", lambda apply, name: "it differs from np.tanh")
+            monkeypatch.setattr(_lanes_build, "loop_mismatch", lambda apply, name: "it differs from np.tanh")
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             lower_bound_experiment(cfg("unbound.csv"))
         assert _lanes.kernel() is not None and not _lanes.loop_bound("tanh")
@@ -1453,8 +1540,8 @@ class TestThreadedFanOut:
         assert "normals from numpy's ziggurat fast path inline" in caplog.text
 
     def test_import_leaves_out_numpy_random(self):
-        # it costs about 9 ms of start-up; the first run imports it for its generators
-        assert _setup_modules("m.startswith('numpy.random') or m == 'zograd._streams'") == []
+        # it costs about 9 ms of start-up; the first run imports it with the lane library, for its generators
+        assert _setup_modules("m.startswith('numpy.random')") == []
 
     def test_import_leaves_out_process_pools(self):
         # nor the compiled path and the cache key's hash, which each run imports on first use
@@ -1465,19 +1552,35 @@ class TestThreadedFanOut:
         # its records generated their methods as source text and compiled it, about 9 ms of start-up
         assert _setup_modules("m == 'dataclasses'") == []
 
-    LAZY_MODULES = "m in ('zograd.adversarial', 'zograd.harness.checks')"
+    # _streams, which seeded the lanes before the library did, stays out by name
+    LAZY_MODULES = ("m in ('zograd.adversarial', 'zograd.harness.checks', 'zograd._streams', 'zograd._lanes_build',"
+                    " 'subprocess')")
 
     def test_import_leaves_out_the_adversarial_module_and_the_check_suite(self):
-        # only the lower bound, the adversarial probe specs and the check suite run them
+        # only the lower bound, the adversarial probe specs and the check
+        # suite run the first two; a build or a bind of numpy's loop the last
         assert _setup_modules(self.LAZY_MODULES) == []
 
-    @pytest.mark.parametrize("argv, imported", [
-        (["rate", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"], []),
-        (["regret", "--estimator", "spsa", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"], []),
-        (["lowerbound", "--class", "sc", "--p", "1", "--n", "2000", "--reps", "4"], ["zograd.adversarial"]),
-    ], ids=["rate", "regret", "lowerbound"])
-    def test_a_command_imports_only_what_it_runs(self, argv, imported):
-        assert _setup_modules(self.LAZY_MODULES, argv) == imported
+    @pytest.mark.parametrize("argvs, imported, loop", [
+        ([["rate", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"],
+          ["regret", "--estimator", "spsa", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"]], [], None),
+        ([["lowerbound", "--class", "sc", "--p", "1", "--n", "2000", "--reps", "4"]], ["zograd.adversarial"], None),
+        ([["lowerbound", "--class", "convex", "--p", "2", "--n", "2000", "--reps", "4"]], ["zograd.adversarial"],
+         "tanh"),
+        ([["probe", "--oracle", "smoothing,fn=exp,sigma=1.0,x=0.0", "--delta-grid", "0.5", "--reps", "64"]], [],
+         "exp"),
+    ], ids=["rate-and-regret", "lowerbound-sc", "lowerbound-convex", "probe-exp"])
+    def test_a_command_imports_only_what_it_runs(self, argvs, imported, loop):
+        # with the library cached (this process loads it first), only a run
+        # that binds one of numpy's loops imports the build and loop-check
+        # code (_lanes_build), and only a build imports subprocess; without
+        # a library, each process tries a build
+        library = _lanes._library()
+        if library is None:
+            imported = imported + ["subprocess", "zograd._lanes_build"]
+        elif loop is not None:
+            imported = imported + ["zograd._lanes_build"]
+        assert _setup_modules(self.LAZY_MODULES, *argvs) == sorted(imported)
 
     # whether the process bound numpy's exp loop in the lane kernel, which
     # only the probes of exp need: its bind and check run in the first one
@@ -1531,18 +1634,18 @@ class TestBenchmarkTracer:
         assert traced["steps"] == [9999, 499, 1999, 1999]
 
 
-def _setup_modules(select: str, argv: list[str] | None = None) -> list[str]:
+def _setup_modules(select: str, *argvs: list[str]) -> list[str]:
     """The modules ``m`` for which the expression ``select`` holds, sorted, in a
     fresh interpreter that imported zograd, its CLI and its experiments, and
-    then, given an ``argv``, ran one ``cli.main(argv)`` that exits 0."""
-    return _in_fresh_process(f"sorted(m for m in sys.modules if {select})", argv)
+    then ran ``cli.main(argv)`` for each of ``argvs``, each exiting 0."""
+    return _in_fresh_process(f"sorted(m for m in sys.modules if {select})", *argvs)
 
 
-def _in_fresh_process(expression: str, argv: list[str] | None = None):
+def _in_fresh_process(expression: str, *argvs: list[str]):
     """The value of ``expression``, through JSON, in a fresh interpreter that
-    imported zograd, its CLI and its experiments, and then, given an
-    ``argv``, ran one ``cli.main(argv)`` that exits 0."""
-    run = "" if argv is None else f"assert zograd.harness.cli.main({argv!r}) == 0; "
+    imported zograd, its CLI and its experiments, and then ran
+    ``cli.main(argv)`` for each of ``argvs``, each exiting 0."""
+    run = "".join(f"assert zograd.harness.cli.main({argv!r}) == 0; " for argv in argvs)
     code = ("import json, sys, zograd, zograd.harness.cli, zograd.harness.experiments; "
             f"{run}print(json.dumps({expression}))")
     src = str(Path(__file__).resolve().parent.parent / "src")

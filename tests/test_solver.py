@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zograd import _lanes, solver
+from zograd import _lanes, _lanes_build, solver
 from zograd.adversarial import AdversarialOracle, HardInstance, hard_pair, scaled_hard_coordinates
 from zograd.core import (EUCLIDEAN, MAX_NORM, STEPS_PER_CHUNK, Ball, Box, DomainError, OracleEnvelope, RngStream,
                          chunk_sizes, draw_chunks, interval)
@@ -49,7 +49,7 @@ from zograd.solver import (
 )
 from zograd.testbed import exp_one_d, kinked_quadratic, quadratic, softabs
 
-from instruments import value_at
+from instruments import lane_draws, value_at
 
 RNG = lambda i: RngStream(55, i).generator()
 
@@ -685,8 +685,8 @@ class TestProbeReplies:
         x, args = np.array([0.2]), (0.1, 5000)
         bound = [oracle.sample_gradients(x, *args, RNG(7), antithetic) for antithetic in (False, True)]
         monkeypatch.setattr(_lanes, "_loaded", [])
-        real = _lanes._loop_mismatch
-        monkeypatch.setattr(_lanes, "_loop_mismatch",
+        real = _lanes_build.loop_mismatch
+        monkeypatch.setattr(_lanes_build, "loop_mismatch",
                             lambda apply, name: "it differs from np.exp" if name == "exp" else real(apply, name))
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             for antithetic, want in zip((False, True), bound):
@@ -724,7 +724,7 @@ def _draw_both(oracle, schedules, horizons, seed):
         keep = ends[live] > t
         live = live[keep]
         steppers = [stepper for stepper, k in zip(steppers, keep) if k]
-        slow, every, taken, start = solver._next_chunk(steppers, m), lanes.draws(m), [], 0
+        slow, every, taken, start = solver._next_chunk(steppers, m), lane_draws(lanes, m), [], 0
         for part in slow:
             size = part.size // live.size * len(horizons)
             columns = every[start:start + size].reshape(m, len(horizons), -1)
@@ -1073,7 +1073,7 @@ class TestCompiledKernel:
         # numpy's estimate takes 8192: its parity rests on numpy's ufunc
         # giving each value the same bits, on the values the loader checks
         # the bound loop on
-        values, ufunc = _lanes.loop_premise(name), getattr(np, name)
+        values, ufunc = _lanes_build.loop_premise(name), getattr(np, name)
         assert values.size == 8008
         alone = np.array([ufunc(np.array([[v]]))[0, 0] for v in values])
         column = ufunc(values[:, None])[:, 0]
@@ -1089,7 +1089,7 @@ class TestCompiledKernel:
         # the loader's check of a bound loop passes the numpy ufunc itself,
         # and fails libm's function and a loop one bit off on one value alone
         ufunc = getattr(np, name)
-        assert _lanes._loop_mismatch(lambda n, pieces, count, x: ufunc(x, out=x), name) is None
+        assert _lanes_build.loop_mismatch(lambda n, pieces, count, x: ufunc(x, out=x), name) is None
 
         def of_libm(n, pieces, count, x):
             x[:] = [libm(v) for v in x]
@@ -1099,8 +1099,8 @@ class TestCompiledKernel:
             if list(pieces) == [1]:
                 x[100] = np.nextafter(x[100], np.inf)
 
-        assert _lanes._loop_mismatch(of_libm, name) == f"it differs from np.{name} alone"
-        assert _lanes._loop_mismatch(off_alone, name) == f"it differs from np.{name} alone"
+        assert _lanes_build.loop_mismatch(of_libm, name) == f"it differs from np.{name} alone"
+        assert _lanes_build.loop_mismatch(off_alone, name) == f"it differs from np.{name} alone"
 
     def test_kernel_holds_numpy_tanh(self):
         # Python.h is looked up where sysconfig puts it, without sysconfig
@@ -1116,21 +1116,21 @@ class TestCompiledKernel:
         # and its act
         if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built here")
-        loads, binds, real, real_bind = [], [], _lanes._load, _lanes._bind_loop
+        loads, binds, real, real_bind = [], [], _lanes._load, _lanes_build.bind_loop
 
         def slow_load():
             loads.append(threading.get_ident())
             time.sleep(0.05)
             return real()
 
-        def slow_bind(lib, name):
+        def slow_bind(loaded, name):
             binds.append(threading.get_ident())
             time.sleep(0.05)
-            return real_bind(lib, name)
+            return real_bind(loaded, name)
 
         monkeypatch.setattr(_lanes, "_loaded", [])
         monkeypatch.setattr(_lanes, "_load", slow_load)
-        monkeypatch.setattr(_lanes, "_bind_loop", slow_bind)
+        monkeypatch.setattr(_lanes_build, "bind_loop", slow_bind)
         start, got, bound = threading.Barrier(4), [None] * 4, [None] * 4
 
         def first_call(i):
