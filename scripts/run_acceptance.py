@@ -3,8 +3,8 @@
 
 Writes CSV/JSON artifacts under results/ and prints one line per
 experiment.  Exit code 0 iff all experiments pass their assertions.
-It takes about 2 s on a shared 2-vCPU x86_64 machine with the compiled
-lane kernel cached, and about 40 s where the kernel cannot be built and
+It takes about 3 s on a shared 2-vCPU x86_64 machine with the compiled
+lane kernel cached, and about 60 s where the kernel cannot be built and
 the solver runs its numpy loop.
 """
 

@@ -210,6 +210,14 @@ def envelope_for(
     Unsupported combinations (controlled one-point, surface two-point,
     C^3 constants for functions without a third-derivative bound) raise
     DomainError.
+
+    The two-point c2.  Where both arms stay in the dilated domain (SPSA at
+    every d, RDSA at d = 1), |f(x + delta*U) - f(x - delta*U)| <= span and
+    the two noises add 2*sigma**2, so Var G <= E|G|^2 <= v2 * (span**2 +
+    2*sigma**2) / (4*delta**2).  Controlled noise leaves sigma*psi*slope*(x+ -
+    x-) with |x+ - x-| <= 2: 4*sigma**2*slope**2 in place of 2*sigma**2.  c2
+    is 16 times that, homogeneous of degree 2 in (f, sigma).  SF, and RDSA at
+    d >= 2, probe outside that domain, so there this c2 is not proven.
     """
     if function_class not in FUNCTION_CLASSES:
         raise DomainError(f"unknown function class {function_class!r}")
@@ -232,7 +240,7 @@ def envelope_for(
         if feedback == "one_point":
             c2 = 4.0 * m["v2"] * (noise.sigma**2 + f.sup_abs() ** 2)
         else:
-            c2 = 4.0 * m["v2"] * (2.0 * noise.sigma**2 + f.span())
+            c2 = 4.0 * m["v2"] * (2.0 * noise.sigma**2 + f.span() ** 2)
         q = 2.0
     else:
         if feedback == "one_point":
@@ -245,7 +253,7 @@ def envelope_for(
             q = 0.0
         else:
             # the residual (sigma*psi*slope*(x+ - x-))^2, with |x+ - x-| <= 2 delta <= 2
-            c2 = 4.0 * m["v2"] * (4.0 * sigma**2 * slope**2 + f.span())
+            c2 = 4.0 * m["v2"] * (4.0 * sigma**2 * slope**2 + f.span() ** 2)
             q = 2.0
 
     oracle_type = "type_II" if (feedback == "one_point" and scheme.kind == "surface") else "type_I"

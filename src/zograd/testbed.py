@@ -1,4 +1,4 @@
-"""Objective functions with exact gradients and known optima.
+"""Objective functions with exact gradients and their constrained minimizers.
 
 Every function is evaluable on its domain dilated by ``MARGIN`` so that
 estimators probing ``x + delta*u`` with ``delta <= 1`` stay inside.  A
@@ -6,6 +6,11 @@ function's dimension is its domain's; the 1-d families take intervals only.  Val
 and gradients are numpy-vectorized: 1-d functions act elementwise on arrays
 of any shape, d-dimensional ones on the last axis of a stack of points, so
 the solver evaluates all of its lanes in one call.
+
+Each family states its minimizer over a body once, as ``argmin``; x* is the
+one over the domain, so it lies in the domain, and f* is f there.  Every f
+is a sum of convex functions of one coordinate each, so its sups over a box
+are closed forms, and the envelopes read them exactly.
 """
 
 from __future__ import annotations
@@ -22,23 +27,29 @@ MARGIN = 1.0
 
 
 class ObjectiveFunction:
-    """An evaluatable convex objective with exact gradient and known optimum.
+    """An evaluatable convex objective with exact gradient and its minimizer.
 
     ``smoothness`` and ``strong_convexity`` are the usual Euclidean constants
     (gradient Lipschitz constant L, curvature lower bound mu).  For 1-d
     functions ``value``/``gradient`` broadcast over numpy arrays; for d > 1
     they map points (..., d) to values (...) and gradients (..., d).
+
+    ``argmin(body)`` is the minimizer of f over ``body``; ``x_star`` is the
+    one over the domain and ``f_star`` f there.  f must be a sum of convex
+    functions of one coordinate each: only then are the sups below exact.
     """
 
     def __init__(self, name: str, domain: ConvexBody, smoothness: float, strong_convexity: float,
-                 value: Callable, gradient: Callable, f_star: float, x_star: Optional[np.ndarray],
+                 value: Callable, gradient: Callable, argmin: Callable[[ConvexBody], np.ndarray],
                  third_derivative_bound: Optional[float] = None,
                  formula_1d: Optional[tuple] = None,
                  hard_pair_arm: Optional[tuple[str, float, float]] = None):
         # the domain's dimension, kept as an attribute: value_rows reads it at every step
         self.name, self.domain, self.dim = name, domain, domain.dim
         self.smoothness, self.strong_convexity = smoothness, strong_convexity
-        self.value, self.gradient, self.f_star, self.x_star = value, gradient, f_star, x_star
+        self.value, self.gradient, self.argmin = value, gradient, argmin
+        self.x_star = np.asarray(argmin(domain), dtype=float)
+        self.f_star = float(self.value_rows(self.x_star[None])[0, 0])
         self.third_derivative_bound = third_derivative_bound
         # the value of a 1-d family as the compiled lane kernel evaluates it, in
         # the same order: ("quadratic", ca, cb, cc) for (ca*x + cb)*x + cc,
@@ -59,47 +70,41 @@ class ObjectiveFunction:
         """f at each row of x (lanes, d), as a column (lanes, 1)."""
         return self.value(x) if self.dim == 1 else self.value(x)[..., None]
 
-    # -- sups over the dilated domain (envelope bookkeeping) ----------------
+    # -- sups over a box (envelope bookkeeping) ----------------------------
 
-    def _search_points(self, dilated: bool) -> np.ndarray:
-        n_random = 100_000  # points of the random search over a d > 2 box or a ball
-        body = self.domain.dilate(MARGIN) if dilated and isinstance(self.domain, Box) else self.domain
-        if isinstance(body, Box):
-            if self.dim == 1:
-                return np.linspace(body.lower[0], body.upper[0], 10_000)
-            if self.dim == 2:
-                side = np.linspace(0.0, 1.0, 300)
-                g1, g2 = np.meshgrid(
-                    body.lower[0] + side * (body.upper[0] - body.lower[0]),
-                    body.lower[1] + side * (body.upper[1] - body.lower[1]),
-                )
-                return np.stack([g1.ravel(), g2.ravel()], axis=1)
-            rng = np.random.default_rng(711)
-            u = rng.random((n_random, self.dim))
-            return body.lower + u * (body.upper - body.lower)
-        # ball: random directions at random radii (plus the center)
-        rng = np.random.default_rng(711)
-        z = rng.standard_normal((n_random, self.dim))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        r = body.radius * rng.random((n_random, 1)) ** (1.0 / self.dim)
-        return body.center + z * r
+    def _box(self) -> Box:
+        if not isinstance(self.domain, Box):
+            raise DomainError(f"{self.name}: the sups of f have closed forms on a box only")
+        return self.domain
+
+    def _extremes(self) -> tuple[float, float]:
+        """(sup f, inf f) over the dilated domain: f at the corner that takes
+        each coordinate's larger end, which 2d values along the axes through
+        the center pick, and f at ``argmin``."""
+        box, d = self._box().dilate(MARGIN), self.dim
+        ends = np.tile(box.center, (2, d, 1))
+        ends[0, range(d), range(d)], ends[1, range(d), range(d)] = box.lower, box.upper
+        at_end = self.value_rows(ends.reshape(2 * d, d)).reshape(2, d)
+        corner = np.where(at_end[1] > at_end[0], box.upper, box.lower)
+        top, bottom = self.value_rows(np.stack([corner, self.argmin(box)]))[:, 0]
+        return float(top), float(bottom)
 
     def sup_abs(self) -> float:
-        """sup |f| over the dilated domain (grid / random search)."""
-        vals = np.asarray(self.value(self._search_points(dilated=True)), dtype=float)
-        return float(np.max(np.abs(vals)))
+        """sup |f| over the dilated domain, at the max or the min of f."""
+        top, bottom = self._extremes()
+        return max(abs(top), abs(bottom))
 
     def span(self) -> float:
         """sup f - inf f over the dilated domain."""
-        vals = np.asarray(self.value(self._search_points(dilated=True)), dtype=float)
-        return float(np.max(vals) - np.min(vals))
+        top, bottom = self._extremes()
+        return top - bottom
 
     def sup_gradient_dual(self) -> float:
-        """sup ||grad f||_2 over the domain (the Euclidean norm is its own dual)."""
-        g = np.asarray(self.gradient(self._search_points(dilated=False)), dtype=float)
-        if self.dim == 1:
-            return float(np.max(np.abs(g)))
-        return float(np.max(EUCLIDEAN.rows(g)))
+        """sup ||grad f||_2 over the domain (the Euclidean norm is its own
+        dual); each component peaks in size at ``lower`` or ``upper``."""
+        box = self._box()
+        g = np.abs(np.asarray(self.gradient(np.stack([box.lower, box.upper])), dtype=float))
+        return EUCLIDEAN.value(np.max(g, axis=0))
 
 # ---------------------------------------------------------------------------
 # 1-d families
@@ -145,8 +150,7 @@ def softabs(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFu
         strong_convexity=0.0,
         value=value,
         gradient=grad,
-        f_star=2.0 * e * e * math.log(2.0),
-        x_star=np.array([vf]),
+        argmin=lambda body: body.project(np.array([vf])),
         third_derivative_bound=1.0 / (3.0 * math.sqrt(3.0) * e),
         hard_pair_arm=("softabs", vf, e),
     )
@@ -155,7 +159,8 @@ def softabs(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFu
 def strongly_convex_pair(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFunction:
     """Unit-curvature parabola with minimizer nudged to ``v*eps``:
     f(x) = x^2/2 - v*eps*x, f* = -eps^2/2.  The minimizer must lie in the
-    domain, or f* and x* would not be the constrained ones."""
+    domain: the pair's separation and the lower bound's floor are computed
+    from the arms' unconstrained minimizers +-eps and their gap eps^2/2."""
     if eps <= 0:
         raise DomainError("eps must be positive")
     if v not in (+1, -1):
@@ -172,8 +177,7 @@ def strongly_convex_pair(v: int, eps: float, domain: ConvexBody | None = None) -
         strong_convexity=1.0,
         value=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2 - ve * np.asarray(x, dtype=float),
         gradient=lambda x: np.asarray(x, dtype=float) - ve,
-        f_star=-0.5 * ve * ve,
-        x_star=np.array([ve]),
+        argmin=lambda body: body.project(np.array([ve])),
         third_derivative_bound=0.0,
         hard_pair_arm=("strongly_convex", float(v), float(eps)),
     )
@@ -209,8 +213,7 @@ def kinked_quadratic(
         strong_convexity=min(an, ap),
         value=value,
         gradient=grad,
-        f_star=0.0,
-        x_star=np.array([0.0]),
+        argmin=lambda body: body.project(np.zeros(1)),
         third_derivative_bound=None,
         formula_1d=("kinked", an, ap),
     )
@@ -230,8 +233,7 @@ def exp_one_d(domain: ConvexBody | None = None) -> ObjectiveFunction:
         strong_convexity=math.exp(lo),
         value=lambda x: np.exp(np.asarray(x, dtype=float)) - np.asarray(x, dtype=float),
         gradient=lambda x: np.exp(np.asarray(x, dtype=float)) - 1.0,
-        f_star=1.0,
-        x_star=np.array([0.0]),
+        argmin=lambda body: body.project(np.zeros(1)),
         third_derivative_bound=math.exp(hi),
         formula_1d=("exp",),
     )
@@ -283,11 +285,6 @@ def quadratic(
         value = lambda x: 0.5 * np.sum(a * x * x, axis=-1) + np.sum(bvec * x, axis=-1) + c0
         grad = lambda x: a * np.asarray(x, dtype=float) + bvec
 
-    x_star = _quadratic_minimizer(a, bvec, dom)
-    if d == 1:
-        f_star = float(value(float(x_star[0])))
-    else:
-        f_star = float(value(x_star))
     return ObjectiveFunction(
         name=f"quadratic(d={d})",
         domain=dom,
@@ -295,8 +292,7 @@ def quadratic(
         strong_convexity=float(np.min(a)),
         value=value,
         gradient=grad,
-        f_star=f_star,
-        x_star=x_star,
+        argmin=lambda body: _quadratic_minimizer(a, bvec, body),
         third_derivative_bound=0.0,
         formula_1d=("quadratic", float(ca), float(cb), float(cc)) if d == 1 else None,
     )
@@ -304,17 +300,10 @@ def quadratic(
 
 def _quadratic_minimizer(a: np.ndarray, b: np.ndarray, dom: ConvexBody) -> np.ndarray:
     if isinstance(dom, Box):
-        x = np.empty_like(a)
-        for i in range(a.size):
-            if a[i] > 0:
-                x[i] = -b[i] / a[i]
-            elif b[i] > 0:
-                x[i] = dom.lower[i]
-            elif b[i] < 0:
-                x[i] = dom.upper[i]
-            else:
-                x[i] = dom.center[i]
-        return dom.project(x)
+        # each coordinate's vertex; a linear one runs to the end its slope falls toward, a flat one to the center
+        curved = a > 0
+        linear = np.where(b > 0, dom.lower, np.where(b < 0, dom.upper, dom.center))
+        return dom.project(np.where(curved, -b / np.where(curved, a, 1.0), linear))
     if np.all(a == a[0]) and a[0] > 0:
         return dom.project(-b / a[0])
     # ball with nonuniform curvature: deterministic projected-gradient refine
@@ -355,7 +344,8 @@ def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
 
     one = comps[0] if d == 1 else None
     b3s = [c.third_derivative_bound for c in comps]
-    x_stars = [c.x_star for c in comps]
+    # over a box, each coordinate is its component's problem
+    argmin = lambda body: np.array([c.argmin(interval(lo, hi))[0] for c, lo, hi in zip(comps, body.lower, body.upper)])
     return ObjectiveFunction(
         name=f"separable[{','.join(c.name for c in comps)}]",
         domain=dom,
@@ -363,8 +353,7 @@ def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
         strong_convexity=min(c.strong_convexity for c in comps),
         value=value if one is None else one.value,
         gradient=grad if one is None else one.gradient,
-        f_star=float(sum(c.f_star for c in comps)),
-        x_star=None if any(x is None for x in x_stars) else np.array([float(x[0]) for x in x_stars]),
+        argmin=argmin if one is None else one.argmin,
         third_derivative_bound=None if any(v is None for v in b3s) else max(b3s),
         formula_1d=None if one is None else one.formula_1d,
         hard_pair_arm=None if one is None else one.hard_pair_arm,

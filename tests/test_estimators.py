@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zograd import _lanes, core
 from zograd.adversarial import AdversarialOracle, hard_pair, scaled_hard_coordinates
@@ -20,7 +22,7 @@ from zograd.estimators import (
     scheme_moments,
 )
 from zograd.harness.probes import bias_slope, probe_bias_variance, variance_slope
-from zograd.testbed import exp_one_d, kinked_quadratic, quadratic, softabs, strongly_convex_pair
+from zograd.testbed import ObjectiveFunction, exp_one_d, kinked_quadratic, quadratic, softabs, strongly_convex_pair
 
 from instruments import one_reply, smoothed_eval, value_at
 
@@ -216,6 +218,19 @@ class TestSmoothing:
             smoothed_eval(quadratic([1.0]), np.array([0.0]), 0.1, 0, RNG(18))
 
 
+def _scaled(f: ObjectiveFunction, lam: float) -> ObjectiveFunction:
+    """lam*f: its value, gradient, L, mu and third-derivative bound times lam, on the same domain."""
+    b3 = f.third_derivative_bound
+    return ObjectiveFunction(f"{lam}*{f.name}", f.domain, lam * f.smoothness, lam * f.strong_convexity,
+                             lambda x: lam * f.value(x), lambda x: lam * f.gradient(x), f.argmin,
+                             None if b3 is None else lam * b3)
+
+
+# the 1-d families, each at parameters with nothing special about them
+ONE_D = [softabs(+1, 0.1), strongly_convex_pair(-1, 0.3), kinked_quadratic(),
+         exp_one_d(interval(-0.5, 1.0)), quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)]
+
+
 class TestEnvelopeTable:
     def test_cell_exponents(self):
         f = quadratic([1.0])
@@ -256,24 +271,24 @@ class TestEnvelopeTable:
         ("quadratic", "convex_smooth", 3.0, 0.0): (0.5, 2.5),
         ("quadratic", "convex_smooth", 3.0, 0.5): (0.5, 7.0),
         ("quadratic", "convex_smooth", 3.0, 1.0): (0.5, 20.5),
-        ("quadratic", "c3", 1.0, 0.0): (0.0, 7.999999919983997),
-        ("quadratic", "c3", 1.0, 0.5): (0.0, 11.999999919983997),
-        ("quadratic", "c3", 1.0, 1.0): (0.0, 23.999999919984),
-        ("quadratic", "c3", 3.0, 0.0): (0.0, 7.999999919983997),
-        ("quadratic", "c3", 3.0, 0.5): (0.0, 43.999999919984),
-        ("quadratic", "c3", 3.0, 1.0): (0.0, 151.999999919984),
+        ("quadratic", "c3", 1.0, 0.0): (0.0, 16.0),
+        ("quadratic", "c3", 1.0, 0.5): (0.0, 20.0),
+        ("quadratic", "c3", 1.0, 1.0): (0.0, 32.0),
+        ("quadratic", "c3", 3.0, 0.0): (0.0, 16.0),
+        ("quadratic", "c3", 3.0, 0.5): (0.0, 52.0),
+        ("quadratic", "c3", 3.0, 1.0): (0.0, 160.0),
         ("exp", "convex_smooth", 1.0, 0.0): (3.694528049465325, 33.204059900597244),
         ("exp", "convex_smooth", 1.0, 0.5): (3.694528049465325, 33.704059900597244),
         ("exp", "convex_smooth", 1.0, 1.0): (3.694528049465325, 35.204059900597244),
         ("exp", "convex_smooth", 3.0, 0.0): (3.694528049465325, 33.204059900597244),
         ("exp", "convex_smooth", 3.0, 0.5): (3.694528049465325, 37.704059900597244),
         ("exp", "convex_smooth", 3.0, 1.0): (3.694528049465325, 51.204059900597244),
-        ("exp", "c3", 1.0, 0.0): (1.231509349821775, 17.556224315711933),
-        ("exp", "c3", 1.0, 0.5): (1.231509349821775, 21.556224315711933),
-        ("exp", "c3", 1.0, 1.0): (1.231509349821775, 33.55622431571193),
-        ("exp", "c3", 3.0, 0.0): (1.231509349821775, 17.556224315711933),
-        ("exp", "c3", 3.0, 0.5): (1.231509349821775, 53.55622431571193),
-        ("exp", "c3", 3.0, 1.0): (1.231509349821775, 161.55622431571194),
+        ("exp", "c3", 1.0, 0.0): (1.231509349821775, 77.05525375824136),
+        ("exp", "c3", 1.0, 0.5): (1.231509349821775, 81.05525375824136),
+        ("exp", "c3", 1.0, 1.0): (1.231509349821775, 93.05525375824136),
+        ("exp", "c3", 3.0, 0.0): (1.231509349821775, 77.05525375824136),
+        ("exp", "c3", 3.0, 0.5): (1.231509349821775, 113.05525375824136),
+        ("exp", "c3", 3.0, 1.0): (1.231509349821775, 221.05525375824135),
     }
 
     @pytest.mark.parametrize("cell", sorted(CONTROLLED))
@@ -282,6 +297,25 @@ class TestEnvelopeTable:
         f = quadratic([1.0]) if name == "quadratic" else exp_one_d()
         env = envelope_for(function_class, ControlledNoise(sigma, slope), "two_point", SPSA, f)
         assert (env.c1, env.c2) == self.CONTROLLED[cell]
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(f=st.sampled_from(ONE_D), lam=st.floats(1e-2, 1e3), sigma=st.floats(0.0, 3.0), slope=st.floats(0.0, 1.0),
+           scheme=st.sampled_from([SPSA, RDSA, SF, SURFACE]), feedback=st.sampled_from(["one_point", "two_point"]),
+           controlled=st.booleans(), function_class=st.sampled_from(["convex_smooth", "c3"]))
+    def test_c2_is_homogeneous_of_degree_two(self, f, lam, sigma, slope, scheme, feedback, controlled,
+                                             function_class):
+        # c2(lam*f, lam*sigma) = lam**2 * c2(f, sigma) and c1(lam*f) = lam*c1(f), in every cell envelope_for accepts
+        noise = (lambda s: ControlledNoise(s, slope)) if controlled else UncontrolledNoise
+        try:
+            base = envelope_for(function_class, noise(sigma), feedback, scheme, f)
+        except DomainError:
+            with pytest.raises(DomainError):
+                envelope_for(function_class, noise(lam * sigma), feedback, scheme, _scaled(f, lam))
+            return
+        got = envelope_for(function_class, noise(lam * sigma), feedback, scheme, _scaled(f, lam))
+        assert (got.p, got.q, got.oracle_type) == (base.p, base.q, base.oracle_type)
+        assert got.c1 == pytest.approx(lam * base.c1, rel=1e-12, abs=0)
+        assert got.c2 == pytest.approx(lam**2 * base.c2, rel=1e-12, abs=0)
 
     def test_c3_quadratic_has_zero_bias_coefficient(self):
         # quadratics carry B3 = 0, so the C^3 cell envelope collapses on them

@@ -50,7 +50,7 @@ CHECK_STDOUT = """\
 [PASS] estimator-envelopes: bias/variance inside declared envelopes for 5 cells x 2 deltas
 [PASS] adversarial-grid: closed-form bias and gap identities exact on the 401x25 grid
 [PASS] separable-arithmetic: envelope arithmetic exact for the d=4 composition
-[PASS] prox-inequality: step optimality inequality holds at every iteration (worst gap 4.2e-14)
+[PASS] prox-inequality: step optimality inequality holds at every iteration (worst gap 4.4e-14)
 [PASS] schedule-constants: schedule constants and closed forms self-consistent
 [PASS] determinism: equal RNG streams reproduce runs bitwise
 """
@@ -164,8 +164,10 @@ def _probe_with_fresh_temporaries(oracle, x, delta, reps, rng):
 
 
 def _rebuilt(f: ObjectiveFunction, **changes) -> ObjectiveFunction:
-    """f built again with ``changes`` to its arguments (its dim is its domain's, not an argument)."""
-    return ObjectiveFunction(**{**{k: v for k, v in vars(f).items() if k != "dim"}, **changes})
+    """f built again with ``changes`` to its arguments (its dim, x* and f*
+    follow from its domain and argmin, and are no arguments)."""
+    return ObjectiveFunction(**{**{k: v for k, v in vars(f).items() if k not in ("dim", "x_star", "f_star")},
+                                **changes})
 
 
 def _probe_batch_by_batch(oracle, x, delta, reps, rng, antithetic):
@@ -583,14 +585,28 @@ class TestCli:
     @pytest.mark.parametrize("c1", ["30", "1e200"])
     def test_strongly_convex_minimizer_off_the_domain_exits_2(self, c1, tmp_path, capsys):
         # the optimal separation is eps = 1.377 at c1 = 30 and 2.5e99 at
-        # c1 = 1e200, so the arm's minimizer v*eps leaves [-1, 1] and its
-        # declared f* = -eps^2/2 is not the constrained minimum
+        # c1 = 1e200, so the arm's minimizer v*eps leaves [-1, 1], and the
+        # floor, taken from the arms' minimizers +-eps, would not hold
         argv = ["lowerbound", "--class", "sc", "--p", "1", "--c1", c1, "--n", "1000", "--reps", "4",
                 "--out", str(tmp_path / "lb.csv")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("domain error: the minimizer v*eps") and err.count("\n") == 1
         assert not (tmp_path / "lb.csv").exists()
+
+    def test_errors_are_taken_from_the_minimum_over_the_domain(self, tmp_path):
+        # exp(x) - x on [1, 2] is least at 1, where it is e - 1, not at its
+        # unconstrained minimizer 0: measured from 1, every error would
+        # carry the offset e - 2 = 0.718 and barely fall
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"function": {"name": "exp", "lower": [1.0], "upper": [2.0]},
+                                    "horizons": [1000, 3000, 10000], "replications": 4}))
+        out = tmp_path / "exp.csv"
+        # the verdict on the exponent is not what this checks
+        assert main(["rate", "--estimator", "one-point", "--sigma", "1", "--config", str(path),
+                     "--out", str(out)]) in (0, 1)
+        errors = [h["mean_error"] for h in json.loads(out.with_suffix(".json").read_text())["details"]["per_horizon"]]
+        assert 0.1 > errors[0] > errors[1] > errors[2] > 0
 
 
     SHORT_RATE = ["--horizons", "100 200 400", "--reps", "2"]
@@ -1004,8 +1020,13 @@ class TestInputs:
         assert json.dumps(echo, indent=2, sort_keys=True) == json.dumps(config, indent=2, sort_keys=True)
 
 
+def _cosh_argmin(body):
+    """The minimizer 0 of cosh, clipped into ``body``."""
+    return body.project(np.zeros(1))
+
+
 # cosh on [-1, 1], from callables that pickle by name (a testbed builder's closures do not)
-_COSH = ObjectiveFunction("cosh", interval(-1.0, 1.0), math.cosh(1.0), 1.0, np.cosh, np.sinh, 1.0, np.zeros(1))
+_COSH = ObjectiveFunction("cosh", interval(-1.0, 1.0), math.cosh(1.0), 1.0, np.cosh, np.sinh, _cosh_argmin)
 # zograd's records: a plain class, or a NamedTuple where the record is a value with no check
 RECORDS = {
     "Norm": lambda: Norm("max"),
@@ -1195,13 +1216,13 @@ class TestLanes:
         np.testing.assert_allclose(errors, self.PINNED[(estimator, noise)], rtol=1e-9, atol=0)
 
     def test_negative_errors_are_counted(self, tmp_path, monkeypatch):
-        # an f_star above the true minimum makes every error negative
+        # an x* at the far end of [0, 1], where f is largest, makes every error negative
         from zograd.harness import experiments
 
         build = experiments.build_function
         monkeypatch.setattr(
             experiments, "build_function",
-            lambda spec, cls="convex": _rebuilt(build(spec, cls), f_star=1.0),
+            lambda spec, cls="convex": _rebuilt(build(spec, cls), argmin=lambda body: body.lower),
         )
         cfg = ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=3,
                                master_seed=5, tolerance=5.0, out=str(tmp_path / "neg.csv"))
@@ -1311,14 +1332,16 @@ class TestCommittedResults:
 
 class TestScaleRelation:
     """The scale relation, a metamorphic one, on the oracles of the rate and
-    regret acceptance cells 01, 02, 03, 04 and 08: f -> lam*f and sigma ->
-    lam*sigma leave delta and every iterate and evaluation point unchanged,
-    and multiply every error and regret by lam, in both modes.
+    regret acceptance cells 01, 02, 03, 04 and 08, and of the two-point
+    uncontrolled SPSA cell at sigma 3: f -> lam*f and sigma -> lam*sigma
+    leave delta and every iterate and evaluation point unchanged, and
+    multiply every error and regret by lam, in both modes.
 
     Why it holds.  Every envelope constant is homogeneous in (f, sigma): c1
     is L times a moment of the scheme, so it scales by lam; c2 sums sigma**2,
-    sup|f|**2, sup|f'|**2 and L**2 terms, so it scales by lam**2 (the
-    controlled cell's slope multiplies the point, not f, and stays).  Then:
+    sup|f|**2, span**2, sup|f'|**2 and L**2 terms, so it scales by lam**2
+    (the controlled cell's slope multiplies the point, not f, and stays).
+    Then:
 
     - convex optimization (``schedule_opt_convex``, type I and II): a ~
       c1**(q/(2p+q)) * c2**(p/(2p+q)) scales by lam and delta ~
@@ -1348,8 +1371,20 @@ class TestScaleRelation:
     measured at most 78 eps/delta)."""
 
     CELLS = {"01": "rate_convex_smoothing", "02": "rate_convex_onepoint", "03": "rate_sc_smoothing",
-             "04": "rate_controlled_spsa", "08": "regret_convex"}
+             "04": "rate_controlled_spsa", "08": "regret_convex", "spsa-uncontrolled": None}
     N, LANES = 1000, 4
+
+    def _config(self, cell: str) -> ExperimentConfig:
+        """The cell's config: the acceptance script's invocation, or for the
+        two-point uncontrolled cell, which no acceptance cell runs, a rate
+        config at the defaults."""
+        from conftest import _invocation
+
+        if self.CELLS[cell] is None:
+            return ExperimentConfig(experiment="rate", problem_class="convex", estimator="spsa",
+                                    noise="uncontrolled", sigma=3.0)
+        argv = _invocation("run_acceptance", self.CELLS[cell])
+        return _load_config(build_parser(argv[0]).parse_args(argv), argv[0])
 
     def _run(self, cfg: ExperimentConfig, lam: float, mode: str):
         spec = experiments.default_function_spec(cfg.problem_class)
@@ -1365,10 +1400,7 @@ class TestScaleRelation:
     @pytest.mark.parametrize("mode", ["optimization", "regret"])
     @pytest.mark.parametrize("cell", list(CELLS))
     def test_scaling_f_and_sigma_scales_errors_and_regret(self, cell, mode, path, monkeypatch):
-        from conftest import _invocation
-
-        argv = _invocation("run_acceptance", self.CELLS[cell])
-        cfg = _load_config(build_parser(argv[0]).parse_args(argv), argv[0])
+        cfg = self._config(cell)
         assert cfg.function == {"name": "auto"}  # the default quadratic, which _run scales
         if path == "kernel" and _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built here")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zograd.core import Ball, Box, DomainError, RngStream, interval
 from zograd.estimators import SPSA, SURFACE, ControlledNoise, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
@@ -23,8 +25,10 @@ RNG = lambda i: RngStream(2024, i).generator()
 
 
 def _rebuilt(f: ObjectiveFunction, **changes) -> ObjectiveFunction:
-    """f built again with ``changes`` to its arguments (its dim is its domain's, not an argument)."""
-    return ObjectiveFunction(**{**{k: v for k, v in vars(f).items() if k != "dim"}, **changes})
+    """f built again with ``changes`` to its arguments (its dim, x* and f*
+    follow from its domain and argmin, and are no arguments)."""
+    return ObjectiveFunction(**{**{k: v for k, v in vars(f).items() if k not in ("dim", "x_star", "f_star")},
+                                **changes})
 
 
 def sample_convexity_smoothness(f, n=200, seed=3):
@@ -230,13 +234,26 @@ class TestQuadratic:
     def test_convex_and_smooth(self):
         sample_convexity_smoothness(quadratic([2.0, 0.5], [0.1, -0.2]))
 
-    def test_sups_search_the_whole_2d_grid(self):
-        # f = |x|^2/2 + x_2 peaks at the corner (2, 2) of the dilated box,
-        # in the grid's last row; its minimum -1/2 sits at (0, -1)
+    def test_sups_are_exact_on_a_2d_box(self):
+        # f = |x|^2/2 + x_2 peaks at the corner (2, 2) of the dilated box, at
+        # 6, and its minimum -1/2 sits at (0, -1); on [-1, 1]^2 each
+        # coordinate of the gradient x + (0, 1) is largest at a corner: (1, 2)
         f = quadratic([1.0, 1.0], [0.0, 1.0])
         assert f.sup_abs() == 6.0
-        assert f.span() == pytest.approx(6.5, abs=1e-3)
-        assert f.sup_gradient_dual() == pytest.approx(math.sqrt(5.0))
+        assert f.span() == 6.5
+        assert f.sup_gradient_dual() == math.sqrt(5.0)
+
+    @pytest.mark.parametrize("d", [3, 4, 6, 8])
+    def test_sups_are_taken_at_a_vertex_in_d_dimensions(self, d):
+        # |x|^2/2 on [-2, 2]^d, the default box dilated, is 2d at every vertex and 0 at the origin
+        f = quadratic([1.0] * d)
+        assert f.sup_abs() == f.span() == 2.0 * d
+
+    def test_a_ball_target_has_no_sups(self):
+        f = quadratic([1.0, 2.0], domain=Ball(np.zeros(2), 1.0))
+        for sup in (f.sup_abs, f.span, f.sup_gradient_dual):
+            with pytest.raises(DomainError, match="on a box only"):
+                sup()
 
 
 class TestKinkedAndExp:
@@ -258,6 +275,74 @@ class TestKinkedAndExp:
 
     def test_exp_convex_and_smooth(self):
         sample_convexity_smoothness(exp_one_d())
+
+
+class TestConstrainedMinimizer:
+    """Where a family's unconstrained minimizer lies outside the domain, x*
+    is the constrained one: it lies in the domain, and f* is the least value
+    of f there."""
+
+    @pytest.mark.parametrize("f, x_star", [
+        (exp_one_d(interval(1.0, 2.0)), 1.0),  # the unconstrained minimum is 1, at 0
+        (kinked_quadratic(0.5, 1.5, interval(0.5, 1.0)), 0.5),  # and 0 at 0
+        (softabs(+1, 0.1, interval(-1.0, 0.5)), 0.5),  # and 2*eps^2*log(2) at 1
+    ], ids=["exp", "kinked", "softabs"])
+    def test_x_star_minimizes_f_over_the_domain(self, f, x_star):
+        assert f.domain.contains(f.x_star, tol=0.0)
+        np.testing.assert_array_equal(f.x_star, [x_star])
+        grid = np.linspace(f.domain.lower[0], f.domain.upper[0], 100_001)
+        assert f.f_star == pytest.approx(float(np.min(f.value(grid))), rel=4 * np.finfo(float).eps, abs=0)
+
+    def test_separable_clips_each_coordinate(self):
+        f = separable([exp_one_d(interval(1.0, 2.0)), softabs(-1, 0.1), kinked_quadratic(domain=interval(-2.0, -1.0))])
+        np.testing.assert_array_equal(f.x_star, [1.0, -1.0, -1.0])
+        assert f.f_star == pytest.approx(math.e - 1.0 + 2 * 0.01 * math.log(2.0) + 0.25, rel=1e-15)
+
+
+def _one_d(draw, lower: float, upper: float) -> ObjectiveFunction:
+    """A 1-d family with random parameters on [lower, upper]."""
+    dom = interval(lower, upper)
+    family = draw(st.sampled_from(["softabs", "sc_pair", "kinked", "exp", "quadratic"]))
+    v, eps = draw(st.sampled_from([+1, -1])), draw(st.floats(0.01, 1.0))
+    if family == "softabs":
+        return softabs(v, eps, dom)
+    if family == "sc_pair":  # its minimizer must lie in the domain
+        return strongly_convex_pair(v, eps, interval(min(lower, v * eps), max(upper, v * eps + 0.1)))
+    if family == "kinked":
+        return kinked_quadratic(draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)), dom)
+    if family == "exp":
+        return exp_one_d(dom)
+    return quadratic([draw(st.floats(0.0, 3.0))], [draw(st.floats(-3.0, 3.0))], dom, draw(st.floats(-3.0, 3.0)))
+
+
+@st.composite
+def _coordinatewise_convex(draw) -> ObjectiveFunction:
+    """A 1-d family or a diagonal quadratic of d <= 4, with random parameters
+    on a random box."""
+    d = draw(st.integers(1, 4))
+    lower = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
+    upper = lower + np.array(draw(st.lists(st.floats(0.05, 4.0), min_size=d, max_size=d)))
+    if d == 1 and draw(st.booleans()):
+        return _one_d(draw, float(lower[0]), float(upper[0]))
+    a = draw(st.lists(st.just(0.0) | st.floats(1e-6, 3.0), min_size=d, max_size=d))
+    b = draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
+    return quadratic(a, b, Box(lower, upper), draw(st.floats(-3.0, 3.0)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(f=_coordinatewise_convex(), seed=st.integers(0, 2**32 - 1))
+def test_each_sup_bounds_f_at_random_points(f, seed):
+    # sup|f| and span over the dilated box, sup ||grad f|| over the box
+    rng = np.random.default_rng(seed)
+    wide, box = f.domain.dilate(1.0), f.domain
+    x = wide.lower + rng.random((256, f.dim)) * (wide.upper - wide.lower)
+    values = f.value_rows(x)[:, 0]
+    g = np.asarray(f.gradient(box.lower + rng.random((256, f.dim)) * (box.upper - box.lower)), dtype=float)
+    sup_abs, span, sup_gradient = f.sup_abs(), f.span(), f.sup_gradient_dual()
+    rounding = 1e-12 * (1.0 + sup_abs)
+    assert np.max(np.abs(values)) <= sup_abs + rounding
+    assert np.max(values) - np.min(values) <= span + rounding
+    assert np.max(np.sqrt(np.sum(g * g, axis=-1))) <= sup_gradient * (1.0 + 1e-12)
 
 
 class TestDimension:
