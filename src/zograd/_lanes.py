@@ -328,15 +328,15 @@ def lane_run(oracle, regret: bool, rngs: Sequence[np.random.Generator], horizons
              schedules) -> Optional["LaneRun"]:
     """The run of ``oracle`` on the compiled lane kernel, for lanes of
     generators ``rngs``, ``horizons`` and ``schedules``; or None where the
-    numpy loop runs it: a domain that is not a 1-d box, one generator
+    numpy loop runs it: a domain of more than one dimension, one generator
     driving two lanes, no spec (``_spec``: no ``lane_spec``, a class that
     redefines ``estimate``, ``make_stepper``, ``_scaled`` or ``_noise``, or
     a spec of None), a spec without formula data or of the kinked or exp
     target, an estimator without a vicinity norm, a regret run of an oracle
     that answers at x, a softabs oracle without a checked tanh loop, or no
     kernel.  Builds the kernel on the first run it covers."""
-    body = oracle.target.domain
-    if not isinstance(body, Box) or body.dim != 1 or len({id(g) for g in rngs}) < len(rngs):
+    box = oracle.target.domain
+    if box.dim != 1 or len({id(g) for g in rngs}) < len(rngs):
         return None
     spec = _spec(oracle, ("estimate", "make_stepper", "_scaled", "_noise"))
     if spec is None or spec.data is None or spec.flags & (KINKED | EXP) or (spec.flags & AT_X and regret):
@@ -346,7 +346,7 @@ def lane_run(oracle, regret: bool, rngs: Sequence[np.random.Generator], horizons
     advance = kernel()
     if advance is None or (spec.flags & SOFTABS and not loop_bound("tanh")):
         return None
-    return LaneRun(advance, spec, regret, body, oracle.target.f_star, rngs, horizons, schedules)
+    return LaneRun(advance, spec, regret, box, oracle.target.f_star, rngs, horizons, schedules)
 
 
 def probe_replies(oracle, x: np.ndarray, delta: float, m: int, rng: np.random.Generator, antithetic: bool = False):
@@ -408,12 +408,12 @@ class LaneRun:
     once (``twin``), taken from its state at the start of the run,
     as ``core.draw_chunks`` takes it."""
 
-    def __init__(self, advance: Callable, spec: LaneSpec, regret: bool, body: Box, f_star: float,
+    def __init__(self, advance: Callable, spec: LaneSpec, regret: bool, box: Box, f_star: float,
                  rngs: Sequence[np.random.Generator], horizons: Sequence[int], schedules):
         lib = _library()
         self._advance = advance
         self._flags = _flags(spec) | (REGRET if regret else 0)
-        self._data = np.array([body.lower[0], body.upper[0], f_star, *spec.data])
+        self._data = np.array([box.lower[0], box.upper[0], f_star, *spec.data])
         self._scratch = np.empty(lib.scratch(STEPS_PER_CHUNK, len(rngs), self._flags))
         # each distinct schedule's step sizes, once, to the longest horizon of its lanes
         distinct = {id(s): s for s in schedules}

@@ -1,4 +1,4 @@
-"""Domains, norms, randomness contract, and the gradient-oracle interface.
+"""The box domain, norms, randomness contract, and the gradient-oracle interface.
 
 The conventions shared by every estimator and adversarial instance live here:
 
@@ -19,7 +19,7 @@ they are built, so they are safe to share across workers.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,12 +77,13 @@ MAX_NORM = Norm("max")
 
 
 # ---------------------------------------------------------------------------
-# Convex bodies
+# The domain
 # ---------------------------------------------------------------------------
 
 
 class Box:
-    """Axis-aligned box ``[lower, upper]`` with nonempty interior."""
+    """Axis-aligned box ``[lower, upper]`` with nonempty interior: every
+    target's domain, and so every run's feasible set, is one."""
 
     def __init__(self, lower: np.ndarray, upper: np.ndarray):
         lo = np.atleast_1d(np.asarray(lower, dtype=float))
@@ -105,6 +106,8 @@ class Box:
         return 0.5 * (self.lower + self.upper)
 
     def project(self, x: np.ndarray) -> np.ndarray:
+        """The Euclidean projection of a point (d,) or of each row of a stack
+        (..., d): each coordinate clamped to its interval."""
         lo, up = self._clamp
         return np.minimum(np.maximum(np.asarray(x, dtype=float), lo), up)
 
@@ -119,41 +122,6 @@ class Box:
         """sup over the box of ||x||_2; attained at a vertex."""
         corner = np.maximum(np.abs(self.lower), np.abs(self.upper))
         return EUCLIDEAN.value(corner)
-
-
-class Ball:
-    """Euclidean ball of positive radius."""
-
-    def __init__(self, center: np.ndarray, radius: float):
-        c = np.atleast_1d(np.asarray(center, dtype=float))
-        if radius <= 0:
-            raise DomainError("ball must have a nonempty interior (radius > 0)")
-        self.center, self.radius = c, float(radius)
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        offset = x - self.center
-        dist = np.sqrt(np.sum(offset * offset, axis=-1, keepdims=True))
-        outside = dist > self.radius
-        if not outside.any():
-            return x.copy()
-        return np.where(outside, self.center + offset * (self.radius / np.where(outside, dist, 1.0)), x)
-
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.center)) <= self.radius + tol
-
-    def sup_norm(self) -> float:
-        """sup over the ball of ||x||_2."""
-        return EUCLIDEAN.value(self.center) + self.radius
-
-
-# ``body.project(x)``: the Euclidean projection of a point (d,) or of each row of a stack (..., d)
-ConvexBody = Union[Box, Ball]
 
 
 def interval(lower: float, upper: float) -> Box:

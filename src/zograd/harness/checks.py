@@ -22,7 +22,7 @@ from ..adversarial import (
     scaled_hard_coordinates,
     worst_case_tolerance,
 )
-from ..core import Ball, Box, DomainError, RngStream
+from ..core import Box, DomainError, RngStream
 from ..estimators import (
     SF,
     SPSA,
@@ -56,13 +56,13 @@ _log = logging.getLogger(__name__)
 
 def _check_projection() -> str:
     rng = RngStream(4242, 0).generator()
-    for body in (Box(np.array([-1.0, -2.0]), np.array([1.0, 0.5])), Ball(np.zeros(3), 1.5)):
+    for box in (Box(np.array([-1.0, -2.0]), np.array([1.0, 0.5])), Box(np.full(3, -1.5), np.array([1.5, 0.5, 2.5]))):
         # the 1000 (x, y) pairs in the order one pair at a time would draw them
-        x, y = np.moveaxis(rng.normal(scale=3.0, size=(1000, 2, body.dim)), 1, 0)
-        px, py = body.project(x), body.project(y)
+        x, y = np.moveaxis(rng.normal(scale=3.0, size=(1000, 2, box.dim)), 1, 0)
+        px, py = box.project(x), box.project(y)
         expansion = np.max(np.linalg.norm(px - py, axis=1) - np.linalg.norm(x - y, axis=1))
         require("largest expansion of a pair", expansion, "<=", 1e-12)
-        require("largest move of a projected point", np.max(np.abs(body.project(px) - px)), "<=", 1e-8)
+        require("largest move of a projected point", np.max(np.abs(box.project(px) - px)), "<=", 1e-8)
     return "nonexpansive and idempotent on 2000 random pairs"
 
 

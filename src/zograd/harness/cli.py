@@ -61,13 +61,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     # the full parser's metavar is its choices, so the one-command parser's usage reads the same
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
-    logs = argparse.ArgumentParser(add_help=False)
-    logs.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS, default=None,
-                      help="log the zograd package's records at this level and above to stderr")
     for name, (text, words) in COMMANDS.items():
         if command not in (None, name):
             continue
-        p = sub.add_parser(name, parents=[logs], help=text)
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS, default=None,
+                       help="log the zograd package's records at this level and above to stderr")
         if words is None:
             continue
         p.add_argument("--config", help="JSON config file; explicit flags override it")

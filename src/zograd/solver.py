@@ -2,7 +2,7 @@
 tolerance/step-size schedules for all four regimes: optimization or regret,
 convex or strongly convex.
 
-The feasible set K is the target's domain and the regularizer is
+The feasible set K is the target's domain, a box, and the regularizer is
 R = ||x||^2 / 2, so the update is projected gradient descent:
 X_{t+1} = project(X_t - eta_t * G_t).  The schedule constructors take the
 envelope (p, q, C1, C2), the divergence diameter D of K
@@ -21,9 +21,7 @@ import numpy as np
 
 from .core import (
     STEPS_PER_CHUNK,
-    Ball,
     Box,
-    ConvexBody,
     DomainError,
     Norm,
     Value,
@@ -40,15 +38,11 @@ _log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-def divergence_diameter(body: ConvexBody) -> float:
-    """sup_{x,y in K} D(x, y), half the squared diameter of the body: the
+def divergence_diameter(box: Box) -> float:
+    """sup_{x,y in K} D(x, y), half the squared diameter of the box: the
     D the schedules take."""
-    if isinstance(body, Box):
-        side = body.upper - body.lower
-        return 0.5 * float(np.dot(side, side))
-    if isinstance(body, Ball):
-        return 2.0 * body.radius**2
-    raise DomainError(f"unsupported body {type(body)!r}")
+    side = box.upper - box.lower
+    return 0.5 * float(np.dot(side, side))
 
 
 def prox_inequality_gap(x_t: np.ndarray, g_t: np.ndarray, eta_t: float, x_next: np.ndarray,
@@ -442,8 +436,8 @@ def run(
     record: bool = False,
     horizons: Optional[Sequence[int]] = None,
 ) -> RunTrace:
-    """Run mirror descent against the oracle over its target's domain and
-    average.
+    """Run mirror descent against the oracle over its target's domain box
+    and average.
 
     Every generator in ``rng`` drives one lane, an independent replication;
     all lanes advance together as one (lanes, d) iterate.  ``schedule`` is
@@ -481,8 +475,8 @@ def run(
     raises the same error, and leaves each generator in the same state.
     (f at a recorded run's iterates, and at the evaluation points of an
     oracle that answers at x, is evaluated over its records after the
-    call.)  It covers runs on a 1-d box, where every lane has a generator
-    of its own: estimator oracles of a 1-d quadratic in either mode, and,
+    call.)  It covers 1-d runs where every lane has a generator of its
+    own: estimator oracles of a 1-d quadratic in either mode, and,
     in optimization mode, the adversarial and exact-gradient oracles of an
     arm of a hard pair (for the softabs pair, with numpy's own tanh loop,
     called from C), each as its ``lane_spec()`` states it.  There a lane

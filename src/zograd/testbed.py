@@ -1,16 +1,16 @@
 """Objective functions with exact gradients and their constrained minimizers.
 
-Every function is evaluable on its domain dilated by ``MARGIN`` so that
+Every function's domain is a box, evaluable dilated by ``MARGIN`` so that
 estimators probing ``x + delta*u`` with ``delta <= 1`` stay inside.  A
 function's dimension is its domain's; the 1-d families take intervals only.  Values
 and gradients are numpy-vectorized: 1-d functions act elementwise on arrays
 of any shape, d-dimensional ones on the last axis of a stack of points, so
 the solver evaluates all of its lanes in one call.
 
-Each family states its minimizer over a body once, as ``argmin``; x* is the
+Each family states its minimizer over a box once, as ``argmin``; x* is the
 one over the domain, so it lies in the domain, and f* is f there.  Every f
-is a sum of convex functions of one coordinate each, so its sups over a box
-are closed forms, and the envelopes read them exactly.
+is a sum of convex functions of one coordinate each, so its sups over the
+domain are closed forms, and the envelopes read them exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Box, ConvexBody, DomainError, EUCLIDEAN, interval
+from .core import Box, DomainError, EUCLIDEAN, interval
 
 # delta <= 1 and ||u|| <= 1 keep every probe x + delta*u inside the domain dilated by this
 MARGIN = 1.0
@@ -34,13 +34,14 @@ class ObjectiveFunction:
     functions ``value``/``gradient`` broadcast over numpy arrays; for d > 1
     they map points (..., d) to values (...) and gradients (..., d).
 
-    ``argmin(body)`` is the minimizer of f over ``body``; ``x_star`` is the
+    ``argmin(box)`` is the minimizer of f over ``box``; ``x_star`` is the
     one over the domain and ``f_star`` f there.  f must be a sum of convex
-    functions of one coordinate each: only then are the sups below exact.
+    functions of one coordinate each: only then are the sups below, closed
+    forms over the domain box, exact.
     """
 
-    def __init__(self, name: str, domain: ConvexBody, smoothness: float, strong_convexity: float,
-                 value: Callable, gradient: Callable, argmin: Callable[[ConvexBody], np.ndarray],
+    def __init__(self, name: str, domain: Box, smoothness: float, strong_convexity: float,
+                 value: Callable, gradient: Callable, argmin: Callable[[Box], np.ndarray],
                  third_derivative_bound: Optional[float] = None,
                  formula_1d: Optional[tuple] = None,
                  hard_pair_arm: Optional[tuple[str, float, float]] = None):
@@ -70,18 +71,13 @@ class ObjectiveFunction:
         """f at each row of x (lanes, d), as a column (lanes, 1)."""
         return self.value(x) if self.dim == 1 else self.value(x)[..., None]
 
-    # -- sups over a box (envelope bookkeeping) ----------------------------
-
-    def _box(self) -> Box:
-        if not isinstance(self.domain, Box):
-            raise DomainError(f"{self.name}: the sups of f have closed forms on a box only")
-        return self.domain
+    # -- sups over the domain (envelope bookkeeping) ------------------------
 
     def _extremes(self) -> tuple[float, float]:
         """(sup f, inf f) over the dilated domain: f at the corner that takes
         each coordinate's larger end, which 2d values along the axes through
         the center pick, and f at ``argmin``."""
-        box, d = self._box().dilate(MARGIN), self.dim
+        box, d = self.domain.dilate(MARGIN), self.dim
         ends = np.tile(box.center, (2, d, 1))
         ends[0, range(d), range(d)], ends[1, range(d), range(d)] = box.lower, box.upper
         at_end = self.value_rows(ends.reshape(2 * d, d)).reshape(2, d)
@@ -90,19 +86,19 @@ class ObjectiveFunction:
         return float(top), float(bottom)
 
     def sup_abs(self) -> float:
-        """sup |f| over the dilated domain, at the max or the min of f."""
+        """sup |f| over the dilated domain box, at the max or the min of f."""
         top, bottom = self._extremes()
         return max(abs(top), abs(bottom))
 
     def span(self) -> float:
-        """sup f - inf f over the dilated domain."""
+        """sup f - inf f over the dilated domain box."""
         top, bottom = self._extremes()
         return top - bottom
 
     def sup_gradient_dual(self) -> float:
-        """sup ||grad f||_2 over the domain (the Euclidean norm is its own
+        """sup ||grad f||_2 over the domain box (the Euclidean norm is its own
         dual); each component peaks in size at ``lower`` or ``upper``."""
-        box = self._box()
+        box = self.domain
         g = np.abs(np.asarray(self.gradient(np.stack([box.lower, box.upper])), dtype=float))
         return EUCLIDEAN.value(np.max(g, axis=0))
 
@@ -111,17 +107,16 @@ class ObjectiveFunction:
 # ---------------------------------------------------------------------------
 
 
-def _interval_domain(domain: ConvexBody | None) -> Box:
+def _interval_domain(domain: Box | None) -> Box:
     """The domain of a 1-d family: ``domain``, [-1, 1] where it is None;
-    any other body than an interval is a DomainError."""
+    a box of another dimension is a DomainError."""
     dom = domain if domain is not None else interval(-1.0, 1.0)
-    if not isinstance(dom, Box) or dom.dim != 1:
-        raise DomainError(f"a 1-d function needs an interval, got a {type(dom).__name__.lower()} of dimension "
-                          f"{dom.dim}")
+    if dom.dim != 1:
+        raise DomainError(f"a 1-d function needs an interval, got a box of dimension {dom.dim}")
     return dom
 
 
-def softabs(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFunction:
+def softabs(v: int, eps: float, domain: Box | None = None) -> ObjectiveFunction:
     """Smooth surrogate of ``eps*|x - v|`` with curvature capped at 1/2.
 
     f(x) = eps*(x - v) + 2*eps^2*log(1 + exp(-(x - v)/eps)), minimized at
@@ -150,13 +145,13 @@ def softabs(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFu
         strong_convexity=0.0,
         value=value,
         gradient=grad,
-        argmin=lambda body: body.project(np.array([vf])),
+        argmin=lambda box: box.project(np.array([vf])),
         third_derivative_bound=1.0 / (3.0 * math.sqrt(3.0) * e),
         hard_pair_arm=("softabs", vf, e),
     )
 
 
-def strongly_convex_pair(v: int, eps: float, domain: ConvexBody | None = None) -> ObjectiveFunction:
+def strongly_convex_pair(v: int, eps: float, domain: Box | None = None) -> ObjectiveFunction:
     """Unit-curvature parabola with minimizer nudged to ``v*eps``:
     f(x) = x^2/2 - v*eps*x, f* = -eps^2/2.  The minimizer must lie in the
     domain: the pair's separation and the lower bound's floor are computed
@@ -177,14 +172,14 @@ def strongly_convex_pair(v: int, eps: float, domain: ConvexBody | None = None) -
         strong_convexity=1.0,
         value=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2 - ve * np.asarray(x, dtype=float),
         gradient=lambda x: np.asarray(x, dtype=float) - ve,
-        argmin=lambda body: body.project(np.array([ve])),
+        argmin=lambda box: box.project(np.array([ve])),
         third_derivative_bound=0.0,
         hard_pair_arm=("strongly_convex", float(v), float(eps)),
     )
 
 
 def kinked_quadratic(
-    a_neg: float = 0.5, a_pos: float = 1.5, domain: ConvexBody | None = None
+    a_neg: float = 0.5, a_pos: float = 1.5, domain: Box | None = None
 ) -> ObjectiveFunction:
     """Strictly convex, L-smooth, but not C^2: curvature jumps at the origin.
 
@@ -213,13 +208,13 @@ def kinked_quadratic(
         strong_convexity=min(an, ap),
         value=value,
         gradient=grad,
-        argmin=lambda body: body.project(np.zeros(1)),
+        argmin=lambda box: box.project(np.zeros(1)),
         third_derivative_bound=None,
         formula_1d=("kinked", an, ap),
     )
 
 
-def exp_one_d(domain: ConvexBody | None = None) -> ObjectiveFunction:
+def exp_one_d(domain: Box | None = None) -> ObjectiveFunction:
     """f(x) = exp(x) - x: strictly convex, C^infinity, nonvanishing third
     derivative (the workhorse for quadratic-bias slope measurements)."""
     dom = _interval_domain(domain)
@@ -233,7 +228,7 @@ def exp_one_d(domain: ConvexBody | None = None) -> ObjectiveFunction:
         strong_convexity=math.exp(lo),
         value=lambda x: np.exp(np.asarray(x, dtype=float)) - np.asarray(x, dtype=float),
         gradient=lambda x: np.exp(np.asarray(x, dtype=float)) - 1.0,
-        argmin=lambda body: body.project(np.zeros(1)),
+        argmin=lambda box: box.project(np.zeros(1)),
         third_derivative_bound=math.exp(hi),
         formula_1d=("exp",),
     )
@@ -247,12 +242,12 @@ def exp_one_d(domain: ConvexBody | None = None) -> ObjectiveFunction:
 def quadratic(
     a: Sequence[float],
     b: Sequence[float] | None = None,
-    domain: ConvexBody | None = None,
+    domain: Box | None = None,
     offset: float = 0.0,
 ) -> ObjectiveFunction:
     """Diagonal quadratic f(x) = sum a_i x_i^2 / 2 + b.x + offset with
-    L = max a_i and mu = min a_i; the minimizer is the unconstrained vertex
-    projected into the domain (exact for boxes by separability).
+    L = max a_i and mu = min a_i; its minimizer over a box is found
+    coordinate by coordinate, exactly, by separability.
 
     The constant offset does not move gradients or errors, but it does set
     the absolute evaluation level that single-evaluation estimators divide
@@ -292,29 +287,17 @@ def quadratic(
         strong_convexity=float(np.min(a)),
         value=value,
         gradient=grad,
-        argmin=lambda body: _quadratic_minimizer(a, bvec, body),
+        argmin=lambda box: _quadratic_minimizer(a, bvec, box),
         third_derivative_bound=0.0,
         formula_1d=("quadratic", float(ca), float(cb), float(cc)) if d == 1 else None,
     )
 
 
-def _quadratic_minimizer(a: np.ndarray, b: np.ndarray, dom: ConvexBody) -> np.ndarray:
-    if isinstance(dom, Box):
-        # each coordinate's vertex; a linear one runs to the end its slope falls toward, a flat one to the center
-        curved = a > 0
-        linear = np.where(b > 0, dom.lower, np.where(b < 0, dom.upper, dom.center))
-        return dom.project(np.where(curved, -b / np.where(curved, a, 1.0), linear))
-    if np.all(a == a[0]) and a[0] > 0:
-        return dom.project(-b / a[0])
-    # ball with nonuniform curvature: deterministic projected-gradient refine
-    lam = float(np.max(a)) if np.max(a) > 0 else 1.0
-    x = dom.project(np.zeros_like(a))
-    for _ in range(100_000):
-        x_new = dom.project(x - (a * x + b) / lam)
-        if float(np.max(np.abs(x_new - x))) < 1e-15:
-            return x_new
-        x = x_new
-    return x
+def _quadratic_minimizer(a: np.ndarray, b: np.ndarray, box: Box) -> np.ndarray:
+    # each coordinate's vertex; a linear one runs to the end its slope falls toward, a flat one to the center
+    curved = a > 0
+    linear = np.where(b > 0, box.lower, np.where(b < 0, box.upper, box.center))
+    return box.project(np.where(curved, -b / np.where(curved, a, 1.0), linear))
 
 
 def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
@@ -327,8 +310,8 @@ def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
     if not comps:
         raise DomainError("separable needs at least one component")
     for c in comps:
-        if c.dim != 1 or not isinstance(c.domain, Box):
-            raise DomainError("separable components must be 1-d with interval domains")
+        if c.dim != 1:
+            raise DomainError("separable components must be 1-d")
     d = len(comps)
     lower = np.array([c.domain.lower[0] for c in comps])
     upper = np.array([c.domain.upper[0] for c in comps])
@@ -345,7 +328,7 @@ def separable(components: Sequence[ObjectiveFunction]) -> ObjectiveFunction:
     one = comps[0] if d == 1 else None
     b3s = [c.third_derivative_bound for c in comps]
     # over a box, each coordinate is its component's problem
-    argmin = lambda body: np.array([c.argmin(interval(lo, hi))[0] for c, lo, hi in zip(comps, body.lower, body.upper)])
+    argmin = lambda box: np.array([c.argmin(interval(lo, hi))[0] for c, lo, hi in zip(comps, box.lower, box.upper)])
     return ObjectiveFunction(
         name=f"separable[{','.join(c.name for c in comps)}]",
         domain=dom,
@@ -378,14 +361,8 @@ def finite_diff_check(
     rows (samples, d): the gradient once, f on both sides once per coordinate."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    body = f.domain
-    if isinstance(body, Box):
-        x = body.lower + rng.random((samples, f.dim)) * (body.upper - body.lower)
-    else:  # a ball's points one at a time: d normals, then one uniform
-        x = np.empty((samples, f.dim))
-        for k in range(samples):
-            z = rng.standard_normal(f.dim)
-            x[k] = body.center + body.radius * rng.random() ** (1.0 / f.dim) * (z / np.linalg.norm(z))
+    box = f.domain
+    x = box.lower + rng.random((samples, f.dim)) * (box.upper - box.lower)
     g = np.asarray(f.gradient(x), dtype=float)
     fd, h = np.empty_like(g), np.eye(f.dim) * step
     for i in range(f.dim):

@@ -11,7 +11,6 @@ from numpy.random import MT19937, PCG64, PCG64DXSM
 
 from zograd import _lanes
 from zograd.core import (
-    Ball,
     Box,
     DomainError,
     EUCLIDEAN,
@@ -63,9 +62,11 @@ class TestBodies:
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         np.testing.assert_allclose(box.project(np.array([0.5, 2.0])), [0.5, 1.0])
 
-    def test_ball_radial_scaling(self):
-        ball = Ball(np.zeros(2), 1.0)
-        np.testing.assert_allclose(ball.project(np.array([3.0, 4.0])), [0.6, 0.8])
+    def test_box_clamps_each_coordinate_of_a_far_point(self):
+        # outside on every side at once: the nearest point is a corner, not a radial scaling
+        box = Box(np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 5.0]))
+        np.testing.assert_array_equal(box.project(np.array([3.0, 4.0, -9.0])), [1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(box.project(np.array([-3.0, 0.5, 9.0])), [0.0, 0.5, 5.0])
 
     def test_interior_point_fixed(self):
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -74,8 +75,6 @@ class TestBodies:
     def test_empty_interior_rejected(self):
         with pytest.raises(DomainError):
             Box(np.array([0.0]), np.array([0.0]))
-        with pytest.raises(DomainError):
-            Ball(np.zeros(2), 0.0)
 
     @given(
         st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=2, max_size=2),
@@ -84,14 +83,14 @@ class TestBodies:
     @settings(max_examples=250)
     def test_projection_nonexpansive(self, xs, ys):
         x, y = np.array(xs), np.array(ys)
-        for body in (Box(np.array([-1.0, -0.5]), np.array([0.7, 1.0])), Ball(np.zeros(2), 1.3)):
-            px, py = body.project(x), body.project(y)
-            assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
-            np.testing.assert_allclose(body.project(px), px, atol=1e-12)
+        box = Box(np.array([-1.0, -0.5]), np.array([0.7, 1.0]))
+        px, py = box.project(x), box.project(y)
+        assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
+        np.testing.assert_allclose(box.project(px), px, atol=1e-12)
 
     def test_projection_nonexpansive_bulk(self):
         rng = RngStream(99, 0).generator()
-        bodies = (Box(np.array([-1.0, -0.5]), np.array([0.7, 1.0])), Ball(np.ones(3), 0.8))
+        bodies = (Box(np.array([-1.0, -0.5]), np.array([0.7, 1.0])), Box(np.full(3, 0.2), np.full(3, 1.8)))
         for body in bodies:
             x = rng.normal(scale=4.0, size=(1000, body.dim))
             y = rng.normal(scale=4.0, size=(1000, body.dim))

@@ -7,6 +7,7 @@ import math
 import os
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from zograd import _lanes, _lanes_build, adversarial, core
 from zograd.adversarial import AdversarialOracle, HardInstance
-from zograd.core import EUCLIDEAN, Ball, Box, Norm, OracleEnvelope, RngStream, interval
+from zograd.core import EUCLIDEAN, Box, Norm, OracleEnvelope, RngStream, interval
 from zograd.estimators import (RDSA, SF, SPSA, ControlledNoise, EstimatorOracle, ExactGradientOracle,
                                PerturbationScheme, UncontrolledNoise)
 from zograd.harness import checks, experiments
@@ -1031,7 +1032,6 @@ _COSH = ObjectiveFunction("cosh", interval(-1.0, 1.0), math.cosh(1.0), 1.0, np.c
 RECORDS = {
     "Norm": lambda: Norm("max"),
     "Box": lambda: Box([0.0, -1.0], [1.0, 2.0]),
-    "Ball": lambda: Ball([0.5, 0.0], 2.0),
     "OracleEnvelope": lambda: OracleEnvelope(1.0, 2.0, 3.0, 2.0, "type_II"),
     "RngStream": lambda: RngStream(20260810, 7),
     "PerturbationScheme": lambda: PerturbationScheme("rdsa"),
@@ -1075,7 +1075,7 @@ def _same(a, b) -> bool:
 
 class TestRecords:
     def test_every_record_is_listed(self):
-        assert len(RECORDS) == 20 and VALUE_RECORDS < RECORDS.keys()
+        assert len(RECORDS) == 19 and VALUE_RECORDS < RECORDS.keys()
         assert all(type(make()).__name__ == name for name, make in RECORDS.items())
 
     @pytest.mark.parametrize("name", RECORDS)
@@ -1507,6 +1507,8 @@ class TestThreadedFanOut:
         # lower-bound experiment take the numpy loop, with the same bytes
         if _lanes.kernel() is None or not _lanes.loop_bound("tanh"):
             pytest.skip("the lane kernel cannot be built with numpy's tanh loop here")
+        if cause == "headers" and shutil.which(_lanes.CC) is None:  # it builds into an empty cache
+            pytest.skip("no C compiler here, and a cached library loads without one")
         cfg = lambda name: ExperimentConfig(workers=2, out=str(tmp_path / name), **self.LOWERBOUND)
         lower_bound_experiment(cfg("bound.csv"))
         monkeypatch.setattr(_lanes, "_loaded", [])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from zograd import _lanes, _lanes_build, solver
 from zograd.adversarial import AdversarialOracle, HardInstance, hard_pair, scaled_hard_coordinates
-from zograd.core import (EUCLIDEAN, MAX_NORM, STEPS_PER_CHUNK, Ball, Box, DomainError, OracleEnvelope, RngStream,
+from zograd.core import (EUCLIDEAN, MAX_NORM, STEPS_PER_CHUNK, Box, DomainError, OracleEnvelope, RngStream,
                          chunk_sizes, draw_chunks, interval)
 from zograd.estimators import (
     ControlledNoise,
@@ -59,8 +59,9 @@ class TestDivergenceDiameter:
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         assert divergence_diameter(box) == pytest.approx(4.0)  # ||(2,2)||^2 / 2
 
-    def test_diameter_ball(self):
-        assert divergence_diameter(Ball(np.zeros(2), 1.5)) == pytest.approx(4.5)
+    def test_diameter_of_an_uneven_3d_box(self):
+        box = Box(np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 5.0]))
+        assert divergence_diameter(box) == 7.0  # ||(1,2,3)||^2 / 2
 
 
 class TestMdStep:
@@ -377,11 +378,9 @@ class TestRun:
 
 
 def _oracles():
-    """One oracle of every kind the solver runs, 1-d and d > 1, on a box
-    and on a ball."""
+    """One oracle of every kind the solver runs, 1-d and d > 1."""
     fq = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
     f2 = quadratic([1.0, 2.0], [-0.5, 0.3])
-    f2_ball = quadratic([1.0, 2.0], [-0.5, 0.3], Ball(np.zeros(2), 0.5))
     convex, _ = hard_pair("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1)
     _, sc = hard_pair("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2)
     return {
@@ -391,7 +390,6 @@ def _oracles():
         "spsa-controlled": EstimatorOracle(fq, SPSA, ControlledNoise(3.0, slope=1.0), "two_point"),
         "sf-2pt-d2": EstimatorOracle(f2, SF, UncontrolledNoise(1.0), "two_point"),
         "smoothing-d2": EstimatorOracle(f2, SURFACE, UncontrolledNoise(1.0), "one_point"),
-        "smoothing-d2-ball": EstimatorOracle(f2_ball, SURFACE, UncontrolledNoise(1.0), "one_point"),
         "exact": ExactGradientOracle(fq),
         "adversarial-convex": AdversarialOracle(convex),
         "adversarial-sc": AdversarialOracle(sc),
@@ -477,10 +475,10 @@ class TestLanes:
             assert (info.value.first, info.value.last) == (STEPS_PER_CHUNK + 1, 2 * STEPS_PER_CHUNK)
             assert "replication 2" in str(info.value)
 
-    def test_ball_projection_is_row_wise(self):
-        ball = Ball(np.zeros(2), 1.0)
-        rows = np.array([[3.0, 4.0], [0.1, 0.2], [0.0, -2.0]])
-        np.testing.assert_array_equal(ball.project(rows), [ball.project(r) for r in rows])
+    @pytest.mark.parametrize("box", [Box(np.zeros(2), np.array([1.0, 2.0])), interval(-0.5, 0.5)])
+    def test_box_projection_is_row_wise(self, box):
+        rows = np.array([[3.0, 4.0], [0.1, 0.2], [0.0, -2.0]])[:, :box.dim]
+        np.testing.assert_array_equal(box.project(rows), [box.project(r) for r in rows])
 
 
 _FQ = quadratic([1.0], [-2.0], interval(0.0, 1.0), offset=1.5)
@@ -979,15 +977,15 @@ class TestCompiledKernel:
         assert checks.run_checks(verbose=False) == 0
         assert (estimates, runs, kernel_calls) == ([], [True, False, False], [1, 1, 1])
 
-    @pytest.mark.parametrize("case", ["ball", "d2", "separable-d2", "exp-target", "exact", "adversarial-regret"])
+    @pytest.mark.parametrize("case", ["d2", "d3", "separable-d2", "exp-target", "exact", "adversarial-regret"])
     def test_other_runs_take_the_numpy_loop(self, case, kernel_calls):
         oracle = KERNEL_ORACLES["one-point"]
         mode = "regret" if case.endswith("regret") else "optimization"
-        if case == "ball":  # the one-point cell's target on the ball that is its interval
-            f = quadratic([1.0], [-2.0], Ball(np.array([0.5]), 0.5), offset=1.5)
-            oracle = EstimatorOracle(f, SPSA, UncontrolledNoise(3.0), "one_point")
-        elif case == "d2":
+        if case == "d2":
             oracle = ORACLES["smoothing-d2"]
+        elif case == "d3":
+            f = quadratic([1.0, 3.0, 0.5], [0.2, -0.4, 0.1], Box(np.full(3, -1.5), np.full(3, 1.5)))
+            oracle = EstimatorOracle(f, SPSA, UncontrolledNoise(3.0), "one_point")
         elif case == "separable-d2":
             oracle = scaled_hard_coordinates("convex_smooth", 2.0, 2.0, 1.0, 1.0, 0.1, [+1, -1])
         elif case == "exp-target":
@@ -1029,7 +1027,7 @@ class TestCompiledKernel:
         # a build leaves no temporary file of its own and removes the
         # libraries of other inputs, never another build's temporary file;
         # a cached load removes nothing
-        if _lanes.kernel() is None:
+        if _lanes.kernel() is None or shutil.which(_lanes.CC) is None:  # a cached library loads without cc
             pytest.skip("the lane kernel cannot be built here")
         cache = tmp_path / "cache"
         cache.mkdir()
