@@ -1,5 +1,6 @@
 /* zograd's lane loop (solver.run) in C, one call per run, and an oracle's
-   m replies at one point (oracle.sample_gradients), one call per probe.
+   m replies at one point (oracle.sample_gradients) and their moments
+   (probes.probe_bias_variance), one call per probe.
 
    Mirror descent on a 1-d box against one of two kinds of oracle:
 
@@ -41,7 +42,11 @@
    the kinked quadratic 0.5*a*y*y, a = a_neg for y < 0 and a_pos
    otherwise, and exp(y) - y; and an antithetic one-point probe (MIRROR),
    whose reply is the mean of the replies at +du and at -du with weight
-   -w and a second block of noise.
+   -w and a second block of noise.  Given a moments output, the same call
+   then folds the replies into the moments probes.probe_bias_variance reads
+   (zg_moments): means and mean centred squares, each the bits of np.mean,
+   whose sums take numpy's pairwise order; _lanes checks them against
+   numpy's on one case the first time a probe asks for them.
 
    zg_seed writes the words each lane's PCG64 seeds from
    (_lanes.seed_words, core.generators): numpy's SeedSequence hash of the
@@ -142,6 +147,7 @@ void zg_loop(long which, long n, const long *pieces, long count, double *x)
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
+#include <string.h>
 
 #include "numpy/random/bitgen.h"
 
@@ -684,6 +690,8 @@ static inline __attribute__((always_inline)) void replies(long form, const doubl
 
 #define PROBE_BLOCK 512
 
+void zg_moments(long m, const double *g, double *out);
+
 /* The m replies G at x of one oracle, written to g, as
    oracle.sample_gradients gives them: the draws of its one lane, filled
    (zg_lane_draws) into scratch, which holds zg_scratch(m, 1, flags)
@@ -691,8 +699,11 @@ static inline __attribute__((always_inline)) void replies(long form, const doubl
    then each reply with the operations of estimate, f evaluated at the
    arms of PROBE_BLOCK replies at a time, and for MIRROR the mean of a
    reply and its mirror.  c holds the oracle's formula data, as in
-   zg_lane_run. */
-void zg_probe(long m, long flags, const double *c, const struct lane *lane, double x, double *g, double *scratch)
+   zg_lane_run.  Where moments is not NULL, the replies are then folded
+   into their moments there (zg_moments), so that a probe is one call from
+   draws to moments. */
+void zg_probe(long m, long flags, const double *c, const struct lane *lane, double x, double *g, double *scratch,
+              double *moments)
 {
     long width[3];
     widths(flags, width);
@@ -708,26 +719,28 @@ void zg_probe(long m, long flags, const double *c, const struct lane *lane, doub
         const double mean = at_x(flags, c, x, lane->shift, t);
         for (long j = 0; j < m; j++)
             g[j] = (flags & SHIFTED) ? mean + xi[j] : mean;
-        return;
-    }
-    double fy[2 * PROBE_BLOCK];
-    for (long start = 0; start < m; start += PROBE_BLOCK) {
-        const long n = m - start < PROBE_BLOCK ? m - start : PROBE_BLOCK;
-        values(flags, c, arms * n, x, du + arms * start, fy);
-        switch (flags & (TWO_POINT | CONTROLLED | MIRROR)) {  /* the loop of each form, its branches resolved */
-        case TWO_POINT | CONTROLLED:
-            replies(TWO_POINT | CONTROLLED, c, n, start, m, x, du, fy, w, xi, g);
-            break;
-        case TWO_POINT:
-            replies(TWO_POINT, c, n, start, m, x, du, fy, w, xi, g);
-            break;
-        case MIRROR:
-            replies(MIRROR, c, n, start, m, x, du, fy, w, xi, g);
-            break;
-        default:
-            replies(0, c, n, start, m, x, du, fy, w, xi, g);
+    } else {
+        double fy[2 * PROBE_BLOCK];
+        for (long start = 0; start < m; start += PROBE_BLOCK) {
+            const long n = m - start < PROBE_BLOCK ? m - start : PROBE_BLOCK;
+            values(flags, c, arms * n, x, du + arms * start, fy);
+            switch (flags & (TWO_POINT | CONTROLLED | MIRROR)) {  /* the loop of each form, its branches resolved */
+            case TWO_POINT | CONTROLLED:
+                replies(TWO_POINT | CONTROLLED, c, n, start, m, x, du, fy, w, xi, g);
+                break;
+            case TWO_POINT:
+                replies(TWO_POINT, c, n, start, m, x, du, fy, w, xi, g);
+                break;
+            case MIRROR:
+                replies(MIRROR, c, n, start, m, x, du, fy, w, xi, g);
+                break;
+            default:
+                replies(0, c, n, start, m, x, du, fy, w, xi, g);
+            }
         }
     }
+    if (moments != NULL)
+        zg_moments(m, g, moments);
 }
 
 /* numpy's SeedSequence (numpy/random/bit_generator.pyx): its pool size,
@@ -787,5 +800,93 @@ void zg_seed(const uint32_t *master, long n_master, const uint32_t *keys, const 
             const uint64_t word = hashmix(pool[i % POOL], &h_out, MULT_B);
             out[i / 2] = i % 2 ? out[i / 2] | word << 32 : word;
         }
+    }
+}
+
+/* numpy's pairwise summation (pairwise_sum, numpy/_core/src/umath/
+   loops_utils.h.src), which np.add.reduce, and so np.mean, takes over a
+   contiguous axis: a run of n <= LEAF values is a leaf, and a longer run
+   is split at n/2 rounded down to a multiple of 8.  A leaf of fewer than 8
+   values is summed in order from 0.0; a longer one in 8 accumulators, r[j]
+   the sum of values j, j + 8, j + 16, ... of its whole rows of 8, then
+   ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the values past
+   the rows in order.  The accumulators are held in pairs, SSE2-wide
+   vectors of GCC's extension, each of whose lanes adds as the scalar
+   would. */
+enum { LEAF = 128, BATCHES = 32 };
+typedef double pair __attribute__((vector_size(2 * sizeof(double))));
+
+/* the values a[0] and a[1], or their centred squares (a - c)*(a - c) */
+static inline __attribute__((always_inline)) pair terms(const double *a, double c, bool centred)
+{
+    pair v;
+    memcpy(&v, a, sizeof v);
+    if (centred) {
+        v -= c;
+        v *= v;
+    }
+    return v;
+}
+
+static inline __attribute__((always_inline)) double term(double a, double c, bool centred)
+{
+    return centred ? (a - c) * (a - c) : a;
+}
+
+/* numpy's sum of a leaf a[0 .. n-1], n <= LEAF, or of its centred squares */
+static inline __attribute__((always_inline)) double leaf(const double *a, long n, double c, bool centred)
+{
+    double s = 0.0;
+    long i = 0;
+    if (n >= 8) {
+        pair r01 = terms(a, c, centred), r23 = terms(a + 2, c, centred), r45 = terms(a + 4, c, centred),
+             r67 = terms(a + 6, c, centred);
+        for (i = 8; i < n - n % 8; i += 8) {
+            r01 += terms(a + i, c, centred);
+            r23 += terms(a + i + 2, c, centred);
+            r45 += terms(a + i + 4, c, centred);
+            r67 += terms(a + i + 6, c, centred);
+        }
+        s = ((r01[0] + r01[1]) + (r23[0] + r23[1])) + ((r45[0] + r45[1]) + (r67[0] + r67[1]));
+    }
+    for (; i < n; i++)
+        s += term(a[i], c, centred);
+    return s;
+}
+
+/* numpy's pairwise sum of a[0 .. n-1] */
+static double pairwise(const double *a, long n)
+{
+    if (n <= LEAF)
+        return leaf(a, n, 0.0, false);
+    const long half = n / 2 - n / 2 % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+/* numpy's pairwise sum of the centred squares (a[i] - c)*(a[i] - c) */
+static double pairwise_centred(const double *a, long n, double c)
+{
+    if (n <= LEAF)
+        return leaf(a, n, c, true);
+    const long half = n / 2 - n / 2 % 8;
+    return pairwise_centred(a, half, c) + pairwise_centred(a + half, n - half, c);
+}
+
+/* The moments of the m >= BATCHES values g that probes.probe_bias_variance
+   reads, into out, 2 + 2*BATCHES doubles, each the bits of numpy's mean
+   (np.add.reduce from 0.0, then divided by the count): the mean of g and
+   the mean of its squares centred on that mean, then the mean of each of
+   the BATCHES batches the first BATCHES*(m / BATCHES) values split into
+   in order, then each batch's mean centred square. */
+void zg_moments(long m, const double *g, double *out)
+{
+    const long per = m / BATCHES;
+    out[0] = (0.0 + pairwise(g, m)) / (double)m;
+    out[1] = (0.0 + pairwise_centred(g, m, out[0])) / (double)m;
+    for (long b = 0; b < BATCHES; b++) {
+        const double *batch = g + b * per;
+        const double mean = (0.0 + pairwise(batch, per)) / (double)per;
+        out[2 + b] = mean;
+        out[2 + BATCHES + b] = (0.0 + pairwise_centred(batch, per, mean)) / (double)per;
     }
 }

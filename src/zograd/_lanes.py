@@ -44,7 +44,13 @@ there is no kernel.
 A probe's m replies at one point at d = 1 (``sample_gradients``) are one
 library call too (``probe_replies``): the same fill draws them on one lane
 and the kernel's formulas compute them.  Where it refuses, the oracle's
-numpy ``_draws`` and ``estimate`` make them.
+numpy ``_draws`` and ``estimate`` make them.  For ``probe_bias_variance``
+the same call also folds the replies into the ``MOMENTS`` doubles the probe
+reads, each sum in numpy's pairwise order, and returns those instead.  The
+first probe that asks checks them against numpy's on ``MOMENTS_PREMISE``,
+once per process and never when the library loads; where they differ, the
+reason is logged once at DEBUG and numpy takes the moments of the library's
+replies.
 
 The library also seeds a run's lanes (``seed_words``): one call hashes
 every stream's words as numpy's SeedSequence does (NEP 19 keeps its
@@ -109,6 +115,14 @@ NORMAL_PREMISE = (15, 8192)
 # (master seed, stream id) the library's seeding is checked on when it loads:
 # 5 words, so that one is mixed in after the pool, and a key of 2
 SEED_PREMISE = ((1 << 130) | 20260810, (7 << 32) | 5)
+# (seed, count) of the values the library's moments are checked on the first
+# time a probe asks for them: normals scaled by 2^-20 .. 2^20, whose sums
+# round differently in another order; the count and its 32 batches of 312
+# are split, and at no multiple of 8 (tests/test_solver.py pins it)
+MOMENTS_PREMISE = (20260810, 10_007)
+# the doubles of a probe's moments (zg_moments): the mean and the mean centred
+# square of the replies, then each of those of 32 batches
+MOMENTS = 2 + 2 * 32
 
 
 class LaneSpec(NamedTuple):
@@ -139,18 +153,21 @@ class LaneSpec(NamedTuple):
 class _Library:
     """The loaded library: its entry points, declared for ctypes (``seed``
     None where its seeding failed its check), whether it was built against
-    the headers of numpy's loops, and which of those loops are bound and
-    checked (``loops``: name -> bool, once asked)."""
+    the headers of numpy's loops, which of those loops are bound and checked
+    (``loops``: name -> bool, once asked), and whether its moments passed
+    their check (``moments_hold``: None until a probe asks)."""
 
     def __init__(self, lib, ufunc: bool):
         doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
         table, longs = np.ctypeslib.ndpointer(LANE, flags="C_CONTIGUOUS"), [ctypes.c_long] * 3
         fault = np.ctypeslib.ndpointer(FAULT, flags="C_CONTIGUOUS")
-        self.lib, self.ufunc, self.loops = lib, ufunc, {}
+        self.lib, self.ufunc, self.loops, self.moments_hold = lib, ufunc, {}, None
         self.run = _declare(lib.zg_lane_run, longs + [doubles, table] + [doubles] * 4 + [ctypes.c_void_p, fault],
                             ctypes.c_long)
         self.fill = _declare(lib.zg_lane_draws, longs + [table, doubles], ctypes.c_long)
-        self.probe = _declare(lib.zg_probe, longs[:2] + [doubles, table, ctypes.c_double, doubles, doubles])
+        self.probe = _declare(lib.zg_probe, longs[:2] + [doubles, table, ctypes.c_double, doubles, doubles,
+                                                         ctypes.c_void_p])
+        self.moments = _declare(lib.zg_moments, [ctypes.c_long, doubles, doubles])
         self.scratch = _declare(lib.zg_scratch, longs, ctypes.c_long)
         self.normal = _declare(lib.zg_normal_fill, [ctypes.c_void_p, ctypes.c_long, doubles])
         words, seeds = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS") for dtype in (np.uint32, np.uint64))
@@ -349,7 +366,8 @@ def lane_run(oracle, regret: bool, rngs: Sequence[np.random.Generator], horizons
     return LaneRun(advance, spec, regret, box, oracle.target.f_star, rngs, horizons, schedules)
 
 
-def probe_replies(oracle, x: np.ndarray, delta: float, m: int, rng: np.random.Generator, antithetic: bool = False):
+def probe_replies(oracle, x: np.ndarray, delta: float, m: int, rng: np.random.Generator, antithetic: bool = False,
+                  moments: Optional[Callable[[np.ndarray], np.ndarray]] = None):
     """``oracle.sample_gradients(x, delta, m, rng, antithetic)`` at a 1-d
     point x (1, 1), bit for bit, from one library call (``zg_probe``), which
     leaves rng where the oracle's numpy draws leave it: the draws of
@@ -357,7 +375,13 @@ def probe_replies(oracle, x: np.ndarray, delta: float, m: int, rng: np.random.Ge
     directions, then the noise arm by arm in blocks of m; an antithetic
     one-point estimator's as two arms, ``MIRROR``), then each reply by the
     formula of ``lane_spec()``.  Returns (the replies (m, 1), None), or
-    (None, why numpy makes them)."""
+    (None, why numpy makes them).
+
+    Given ``moments``, numpy's function of m >= 32 replies (m, 1) to their
+    moments, flat (``probes._moments``), the same call folds the replies
+    into those ``MOMENTS`` doubles (``zg_moments``) and returns them in the
+    replies' place, with the bits ``moments`` gives, where the library's
+    moments give its bits on ``MOMENTS_PREMISE`` (``_moments_hold``)."""
     spec = _spec(oracle, ("estimate", "_scaled", "_noise", "_draws")) if m >= 1 else None
     if spec is None or spec.data is None:
         return None, "no C formula: no replies, d > 1, another target, or a redefined draw or estimate"
@@ -366,13 +390,49 @@ def probe_replies(oracle, x: np.ndarray, delta: float, m: int, rng: np.random.Ge
     for name, flag in (("tanh", SOFTABS), ("exp", EXP)):
         if spec.flags & flag and not loop_bound(name):
             return None, f"{name} loop not bound"
+    if moments is not None and not _moments_hold(moments):
+        return None, "the lane kernel's moments failed their check"
     flags, lib = _flags(spec) | (MIRROR if antithetic and not spec.flags & (TWO_POINT | AT_X) else 0), _library()
     lane, g, scratch = _table(spec, [delta]), np.empty((m, 1)), np.empty(lib.scratch(m, 1, flags))
+    out = None if moments is None else np.empty(MOMENTS)
     lane["left"] = m
     with rng.bit_generator.lock:  # as a Generator holds it while it draws
         lane["dir"] = lane["noise"] = _address(rng.bit_generator)
-        lib.probe(m, flags, np.array(spec.data, float), lane, x[0, 0], g, scratch)
-    return g, None
+        lib.probe(m, flags, np.array(spec.data, float), lane, x[0, 0], g, scratch,
+                  None if out is None else out.ctypes.data)
+    return g if out is None else out, None
+
+
+def _moments_hold(moments: Callable[[np.ndarray], np.ndarray]) -> bool:
+    """Whether the library's moments give the bits of ``moments``, numpy's,
+    on ``MOMENTS_PREMISE``: only then does a probe take them.  The first call
+    checks, once per process, and logs at DEBUG whose moments probes take."""
+    loaded = _library()
+    if loaded is None:
+        return False
+    with _loading:
+        if loaded.moments_hold is None:
+            unchecked = _moments_mismatch(loaded.moments, moments)
+            _log.debug("probe moments from %s", "the lane kernel, checked against numpy's" if unchecked is None
+                       else f"numpy: {unchecked}")
+            loaded.moments_hold = unchecked is None
+        return loaded.moments_hold
+
+
+def _moments_mismatch(fn: Callable, moments: Callable[[np.ndarray], np.ndarray]) -> Optional[str]:
+    """Why ``fn``, the library's ``zg_moments``, does not give the bits of
+    ``moments`` on ``MOMENTS_PREMISE``, or None where it does."""
+    g, got = moments_premise(), np.empty(MOMENTS)
+    fn(len(g), g, got)
+    same = np.array_equal(got.view(np.int64), np.asarray(moments(g), float).view(np.int64))
+    return None if same else "the lane kernel's moments differ from numpy's"
+
+
+def moments_premise() -> np.ndarray:
+    """The replies (n, 1) of ``MOMENTS_PREMISE``."""
+    seed, n = MOMENTS_PREMISE
+    premise = np.random.default_rng(seed)
+    return (premise.standard_normal(n) * np.exp2(premise.integers(-20, 21, n))).reshape(n, 1)
 
 
 def _flags(spec: LaneSpec) -> int:

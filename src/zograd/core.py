@@ -158,6 +158,13 @@ class Oracle:
     def _draws(self, delta, m, rng, antithetic):
         return (), None
 
+    def probe_point(self, x) -> np.ndarray:
+        """x as the (1, d) point of a probe, which must lie in the target's domain."""
+        x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
+        if not self.target.domain.contains(x):
+            raise DomainError(f"probe point {x[0]} escapes the domain")
+        return x
+
     def sample_gradients(self, x, delta: float, m: int, rng: np.random.Generator,
                          antithetic: bool = False) -> np.ndarray:
         """``m`` independent gradient estimates (m, d) at a point x of the
@@ -171,9 +178,7 @@ class Oracle:
         library makes the m replies instead (``_lanes.probe_replies``), with
         these bits, leaving rng where these draws leave it.  Which path made
         them, and why numpy did, is logged at DEBUG."""
-        x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-        if not self.target.domain.contains(x):
-            raise DomainError(f"probe point {x[0]} escapes the domain")
+        x = self.probe_point(x)
         from . import _lanes  # imported on first use, not with zograd (see _lanes)
         g, refused = _lanes.probe_replies(self, x, delta, m, rng, antithetic)
         _log.debug("sample_gradients: %d replies from %s", m,

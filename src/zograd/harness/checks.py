@@ -82,18 +82,21 @@ def _check_finite_differences() -> str:
     return f"all testbeds match central differences (worst {worst:.1e})"
 
 
-def _check_estimator_envelopes() -> str:
-    rng = RngStream(4242, 2).generator()
+def envelope_cells() -> list:
+    """The estimator cells whose envelopes ``estimator-envelopes`` probes."""
     f = quadratic([1.0])
-    cells = [
+    return [
         EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "one_point"),
         EstimatorOracle(f, SURFACE, UncontrolledNoise(1.0), "one_point"),
         EstimatorOracle(f, SPSA, UncontrolledNoise(1.0), "two_point"),
         EstimatorOracle(f, SF, UncontrolledNoise(1.0), "two_point"),
         EstimatorOracle(f, SPSA, ControlledNoise(1.0), "two_point"),
     ]
-    x = np.array([0.3])
-    for oracle in cells:
+
+
+def _check_estimator_envelopes() -> str:
+    rng, x = RngStream(4242, 2).generator(), np.array([0.3])
+    for oracle in envelope_cells():
         for delta in (0.5, 0.1):
             for v in envelope_verdicts(probe_bias_variance(oracle, x, delta, 50_000, rng), oracle.envelope):
                 require(f"{oracle.scheme.kind}/{oracle.feedback} {v.what}", v.value, v.relation, v.bound)

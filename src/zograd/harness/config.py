@@ -170,8 +170,8 @@ def read_oracle_spec(spec: str) -> tuple[str, dict[str, Any]]:
 
 DEFAULT_HORIZONS = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
 # The most steps of a run and replies of a probe, so that what either allocates up front stays near
-# 1 GB: the kernel's step-size table takes 8 B per step of each schedule (0.8 GB for one at the cap),
-# a probe roughly 40 B per reply (0.4 GB).
+# 1 GB: the kernel's step-size table takes 8 B per step of each schedule (0.8 GB for one at the cap), a
+# probe at most 64 B per reply on the lane library (0.64 GB) and 49 B on numpy (tracemalloc, 10^6 replies).
 MAX_STEPS, MAX_REPLIES = 10**8, 10**7
 # name -> (kind, default) of each ExperimentConfig field
 FIELDS = {

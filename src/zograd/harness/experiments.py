@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..core import Box, DomainError, OracleEnvelope, RngStream, generators
+from ..core import Box, DomainError, OracleEnvelope, generators
 from ..estimators import ControlledNoise, EstimatorOracle, ExactGradientOracle, UncontrolledNoise
 from ..solver import (
     NonFiniteIterate,
@@ -508,9 +508,9 @@ def probe_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     env = oracle.envelope
     experiment_id = f"probe-{cfg.oracle_spec.split(',')[0]}"
     rows, verdicts = [], []
-    for i, delta in enumerate(cfg.delta_grid):
+    rngs = generators(cfg.master_seed, [(40 << REP_BITS) | i for i in range(len(cfg.delta_grid))])
+    for delta, rng in zip(cfg.delta_grid, rngs):
         start = time.perf_counter()
-        rng = RngStream(cfg.master_seed, (40 << REP_BITS) | i).generator()
         res = probe_bias_variance(oracle, x, delta, cfg.probe_reps, rng)
         bias, var = envelope_verdicts(res, env)
         _log.info("%s delta=%g: %s in %.1f ms", experiment_id, delta, "PASS" if bias.passed and var.passed else "FAIL",

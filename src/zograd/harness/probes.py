@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -10,6 +11,7 @@ from ..core import DomainError, EUCLIDEAN, OracleEnvelope
 from .fitting import ols_loglog
 from .verdicts import Verdict, verdict
 
+_log = logging.getLogger(__name__)
 _BATCHES = 32
 # the slack of the probe verdicts, ``envelope_verdicts``
 SE_SLACK = 5.0
@@ -33,47 +35,48 @@ class ProbeResult(NamedTuple):
     replications: int
 
 
-def probe_bias_variance(
-    oracle,
-    x,
-    delta: float,
-    reps: int,
-    rng: np.random.Generator,
-    antithetic: bool = False,
-) -> ProbeResult:
+def _moments(g: np.ndarray) -> np.ndarray:
+    """numpy's moments of the replies g (m, d), flat: their mean (d) and mean
+    centred square, then the means (32, d) of the 32 batches the first
+    32*(m // 32) replies split into in order, all taken in one pass over a
+    (32, m // 32, d) view, and each batch's mean centred square.  The whole
+    sample and the batches are centred and squared in one scratch array."""
+    mean_g, scratch = g.mean(axis=0), np.empty_like(g)
+    var = np.mean(_centred_sq(g, mean_g, scratch))
+    per = len(g) // _BATCHES
+    batches, batch_scratch = (a[:_BATCHES * per].reshape(_BATCHES, per, -1) for a in (g, scratch))
+    means = batches.mean(axis=1)
+    variances = _centred_sq(batches, means[:, None], batch_scratch).mean(axis=1)
+    return np.concatenate([mean_g, [var], means.ravel(), variances])
+
+
+def probe_bias_variance(oracle, x, delta: float, reps: int, rng: np.random.Generator,
+                        antithetic: bool = False) -> ProbeResult:
     """Estimate ||E G - grad f(x)||_2 and E||G - E G||_2^2 at (x, delta).
 
-    Standard errors come from 32 batch means, the batches the first
-    32*(reps // 32) draws split into in order, all taken in one pass over a
-    (32, reps // 32, d) view.  The whole sample and the batches are centred
-    and squared in one scratch array.  ``antithetic=True`` averages each
-    draw with its mirrored perturbation; the bias estimate is unchanged in
-    expectation but concentrates much faster (use it for slope fits, not for
-    variance estimation).
+    Standard errors come from 32 batch means (``_moments``), which at d = 1
+    the call of the lane library that makes the replies takes, with numpy's
+    bits (``_lanes.probe_replies``); which path took them, and why, is
+    logged at DEBUG.  ``antithetic=True`` averages each draw with its
+    mirrored perturbation; the bias estimate is unchanged in expectation but
+    concentrates much faster (use it for slope fits, not for variance
+    estimation).
     """
     if reps < _BATCHES:
         raise DomainError(f"need at least {_BATCHES} replications")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = oracle.sample_gradients(x, delta, reps, rng, antithetic=antithetic)
-    grad = oracle.target.gradient_at(x)
+    from .. import _lanes  # imported on first use, not with zograd (see _lanes)
 
-    mean_g, scratch = g.mean(axis=0), np.empty_like(g)
-    bias_est = EUCLIDEAN.value(mean_g - grad)
-    var_est = float(np.mean(_centred_sq(g, mean_g, scratch)))
-
-    per = reps // _BATCHES
-    batches, batch_scratch = (a[:_BATCHES * per].reshape(_BATCHES, per, -1) for a in (g, scratch))
-    means = batches.mean(axis=1)
-    biases = EUCLIDEAN.rows(means - grad)
-    variances = _centred_sq(batches, means[:, None], batch_scratch).mean(axis=1)
-    return ProbeResult(
-        delta=float(delta),
-        bias_est=float(bias_est),
-        bias_se=float(biases.std(ddof=1) / np.sqrt(_BATCHES)),
-        var_est=var_est,
-        var_se=float(variances.std(ddof=1) / np.sqrt(_BATCHES)),
-        replications=reps,
-    )
+    moments, refused = _lanes.probe_replies(oracle, oracle.probe_point(x), delta, reps, rng, antithetic, _moments)
+    if moments is None:
+        moments = _moments(oracle.sample_gradients(x, delta, reps, rng, antithetic=antithetic))
+    _log.debug("probe_bias_variance: moments of %d replies from %s", reps,
+               "the compiled lane kernel, in the replies' call" if refused is None else f"numpy ({refused})")
+    d, grad = x.size, oracle.target.gradient_at(x)
+    biases = EUCLIDEAN.rows(moments[d + 1:-_BATCHES].reshape(_BATCHES, d) - grad)
+    return ProbeResult(delta=float(delta), bias_est=EUCLIDEAN.value(moments[:d] - grad),
+                       bias_se=float(biases.std(ddof=1) / np.sqrt(_BATCHES)), var_est=float(moments[d]),
+                       var_se=float(moments[-_BATCHES:].std(ddof=1) / np.sqrt(_BATCHES)), replications=reps)
 
 
 def envelope_verdicts(res: ProbeResult, env: OracleEnvelope) -> tuple[Verdict, Verdict]:

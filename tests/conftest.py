@@ -11,12 +11,17 @@ from zograd.harness.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _invocation(script: str, name: str) -> list[str]:
-    """The argument vector of scripts/<script>.py that writes results/<name>.csv."""
+def _script(script: str):
+    """scripts/<script>.py, loaded as a module, not run."""
     spec = importlib.util.spec_from_file_location(script, ROOT / "scripts" / f"{script}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return next(argv for argv in module.INVOCATIONS if argv[-1].endswith(f"{name}.csv"))
+    return module
+
+
+def _invocation(script: str, name: str) -> list[str]:
+    """The argument vector of scripts/<script>.py that writes results/<name>.csv."""
+    return next(argv for argv in _script(script).INVOCATIONS if argv[-1].endswith(f"{name}.csv"))
 
 
 @pytest.fixture

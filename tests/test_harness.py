@@ -23,8 +23,8 @@ from zograd.core import EUCLIDEAN, Box, Norm, OracleEnvelope, RngStream, interva
 from zograd.estimators import (RDSA, SF, SPSA, ControlledNoise, EstimatorOracle, ExactGradientOracle,
                                PerturbationScheme, UncontrolledNoise)
 from zograd.harness import checks, experiments
-from zograd.harness.config import (FIELDS, FUNCTIONS, MAX_REPLIES, MAX_STEPS, SPEC_KINDS, ConfigError, ExperimentConfig,
-                                   read_config_file)
+from zograd.harness.config import (FIELDS, FUNCTIONS, MAX_REPLIES, MAX_STEPS, REP_BITS, SPEC_KINDS, ConfigError,
+                                   ExperimentConfig, read_config_file)
 from zograd.harness.experiments import (
     build_estimator,
     build_function,
@@ -392,6 +392,20 @@ class TestExperiments:
         report = probe_experiment(cfg)
         assert report.passed
         assert len(read_rows(report.csv_path)) == 2
+
+    @pytest.mark.parametrize("library", [True, False], ids=["library", "no-library"])
+    def test_probe_experiment_seeds_each_delta_as_its_rng_stream(self, library, monkeypatch):
+        # one generators call for the delta grid, as a run seeds its lanes:
+        # delta i's generator has the state of RngStream(seed, (40 << REP_BITS) | i)
+        states, real = [], experiments.probe_bias_variance
+        monkeypatch.setattr(experiments, "probe_bias_variance",
+                            lambda oracle, x, delta, reps, rng: states.append(rng.bit_generator.state)
+                            or real(oracle, x, delta, reps, rng))
+        if not library:
+            monkeypatch.setattr(_lanes, "_loaded", [None])
+        probe_experiment(ExperimentConfig(experiment="probe", oracle_spec="one-point,fn=quadratic",
+                                          delta_grid=(0.5, 0.2, 0.1), probe_reps=64, master_seed=11))
+        assert states == [RngStream(11, (40 << REP_BITS) | i).generator().bit_generator.state for i in range(3)]
 
 
 class TestCli:
@@ -1603,7 +1617,9 @@ class TestThreadedFanOut:
          "tanh"),
         ([["probe", "--oracle", "smoothing,fn=exp,sigma=1.0,x=0.0", "--delta-grid", "0.5", "--reps", "64"]], [],
          "exp"),
-    ], ids=["rate-and-regret", "lowerbound-sc", "lowerbound-convex", "probe-exp"])
+        ([["probe", "--oracle", "one-point,fn=quadratic,sigma=1.0,x=0.25", "--delta-grid", "0.5", "--reps", "64"]], [],
+         None),
+    ], ids=["rate-and-regret", "lowerbound-sc", "lowerbound-convex", "probe-exp", "probe-quadratic"])
     def test_a_command_imports_only_what_it_runs(self, argvs, imported, loop):
         # with the library cached (this process loads it first), only a run
         # that binds one of numpy's loops imports the build and loop-check
@@ -1634,6 +1650,30 @@ class TestThreadedFanOut:
             pytest.skip("the lane kernel cannot bind numpy's exp loop here")
         argv = ["probe", "--oracle", "smoothing,fn=exp,sigma=1.0,x=0.0", "--delta-grid", "0.5", "--reps", "64"]
         assert _in_fresh_process(self.EXP_BOUND, argv) is True
+
+    # how many times the process checked the library's probe moments against
+    # numpy's, and what it found: only a probe checks, the first time
+    MOMENTS_CHECKED = "[len(checks), sys.modules['zograd._lanes']._loaded[0].moments_hold]"
+    COUNT_CHECKS = ("import zograd._lanes as lanes; checks = []; real = lanes._moments_mismatch; "
+                    "lanes._moments_mismatch = lambda *args: checks.append(1) or real(*args)")
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"],
+        ["regret", "--estimator", "spsa", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"],
+        ["lowerbound", "--class", "convex", "--p", "2", "--n", "2000", "--reps", "4"],
+    ], ids=["rate", "regret", "lowerbound"])
+    def test_a_run_leaves_the_moments_unchecked(self, argv):
+        if _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        assert _in_fresh_process(self.MOMENTS_CHECKED, argv, setup=self.COUNT_CHECKS) == [0, None]
+
+    def test_probes_check_the_moments_once(self):
+        if _lanes.kernel() is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        probe = ["probe", "--oracle", "one-point,fn=quadratic,sigma=1.0,x=0.25", "--delta-grid", "0.5 0.1",
+                 "--reps", "64"]
+        adversarial = ["probe", "--oracle", "adversarial-sc,v=-1,eps=0.2,x=0.4", "--reps", "64"]
+        assert _in_fresh_process(self.MOMENTS_CHECKED, probe, adversarial, setup=self.COUNT_CHECKS) == [1, True]
 
 
 class TestBenchmarkTracer:
@@ -1675,13 +1715,14 @@ def _setup_modules(select: str, *argvs: list[str]) -> list[str]:
     return _in_fresh_process(f"sorted(m for m in sys.modules if {select})", *argvs)
 
 
-def _in_fresh_process(expression: str, *argvs: list[str]):
+def _in_fresh_process(expression: str, *argvs: list[str], setup: str = "pass"):
     """The value of ``expression``, through JSON, in a fresh interpreter that
-    imported zograd, its CLI and its experiments, and then ran
-    ``cli.main(argv)`` for each of ``argvs``, each exiting 0."""
+    imported zograd, its CLI and its experiments, ran the statements
+    ``setup``, and then ran ``cli.main(argv)`` for each of ``argvs``, each
+    exiting 0."""
     run = "".join(f"assert zograd.harness.cli.main({argv!r}) == 0; " for argv in argvs)
     code = ("import json, sys, zograd, zograd.harness.cli, zograd.harness.experiments; "
-            f"{run}print(json.dumps({expression}))")
+            f"{setup}; {run}print(json.dumps({expression}))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)

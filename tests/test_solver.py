@@ -32,7 +32,8 @@ from zograd.estimators import (
     UncontrolledNoise,
 )
 from zograd.harness import checks
-from zograd.harness.probes import probe_bias_variance
+from zograd.harness.experiments import parse_oracle_spec
+from zograd.harness.probes import _moments, probe_bias_variance
 from zograd.solver import (
     NonFiniteIterate,
     Schedule,
@@ -49,6 +50,7 @@ from zograd.solver import (
 )
 from zograd.testbed import exp_one_d, kinked_quadratic, quadratic, softabs
 
+from conftest import _script
 from instruments import lane_draws, value_at
 
 RNG = lambda i: RngStream(55, i).generator()
@@ -652,17 +654,19 @@ class TestProbeReplies:
                                       base.sample_gradients(np.array([0.3]), 0.2, 99, RNG(1)))
 
     def test_a_wrapper_on_sample_gradients_keeps_the_library_replies(self):
-        # a tracer wraps sample_gradients on the oracle classes themselves
+        # a tracer wraps sample_gradients on the oracle classes themselves;
+        # a probe's moments, which do not call it, stay the library's too
         if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
-        made, oracle = [], KERNEL_ORACLES["one-point"]
+        made = []
         for cls in (EstimatorOracle, AdversarialOracle):
             real = cls.sample_gradients
             wrapped = functools.wraps(real)(lambda self, *a, real=real, **k: real(self, *a, **k))
             with mock.patch.object(cls, "sample_gradients", wrapped), _counted_probe_replies(made):
-                probe_bias_variance(oracle, np.array([0.3]), 0.2, 64, RNG(2))
-                probe_bias_variance(KERNEL_ORACLES["adversarial-sc-p1+1"], np.array([0.3]), 0.2, 64, RNG(3))
-        assert made == [True] * 4
+                for oracle in (KERNEL_ORACLES["one-point"], KERNEL_ORACLES["adversarial-sc-p1+1"]):
+                    oracle.sample_gradients(np.array([0.3]), 0.2, 64, RNG(2))
+                    probe_bias_variance(oracle, np.array([0.3]), 0.2, 64, RNG(3))
+        assert made == [True] * 8
 
     def test_d_above_1_and_other_targets_take_numpy(self):
         made = []
@@ -696,15 +700,140 @@ class TestProbeReplies:
         assert caplog.text.count("replies from numpy's estimate (exp loop not bound)") == 3
 
     def test_a_probe_logs_which_path_made_its_replies(self, caplog):
+        # and its moments: the library's in the replies' call, where it makes
+        # the replies; numpy's after the replies' own line otherwise
         oracle = KERNEL_ORACLES["one-point"]
-        with caplog.at_level(logging.DEBUG, logger="zograd.core"):
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
             probe_bias_variance(oracle, np.array([0.3]), 0.2, 64, RNG(9))
             with _numpy_loop():
                 probe_bias_variance(oracle, np.array([0.3]), 0.2, 64, RNG(9))
-        path = "the compiled lane kernel" if _lanes.kernel() is not None else "numpy's estimate (no lane kernel)"
-        assert [r.getMessage() for r in caplog.records] == [
-            f"sample_gradients: 64 replies from {path}",
-            "sample_gradients: 64 replies from numpy's estimate (no lane kernel)"]
+        numpy = ["sample_gradients: 64 replies from numpy's estimate (no lane kernel)",
+                 "probe_bias_variance: moments of 64 replies from numpy (no lane kernel)"]
+        library = ["probe_bias_variance: moments of 64 replies from the compiled lane kernel, in the replies' call"]
+        assert [r.getMessage() for r in caplog.records if r.name != "zograd._lanes"] == (
+            numpy if _lanes.kernel() is None else library) + numpy
+
+
+# the cells of scripts/probe_envelopes.py and of the check suite's estimator-envelopes check: (oracle, x)
+ENVELOPE_CELLS = {
+    **{f"probe_{i}": parse_oracle_spec(spec) for i, spec in enumerate(_script("probe_envelopes").ORACLES)},
+    **{f"check-{o.scheme.kind}-{o.feedback}-{type(o.noise).__name__}": (o, np.array([0.3]))
+       for o in checks.envelope_cells()},
+}
+
+
+def _moments_bits(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where moments are NaN, and the bits of each of the others."""
+    nan = np.isnan(moments)
+    return nan, np.where(nan, 0.0, moments).view(np.int64)
+
+
+class TestProbeMoments:
+    # a probe at d = 1 takes its moments from the library call that makes
+    # its replies (zg_probe folds them in), with the bits of numpy's mean
+    @pytest.mark.parametrize("cell", sorted(ENVELOPE_CELLS))
+    def test_library_moments_give_numpys_probe_results(self, cell):
+        # against the numpy path (no library) and against the library's
+        # replies with numpy's moments (a failed moments check)
+        oracle, x = ENVELOPE_CELLS[cell]
+        _skip_without_loops(oracle)
+        for reps in (32, 33, 49_999, 50_000, 99_999, 100_000):
+            for antithetic in (False, True):
+                rngs, made = [RNG(reps) for _ in range(3)], []
+                with _counted_probe_replies(made):
+                    got = probe_bias_variance(oracle, x, 0.1, reps, rngs[0], antithetic)
+                assert made == [True]  # one call, from draws to moments
+                with mock.patch.object(_lanes._library(), "moments_hold", False):
+                    replies = probe_bias_variance(oracle, x, 0.1, reps, rngs[1], antithetic)
+                with mock.patch.object(_lanes, "_loaded", [None]):
+                    numpy = probe_bias_variance(oracle, x, 0.1, reps, rngs[2], antithetic)
+                for want, rng in ((replies, rngs[1]), (numpy, rngs[2])):
+                    np.testing.assert_array_equal(_bits(list(got)), _bits(list(want)))
+                    assert rngs[0].bit_generator.state == rng.bit_generator.state
+
+    @given(st.integers(32, 20_000), st.integers(0, 2**32 - 1), st.integers(-300, 300), st.integers(0, 600),
+           st.floats(0.0, 1.0), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    @example(10_007, 1, -300, 600, 0.0, 0)
+    @example(20_000, 2, 0, 0, 1.0, 0)
+    @example(4096, 3, 290, 10, 0.1, 3)
+    def test_library_moments_equal_numpys_on_any_values(self, m, seed, lowest, span, zeros, specials):
+        # magnitudes 10^lowest .. 10^(lowest + span) within 1e-300 .. 1e300, a
+        # share of zeros of either sign, and a few NaN and infinities
+        loaded = _lanes._library()
+        if loaded is None:
+            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        rng = np.random.default_rng(seed)
+        exponents = np.clip(rng.uniform(lowest, lowest + span, m), -300, 300)
+        g = rng.choice([-1.0, 1.0], m) * 10.0 ** exponents
+        g[rng.random(m) < zeros] = rng.choice([-0.0, 0.0])
+        g[rng.integers(0, m, specials)] = rng.choice([np.nan, np.inf, -np.inf], specials)
+        got = np.empty(_lanes.MOMENTS)
+        loaded.moments(m, g.reshape(m, 1), got)
+        with np.errstate(all="ignore"):  # squares past 1e308, inf - inf
+            want = _moments(g.reshape(m, 1))
+        for a, b in zip(_moments_bits(got), _moments_bits(want)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_the_premise_tells_other_summation_orders_apart(self):
+        # numpy's order, a leaf of 128 values split at half rounded down to a
+        # multiple of 8, gives numpy's moments on the premise; a leaf of 64
+        # or a split not rounded each changes some of their bits
+        g = _lanes.moments_premise()
+        assert g.shape == (_lanes.MOMENTS_PREMISE[1], 1)
+        want = _moments(g).view(np.int64)
+        assert np.array_equal(_pairwise_moments(g[:, 0], 128, 8).view(np.int64), want)
+        for leaf, multiple in ((64, 8), (128, 1)):
+            assert not np.array_equal(_pairwise_moments(g[:, 0], leaf, multiple).view(np.int64), want)
+        if _lanes.kernel() is not None:
+            assert _lanes._moments_hold(_moments)
+
+    def test_a_failed_moments_check_gives_numpys_moments(self, monkeypatch, caplog):
+        # checked once, on the first probe that asks: then every probe takes
+        # the library's replies and numpy's moments, with the same bits
+        oracle = KERNEL_ORACLES["one-point"]
+        _skip_without_loops(oracle)
+        want = [probe_bias_variance(oracle, np.array([0.3]), delta, 999, RNG(10)) for delta in (0.2, 0.1)]
+        monkeypatch.setattr(_lanes, "_loaded", [])
+        loaded = _lanes._library()
+        real = loaded.moments
+        monkeypatch.setattr(loaded, "moments", lambda m, g, out: (real(m, g, out), out.__setitem__(1, 0.0)))
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            got = [probe_bias_variance(oracle, np.array([0.3]), delta, 999, RNG(10)) for delta in (0.2, 0.1)]
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert loaded.moments_hold is False
+        assert caplog.text.count("probe moments from numpy: the lane kernel's moments differ from numpy's") == 1
+        assert caplog.text.count("sample_gradients: 999 replies from the compiled lane kernel") == 2
+        assert caplog.text.count("moments of 999 replies from numpy (the lane kernel's moments failed their check)") == 2
+
+
+def _pairwise_moments(g: np.ndarray, leaf: int, multiple: int) -> np.ndarray:
+    """``_lanes.MOMENTS`` moments of the values g, in the layout of
+    ``zg_moments``, each sum pairwise as numpy's: leaves of at most ``leaf``
+    values, in 8 accumulators from 8 values on, split at half rounded down
+    to a multiple of ``multiple``."""
+    def in_order(start: float, values: list) -> float:
+        for v in values:
+            start += v
+        return start
+
+    def pairwise(a: list) -> float:
+        n = len(a)
+        if n > leaf:
+            half = n // 2 - n // 2 % multiple
+            return pairwise(a[:half]) + pairwise(a[half:])
+        if n < 8:
+            return in_order(0.0, a)
+        r = [in_order(a[j], a[j + 8:n - n % 8:8]) for j in range(8)]
+        return in_order(((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), a[n - n % 8:])
+
+    def moments(a: list) -> tuple[float, float]:
+        mean = (0.0 + pairwise(a)) / len(a)
+        return mean, (0.0 + pairwise([(v - mean) * (v - mean) for v in a])) / len(a)
+
+    values, per = g.tolist(), len(g) // 32
+    batches = [moments(values[b * per:(b + 1) * per]) for b in range(32)]
+    return np.array([*moments(values), *(b[0] for b in batches), *(b[1] for b in batches)])
 
 
 def _draw_both(oracle, schedules, horizons, seed):
