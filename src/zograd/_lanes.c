@@ -34,24 +34,25 @@
    evaluation point, G and, for an estimator, round loss.
 
    zg_probe makes the m replies of a 1-d oracle at one point x
-   (_lanes.probe_replies): zg_lane_draws fills their draws on one lane of m
-   steps, reading the probe's generator for the directions and the noise,
-   as the oracle's _draws reads it, and the formulas of the run, shared
-   with it (values, reply, at_x), compute each reply from them.  A probe
-   also takes the estimators of two more 1-d targets, which runs do not:
-   the kinked quadratic 0.5*a*y*y, a = a_neg for y < 0 and a_pos
-   otherwise, and exp(y) - y; and an antithetic one-point probe (MIRROR),
+   (_lanes_probe.probe_replies): zg_lane_draws fills their draws on one
+   lane of m steps, reading the probe's generator for the directions and
+   the noise, as the oracle's _draws reads it, and the formulas of the
+   run, shared with it (values, reply, at_x), compute each reply from
+   them.  A probe also takes the estimators of two more 1-d targets, which
+   runs do not: the kinked quadratic 0.5*a*y*y, a = a_neg for y < 0 and
+   a_pos otherwise, and exp(y) - y; and an antithetic one-point probe (MIRROR),
    whose reply is the mean of the replies at +du and at -du with weight
    -w and a second block of noise.  Given a moments output, the same call
    then folds the replies into the moments probes.probe_bias_variance reads
    (zg_moments): means and mean centred squares, each the bits of np.mean,
-   whose sums take numpy's pairwise order; _lanes checks them against
+   whose sums take numpy's pairwise order; _lanes_probe checks them against
    numpy's on one case the first time a probe asks for them.
 
    zg_seed writes the words each lane's PCG64 seeds from
    (_lanes.seed_words, core.generators): numpy's SeedSequence hash of the
    master seed and of each stream's key, one call for all of a run's
-   lanes; the loader checks it against SeedSequence on one case.
+   lanes; it is checked against SeedSequence on one case once per library
+   (_lanes_build.check_premises), and the verdict is stored beside it.
 
    Each value is computed with the operations, and in the order, of the
    numpy code it replaces, so that compiled without contraction or
@@ -85,10 +86,13 @@
    random_standard_normal itself, which is given the consumed draw again
    and then the lane's generator, so every rejection and tail draw is
    numpy's own code.  The fast path's tables are not copied: zg_bind_normal
-   reads them out of random_standard_normal when the library loads, and the
-   loader checks the fill against Generator.standard_normal; where the
-   tables cannot be read or the check fails, zg_unbind_normal sends every
-   draw to random_standard_normal, and the loader checks the fill again.
+   reads them out of random_standard_normal each time the library loads.
+   Once per library (_lanes_build.check_premises) the fill is checked
+   against Generator.standard_normal; where the tables cannot be read or
+   the check fails, zg_unbind_normal sends every draw to
+   random_standard_normal, and the fill is checked again.  The verdict is
+   stored beside the library, and a later load binds or unbinds as it
+   says.
    numpy's samplers are declared here against numpy/random/bitgen.h, since
    numpy/random/distributions.h needs Python.h. */
 
@@ -132,7 +136,7 @@ static void numpy_loop(long which, long n, double *x)
 
 /* The bound loop `which` on x[0 .. n-1], in place, one call per
    consecutive piece, the k-th of pieces[k % count] values (the last may be
-   shorter): how the loader checks it against its ufunc. */
+   shorter): how _lanes_build checks it against its ufunc when it binds it. */
 void zg_loop(long which, long n, const long *pieces, long count, double *x)
 {
     long start = 0;
@@ -701,13 +705,17 @@ void zg_moments(long m, const double *g, double *out);
    reply and its mirror.  c holds the oracle's formula data, as in
    zg_lane_run.  Where moments is not NULL, the replies are then folded
    into their moments there (zg_moments), so that a probe is one call from
-   draws to moments. */
+   draws to moments.  Where g is NULL, the replies go to scratch's variates,
+   which the draws no longer need once they are filled and which hold at
+   least m values, so that a probe of moments holds no array of replies. */
 void zg_probe(long m, long flags, const double *c, const struct lane *lane, double x, double *g, double *scratch,
               double *moments)
 {
     long width[3];
     widths(flags, width);
-    zg_lane_draws(m, 1, flags, lane, scratch);
+    const long draws = zg_lane_draws(m, 1, flags, lane, scratch);
+    if (g == NULL)
+        g = scratch + draws;
     const long arms = width[0];
     const double *du = scratch, *w = du + arms * m, *xi = w + width[1] * m;
     if (flags & AT_X) {  /* one mean at x, plus the noise */

@@ -2,22 +2,34 @@
 
 No zograd module imports this one when it is imported: ``core`` imports
 it the first time a run's generators are seeded, and the oracles and the
-solver the first time a run, or a probe's replies at one point, ask for
-the kernel.  Where Python keeps no bytecode cache, every line a process
-imports is compiled as it starts, so the code that only a build or a bind
-of numpy's loops runs is in ``_lanes_build``, imported only then.
+solver the first time a run asks for the kernel.  Where Python keeps no
+bytecode cache, every line a process imports is compiled as it starts, so
+the code that only some processes run is elsewhere, imported only then: a
+build, the check of a library's premises and a bind of numpy's loops in
+``_lanes_build``, and a probe's replies and moments in ``_lanes_probe``.
 
 ``kernel()`` compiles the C source with the system C compiler the first
 time it is asked for (never at import), against numpy's sampler library
 (``numpy/random/lib/libnpyrandom.a``) and bit generator header
 (``numpy/random/bitgen.h``), caches the library under ``__pycache__``
 beside this file, named by a hash of its inputs (removing those of other
-inputs), and loads it with ctypes, once per process, under a lock.  If any
-of that fails (no compiler, sampler library or header, a read-only
-directory, a library that does not load), it logs the reason once at DEBUG
-and returns None, and numpy computes everything.  A ctypes call releases
-the interpreter lock, and the library never takes it back, so runs on
-several threads run in parallel.
+inputs, and every stored verdict), and loads it with ctypes, once per
+process, under a lock.  If any of that fails (no compiler, sampler library
+or header, a read-only directory, a library that does not load), it logs
+the reason once at DEBUG and returns None, and numpy computes everything.
+A ctypes call releases the interpreter lock, and the library never takes
+it back, so runs on several threads run in parallel.  Its entry points
+take arrays as addresses (``ctypes.c_void_p``), so the arrays handed in
+from outside, a run's (``LaneRun.run``), are checked for the dtype, layout
+and size the C code reads.
+
+A library's premises, that its normals and its seeding are numpy's, are
+checked once per library, not once per process: the first load of a
+library without a stored verdict (one just built, or whose verdict is
+missing or unreadable) checks them (``_lanes_build.check_premises``) and
+writes their verdict beside it, ``_lanes-<hash>.verdict``, with the same
+hash.  Every later load reads the verdict, binds the normals as it says,
+and logs the same DEBUG lines as the check.
 
 Where Python's header (``Python.h``) and numpy's ufunc header
 (``numpy/ufuncobject.h``) exist, the library is built against them and, on
@@ -34,29 +46,22 @@ The whole run, recorded or not, is one library call, which advances every
 lane to its horizon chunk by chunk, fills each chunk's draws in C with
 numpy's samplers, and checks each chunk as the numpy loop does.  Its
 normals take numpy's ziggurat fast path inline, with the tables read out
-of numpy's own sampler when the library loads and every other draw handed
-back to that sampler; the fill is checked against numpy's normals then
-(``NORMAL_PREMISE``).  Where the tables cannot be read or the check fails,
-every normal is handed to numpy's sampler and the fill is checked again;
-the reason is logged once at DEBUG, and where the second check fails too
-there is no kernel.
+of numpy's own sampler each time the library loads and every other draw
+handed back to that sampler; the fill is checked against numpy's normals
+once per library (``_lanes_build.NORMAL_PREMISE``).  Where the tables
+cannot be read or the check fails, every normal is handed to numpy's
+sampler and the fill is checked again; the reason is logged once at DEBUG,
+and where the second check fails too there is no kernel.
 
-A probe's m replies at one point at d = 1 (``sample_gradients``) are one
-library call too (``probe_replies``): the same fill draws them on one lane
-and the kernel's formulas compute them.  Where it refuses, the oracle's
-numpy ``_draws`` and ``estimate`` make them.  For ``probe_bias_variance``
-the same call also folds the replies into the ``MOMENTS`` doubles the probe
-reads, each sum in numpy's pairwise order, and returns those instead.  The
-first probe that asks checks them against numpy's on ``MOMENTS_PREMISE``,
-once per process and never when the library loads; where they differ, the
-reason is logged once at DEBUG and numpy takes the moments of the library's
-replies.
+A probe's m replies at one point at d = 1 are one library call too, and
+so are their moments (``_lanes_probe``).
 
 The library also seeds a run's lanes (``seed_words``): one call hashes
 every stream's words as numpy's SeedSequence does (NEP 19 keeps its
-output stable), checked against SeedSequence when the library loads
-(``SEED_PREMISE``); where they differ, the reason is logged once at DEBUG
-and ``core.generators`` takes SeedSequence, as without a library.
+output stable), checked against SeedSequence once per library
+(``_lanes_build.SEED_PREMISE``); where they differ, the reason is logged
+once at DEBUG and ``core.generators`` takes SeedSequence, as without a
+library.
 """
 
 from __future__ import annotations
@@ -106,23 +111,11 @@ LANE = np.dtype([("delta", float), ("weight", float), ("scale", float), ("shift"
 # the first fault of a kernel run, as struct fault in _lanes.c, and its kinds
 FAULT = np.dtype([("lane", LONG), ("first", LONG), ("last", LONG), ("dist", float)], align=True)
 NONFINITE, ESCAPED = 1, 2
-# (seed, count) of the normals the inline normal fill is checked on when the
-# library loads: the first normal of default_rng(seed) is drawn in strip 1 of
-# numpy's ziggurat, which numpy's tables send to the slow path every time,
-# and the count takes the draws past tail values and wedge rejections
-# (tests/test_solver.py pins both)
-NORMAL_PREMISE = (15, 8192)
-# (master seed, stream id) the library's seeding is checked on when it loads:
-# 5 words, so that one is mixed in after the pool, and a key of 2
-SEED_PREMISE = ((1 << 130) | 20260810, (7 << 32) | 5)
-# (seed, count) of the values the library's moments are checked on the first
-# time a probe asks for them: normals scaled by 2^-20 .. 2^20, whose sums
-# round differently in another order; the count and its 32 batches of 312
-# are split, and at no multiple of 8 (tests/test_solver.py pins it)
-MOMENTS_PREMISE = (20260810, 10_007)
-# the doubles of a probe's moments (zg_moments): the mean and the mean centred
-# square of the replies, then each of those of 32 batches
-MOMENTS = 2 + 2 * 32
+# the words of a stored verdict (_lanes_build.check_premises), one line each,
+# the first followed by nothing and the others by ": " and the reason: where
+# the normals come from, the fill inline, numpy's sampler or none (no
+# kernel), and who seeds the lanes, the library or SeedSequence
+NORMALS, SEEDING = ("inline", "numpy", "none"), ("library", "numpy")
 
 
 class LaneSpec(NamedTuple):
@@ -151,28 +144,23 @@ class LaneSpec(NamedTuple):
 
 
 class _Library:
-    """The loaded library: its entry points, declared for ctypes (``seed``
-    None where its seeding failed its check), whether it was built against
-    the headers of numpy's loops, which of those loops are bound and checked
-    (``loops``: name -> bool, once asked), and whether its moments passed
-    their check (``moments_hold``: None until a probe asks)."""
+    """The loaded library: its entry points, declared for ctypes, each array
+    an address (``seed`` None where its seeding failed its check), whether
+    it was built against the headers of numpy's loops, which of those loops
+    are bound and checked (``loops``: name -> bool, once asked), and whether
+    its moments passed their check (``moments_hold``: None until a probe
+    asks, ``_lanes_probe``)."""
 
     def __init__(self, lib, ufunc: bool):
-        doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-        table, longs = np.ctypeslib.ndpointer(LANE, flags="C_CONTIGUOUS"), [ctypes.c_long] * 3
-        fault = np.ctypeslib.ndpointer(FAULT, flags="C_CONTIGUOUS")
+        address, longs = ctypes.c_void_p, [ctypes.c_long] * 3
         self.lib, self.ufunc, self.loops, self.moments_hold = lib, ufunc, {}, None
-        self.run = _declare(lib.zg_lane_run, longs + [doubles, table] + [doubles] * 4 + [ctypes.c_void_p, fault],
-                            ctypes.c_long)
-        self.fill = _declare(lib.zg_lane_draws, longs + [table, doubles], ctypes.c_long)
-        self.probe = _declare(lib.zg_probe, longs[:2] + [doubles, table, ctypes.c_double, doubles, doubles,
-                                                         ctypes.c_void_p])
-        self.moments = _declare(lib.zg_moments, [ctypes.c_long, doubles, doubles])
+        self.run = _declare(lib.zg_lane_run, longs + [address] * 8, ctypes.c_long)
+        self.fill = _declare(lib.zg_lane_draws, longs + [address] * 2, ctypes.c_long)
+        self.probe = _declare(lib.zg_probe, longs[:2] + [address] * 2 + [ctypes.c_double] + [address] * 3)
+        self.moments = _declare(lib.zg_moments, [ctypes.c_long, address, address])
         self.scratch = _declare(lib.zg_scratch, longs, ctypes.c_long)
-        self.normal = _declare(lib.zg_normal_fill, [ctypes.c_void_p, ctypes.c_long, doubles])
-        words, seeds = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS") for dtype in (np.uint32, np.uint64))
-        self.seed = _declare(lib.zg_seed, [words, ctypes.c_long, words, np.ctypeslib.ndpointer(LONG), ctypes.c_long,
-                                           seeds])
+        self.normal = _declare(lib.zg_normal_fill, [address, ctypes.c_long, address])
+        self.seed = _declare(lib.zg_seed, [address, ctypes.c_long, address, address, ctypes.c_long, address])
 
 
 def _declare(fn, argtypes: list, restype=None):
@@ -211,21 +199,6 @@ def loop_bound(name: str) -> bool:
                 _log.debug("lane kernel without numpy's %s loop (%s take numpy): %s", name, LOOPS[name], unbound)
             loaded.loops[name] = unbound is None
         return loaded.loops[name]
-
-
-def _normal_mismatch(fill: Callable) -> Optional[str]:
-    """Why ``fill(bit generator address, n, out)`` does not give the bits of
-    ``Generator.standard_normal(n)`` on ``NORMAL_PREMISE``, or leaves its
-    generator in another state, or None where it gives them."""
-    seed, n = NORMAL_PREMISE
-    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = np.empty(n)
-    fill(_address(ours.bit_generator), n, got)
-    if not np.array_equal(got.view(np.int64), numpys.standard_normal(n).view(np.int64)):
-        return "its normals differ from numpy's"
-    if ours.bit_generator.state != numpys.bit_generator.state:
-        return "it leaves the generator in another state than numpy's"
-    return None
 
 
 class Words(ISeedSequence):
@@ -301,9 +274,9 @@ def _seed(seed: Callable, master_seed: int, stream_ids: Sequence[int]) -> np.nda
         key = _words(i)
         keys += key
         lengths.append(len(key))
-    out = np.empty((len(lengths), 4), np.uint64)
-    seed(np.array(master, np.uint32), len(master), np.array(keys, np.uint32), np.array(lengths, LONG), len(lengths),
-         out)
+    words, keys, lengths = np.array(master, np.uint32), np.array(keys, np.uint32), np.array(lengths, LONG)
+    out = np.empty((lengths.size, 4), np.uint64)
+    seed(words.ctypes.data, words.size, keys.ctypes.data, lengths.ctypes.data, lengths.size, out.ctypes.data)
     return out
 
 
@@ -318,14 +291,6 @@ def _words(n: int) -> list[int]:
         n >>= 32
         words.append(n & 0xFFFFFFFF)
     return words
-
-
-def _seed_mismatch(seed: Callable) -> Optional[str]:
-    """Why ``seed``, the library's ``zg_seed``, does not give the words of
-    numpy's SeedSequence on ``SEED_PREMISE``, or None where it does."""
-    master, stream = SEED_PREMISE
-    want = np.random.SeedSequence(master, spawn_key=(stream,)).generate_state(4, np.uint64)
-    return None if np.array_equal(_seed(seed, master, [stream])[0], want) else "its words differ from numpy's"
 
 
 def _spec(oracle, redefined: Sequence[str]) -> Optional[LaneSpec]:
@@ -364,75 +329,6 @@ def lane_run(oracle, regret: bool, rngs: Sequence[np.random.Generator], horizons
     if advance is None or (spec.flags & SOFTABS and not loop_bound("tanh")):
         return None
     return LaneRun(advance, spec, regret, box, oracle.target.f_star, rngs, horizons, schedules)
-
-
-def probe_replies(oracle, x: np.ndarray, delta: float, m: int, rng: np.random.Generator, antithetic: bool = False,
-                  moments: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-    """``oracle.sample_gradients(x, delta, m, rng, antithetic)`` at a 1-d
-    point x (1, 1), bit for bit, from one library call (``zg_probe``), which
-    leaves rng where the oracle's numpy draws leave it: the draws of
-    ``_draws`` on one lane whose directions and noise both read rng (all m
-    directions, then the noise arm by arm in blocks of m; an antithetic
-    one-point estimator's as two arms, ``MIRROR``), then each reply by the
-    formula of ``lane_spec()``.  Returns (the replies (m, 1), None), or
-    (None, why numpy makes them).
-
-    Given ``moments``, numpy's function of m >= 32 replies (m, 1) to their
-    moments, flat (``probes._moments``), the same call folds the replies
-    into those ``MOMENTS`` doubles (``zg_moments``) and returns them in the
-    replies' place, with the bits ``moments`` gives, where the library's
-    moments give its bits on ``MOMENTS_PREMISE`` (``_moments_hold``)."""
-    spec = _spec(oracle, ("estimate", "_scaled", "_noise", "_draws")) if m >= 1 else None
-    if spec is None or spec.data is None:
-        return None, "no C formula: no replies, d > 1, another target, or a redefined draw or estimate"
-    if kernel() is None:
-        return None, "no lane kernel"
-    for name, flag in (("tanh", SOFTABS), ("exp", EXP)):
-        if spec.flags & flag and not loop_bound(name):
-            return None, f"{name} loop not bound"
-    if moments is not None and not _moments_hold(moments):
-        return None, "the lane kernel's moments failed their check"
-    flags, lib = _flags(spec) | (MIRROR if antithetic and not spec.flags & (TWO_POINT | AT_X) else 0), _library()
-    lane, g, scratch = _table(spec, [delta]), np.empty((m, 1)), np.empty(lib.scratch(m, 1, flags))
-    out = None if moments is None else np.empty(MOMENTS)
-    lane["left"] = m
-    with rng.bit_generator.lock:  # as a Generator holds it while it draws
-        lane["dir"] = lane["noise"] = _address(rng.bit_generator)
-        lib.probe(m, flags, np.array(spec.data, float), lane, x[0, 0], g, scratch,
-                  None if out is None else out.ctypes.data)
-    return g if out is None else out, None
-
-
-def _moments_hold(moments: Callable[[np.ndarray], np.ndarray]) -> bool:
-    """Whether the library's moments give the bits of ``moments``, numpy's,
-    on ``MOMENTS_PREMISE``: only then does a probe take them.  The first call
-    checks, once per process, and logs at DEBUG whose moments probes take."""
-    loaded = _library()
-    if loaded is None:
-        return False
-    with _loading:
-        if loaded.moments_hold is None:
-            unchecked = _moments_mismatch(loaded.moments, moments)
-            _log.debug("probe moments from %s", "the lane kernel, checked against numpy's" if unchecked is None
-                       else f"numpy: {unchecked}")
-            loaded.moments_hold = unchecked is None
-        return loaded.moments_hold
-
-
-def _moments_mismatch(fn: Callable, moments: Callable[[np.ndarray], np.ndarray]) -> Optional[str]:
-    """Why ``fn``, the library's ``zg_moments``, does not give the bits of
-    ``moments`` on ``MOMENTS_PREMISE``, or None where it does."""
-    g, got = moments_premise(), np.empty(MOMENTS)
-    fn(len(g), g, got)
-    same = np.array_equal(got.view(np.int64), np.asarray(moments(g), float).view(np.int64))
-    return None if same else "the lane kernel's moments differ from numpy's"
-
-
-def moments_premise() -> np.ndarray:
-    """The replies (n, 1) of ``MOMENTS_PREMISE``."""
-    seed, n = MOMENTS_PREMISE
-    premise = np.random.default_rng(seed)
-    return (premise.standard_normal(n) * np.exp2(premise.integers(-20, 21, n))).reshape(n, 1)
 
 
 def _flags(spec: LaneSpec) -> int:
@@ -509,15 +405,20 @@ class LaneRun:
         beyond the lane's vicinity tolerance.  The run then stops.  Call it
         once."""
         lanes, steps = self._table.size, self._table["left"].max(initial=0)
-        if not x.size == sum_x.size == regret.size == lanes:  # C writes one row per lane
-            raise ValueError(f"x, sum_x and regret must hold one row per lane, {lanes}")
-        if record and (len(record) != 4 or any(a.dtype != float or not a.flags.c_contiguous or a.size != steps * lanes
-                                               for a in record)):
+        if not all(_fits(a, lanes) for a in (x, sum_x, regret)):  # C writes one row per lane
+            raise ValueError(f"x, sum_x and regret must be contiguous float arrays of one row per lane, {lanes}")
+        if record and (len(record) != 4 or not all(_fits(a, steps * lanes) for a in record)):
             raise ValueError(f"a record is four contiguous float arrays of {steps} steps of {lanes} lanes")
         fault, pointers = np.zeros(1, FAULT), np.array([a.ctypes.data for a in record], np.uintp)  # double *[4]
-        kind = self._advance(STEPS_PER_CHUNK, lanes, self._flags, self._data, self._table, x, sum_x, regret,
-                             self._scratch, pointers.ctypes.data if record else None, fault)
+        arrays = (self._data, self._table, x, sum_x, regret, self._scratch)
+        kind = self._advance(STEPS_PER_CHUNK, lanes, self._flags, *(a.ctypes.data for a in arrays),
+                             pointers.ctypes.data if record else None, fault.ctypes.data)
         return None if kind == 0 else (kind, *fault[0].tolist())
+
+
+def _fits(a: np.ndarray, size: int) -> bool:
+    """Whether C may read and write ``a`` as ``size`` doubles in a row: a C-contiguous float64 array of that size."""
+    return a.dtype == np.float64 and a.flags.c_contiguous and a.size == size
 
 
 def _address(bit_generator) -> int:
@@ -576,26 +477,40 @@ def _load():
             from ._lanes_build import build  # only a build needs it
 
             build(path)
-        lib = np.ctypeslib.load_library(path.name, str(path.parent))
-        loaded = _Library(lib, bool(_ufunc_args()))
+        loaded = _Library(ctypes.CDLL(str(path)), bool(_ufunc_args()))
     except (OSError, AttributeError) as exc:  # the numpy loop runs instead
         _log.debug("lane kernel unavailable, the numpy loop runs: %s: %s", type(exc).__name__, exc)
         return None
-    refused = "numpy's random_standard_normal gave no ziggurat tables"
-    if lib.zg_bind_normal() == 0:
-        refused = _normal_mismatch(loaded.normal)
-    if refused is None:
-        _log.debug("lane kernel loaded from %s, normals from numpy's ziggurat fast path inline", path)
-    else:  # every normal through numpy's random_standard_normal, checked in its turn
-        lib.zg_unbind_normal()
-        again = _normal_mismatch(loaded.normal)
-        if again is not None:
-            _log.debug("lane kernel unavailable, the numpy loop runs: inline normals: %s; "
-                       "normals from numpy's random_standard_normal: %s", refused, again)
-            return None
-        _log.debug("lane kernel loaded from %s, normals from numpy's random_standard_normal: %s", path, refused)
-    unseeded = _seed_mismatch(loaded.seed)
-    if unseeded is not None:  # numpy's SeedSequence seeds the lanes (core.generators)
+    verdict = _stored_verdict(path)
+    if verdict is None or verdict[0][0] == "inline" and loaded.lib.zg_bind_normal() != 0:
+        from ._lanes_build import check_premises  # only a library without a verdict, or that it no longer fits
+
+        verdict = check_premises(loaded, path)
+    elif verdict[0][0] == "numpy":
+        loaded.lib.zg_unbind_normal()
+    (normals, refused), (seeding, unseeded) = verdict
+    if normals == "none":
+        _log.debug("lane kernel unavailable, the numpy loop runs: %s", refused)
+        return None
+    _log.debug("lane kernel loaded from %s, normals from %s", path, "numpy's ziggurat fast path inline"
+               if normals == "inline" else f"numpy's random_standard_normal: {refused}")
+    if seeding == "numpy":  # numpy's SeedSequence seeds the lanes (core.generators)
         _log.debug("lane seeding from numpy's SeedSequence: %s", unseeded)
         loaded.seed = None
     return loaded
+
+
+def _stored_verdict(path: Path) -> Optional[tuple[tuple[str, str], tuple[str, str]]]:
+    """The verdict stored beside the library at ``path``: (normals, why) and
+    (seeding, why), a word of ``NORMALS`` and one of ``SEEDING``, each with
+    its reason, "" for the first word; or None where there is none, or it
+    cannot be read or does not parse."""
+    try:
+        text = path.with_suffix(".verdict").read_text(encoding="utf-8")
+    except (OSError, ValueError):  # none, or not text
+        return None
+    verdict = tuple(line.partition(": ")[::2] for line in text.splitlines())
+    if len(verdict) != 2 or any(word not in words or (word == words[0]) != (why == "")
+                                for (word, why), words in zip(verdict, (NORMALS, SEEDING))):
+        return None
+    return verdict

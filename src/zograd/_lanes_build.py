@@ -1,31 +1,49 @@
-"""Build the lane library (``_lanes.c``), and bind and check numpy's loops in it.
+"""Build the lane library (``_lanes.c``), check its premises, and bind and check numpy's loops in it.
 
-``_lanes`` imports this module only where a process builds the library
-or binds one of numpy's loops, so that a run that finds the library
-cached and needs no loop compiles none of it (where Python keeps no
-bytecode cache, every line a process imports is compiled in it).
+``_lanes`` imports this module only where a process builds the library,
+loads a library whose premises have no stored verdict, or binds one of
+numpy's loops, so that a run that finds the library and its verdict cached
+and needs no loop compiles none of it (where Python keeps no bytecode
+cache, every line a process imports is compiled in it).
+
+A library's premises are that its inline normal fill gives numpy's normals
+(``NORMAL_PREMISE``), or else that its fill through numpy's own sampler
+does, and that its seeding gives SeedSequence's words (``SEED_PREMISE``).
+``check_premises`` checks them once per library and stores the verdict
+beside it, where every later load reads it; a build removes the stored
+verdicts, so a library is checked when it is built.  numpy's loops are
+bound and checked once per process, on the first reply that needs one.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._lanes import LONG, LOOPS, PYTHON_H, UFUNCOBJECT_H, _command, _declare
+from ._lanes import LONG, LOOPS, PYTHON_H, UFUNCOBJECT_H, _address, _command, _declare, _seed
 
+# (seed, count) of the normals the normal fill is checked on: the first
+# normal of default_rng(seed) is drawn in strip 1 of numpy's ziggurat, which
+# numpy's tables send to the slow path every time, and the count takes the
+# draws past tail values and wedge rejections (tests/test_solver.py pins both)
+NORMAL_PREMISE = (15, 8192)
+# (master seed, stream id) the library's seeding is checked on: 5 words, so
+# that one is mixed in after the pool, and a key of 2
+SEED_PREMISE = ((1 << 130) | 20260810, (7 << 32) | 5)
 LOOP_SIGNATURE = "d->d"
 
 
 def build(path: Path) -> None:
     """Compile into a temporary file beside ``path`` and move it into place,
     so a concurrent run never loads a half-written library, then remove the
-    libraries of other inputs beside it (never a temporary file).  A compile
-    that fails or hangs raises OSError, with the compiler's messages."""
+    libraries of other inputs beside it and every stored verdict, its own
+    too, so that the new library's premises are checked as it loads (never
+    a temporary file).  A compile that fails or hangs raises OSError, with
+    the compiler's messages."""
     import subprocess  # only a build needs them: a process that binds a loop never imports them
     import tempfile
 
@@ -35,7 +53,7 @@ def build(path: Path) -> None:
     try:
         subprocess.run(_command(tmp), check=True, capture_output=True, timeout=120)
         os.replace(tmp, path)
-        for stale in path.parent.glob("_lanes-*.so"):
+        for stale in [*path.parent.glob("_lanes-*.so"), *path.parent.glob("_lanes-*.verdict")]:
             if stale != path:
                 stale.unlink(missing_ok=True)  # another build may have removed it first
     except subprocess.SubprocessError as exc:
@@ -44,6 +62,62 @@ def build(path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def check_premises(loaded, path: Path) -> tuple[tuple[str, str], tuple[str, str]]:
+    """Check the premises of the loaded library (``_lanes._Library``) at
+    ``path``, leave its normals bound or unbound as they found, and store
+    their verdict beside it: ((normals, why), (seeding, why)), as
+    ``_lanes._stored_verdict`` reads it.  Its normals are "inline" where it
+    reads numpy's ziggurat tables and its fill gives numpy's normals, else
+    "numpy" where its fill through numpy's sampler does, else "none" (no
+    kernel); its seeding is "library" where its words are SeedSequence's,
+    else "numpy".  Where the verdict cannot be written, the next load checks
+    again."""
+    lib = loaded.lib
+    refused = "numpy's random_standard_normal gave no ziggurat tables"
+    if lib.zg_bind_normal() == 0:
+        refused = normal_mismatch(loaded.normal)
+    normals = ("inline", "")
+    if refused is not None:  # every normal through numpy's random_standard_normal, checked in its turn
+        lib.zg_unbind_normal()
+        again = normal_mismatch(loaded.normal)
+        normals = ("numpy", refused) if again is None else (
+            "none", f"inline normals: {refused}; normals from numpy's random_standard_normal: {again}")
+    unseeded = seed_mismatch(loaded.seed)
+    verdict = normals, ("library", "") if unseeded is None else ("numpy", unseeded)
+    lines = "".join(f"{word}: {why}\n" if why else f"{word}\n" for word, why in verdict)
+    tmp = path.with_suffix(f".verdict.{os.getpid()}.tmp")
+    try:  # written whole, then moved into place, so a concurrent load reads all of it or none
+        tmp.write_text(lines, encoding="utf-8")
+        os.replace(tmp, path.with_suffix(".verdict"))
+    except OSError:
+        tmp.unlink(missing_ok=True)
+    return verdict
+
+
+def normal_mismatch(fill: Callable) -> Optional[str]:
+    """Why ``fill(bit generator address, n, out address)``, the library's
+    ``zg_normal_fill``, does not give the bits of
+    ``Generator.standard_normal(n)`` on ``NORMAL_PREMISE``, or leaves its
+    generator in another state, or None where it gives them."""
+    seed, n = NORMAL_PREMISE
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = np.empty(n)
+    fill(_address(ours.bit_generator), n, got.ctypes.data)
+    if not np.array_equal(got.view(np.int64), numpys.standard_normal(n).view(np.int64)):
+        return "its normals differ from numpy's"
+    if ours.bit_generator.state != numpys.bit_generator.state:
+        return "it leaves the generator in another state than numpy's"
+    return None
+
+
+def seed_mismatch(seed: Callable) -> Optional[str]:
+    """Why ``seed``, the library's ``zg_seed``, does not give the words of
+    numpy's SeedSequence on ``SEED_PREMISE``, or None where it does."""
+    master, stream = SEED_PREMISE
+    want = np.random.SeedSequence(master, spawn_key=(stream,)).generate_state(4, np.uint64)
+    return None if np.array_equal(_seed(seed, master, [stream])[0], want) else "its words differ from numpy's"
 
 
 def loop_premise(name: str) -> np.ndarray:
@@ -65,11 +139,12 @@ def loop_premise(name: str) -> np.ndarray:
 
 def loop_mismatch(apply: Callable, name: str) -> Optional[str]:
     """Why ``apply(n, pieces, count, x)``, the bound loop applied in place
-    to x in consecutive pieces, the k-th of ``pieces[k % count]`` values,
-    does not give the bits of ``np.tanh`` or ``np.exp`` (``name``) on
-    ``loop_premise(name)``, or None where it does for each value alone, in
-    one buffer, interleaved with their reverse, and in pieces of 2 to 17
-    values, past the widths of its vector steps and into their tails."""
+    to the array x in consecutive pieces, the k-th of ``pieces[k % count]``
+    values (an array), does not give the bits of ``np.tanh`` or ``np.exp``
+    (``name``) on ``loop_premise(name)``, or None where it does for each
+    value alone, in one buffer, interleaved with their reverse, and in
+    pieces of 2 to 17 values, past the widths of its vector steps and into
+    their tails."""
     values, ufunc = loop_premise(name), getattr(np, name)
     interleaved = np.stack((values, values[::-1]), axis=1).ravel()
     cases = {"alone": (values, [1]), "in one buffer": (values, [values.size]),
@@ -96,6 +171,5 @@ def bind_loop(loaded, name: str) -> Optional[str]:
     bind = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_long, ctypes.c_long)(("zg_bind_loop", lib))
     if bind(ufunc, index, which) != 0:
         return f"loop {index} of np.{name} is not a d->d loop"
-    pointer = lambda dtype: np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-    apply = _declare(lib.zg_loop, [ctypes.c_long] * 2 + [pointer(LONG), ctypes.c_long, pointer(np.float64)])
-    return loop_mismatch(functools.partial(apply, which), name)
+    loop = _declare(lib.zg_loop, [ctypes.c_long] * 2 + [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p])
+    return loop_mismatch(lambda n, pieces, count, x: loop(which, n, pieces.ctypes.data, count, x.ctypes.data), name)

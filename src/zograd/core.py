@@ -175,12 +175,12 @@ class Oracle:
         keeps the mean and makes bias probes converge far faster; oracles
         without directions ignore it.  At d = 1, where the oracle's
         ``lane_spec()`` carries formula data, one call of the compiled lane
-        library makes the m replies instead (``_lanes.probe_replies``), with
-        these bits, leaving rng where these draws leave it.  Which path made
-        them, and why numpy did, is logged at DEBUG."""
+        library makes the m replies instead (``_lanes_probe.probe_replies``),
+        with these bits, leaving rng where these draws leave it.  Which path
+        made them, and why numpy did, is logged at DEBUG."""
         x = self.probe_point(x)
-        from . import _lanes  # imported on first use, not with zograd (see _lanes)
-        g, refused = _lanes.probe_replies(self, x, delta, m, rng, antithetic)
+        from . import _lanes_probe  # imported by a probe only, not with zograd (see _lanes)
+        g, refused = _lanes_probe.probe_replies(self, x, delta, m, rng, antithetic)
         _log.debug("sample_gradients: %d replies from %s", m,
                    "the compiled lane kernel" if refused is None else f"numpy's estimate ({refused})")
         if g is not None:

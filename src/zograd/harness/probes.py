@@ -56,7 +56,7 @@ def probe_bias_variance(oracle, x, delta: float, reps: int, rng: np.random.Gener
 
     Standard errors come from 32 batch means (``_moments``), which at d = 1
     the call of the lane library that makes the replies takes, with numpy's
-    bits (``_lanes.probe_replies``); which path took them, and why, is
+    bits (``_lanes_probe.probe_replies``); which path took them, and why, is
     logged at DEBUG.  ``antithetic=True`` averages each draw with its
     mirrored perturbation; the bias estimate is unchanged in expectation but
     concentrates much faster (use it for slope fits, not for variance
@@ -65,9 +65,9 @@ def probe_bias_variance(oracle, x, delta: float, reps: int, rng: np.random.Gener
     if reps < _BATCHES:
         raise DomainError(f"need at least {_BATCHES} replications")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    from .. import _lanes  # imported on first use, not with zograd (see _lanes)
+    from .. import _lanes_probe  # imported by a probe only, not with zograd (see _lanes)
 
-    moments, refused = _lanes.probe_replies(oracle, oracle.probe_point(x), delta, reps, rng, antithetic, _moments)
+    moments, refused = _lanes_probe.probe_replies(oracle, oracle.probe_point(x), delta, reps, rng, antithetic, _moments)
     if moments is None:
         moments = _moments(oracle.sample_gradients(x, delta, reps, rng, antithetic=antithetic))
     _log.debug("probe_bias_variance: moments of %d replies from %s", reps,

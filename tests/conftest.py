@@ -1,11 +1,14 @@
-"""Fixtures that run the scripts' own argument vectors through ``cli.main``."""
+"""Fixtures that run the scripts' own argument vectors through ``cli.main``,
+and one that gives a test a lane library of its own to load."""
 
 import importlib.util
+import shutil
 import time
 from pathlib import Path
 
 import pytest
 
+from zograd import _lanes
 from zograd.harness.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,3 +56,20 @@ def acceptance_cell(tmp_path_factory):
         return runs[name]
 
     return run
+
+
+@pytest.fixture
+def unchecked_library(tmp_path, monkeypatch):
+    """The lane library, copied into a cache of its own under tmp_path with
+    no stored verdict, and no library loaded: the next load loads this copy
+    (a library of its own, as the dynamic loader maps another file anew),
+    checks its premises and stores their verdict there, never in the shared
+    cache.  The copy's path; skips where no library loads here."""
+    if _lanes._library() is None:
+        pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+    shared = _lanes._library_path()
+    monkeypatch.setattr(_lanes, "CACHE", tmp_path / "cache")
+    _lanes.CACHE.mkdir()
+    shutil.copyfile(shared, _lanes.CACHE / shared.name)
+    monkeypatch.setattr(_lanes, "_loaded", [])
+    return _lanes.CACHE / shared.name

@@ -1,6 +1,7 @@
 """Instruments the tests measure zograd with, which no command of it runs."""
 
 import csv
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,32 @@ def lane_draws(lanes: _lanes.LaneRun, m: int) -> np.ndarray:
     if not 0 < m <= STEPS_PER_CHUNK:  # the scratch holds one chunk
         raise ValueError(f"a chunk has 1 to {STEPS_PER_CHUNK} steps, not {m}")
     table = lanes._table
-    count = _lanes._library().fill(m, table.size, lanes._flags, table, lanes._scratch)
+    count = _lanes._library().fill(m, table.size, lanes._flags, table.ctypes.data, lanes._scratch.ctypes.data)
     table["left"] -= np.minimum(table["left"], m)
     return lanes._scratch[:count]
+
+
+class WrongSeeding(_lanes._Library):
+    """A loaded lane library whose ``zg_seed`` gives the words of the next
+    master seed: its first word plus one.  Set as ``_lanes._Library``, it is
+    what the next load makes."""
+
+    def __init__(self, lib, ufunc: bool):
+        super().__init__(lib, ufunc)
+        real = self.seed
+
+        def seed(master, count, *rest):
+            words = np.ctypeslib.as_array((ctypes.c_uint32 * count).from_address(master)) + np.uint32(1)
+            return real(words.ctypes.data, count, *rest)
+
+        self.seed = seed
+
+
+class NoTables(_lanes._Library):
+    """A loaded lane library whose ``zg_bind_normal`` cannot read numpy's
+    ziggurat tables.  Set as ``_lanes._Library``, it is what the next load
+    makes."""
+
+    def __init__(self, lib, ufunc: bool):
+        super().__init__(lib, ufunc)
+        lib.zg_bind_normal = lambda: -1

@@ -23,6 +23,8 @@ from zograd.core import (
     jumped,
 )
 
+from instruments import WrongSeeding
+
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=6
 )
@@ -226,15 +228,10 @@ class TestPremise:
     SEED, IDS = 20260810, [0, 1, 2**32 + 7]
 
     @pytest.fixture
-    def wrong_seeding(self, monkeypatch):
-        """A library whose ``zg_seed`` gives the words of the next master
-        seed, loaded afresh; the real entry point is back afterwards."""
-        lib = _lanes._library() and _lanes._library().lib
-        if lib is None:
-            pytest.skip("the lane library cannot be built here")
-        real = lib.zg_seed
-        monkeypatch.setattr(lib, "zg_seed", lambda master, *rest: real(master + np.uint32(1), *rest))
-        monkeypatch.setattr(_lanes, "_loaded", [])
+    def wrong_seeding(self, unchecked_library, monkeypatch):
+        """A library of the test's own whose ``zg_seed`` gives the words of
+        the next master seed, loaded afresh, its premises unchecked."""
+        monkeypatch.setattr(_lanes, "_Library", WrongSeeding)
 
     def test_a_wrong_library_seeding_falls_back_to_numpy(self, wrong_seeding, caplog):
         with caplog.at_level(logging.DEBUG, logger="zograd"):
@@ -262,10 +259,12 @@ class TestPremise:
         assert ("ZeroDivisionError" in caplog.text) == (broken == "raises")
         assert [t.state for t in twins] == [bg.jumped(2).state, bg.jumped(1).state]
 
-    def test_the_premises_hold_silently_on_this_numpy(self, monkeypatch, caplog):
-        # else every run takes numpy's way, and the tests above compare it with itself
+    def test_the_premises_hold_silently_on_this_numpy(self, monkeypatch, caplog, request):
+        # else every run takes numpy's way, and the tests above compare it
+        # with itself; the library's premises checked on a copy of its own
         monkeypatch.setattr(_lanes, "_twin_holds", functools.cache(_lanes._twin_holds.__wrapped__))
-        monkeypatch.setattr(_lanes, "_loaded", [])
+        if _lanes._library() is not None:
+            request.getfixturevalue("unchecked_library")
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             assert _lanes._twin_holds()
             library = _lanes._library()

@@ -42,7 +42,7 @@ from zograd.harness.verdicts import RELATIONS, require, verdict
 from zograd.solver import NonFiniteIterate, manual_schedule, run, schedule_opt_convex
 from zograd.testbed import ObjectiveFunction, quadratic
 
-from instruments import read_rows
+from instruments import NoTables, WrongSeeding, read_rows
 
 SMALL_HORIZONS = (300, 1000, 3000, 10000)
 CHECK_STDOUT = """\
@@ -706,22 +706,22 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("path", ["kernel", "numpy loop"])
-    def test_numpys_generators_and_twins_write_the_same_rows(self, path, monkeypatch, tmp_path, capsys, caplog):
+    def test_numpys_generators_and_twins_write_the_same_rows(self, path, monkeypatch, tmp_path, capsys, caplog,
+                                                             request):
         # the way numpy's own SeedSequence and jumped() take where the
         # library's seeding and the twin fail their checks
         argv = ["rate", "--estimator", "smoothing", *self.SHORT_RATE, "--tol", "5.0", "--seed", "5", "--out"]
         if path == "numpy loop":
             monkeypatch.setattr(_lanes, "kernel", lambda: None)
         assert main(argv + [str(tmp_path / "fast.csv")]) == 0
-        lib = _lanes._library() and _lanes._library().lib
-        if lib is not None:  # the library seeds the next master seed's words
-            real = lib.zg_seed
-            monkeypatch.setattr(lib, "zg_seed", lambda master, *rest: real(master + np.uint32(1), *rest))
-            monkeypatch.setattr(_lanes, "_loaded", [])
+        library = _lanes._library() is not None
+        if library:  # a library of the test's own, which seeds the next master seed's words
+            request.getfixturevalue("unchecked_library")
+            monkeypatch.setattr(_lanes, "_Library", WrongSeeding)
         monkeypatch.setattr(_lanes, "_twin_holds", lambda: False)
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             assert main(argv + [str(tmp_path / "numpy.csv")]) == 0
-        assert caplog.text.count("lane seeding from numpy's SeedSequence") == (lib is not None)
+        assert caplog.text.count("lane seeding from numpy's SeedSequence") == library
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
     def test_the_parser_is_built_once_and_keeps_no_state(self, tmp_path):
@@ -1544,38 +1544,42 @@ class TestThreadedFanOut:
         assert "compiled lane kernel" not in caplog.text
 
     @pytest.mark.parametrize("cause", ["tables", "check", "check-once"])
-    def test_unchecked_normals_go_to_numpy_sampler(self, cause, tmp_path, monkeypatch, caplog, request):
+    def test_unchecked_normals_go_to_numpy_sampler(self, cause, tmp_path, unchecked_library, monkeypatch, caplog):
         # where numpy's ziggurat tables cannot be read, or only the inline fill fails its check, the
         # kernel hands every normal to numpy's random_standard_normal (ki all zero); where the fill
-        # fails its check inline and then handed over too, the numpy loop runs.  Same bytes each way
-        if _lanes.kernel() is None:
-            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
+        # fails its check inline and then handed over too, the numpy loop runs.  Same bytes each way,
+        # from the premises checked on a library of the test's own and then from their stored verdict
         rate = lambda name: ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=2,
                                              master_seed=5, tolerance=5.0, out=str(tmp_path / name))
         lower = lambda name: ExperimentConfig(workers=2, out=str(tmp_path / name), **self.LOWERBOUND)
         rate_experiment(rate("rate-inline.csv"))
         lower_bound_experiment(lower("lb-inline.csv"))
-        lib = _lanes._library().lib
-        ki = (ctypes.c_uint64 * 256).in_dll(lib, "zg_ki")
+        ki = (ctypes.c_uint64 * 256).in_dll(ctypes.CDLL(str(unchecked_library)), "zg_ki")  # the copy's tables
         assert any(ki)
-        request.addfinalizer(lib.zg_bind_normal)  # the tables back, for the tests that follow
-        monkeypatch.setattr(_lanes, "_loaded", [])
+        unchecked_library.with_suffix(".verdict").unlink()  # its premises are checked again as it loads
         if cause == "tables":
-            monkeypatch.setattr(lib, "zg_bind_normal", lambda: -1)
+            monkeypatch.setattr(_lanes, "_Library", NoTables)
             reason = "numpy's random_standard_normal gave no ziggurat tables"
         else:
-            reason, real = "its normals differ from numpy's", _lanes._normal_mismatch
+            reason, real = "its normals differ from numpy's", _lanes_build.normal_mismatch
             tries = iter([reason] * (2 if cause == "check" else 1))  # then the real check
-            monkeypatch.setattr(_lanes, "_normal_mismatch", lambda fill: next(tries, None) or real(fill))
+            monkeypatch.setattr(_lanes_build, "normal_mismatch", lambda fill: next(tries, None) or real(fill))
+        checks, check = [], _lanes_build.check_premises
+        monkeypatch.setattr(_lanes_build, "check_premises", lambda *args: checks.append(1) or check(*args))
         path = "numpy loop" if cause == "check" else "compiled lane kernel"
-        with caplog.at_level(logging.DEBUG, logger="zograd"):
-            rate_experiment(rate("rate-numpy.csv"))
-            lower_bound_experiment(lower("lb-numpy.csv"))
-        assert (_lanes.kernel() is None) == (cause == "check") and not any(ki)
-        assert caplog.text.count(f"normals from numpy's random_standard_normal: {reason}") == 1
-        assert caplog.text.count(f"steps on the {path}") == caplog.text.count("steps on the ") > 0
-        for name in ("rate", "lb"):
-            assert (tmp_path / f"{name}-numpy.csv").read_bytes() == (tmp_path / f"{name}-inline.csv").read_bytes()
+        for stored in ("checked", "stored"):
+            monkeypatch.setattr(_lanes, "_loaded", [])
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="zograd"):
+                rate_experiment(rate(f"rate-{stored}.csv"))
+                lower_bound_experiment(lower(f"lb-{stored}.csv"))
+            assert (_lanes.kernel() is None) == (cause == "check") and not any(ki)
+            assert caplog.text.count(f"normals from numpy's random_standard_normal: {reason}") == 1
+            assert caplog.text.count(f"steps on the {path}") == caplog.text.count("steps on the ") > 0
+            for name in ("rate", "lb"):
+                got, want = (tmp_path / f"{name}-{stored}.csv", tmp_path / f"{name}-inline.csv")
+                assert got.read_bytes() == want.read_bytes()
+        assert checks == [1]
 
     def test_kernel_load_names_its_normal_fill(self, monkeypatch, caplog):
         if _lanes.kernel() is None:
@@ -1602,11 +1606,13 @@ class TestThreadedFanOut:
 
     # _streams, which seeded the lanes before the library did, stays out by name
     LAZY_MODULES = ("m in ('zograd.adversarial', 'zograd.harness.checks', 'zograd._streams', 'zograd._lanes_build',"
-                    " 'subprocess')")
+                    " 'zograd._lanes_probe', 'subprocess', 'numpy.ctypeslib')")
 
     def test_import_leaves_out_the_adversarial_module_and_the_check_suite(self):
         # only the lower bound, the adversarial probe specs and the check
-        # suite run the first two; a build or a bind of numpy's loop the last
+        # suite run the first two; a build, a check of the library's
+        # premises or a bind of numpy's loop the build code; a probe the
+        # probe code; and no command numpy.ctypeslib
         assert _setup_modules(self.LAZY_MODULES) == []
 
     @pytest.mark.parametrize("argvs, imported, loop", [
@@ -1615,16 +1621,17 @@ class TestThreadedFanOut:
         ([["lowerbound", "--class", "sc", "--p", "1", "--n", "2000", "--reps", "4"]], ["zograd.adversarial"], None),
         ([["lowerbound", "--class", "convex", "--p", "2", "--n", "2000", "--reps", "4"]], ["zograd.adversarial"],
          "tanh"),
-        ([["probe", "--oracle", "smoothing,fn=exp,sigma=1.0,x=0.0", "--delta-grid", "0.5", "--reps", "64"]], [],
-         "exp"),
-        ([["probe", "--oracle", "one-point,fn=quadratic,sigma=1.0,x=0.25", "--delta-grid", "0.5", "--reps", "64"]], [],
-         None),
+        ([["probe", "--oracle", "smoothing,fn=exp,sigma=1.0,x=0.0", "--delta-grid", "0.5", "--reps", "64"]],
+         ["zograd._lanes_probe"], "exp"),
+        ([["probe", "--oracle", "one-point,fn=quadratic,sigma=1.0,x=0.25", "--delta-grid", "0.5", "--reps", "64"]],
+         ["zograd._lanes_probe"], None),
     ], ids=["rate-and-regret", "lowerbound-sc", "lowerbound-convex", "probe-exp", "probe-quadratic"])
     def test_a_command_imports_only_what_it_runs(self, argvs, imported, loop):
-        # with the library cached (this process loads it first), only a run
-        # that binds one of numpy's loops imports the build and loop-check
-        # code (_lanes_build), and only a build imports subprocess; without
-        # a library, each process tries a build
+        # with the library and its verdict cached (this process loads it
+        # first), only a run that binds one of numpy's loops imports the
+        # build and check code (_lanes_build), and only a build imports
+        # subprocess; without a library, each process tries a build.  Only
+        # a probe imports the probe code, and nothing numpy.ctypeslib
         library = _lanes._library()
         if library is None:
             imported = imported + ["subprocess", "zograd._lanes_build"]
@@ -1654,8 +1661,8 @@ class TestThreadedFanOut:
     # how many times the process checked the library's probe moments against
     # numpy's, and what it found: only a probe checks, the first time
     MOMENTS_CHECKED = "[len(checks), sys.modules['zograd._lanes']._loaded[0].moments_hold]"
-    COUNT_CHECKS = ("import zograd._lanes as lanes; checks = []; real = lanes._moments_mismatch; "
-                    "lanes._moments_mismatch = lambda *args: checks.append(1) or real(*args)")
+    COUNT_CHECKS = ("import zograd._lanes_probe as probe; checks = []; real = probe._moments_mismatch; "
+                    "probe._moments_mismatch = lambda *args: checks.append(1) or real(*args)")
 
     @pytest.mark.parametrize("argv", [
         ["rate", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"],

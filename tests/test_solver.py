@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zograd import _lanes, _lanes_build, solver
+from zograd import _lanes, _lanes_build, _lanes_probe, solver
 from zograd.adversarial import AdversarialOracle, HardInstance, hard_pair, scaled_hard_coordinates
 from zograd.core import (EUCLIDEAN, MAX_NORM, STEPS_PER_CHUNK, Box, DomainError, OracleEnvelope, RngStream,
                          chunk_sizes, draw_chunks, interval)
@@ -51,7 +51,7 @@ from zograd.solver import (
 from zograd.testbed import exp_one_d, kinked_quadratic, quadratic, softabs
 
 from conftest import _script
-from instruments import lane_draws, value_at
+from instruments import NoTables, lane_draws, value_at
 
 RNG = lambda i: RngStream(55, i).generator()
 
@@ -570,15 +570,15 @@ PROBE_ORACLES = {
 
 
 def _counted_probe_replies(made: list):
-    """Patch ``_lanes.probe_replies`` to append whether each call made the replies."""
-    real = _lanes.probe_replies
+    """Patch ``_lanes_probe.probe_replies`` to append whether each call made the replies."""
+    real = _lanes_probe.probe_replies
 
     def counted(*args, **kwargs):
         got = real(*args, **kwargs)
         made.append(got[0] is not None)
         return got
 
-    return mock.patch.object(_lanes, "probe_replies", counted)
+    return mock.patch.object(_lanes_probe, "probe_replies", counted)
 
 
 def _skip_without_loops(oracle):
@@ -649,7 +649,7 @@ class TestProbeReplies:
             base = KERNEL_ORACLES["spsa-2pt"]
             own = {"_scaled": OwnScaled, "_noise": OwnNoise, "_draws": OwnDraws, "estimate": OwnEstimate}[redefined]
             oracle = own(base.target, base.scheme, base.noise, base.feedback)
-        assert _lanes.probe_replies(oracle, np.array([[0.3]]), 0.2, 8, RNG(0))[0] is None
+        assert _lanes_probe.probe_replies(oracle, np.array([[0.3]]), 0.2, 8, RNG(0))[0] is None
         np.testing.assert_array_equal(oracle.sample_gradients(np.array([0.3]), 0.2, 99, RNG(1)),
                                       base.sample_gradients(np.array([0.3]), 0.2, 99, RNG(1)))
 
@@ -768,8 +768,8 @@ class TestProbeMoments:
         g = rng.choice([-1.0, 1.0], m) * 10.0 ** exponents
         g[rng.random(m) < zeros] = rng.choice([-0.0, 0.0])
         g[rng.integers(0, m, specials)] = rng.choice([np.nan, np.inf, -np.inf], specials)
-        got = np.empty(_lanes.MOMENTS)
-        loaded.moments(m, g.reshape(m, 1), got)
+        got = np.empty(_lanes_probe.MOMENTS)
+        loaded.moments(m, g.ctypes.data, got.ctypes.data)
         with np.errstate(all="ignore"):  # squares past 1e308, inf - inf
             want = _moments(g.reshape(m, 1))
         for a, b in zip(_moments_bits(got), _moments_bits(want)):
@@ -779,14 +779,14 @@ class TestProbeMoments:
         # numpy's order, a leaf of 128 values split at half rounded down to a
         # multiple of 8, gives numpy's moments on the premise; a leaf of 64
         # or a split not rounded each changes some of their bits
-        g = _lanes.moments_premise()
-        assert g.shape == (_lanes.MOMENTS_PREMISE[1], 1)
+        g = _lanes_probe.moments_premise()
+        assert g.shape == (_lanes_probe.MOMENTS_PREMISE[1], 1)
         want = _moments(g).view(np.int64)
         assert np.array_equal(_pairwise_moments(g[:, 0], 128, 8).view(np.int64), want)
         for leaf, multiple in ((64, 8), (128, 1)):
             assert not np.array_equal(_pairwise_moments(g[:, 0], leaf, multiple).view(np.int64), want)
         if _lanes.kernel() is not None:
-            assert _lanes._moments_hold(_moments)
+            assert _lanes_probe._moments_hold(_moments)
 
     def test_a_failed_moments_check_gives_numpys_moments(self, monkeypatch, caplog):
         # checked once, on the first probe that asks: then every probe takes
@@ -797,7 +797,12 @@ class TestProbeMoments:
         monkeypatch.setattr(_lanes, "_loaded", [])
         loaded = _lanes._library()
         real = loaded.moments
-        monkeypatch.setattr(loaded, "moments", lambda m, g, out: (real(m, g, out), out.__setitem__(1, 0.0)))
+
+        def off(m, g, out):  # the mean centred square, out[1], taken as 0
+            real(m, g, out)
+            ctypes.c_double.from_address(out + 8).value = 0.0
+
+        monkeypatch.setattr(loaded, "moments", off)
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             got = [probe_bias_variance(oracle, np.array([0.3]), delta, 999, RNG(10)) for delta in (0.2, 0.1)]
         np.testing.assert_array_equal(_bits(got), _bits(want))
@@ -808,7 +813,7 @@ class TestProbeMoments:
 
 
 def _pairwise_moments(g: np.ndarray, leaf: int, multiple: int) -> np.ndarray:
-    """``_lanes.MOMENTS`` moments of the values g, in the layout of
+    """``_lanes_probe.MOMENTS`` moments of the values g, in the layout of
     ``zg_moments``, each sum pairwise as numpy's: leaves of at most ``leaf``
     values, in 8 accumulators from 8 values on, split at half rounded down
     to a multiple of ``multiple``."""
@@ -948,11 +953,13 @@ def _samplers():
         pytest.skip("the lane kernel cannot be built with numpy's samplers here")
     lib = _lanes._library().lib
     assert any((ctypes.c_uint64 * 256).in_dll(lib, "zg_ki"))  # numpy's tables were read and the fill checked
-    one, fill = lib.random_standard_normal, lib.random_standard_normal_fill
+    # entry points of their own (the library's zg_normal_fill takes an address)
+    inline, one, fill = lib["zg_normal_fill"], lib["random_standard_normal"], lib["random_standard_normal_fill"]
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    inline.argtypes, inline.restype = [ctypes.c_void_p, ctypes.c_long, doubles], None
     one.argtypes, one.restype = [ctypes.c_void_p], ctypes.c_double
-    fill.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")]
-    fill.restype = None
-    return lib.zg_normal_fill, one, fill
+    fill.argtypes, fill.restype = [ctypes.c_void_p, ctypes.c_ssize_t, doubles], None
+    return inline, one, fill
 
 
 @functools.cache
@@ -1060,6 +1067,22 @@ class TestCompiledKernel:
             with pytest.raises(ValueError, match="a record is four contiguous float arrays of 9 steps of 2 lanes"):
                 lanes.run(x, x.copy(), x.copy(), bad)
 
+    @pytest.mark.parametrize("bad", ["float32", "strided", "size"])
+    def test_run_arrays_are_what_the_kernel_reads(self, bad, kernel_calls):
+        # the kernel takes x, sum_x and regret as addresses and writes one
+        # double per lane to each: an array of another dtype, a column with a
+        # stride or another size is refused before the library is called
+        lanes = _lanes.lane_run(KERNEL_ORACLES["one-point"], False, [RNG(0), RNG(1)], [10, 4], SCHEDULES[:2])
+        wrong = {"float32": np.zeros((2, 1), np.float32), "strided": np.zeros((2, 2))[:, :1],
+                 "size": np.zeros((3, 1))}[bad]
+        good = lambda: np.zeros((2, 1))
+        for args in ((wrong, good(), good()), (good(), wrong, good()), (good(), good(), wrong)):
+            with pytest.raises(ValueError, match="x, sum_x and regret must be contiguous float arrays of one row "
+                                                 "per lane, 2"):
+                lanes.run(*args)
+        assert kernel_calls == []
+        assert lanes.run(good(), good(), good()) is None and kernel_calls == [2]
+
     @pytest.mark.parametrize("kind", sorted(k for k in KERNEL_ORACLES if k.startswith(("adversarial", "exact"))))
     def test_pair_oracles_equal_numpy_loop_over_three_chunks(self, kind, kernel_calls):
         # one fixed case per lower-bound oracle: the property draws few long
@@ -1154,8 +1177,10 @@ class TestCompiledKernel:
 
     def test_fresh_cache_builds_the_library(self, monkeypatch, tmp_path):
         # a build leaves no temporary file of its own and removes the
-        # libraries of other inputs, never another build's temporary file;
-        # a cached load removes nothing
+        # libraries of other inputs and every stored verdict, its own too,
+        # never another build's temporary file; the load after it checks
+        # the new library's premises and stores their verdict.  A cached
+        # load removes nothing
         if _lanes.kernel() is None or shutil.which(_lanes.CC) is None:  # a cached library loads without cc
             pytest.skip("the lane kernel cannot be built here")
         cache = tmp_path / "cache"
@@ -1163,11 +1188,71 @@ class TestCompiledKernel:
         stale, tmp = cache / "_lanes-0000000000000000.so", cache / "_lanes-0000000000000000x1y2.tmp"
         tmp.write_bytes(b"")
         monkeypatch.setattr(_lanes, "CACHE", cache)
-        for kept in ([], [stale.name]):
+        library = _lanes._library_path()
+        library.with_suffix(".verdict").write_text("none: a verdict no build of this library wrote\nlibrary\n")
+        for kept in ([], [stale.name, stale.with_suffix(".verdict").name]):
             stale.write_bytes(b"")
+            stale.with_suffix(".verdict").write_text("inline\nlibrary\n")
             monkeypatch.setattr(_lanes, "_loaded", [])
             assert _lanes.kernel() is not None
-            assert sorted(p.name for p in cache.iterdir()) == sorted([_lanes._library_path().name, tmp.name, *kept])
+            assert sorted(p.name for p in cache.iterdir()) == sorted(
+                [library.name, library.with_suffix(".verdict").name, tmp.name, *kept])
+            assert library.with_suffix(".verdict").read_text() == "inline\nlibrary\n"
+
+    @pytest.mark.parametrize("stored", [None, b"\xff\xfe\n", b"inline\n", b"inline\nlibrary\nnumpy\n",
+                                        b"fast\nlibrary\n", b"inline: why\nlibrary\n", b"numpy\nlibrary\n"],
+                             ids=["missing", "not-text", "one-line", "three-lines", "unknown-word", "reason-too-many",
+                                  "reason-missing"])
+    def test_a_library_without_a_readable_verdict_is_checked_once(self, stored, unchecked_library, monkeypatch,
+                                                                   caplog):
+        # its premises are checked on its first load, and their verdict is
+        # stored; the loads after it read the verdict and check nothing
+        verdict = unchecked_library.with_suffix(".verdict")
+        if stored is not None:
+            verdict.write_bytes(stored)
+        checks, real = [], _lanes_build.check_premises
+        monkeypatch.setattr(_lanes_build, "check_premises", lambda *args: checks.append(1) or real(*args))
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            for _ in range(3):
+                monkeypatch.setattr(_lanes, "_loaded", [])
+                assert _lanes.kernel() is not None and _lanes._library().seed is not None
+                assert any((ctypes.c_uint64 * 256).in_dll(_lanes._library().lib, "zg_ki"))
+        assert checks == [1]
+        assert verdict.read_text() == "inline\nlibrary\n"
+        assert caplog.text.count(f"lane kernel loaded from {unchecked_library}, normals from numpy's ziggurat fast "
+                                 "path inline") == 3
+
+    @pytest.mark.parametrize("stored, loaded", [
+        ("numpy: planted\nnumpy: planted too\n", ["lane kernel loaded from {}, normals from numpy's "
+                                                  "random_standard_normal: planted",
+                                                  "lane seeding from numpy's SeedSequence: planted too"]),
+        ("none: planted\nlibrary\n", ["lane kernel unavailable, the numpy loop runs: planted"]),
+    ], ids=["numpy", "none"])
+    def test_a_stored_verdict_is_taken_as_it_stands(self, stored, loaded, unchecked_library, monkeypatch, caplog):
+        # a load with a verdict checks nothing: it unbinds the normals, or
+        # takes no kernel, and sends the lanes' seeding to SeedSequence as
+        # the verdict says, with the DEBUG lines of a check that found it
+        unchecked_library.with_suffix(".verdict").write_text(stored)
+        monkeypatch.setattr(_lanes_build, "check_premises", lambda *args: pytest.fail("premises checked again"))
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            library = _lanes._library()
+        assert [r.getMessage() for r in caplog.records] == [line.format(unchecked_library) for line in loaded]
+        if library is not None:
+            assert library.seed is None and not any((ctypes.c_uint64 * 256).in_dll(library.lib, "zg_ki"))
+            assert _lanes.seed_words(5, [1]) is None
+
+    def test_tables_that_cannot_be_read_again_check_the_premises_again(self, unchecked_library, monkeypatch,
+                                                                       caplog):
+        # a stored verdict of inline normals whose tables zg_bind_normal no
+        # longer reads: the premises are checked again, and the new verdict
+        # stored
+        unchecked_library.with_suffix(".verdict").write_text("inline\nlibrary\n")
+        monkeypatch.setattr(_lanes, "_Library", NoTables)
+        with caplog.at_level(logging.DEBUG, logger="zograd"):
+            assert _lanes.kernel() is not None
+        reason = "numpy's random_standard_normal gave no ziggurat tables"
+        assert caplog.text.count(f"normals from numpy's random_standard_normal: {reason}") == 1
+        assert unchecked_library.with_suffix(".verdict").read_text() == f"numpy: {reason}\nlibrary\n"
 
     def test_infinite_noise_names_its_lane(self, kernel_calls):
         # lane 0 ends at once: the kernel gets all three lanes and drops lane
@@ -1299,7 +1384,7 @@ class TestCompiledKernel:
         assert caplog.text.count("steps on the compiled lane kernel") == 3
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 3 * STEPS_PER_CHUNK + 300))
-    @example(*_lanes.NORMAL_PREMISE)
+    @example(*_lanes_build.NORMAL_PREMISE)
     @settings(max_examples=100, deadline=None)
     def test_inline_normals_equal_numpy(self, seed, count):
         # numpy's ziggurat with its fast path inline: the values of
@@ -1332,7 +1417,7 @@ class TestCompiledKernel:
         # the normals the loader checks the inline fill on start with a draw
         # of strip 1, which numpy refuses at every magnitude, and take draws
         # of strip 0 that numpy refuses: its tail
-        seed, n = _lanes.NORMAL_PREMISE
+        seed, n = _lanes_build.NORMAL_PREMISE
         inline, one, _ = _samplers()
         draws = np.random.default_rng(seed).bit_generator.random_raw(2 * n)
         bg, values, refused = _Bitgen(draws), [], []
@@ -1345,11 +1430,12 @@ class TestCompiledKernel:
                                       np.random.default_rng(seed).standard_normal(n).view(np.int64))
         assert _numpy_ki()[1] == 0 and int(draws[0]) & 0xFF == 1 and refused[0] == 1
         assert 0 in refused
-        assert _lanes._normal_mismatch(inline) is None
-        lib = _lanes._library().lib
-        lib.zg_unbind_normal()  # every normal to random_standard_normal, the loader's fallback
-        unbound = not any((ctypes.c_uint64 * 256).in_dll(lib, "zg_ki")) and _lanes._normal_mismatch(inline) is None
-        assert lib.zg_bind_normal() == 0 and unbound
+        loaded = _lanes._library()
+        assert _lanes_build.normal_mismatch(loaded.normal) is None
+        loaded.lib.zg_unbind_normal()  # every normal to random_standard_normal, the premise's fallback
+        unbound = not any((ctypes.c_uint64 * 256).in_dll(loaded.lib, "zg_ki"))
+        unbound = unbound and _lanes_build.normal_mismatch(loaded.normal) is None
+        assert loaded.lib.zg_bind_normal() == 0 and unbound
 
     @pytest.mark.parametrize("path, scheme", [("kernel", SPSA), ("numpy", SPSA), ("d2", SURFACE), ("d2", SPSA)])
     def test_offsets_beyond_delta_raise(self, path, scheme):
