@@ -3,9 +3,9 @@
 
 Writes CSV/JSON artifacts under results/ and prints one line per
 experiment.  Exit code 0 iff all experiments pass their assertions.
-It takes about 3 s on a shared 2-vCPU x86_64 machine with the compiled
-lane kernel cached, and about 60 s where the kernel cannot be built and
-the solver runs its numpy loop.
+It takes about 2.5 s on a shared 2-vCPU x86_64 machine with the compiled
+lane kernel cached (3 s on a fresh checkout, with the build), and 50-60 s
+where the kernel cannot be built and the solver runs its numpy loop.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-/* zograd's lane loop (solver.run) in C, one call per run, and an oracle's
-   m replies at one point (oracle.sample_gradients) and their moments
-   (probes.probe_bias_variance), one call per probe.
+/* zograd's lane loop (solver.run) in C, one call per run, and the moments
+   of an oracle's m replies at one point (probes.probe_bias_variance), one
+   call per probe.
 
    Mirror descent on a 1-d box against one of two kinds of oracle:
 
@@ -42,17 +42,21 @@
    runs do not: the kinked quadratic 0.5*a*y*y, a = a_neg for y < 0 and
    a_pos otherwise, and exp(y) - y; and an antithetic one-point probe (MIRROR),
    whose reply is the mean of the replies at +du and at -du with weight
-   -w and a second block of noise.  Given a moments output, the same call
-   then folds the replies into the moments probes.probe_bias_variance reads
-   (zg_moments): means and mean centred squares, each the bits of np.mean,
-   whose sums take numpy's pairwise order; _lanes_probe checks them against
-   numpy's on one case the first time a probe asks for them.
+   -w and a second block of noise.  The same call then folds the replies
+   into the moments probes.probe_bias_variance reads (zg_moments): means
+   and mean centred squares, each the bits of np.mean, whose sums take
+   numpy's pairwise order.
 
    zg_seed writes the words each lane's PCG64 seeds from
    (_lanes.seed_words, core.generators): numpy's SeedSequence hash of the
    master seed and of each stream's key, one call for all of a run's
-   lanes; it is checked against SeedSequence on one case once per library
-   (_lanes_build.check_premises), and the verdict is stored beside it.
+   lanes.
+
+   The library rests on three premises, that its inline normals, its
+   seeding and its moments each give numpy's bits.  They are checked on
+   one case each when the library is built (_lanes_build.check_premises),
+   and the verdict, used or refused, is stored beside it: a library that
+   fails one is not loaded, and numpy computes everything.
 
    Each value is computed with the operations, and in the order, of the
    numpy code it replaces, so that compiled without contraction or
@@ -86,13 +90,8 @@
    random_standard_normal itself, which is given the consumed draw again
    and then the lane's generator, so every rejection and tail draw is
    numpy's own code.  The fast path's tables are not copied: zg_bind_normal
-   reads them out of random_standard_normal each time the library loads.
-   Once per library (_lanes_build.check_premises) the fill is checked
-   against Generator.standard_normal; where the tables cannot be read or
-   the check fails, zg_unbind_normal sends every draw to
-   random_standard_normal, and the fill is checked again.  The verdict is
-   stored beside the library, and a later load binds or unbinds as it
-   says.
+   reads them out of random_standard_normal each time the library loads,
+   and where it cannot, the library is refused.
    numpy's samplers are declared here against numpy/random/bitgen.h, since
    numpy/random/distributions.h needs Python.h. */
 
@@ -251,18 +250,11 @@ static double probe(int idx, uint64_t rabs, bool *taken)
     return x;
 }
 
-/* Send every normal of zg_normal_fill to random_standard_normal. */
-void zg_unbind_normal(void)
-{
-    for (int idx = 0; idx < STRIPS; idx++)
-        zg_ki[idx] = 0;
-}
-
 /* Read wi and ki out of random_standard_normal: wi[idx] is its value at
    rabs = 1, and ki[idx] the least rabs at which it asks for another value,
    found by bisection (RABS_END where none does); a strip that refuses
-   rabs = 1 gets ki = 0.  0, or -1, with every ki 0, where the sampler is
-   not a ziggurat of that shape. */
+   rabs = 1 gets ki = 0.  0, or -1 where the sampler is not a ziggurat of
+   that shape: _lanes_build then refuses the library. */
 int zg_bind_normal(void)
 {
     int idx;
@@ -290,10 +282,7 @@ int zg_bind_normal(void)
         wi[idx] = w;
         zg_ki[idx] = hi;
     }
-    if (idx == STRIPS)
-        return 0;
-    zg_unbind_normal();
-    return -1;
+    return idx == STRIPS ? 0 : -1;
 }
 
 /* The draws of a replay generator: the consumed draw r once, then bg's */
@@ -696,26 +685,25 @@ static inline __attribute__((always_inline)) void replies(long form, const doubl
 
 void zg_moments(long m, const double *g, double *out);
 
-/* The m replies G at x of one oracle, written to g, as
-   oracle.sample_gradients gives them: the draws of its one lane, filled
+/* The moments (zg_moments) of the m replies G at x of one oracle, as
+   oracle.sample_gradients gives them, into moments, so that a probe is
+   one call from draws to moments: the draws of its one lane, filled
    (zg_lane_draws) into scratch, which holds zg_scratch(m, 1, flags)
    values, where on one lane xi holds the noise arm by arm in blocks of m;
    then each reply with the operations of estimate, f evaluated at the
    arms of PROBE_BLOCK replies at a time, and for MIRROR the mean of a
    reply and its mirror.  c holds the oracle's formula data, as in
-   zg_lane_run.  Where moments is not NULL, the replies are then folded
-   into their moments there (zg_moments), so that a probe is one call from
-   draws to moments.  Where g is NULL, the replies go to scratch's variates,
-   which the draws no longer need once they are filled and which hold at
-   least m values, so that a probe of moments holds no array of replies. */
-void zg_probe(long m, long flags, const double *c, const struct lane *lane, double x, double *g, double *scratch,
+   zg_lane_run.  The replies go to scratch's variates, which the draws no
+   longer need once they are filled and which hold at least m values, so
+   that a probe holds no array of replies; returns where in scratch they
+   start. */
+long zg_probe(long m, long flags, const double *c, const struct lane *lane, double x, double *scratch,
               double *moments)
 {
     long width[3];
     widths(flags, width);
     const long draws = zg_lane_draws(m, 1, flags, lane, scratch);
-    if (g == NULL)
-        g = scratch + draws;
+    double *const g = scratch + draws;
     const long arms = width[0];
     const double *du = scratch, *w = du + arms * m, *xi = w + width[1] * m;
     if (flags & AT_X) {  /* one mean at x, plus the noise */
@@ -747,8 +735,8 @@ void zg_probe(long m, long flags, const double *c, const struct lane *lane, doub
             }
         }
     }
-    if (moments != NULL)
-        zg_moments(m, g, moments);
+    zg_moments(m, g, moments);
+    return draws;
 }
 
 /* numpy's SeedSequence (numpy/random/bit_generator.pyx): its pool size,

@@ -6,7 +6,7 @@ solver the first time a run asks for the kernel.  Where Python keeps no
 bytecode cache, every line a process imports is compiled as it starts, so
 the code that only some processes run is elsewhere, imported only then: a
 build, the check of a library's premises and a bind of numpy's loops in
-``_lanes_build``, and a probe's replies and moments in ``_lanes_probe``.
+``_lanes_build``, and a probe's moments in ``_lanes_probe``.
 
 ``kernel()`` compiles the C source with the system C compiler the first
 time it is asked for (never at import), against numpy's sampler library
@@ -23,13 +23,16 @@ take arrays as addresses (``ctypes.c_void_p``), so the arrays handed in
 from outside, a run's (``LaneRun.run``), are checked for the dtype, layout
 and size the C code reads.
 
-A library's premises, that its normals and its seeding are numpy's, are
-checked once per library, not once per process: the first load of a
-library without a stored verdict (one just built, or whose verdict is
-missing or unreadable) checks them (``_lanes_build.check_premises``) and
-writes their verdict beside it, ``_lanes-<hash>.verdict``, with the same
-hash.  Every later load reads the verdict, binds the normals as it says,
-and logs the same DEBUG lines as the check.
+A library's premises, that its inline normals, its seeding and its
+probe moments each give numpy's bits, are checked once per library, not
+once per process: the first load of a library without a stored verdict
+(one just built, or whose verdict is missing or unreadable) checks them
+(``_lanes_build.check_premises``) and writes their verdict beside it,
+``_lanes-<hash>.verdict``, with the same hash: one line, ``used``, or
+``refused: `` and the reason of the first premise that failed.  A
+refused library is not loaded, and numpy computes everything, as without
+a compiler.  Every later load reads the verdict and logs the same DEBUG
+line as the check.
 
 Where Python's header (``Python.h``) and numpy's ufunc header
 (``numpy/ufuncobject.h``) exist, the library is built against them and, on
@@ -47,21 +50,15 @@ lane to its horizon chunk by chunk, fills each chunk's draws in C with
 numpy's samplers, and checks each chunk as the numpy loop does.  Its
 normals take numpy's ziggurat fast path inline, with the tables read out
 of numpy's own sampler each time the library loads and every other draw
-handed back to that sampler; the fill is checked against numpy's normals
-once per library (``_lanes_build.NORMAL_PREMISE``).  Where the tables
-cannot be read or the check fails, every normal is handed to numpy's
-sampler and the fill is checked again; the reason is logged once at DEBUG,
-and where the second check fails too there is no kernel.
+handed back to that sampler (``_lanes_build.NORMAL_PREMISE``); where a
+later load cannot read the tables, the premises are checked again.
 
-A probe's m replies at one point at d = 1 are one library call too, and
-so are their moments (``_lanes_probe``).
+The moments of a probe's m replies at one point at d = 1 are one library
+call too (``_lanes_probe``).
 
 The library also seeds a run's lanes (``seed_words``): one call hashes
 every stream's words as numpy's SeedSequence does (NEP 19 keeps its
-output stable), checked against SeedSequence once per library
-(``_lanes_build.SEED_PREMISE``); where they differ, the reason is logged
-once at DEBUG and ``core.generators`` takes SeedSequence, as without a
-library.
+output stable; ``_lanes_build.SEED_PREMISE``).
 """
 
 from __future__ import annotations
@@ -111,11 +108,9 @@ LANE = np.dtype([("delta", float), ("weight", float), ("scale", float), ("shift"
 # the first fault of a kernel run, as struct fault in _lanes.c, and its kinds
 FAULT = np.dtype([("lane", LONG), ("first", LONG), ("last", LONG), ("dist", float)], align=True)
 NONFINITE, ESCAPED = 1, 2
-# the words of a stored verdict (_lanes_build.check_premises), one line each,
-# the first followed by nothing and the others by ": " and the reason: where
-# the normals come from, the fill inline, numpy's sampler or none (no
-# kernel), and who seeds the lanes, the library or SeedSequence
-NORMALS, SEEDING = ("inline", "numpy", "none"), ("library", "numpy")
+# a stored verdict (_lanes_build.check_premises): the one line of a library
+# that is used, or the start of the line of one that is refused, then the reason
+USED, REFUSED = "used", "refused: "
 
 
 class LaneSpec(NamedTuple):
@@ -145,18 +140,16 @@ class LaneSpec(NamedTuple):
 
 class _Library:
     """The loaded library: its entry points, declared for ctypes, each array
-    an address (``seed`` None where its seeding failed its check), whether
-    it was built against the headers of numpy's loops, which of those loops
-    are bound and checked (``loops``: name -> bool, once asked), and whether
-    its moments passed their check (``moments_hold``: None until a probe
-    asks, ``_lanes_probe``)."""
+    an address, whether it was built against the headers of numpy's loops,
+    and which of those loops are bound and checked (``loops``: name ->
+    bool, once asked)."""
 
     def __init__(self, lib, ufunc: bool):
         address, longs = ctypes.c_void_p, [ctypes.c_long] * 3
-        self.lib, self.ufunc, self.loops, self.moments_hold = lib, ufunc, {}, None
+        self.lib, self.ufunc, self.loops = lib, ufunc, {}
         self.run = _declare(lib.zg_lane_run, longs + [address] * 8, ctypes.c_long)
-        self.fill = _declare(lib.zg_lane_draws, longs + [address] * 2, ctypes.c_long)
-        self.probe = _declare(lib.zg_probe, longs[:2] + [address] * 2 + [ctypes.c_double] + [address] * 3)
+        self.probe = _declare(lib.zg_probe, longs[:2] + [address] * 2 + [ctypes.c_double] + [address] * 2,
+                              ctypes.c_long)
         self.moments = _declare(lib.zg_moments, [ctypes.c_long, address, address])
         self.scratch = _declare(lib.zg_scratch, longs, ctypes.c_long)
         self.normal = _declare(lib.zg_normal_fill, [address, ctypes.c_long, address])
@@ -260,11 +253,10 @@ def seed_words(master_seed: int, stream_ids: Sequence[int]) -> Optional[np.ndarr
     """The 4 words a PCG64 seeds from for each id of ``stream_ids``, a row
     each, as ``SeedSequence(master_seed, spawn_key=(id,)).generate_state(4,
     np.uint64)`` gives them, from one library call (``zg_seed``); or None
-    where there is no library, or its seeding failed its check when it
-    loaded.  A seed or id that is negative raises ValueError, and one that
-    is no integer TypeError, as SeedSequence does."""
+    where there is no library.  A seed or id that is negative raises
+    ValueError, and one that is no integer TypeError, as SeedSequence does."""
     loaded = _library()
-    return None if loaded is None or loaded.seed is None else _seed(loaded.seed, master_seed, stream_ids)
+    return None if loaded is None else _seed(loaded.seed, master_seed, stream_ids)
 
 
 def _seed(seed: Callable, master_seed: int, stream_ids: Sequence[int]) -> np.ndarray:
@@ -325,10 +317,9 @@ def lane_run(oracle, regret: bool, rngs: Sequence[np.random.Generator], horizons
         return None
     if not (spec.flags & AT_X or getattr(oracle, "vicinity_norm", None)):  # the kernel writes y - x
         return None
-    advance = kernel()
-    if advance is None or (spec.flags & SOFTABS and not loop_bound("tanh")):
+    if kernel() is None or (spec.flags & SOFTABS and not loop_bound("tanh")):
         return None
-    return LaneRun(advance, spec, regret, box, oracle.target.f_star, rngs, horizons, schedules)
+    return LaneRun(spec, regret, box, oracle.target.f_star, rngs, horizons, schedules)
 
 
 def _flags(spec: LaneSpec) -> int:
@@ -347,9 +338,9 @@ def _table(spec: LaneSpec, deltas: Sequence[float]) -> np.ndarray:
 
 class LaneRun:
     """A run on the compiled lane kernel (see ``lane_run``): one call of
-    ``advance``, ``zg_lane_run``, which runs every lane to its horizon in
-    chunks of ``STEPS_PER_CHUNK`` steps, filling each chunk's draws in C,
-    and writes a recorded run's steps into its record buffer.  Every value,
+    the loaded library's ``zg_lane_run``, which runs every lane to its
+    horizon in chunks of ``STEPS_PER_CHUNK`` steps, filling each chunk's
+    draws in C, and writes a recorded run's steps into its record buffer.  Every value,
     every record, every fault it reports, and every generator's final state
     are those of the numpy loop fed by the steppers
     ``make_stepper(h - 1, schedule.delta, rng)`` of an oracle whose
@@ -364,10 +355,10 @@ class LaneRun:
     once (``twin``), taken from its state at the start of the run,
     as ``core.draw_chunks`` takes it."""
 
-    def __init__(self, advance: Callable, spec: LaneSpec, regret: bool, box: Box, f_star: float,
+    def __init__(self, spec: LaneSpec, regret: bool, box: Box, f_star: float,
                  rngs: Sequence[np.random.Generator], horizons: Sequence[int], schedules):
         lib = _library()
-        self._advance = advance
+        self._advance = lib.run
         self._flags = _flags(spec) | (REGRET if regret else 0)
         self._data = np.array([box.lower[0], box.upper[0], f_star, *spec.data])
         self._scratch = np.empty(lib.scratch(STEPS_PER_CHUNK, len(rngs), self._flags))
@@ -477,40 +468,30 @@ def _load():
             from ._lanes_build import build  # only a build needs it
 
             build(path)
-        loaded = _Library(ctypes.CDLL(str(path)), bool(_ufunc_args()))
+        verdict = _stored_verdict(path)
+        loaded = None if verdict not in (None, USED) else _Library(ctypes.CDLL(str(path)), bool(_ufunc_args()))
     except (OSError, AttributeError) as exc:  # the numpy loop runs instead
         _log.debug("lane kernel unavailable, the numpy loop runs: %s: %s", type(exc).__name__, exc)
         return None
-    verdict = _stored_verdict(path)
-    if verdict is None or verdict[0][0] == "inline" and loaded.lib.zg_bind_normal() != 0:
+    if loaded is not None and (verdict is None or loaded.lib.zg_bind_normal() != 0):
         from ._lanes_build import check_premises  # only a library without a verdict, or that it no longer fits
 
         verdict = check_premises(loaded, path)
-    elif verdict[0][0] == "numpy":
-        loaded.lib.zg_unbind_normal()
-    (normals, refused), (seeding, unseeded) = verdict
-    if normals == "none":
-        _log.debug("lane kernel unavailable, the numpy loop runs: %s", refused)
+    if verdict != USED:  # a refused library is not loaded
+        _log.debug("lane kernel unavailable, the numpy loop runs: %s %s", path, verdict)
         return None
-    _log.debug("lane kernel loaded from %s, normals from %s", path, "numpy's ziggurat fast path inline"
-               if normals == "inline" else f"numpy's random_standard_normal: {refused}")
-    if seeding == "numpy":  # numpy's SeedSequence seeds the lanes (core.generators)
-        _log.debug("lane seeding from numpy's SeedSequence: %s", unseeded)
-        loaded.seed = None
+    _log.debug("lane kernel loaded from %s", path)
     return loaded
 
 
-def _stored_verdict(path: Path) -> Optional[tuple[tuple[str, str], tuple[str, str]]]:
-    """The verdict stored beside the library at ``path``: (normals, why) and
-    (seeding, why), a word of ``NORMALS`` and one of ``SEEDING``, each with
-    its reason, "" for the first word; or None where there is none, or it
-    cannot be read or does not parse."""
+def _stored_verdict(path: Path) -> Optional[str]:
+    """The verdict stored beside the library at ``path``, its one line:
+    ``USED``, or ``REFUSED`` and a reason; or None where there is none, or
+    it cannot be read or does not parse."""
     try:
         text = path.with_suffix(".verdict").read_text(encoding="utf-8")
     except (OSError, ValueError):  # none, or not text
         return None
-    verdict = tuple(line.partition(": ")[::2] for line in text.splitlines())
-    if len(verdict) != 2 or any(word not in words or (word == words[0]) != (why == "")
-                                for (word, why), words in zip(verdict, (NORMALS, SEEDING))):
-        return None
-    return verdict
+    lines = text.splitlines()
+    line = lines[0] if len(lines) == 1 else ""
+    return line if line == USED or line.startswith(REFUSED) and line != REFUSED else None

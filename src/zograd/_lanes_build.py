@@ -7,12 +7,13 @@ and needs no loop compiles none of it (where Python keeps no bytecode
 cache, every line a process imports is compiled in it).
 
 A library's premises are that its inline normal fill gives numpy's normals
-(``NORMAL_PREMISE``), or else that its fill through numpy's own sampler
-does, and that its seeding gives SeedSequence's words (``SEED_PREMISE``).
-``check_premises`` checks them once per library and stores the verdict
-beside it, where every later load reads it; a build removes the stored
-verdicts, so a library is checked when it is built.  numpy's loops are
-bound and checked once per process, on the first reply that needs one.
+(``NORMAL_PREMISE``), that its seeding gives SeedSequence's words
+(``SEED_PREMISE``), and that its probe moments give numpy's
+(``MOMENTS_PREMISE``).  ``check_premises`` checks them once per library
+and stores the verdict beside it, used or refused, where every later load
+reads it; a build removes the stored verdicts, so a library is checked
+when it is built.  numpy's loops are bound and checked once per process,
+on the first reply that needs one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._lanes import LONG, LOOPS, PYTHON_H, UFUNCOBJECT_H, _address, _command, _declare, _seed
+from ._lanes import LONG, LOOPS, PYTHON_H, REFUSED, UFUNCOBJECT_H, USED, _address, _command, _declare, _seed
 
 # (seed, count) of the normals the normal fill is checked on: the first
 # normal of default_rng(seed) is drawn in strip 1 of numpy's ziggurat, which
@@ -34,6 +35,11 @@ NORMAL_PREMISE = (15, 8192)
 # (master seed, stream id) the library's seeding is checked on: 5 words, so
 # that one is mixed in after the pool, and a key of 2
 SEED_PREMISE = ((1 << 130) | 20260810, (7 << 32) | 5)
+# (seed, count) of the values the library's probe moments are checked on:
+# normals scaled by 2^-20 .. 2^20, whose sums round differently in another
+# order; the count and its 32 batches of 312 are split, and at no multiple
+# of 8 (tests/test_solver.py pins it)
+MOMENTS_PREMISE = (20260810, 10_007)
 LOOP_SIGNATURE = "d->d"
 
 
@@ -64,32 +70,20 @@ def build(path: Path) -> None:
             os.unlink(tmp)
 
 
-def check_premises(loaded, path: Path) -> tuple[tuple[str, str], tuple[str, str]]:
+def check_premises(loaded, path: Path) -> str:
     """Check the premises of the loaded library (``_lanes._Library``) at
-    ``path``, leave its normals bound or unbound as they found, and store
-    their verdict beside it: ((normals, why), (seeding, why)), as
-    ``_lanes._stored_verdict`` reads it.  Its normals are "inline" where it
-    reads numpy's ziggurat tables and its fill gives numpy's normals, else
-    "numpy" where its fill through numpy's sampler does, else "none" (no
-    kernel); its seeding is "library" where its words are SeedSequence's,
-    else "numpy".  Where the verdict cannot be written, the next load checks
-    again."""
-    lib = loaded.lib
+    ``path``, in turn, and store their verdict beside it, one line, as
+    ``_lanes._stored_verdict`` reads it: ``_lanes.USED``, or
+    ``_lanes.REFUSED`` and the reason of the first premise that failed.
+    Reads numpy's ziggurat tables into the library.  Where the verdict
+    cannot be written, the next load checks again."""
     refused = "numpy's random_standard_normal gave no ziggurat tables"
-    if lib.zg_bind_normal() == 0:
-        refused = normal_mismatch(loaded.normal)
-    normals = ("inline", "")
-    if refused is not None:  # every normal through numpy's random_standard_normal, checked in its turn
-        lib.zg_unbind_normal()
-        again = normal_mismatch(loaded.normal)
-        normals = ("numpy", refused) if again is None else (
-            "none", f"inline normals: {refused}; normals from numpy's random_standard_normal: {again}")
-    unseeded = seed_mismatch(loaded.seed)
-    verdict = normals, ("library", "") if unseeded is None else ("numpy", unseeded)
-    lines = "".join(f"{word}: {why}\n" if why else f"{word}\n" for word, why in verdict)
+    if loaded.lib.zg_bind_normal() == 0:
+        refused = normal_mismatch(loaded.normal) or seed_mismatch(loaded.seed) or moments_mismatch(loaded.moments)
+    verdict = USED if refused is None else REFUSED + refused
     tmp = path.with_suffix(f".verdict.{os.getpid()}.tmp")
     try:  # written whole, then moved into place, so a concurrent load reads all of it or none
-        tmp.write_text(lines, encoding="utf-8")
+        tmp.write_text(verdict + "\n", encoding="utf-8")
         os.replace(tmp, path.with_suffix(".verdict"))
     except OSError:
         tmp.unlink(missing_ok=True)
@@ -108,7 +102,7 @@ def normal_mismatch(fill: Callable) -> Optional[str]:
     if not np.array_equal(got.view(np.int64), numpys.standard_normal(n).view(np.int64)):
         return "its normals differ from numpy's"
     if ours.bit_generator.state != numpys.bit_generator.state:
-        return "it leaves the generator in another state than numpy's"
+        return "its normals leave the generator in another state than numpy's"
     return None
 
 
@@ -117,7 +111,27 @@ def seed_mismatch(seed: Callable) -> Optional[str]:
     numpy's SeedSequence on ``SEED_PREMISE``, or None where it does."""
     master, stream = SEED_PREMISE
     want = np.random.SeedSequence(master, spawn_key=(stream,)).generate_state(4, np.uint64)
-    return None if np.array_equal(_seed(seed, master, [stream])[0], want) else "its words differ from numpy's"
+    return None if np.array_equal(_seed(seed, master, [stream])[0], want) else "its seeding differs from numpy's"
+
+
+def moments_mismatch(moments: Callable) -> Optional[str]:
+    """Why ``moments``, the library's ``zg_moments``, does not give the bits
+    of numpy's moments (``harness.probes._moments``) on ``MOMENTS_PREMISE``,
+    or None where it does."""
+    from .harness.probes import _moments  # the reference, stated once
+
+    g = moments_premise()
+    want = _moments(g)
+    got = np.empty_like(want)
+    moments(len(g), g.ctypes.data, got.ctypes.data)
+    return None if np.array_equal(got.view(np.int64), want.view(np.int64)) else "its moments differ from numpy's"
+
+
+def moments_premise() -> np.ndarray:
+    """The replies (n, 1) of ``MOMENTS_PREMISE``."""
+    seed, n = MOMENTS_PREMISE
+    premise = np.random.default_rng(seed)
+    return (premise.standard_normal(n) * np.exp2(premise.integers(-20, 21, n))).reshape(n, 1)
 
 
 def loop_premise(name: str) -> np.ndarray:

@@ -18,12 +18,9 @@ they are built, so they are safe to share across workers.
 
 from __future__ import annotations
 
-import logging
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-
-_log = logging.getLogger(__name__)
 
 
 class DomainError(ValueError):
@@ -173,18 +170,9 @@ class Oracle:
         ``estimate`` call.  With ``antithetic=True`` each row of an
         estimator averages its estimates at +U and -U (same noise law), which
         keeps the mean and makes bias probes converge far faster; oracles
-        without directions ignore it.  At d = 1, where the oracle's
-        ``lane_spec()`` carries formula data, one call of the compiled lane
-        library makes the m replies instead (``_lanes_probe.probe_replies``),
-        with these bits, leaving rng where these draws leave it.  Which path
-        made them, and why numpy did, is logged at DEBUG."""
+        without directions ignore it.  The reference the lane library's
+        probes are held to (``_lanes_probe.probe_replies``)."""
         x = self.probe_point(x)
-        from . import _lanes_probe  # imported by a probe only, not with zograd (see _lanes)
-        g, refused = _lanes_probe.probe_replies(self, x, delta, m, rng, antithetic)
-        _log.debug("sample_gradients: %d replies from %s", m,
-                   "the compiled lane kernel" if refused is None else f"numpy's estimate ({refused})")
-        if g is not None:
-            return g
         draws, mirror = self._draws(delta, m, rng, antithetic)
         g = np.empty((m, x.shape[1]))
         for start in range(0, m, REPLY_BLOCK):

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import logging
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from ..core import DomainError, EUCLIDEAN, OracleEnvelope
-from .fitting import ols_loglog
 from .verdicts import Verdict, verdict
 
 _log = logging.getLogger(__name__)
@@ -56,22 +55,23 @@ def probe_bias_variance(oracle, x, delta: float, reps: int, rng: np.random.Gener
 
     Standard errors come from 32 batch means (``_moments``), which at d = 1
     the call of the lane library that makes the replies takes, with numpy's
-    bits (``_lanes_probe.probe_replies``); which path took them, and why, is
-    logged at DEBUG.  ``antithetic=True`` averages each draw with its
-    mirrored perturbation; the bias estimate is unchanged in expectation but
-    concentrates much faster (use it for slope fits, not for variance
-    estimation).
+    bits (``_lanes_probe.probe_replies``), and numpy's ``sample_gradients``
+    and ``_moments`` where the library refuses the probe; which path took
+    them, and why, is logged at DEBUG.  ``antithetic=True`` averages each
+    draw with its mirrored perturbation; the bias estimate is unchanged in
+    expectation but concentrates much faster (use it for slope fits, not
+    for variance estimation).
     """
     if reps < _BATCHES:
         raise DomainError(f"need at least {_BATCHES} replications")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     from .. import _lanes_probe  # imported by a probe only, not with zograd (see _lanes)
 
-    moments, refused = _lanes_probe.probe_replies(oracle, oracle.probe_point(x), delta, reps, rng, antithetic, _moments)
+    moments, refused = _lanes_probe.probe_replies(oracle, oracle.probe_point(x), delta, reps, rng, antithetic)
     if moments is None:
         moments = _moments(oracle.sample_gradients(x, delta, reps, rng, antithetic=antithetic))
     _log.debug("probe_bias_variance: moments of %d replies from %s", reps,
-               "the compiled lane kernel, in the replies' call" if refused is None else f"numpy ({refused})")
+               "the compiled lane kernel" if refused is None else f"numpy ({refused})")
     d, grad = x.size, oracle.target.gradient_at(x)
     biases = EUCLIDEAN.rows(moments[d + 1:-_BATCHES].reshape(_BATCHES, d) - grad)
     return ProbeResult(delta=float(delta), bias_est=EUCLIDEAN.value(moments[:d] - grad),
@@ -88,29 +88,3 @@ def envelope_verdicts(res: ProbeResult, env: OracleEnvelope) -> tuple[Verdict, V
         verdict(f"variance at delta={res.delta:g}", res.var_est, "<=",
                 VAR_FACTOR * env.c2_value(res.delta) + SE_SLACK * res.var_se),
     )
-
-
-def bias_slope(
-    oracle,
-    x,
-    deltas: Sequence[float],
-    reps: int,
-    rng: np.random.Generator,
-) -> tuple[float, list[ProbeResult]]:
-    """Least-squares slope of log(bias) against log(delta), measured with
-    antithetic pairs so the Monte Carlo mean is tight."""
-    results = [probe_bias_variance(oracle, x, d, reps, rng, antithetic=True) for d in deltas]
-    slope, _, _ = ols_loglog([r.delta for r in results], [max(r.bias_est, 1e-300) for r in results])
-    return slope, results
-
-
-def variance_slope(
-    oracle,
-    x,
-    deltas: Sequence[float],
-    reps: int,
-    rng: np.random.Generator,
-) -> tuple[float, list[ProbeResult]]:
-    results = [probe_bias_variance(oracle, x, d, reps, rng) for d in deltas]
-    slope, _, _ = ols_loglog([r.delta for r in results], [r.var_est for r in results])
-    return slope, results

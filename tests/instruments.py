@@ -3,11 +3,15 @@
 import csv
 import ctypes
 from pathlib import Path
+from typing import Optional, Sequence
+from unittest import mock
 
 import numpy as np
 
-from zograd import _lanes
+from zograd import _lanes, _lanes_probe
 from zograd.core import STEPS_PER_CHUNK, DomainError
+from zograd.harness.fitting import ols_loglog
+from zograd.harness.probes import ProbeResult, probe_bias_variance
 from zograd.testbed import ObjectiveFunction
 
 
@@ -59,10 +63,49 @@ def lane_draws(lanes: _lanes.LaneRun, m: int) -> np.ndarray:
     scratch, valid until the next chunk is drawn."""
     if not 0 < m <= STEPS_PER_CHUNK:  # the scratch holds one chunk
         raise ValueError(f"a chunk has 1 to {STEPS_PER_CHUNK} steps, not {m}")
-    table = lanes._table
-    count = _lanes._library().fill(m, table.size, lanes._flags, table.ctypes.data, lanes._scratch.ctypes.data)
+    table, address = lanes._table, ctypes.c_void_p
+    fill = _lanes._declare(_lanes._library().lib["zg_lane_draws"], [ctypes.c_long] * 3 + [address] * 2, ctypes.c_long)
+    count = fill(m, table.size, lanes._flags, table.ctypes.data, lanes._scratch.ctypes.data)
     table["left"] -= np.minimum(table["left"], m)
     return lanes._scratch[:count]
+
+
+def library_replies(oracle, x, delta: float, m: int, rng: np.random.Generator,
+                    antithetic: bool = False) -> Optional[np.ndarray]:
+    """The m replies (m, 1) at the 1-d point x that the lane library's probe
+    call (``_lanes_probe.probe_replies``) makes and folds into their
+    moments, copied out of the call's scratch, where ``zg_probe`` leaves
+    them; None where the library refuses the probe.  Below 32 replies the
+    moments the call folds them into are NaN, and are not read."""
+    loaded, replies = _lanes._library(), []
+    if loaded is None:
+        return None
+    real = loaded.probe
+
+    def probe(m, flags, data, lane, x, scratch, moments):
+        start = real(m, flags, data, lane, x, scratch, moments)
+        replies.append(np.ctypeslib.as_array((ctypes.c_double * (start + m)).from_address(scratch))[start:].copy())
+
+    with mock.patch.object(loaded, "probe", probe):
+        _lanes_probe.probe_replies(oracle, oracle.probe_point(x), delta, m, rng, antithetic)
+    return replies[0].reshape(m, 1) if replies else None
+
+
+def bias_slope(oracle, x, deltas: Sequence[float], reps: int,
+               rng: np.random.Generator) -> tuple[float, list[ProbeResult]]:
+    """Least-squares slope of log(bias) against log(delta), measured with
+    antithetic pairs so the Monte Carlo mean is tight."""
+    results = [probe_bias_variance(oracle, x, d, reps, rng, antithetic=True) for d in deltas]
+    slope, _, _ = ols_loglog([r.delta for r in results], [max(r.bias_est, 1e-300) for r in results])
+    return slope, results
+
+
+def variance_slope(oracle, x, deltas: Sequence[float], reps: int,
+                   rng: np.random.Generator) -> tuple[float, list[ProbeResult]]:
+    """Least-squares slope of log(variance) against log(delta)."""
+    results = [probe_bias_variance(oracle, x, d, reps, rng) for d in deltas]
+    slope, _, _ = ols_loglog([r.delta for r in results], [r.var_est for r in results])
+    return slope, results
 
 
 class WrongSeeding(_lanes._Library):
@@ -89,3 +132,19 @@ class NoTables(_lanes._Library):
     def __init__(self, lib, ufunc: bool):
         super().__init__(lib, ufunc)
         lib.zg_bind_normal = lambda: -1
+
+
+class MomentsOff(_lanes._Library):
+    """A loaded lane library whose ``zg_moments`` gives a mean one bit
+    above numpy's.  Set as ``_lanes._Library``, it is what the next load
+    makes."""
+
+    def __init__(self, lib, ufunc: bool):
+        super().__init__(lib, ufunc)
+        real = self.moments
+
+        def moments(m, g, out):
+            real(m, g, out)
+            ctypes.c_int64.from_address(out).value += 1
+
+        self.moments = moments

@@ -22,7 +22,6 @@ from zograd.harness.checks import run_checks
 from zograd.harness.cli import main as cli_main
 from zograd.harness.config import ExperimentConfig
 from zograd.harness.experiments import lower_bound_experiment
-from zograd.harness.probes import bias_slope, variance_slope
 from zograd.solver import divergence_diameter, prox_inequality_gap, run, schedule_opt_sc
 from zograd.testbed import (
     exp_one_d,
@@ -33,6 +32,8 @@ from zograd.testbed import (
     softabs,
     strongly_convex_pair,
 )
+
+from instruments import bias_slope, variance_slope
 
 FULL_HORIZONS = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
 SEED = 20260810

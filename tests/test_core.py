@@ -234,11 +234,12 @@ class TestPremise:
         monkeypatch.setattr(_lanes, "_Library", WrongSeeding)
 
     def test_a_wrong_library_seeding_falls_back_to_numpy(self, wrong_seeding, caplog):
+        # the library is refused whole, and SeedSequence seeds the lanes
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             gens = generators(self.SEED, self.IDS)
             again = generators(self.SEED + 1, self.IDS)
-        assert _lanes.kernel() is not None and _lanes._library().seed is None
-        assert caplog.text.count("lane seeding from numpy's SeedSequence: its words differ from numpy's") == 1
+        assert _lanes.kernel() is None and _lanes.seed_words(self.SEED, self.IDS) is None
+        assert caplog.text.count("refused: its seeding differs from numpy's") == 1
         assert _states(gens) == _states(RngStream(self.SEED, i).generator() for i in self.IDS)
         assert _states(again) == _states(RngStream(self.SEED + 1, i).generator() for i in self.IDS)
         assert all(type(g.bit_generator.seed_seq) is np.random.SeedSequence for g in gens + again)
@@ -263,10 +264,10 @@ class TestPremise:
         # else every run takes numpy's way, and the tests above compare it
         # with itself; the library's premises checked on a copy of its own
         monkeypatch.setattr(_lanes, "_twin_holds", functools.cache(_lanes._twin_holds.__wrapped__))
-        if _lanes._library() is not None:
+        built = _lanes._library() is not None
+        if built:
             request.getfixturevalue("unchecked_library")
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             assert _lanes._twin_holds()
-            library = _lanes._library()
-        assert library is None or library.seed is not None
-        assert "lane seeding from" not in caplog.text and "jumped twins from" not in caplog.text
+            assert (_lanes._library() is not None) == built
+        assert "refused" not in caplog.text and "jumped twins from" not in caplog.text

@@ -21,10 +21,10 @@ from zograd.estimators import (
     envelope_for,
     scheme_moments,
 )
-from zograd.harness.probes import bias_slope, probe_bias_variance, variance_slope
+from zograd.harness.probes import probe_bias_variance
 from zograd.testbed import ObjectiveFunction, exp_one_d, kinked_quadratic, quadratic, softabs, strongly_convex_pair
 
-from instruments import one_reply, smoothed_eval, value_at
+from instruments import bias_slope, one_reply, smoothed_eval, value_at, variance_slope
 
 RNG = lambda i: RngStream(77, i).generator()
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zograd import _lanes, _lanes_build, adversarial, core
+from zograd import _lanes, _lanes_build, _lanes_probe, adversarial, core
 from zograd.adversarial import AdversarialOracle, HardInstance
 from zograd.core import EUCLIDEAN, Box, Norm, OracleEnvelope, RngStream, interval
 from zograd.estimators import (RDSA, SF, SPSA, ControlledNoise, EstimatorOracle, ExactGradientOracle,
@@ -42,7 +42,7 @@ from zograd.harness.verdicts import RELATIONS, require, verdict
 from zograd.solver import NonFiniteIterate, manual_schedule, run, schedule_opt_convex
 from zograd.testbed import ObjectiveFunction, quadratic
 
-from instruments import NoTables, WrongSeeding, read_rows
+from instruments import MomentsOff, NoTables, WrongSeeding, read_rows
 
 SMALL_HORIZONS = (300, 1000, 3000, 10000)
 CHECK_STDOUT = """\
@@ -721,7 +721,7 @@ class TestCli:
         monkeypatch.setattr(_lanes, "_twin_holds", lambda: False)
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             assert main(argv + [str(tmp_path / "numpy.csv")]) == 0
-        assert caplog.text.count("lane seeding from numpy's SeedSequence") == library
+        assert caplog.text.count("refused: its seeding differs from numpy's") == library
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
     def test_the_parser_is_built_once_and_keeps_no_state(self, tmp_path):
@@ -749,6 +749,19 @@ class TestCli:
         assert loud.err == (f"DEBUG:zograd.solver:run: 4 lanes, 1999 steps on the {path}\n" * 2
                             + f"DEBUG:zograd.solver:run: 1 lanes, 1999 steps on the {path}\n" * 2)
         assert logging.getLogger("zograd").handlers == []  # nothing left behind
+
+    def test_a_probe_the_library_refuses_asks_it_once_and_logs_one_line(self, tmp_path, capsys, monkeypatch):
+        # the one-point estimator of softabs has no C formula: numpy makes
+        # the replies and their moments, and the probe says so once
+        asked, real = [], _lanes_probe.probe_replies
+        monkeypatch.setattr(_lanes_probe, "probe_replies", lambda *args: asked.append(1) or real(*args))
+        argv = ["probe", "--oracle", "one-point,fn=softabs,v=1,eps=0.1", "--reps", "64", "--delta-grid", "0.5",
+                "--log-level", "debug", "--out", str(tmp_path / "probe.csv")]
+        assert main(argv) == 0
+        assert asked == [1]
+        assert [line for line in capsys.readouterr().err.splitlines() if "replies" in line] == [
+            "DEBUG:zograd.harness.probes:probe_bias_variance: moments of 64 replies from numpy "
+            "(no C formula: no replies, d > 1, another target, or a redefined draw or estimate)"]
 
     @pytest.mark.parametrize("argv, message", [
         (["probe", "--reps", "0"], "config error: probe_reps: must be at least 32"),
@@ -1330,7 +1343,7 @@ class TestCommittedResults:
                             lambda apply, name: "it differs from np.exp" if name == "exp" else real(apply, name))
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             self._reproduces(*script_cell("probe_envelopes", name))
-        assert caplog.text.count("replies from numpy's estimate (exp loop not bound)") == 4
+        assert caplog.text.count("replies from numpy (exp loop not bound)") == 4
         assert not _lanes.loop_bound("exp")
 
     def _reproduces(self, code: int, out: Path) -> None:
@@ -1543,53 +1556,55 @@ class TestThreadedFanOut:
         assert caplog.text.count("steps on the numpy loop") == 4
         assert "compiled lane kernel" not in caplog.text
 
-    @pytest.mark.parametrize("cause", ["tables", "check", "check-once"])
-    def test_unchecked_normals_go_to_numpy_sampler(self, cause, tmp_path, unchecked_library, monkeypatch, caplog):
-        # where numpy's ziggurat tables cannot be read, or only the inline fill fails its check, the
-        # kernel hands every normal to numpy's random_standard_normal (ki all zero); where the fill
-        # fails its check inline and then handed over too, the numpy loop runs.  Same bytes each way,
-        # from the premises checked on a library of the test's own and then from their stored verdict
+    @pytest.mark.parametrize("library, reason", [
+        (NoTables, "numpy's random_standard_normal gave no ziggurat tables"),
+        (WrongSeeding, "its seeding differs from numpy's"),
+        (MomentsOff, "its moments differ from numpy's"),
+    ], ids=["normals", "seeding", "moments"])
+    def test_a_library_that_fails_a_premise_is_not_used(self, library, reason, tmp_path, unchecked_library,
+                                                        monkeypatch, caplog):
+        # checked when a library of the test's own first loads, and then
+        # read from the stored verdict: no kernel, one DEBUG line each load,
+        # one check in all, and the bytes of the library's runs and probes
         rate = lambda name: ExperimentConfig(experiment="rate", horizons=(300, 1000, 3000), replications=2,
                                              master_seed=5, tolerance=5.0, out=str(tmp_path / name))
         lower = lambda name: ExperimentConfig(workers=2, out=str(tmp_path / name), **self.LOWERBOUND)
-        rate_experiment(rate("rate-inline.csv"))
-        lower_bound_experiment(lower("lb-inline.csv"))
-        ki = (ctypes.c_uint64 * 256).in_dll(ctypes.CDLL(str(unchecked_library)), "zg_ki")  # the copy's tables
-        assert any(ki)
-        unchecked_library.with_suffix(".verdict").unlink()  # its premises are checked again as it loads
-        if cause == "tables":
-            monkeypatch.setattr(_lanes, "_Library", NoTables)
-            reason = "numpy's random_standard_normal gave no ziggurat tables"
-        else:
-            reason, real = "its normals differ from numpy's", _lanes_build.normal_mismatch
-            tries = iter([reason] * (2 if cause == "check" else 1))  # then the real check
-            monkeypatch.setattr(_lanes_build, "normal_mismatch", lambda fill: next(tries, None) or real(fill))
+        probe = lambda name: ExperimentConfig(experiment="probe", oracle_spec="one-point,fn=quadratic,x=0.25",
+                                              delta_grid=(0.5, 0.1), probe_reps=999, out=str(tmp_path / name))
+        runs = {"rate": (rate_experiment, rate), "lb": (lower_bound_experiment, lower),
+                "probe": (probe_experiment, probe)}
+        for name, (experiment, cfg) in runs.items():
+            experiment(cfg(f"{name}-used.csv"))
+        assert _lanes.kernel() is not None
+        unchecked_library.with_suffix(".verdict").unlink()  # the copy's premises are checked again as it loads
+        monkeypatch.setattr(_lanes, "_Library", library)
         checks, check = [], _lanes_build.check_premises
         monkeypatch.setattr(_lanes_build, "check_premises", lambda *args: checks.append(1) or check(*args))
-        path = "numpy loop" if cause == "check" else "compiled lane kernel"
+        line = f"lane kernel unavailable, the numpy loop runs: {unchecked_library} refused: {reason}"
         for stored in ("checked", "stored"):
             monkeypatch.setattr(_lanes, "_loaded", [])
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="zograd"):
-                rate_experiment(rate(f"rate-{stored}.csv"))
-                lower_bound_experiment(lower(f"lb-{stored}.csv"))
-            assert (_lanes.kernel() is None) == (cause == "check") and not any(ki)
-            assert caplog.text.count(f"normals from numpy's random_standard_normal: {reason}") == 1
-            assert caplog.text.count(f"steps on the {path}") == caplog.text.count("steps on the ") > 0
-            for name in ("rate", "lb"):
-                got, want = (tmp_path / f"{name}-{stored}.csv", tmp_path / f"{name}-inline.csv")
+                for name, (experiment, cfg) in runs.items():
+                    experiment(cfg(f"{name}-{stored}.csv"))
+            assert _lanes.kernel() is None
+            assert [r.getMessage() for r in caplog.records if r.name == "zograd._lanes"] == [line]
+            assert caplog.text.count("steps on the numpy loop") == caplog.text.count("steps on the ") > 0
+            assert caplog.text.count("replies from numpy (no lane kernel)") == 2
+            for name in runs:
+                got, want = tmp_path / f"{name}-{stored}.csv", tmp_path / f"{name}-used.csv"
                 assert got.read_bytes() == want.read_bytes()
         assert checks == [1]
+        assert unchecked_library.with_suffix(".verdict").read_text() == f"refused: {reason}\n"
 
-    def test_kernel_load_names_its_normal_fill(self, monkeypatch, caplog):
+    def test_kernel_load_reads_numpys_normal_tables(self, monkeypatch, caplog):
         if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
         monkeypatch.setattr(_lanes, "_loaded", [])
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             assert _lanes.kernel() is not None
         assert any((ctypes.c_uint64 * 256).in_dll(_lanes._library().lib, "zg_ki"))
-        assert caplog.text.count("lane kernel loaded") == 1
-        assert "normals from numpy's ziggurat fast path inline" in caplog.text
+        assert caplog.text.count("lane kernel loaded from") == 1
 
     def test_import_leaves_out_numpy_random(self):
         # it costs about 9 ms of start-up; the first run imports it with the lane library, for its generators
@@ -1658,29 +1673,23 @@ class TestThreadedFanOut:
         argv = ["probe", "--oracle", "smoothing,fn=exp,sigma=1.0,x=0.0", "--delta-grid", "0.5", "--reps", "64"]
         assert _in_fresh_process(self.EXP_BOUND, argv) is True
 
-    # how many times the process checked the library's probe moments against
-    # numpy's, and what it found: only a probe checks, the first time
-    MOMENTS_CHECKED = "[len(checks), sys.modules['zograd._lanes']._loaded[0].moments_hold]"
-    COUNT_CHECKS = ("import zograd._lanes_probe as probe; checks = []; real = probe._moments_mismatch; "
-                    "probe._moments_mismatch = lambda *args: checks.append(1) or real(*args)")
+    # how many times the process checked the library's premises, and whether it loaded the library
+    PREMISES_CHECKED = "[len(checks), bool(sys.modules['zograd._lanes']._loaded[0])]"
+    COUNT_CHECKS = ("import zograd._lanes_build as build; checks = []; real = build.check_premises; "
+                    "build.check_premises = lambda *args: checks.append(1) or real(*args)")
 
-    @pytest.mark.parametrize("argv", [
-        ["rate", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"],
-        ["regret", "--estimator", "spsa", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"],
-        ["lowerbound", "--class", "convex", "--p", "2", "--n", "2000", "--reps", "4"],
-    ], ids=["rate", "regret", "lowerbound"])
-    def test_a_run_leaves_the_moments_unchecked(self, argv):
+    @pytest.mark.parametrize("argvs", [
+        [["rate", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"]],
+        [["regret", "--estimator", "spsa", "--horizons", "300 1000 3000", "--reps", "2", "--tol", "5"]],
+        [["lowerbound", "--class", "convex", "--p", "2", "--n", "2000", "--reps", "4"]],
+        [["probe", "--oracle", "one-point,fn=quadratic,sigma=1.0,x=0.25", "--delta-grid", "0.5 0.1", "--reps", "64"],
+         ["probe", "--oracle", "adversarial-sc,v=-1,eps=0.2,x=0.4", "--reps", "64"]],
+    ], ids=["rate", "regret", "lowerbound", "probe"])
+    def test_a_stored_verdict_leaves_the_premises_unchecked(self, argvs):
+        # this process loaded the library first, so its verdict is stored
         if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
-        assert _in_fresh_process(self.MOMENTS_CHECKED, argv, setup=self.COUNT_CHECKS) == [0, None]
-
-    def test_probes_check_the_moments_once(self):
-        if _lanes.kernel() is None:
-            pytest.skip("the lane kernel cannot be built with numpy's samplers here")
-        probe = ["probe", "--oracle", "one-point,fn=quadratic,sigma=1.0,x=0.25", "--delta-grid", "0.5 0.1",
-                 "--reps", "64"]
-        adversarial = ["probe", "--oracle", "adversarial-sc,v=-1,eps=0.2,x=0.4", "--reps", "64"]
-        assert _in_fresh_process(self.MOMENTS_CHECKED, probe, adversarial, setup=self.COUNT_CHECKS) == [1, True]
+        assert _in_fresh_process(self.PREMISES_CHECKED, *argvs, setup=self.COUNT_CHECKS) == [0, True]
 
 
 class TestBenchmarkTracer:

@@ -1,6 +1,7 @@
 """Static reachability: every function and class that ``src/zograd`` defines
 is named somewhere else in the code that runs it, or is on an allowlist
-that says why it stays."""
+that says why it stays, and every entry point of the lane library that
+``src/zograd`` binds is read there."""
 
 import ast
 import re
@@ -12,8 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # name -> why it stays, though nothing in src/, scripts/ or perfbench/ names it
 UNREACHED = {
     "kl_divergence_bound": "the lower-bound JSON is to report it (ROADMAP item 4)",
-    "bias_slope": "acceptance criterion 05 fits the probe bias slope with it",
-    "variance_slope": "acceptance criterion 05 fits the probe variance slope with it",
 }
 
 
@@ -40,3 +39,19 @@ def test_every_definition_is_named_elsewhere_or_allowed():
     words = Counter(re.findall(r"\w+", _code()))
     unreached = sorted(name for name, defined in _definitions().items() if words[name] <= defined)
     assert unreached == sorted(UNREACHED)
+
+
+def test_every_library_binding_is_read_in_src():
+    # each entry point _lanes._Library.__init__ declares, self.<name>, is
+    # read as an attribute, .<name>, somewhere in src/ outside that method
+    lanes = ast.parse((ROOT / "src" / "zograd" / "_lanes.py").read_text())
+    library = next(node for node in lanes.body if isinstance(node, ast.ClassDef) and node.name == "_Library")
+    init = next(node for node in library.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    bound = {node.targets[0].attr for node in ast.walk(init) if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "_declare"}
+    inside = {id(node) for node in ast.walk(init)}
+    read = {node.attr for path in sorted((ROOT / "src" / "zograd").rglob("*.py"))
+            for node in ast.walk(lanes if path.name == "_lanes.py" else ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in inside}
+    assert {"run", "probe", "seed"} <= bound
+    assert sorted(bound - read) == []

@@ -51,7 +51,7 @@ from zograd.solver import (
 from zograd.testbed import exp_one_d, kinked_quadratic, quadratic, softabs
 
 from conftest import _script
-from instruments import NoTables, lane_draws, value_at
+from instruments import NoTables, lane_draws, library_replies, value_at
 
 RNG = lambda i: RngStream(55, i).generator()
 
@@ -592,9 +592,10 @@ def _skip_without_loops(oracle):
 
 
 class TestProbeReplies:
-    # sample_gradients at d = 1 takes its m replies from one library call,
-    # which draws on one lane reading the probe's generator and evaluates
-    # each reply in C, and gives numpy's bits and final generator state
+    # a probe at d = 1 takes its m replies from one library call, which
+    # draws on one lane reading the probe's generator and evaluates each
+    # reply in C, and gives numpy's bits (sample_gradients) and final
+    # generator state; the replies are read from the call's scratch
     @pytest.mark.parametrize("kind", sorted(PROBE_ORACLES))
     @given(st.integers(0, 2**32), st.floats(0.01, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=8, deadline=None)
@@ -605,12 +606,9 @@ class TestProbeReplies:
         x = float(body.lower[0] + at * (body.upper[0] - body.lower[0]))
         for m in (1, 31, 32, 33, 4099, 2 * STEPS_PER_CHUNK + 1):
             for antithetic in (False, True):
-                fast, slow, made = np.random.default_rng(seed), np.random.default_rng(seed), []
-                with _counted_probe_replies(made):
-                    got = oracle.sample_gradients(np.array([x]), delta, m, fast, antithetic)
-                assert made == [True]
-                with _numpy_loop():
-                    want = oracle.sample_gradients(np.array([x]), delta, m, slow, antithetic)
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = library_replies(oracle, np.array([x]), delta, m, fast, antithetic)
+                want = oracle.sample_gradients(np.array([x]), delta, m, slow, antithetic)
                 assert got.shape == want.shape == (m, 1)
                 np.testing.assert_array_equal(_bits(got), _bits(want))
                 assert fast.bit_generator.state == slow.bit_generator.state
@@ -649,67 +647,64 @@ class TestProbeReplies:
             base = KERNEL_ORACLES["spsa-2pt"]
             own = {"_scaled": OwnScaled, "_noise": OwnNoise, "_draws": OwnDraws, "estimate": OwnEstimate}[redefined]
             oracle = own(base.target, base.scheme, base.noise, base.feedback)
-        assert _lanes_probe.probe_replies(oracle, np.array([[0.3]]), 0.2, 8, RNG(0))[0] is None
+        assert _lanes_probe.probe_replies(oracle, np.array([[0.3]]), 0.2, 64, RNG(0))[0] is None
         np.testing.assert_array_equal(oracle.sample_gradients(np.array([0.3]), 0.2, 99, RNG(1)),
                                       base.sample_gradients(np.array([0.3]), 0.2, 99, RNG(1)))
 
-    def test_a_wrapper_on_sample_gradients_keeps_the_library_replies(self):
+    def test_a_wrapper_on_sample_gradients_keeps_the_library_moments(self):
         # a tracer wraps sample_gradients on the oracle classes themselves;
-        # a probe's moments, which do not call it, stay the library's too
+        # a probe's moments, which do not call it, stay the library's
         if _lanes.kernel() is None:
             pytest.skip("the lane kernel cannot be built with numpy's samplers here")
-        made = []
+        made, wrapped_calls = [], []
         for cls in (EstimatorOracle, AdversarialOracle):
             real = cls.sample_gradients
-            wrapped = functools.wraps(real)(lambda self, *a, real=real, **k: real(self, *a, **k))
+            wrapped = functools.wraps(real)(
+                lambda self, *a, real=real, **k: wrapped_calls.append(1) or real(self, *a, **k))
             with mock.patch.object(cls, "sample_gradients", wrapped), _counted_probe_replies(made):
                 for oracle in (KERNEL_ORACLES["one-point"], KERNEL_ORACLES["adversarial-sc-p1+1"]):
-                    oracle.sample_gradients(np.array([0.3]), 0.2, 64, RNG(2))
                     probe_bias_variance(oracle, np.array([0.3]), 0.2, 64, RNG(3))
-        assert made == [True] * 8
+        assert made == [True] * 4 and wrapped_calls == []
 
     def test_d_above_1_and_other_targets_take_numpy(self):
         made = []
         with _counted_probe_replies(made):
             for oracle in (EstimatorOracle(quadratic([1.0, 2.0]), SF, UncontrolledNoise(1.0), "one_point"),
                            scaled_hard_coordinates("strongly_convex", 1.0, 2.0, 1.0, 1.0, 0.2, [+1, -1])):
-                oracle.sample_gradients(np.array([0.3, -0.1]), 0.2, 16, RNG(4))
-            ExactGradientOracle(_FQ).sample_gradients(np.array([0.3]), 0.2, 16, RNG(5))
-            EstimatorOracle(softabs(+1, 0.1), SPSA, UncontrolledNoise(1.0), "one_point").sample_gradients(
-                np.array([0.3]), 0.2, 16, RNG(6))
+                probe_bias_variance(oracle, np.array([0.3, -0.1]), 0.2, 32, RNG(4))
+            probe_bias_variance(ExactGradientOracle(_FQ), np.array([0.3]), 0.2, 32, RNG(5))
+            probe_bias_variance(EstimatorOracle(softabs(+1, 0.1), SPSA, UncontrolledNoise(1.0), "one_point"),
+                                np.array([0.3]), 0.2, 32, RNG(6))
         assert made == [False] * 4
 
-    def test_a_refused_exp_loop_gives_numpys_replies(self, monkeypatch, caplog):
+    def test_a_refused_exp_loop_gives_numpys_moments(self, monkeypatch, caplog):
         # where numpy's exp loop fails its check, exp probes take numpy's
-        # estimate, with the same bits, and each probe logs why
+        # sample_gradients and moments, with the same bits, and each probe
+        # logs why
         oracle = PROBE_ORACLES["spsa-two_point-exp"]
         _skip_without_loops(oracle)
         x, args = np.array([0.2]), (0.1, 5000)
-        bound = [oracle.sample_gradients(x, *args, RNG(7), antithetic) for antithetic in (False, True)]
+        bound = [probe_bias_variance(oracle, x, *args, RNG(7), antithetic) for antithetic in (False, True)]
         monkeypatch.setattr(_lanes, "_loaded", [])
         real = _lanes_build.loop_mismatch
         monkeypatch.setattr(_lanes_build, "loop_mismatch",
                             lambda apply, name: "it differs from np.exp" if name == "exp" else real(apply, name))
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             for antithetic, want in zip((False, True), bound):
-                got = oracle.sample_gradients(x, *args, RNG(7), antithetic)
-                np.testing.assert_array_equal(_bits(got), _bits(want))
-            probe_bias_variance(oracle, x, 0.1, 64, RNG(8))
+                got = probe_bias_variance(oracle, x, *args, RNG(7), antithetic)
+                np.testing.assert_array_equal(_bits(list(got)), _bits(list(want)))
         assert not _lanes.loop_bound("exp") and _lanes.kernel() is not None
         assert caplog.text.count("lane kernel without numpy's exp loop (exp probes take numpy)") == 1
-        assert caplog.text.count("replies from numpy's estimate (exp loop not bound)") == 3
+        assert caplog.text.count("moments of 5000 replies from numpy (exp loop not bound)") == 2
 
-    def test_a_probe_logs_which_path_made_its_replies(self, caplog):
-        # and its moments: the library's in the replies' call, where it makes
-        # the replies; numpy's after the replies' own line otherwise
+    def test_a_probe_logs_which_path_made_its_moments(self, caplog):
         oracle = KERNEL_ORACLES["one-point"]
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             probe_bias_variance(oracle, np.array([0.3]), 0.2, 64, RNG(9))
             with _numpy_loop():
                 probe_bias_variance(oracle, np.array([0.3]), 0.2, 64, RNG(9))
-        numpy = ["sample_gradients: 64 replies from numpy's estimate (no lane kernel)",
-                 "probe_bias_variance: moments of 64 replies from numpy (no lane kernel)"]
-        library = ["probe_bias_variance: moments of 64 replies from the compiled lane kernel, in the replies' call"]
+        numpy = ["probe_bias_variance: moments of 64 replies from numpy (no lane kernel)"]
+        library = ["probe_bias_variance: moments of 64 replies from the compiled lane kernel"]
         assert [r.getMessage() for r in caplog.records if r.name != "zograd._lanes"] == (
             numpy if _lanes.kernel() is None else library) + numpy
 
@@ -733,23 +728,19 @@ class TestProbeMoments:
     # its replies (zg_probe folds them in), with the bits of numpy's mean
     @pytest.mark.parametrize("cell", sorted(ENVELOPE_CELLS))
     def test_library_moments_give_numpys_probe_results(self, cell):
-        # against the numpy path (no library) and against the library's
-        # replies with numpy's moments (a failed moments check)
+        # against the numpy path (no library)
         oracle, x = ENVELOPE_CELLS[cell]
         _skip_without_loops(oracle)
         for reps in (32, 33, 49_999, 50_000, 99_999, 100_000):
             for antithetic in (False, True):
-                rngs, made = [RNG(reps) for _ in range(3)], []
+                rngs, made = [RNG(reps) for _ in range(2)], []
                 with _counted_probe_replies(made):
                     got = probe_bias_variance(oracle, x, 0.1, reps, rngs[0], antithetic)
                 assert made == [True]  # one call, from draws to moments
-                with mock.patch.object(_lanes._library(), "moments_hold", False):
-                    replies = probe_bias_variance(oracle, x, 0.1, reps, rngs[1], antithetic)
                 with mock.patch.object(_lanes, "_loaded", [None]):
-                    numpy = probe_bias_variance(oracle, x, 0.1, reps, rngs[2], antithetic)
-                for want, rng in ((replies, rngs[1]), (numpy, rngs[2])):
-                    np.testing.assert_array_equal(_bits(list(got)), _bits(list(want)))
-                    assert rngs[0].bit_generator.state == rng.bit_generator.state
+                    numpy = probe_bias_variance(oracle, x, 0.1, reps, rngs[1], antithetic)
+                np.testing.assert_array_equal(_bits(list(got)), _bits(list(numpy)))
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     @given(st.integers(32, 20_000), st.integers(0, 2**32 - 1), st.integers(-300, 300), st.integers(0, 600),
            st.floats(0.0, 1.0), st.integers(0, 4))
@@ -779,37 +770,14 @@ class TestProbeMoments:
         # numpy's order, a leaf of 128 values split at half rounded down to a
         # multiple of 8, gives numpy's moments on the premise; a leaf of 64
         # or a split not rounded each changes some of their bits
-        g = _lanes_probe.moments_premise()
-        assert g.shape == (_lanes_probe.MOMENTS_PREMISE[1], 1)
+        g = _lanes_build.moments_premise()
+        assert g.shape == (_lanes_build.MOMENTS_PREMISE[1], 1)
         want = _moments(g).view(np.int64)
         assert np.array_equal(_pairwise_moments(g[:, 0], 128, 8).view(np.int64), want)
         for leaf, multiple in ((64, 8), (128, 1)):
             assert not np.array_equal(_pairwise_moments(g[:, 0], leaf, multiple).view(np.int64), want)
         if _lanes.kernel() is not None:
-            assert _lanes_probe._moments_hold(_moments)
-
-    def test_a_failed_moments_check_gives_numpys_moments(self, monkeypatch, caplog):
-        # checked once, on the first probe that asks: then every probe takes
-        # the library's replies and numpy's moments, with the same bits
-        oracle = KERNEL_ORACLES["one-point"]
-        _skip_without_loops(oracle)
-        want = [probe_bias_variance(oracle, np.array([0.3]), delta, 999, RNG(10)) for delta in (0.2, 0.1)]
-        monkeypatch.setattr(_lanes, "_loaded", [])
-        loaded = _lanes._library()
-        real = loaded.moments
-
-        def off(m, g, out):  # the mean centred square, out[1], taken as 0
-            real(m, g, out)
-            ctypes.c_double.from_address(out + 8).value = 0.0
-
-        monkeypatch.setattr(loaded, "moments", off)
-        with caplog.at_level(logging.DEBUG, logger="zograd"):
-            got = [probe_bias_variance(oracle, np.array([0.3]), delta, 999, RNG(10)) for delta in (0.2, 0.1)]
-        np.testing.assert_array_equal(_bits(got), _bits(want))
-        assert loaded.moments_hold is False
-        assert caplog.text.count("probe moments from numpy: the lane kernel's moments differ from numpy's") == 1
-        assert caplog.text.count("sample_gradients: 999 replies from the compiled lane kernel") == 2
-        assert caplog.text.count("moments of 999 replies from numpy (the lane kernel's moments failed their check)") == 2
+            assert _lanes_build.moments_mismatch(_lanes._library().moments) is None
 
 
 def _pairwise_moments(g: np.ndarray, leaf: int, multiple: int) -> np.ndarray:
@@ -884,17 +852,18 @@ def _assert_same_runs(fast, slow):
 
 
 def _counted_kernel(calls: list):
-    """Patch in the compiled kernel, appending the lane count of each call
-    to ``calls``; skips where no kernel can be built."""
-    real = _lanes.kernel()
-    if real is None:
+    """Patch the loaded library's kernel, appending the lane count of each
+    call to ``calls``; skips where no kernel can be built."""
+    loaded = _lanes._library()
+    if loaded is None:
         pytest.skip("the lane kernel cannot be built here")
+    real = loaded.run
 
     def counted(m, lanes, *rest):
         calls.append(lanes)
         return real(m, lanes, *rest)
 
-    return mock.patch.object(_lanes, "kernel", lambda: counted)
+    return mock.patch.object(loaded, "run", counted)
 
 
 def _numpy_loop():
@@ -1102,9 +1071,9 @@ class TestCompiledKernel:
         np.testing.assert_array_equal(fast.error, slow.error)
 
     def test_one_library_call_per_run(self, kernel_calls, monkeypatch):
-        # zg_lane_run runs every chunk and fills its draws itself: the plain
-        # fill is never called, and the scratch size only as the run is built
-        lib, counts = _lanes._library(), {"fill": 0, "scratch": 0}
+        # zg_lane_run runs every chunk and fills its draws itself: the
+        # scratch size is asked only as the run is built, and no probe runs
+        lib, counts = _lanes._library(), {"probe": 0, "scratch": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -1117,7 +1086,7 @@ class TestCompiledKernel:
         n = 3 * STEPS_PER_CHUNK + 100
         run(KERNEL_ORACLES["spsa-2pt"], SCHEDULES[0], n, rng=[RNG(i) for i in range(3)])
         assert len(chunk_sizes(n - 1)) == 4 and kernel_calls == [3]
-        assert counts == {"fill": 0, "scratch": 1}
+        assert counts == {"probe": 0, "scratch": 1}
 
     def test_the_check_suite_takes_no_numpy_step(self, kernel_calls, monkeypatch):
         # each solver run of `zograd check`, the recorded prox-inequality run
@@ -1189,20 +1158,20 @@ class TestCompiledKernel:
         tmp.write_bytes(b"")
         monkeypatch.setattr(_lanes, "CACHE", cache)
         library = _lanes._library_path()
-        library.with_suffix(".verdict").write_text("none: a verdict no build of this library wrote\nlibrary\n")
+        library.with_suffix(".verdict").write_text("refused: a verdict no build of this library wrote\n")
         for kept in ([], [stale.name, stale.with_suffix(".verdict").name]):
             stale.write_bytes(b"")
-            stale.with_suffix(".verdict").write_text("inline\nlibrary\n")
+            stale.with_suffix(".verdict").write_text("used\n")
             monkeypatch.setattr(_lanes, "_loaded", [])
             assert _lanes.kernel() is not None
             assert sorted(p.name for p in cache.iterdir()) == sorted(
                 [library.name, library.with_suffix(".verdict").name, tmp.name, *kept])
-            assert library.with_suffix(".verdict").read_text() == "inline\nlibrary\n"
+            assert library.with_suffix(".verdict").read_text() == "used\n"
 
-    @pytest.mark.parametrize("stored", [None, b"\xff\xfe\n", b"inline\n", b"inline\nlibrary\nnumpy\n",
-                                        b"fast\nlibrary\n", b"inline: why\nlibrary\n", b"numpy\nlibrary\n"],
-                             ids=["missing", "not-text", "one-line", "three-lines", "unknown-word", "reason-too-many",
-                                  "reason-missing"])
+    @pytest.mark.parametrize("stored", [None, b"\xff\xfe\n", b"used\nused\n", b"fast\n", b"used: why\n",
+                                        b"refused: \n"],
+                             ids=["missing", "not-text", "extra-lines", "unknown-word", "reason-after-used",
+                                  "refused-without-reason"])
     def test_a_library_without_a_readable_verdict_is_checked_once(self, stored, unchecked_library, monkeypatch,
                                                                    caplog):
         # its premises are checked on its first load, and their verdict is
@@ -1215,44 +1184,40 @@ class TestCompiledKernel:
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             for _ in range(3):
                 monkeypatch.setattr(_lanes, "_loaded", [])
-                assert _lanes.kernel() is not None and _lanes._library().seed is not None
+                assert _lanes.kernel() is not None
                 assert any((ctypes.c_uint64 * 256).in_dll(_lanes._library().lib, "zg_ki"))
         assert checks == [1]
-        assert verdict.read_text() == "inline\nlibrary\n"
-        assert caplog.text.count(f"lane kernel loaded from {unchecked_library}, normals from numpy's ziggurat fast "
-                                 "path inline") == 3
+        assert verdict.read_text() == "used\n"
+        assert caplog.text.count(f"lane kernel loaded from {unchecked_library}") == 3
 
-    @pytest.mark.parametrize("stored, loaded", [
-        ("numpy: planted\nnumpy: planted too\n", ["lane kernel loaded from {}, normals from numpy's "
-                                                  "random_standard_normal: planted",
-                                                  "lane seeding from numpy's SeedSequence: planted too"]),
-        ("none: planted\nlibrary\n", ["lane kernel unavailable, the numpy loop runs: planted"]),
-    ], ids=["numpy", "none"])
-    def test_a_stored_verdict_is_taken_as_it_stands(self, stored, loaded, unchecked_library, monkeypatch, caplog):
-        # a load with a verdict checks nothing: it unbinds the normals, or
-        # takes no kernel, and sends the lanes' seeding to SeedSequence as
-        # the verdict says, with the DEBUG lines of a check that found it
+    @pytest.mark.parametrize("stored, logged", [
+        ("used\n", "lane kernel loaded from {}"),
+        ("refused: planted\n", "lane kernel unavailable, the numpy loop runs: {} refused: planted"),
+    ], ids=["used", "refused"])
+    def test_a_stored_verdict_is_taken_as_it_stands(self, stored, logged, unchecked_library, monkeypatch, caplog):
+        # a load with a verdict checks nothing, and logs the DEBUG line of
+        # the check that found it; a refused library is not even loaded
         unchecked_library.with_suffix(".verdict").write_text(stored)
         monkeypatch.setattr(_lanes_build, "check_premises", lambda *args: pytest.fail("premises checked again"))
+        if stored != "used\n":
+            monkeypatch.setattr(_lanes, "_Library", lambda *args: pytest.fail("a refused library loaded"))
         with caplog.at_level(logging.DEBUG, logger="zograd"):
             library = _lanes._library()
-        assert [r.getMessage() for r in caplog.records] == [line.format(unchecked_library) for line in loaded]
-        if library is not None:
-            assert library.seed is None and not any((ctypes.c_uint64 * 256).in_dll(library.lib, "zg_ki"))
-            assert _lanes.seed_words(5, [1]) is None
+        assert [r.getMessage() for r in caplog.records] == [logged.format(unchecked_library)]
+        assert (library is None) == (stored != "used\n") and (_lanes.seed_words(5, [1]) is None) == (library is None)
 
     def test_tables_that_cannot_be_read_again_check_the_premises_again(self, unchecked_library, monkeypatch,
                                                                        caplog):
-        # a stored verdict of inline normals whose tables zg_bind_normal no
-        # longer reads: the premises are checked again, and the new verdict
-        # stored
-        unchecked_library.with_suffix(".verdict").write_text("inline\nlibrary\n")
+        # a stored verdict of a used library whose tables zg_bind_normal no
+        # longer reads: the premises are checked again, the library refused
+        # and the new verdict stored
+        unchecked_library.with_suffix(".verdict").write_text("used\n")
         monkeypatch.setattr(_lanes, "_Library", NoTables)
         with caplog.at_level(logging.DEBUG, logger="zograd"):
-            assert _lanes.kernel() is not None
-        reason = "numpy's random_standard_normal gave no ziggurat tables"
-        assert caplog.text.count(f"normals from numpy's random_standard_normal: {reason}") == 1
-        assert unchecked_library.with_suffix(".verdict").read_text() == f"numpy: {reason}\nlibrary\n"
+            assert _lanes.kernel() is None
+        reason = "refused: numpy's random_standard_normal gave no ziggurat tables"
+        assert caplog.text.count(f"{unchecked_library} {reason}") == 1
+        assert unchecked_library.with_suffix(".verdict").read_text() == f"{reason}\n"
 
     def test_infinite_noise_names_its_lane(self, kernel_calls):
         # lane 0 ends at once: the kernel gets all three lanes and drops lane
@@ -1430,12 +1395,7 @@ class TestCompiledKernel:
                                       np.random.default_rng(seed).standard_normal(n).view(np.int64))
         assert _numpy_ki()[1] == 0 and int(draws[0]) & 0xFF == 1 and refused[0] == 1
         assert 0 in refused
-        loaded = _lanes._library()
-        assert _lanes_build.normal_mismatch(loaded.normal) is None
-        loaded.lib.zg_unbind_normal()  # every normal to random_standard_normal, the premise's fallback
-        unbound = not any((ctypes.c_uint64 * 256).in_dll(loaded.lib, "zg_ki"))
-        unbound = unbound and _lanes_build.normal_mismatch(loaded.normal) is None
-        assert loaded.lib.zg_bind_normal() == 0 and unbound
+        assert _lanes_build.normal_mismatch(_lanes._library().normal) is None
 
     @pytest.mark.parametrize("path, scheme", [("kernel", SPSA), ("numpy", SPSA), ("d2", SURFACE), ("d2", SPSA)])
     def test_offsets_beyond_delta_raise(self, path, scheme):
